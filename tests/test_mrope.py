@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlmlab import mrope
 from vlmlab.errors import ConfigError, ShapeError
@@ -46,6 +48,55 @@ class TestAssignPositionIds:
         seq = MultimodalSequence((ImageBlock(1, 4), TextSpan((0,))))
         ids = assign_position_ids(seq)
         assert ids[-1] == PositionId(4, 4, 4)
+
+
+def reference_position_ids(seq: MultimodalSequence) -> list[tuple[int, int, int]]:
+    """The per-token loop that defines the position-id layout."""
+    ids = []
+    nxt = 0
+    group_t = None
+    for element in seq.elements:
+        if isinstance(element, TextSpan):
+            for _ in element.token_ids:
+                ids.append((nxt, nxt, nxt))
+                nxt += 1
+        elif isinstance(element, ImageBlock):
+            o = nxt
+            for r in range(element.gh):
+                for c in range(element.gw):
+                    ids.append((o, o + r, o + c))
+            nxt = o + max(element.gh, element.gw)
+        else:
+            o = nxt
+            t = o if group_t is None else group_t + 1
+            group_t = t
+            for r in range(element.gh):
+                for c in range(element.gw):
+                    ids.append((t, o + r, o + c))
+            nxt = max(t, o + max(element.gh, element.gw) - 1) + 1
+    return ids
+
+
+_elements = st.one_of(
+    st.lists(st.integers(0, 255), max_size=5).map(lambda ids: TextSpan(tuple(ids))),
+    st.tuples(st.integers(1, 3), st.integers(1, 9)).map(lambda g: ImageBlock(*g)),
+    st.tuples(st.integers(1, 3), st.integers(1, 4)).map(
+        lambda g: FrameGroup(0.0, 0.0, *g)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_elements, max_size=12))
+def test_position_ids_match_per_token_reference(elements):
+    seq = MultimodalSequence(tuple(elements))
+    ids = np.asarray(assign_position_ids(seq), dtype=np.int64).reshape(-1, 3)
+    expected = np.asarray(reference_position_ids(seq), dtype=np.int64).reshape(-1, 3)
+    assert len(assign_position_ids(seq)) == seq.token_count()
+    np.testing.assert_array_equal(ids, expected)
+    group_rows = [i for i, e in enumerate(elements) if isinstance(e, FrameGroup)]
+    starts = np.cumsum([0] + [e.token_count() for e in elements])
+    assert mrope.frame_group_position_ids(seq) == [int(expected[starts[i], 0])
+                                                   for i in group_rows]
 
 
 class TestFrequencyAllocation:
