@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -67,8 +68,8 @@ def _cmd_sparsity(args) -> int:
     duration = cfg.get("duration_s", args.duration)
     spacing = cfg.get("group_spacing_s", args.spacing)
     granularity = cfg.get("granularity_s", args.granularity)
-    if duration <= 0 or spacing <= 0:
-        raise ConfigError("duration and spacing must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in (duration, spacing)):
+        raise ConfigError("duration and spacing must be finite and positive")
     frames = [k * spacing for k in range(int(duration // spacing))]
     if not frames:
         raise ConfigError("duration too short for one group")
@@ -96,6 +97,8 @@ def _cmd_ground(args) -> int:
             text = Path(source).read_text(encoding="utf-8")
         except FileNotFoundError:
             raise ConfigError(f"input file not found: {source}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read input {source}: {exc}") from None
     records = parse_grounding_json(text, kind)
     print(serialize_grounding_json(records))
     return EXIT_OK

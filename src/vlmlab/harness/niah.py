@@ -1,14 +1,15 @@
 """Synthetic needle-in-a-haystack retrieval probe over long video timelines.
 
 A probe sequence is a long run of frame groups sampled at one frame per
-second, each prefixed with its textual timestamp.  Hay groups share one
-content signature; a single needle group carries a distinct signature at a
-chosen relative depth.  Retrieval scores each group by rotating both the
-query and the group's key to the group's position before taking the dot
-product, i.e. the attention score the decoder would produce with query and
-key co-located.  Because the rotary map is an isometry, a clean needle is
-found at any depth and any length; degrading the signature separation
-degrades retrieval rather than the mechanism.
+second, each prefixed with its textual timestamp, plus a key array holding
+one content signature per group.  Hay groups share one signature; a single
+needle group carries a distinct signature at a chosen relative depth.
+Retrieval scores each group by rotating both the query and the group's key
+to the group's position before taking the dot product, i.e. the attention
+score the decoder would produce with query and key co-located.  Because the
+rotary map is an isometry, a clean needle is found at any depth and any
+length; degrading the signature separation degrades retrieval rather than
+the mechanism.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError
-from ..mrope import FrequencyAllocation, apply_mrope, assign_position_ids
+from ..mrope import FrequencyAllocation, apply_mrope, frame_group_ids
 from ..numerics import Tensor
 from ..seeding import Rng
-from ..sequence import FrameGroup, MultimodalSequence
+from ..sequence import MultimodalSequence
 from ..timeline import format_timestamp, interleave_timestamps, sample_frames, SamplingPolicy
 
 
@@ -95,11 +96,14 @@ def _signatures(cfg: NiahConfig, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_niah_sequence(cfg: NiahConfig, duration_s: float, depth: float,
-                        trial_seed: int = 0) -> tuple[MultimodalSequence, NiahGroundTruth]:
+                        trial_seed: int = 0
+                        ) -> tuple[MultimodalSequence, np.ndarray, NiahGroundTruth]:
     """Build one probe timeline with the needle at the given relative depth.
 
     Frames are taken at 1 fps (capped at ``num_frames``), one frame per
-    group; the needle sits at group round(depth * (groups - 1)).
+    group; the needle sits at group round(depth * (groups - 1)).  Returns
+    the timestamped timeline, the (groups, signature_dim) key array whose
+    row g is group g's content signature, and the ground truth.
     """
     if not 0 < depth < 1:
         raise ConfigError(f"depth must lie strictly inside (0, 1), got {depth}")
@@ -109,30 +113,19 @@ def build_niah_sequence(cfg: NiahConfig, duration_s: float, depth: float,
                             tokens_per_frame=1, token_budget=cfg.num_frames,
                             group_size=1)
     frames = sample_frames(duration_s, native_fps=30.0, policy=policy)
-    base = interleave_timestamps(frames, group_size=1, style=cfg.timestamp_style)
+    seq = interleave_timestamps(frames, group_size=1, style=cfg.timestamp_style)
 
     rng = Rng(cfg.seed).split("build").split(trial_seed)
     needle_sig, hay_sig = _signatures(cfg, rng)
-    groups = len(base.frame_groups())
+    groups = len(frames)
     needle_index = math.floor(depth * (groups - 1) + 0.5)  # round half up
 
-    elements = []
-    group_cursor = 0
-    noise_rng = rng.split("noise")
-    for element in base.elements:
-        if isinstance(element, FrameGroup):
-            sig = needle_sig if group_cursor == needle_index else hay_sig
-            if cfg.signature_noise > 0:
-                sig = sig + noise_rng.split(group_cursor).normal(
-                    cfg.signature_dim, cfg.signature_noise)
-            elements.append(FrameGroup(
-                start_time=element.start_time, end_time=element.end_time,
-                gh=element.gh, gw=element.gw,
-                timestamp_style=element.timestamp_style,
-                signature=tuple(sig)))
-            group_cursor += 1
-        else:
-            elements.append(element)
+    keys = np.tile(hay_sig, (groups, 1))
+    keys[needle_index] = needle_sig
+    if cfg.signature_noise > 0:
+        noise_rng = rng.split("noise")
+        keys += np.stack([noise_rng.split(g).normal(cfg.signature_dim, cfg.signature_noise)
+                          for g in range(groups)])
 
     needle_time = frames[needle_index]
     truth = NiahGroundTruth(
@@ -140,7 +133,7 @@ def build_niah_sequence(cfg: NiahConfig, duration_s: float, depth: float,
         timestamp=needle_time,
         timestamp_text=format_timestamp(needle_time, cfg.timestamp_style),
         query_signature=tuple(needle_sig))
-    return MultimodalSequence(tuple(elements)), truth
+    return seq, keys, truth
 
 
 @dataclass(frozen=True)
@@ -150,46 +143,39 @@ class ProbeResult:
     scores: tuple[float, ...]
 
 
-def run_niah_probe(seq: MultimodalSequence, query_signature,
+def run_niah_probe(seq: MultimodalSequence, keys, query_signature,
                    alloc: FrequencyAllocation) -> ProbeResult:
     """Score every frame group against the query and predict the argmax.
 
-    Keys are the groups' signatures rotated at their own positions; the
-    query is rotated to each group's position before the dot product, so a
-    score reduces to the content similarity the rotary isometry preserves.
-    The margin is top1 minus top2 (0.0 with a single group).
+    ``keys`` holds one content signature per frame group, in sequence
+    order.  Keys are rotated at their groups' positions; the query is
+    rotated to each group's position before the dot product, so a score
+    reduces to the content similarity the rotary isometry preserves.  The
+    margin is top1 minus top2 (0.0 with a single group).
     """
-    groups = seq.frame_groups()
+    group_ids = frame_group_ids(seq)
+    groups = len(group_ids)
     if not groups:
         raise ConfigError("probe sequence has no frame groups")
-    if any(g.signature is None for g in groups):
-        raise ConfigError("every frame group needs a signature")
     query = np.asarray(query_signature, dtype=np.float64)
     dim = query.shape[0]
     if query.ndim != 1 or dim != alloc.head_dim:
         raise ConfigError(f"query width {query.shape} vs allocation head_dim {alloc.head_dim}")
-
-    ids = assign_position_ids(seq)
-    group_ids = []
-    cursor = 0
-    for element in seq.elements:
-        if isinstance(element, FrameGroup):
-            group_ids.append(ids[cursor])
-        cursor += element.token_count()
-
-    keys = np.stack([g.signature_array() for g in groups])
+    keys = np.asarray(keys, dtype=np.float64)
+    if keys.ndim != 2 or keys.shape[0] != groups:
+        raise ConfigError(f"key array of shape {keys.shape} needs one signature row "
+                          f"per frame group ({groups})")
     if keys.shape[1] != dim:
         raise ConfigError(f"signature width {keys.shape[1]} vs query width {dim}")
+
     rotated_keys = apply_mrope(Tensor(keys), group_ids, alloc).data
-    rotated_queries = apply_mrope(Tensor(np.tile(query, (len(groups), 1))),
-                                  group_ids, alloc).data
+    rotated_queries = apply_mrope(Tensor(np.tile(query, (groups, 1))), group_ids, alloc).data
     scores = np.einsum("ij,ij->i", rotated_queries, rotated_keys)
 
     order = np.argsort(scores)[::-1]
     predicted = int(order[0])
-    margin = float(scores[order[0]] - scores[order[1]]) if len(groups) > 1 else 0.0
-    return ProbeResult(predicted_index=predicted, margin=margin,
-                       scores=tuple(float(s) for s in scores))
+    margin = float(scores[order[0]] - scores[order[1]]) if groups > 1 else 0.0
+    return ProbeResult(predicted_index=predicted, margin=margin, scores=tuple(scores.tolist()))
 
 
 def run_niah_grid(cfg: NiahConfig, alloc: FrequencyAllocation) -> dict:
@@ -202,8 +188,8 @@ def run_niah_grid(cfg: NiahConfig, alloc: FrequencyAllocation) -> dict:
         for depth in cfg.needle_depths:
             hits = 0
             for trial in range(cfg.trials):
-                seq, truth = build_niah_sequence(cfg, duration_min * 60.0, depth, trial)
-                result = run_niah_probe(seq, truth.query_signature, alloc)
+                seq, keys, truth = build_niah_sequence(cfg, duration_min * 60.0, depth, trial)
+                result = run_niah_probe(seq, keys, truth.query_signature, alloc)
                 hits += int(result.predicted_index == truth.group_index)
             row.append(hits / cfg.trials)
         accuracies.append(row)

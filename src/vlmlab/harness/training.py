@@ -9,6 +9,7 @@ touched, so they remain bit-identical across any number of steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .. import numerics, objective
@@ -106,10 +107,12 @@ def train_toy(model: VisionLanguageModel, stage: StageConfig,
 
     The model is updated in place; its parameters after the call are the
     final ones.  ``lr`` may be zero (a legal no-op step, useful for freeze
-    checks) but not negative.
+    checks) but not negative or non-finite.
     """
-    if lr < 0:
-        raise ConfigError(f"learning rate must be non-negative, got {lr}")
+    if not (math.isfinite(lr) and lr >= 0):
+        raise ConfigError(f"learning rate must be finite and non-negative, got {lr}")
+    if scheme not in objective.SCHEMES:
+        raise ConfigError(f"unknown scheme {scheme!r}; expected one of {sorted(objective.SCHEMES)}")
     if steps < 0:
         raise ConfigError(f"steps must be non-negative, got {steps}")
     if not data:

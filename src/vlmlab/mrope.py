@@ -1,6 +1,7 @@
 """Three-axis rotary position encoding for multimodal sequences.
 
-Each token carries a (t, h, w) position triple.  Every adjacent coordinate
+Each token carries a (t, h, w) position triple; a sequence's ids are one
+(n, 3) int64 array.  Every adjacent coordinate
 pair of a head vector is driven by exactly one of the three axes and one
 angular frequency; the *allocation* decides which.  Two schemes are
 provided:
@@ -20,7 +21,7 @@ component p is by angle ``p * theta[i]`` with the convention
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,7 +35,11 @@ DEFAULT_BASE = 10000.0
 
 
 class PositionId(NamedTuple):
-    """Temporal / vertical / horizontal indices of one token."""
+    """Temporal / vertical / horizontal indices of one token.
+
+    A convenience for writing triples by hand; ``apply_mrope`` accepts a
+    list of these like any other (n, 3) integer array-like.
+    """
 
     t: int
     h: int
@@ -113,8 +118,39 @@ def build_frequency_allocation(head_dim: int, base: float = DEFAULT_BASE,
                                axis_of_pair=axis_of_pair, theta=theta, chunk_split=split)
 
 
-def assign_position_ids(seq: MultimodalSequence) -> list[PositionId]:
-    """Assign one (t, h, w) triple per token of a multimodal sequence.
+_TEXT, _IMAGE, _FRAMES = 0, 1, 2
+
+
+def _layout(seq: MultimodalSequence) -> np.ndarray:
+    """One walk over the elements: (elements, 5) int64 rows of token count,
+    t anchor, h/w origin, grid width and element kind.
+
+    A text span reports its own length as grid width, so its k-th token
+    lands in row 0, column k.
+    """
+    rows = []
+    nxt = 0
+    group_t = None
+    for element in seq.elements:
+        if isinstance(element, TextSpan):
+            n = len(element.token_ids)
+            rows.append((n, nxt, nxt, n, _TEXT))
+            nxt += n
+        elif isinstance(element, ImageBlock):
+            rows.append((element.gh * element.gw, nxt, nxt, element.gw, _IMAGE))
+            nxt += max(element.gh, element.gw)
+        elif isinstance(element, FrameGroup):
+            t = nxt if group_t is None else group_t + 1
+            group_t = t
+            rows.append((element.gh * element.gw, t, nxt, element.gw, _FRAMES))
+            nxt = max(t, nxt + max(element.gh, element.gw) - 1) + 1
+        else:
+            raise TypeError(f"unknown sequence element {type(element).__name__}")
+    return np.array(rows, dtype=np.int64).reshape(-1, 5)
+
+
+def assign_position_ids(seq: MultimodalSequence) -> np.ndarray:
+    """Assign one (t, h, w) triple per token: an (n, 3) int64 array.
 
     Text tokens advance a running scalar index and take it on all three
     axes.  An image block starting at running index o keeps t = o and spans
@@ -125,63 +161,44 @@ def assign_position_ids(seq: MultimodalSequence) -> list[PositionId]:
     previous group's t plus one, so group t ids stay consecutive no matter
     how much text (e.g. timestamps) sits between them.
     """
-    ids: list[PositionId] = []
-    nxt = 0
-    group_t: int | None = None
-    for element in seq.elements:
-        if isinstance(element, TextSpan):
-            for _ in element.token_ids:
-                ids.append(PositionId(nxt, nxt, nxt))
-                nxt += 1
-        elif isinstance(element, ImageBlock):
-            o = nxt
-            for r in range(element.gh):
-                for c in range(element.gw):
-                    ids.append(PositionId(o, o + r, o + c))
-            nxt = o + max(element.gh, element.gw)
-        elif isinstance(element, FrameGroup):
-            o = nxt
-            t = o if group_t is None else group_t + 1
-            group_t = t
-            for r in range(element.gh):
-                for c in range(element.gw):
-                    ids.append(PositionId(t, o + r, o + c))
-            nxt = max(t, o + max(element.gh, element.gw) - 1) + 1
-        else:
-            raise TypeError(f"unknown sequence element {type(element).__name__}")
-    return ids
+    count, t0, origin, width, kind = _layout(seq).T
+    starts = np.cumsum(count) - count
+    local = np.arange(int(count.sum())) - np.repeat(starts, count)
+    row, col = np.divmod(local, np.repeat(width, count))
+    text_col = np.repeat(kind == _TEXT, count) * col
+    origin = np.repeat(origin, count)
+    return np.stack((np.repeat(t0, count) + text_col, origin + row + text_col, origin + col),
+                    axis=1)
+
+
+def frame_group_ids(seq: MultimodalSequence) -> np.ndarray:
+    """The (t, h, w) id of each frame group's first token, (groups, 3) int64."""
+    layout = _layout(seq)
+    return layout[layout[:, 4] == _FRAMES][:, [1, 2, 2]]
 
 
 def frame_group_position_ids(seq: MultimodalSequence) -> list[int]:
     """The temporal id of each frame group, in sequence order."""
-    ids = assign_position_ids(seq)
-    out: list[int] = []
-    cursor = 0
-    for element in seq.elements:
-        n = element.token_count()
-        if isinstance(element, FrameGroup):
-            out.append(ids[cursor].t)
-        cursor += n
-    return out
+    return frame_group_ids(seq)[:, 0].tolist()
 
 
-def _angles(ids: Sequence[PositionId], alloc: FrequencyAllocation) -> np.ndarray:
-    pos = np.asarray([[p.t, p.h, p.w] for p in ids], dtype=np.float64)
-    axis_index = np.asarray([AXES.index(a) for a in alloc.axis_of_pair])
-    theta = np.asarray(alloc.theta)
-    # (seq, pairs): position component of the pair's axis times its frequency
-    return pos[:, axis_index] * theta[None, :]
+def apply_mrope(x: Tensor, ids, alloc: FrequencyAllocation) -> Tensor:
+    """Rotate each token's coordinate pairs by its position angles.
 
-
-def apply_mrope(x: Tensor, ids: Sequence[PositionId], alloc: FrequencyAllocation) -> Tensor:
-    """Rotate each token's coordinate pairs by its position angles."""
+    ``ids`` is any (seq, 3) integer array-like of (t, h, w) triples.
+    """
     if x.data.ndim != 2:
         raise ShapeError(f"apply_mrope expects (seq, head_dim), got {x.shape}")
     if x.shape[1] != alloc.head_dim:
         raise ShapeError(f"head_dim mismatch: tensor {x.shape[1]} vs allocation {alloc.head_dim}")
-    if len(ids) != x.shape[0]:
-        raise ShapeError(f"{len(ids)} position ids for {x.shape[0]} tokens")
-    ang = _angles(ids, alloc)
+    pos = np.asarray(ids, dtype=np.int64)
+    if pos.ndim != 2 or pos.shape[1] != 3:
+        raise ShapeError(f"position ids must be (seq, 3) triples, got shape {pos.shape}")
+    if len(pos) != x.shape[0]:
+        raise ShapeError(f"{len(pos)} position ids for {x.shape[0]} tokens")
+    axis_index = np.asarray([AXES.index(a) for a in alloc.axis_of_pair])
+    # (seq, pairs): position component of the pair's axis times its frequency
+    ang = pos[:, axis_index].astype(np.float64) * np.asarray(alloc.theta)[None, :]
     return numerics.rotate_pairs(x, np.cos(ang), np.sin(ang))
 
 
@@ -221,13 +238,3 @@ def spans_spectrum_ends(alloc: FrequencyAllocation, axis: str) -> bool:
     if not indices:
         return False
     return indices[0] < band and indices[-1] >= num_pairs - band
-
-
-def text_position_ids(n: int, start: int = 0) -> list[PositionId]:
-    """The plain 1-D rotary index sequence, copied onto all three axes."""
-    return [PositionId(i, i, i) for i in range(start, start + n)]
-
-
-def shift_ids(ids: Iterable[PositionId], delta: tuple[int, int, int]) -> list[PositionId]:
-    dt, dh, dw = delta
-    return [p.shifted(dt, dh, dw) for p in ids]

@@ -1,16 +1,12 @@
 """Multimodal sequence elements and their JSON manifest form.
 
 A sequence is an ordered list of text spans, image blocks, and video frame
-groups.  Grids are given in visual tokens (post-merge).  Frame groups may
-carry an optional ``signature`` vector; synthetic retrieval probes use it as
-the group's content, and it is omitted from manifests when absent.
+groups.  Grids are given in visual tokens (post-merge).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -20,7 +16,7 @@ class TextSpan:
     token_ids: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "token_ids", tuple(int(t) for t in self.token_ids))
+        object.__setattr__(self, "token_ids", tuple(map(int, self.token_ids)))
 
     def token_count(self) -> int:
         return len(self.token_ids)
@@ -46,7 +42,6 @@ class FrameGroup:
     gh: int
     gw: int
     timestamp_style: str = "seconds"
-    signature: tuple[float, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.start_time < 0 or self.end_time < self.start_time:
@@ -55,16 +50,9 @@ class FrameGroup:
                 f"got [{self.start_time}, {self.end_time}]")
         if self.gh < 1 or self.gw < 1:
             raise ConfigError(f"frame grid must be at least 1x1, got {self.gh}x{self.gw}")
-        if self.signature is not None:
-            object.__setattr__(self, "signature", tuple(float(v) for v in self.signature))
 
     def token_count(self) -> int:
         return self.gh * self.gw
-
-    def signature_array(self) -> np.ndarray | None:
-        if self.signature is None:
-            return None
-        return np.asarray(self.signature, dtype=np.float64)
 
 
 SequenceElement = TextSpan | ImageBlock | FrameGroup
@@ -93,17 +81,14 @@ def sequence_to_manifest(seq: MultimodalSequence) -> dict:
         elif isinstance(e, ImageBlock):
             elements.append({"kind": "image", "gh": e.gh, "gw": e.gw})
         elif isinstance(e, FrameGroup):
-            entry = {
+            elements.append({
                 "kind": "frame_group",
                 "start_time": e.start_time,
                 "end_time": e.end_time,
                 "gh": e.gh,
                 "gw": e.gw,
                 "timestamp_style": e.timestamp_style,
-            }
-            if e.signature is not None:
-                entry["signature"] = list(e.signature)
-            elements.append(entry)
+            })
         else:
             raise TypeError(f"unknown element {type(e).__name__}")
     return {"schema_version": 1, "elements": elements}
@@ -119,12 +104,10 @@ def sequence_from_manifest(manifest: dict) -> MultimodalSequence:
         elif kind == "image":
             elements.append(ImageBlock(entry["gh"], entry["gw"]))
         elif kind == "frame_group":
-            sig = entry.get("signature")
             elements.append(FrameGroup(
                 start_time=entry["start_time"], end_time=entry["end_time"],
                 gh=entry["gh"], gw=entry["gw"],
                 timestamp_style=entry.get("timestamp_style", "seconds"),
-                signature=tuple(sig) if sig is not None else None,
             ))
         else:
             raise ConfigError(f"element {i}: unknown kind {kind!r}")

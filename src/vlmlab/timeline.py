@@ -159,8 +159,8 @@ def position_id_range_report(seq: MultimodalSequence, scheme: str = "textual_tim
     if scheme == "textual_timestamp":
         t_ids = mrope.frame_group_position_ids(seq)
     elif scheme == "absolute_time":
-        if granularity <= 0:
-            raise ConfigError(f"granularity must be positive, got {granularity}")
+        if not (math.isfinite(granularity) and granularity > 0):
+            raise ConfigError(f"granularity must be finite and positive, got {granularity}")
         t_ids = [math.floor(g.start_time / granularity + 0.5) for g in groups]
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")

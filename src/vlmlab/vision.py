@@ -23,7 +23,7 @@ import numpy as np
 
 from . import numerics
 from .errors import ConfigError, ShapeError
-from .mrope import FrequencyAllocation, PositionId, apply_mrope, assign_position_ids, \
+from .mrope import FrequencyAllocation, apply_mrope, assign_position_ids, \
     build_frequency_allocation
 from .numerics import Tensor
 from .seeding import Rng
@@ -126,7 +126,8 @@ class ModelConfig:
             "encoder_depth": self.encoder_depth, "decoder_depth": self.decoder_depth,
             "dim": self.dim, "llm_dim": self.llm_dim, "head_dim": self.head_dim,
             "taps": list(self.taps), "inject_layers": list(self.inject_layers),
-            "vocab": self.vocab,
+            "vocab": self.vocab, "rope_base": self.rope_base, "rope_scheme": self.rope_scheme,
+            "inject_after_layer": self.inject_after_layer, "normalize_taps": self.normalize_taps,
         }, sort_keys=True)
 
     @staticmethod
@@ -183,7 +184,7 @@ def _block_params(rng: Rng, width: int, head_dim: int, prefix: str) -> dict[str,
 
 
 def _block_forward(params: Mapping[str, Tensor], prefix: str, x: Tensor,
-                   ids: Sequence[PositionId], alloc: FrequencyAllocation,
+                   ids: np.ndarray, alloc: FrequencyAllocation,
                    causal: bool) -> Tensor:
     n = x.shape[0]
     a = _norm(params, f"{prefix}.ln1", x)
@@ -227,7 +228,8 @@ class VisionEncoder:
             raise ShapeError(f"grid width {grid.dim} vs encoder width {self.config.dim}")
         pos = interpolate_pos_embed(self.params["pos_table"], grid.gh, grid.gw)
         pos_flat = numerics.reshape(pos, (grid.gh * grid.gw, grid.dim))
-        ids = [PositionId(0, r, c) for r in range(grid.gh) for c in range(grid.gw)]
+        rows, cols = np.divmod(np.arange(grid.gh * grid.gw), grid.gw)
+        ids = np.stack((np.zeros_like(rows), rows, cols), axis=1)
         x = numerics.add(grid.features, pos_flat)
         states = []
         for layer in range(self.depth):
@@ -316,12 +318,12 @@ class Decoder:
     def embed_tokens(self, token_ids: Sequence[int]) -> Tensor:
         return numerics.gather_rows(self.params["embed"], token_ids)
 
-    def forward(self, embeddings: Tensor, ids: Sequence[PositionId],
+    def forward(self, embeddings: Tensor, ids: np.ndarray,
                 injections: Mapping[int, tuple[Tensor, Sequence[int]]] | None = None) -> Tensor:
         return decoder_forward(embeddings, ids, self.alloc, injections, self)
 
 
-def decoder_forward(embeddings: Tensor, ids: Sequence[PositionId],
+def decoder_forward(embeddings: Tensor, ids: np.ndarray,
                     alloc: FrequencyAllocation,
                     injections: Mapping[int, tuple[Tensor, Sequence[int]]] | None,
                     decoder: Decoder) -> Tensor:
@@ -358,7 +360,7 @@ class PreparedInput:
     """A multimodal sequence lowered to decoder inputs."""
 
     embeddings: Tensor
-    position_ids: list[PositionId]
+    position_ids: np.ndarray  # (seq, 3) int64 (t, h, w) triples
     visual_positions: list[int]
     injections: dict[int, tuple[Tensor, list[int]]] = field(default_factory=dict)
 

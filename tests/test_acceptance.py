@@ -253,7 +253,7 @@ def test_criterion_9_niah_toy_heatmap():
         assert len(cfg.durations_min) == 4 and len(cfg.needle_depths) == 9
         alloc = build_frequency_allocation(cfg.signature_dim)
         # Confirm the grid really reaches 4096 groups at the longest duration.
-        longest, _ = build_niah_sequence(cfg, cfg.durations_min[-1] * 60.0, 0.5)
+        longest, _, _ = build_niah_sequence(cfg, cfg.durations_min[-1] * 60.0, 0.5)
         assert len(longest.frame_groups()) == 4096
         grid = run_niah_grid(cfg, alloc)
         for row in grid["accuracies"]:

@@ -138,6 +138,22 @@ class TestNiah:
         assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["train", "--lr", "nan", "--steps", "1"], None),
+    (["train", "--steps", "1"], {"scheme": "bogus", "examples": 1, "text_len": 2}),
+    (["sparsity", "--duration", "10", "--granularity", "nan"], None),
+    (["ground", "--kind", "point", "--input", "."], None),
+], ids=["train-lr-nan", "train-bogus-scheme", "sparsity-granularity-nan", "ground-directory"])
+def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, argv, config):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", "cfg.json"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -37,8 +37,8 @@ def test_default_niah_reports_byte_identical(tmp_path, capsys):
 def test_noisy_probe_scores_exact(duration_s, depth, trial, index, margin_hex, scores_sha256):
     cfg = NiahConfig(overlap=0.5, signature_noise=0.05)
     alloc = mrope.build_frequency_allocation(cfg.signature_dim)
-    seq, truth = build_niah_sequence(cfg, duration_s, depth, trial)
-    result = run_niah_probe(seq, truth.query_signature, alloc)
+    seq, keys, truth = build_niah_sequence(cfg, duration_s, depth, trial)
+    result = run_niah_probe(seq, keys, truth.query_signature, alloc)
     assert len(result.scores) == int(duration_s)
     assert result.predicted_index == truth.group_index == index
     assert result.margin.hex() == margin_hex

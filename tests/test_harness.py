@@ -10,7 +10,6 @@ from vlmlab.harness import (NiahConfig, StageConfig, build_niah_sequence, emit_r
                             make_synthetic_batch, run_niah_probe, train_toy)
 from vlmlab.harness.niah import run_niah_grid
 from vlmlab.seeding import Rng
-from vlmlab.sequence import FrameGroup, MultimodalSequence
 from vlmlab.timeline import interleave_timestamps
 from vlmlab.vision import ModelConfig, VisionLanguageModel
 
@@ -120,19 +119,22 @@ class TestTrainToy:
 class TestNiahBuild:
     def test_needle_index_midpoint(self):
         cfg = NiahConfig(trials=1)
-        seq, truth = build_niah_sequence(cfg, 64.0, 0.5)
+        seq, keys, truth = build_niah_sequence(cfg, 64.0, 0.5)
         assert len(seq.frame_groups()) == 64
         assert truth.group_index == 32  # round(0.5 * 63)
+        assert keys.shape == (64, cfg.signature_dim)
+        np.testing.assert_array_equal(keys[32], truth.query_signature)
+        assert not np.array_equal(keys[31], keys[32])
 
     def test_single_group(self):
         cfg = NiahConfig(trials=1)
-        seq, truth = build_niah_sequence(cfg, 1.0, 0.5)
+        seq, _, truth = build_niah_sequence(cfg, 1.0, 0.5)
         assert len(seq.frame_groups()) == 1
         assert truth.group_index == 0
 
     def test_depth_near_one(self):
         cfg = NiahConfig(trials=1)
-        _, truth = build_niah_sequence(cfg, 10.0, 0.999)
+        _, _, truth = build_niah_sequence(cfg, 10.0, 0.999)
         assert truth.group_index == 9
 
     def test_depth_bounds(self):
@@ -141,13 +143,13 @@ class TestNiahBuild:
 
     def test_ground_truth_timestamp_text(self):
         cfg = NiahConfig(trials=1)
-        _, truth = build_niah_sequence(cfg, 64.0, 0.5)
+        _, _, truth = build_niah_sequence(cfg, 64.0, 0.5)
         assert truth.timestamp == 32.0
         assert truth.timestamp_text == "<32.0 seconds>"
 
     def test_frame_cap_respected(self):
         cfg = NiahConfig(num_frames=50, trials=1)
-        seq, _ = build_niah_sequence(cfg, 1000.0, 0.5)
+        seq, _, _ = build_niah_sequence(cfg, 1000.0, 0.5)
         assert len(seq.frame_groups()) == 50
 
 
@@ -157,26 +159,22 @@ class TestNiahProbe:
         alloc = mrope.build_frequency_allocation(cfg.signature_dim)
         for duration in (16.0, 256.0):
             for depth in (0.1, 0.5, 0.9):
-                seq, truth = build_niah_sequence(cfg, duration, depth)
-                result = run_niah_probe(seq, truth.query_signature, alloc)
+                seq, keys, truth = build_niah_sequence(cfg, duration, depth)
+                result = run_niah_probe(seq, keys, truth.query_signature, alloc)
                 assert result.predicted_index == truth.group_index
 
     def test_identical_groups_margin_near_zero(self):
         alloc = mrope.build_frequency_allocation(16)
         sig = tuple(Rng(4).normal(16))
         base = interleave_timestamps([float(k) for k in range(40)], group_size=1)
-        elements = tuple(
-            FrameGroup(e.start_time, e.end_time, 1, 1, signature=sig)
-            if isinstance(e, FrameGroup) else e
-            for e in base.elements)
-        result = run_niah_probe(MultimodalSequence(elements), sig, alloc)
+        result = run_niah_probe(base, np.tile(sig, (40, 1)), sig, alloc)
         assert abs(result.margin) < 1e-9
 
     def test_single_group_prediction(self):
         cfg = NiahConfig(trials=1)
         alloc = mrope.build_frequency_allocation(cfg.signature_dim)
-        seq, truth = build_niah_sequence(cfg, 1.0, 0.5)
-        result = run_niah_probe(seq, truth.query_signature, alloc)
+        seq, keys, truth = build_niah_sequence(cfg, 1.0, 0.5)
+        result = run_niah_probe(seq, keys, truth.query_signature, alloc)
         assert result.predicted_index == 0
 
     def test_accuracy_degrades_gracefully_with_overlap(self):
@@ -197,7 +195,7 @@ class TestNiahProbe:
         alloc = mrope.build_frequency_allocation(16)
         seq = interleave_timestamps([0.0, 1.0], group_size=1)
         with pytest.raises(ConfigError, match="signature"):
-            run_niah_probe(seq, tuple(np.ones(16)), alloc)
+            run_niah_probe(seq, np.ones((1, 16)), tuple(np.ones(16)), alloc)
 
 
 class TestReports:

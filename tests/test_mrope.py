@@ -14,15 +14,19 @@ from vlmlab.seeding import Rng
 from vlmlab.sequence import FrameGroup, ImageBlock, MultimodalSequence, TextSpan
 
 
+def _ids(seq):
+    return [PositionId(*row) for row in assign_position_ids(seq).tolist()]
+
+
 class TestAssignPositionIds:
     def test_text_only_matches_1d_rope(self):
         seq = MultimodalSequence((TextSpan(tuple(range(5))),))
-        ids = assign_position_ids(seq)
+        ids = _ids(seq)
         assert ids == [PositionId(i, i, i) for i in range(5)]
 
     def test_text_then_image(self):
         seq = MultimodalSequence((TextSpan((7, 8, 9)), ImageBlock(2, 2), TextSpan((1,))))
-        ids = assign_position_ids(seq)
+        ids = _ids(seq)
         image_ids = ids[3:7]
         assert all(p.t == 3 for p in image_ids)
         assert {(p.h, p.w) for p in image_ids} == {(3, 3), (3, 4), (4, 3), (4, 4)}
@@ -30,10 +34,10 @@ class TestAssignPositionIds:
 
     def test_two_frame_groups_no_text(self):
         seq = MultimodalSequence((FrameGroup(0, 0, 1, 1), FrameGroup(1, 1, 1, 1)))
-        assert assign_position_ids(seq) == [PositionId(0, 0, 0), PositionId(1, 1, 1)]
+        assert _ids(seq) == [PositionId(0, 0, 0), PositionId(1, 1, 1)]
 
     def test_empty_sequence(self):
-        assert assign_position_ids(MultimodalSequence(())) == []
+        assert _ids(MultimodalSequence(())) == []
 
     def test_group_t_ids_consecutive_across_timestamp_text(self):
         elements = []
@@ -46,7 +50,7 @@ class TestAssignPositionIds:
 
     def test_wide_image_advances_by_max_side(self):
         seq = MultimodalSequence((ImageBlock(1, 4), TextSpan((0,))))
-        ids = assign_position_ids(seq)
+        ids = _ids(seq)
         assert ids[-1] == PositionId(4, 4, 4)
 
 
@@ -89,9 +93,9 @@ _elements = st.one_of(
 @given(st.lists(_elements, max_size=12))
 def test_position_ids_match_per_token_reference(elements):
     seq = MultimodalSequence(tuple(elements))
-    ids = np.asarray(assign_position_ids(seq), dtype=np.int64).reshape(-1, 3)
+    ids = assign_position_ids(seq)
     expected = np.asarray(reference_position_ids(seq), dtype=np.int64).reshape(-1, 3)
-    assert len(assign_position_ids(seq)) == seq.token_count()
+    assert ids.dtype == np.int64 and ids.shape == (seq.token_count(), 3)
     np.testing.assert_array_equal(ids, expected)
     group_rows = [i for i, e in enumerate(elements) if isinstance(e, FrameGroup)]
     starts = np.cumsum([0] + [e.token_count() for e in elements])

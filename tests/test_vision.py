@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from vlmlab import numerics as N
 from vlmlab.errors import ConfigError, ShapeError
@@ -54,6 +56,30 @@ class TestTypes:
         cfg = small_config()
         again = ModelConfig.from_json(cfg.to_json())
         assert again.taps == cfg.taps and again.vocab == cfg.vocab
+
+
+@st.composite
+def model_configs(draw):
+    encoder_depth = draw(st.integers(3, 12))
+    decoder_depth = draw(st.integers(1, 6))
+    taps = draw(st.none() | st.lists(st.integers(0, encoder_depth - 1), min_size=3,
+                                     max_size=3, unique=True).map(lambda t: tuple(sorted(t))))
+    return ModelConfig(
+        encoder_depth=encoder_depth, decoder_depth=decoder_depth,
+        dim=draw(st.integers(1, 64)), llm_dim=draw(st.integers(1, 64)),
+        head_dim=2 * draw(st.integers(1, 32)), taps=taps,
+        inject_layers=tuple(draw(st.lists(st.integers(0, decoder_depth - 1),
+                                          min_size=3, max_size=3))),
+        vocab=draw(st.integers(1, 1000)),
+        rope_base=draw(st.floats(1.0, 1e9, exclude_min=True)),
+        rope_scheme=draw(st.sampled_from(["interleaved", "chunked"])),
+        inject_after_layer=draw(st.booleans()), normalize_taps=draw(st.booleans()))
+
+
+@given(model_configs())
+@example(ModelConfig(rope_scheme="chunked", rope_base=500.0, normalize_taps=True))
+def test_model_config_json_round_trip_is_lossless(cfg):
+    assert ModelConfig.from_json(cfg.to_json()) == cfg
 
 
 class TestInterpolate:
