@@ -122,31 +122,34 @@ _TEXT, _IMAGE, _FRAMES = 0, 1, 2
 
 
 def _layout(seq: MultimodalSequence) -> np.ndarray:
-    """One walk over the elements: (elements, 5) int64 rows of token count,
-    t anchor, h/w origin, grid width and element kind.
+    """One walk over the elements: (elements, 6) int64 rows of token count,
+    first token index, t anchor, h/w origin, grid width and element kind.
 
     A text span reports its own length as grid width, so its k-th token
     lands in row 0, column k.
     """
     rows = []
-    nxt = 0
+    start = nxt = 0
     group_t = None
     for element in seq.elements:
         if isinstance(element, TextSpan):
             n = len(element.token_ids)
-            rows.append((n, nxt, nxt, n, _TEXT))
+            rows.append((n, start, nxt, nxt, n, _TEXT))
             nxt += n
         elif isinstance(element, ImageBlock):
-            rows.append((element.gh * element.gw, nxt, nxt, element.gw, _IMAGE))
+            n = element.gh * element.gw
+            rows.append((n, start, nxt, nxt, element.gw, _IMAGE))
             nxt += max(element.gh, element.gw)
         elif isinstance(element, FrameGroup):
+            n = element.gh * element.gw
             t = nxt if group_t is None else group_t + 1
             group_t = t
-            rows.append((element.gh * element.gw, t, nxt, element.gw, _FRAMES))
+            rows.append((n, start, t, nxt, element.gw, _FRAMES))
             nxt = max(t, nxt + max(element.gh, element.gw) - 1) + 1
         else:
             raise TypeError(f"unknown sequence element {type(element).__name__}")
-    return np.array(rows, dtype=np.int64).reshape(-1, 5)
+        start += n
+    return np.array(rows, dtype=np.int64).reshape(-1, 6)
 
 
 def assign_position_ids(seq: MultimodalSequence) -> np.ndarray:
@@ -161,20 +164,17 @@ def assign_position_ids(seq: MultimodalSequence) -> np.ndarray:
     previous group's t plus one, so group t ids stay consecutive no matter
     how much text (e.g. timestamps) sits between them.
     """
-    count, t0, origin, width, kind = _layout(seq).T
-    starts = np.cumsum(count) - count
-    local = np.arange(int(count.sum())) - np.repeat(starts, count)
-    row, col = np.divmod(local, np.repeat(width, count))
-    text_col = np.repeat(kind == _TEXT, count) * col
-    origin = np.repeat(origin, count)
-    return np.stack((np.repeat(t0, count) + text_col, origin + row + text_col, origin + col),
-                    axis=1)
+    layout = _layout(seq)
+    _, start, t0, origin, width, kind = np.repeat(layout, layout[:, 0], axis=0).T
+    row, col = np.divmod(np.arange(len(start)) - start, width)
+    text_col = (kind == _TEXT) * col
+    return np.stack((t0 + text_col, origin + row + text_col, origin + col), axis=1)
 
 
 def frame_group_ids(seq: MultimodalSequence) -> np.ndarray:
     """The (t, h, w) id of each frame group's first token, (groups, 3) int64."""
     layout = _layout(seq)
-    return layout[layout[:, 4] == _FRAMES][:, [1, 2, 2]]
+    return layout[layout[:, 5] == _FRAMES][:, [2, 3, 3]]
 
 
 def frame_group_position_ids(seq: MultimodalSequence) -> list[int]:

@@ -99,8 +99,9 @@ def test_position_ids_match_per_token_reference(elements):
     np.testing.assert_array_equal(ids, expected)
     group_rows = [i for i, e in enumerate(elements) if isinstance(e, FrameGroup)]
     starts = np.cumsum([0] + [e.token_count() for e in elements])
-    assert mrope.frame_group_position_ids(seq) == [int(expected[starts[i], 0])
-                                                   for i in group_rows]
+    first_ids = expected[starts[group_rows]].reshape(-1, 3)
+    np.testing.assert_array_equal(mrope.frame_group_ids(seq), first_ids)
+    assert mrope.frame_group_position_ids(seq) == first_ids[:, 0].tolist()
 
 
 class TestFrequencyAllocation:
