@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, mrope, timeline
-from .errors import ConfigError, GroundingParseError
+from .errors import NUMBER, ConfigError, GroundingParseError, check_config_types
 from .grounding import parse_grounding_json, serialize_grounding_json
 from .harness import (NiahConfig, emit_report, load_stage_config, make_synthetic_batch,
                       train_toy)
@@ -32,7 +32,18 @@ EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 
 
-def _load_json_config(path: str | None) -> dict:
+_SPECTRUM_KEYS = {"head_dim": int, "base": NUMBER, "scheme": str, "chunk_split": [int]}
+_SPARSITY_KEYS = {"duration_s": NUMBER, "group_spacing_s": NUMBER, "granularity_s": NUMBER}
+_GROUND_KEYS = {"kind": str, "input": str}
+_TRAIN_KEYS = {"stage": str, "model": dict, "examples": int, "text_len": int, "steps": int,
+               "lr": NUMBER, "scheme": str}
+_NIAH_KEYS = {"schema_version": int, "num_frames": int, "needle_depths": [NUMBER],
+              "trials": int, "seed": int, "durations_min": [NUMBER], "signature_dim": int,
+              "overlap": NUMBER, "signature_noise": NUMBER, "timestamp_style": str}
+
+
+def _load_json_config(path: str | None, key_types: dict, command: str) -> dict:
+    """Read a subcommand's JSON config object, checking its keys and value types."""
     if path is None:
         return {}
     try:
@@ -44,16 +55,17 @@ def _load_json_config(path: str | None) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
+    check_config_types(raw, key_types, command)
     return raw
 
 
 def _cmd_spectrum(args) -> int:
-    cfg = _load_json_config(args.config)
+    cfg = _load_json_config(args.config, _SPECTRUM_KEYS, "spectrum")
     alloc = mrope.build_frequency_allocation(
         head_dim=cfg.get("head_dim", args.head_dim),
         base=cfg.get("base", args.base),
         scheme=cfg.get("scheme", args.scheme),
-        chunk_split=tuple(cfg["chunk_split"]) if "chunk_split" in cfg else None,
+        chunk_split=cfg.get("chunk_split"),
     )
     report = mrope.spectrum_report(alloc)
     doc = {"allocation": alloc.to_config(), "axes": report,
@@ -64,7 +76,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_sparsity(args) -> int:
-    cfg = _load_json_config(args.config)
+    cfg = _load_json_config(args.config, _SPARSITY_KEYS, "sparsity")
     duration = cfg.get("duration_s", args.duration)
     spacing = cfg.get("group_spacing_s", args.spacing)
     granularity = cfg.get("granularity_s", args.granularity)
@@ -85,7 +97,7 @@ def _cmd_sparsity(args) -> int:
 
 
 def _cmd_ground(args) -> int:
-    cfg = _load_json_config(args.config)
+    cfg = _load_json_config(args.config, _GROUND_KEYS, "ground")
     kind = cfg.get("kind", args.kind)
     source = cfg.get("input", args.input)
     if kind is None:
@@ -105,7 +117,7 @@ def _cmd_ground(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = _load_json_config(args.config)
+    cfg = _load_json_config(args.config, _TRAIN_KEYS, "train")
     stage = load_stage_config(cfg.get("stage", args.stage))
     model_cfg = ModelConfig.from_json(json.dumps(cfg["model"])) if "model" in cfg else ModelConfig()
     rng = Rng(args.seed)
@@ -132,19 +144,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_niah(args) -> int:
-    cfg_dict = _load_json_config(args.config)
+    cfg_dict = _load_json_config(args.config, _NIAH_KEYS, "niah")
     version = cfg_dict.pop("schema_version", 1)
     if version != 1:
         raise ConfigError(f"unsupported niah config schema_version {version}")
     if args.seed is not None:
         cfg_dict["seed"] = args.seed
-    known = set(NiahConfig.__dataclass_fields__)
-    unknown = set(cfg_dict) - known
-    if unknown:
-        raise ConfigError(f"unknown niah config keys: {sorted(unknown)}")
-    for key in ("needle_depths", "durations_min"):
-        if key in cfg_dict:
-            cfg_dict[key] = tuple(cfg_dict[key])
     cfg = NiahConfig(**cfg_dict)
     alloc = mrope.build_frequency_allocation(cfg.signature_dim)
     grid = run_niah_grid(cfg, alloc)
@@ -167,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--head-dim", dest="head_dim", type=int, default=24)
     p.add_argument("--base", type=float, default=mrope.DEFAULT_BASE)
     p.add_argument("--scheme", choices=["interleaved", "chunked"], default="interleaved")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("sparsity", help="temporal position-id density report")
@@ -176,18 +180,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spacing", type=float, default=2.0, help="seconds between groups")
     p.add_argument("--granularity", type=float, default=0.1,
                    help="granularity of the absolute-time encoding")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_sparsity)
 
     p = sub.add_parser("ground", help="validate grounding JSON, print canonical form")
     p.add_argument("--config", help="JSON file with kind/input keys")
-    p.add_argument("--kind", choices=["box2d", "point", "box3d"])
+    p.add_argument("--kind", choices=["box2d", "point", "box3d", "count"])
     p.add_argument("--input", default="-", help="path to a JSON file, or - for stdin")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_ground)
 
     p = sub.add_parser("train", help="toy staged training on synthetic data")
-    p.add_argument("--config", help="JSON file with stage/model/steps/lr/scheme")
+    p.add_argument("--config", help="JSON file with stage/model/steps/lr/scheme/examples/text_len")
     p.add_argument("--stage", default="S0")
     p.add_argument("--steps", type=int, default=5)
     p.add_argument("--lr", type=float, default=0.1)

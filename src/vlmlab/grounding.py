@@ -2,30 +2,32 @@
 
 Pixel coordinates are mapped onto the integer range [0, 1000] regardless
 of image size, so detections are resolution independent.  Parsers and
-serializers cover three record kinds:
+serializers cover four record kinds:
 
 * ``box2d``  - ``{"bbox_2d": [x1, y1, x2, y2], "label": ...}``
 * ``point``  - ``{"point_2d": [x, y], "label": ...}``
 * ``box3d``  - ``{"bbox_3d": [x_center, y_center, z_center, x_size,
   y_size, z_size, roll, pitch, yaw], "label": ...}`` (meters / radians)
+* ``count``  - ``{"count": n, "label": ...}`` (direct counting)
 
-plus a bare-count envelope ``{"count": n, "label": ...}`` for direct
-counting.  Serialization is canonical: fixed key order, single-space
-separators, byte-stable, and re-parses to identical records.
+Serialization is canonical: fixed key order, single-space separators,
+byte-stable, and re-parses to identical records.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GroundingParseError
 
 COORD_MAX = 1000
+_FLOAT_MAX = sys.float_info.max
 
-_KIND_KEYS = {"box2d": "bbox_2d", "point": "point_2d", "box3d": "bbox_3d"}
+_KIND_KEYS = {"box2d": "bbox_2d", "point": "point_2d", "box3d": "bbox_3d", "count": "count"}
 _KIND_ARITY = {"box2d": 4, "point": 2, "box3d": 9}
 
 
@@ -144,7 +146,8 @@ def parse_grounding_json(text: str, kind: str):
     """Parse a grounding JSON array into typed records.
 
     Rejects malformed JSON, wrong arity, out-of-range normalized
-    coordinates, and missing labels, naming the offending element index.
+    coordinates, non-finite 3D box values, non-integer counts and missing
+    labels, naming the offending element index.
     """
     if kind not in _KIND_KEYS:
         raise GroundingParseError(f"unknown kind {kind!r}; expected one of {sorted(_KIND_KEYS)}")
@@ -155,7 +158,7 @@ def parse_grounding_json(text: str, kind: str):
     if not isinstance(payload, list):
         raise GroundingParseError(f"top level must be a JSON array, got {type(payload).__name__}")
 
-    key, arity = _KIND_KEYS[kind], _KIND_ARITY[kind]
+    key, arity = _KIND_KEYS[kind], _KIND_ARITY.get(kind)
     records = []
     for i, entry in enumerate(payload):
         if not isinstance(entry, dict):
@@ -165,22 +168,29 @@ def parse_grounding_json(text: str, kind: str):
         label = entry.get("label")
         if not isinstance(label, str) or not label:
             raise GroundingParseError(f"element {i}: missing label")
-        coords = entry[key]
-        if not isinstance(coords, list) or len(coords) != arity:
-            got = len(coords) if isinstance(coords, list) else type(coords).__name__
+        value = entry[key]
+        if arity is not None and (not isinstance(value, list) or len(value) != arity):
+            got = len(value) if isinstance(value, list) else type(value).__name__
             raise GroundingParseError(
                 f"element {i}: expected {arity} numbers in '{key}', got {got}")
         try:
-            if kind == "point":
-                x, y = (_coerce_normalized(c, kind, i) for c in coords)
+            if kind == "count":
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise GroundingParseError(f"element {i}: count must be an integer")
+                records.append(CountRecord(value, label))
+            elif kind == "point":
+                x, y = (_coerce_normalized(c, kind, i) for c in value)
                 records.append(NormalizedPoint(x, y, label))
             elif kind == "box2d":
-                x1, y1, x2, y2 = (_coerce_normalized(c, kind, i) for c in coords)
+                x1, y1, x2, y2 = (_coerce_normalized(c, kind, i) for c in value)
                 records.append(NormalizedBox(x1, y1, x2, y2, label))
             else:
-                for c in coords:
+                for c in value:
                     _check_number(c, kind, i)
-                records.append(Box3D(*(float(c) for c in coords), label=label))
+                    # False for NaN and the infinities; also bounds huge integer literals.
+                    if not -_FLOAT_MAX <= c <= _FLOAT_MAX:
+                        raise GroundingParseError(f"element {i}: non-finite entry in '{key}'")
+                records.append(Box3D(*(float(c) for c in value), label=label))
         except GroundingParseError:
             raise
         except ValueError as exc:
@@ -209,32 +219,7 @@ def serialize_grounding_json(records) -> str:
             entries.append({"count": r.count, "label": r.label})
         else:
             raise TypeError(f"cannot serialize {type(r).__name__}")
-    return json.dumps(entries, separators=(", ", ": "), ensure_ascii=False)
-
-
-def parse_count_json(text: str) -> list[CountRecord]:
-    """Parse the direct-counting envelope: objects with a bare integer count."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GroundingParseError(f"malformed JSON: {exc}") from exc
-    if not isinstance(payload, list):
-        raise GroundingParseError("top level must be a JSON array")
-    records = []
-    for i, entry in enumerate(payload):
-        if not isinstance(entry, dict) or "count" not in entry:
-            raise GroundingParseError(f"element {i}: missing 'count'")
-        count = entry["count"]
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise GroundingParseError(f"element {i}: count must be an integer")
-        label = entry.get("label")
-        if not isinstance(label, str) or not label:
-            raise GroundingParseError(f"element {i}: missing label")
-        try:
-            records.append(CountRecord(count, label))
-        except ValueError as exc:
-            raise GroundingParseError(f"element {i}: {exc}") from exc
-    return records
+    return json.dumps(entries, separators=(", ", ": "), ensure_ascii=False, allow_nan=False)
 
 
 def iou(a: NormalizedBox, b: NormalizedBox) -> float:

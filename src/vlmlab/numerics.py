@@ -250,23 +250,27 @@ def gelu(x: Tensor) -> Tensor:
     return _unary("gelu", x, out_data, _bw)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stabilized softmax along ``axis``."""
+def _softmax(op: str, x: Tensor, axis: int, mask: np.ndarray | None) -> Tensor:
+    """Stabilized softmax along ``axis``, with masked-out logits at -inf."""
     ax = axis if axis >= 0 else x.data.ndim + axis
     if ax < 0 or ax >= x.data.ndim:
-        raise ShapeError(f"softmax: axis {axis} invalid for shape {x.shape}")
-    if x.shape[ax] == 0:
-        raise ShapeError("softmax over an empty axis")
-    shifted = x.data - x.data.max(axis=ax, keepdims=True)
+        raise ShapeError(f"{op}: axis {axis} invalid for shape {x.shape}")
+    logits = x.data
+    if mask is not None:
+        if not mask.any(axis=ax).all():
+            raise ShapeError(f"{op}: fully masked slice")
+        logits = np.where(mask, logits, -np.inf)
+    elif x.shape[ax] == 0:
+        raise ShapeError(f"{op} over an empty axis")
+    shifted = logits - logits.max(axis=ax, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=ax, keepdims=True)
-    out = Tensor(s, _op="softmax", _parents=(x,))
-    if out.requires_grad:
-        def _bw(g):
-            dot = (g * s).sum(axis=ax, keepdims=True)
-            _accumulate(x, s * (g - dot))
-        out._backward = _bw
-    return out
+    return _unary(op, x, s, lambda g: s * (g - (g * s).sum(axis=ax, keepdims=True)))
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Numerically stabilized softmax along ``axis``."""
+    return _softmax("softmax", x, axis, None)
 
 
 def masked_softmax(x: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
@@ -277,20 +281,7 @@ def masked_softmax(x: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != x.shape:
         raise ShapeError(f"masked_softmax: mask {mask.shape} vs {x.shape}")
-    ax = axis if axis >= 0 else x.data.ndim + axis
-    if not mask.any(axis=ax).all():
-        raise ShapeError("masked_softmax: fully masked slice")
-    neg = np.where(mask, x.data, -np.inf)
-    shifted = neg - neg.max(axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=ax, keepdims=True)
-    out = Tensor(s, _op="masked_softmax", _parents=(x,))
-    if out.requires_grad:
-        def _bw(g):
-            dot = (g * s).sum(axis=ax, keepdims=True)
-            _accumulate(x, s * (g - dot))
-        out._backward = _bw
-    return out
+    return _softmax("masked_softmax", x, axis, mask)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:

@@ -16,13 +16,13 @@ get the three-axis rotary treatment.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import numerics
-from .errors import ConfigError, ShapeError
+from .errors import NUMBER, ConfigError, ShapeError, check_config_types
 from .mrope import FrequencyAllocation, apply_mrope, assign_position_ids, \
     build_frequency_allocation
 from .numerics import Tensor
@@ -49,49 +49,19 @@ class PatchGrid:
                 f"features {self.features.shape} vs grid {self.gh}x{self.gw} width {self.dim}")
 
 
-@dataclass(frozen=True)
-class TapSet:
-    """Three strictly increasing encoder layer indices to tap."""
-
-    levels: tuple[int, int, int]
-
-    def __post_init__(self):
-        lv = tuple(int(x) for x in self.levels)
-        if len(lv) != 3 or not (0 <= lv[0] < lv[1] < lv[2]):
-            raise ConfigError(f"taps must be three strictly increasing indices, got {lv}")
-        object.__setattr__(self, "levels", lv)
-
-    def validate_for_depth(self, depth: int) -> None:
-        if self.levels[-1] >= depth:
-            raise ConfigError(f"tap {self.levels[-1]} out of range for encoder depth {depth}")
-
-    @staticmethod
-    def default(depth: int) -> "TapSet":
-        levels = (depth // 4, depth // 2, (3 * depth) // 4)
-        if not (levels[0] < levels[1] < levels[2]):
-            # Degenerate shallow encoders fall back to the first three layers.
-            levels = (0, 1, 2)
-        return TapSet(levels)
-
-
-@dataclass(frozen=True)
-class InjectionPlan:
-    """Where each tap level lands in the decoder, and at which positions."""
-
-    layer_map: tuple[int, int, int] = (0, 1, 2)
-    visual_token_positions: tuple[int, ...] = ()
-
-    def validate(self, decoder_depth: int, seq_len: int) -> None:
-        if len(set(self.layer_map)) != len(self.layer_map):
-            raise ConfigError(f"duplicate decoder layers in {self.layer_map}")
-        if any(not 0 <= l < decoder_depth for l in self.layer_map):
-            raise ConfigError(f"injection layers {self.layer_map} out of range for depth {decoder_depth}")
-        if any(not 0 <= p < seq_len for p in self.visual_token_positions):
-            raise ConfigError("visual token position out of sequence bounds")
+_MODEL_KEY_TYPES = {
+    "schema_version": int, "encoder_depth": int, "decoder_depth": int, "dim": int,
+    "llm_dim": int, "head_dim": int, "taps": [int], "inject_layers": [int], "vocab": int,
+    "rope_base": NUMBER, "rope_scheme": str, "inject_after_layer": bool,
+    "normalize_taps": bool,
+}
 
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Model shape, DeepStack taps and inject layers, and the one rotary
+    allocation encoder and decoder share; all validated here, once."""
+
     encoder_depth: int = 4
     decoder_depth: int = 3
     dim: int = 8
@@ -105,46 +75,49 @@ class ModelConfig:
     # Ablation knobs; defaults reflect the reference behaviour.
     inject_after_layer: bool = False
     normalize_taps: bool = False
+    alloc: FrequencyAllocation = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.head_dim % 2 != 0:
-            raise ConfigError(f"head_dim must be even, got {self.head_dim}")
         if min(self.dim, self.llm_dim, self.vocab, self.encoder_depth, self.decoder_depth) < 1:
             raise ConfigError("model dims and depths must be positive")
-        taps = TapSet(self.taps) if self.taps is not None else TapSet.default(self.encoder_depth)
-        taps.validate_for_depth(self.encoder_depth)
-        object.__setattr__(self, "taps", taps.levels)
-        if len(self.inject_layers) != 3:
+        depth = self.encoder_depth
+        if self.taps is not None:
+            taps = tuple(int(x) for x in self.taps)
+        else:
+            taps = (depth // 4, depth // 2, (3 * depth) // 4)
+            if not taps[0] < taps[1] < taps[2]:
+                # Degenerate shallow encoders fall back to the first three layers.
+                taps = (0, 1, 2)
+        if len(taps) != 3 or not 0 <= taps[0] < taps[1] < taps[2]:
+            raise ConfigError(f"taps must be three strictly increasing indices, got {taps}")
+        if taps[-1] >= depth:
+            raise ConfigError(f"tap {taps[-1]} out of range for encoder depth {depth}")
+        object.__setattr__(self, "taps", taps)
+        layers = tuple(self.inject_layers)
+        if len(layers) != 3:
             raise ConfigError("inject_layers must name three decoder layers")
-        if any(not 0 <= l < self.decoder_depth for l in self.inject_layers):
-            raise ConfigError(
-                f"inject_layers {self.inject_layers} out of range for depth {self.decoder_depth}")
+        if len(set(layers)) != 3:
+            raise ConfigError(f"duplicate decoder layers in {layers}")
+        if any(not 0 <= l < self.decoder_depth for l in layers):
+            raise ConfigError(f"inject_layers {layers} out of range for depth {self.decoder_depth}")
+        object.__setattr__(self, "inject_layers", layers)
+        object.__setattr__(self, "alloc", build_frequency_allocation(
+            self.head_dim, self.rope_base, self.rope_scheme))
 
     def to_json(self) -> str:
-        return json.dumps({
-            "schema_version": 1,
-            "encoder_depth": self.encoder_depth, "decoder_depth": self.decoder_depth,
-            "dim": self.dim, "llm_dim": self.llm_dim, "head_dim": self.head_dim,
-            "taps": list(self.taps), "inject_layers": list(self.inject_layers),
-            "vocab": self.vocab, "rope_base": self.rope_base, "rope_scheme": self.rope_scheme,
-            "inject_after_layer": self.inject_after_layer, "normalize_taps": self.normalize_taps,
-        }, sort_keys=True)
+        """Every constructor field plus ``schema_version``; ``alloc`` is rebuilt on load."""
+        raw = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        return json.dumps({"schema_version": 1, **raw}, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "ModelConfig":
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ConfigError("model config must be a JSON object")
+        check_config_types(raw, _MODEL_KEY_TYPES, "model")
         version = raw.pop("schema_version", 1)
         if version != 1:
             raise ConfigError(f"unsupported model config schema_version {version}")
-        known = {"encoder_depth", "decoder_depth", "dim", "llm_dim", "head_dim",
-                 "taps", "inject_layers", "vocab", "rope_base", "rope_scheme",
-                 "inject_after_layer", "normalize_taps"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        for key in ("taps", "inject_layers"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
         return ModelConfig(**raw)
 
 
@@ -209,58 +182,37 @@ class VisionEncoder:
 
     def __init__(self, config: ModelConfig, rng: Rng, pos_table: tuple[int, int] = (4, 4)):
         self.config = config
-        self.depth = config.encoder_depth
-        self.taps = TapSet(config.taps)
-        self.taps.validate_for_depth(self.depth)
-        self.alloc = build_frequency_allocation(config.head_dim, config.rope_base,
-                                                config.rope_scheme)
         self.params: dict[str, Tensor] = {}
         th, tw = pos_table
         self.params["pos_table"] = numerics.parameter(
             rng.split("pos").normal((th, tw, config.dim), INIT_STD))
-        for layer in range(self.depth):
+        for layer in range(config.encoder_depth):
             self.params.update(_block_params(rng.split(f"block{layer}"),
                                              config.dim, config.head_dim, f"block{layer}"))
 
-    def hidden_states(self, grid: PatchGrid) -> list[Tensor]:
-        """Hidden state after each block (index L = output of block L)."""
+    def forward(self, grid: PatchGrid) -> tuple[Tensor, list[Tensor]]:
+        """Final hidden state plus the hidden states after each tapped block."""
         if grid.dim != self.config.dim:
             raise ShapeError(f"grid width {grid.dim} vs encoder width {self.config.dim}")
-        pos = interpolate_pos_embed(self.params["pos_table"], grid.gh, grid.gw)
+        pos = numerics.interpolate_bilinear(self.params["pos_table"], grid.gh, grid.gw)
         pos_flat = numerics.reshape(pos, (grid.gh * grid.gw, grid.dim))
         rows, cols = np.divmod(np.arange(grid.gh * grid.gw), grid.gw)
         ids = np.stack((np.zeros_like(rows), rows, cols), axis=1)
         x = numerics.add(grid.features, pos_flat)
-        states = []
-        for layer in range(self.depth):
-            x = _block_forward(self.params, f"block{layer}", x, ids, self.alloc, causal=False)
-            states.append(x)
-        return states
-
-    def forward(self, grid: PatchGrid) -> tuple[Tensor, list[Tensor]]:
-        """Final hidden state plus the three tapped states."""
-        states = self.hidden_states(grid)
-        return states[-1], [states[level] for level in self.taps.levels]
-
-
-def interpolate_pos_embed(table: Tensor, gh: int, gw: int) -> Tensor:
-    """Bilinearly resample a (th, tw, dim) position table to (gh, gw, dim)."""
-    return numerics.interpolate_bilinear(table, gh, gw)
-
-
-def encoder_forward(encoder: VisionEncoder, grid: PatchGrid) -> list[Tensor]:
-    """The encoder's three tapped hidden states for one patch grid."""
-    _, taps = encoder.forward(grid)
-    return taps
+        taps = []
+        for layer in range(self.config.encoder_depth):
+            x = _block_forward(self.params, f"block{layer}", x, ids, self.config.alloc,
+                               causal=False)
+            if layer in self.config.taps:
+                taps.append(x)
+        return x, taps
 
 
 class Merger:
     """Two-layer MLP collapsing each 2x2 patch block into one visual token."""
 
-    def __init__(self, dim: int, llm_dim: int, rng: Rng, name: str = "merger"):
+    def __init__(self, dim: int, llm_dim: int, rng: Rng):
         self.dim = dim
-        self.llm_dim = llm_dim
-        self.name = name
         self.params: dict[str, Tensor] = {}
         self.params.update(_linear_params(rng.split("fc1"), 4 * dim, llm_dim, "fc1"))
         self.params.update(_linear_params(rng.split("fc2"), llm_dim, llm_dim, "fc2"))
@@ -292,67 +244,49 @@ def merge_2x2(level_features: Tensor, gh: int, gw: int, merger: Merger) -> Tenso
     return merger.forward(numerics.concat_cols(corners))
 
 
-def deepstack_inject(hidden: Tensor, injected: Tensor, positions: Sequence[int]) -> Tensor:
-    """Add projected visual features onto selected rows of a hidden state."""
-    return numerics.add_rows_at(hidden, injected, positions)
-
-
 class Decoder:
     """Pre-norm causal transformer producing vocabulary logits."""
 
     def __init__(self, config: ModelConfig, rng: Rng):
         self.config = config
-        self.depth = config.decoder_depth
-        self.alloc = build_frequency_allocation(config.head_dim, config.rope_base,
-                                                config.rope_scheme)
         self.params: dict[str, Tensor] = {}
         self.params["embed"] = numerics.parameter(
             rng.split("embed").normal((config.vocab, config.llm_dim), INIT_STD))
-        for layer in range(self.depth):
+        for layer in range(config.decoder_depth):
             self.params.update(_block_params(rng.split(f"block{layer}"),
                                              config.llm_dim, config.head_dim, f"block{layer}"))
         self.params.update(_norm_params(config.llm_dim, "ln_f"))
         self.params.update(_linear_params(rng.split("head"), config.llm_dim,
                                           config.vocab, "head"))
 
-    def embed_tokens(self, token_ids: Sequence[int]) -> Tensor:
-        return numerics.gather_rows(self.params["embed"], token_ids)
-
     def forward(self, embeddings: Tensor, ids: np.ndarray,
                 injections: Mapping[int, tuple[Tensor, Sequence[int]]] | None = None) -> Tensor:
-        return decoder_forward(embeddings, ids, self.alloc, injections, self)
+        """Run the decoder stack; returns (seq, vocab) logits.
 
+        ``injections`` maps a decoder layer index to (visual tokens, positions);
+        the tokens are added onto that layer's input hidden state (or its
+        output, under the post-layer ablation).  The sequence never grows.
+        """
+        cfg = self.config
+        if embeddings.shape[1] != cfg.llm_dim:
+            raise ShapeError(f"embedding width {embeddings.shape[1]} vs {cfg.llm_dim}")
+        if len(ids) != embeddings.shape[0]:
+            raise ShapeError(f"{len(ids)} position ids for {embeddings.shape[0]} tokens")
+        injections = dict(injections or {})
+        for layer in injections:
+            if not 0 <= layer < cfg.decoder_depth:
+                raise ConfigError(
+                    f"injection layer {layer} out of range for depth {cfg.decoder_depth}")
 
-def decoder_forward(embeddings: Tensor, ids: np.ndarray,
-                    alloc: FrequencyAllocation,
-                    injections: Mapping[int, tuple[Tensor, Sequence[int]]] | None,
-                    decoder: Decoder) -> Tensor:
-    """Run the decoder stack; returns (seq, vocab) logits.
-
-    ``injections`` maps a decoder layer index to (visual tokens, positions);
-    the tokens are added onto that layer's input hidden state (or its
-    output, under the post-layer ablation).  The sequence never grows.
-    """
-    if embeddings.shape[1] != decoder.config.llm_dim:
-        raise ShapeError(f"embedding width {embeddings.shape[1]} vs {decoder.config.llm_dim}")
-    if len(ids) != embeddings.shape[0]:
-        raise ShapeError(f"{len(ids)} position ids for {embeddings.shape[0]} tokens")
-    injections = dict(injections or {})
-    for layer in injections:
-        if not 0 <= layer < decoder.depth:
-            raise ConfigError(f"injection layer {layer} out of range for depth {decoder.depth}")
-
-    x = embeddings
-    for layer in range(decoder.depth):
-        if layer in injections and not decoder.config.inject_after_layer:
-            rows, positions = injections[layer]
-            x = deepstack_inject(x, rows, positions)
-        x = _block_forward(decoder.params, f"block{layer}", x, ids, alloc, causal=True)
-        if layer in injections and decoder.config.inject_after_layer:
-            rows, positions = injections[layer]
-            x = deepstack_inject(x, rows, positions)
-    x = _norm(decoder.params, "ln_f", x)
-    return _linear(decoder.params, "head", x)
+        x = embeddings
+        for layer in range(cfg.decoder_depth):
+            if layer in injections and not cfg.inject_after_layer:
+                x = numerics.add_rows_at(x, *injections[layer])
+            x = _block_forward(self.params, f"block{layer}", x, ids, cfg.alloc, causal=True)
+            if layer in injections and cfg.inject_after_layer:
+                x = numerics.add_rows_at(x, *injections[layer])
+        x = _norm(self.params, "ln_f", x)
+        return _linear(self.params, "head", x)
 
 
 @dataclass
@@ -375,9 +309,9 @@ class VisionLanguageModel:
     def __init__(self, config: ModelConfig, rng: Rng):
         self.config = config
         self.encoder = VisionEncoder(config, rng.split("encoder"))
-        self.main_merger = Merger(config.dim, config.llm_dim, rng.split("merger_main"), "main")
+        self.main_merger = Merger(config.dim, config.llm_dim, rng.split("merger_main"))
         self.tap_mergers = [
-            Merger(config.dim, config.llm_dim, rng.split(f"merger_tap{i}"), f"tap{i}")
+            Merger(config.dim, config.llm_dim, rng.split(f"merger_tap{i}"))
             for i in range(3)
         ]
         self.decoder = Decoder(config, rng.split("decoder"))
@@ -427,7 +361,8 @@ class VisionLanguageModel:
         for idx, element in enumerate(seq.elements):
             if isinstance(element, TextSpan):
                 if element.token_ids:
-                    embed_parts.append(self.decoder.embed_tokens(element.token_ids))
+                    embed_parts.append(numerics.gather_rows(self.decoder.params["embed"],
+                                                           element.token_ids))
                 cursor += element.token_count()
                 continue
             if not isinstance(element, (ImageBlock, FrameGroup)):
@@ -458,11 +393,7 @@ class VisionLanguageModel:
         embeddings = numerics.concat_rows(embed_parts)
         injections: dict[int, tuple[Tensor, list[int]]] = {}
         if visual_positions:
-            plan = InjectionPlan(layer_map=self.config.inject_layers,
-                                 visual_token_positions=tuple(visual_positions))
-            plan.validate(self.config.decoder_depth, seq.token_count())
-            for level, parts in enumerate(deepstack_parts):
-                layer = plan.layer_map[level]
+            for layer, parts in zip(self.config.inject_layers, deepstack_parts):
                 injections[layer] = (numerics.concat_rows(parts), list(visual_positions))
         return PreparedInput(
             embeddings=embeddings,

@@ -73,6 +73,20 @@ class TestGround:
         assert code == 3
         assert "validation error" in err
 
+    def test_count_kind(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('[{"count":3,"label":"cups"}]')
+        code, out, _ = run_cli(capsys, "ground", "--kind", "count", "--input", str(path))
+        assert code == 0
+        assert out.strip() == '[{"count": 3, "label": "cups"}]'
+
+    def test_non_finite_box3d_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "b.json"
+        path.write_text('[{"bbox_3d": [0, 0, 0, 1, 1, NaN, 0, 0, 0], "label": "a"}]')
+        code, out, err = run_cli(capsys, "ground", "--kind", "box3d", "--input", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("validation error: element 0: non-finite")
+
     def test_missing_input_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "ground", "--kind", "box2d", "--input", "/nope.json")
         assert code == 2
@@ -143,7 +157,17 @@ class TestNiah:
     (["train", "--steps", "1"], {"scheme": "bogus", "examples": 1, "text_len": 2}),
     (["sparsity", "--duration", "10", "--granularity", "nan"], None),
     (["ground", "--kind", "point", "--input", "."], None),
-], ids=["train-lr-nan", "train-bogus-scheme", "sparsity-granularity-nan", "ground-directory"])
+    (["train"], {"lr": "fast"}),
+    (["sparsity"], {"granularity_s": "x"}),
+    (["spectrum"], {"head_dim": "x"}),
+    (["niah"], {"trials": "3"}),
+    (["train"], {"model": {"dim": "x"}}),
+    (["train"], {"stepz": 3}),
+    (["spectrum"], {"bogus": 1}),
+], ids=["train-lr-nan", "train-bogus-scheme", "sparsity-granularity-nan", "ground-directory",
+        "train-lr-string", "sparsity-granularity-string", "spectrum-head-dim-string",
+        "niah-trials-string", "train-model-dim-string", "train-unknown-key",
+        "spectrum-unknown-key"])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)
     if config is not None:

@@ -2,11 +2,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vlmlab.errors import GroundingParseError
 from vlmlab.grounding import (Box3D, CountRecord, NormalizedBox, NormalizedPoint, denormalize,
-                              iou, normalize, normalize_box, parse_count_json,
-                              parse_grounding_json, serialize_grounding_json)
+                              iou, normalize, normalize_box, parse_grounding_json,
+                              serialize_grounding_json)
 from vlmlab.seeding import Rng
 
 
@@ -113,11 +115,26 @@ class TestParse:
         with pytest.raises(GroundingParseError, match="array"):
             parse_grounding_json('{"point_2d": [1, 2], "label": "x"}', "point")
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+                             ids=["nan", "inf", "-inf", "float-1e400", "int-1e400"])
+    @pytest.mark.parametrize("slot", range(9))
+    def test_box3d_non_finite_rejected(self, value, slot):
+        params = ["0", "0", "0", "1", "1", "1", "0", "0", "0"]
+        params[slot] = value
+        payload = ('[{"bbox_3d": [0, 0, 0, 1, 1, 1, 0, 0, 0], "label": "ok"}, '
+                   f'{{"bbox_3d": [{", ".join(params)}], "label": "x"}}]')
+        with pytest.raises(GroundingParseError, match="element 1: non-finite"):
+            parse_grounding_json(payload, "box3d")
+
+    def test_serialize_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            serialize_grounding_json([Box3D(float("nan"), 0, 0, 1, 1, 1, 0, 0, 0, "x")])
+
     def test_count_envelope(self):
-        records = parse_count_json('[{"count": 7, "label": "apples"}]')
+        records = parse_grounding_json('[{"count": 7, "label": "apples"}]', "count")
         assert records == [CountRecord(7, "apples")]
         with pytest.raises(GroundingParseError, match="count"):
-            parse_count_json('[{"count": 1.5, "label": "x"}]')
+            parse_grounding_json('[{"count": 1.5, "label": "x"}]', "count")
 
 
 def random_records(kind: str, rng: Rng, n: int):
@@ -148,6 +165,31 @@ def test_parse_serialize_identity(kind):
     text = serialize_grounding_json(records)
     assert parse_grounding_json(text, kind) == records
     # Serialization is canonical: stable bytes on a round trip.
+    assert serialize_grounding_json(parse_grounding_json(text, kind)) == text
+
+
+labels = st.text(min_size=1)
+coords = st.integers(0, 1000)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+sizes = st.floats(min_value=0.0, allow_infinity=False)
+records_of_kind = {
+    "point": st.builds(NormalizedPoint, coords, coords, labels),
+    "box2d": st.builds(lambda xs, ys, label: NormalizedBox(min(xs), min(ys), max(xs), max(ys),
+                                                           label),
+                       st.tuples(coords, coords), st.tuples(coords, coords), labels),
+    "box3d": st.builds(lambda c, s, a, label: Box3D(*c, *s, *a, label=label),
+                       st.tuples(finite, finite, finite), st.tuples(sizes, sizes, sizes),
+                       st.tuples(finite, finite, finite), labels),
+    "count": st.builds(CountRecord, st.integers(min_value=0), labels),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(records_of_kind))
+@given(data=st.data())
+def test_serialize_parse_round_trip(kind, data):
+    records = data.draw(st.lists(records_of_kind[kind], max_size=8))
+    text = serialize_grounding_json(records)
+    assert parse_grounding_json(text, kind) == records
     assert serialize_grounding_json(parse_grounding_json(text, kind)) == text
 
 

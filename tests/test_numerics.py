@@ -67,6 +67,8 @@ class TestSoftmax:
     def test_bad_axis_errors(self):
         with pytest.raises(ShapeError, match="axis"):
             N.softmax(Tensor(np.zeros((2, 3))), axis=2)
+        with pytest.raises(ShapeError, match="axis"):
+            N.masked_softmax(Tensor(np.zeros((2, 3))), np.ones((2, 3), dtype=bool), axis=2)
 
 
 class TestLayerNorm:

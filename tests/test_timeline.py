@@ -1,8 +1,12 @@
+import json
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vlmlab.errors import ConfigError
 from vlmlab.seeding import Rng
-from vlmlab.sequence import (FrameGroup, MultimodalSequence, TextSpan,
+from vlmlab.sequence import (FrameGroup, ImageBlock, MultimodalSequence, TextSpan,
                              sequence_from_manifest, sequence_to_manifest)
 from vlmlab.timeline import (SamplingPolicy, detokenize, format_timestamp,
                              interleave_timestamps, parse_timestamp,
@@ -226,3 +230,19 @@ def test_manifest_round_trip():
     ))
     again = sequence_from_manifest(sequence_to_manifest(seq))
     assert again == seq
+
+
+grids = st.integers(1, 64)
+times = st.floats(0.0, 1e6)
+elements = st.one_of(
+    st.builds(TextSpan, st.lists(st.integers(0, 10 ** 6), max_size=6).map(tuple)),
+    st.builds(ImageBlock, grids, grids),
+    st.builds(lambda a, b, gh, gw, style: FrameGroup(min(a, b), max(a, b), gh, gw, style),
+              times, times, grids, grids, st.sampled_from(["seconds", "hms"])),
+)
+
+
+@given(st.lists(elements, max_size=8).map(lambda e: MultimodalSequence(tuple(e))))
+def test_manifest_round_trip_is_lossless(seq):
+    manifest = json.loads(json.dumps(sequence_to_manifest(seq)))
+    assert sequence_from_manifest(manifest) == seq

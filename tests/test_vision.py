@@ -11,9 +11,8 @@ from vlmlab.mrope import PositionId
 from vlmlab.numerics import Tensor
 from vlmlab.seeding import Rng
 from vlmlab.sequence import FrameGroup, ImageBlock, MultimodalSequence, TextSpan
-from vlmlab.vision import (Decoder, InjectionPlan, Merger, ModelConfig, PatchGrid, TapSet,
-                           VisionEncoder, VisionLanguageModel, deepstack_inject,
-                           encoder_forward, interpolate_pos_embed, merge_2x2)
+from vlmlab.vision import (Decoder, Merger, ModelConfig, PatchGrid, VisionEncoder,
+                           VisionLanguageModel, merge_2x2)
 
 
 def small_config(**overrides) -> ModelConfig:
@@ -30,27 +29,32 @@ def random_grid(cfg: ModelConfig, gh: int, gw: int, seed=0) -> PatchGrid:
 class TestTypes:
     def test_tapset_strictly_increasing(self):
         with pytest.raises(ConfigError, match="strictly increasing"):
-            TapSet((2, 2, 3))
+            ModelConfig(taps=(2, 2, 3))
 
     def test_tapset_depth_check(self):
         with pytest.raises(ConfigError, match="out of range"):
-            TapSet((0, 1, 5)).validate_for_depth(4)
+            ModelConfig(encoder_depth=4, taps=(0, 1, 5))
 
     def test_default_taps_evenly_spaced(self):
-        assert TapSet.default(12).levels == (3, 6, 9)
-        assert TapSet.default(4).levels == (1, 2, 3)
+        assert ModelConfig(encoder_depth=12).taps == (3, 6, 9)
+        assert ModelConfig(encoder_depth=4).taps == (1, 2, 3)
 
     def test_patch_grid_row_count(self):
         with pytest.raises(ShapeError):
             PatchGrid(2, 2, 3, Tensor(np.ones((3, 3))))
 
     def test_injection_plan_validation(self):
-        plan = InjectionPlan(layer_map=(0, 1, 2), visual_token_positions=(1, 2))
-        plan.validate(decoder_depth=3, seq_len=4)
+        ModelConfig(decoder_depth=3, inject_layers=(0, 1, 2))
         with pytest.raises(ConfigError, match="out of range"):
-            plan.validate(decoder_depth=2, seq_len=4)
-        with pytest.raises(ConfigError, match="bounds"):
-            InjectionPlan(visual_token_positions=(9,)).validate(3, 4)
+            ModelConfig(decoder_depth=2, inject_layers=(0, 1, 2))
+        with pytest.raises(ConfigError, match="duplicate"):
+            ModelConfig(decoder_depth=3, inject_layers=(0, 1, 1))
+
+    @pytest.mark.parametrize("overrides", [{"rope_scheme": "bogus"}, {"rope_base": 1.0},
+                                           {"head_dim": 0}])
+    def test_rotary_allocation_checked_at_config(self, overrides):
+        with pytest.raises(ConfigError):
+            ModelConfig(**overrides)
 
     def test_model_config_json_round_trip(self):
         cfg = small_config()
@@ -61,7 +65,7 @@ class TestTypes:
 @st.composite
 def model_configs(draw):
     encoder_depth = draw(st.integers(3, 12))
-    decoder_depth = draw(st.integers(1, 6))
+    decoder_depth = draw(st.integers(3, 6))
     taps = draw(st.none() | st.lists(st.integers(0, encoder_depth - 1), min_size=3,
                                      max_size=3, unique=True).map(lambda t: tuple(sorted(t))))
     return ModelConfig(
@@ -69,7 +73,7 @@ def model_configs(draw):
         dim=draw(st.integers(1, 64)), llm_dim=draw(st.integers(1, 64)),
         head_dim=2 * draw(st.integers(1, 32)), taps=taps,
         inject_layers=tuple(draw(st.lists(st.integers(0, decoder_depth - 1),
-                                          min_size=3, max_size=3))),
+                                          min_size=3, max_size=3, unique=True))),
         vocab=draw(st.integers(1, 1000)),
         rope_base=draw(st.floats(1.0, 1e9, exclude_min=True)),
         rope_scheme=draw(st.sampled_from(["interleaved", "chunked"])),
@@ -85,15 +89,15 @@ def test_model_config_json_round_trip_is_lossless(cfg):
 class TestInterpolate:
     def test_identity(self):
         table = N.parameter(Rng(1).normal((4, 4, 3)))
-        np.testing.assert_array_equal(interpolate_pos_embed(table, 4, 4).data, table.data)
+        np.testing.assert_array_equal(N.interpolate_bilinear(table, 4, 4).data, table.data)
 
     def test_midpoint(self):
         table = Tensor(np.asarray([[[2.0], [6.0]]]))
-        out = interpolate_pos_embed(table, 1, 3)
+        out = N.interpolate_bilinear(table, 1, 3)
         np.testing.assert_allclose(out.data[0, :, 0], [2.0, 4.0, 6.0])
 
     def test_constant(self):
-        out = interpolate_pos_embed(Tensor(np.full((3, 2, 2), 1.5)), 7, 5)
+        out = N.interpolate_bilinear(Tensor(np.full((3, 2, 2), 1.5)), 7, 5)
         np.testing.assert_allclose(out.data, np.full((7, 5, 2), 1.5))
 
 
@@ -101,7 +105,7 @@ class TestEncoder:
     def test_tap_shapes(self):
         cfg = small_config()
         enc = VisionEncoder(cfg, Rng(0))
-        taps = encoder_forward(enc, random_grid(cfg, 2, 4))
+        _, taps = enc.forward(random_grid(cfg, 2, 4))
         assert [t.shape for t in taps] == [(8, 4)] * 3
 
     def test_zero_weights_make_taps_equal(self):
@@ -113,14 +117,14 @@ class TestEncoder:
             if name.endswith((".w", ".b")) or name == "pos_table":
                 enc.params[name] = Tensor(np.zeros(p.shape))
         grid = random_grid(cfg, 2, 2, seed=3)
-        taps = encoder_forward(enc, grid)
+        _, taps = enc.forward(grid)
         for t in taps:
             np.testing.assert_array_equal(t.data, grid.features.data)
 
     def test_singleton_grid_attention(self):
         cfg = small_config()
         enc = VisionEncoder(cfg, Rng(0))
-        taps = encoder_forward(enc, random_grid(cfg, 1, 1, seed=4))
+        _, taps = enc.forward(random_grid(cfg, 1, 1, seed=4))
         assert all(t.shape == (1, cfg.dim) for t in taps)
 
     def test_tap_out_of_range(self):
@@ -170,24 +174,24 @@ class TestMerge2x2:
 class TestDeepstackInject:
     def test_zero_injection_identity(self):
         hidden = Tensor(Rng(0).normal((6, 8)))
-        out = deepstack_inject(hidden, Tensor(np.zeros((2, 8))), [2, 5])
+        out = N.add_rows_at(hidden, Tensor(np.zeros((2, 8))), [2, 5])
         assert out.data.tobytes() == hidden.data.tobytes()
 
     def test_ones_at_positions(self):
         hidden = Tensor(Rng(0).normal((6, 8)))
-        out = deepstack_inject(hidden, Tensor(np.ones((2, 8))), [2, 5])
+        out = N.add_rows_at(hidden, Tensor(np.ones((2, 8))), [2, 5])
         np.testing.assert_array_equal(out.data[[2, 5]], hidden.data[[2, 5]] + 1.0)
         untouched = [i for i in range(6) if i not in (2, 5)]
         np.testing.assert_array_equal(out.data[untouched], hidden.data[untouched])
 
     def test_empty_positions(self):
         hidden = Tensor(Rng(0).normal((4, 8)))
-        out = deepstack_inject(hidden, Tensor(np.zeros((0, 8))), [])
+        out = N.add_rows_at(hidden, Tensor(np.zeros((0, 8))), [])
         np.testing.assert_array_equal(out.data, hidden.data)
 
     def test_out_of_range_position(self):
         with pytest.raises(ShapeError, match="out of range"):
-            deepstack_inject(Tensor(np.ones((4, 8))), Tensor(np.ones((1, 8))), [4])
+            N.add_rows_at(Tensor(np.ones((4, 8))), Tensor(np.ones((1, 8))), [4])
 
 
 def prepared_multimodal(cfg, model, seed=0):
