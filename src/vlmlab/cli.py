@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, mrope, timeline
-from .errors import NUMBER, ConfigError, GroundingParseError, check_config_types
+from .errors import NUMBER, ConfigError, GroundingParseError, load_json_config
 from .grounding import parse_grounding_json, serialize_grounding_json
 from .harness import (NiahConfig, emit_report, load_stage_config, make_synthetic_batch,
                       train_toy)
@@ -42,25 +42,8 @@ _NIAH_KEYS = {"schema_version": int, "num_frames": int, "needle_depths": [NUMBER
               "overlap": NUMBER, "signature_noise": NUMBER, "timestamp_style": str}
 
 
-def _load_json_config(path: str | None, key_types: dict, command: str) -> dict:
-    """Read a subcommand's JSON config object, checking its keys and value types."""
-    if path is None:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    check_config_types(raw, key_types, command)
-    return raw
-
-
 def _cmd_spectrum(args) -> int:
-    cfg = _load_json_config(args.config, _SPECTRUM_KEYS, "spectrum")
+    cfg = load_json_config(args.config, _SPECTRUM_KEYS, "spectrum")
     alloc = mrope.build_frequency_allocation(
         head_dim=cfg.get("head_dim", args.head_dim),
         base=cfg.get("base", args.base),
@@ -76,7 +59,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_sparsity(args) -> int:
-    cfg = _load_json_config(args.config, _SPARSITY_KEYS, "sparsity")
+    cfg = load_json_config(args.config, _SPARSITY_KEYS, "sparsity")
     duration = cfg.get("duration_s", args.duration)
     spacing = cfg.get("group_spacing_s", args.spacing)
     granularity = cfg.get("granularity_s", args.granularity)
@@ -97,7 +80,7 @@ def _cmd_sparsity(args) -> int:
 
 
 def _cmd_ground(args) -> int:
-    cfg = _load_json_config(args.config, _GROUND_KEYS, "ground")
+    cfg = load_json_config(args.config, _GROUND_KEYS, "ground")
     kind = cfg.get("kind", args.kind)
     source = cfg.get("input", args.input)
     if kind is None:
@@ -117,7 +100,7 @@ def _cmd_ground(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = _load_json_config(args.config, _TRAIN_KEYS, "train")
+    cfg = load_json_config(args.config, _TRAIN_KEYS, "train")
     stage = load_stage_config(cfg.get("stage", args.stage))
     model_cfg = ModelConfig.from_json(json.dumps(cfg["model"])) if "model" in cfg else ModelConfig()
     rng = Rng(args.seed)
@@ -144,7 +127,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_niah(args) -> int:
-    cfg_dict = _load_json_config(args.config, _NIAH_KEYS, "niah")
+    cfg_dict = load_json_config(args.config, _NIAH_KEYS, "niah")
     version = cfg_dict.pop("schema_version", 1)
     if version != 1:
         raise ConfigError(f"unsupported niah config schema_version {version}")

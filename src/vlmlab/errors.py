@@ -1,4 +1,4 @@
-"""Shared exception types, and the type check on JSON config objects.
+"""Shared exception types, and the one reader and type check for JSON configs.
 
 The CLI maps these onto exit codes: configuration problems exit with 2,
 validation/parse failures with 3.
@@ -7,6 +7,7 @@ validation/parse failures with 3.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Mapping
 
 
@@ -30,14 +31,18 @@ def _has_type(value, expected) -> bool:
     if isinstance(expected, list):
         return isinstance(value, list) and all(_has_type(v, expected[0]) for v in value)
     # JSON true/false parse to bool, which Python counts as an int.
-    return isinstance(value, expected) and isinstance(value, bool) == (expected is bool)
+    if not (isinstance(value, expected) and isinstance(value, bool) == (expected is bool)):
+        return False
+    # NaN, Infinity, 1e400 (read as Infinity) and integers past the float range are not
+    # finite numbers; the comparison is exact for ints and false for NaN.
+    return expected is not NUMBER or abs(value) <= sys.float_info.max
 
 
 def check_config_types(raw: Mapping, key_types: Mapping, what: str) -> None:
     """Reject keys absent from ``key_types`` and values of the wrong JSON type.
 
-    ``key_types`` maps each key to a type, to ``NUMBER``, or to ``[t]`` for
-    an array whose items are all of type ``t``.
+    ``key_types`` maps each key to a type, to ``NUMBER`` (a finite number),
+    or to ``[t]`` for an array whose items are all of type ``t``.
     """
     unknown = set(raw) - set(key_types)
     if unknown:
@@ -49,3 +54,25 @@ def check_config_types(raw: Mapping, key_types: Mapping, what: str) -> None:
                     else _JSON_NAMES[expected])
             raise ConfigError(
                 f"{what} config key {key!r} must be a JSON {name}, got {json.dumps(value)}")
+
+
+def load_json_config(path: str | None, key_types: Mapping, what: str) -> dict:
+    """Read a JSON config object from ``path`` and check its keys and value types.
+
+    ``None`` reads as an empty config.
+    """
+    if path is None:
+        return {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    check_config_types(raw, key_types, what)
+    return raw

@@ -51,14 +51,14 @@ class NiahConfig:
             raise ConfigError("needle depths must be strictly increasing")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
-        if not self.durations_min or any(d <= 0 for d in self.durations_min):
-            raise ConfigError("durations must be positive")
+        if not self.durations_min or not all(0 < d < math.inf for d in self.durations_min):
+            raise ConfigError("durations must be finite and positive")
         if self.signature_dim < 2 or self.signature_dim % 2:
             raise ConfigError("signature_dim must be even and >= 2")
         if not 0.0 <= self.overlap <= 1.0:
             raise ConfigError("overlap must lie in [0, 1]")
-        if self.signature_noise < 0:
-            raise ConfigError("signature_noise must be non-negative")
+        if not 0 <= self.signature_noise < math.inf:
+            raise ConfigError("signature_noise must be finite and non-negative")
         object.__setattr__(self, "needle_depths", depths)
         object.__setattr__(self, "durations_min", tuple(float(d) for d in self.durations_min))
 

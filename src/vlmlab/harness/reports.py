@@ -60,13 +60,13 @@ def render_json(durations, depths, accuracies, trials, config: dict | None = Non
 
 
 def emit_report(durations, depths, accuracies, trials, out_dir: str | Path,
-                config: dict | None = None, stem: str = "niah") -> tuple[Path, Path]:
-    """Write the grid as <stem>.json and <stem>.csv under ``out_dir``."""
+                config: dict | None = None) -> tuple[Path, Path]:
+    """Write the grid as niah.json and niah.csv under ``out_dir``."""
     _validate_grid(durations, depths, accuracies, trials)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    json_path = out / f"{stem}.json"
-    csv_path = out / f"{stem}.csv"
+    json_path = out / "niah.json"
+    csv_path = out / "niah.csv"
     json_path.write_text(render_json(durations, depths, accuracies, trials, config),
                          encoding="utf-8")
     csv_path.write_text(render_csv(durations, depths, accuracies), encoding="utf-8")

@@ -3,21 +3,20 @@
 The reference schedule goes through alignment (only the merger trains),
 full multimodal training, long-context, and ultra-long-context phases.
 Sequence lengths are carried at their documented values; token budgets are
-scaled down by ``budget_scale`` so the schedule's shape, not its size, is
+scaled down by ``BUDGET_SCALE`` so the schedule's shape, not its size, is
 what the harness exercises.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from ..errors import ConfigError
+from ..errors import ConfigError, load_json_config
 
 COMPONENTS = frozenset({"encoder", "merger", "decoder"})
-DEFAULT_BUDGET_SCALE = 1e-7
+BUDGET_SCALE = 1e-7
 
 # name -> (sequence_length, reference token budget, trainable components)
 _STAGE_TABLE: dict[str, tuple[int, int, frozenset[str]]] = {
@@ -27,6 +26,8 @@ _STAGE_TABLE: dict[str, tuple[int, int, frozenset[str]]] = {
     "S3": (262_144, 100_000_000_000, COMPONENTS),
 }
 STAGE_NAMES = tuple(_STAGE_TABLE)
+_STAGE_KEYS = {"schema_version": int, "name": str, "sequence_length": int,
+               "token_budget": int, "trainable": [str]}
 
 
 @dataclass(frozen=True)
@@ -50,61 +51,30 @@ class StageConfig:
         object.__setattr__(self, "trainable", trainable)
 
 
-def _builtin(name: str, budget_scale: float) -> StageConfig:
+def _builtin(name: str) -> StageConfig:
     seq_len, budget, trainable = _STAGE_TABLE[name]
-    toy_budget = max(1, math.floor(budget * budget_scale))
-    return StageConfig(name=name, sequence_length=seq_len,
-                       trainable=trainable, token_budget=toy_budget)
+    return StageConfig(name=name, sequence_length=seq_len, trainable=trainable,
+                       token_budget=math.floor(budget * BUDGET_SCALE))
 
 
-def load_stage_config(name_or_path: str,
-                      budget_scale: float = DEFAULT_BUDGET_SCALE) -> StageConfig:
+def load_stage_config(name_or_path: str) -> StageConfig:
     """Load a stage by built-in name (S0..S3) or from a JSON file.
 
-    A JSON file holds one object with the StageConfig fields; missing
-    fields fall back to the built-in row for its ``name``.
+    A JSON file holds one object with the StageConfig fields, checked like
+    any ``--config``; missing fields fall back to the built-in row for its
+    ``name``.
     """
-    if budget_scale <= 0:
-        raise ConfigError("budget_scale must be positive")
     if name_or_path in _STAGE_TABLE:
-        return _builtin(name_or_path, budget_scale)
-    if os.path.exists(name_or_path):
-        with open(name_or_path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        return _stage_from_dict(raw, budget_scale)
-    raise ConfigError(
-        f"unknown stage {name_or_path!r}; valid names: {', '.join(STAGE_NAMES)} "
-        "(or pass a path to a JSON stage file)")
-
-
-def _stage_from_dict(raw: dict, budget_scale: float) -> StageConfig:
-    version = raw.get("schema_version", 1)
+        return _builtin(name_or_path)
+    if not os.path.exists(name_or_path):
+        raise ConfigError(
+            f"unknown stage {name_or_path!r}; valid names: {', '.join(STAGE_NAMES)} "
+            "(or pass a path to a JSON stage file)")
+    raw = load_json_config(name_or_path, _STAGE_KEYS, "stage")
+    version = raw.pop("schema_version", 1)
     if version != 1:
         raise ConfigError(f"unsupported stage schema_version {version}")
     name = raw.get("name")
     if name not in _STAGE_TABLE:
         raise ConfigError(f"unknown stage {name!r}; valid names: {', '.join(STAGE_NAMES)}")
-    base = _builtin(name, budget_scale)
-    return StageConfig(
-        name=name,
-        sequence_length=int(raw.get("sequence_length", base.sequence_length)),
-        trainable=frozenset(raw.get("trainable", base.trainable)),
-        token_budget=int(raw.get("token_budget", base.token_budget)),
-    )
-
-
-def load_stage_schedule(path: str | None = None,
-                        budget_scale: float = DEFAULT_BUDGET_SCALE) -> list[StageConfig]:
-    """All four stages in order, validating the schedule-level invariants."""
-    if path is None:
-        stages = [_builtin(name, budget_scale) for name in STAGE_NAMES]
-    else:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, list):
-            raise ConfigError("stage schedule file must hold a JSON array")
-        stages = [_stage_from_dict(entry, budget_scale) for entry in raw]
-    lengths = [s.sequence_length for s in stages]
-    if lengths != sorted(lengths):
-        raise ConfigError(f"sequence lengths must be non-decreasing across stages, got {lengths}")
-    return stages
+    return replace(_builtin(name), **raw)

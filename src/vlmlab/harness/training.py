@@ -40,9 +40,8 @@ class TrainResult:
 
 
 def make_synthetic_batch(config: ModelConfig, rng: Rng, n_examples: int = 8,
-                         text_len: int = 12, image_tokens: tuple[int, int] = (1, 2),
-                         multimodal_every: int = 2) -> list[TrainingExample]:
-    """Random token sequences; every ``multimodal_every``-th gets an image.
+                         text_len: int = 12) -> list[TrainingExample]:
+    """Random token sequences; every other one, from the first, gets a 1x2 image.
 
     Targets are the next token at each text position (teacher forcing);
     visual positions carry no loss.  Lengths vary across the batch so the
@@ -55,9 +54,9 @@ def make_synthetic_batch(config: ModelConfig, rng: Rng, n_examples: int = 8,
         ex_rng = rng.split(f"example{i}")
         length = text_len + (i % 3)
         tokens = [int(t) for t in ex_rng.split("tokens").integers(0, config.vocab, length)]
-        with_image = (i % multimodal_every) == 0
+        with_image = i % 2 == 0
         if with_image:
-            eh, ew = image_tokens
+            eh, ew = 1, 2
             block = ImageBlock(eh, ew)
             seq = MultimodalSequence((TextSpan(tuple(tokens[:2])), block,
                                       TextSpan(tuple(tokens[2:]))))

@@ -20,6 +20,7 @@ component p is by angle ``p * theta[i]`` with the convention
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -94,8 +95,8 @@ def build_frequency_allocation(head_dim: int, base: float = DEFAULT_BASE,
     """Construct and validate a frequency allocation."""
     if head_dim < 2 or head_dim % 2 != 0:
         raise ConfigError(f"head_dim must be even and >= 2, got {head_dim}")
-    if base <= 1.0:
-        raise ConfigError(f"rotary base must exceed 1, got {base}")
+    if not 1.0 < base < math.inf:
+        raise ConfigError(f"rotary base must be finite and exceed 1, got {base}")
     num_pairs = head_dim // 2
     theta = tuple(float(base) ** (-2.0 * i / head_dim) for i in range(num_pairs))
 
@@ -175,11 +176,6 @@ def frame_group_ids(seq: MultimodalSequence) -> np.ndarray:
     """The (t, h, w) id of each frame group's first token, (groups, 3) int64."""
     layout = _layout(seq)
     return layout[layout[:, 5] == _FRAMES][:, [2, 3, 3]]
-
-
-def frame_group_position_ids(seq: MultimodalSequence) -> list[int]:
-    """The temporal id of each frame group, in sequence order."""
-    return frame_group_ids(seq)[:, 0].tolist()
 
 
 def apply_mrope(x: Tensor, ids, alloc: FrequencyAllocation) -> Tensor:

@@ -134,18 +134,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: {a.shape} vs {b.shape}")
-    out = Tensor(a.data - b.data, _op="sub", _parents=(a, b))
-    if out.requires_grad:
-        def _bw(g):
-            _accumulate(a, g)
-            _accumulate(b, -g)
-        out._backward = _bw
-    return out
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul: {a.shape} vs {b.shape}")
@@ -227,14 +215,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
 
 def sum_all(x: Tensor) -> Tensor:
     return _unary("sum", x, np.asarray(x.data.sum()), lambda g: np.full_like(x.data, float(g)))
-
-
-def mean_all(x: Tensor) -> Tensor:
-    n = x.data.size
-    if n == 0:
-        raise ShapeError("mean of empty tensor")
-    return _unary("mean", x, np.asarray(x.data.mean()),
-                  lambda g: np.full_like(x.data, float(g) / n))
 
 
 def gelu(x: Tensor) -> Tensor:

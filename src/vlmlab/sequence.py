@@ -41,7 +41,6 @@ class FrameGroup:
     end_time: float
     gh: int
     gw: int
-    timestamp_style: str = "seconds"
 
     def __post_init__(self):
         if self.start_time < 0 or self.end_time < self.start_time:
@@ -87,7 +86,6 @@ def sequence_to_manifest(seq: MultimodalSequence) -> dict:
                 "end_time": e.end_time,
                 "gh": e.gh,
                 "gw": e.gw,
-                "timestamp_style": e.timestamp_style,
             })
         else:
             raise TypeError(f"unknown element {type(e).__name__}")
@@ -107,7 +105,6 @@ def sequence_from_manifest(manifest: dict) -> MultimodalSequence:
             elements.append(FrameGroup(
                 start_time=entry["start_time"], end_time=entry["end_time"],
                 gh=entry["gh"], gw=entry["gw"],
-                timestamp_style=entry.get("timestamp_style", "seconds"),
             ))
         else:
             raise ConfigError(f"element {i}: unknown kind {kind!r}")

@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import mrope
 from .errors import ConfigError
@@ -118,8 +118,8 @@ def detokenize(ids: Sequence[int]) -> str:
 
 
 def interleave_timestamps(frames: Sequence[float], group_size: int = 2,
-                          style: str = "seconds", gh: int = 1, gw: int = 1,
-                          tokenizer: Callable[[str], list[int]] = tokenize) -> MultimodalSequence:
+                          style: str = "seconds", gh: int = 1,
+                          gw: int = 1) -> MultimodalSequence:
     """Group frames and prefix each group with its start timestamp as text.
 
     Frames are split into consecutive runs of ``group_size`` (the last run
@@ -134,9 +134,8 @@ def interleave_timestamps(frames: Sequence[float], group_size: int = 2,
     for start in range(0, len(frames), group_size):
         chunk = frames[start:start + group_size]
         stamp = format_timestamp(chunk[0], style)
-        elements.append(TextSpan(tuple(tokenizer(stamp))))
-        elements.append(FrameGroup(start_time=chunk[0], end_time=chunk[-1],
-                                   gh=gh, gw=gw, timestamp_style=style))
+        elements.append(TextSpan(tuple(tokenize(stamp))))
+        elements.append(FrameGroup(start_time=chunk[0], end_time=chunk[-1], gh=gh, gw=gw))
     return MultimodalSequence(tuple(elements))
 
 
@@ -157,7 +156,7 @@ def position_id_range_report(seq: MultimodalSequence, scheme: str = "textual_tim
     if not groups:
         raise ConfigError("sequence has no frame groups")
     if scheme == "textual_timestamp":
-        t_ids = mrope.frame_group_position_ids(seq)
+        t_ids = mrope.frame_group_ids(seq)[:, 0].tolist()
     elif scheme == "absolute_time":
         if not (math.isfinite(granularity) and granularity > 0):
             raise ConfigError(f"granularity must be finite and positive, got {granularity}")

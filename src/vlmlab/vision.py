@@ -30,6 +30,7 @@ from .seeding import Rng
 from .sequence import FrameGroup, ImageBlock, MultimodalSequence, TextSpan
 
 INIT_STD = 0.02
+POS_TABLE = (4, 4)  # learned position table, bilinearly resized to each patch grid
 
 
 @dataclass(frozen=True)
@@ -180,12 +181,11 @@ def _block_forward(params: Mapping[str, Tensor], prefix: str, x: Tensor,
 class VisionEncoder:
     """Transformer over patch features with per-level taps."""
 
-    def __init__(self, config: ModelConfig, rng: Rng, pos_table: tuple[int, int] = (4, 4)):
+    def __init__(self, config: ModelConfig, rng: Rng):
         self.config = config
         self.params: dict[str, Tensor] = {}
-        th, tw = pos_table
         self.params["pos_table"] = numerics.parameter(
-            rng.split("pos").normal((th, tw, config.dim), INIT_STD))
+            rng.split("pos").normal((*POS_TABLE, config.dim), INIT_STD))
         for layer in range(config.encoder_depth):
             self.params.update(_block_params(rng.split(f"block{layer}"),
                                              config.dim, config.head_dim, f"block{layer}"))
@@ -259,32 +259,32 @@ class Decoder:
         self.params.update(_linear_params(rng.split("head"), config.llm_dim,
                                           config.vocab, "head"))
 
-    def forward(self, embeddings: Tensor, ids: np.ndarray,
-                injections: Mapping[int, tuple[Tensor, Sequence[int]]] | None = None) -> Tensor:
+    def forward(self, embeddings: Tensor, ids: np.ndarray, deepstack: Sequence[Tensor] = (),
+                positions: Sequence[int] = ()) -> Tensor:
         """Run the decoder stack; returns (seq, vocab) logits.
 
-        ``injections`` maps a decoder layer index to (visual tokens, positions);
-        the tokens are added onto that layer's input hidden state (or its
-        output, under the post-layer ablation).  The sequence never grows.
+        ``deepstack`` holds one tensor of visual tokens per inject layer, in
+        ``config.inject_layers`` order, or nothing; each is added at
+        ``positions`` onto its layer's input hidden state (or its output,
+        under the post-layer ablation).  The sequence never grows.
         """
         cfg = self.config
         if embeddings.shape[1] != cfg.llm_dim:
             raise ShapeError(f"embedding width {embeddings.shape[1]} vs {cfg.llm_dim}")
         if len(ids) != embeddings.shape[0]:
             raise ShapeError(f"{len(ids)} position ids for {embeddings.shape[0]} tokens")
-        injections = dict(injections or {})
-        for layer in injections:
-            if not 0 <= layer < cfg.decoder_depth:
-                raise ConfigError(
-                    f"injection layer {layer} out of range for depth {cfg.decoder_depth}")
+        if deepstack and len(deepstack) != len(cfg.inject_layers):
+            raise ShapeError(f"{len(deepstack)} deepstack tensors for "
+                             f"{len(cfg.inject_layers)} inject layers")
+        inject = dict(zip(cfg.inject_layers, deepstack))
 
         x = embeddings
         for layer in range(cfg.decoder_depth):
-            if layer in injections and not cfg.inject_after_layer:
-                x = numerics.add_rows_at(x, *injections[layer])
+            if layer in inject and not cfg.inject_after_layer:
+                x = numerics.add_rows_at(x, inject[layer], positions)
             x = _block_forward(self.params, f"block{layer}", x, ids, cfg.alloc, causal=True)
-            if layer in injections and cfg.inject_after_layer:
-                x = numerics.add_rows_at(x, *injections[layer])
+            if layer in inject and cfg.inject_after_layer:
+                x = numerics.add_rows_at(x, inject[layer], positions)
         x = _norm(self.params, "ln_f", x)
         return _linear(self.params, "head", x)
 
@@ -296,7 +296,7 @@ class PreparedInput:
     embeddings: Tensor
     position_ids: np.ndarray  # (seq, 3) int64 (t, h, w) triples
     visual_positions: list[int]
-    injections: dict[int, tuple[Tensor, list[int]]] = field(default_factory=dict)
+    deepstack: list[Tensor]  # one tensor per inject layer; empty without visual tokens
 
 
 class VisionLanguageModel:
@@ -348,7 +348,7 @@ class VisionLanguageModel:
 
     def prepare(self, seq: MultimodalSequence,
                 grids: Mapping[int, PatchGrid]) -> PreparedInput:
-        """Lower a sequence to embeddings, ids, and deepstack injections.
+        """Lower a sequence to embeddings, ids, and deepstack features.
 
         ``grids`` maps element indices of image blocks / frame groups to
         patch grids whose sides are twice the element's token grid (the
@@ -391,17 +391,16 @@ class VisionLanguageModel:
         if not embed_parts:
             raise ConfigError("cannot prepare an empty sequence")
         embeddings = numerics.concat_rows(embed_parts)
-        injections: dict[int, tuple[Tensor, list[int]]] = {}
-        if visual_positions:
-            for layer, parts in zip(self.config.inject_layers, deepstack_parts):
-                injections[layer] = (numerics.concat_rows(parts), list(visual_positions))
+        deepstack = ([numerics.concat_rows(parts) for parts in deepstack_parts]
+                     if visual_positions else [])
         return PreparedInput(
             embeddings=embeddings,
             position_ids=assign_position_ids(seq),
             visual_positions=visual_positions,
-            injections=injections,
+            deepstack=deepstack,
         )
 
     def forward(self, prepared: PreparedInput, use_deepstack: bool = True) -> Tensor:
-        injections = prepared.injections if use_deepstack else None
-        return self.decoder.forward(prepared.embeddings, prepared.position_ids, injections)
+        deepstack = prepared.deepstack if use_deepstack else ()
+        return self.decoder.forward(prepared.embeddings, prepared.position_ids, deepstack,
+                                    prepared.visual_positions)

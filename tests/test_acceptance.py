@@ -220,7 +220,7 @@ def test_criterion_7_sampling_caps_and_sparsity():
         two_hours = [2.0 * k for k in range(3600)]
         seq = interleave_timestamps(two_hours, group_size=1)
         textual = position_id_range_report(seq, "textual_timestamp")
-        group_ts = mrope.frame_group_position_ids(seq)
+        group_ts = mrope.frame_group_ids(seq)[:, 0].tolist()
         assert all(b - a == 1 for a, b in zip(group_ts, group_ts[1:]))
         assert textual["sparsity"] == 1.0
         absolute = position_id_range_report(seq, "absolute_time", granularity=0.1)

@@ -164,15 +164,36 @@ class TestNiah:
     (["train"], {"model": {"dim": "x"}}),
     (["train"], {"stepz": 3}),
     (["spectrum"], {"bogus": 1}),
+    (["niah"], {"signature_noise": float("nan")}),
+    (["niah"], {"durations_min": [float("inf")]}),
+    (["niah"], '{"durations_min": [1e400]}'),
+    (["niah"], '{"signature_noise": 1%s}' % ("0" * 400)),
+    (["train"], {"model": {"rope_base": float("nan")}}),
+    (["spectrum", "--base", "nan"], None),
+    (["spectrum", "--base", "inf"], None),
+    (["train", "--stage", "cfg.json"], "{bad"),
+    (["train", "--stage", "cfg.json"], "[1]"),
+    (["train", "--stage", "cfg.json"], {"name": "S0", "sequence_length": "x"}),
+    (["train", "--stage", "cfg.json"], {"name": "S0", "trainable": "merger"}),
+    (["train", "--stage", "cfg.json"], {"name": "S2", "token_budget": 1.5}),
+    (["train", "--stage", "cfg.json"], {"name": "S2", "bogus": 1}),
+    (["spectrum", "--config", "."], None),
 ], ids=["train-lr-nan", "train-bogus-scheme", "sparsity-granularity-nan", "ground-directory",
         "train-lr-string", "sparsity-granularity-string", "spectrum-head-dim-string",
         "niah-trials-string", "train-model-dim-string", "train-unknown-key",
-        "spectrum-unknown-key"])
+        "spectrum-unknown-key", "niah-noise-nan", "niah-duration-infinity",
+        "niah-duration-1e400", "niah-noise-huge-integer", "train-rope-base-nan",
+        "spectrum-base-nan", "spectrum-base-inf",
+        "stage-not-json", "stage-array", "stage-length-string", "stage-trainable-string",
+        "stage-budget-float", "stage-unknown-key", "spectrum-config-directory"])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)
     if config is not None:
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
-        argv = [*argv, "--config", "cfg.json"]
+        # A string is written verbatim: JSON text that json.dumps would not produce.
+        text = config if isinstance(config, str) else json.dumps(config)
+        (tmp_path / "cfg.json").write_text(text)
+        if "cfg.json" not in argv:
+            argv = [*argv, "--config", "cfg.json"]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("config error: ") and err.count("\n") == 1

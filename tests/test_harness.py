@@ -2,13 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vlmlab import mrope
-from vlmlab.errors import ConfigError
+from vlmlab.cli import _NIAH_KEYS
+from vlmlab.errors import ConfigError, check_config_types
 from vlmlab.harness import (NiahConfig, StageConfig, build_niah_sequence, emit_report,
-                            load_report, load_stage_config, load_stage_schedule,
-                            make_synthetic_batch, run_niah_probe, train_toy)
+                            load_report, load_stage_config, make_synthetic_batch,
+                            run_niah_probe, train_toy)
 from vlmlab.harness.niah import run_niah_grid
+from vlmlab.harness.stages import STAGE_NAMES
 from vlmlab.seeding import Rng
 from vlmlab.timeline import interleave_timestamps
 from vlmlab.vision import ModelConfig, VisionLanguageModel
@@ -37,15 +41,14 @@ class TestStages:
     def test_budgets_scaled(self):
         assert load_stage_config("S0").token_budget == 6700
         assert load_stage_config("S1").token_budget == 100000
-        assert load_stage_config("S3", budget_scale=1e-9).token_budget == 100
+        assert load_stage_config("S3").token_budget == 10_000
 
     def test_unknown_stage_lists_valid_names(self):
         with pytest.raises(ConfigError, match="S0, S1, S2, S3"):
             load_stage_config("S9")
 
     def test_schedule_lengths_non_decreasing(self):
-        stages = load_stage_schedule()
-        lengths = [s.sequence_length for s in stages]
+        lengths = [load_stage_config(name).sequence_length for name in STAGE_NAMES]
         assert lengths == sorted(lengths)
 
     def test_s0_freeze_rule_enforced(self):
@@ -59,6 +62,14 @@ class TestStages:
         assert stage.name == "S2"
         assert stage.token_budget == 123
         assert stage.sequence_length == 32768
+
+    def test_stage_file_trainable_is_an_array(self, tmp_path):
+        path = tmp_path / "stage.json"
+        path.write_text(json.dumps({"name": "S2", "trainable": ["merger"]}), encoding="utf-8")
+        assert load_stage_config(str(path)).trainable == frozenset({"merger"})
+        path.write_text(json.dumps({"name": "S2", "trainable": "merger"}), encoding="utf-8")
+        with pytest.raises(ConfigError, match="'trainable' must be a JSON array of strings"):
+            load_stage_config(str(path))
 
 
 class TestTrainToy:
@@ -255,3 +266,34 @@ class TestNiahConfigValidation:
     def test_durations_positive(self):
         with pytest.raises(ConfigError, match="durations"):
             NiahConfig(durations_min=(0.0,))
+
+    @pytest.mark.parametrize("field, value", [
+        ("durations_min", (float("inf"),)), ("durations_min", (float("nan"),)),
+        ("signature_noise", float("nan")), ("signature_noise", float("inf")),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="finite"):
+            NiahConfig(**{field: value})
+
+
+niah_configs = st.builds(
+    NiahConfig,
+    num_frames=st.integers(1, 10_000),
+    needle_depths=st.lists(st.floats(0, 1, exclude_min=True, exclude_max=True),
+                           min_size=1, max_size=5, unique=True).map(sorted),
+    trials=st.integers(1, 10),
+    seed=st.integers(0, 2 ** 63),
+    durations_min=st.lists(st.one_of(st.floats(0, 1e6, exclude_min=True), st.integers(1, 10 ** 6)),
+                           min_size=1, max_size=5),
+    signature_dim=st.integers(1, 32).map(lambda k: 2 * k),
+    overlap=st.one_of(st.floats(0, 1), st.integers(0, 1)),
+    signature_noise=st.floats(0, 1e3),
+    timestamp_style=st.sampled_from(["seconds", "hms"]),
+)
+
+
+@given(niah_configs)
+def test_niah_config_round_trip(cfg):
+    """A report's config reads back, through JSON and the CLI's key check, as the same config."""
+    check_config_types(cfg.to_dict(), _NIAH_KEYS, "niah")
+    assert NiahConfig(**json.loads(json.dumps(cfg.to_dict()))) == cfg

@@ -45,7 +45,7 @@ class TestAssignPositionIds:
             elements.append(TextSpan(tuple(range(10))))  # stand-in timestamp text
             elements.append(FrameGroup(float(k), float(k), 1, 1))
         seq = MultimodalSequence(tuple(elements))
-        group_ts = mrope.frame_group_position_ids(seq)
+        group_ts = mrope.frame_group_ids(seq)[:, 0].tolist()
         assert group_ts == list(range(group_ts[0], group_ts[0] + 6))
 
     def test_wide_image_advances_by_max_side(self):
@@ -101,7 +101,7 @@ def test_position_ids_match_per_token_reference(elements):
     starts = np.cumsum([0] + [e.token_count() for e in elements])
     first_ids = expected[starts[group_rows]].reshape(-1, 3)
     np.testing.assert_array_equal(mrope.frame_group_ids(seq), first_ids)
-    assert mrope.frame_group_position_ids(seq) == first_ids[:, 0].tolist()
+    assert mrope.frame_group_ids(seq)[:, 0].tolist() == first_ids[:, 0].tolist()
 
 
 class TestFrequencyAllocation:

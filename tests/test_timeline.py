@@ -225,7 +225,7 @@ class TestSequenceTypes:
 def test_manifest_round_trip():
     seq = MultimodalSequence((
         TextSpan((60, 51, 62)),
-        FrameGroup(0.0, 1.0, 1, 2, "hms"),
+        FrameGroup(0.0, 1.0, 1, 2),
         TextSpan(()),
     ))
     again = sequence_from_manifest(sequence_to_manifest(seq))
@@ -237,8 +237,8 @@ times = st.floats(0.0, 1e6)
 elements = st.one_of(
     st.builds(TextSpan, st.lists(st.integers(0, 10 ** 6), max_size=6).map(tuple)),
     st.builds(ImageBlock, grids, grids),
-    st.builds(lambda a, b, gh, gw, style: FrameGroup(min(a, b), max(a, b), gh, gw, style),
-              times, times, grids, grids, st.sampled_from(["seconds", "hms"])),
+    st.builds(lambda a, b, gh, gw: FrameGroup(min(a, b), max(a, b), gh, gw),
+              times, times, grids, grids),
 )
 
 

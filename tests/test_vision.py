@@ -216,7 +216,7 @@ class TestDecoder:
         ids = [PositionId(i, i, i) for i in range(5)]
         base = dec.forward(emb, ids)
         zeros = Tensor(np.zeros((2, cfg.llm_dim)))
-        injected = dec.forward(emb, ids, {0: (zeros, [1, 2]), 1: (zeros, [1, 2])})
+        injected = dec.forward(emb, ids, [zeros] * len(cfg.inject_layers), [1, 2])
         assert base.data.tobytes() == injected.data.tobytes()
 
     def test_context_length_neutrality(self):
@@ -227,13 +227,13 @@ class TestDecoder:
         without = model.forward(prep, use_deepstack=False)
         assert with_ds.shape == without.shape == (prep.embeddings.shape[0], cfg.vocab)
 
-    def test_injection_layer_range_checked(self):
+    def test_deepstack_count_checked(self):
         cfg = small_config()
         dec = Decoder(cfg, Rng(0))
         emb = Tensor(Rng(1).normal((3, cfg.llm_dim)))
         ids = [PositionId(i, i, i) for i in range(3)]
-        with pytest.raises(ConfigError, match="injection layer"):
-            dec.forward(emb, ids, {7: (Tensor(np.zeros((1, cfg.llm_dim))), [0])})
+        with pytest.raises(ShapeError, match="deepstack tensors"):
+            dec.forward(emb, ids, [Tensor(np.zeros((1, cfg.llm_dim)))], [0])
 
     def test_causality(self):
         cfg = small_config()
@@ -292,7 +292,7 @@ class TestPrepare:
         seq = MultimodalSequence((TextSpan((1,)), FrameGroup(0.0, 0.5, 1, 1)))
         prep = model.prepare(seq, {1: random_grid(cfg, 2, 2)})
         assert prep.visual_positions == [1]
-        assert sorted(prep.injections) == list(cfg.inject_layers)
+        assert len(prep.deepstack) == len(cfg.inject_layers)
 
     def test_parameters_are_component_prefixed(self):
         model = VisionLanguageModel(small_config(), Rng(0))
