@@ -1,8 +1,9 @@
-"""Golden outputs: the default NIAH reports and two noisy probe cells.
+"""Golden outputs: the default NIAH reports, two noisy probe cells and two
+``vlmlab sparsity`` reports.
 
 The digests were recorded from the per-token reference implementation of
-position ids and per-group signatures; any refactor of those paths must
-reproduce them bit for bit.
+position ids, per-group signatures and the per-group timeline; any refactor
+of those paths must reproduce them bit for bit.
 """
 
 import hashlib
@@ -43,3 +44,14 @@ def test_noisy_probe_scores_exact(duration_s, depth, trial, index, margin_hex, s
     assert result.predicted_index == truth.group_index == index
     assert result.margin.hex() == margin_hex
     assert _sha256(np.asarray(result.scores, dtype=np.float64).tobytes()) == scores_sha256
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--duration", "7200", "--spacing", "2", "--granularity", "0.1"],
+     "1893284aa38b29cead6ae273ddf5384c02d4e2245a6e5f3f89bca3f475dff55f"),
+    (["--duration", "100", "--spacing", "0.35", "--granularity", "0.1"],
+     "92bac3bf8d42ab148584fbead426fb10124063af49e39167c69f384e1cc9048e"),
+], ids=["readme-two-hours", "fractional-spacing"])
+def test_sparsity_report_byte_identical(capsys, argv, digest):
+    assert main(["sparsity", *argv]) == 0
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == digest

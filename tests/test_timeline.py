@@ -1,10 +1,13 @@
 import json
+import math
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlmlab.errors import ConfigError
+from vlmlab.mrope import assign_position_ids, frame_group_ids
 from vlmlab.seeding import Rng
 from vlmlab.sequence import (FrameGroup, ImageBlock, MultimodalSequence, TextSpan,
                              sequence_from_manifest, sequence_to_manifest)
@@ -246,3 +249,66 @@ elements = st.one_of(
 def test_manifest_round_trip_is_lossless(seq):
     manifest = json.loads(json.dumps(sequence_to_manifest(seq)))
     assert sequence_from_manifest(manifest) == seq
+
+
+def reference_interleave(frames, group_size=2, style="seconds", gh=1, gw=1):
+    """The per-group loop that defines the timestamped timeline."""
+    if not frames:
+        raise ConfigError("interleave_timestamps needs at least one frame")
+    if group_size < 1:
+        raise ConfigError(f"group_size must be >= 1, got {group_size}")
+    elements = []
+    for start in range(0, len(frames), group_size):
+        chunk = frames[start:start + group_size]
+        stamp = format_timestamp(chunk[0], style)
+        elements.append(TextSpan(tuple(tokenize(stamp))))
+        elements.append(FrameGroup(start_time=chunk[0], end_time=chunk[-1], gh=gh, gw=gw))
+    return MultimodalSequence(tuple(elements))
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+    return None
+
+
+# k/20 puts half-up ties of the seconds style (0.05, 2.25, ...) in reach and
+# repeats values often; arbitrary floats cover the rest.
+frame_times = st.one_of(st.integers(0, 2000).map(lambda k: k / 20), st.floats(0.0, 1e6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames=st.lists(frame_times, min_size=1, max_size=20).map(sorted),
+       group_size=st.integers(1, 4), style=st.sampled_from(["seconds", "hms"]),
+       gh=st.integers(1, 3), gw=st.integers(1, 3))
+def test_interleave_matches_per_group_reference(frames, group_size, style, gh, gw):
+    seq = interleave_timestamps(frames, group_size, style, gh, gw)
+    ref = reference_interleave(frames, group_size, style, gh, gw)
+    np.testing.assert_array_equal(assign_position_ids(seq), assign_position_ids(ref))
+    np.testing.assert_array_equal(frame_group_ids(seq), frame_group_ids(ref))
+    assert seq.token_count() == ref.token_count()
+    assert seq.frame_groups() == ref.frame_groups()
+    assert seq.elements == ref.elements
+    assert json.dumps(sequence_to_manifest(seq)) == json.dumps(sequence_to_manifest(ref))
+
+
+@pytest.mark.parametrize("frames, group_size", [
+    ([], 1), ([-1.0], 1), ([0.0, -1.0], 1), ([0.0, -1.0], 2), ([math.nan], 1),
+    ([math.inf], 1), ([0.0, math.nan], 2), ([0.0, math.inf], 2), ([0.0, 1.0, math.nan], 1),
+    ([1.0, 0.5], 2), ([0.0, 2.0, 1.0], 3), ([1.0, 0.0, -1.0], 2), ([0.0], 0),
+])
+def test_interleave_rejects_what_the_reference_rejects(frames, group_size):
+    assert _raised(interleave_timestamps, frames, group_size) is (
+        _raised(reference_interleave, frames, group_size))
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames=st.lists(st.one_of(frame_times, st.floats(-5.0, 5.0),
+                                 st.sampled_from([math.nan, math.inf, -math.inf])),
+                       max_size=8),
+       group_size=st.integers(1, 4), style=st.sampled_from(["seconds", "hms"]))
+def test_interleave_errors_match_reference(frames, group_size, style):
+    assert _raised(interleave_timestamps, frames, group_size, style) is (
+        _raised(reference_interleave, frames, group_size, style))
