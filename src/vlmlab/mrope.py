@@ -29,7 +29,7 @@ import numpy as np
 from . import numerics
 from .errors import ConfigError, ShapeError
 from .numerics import Tensor
-from .sequence import FrameGroup, ImageBlock, MultimodalSequence, TextSpan
+from .sequence import FRAMES, TEXT, MultimodalSequence
 
 AXES = ("t", "h", "w")
 DEFAULT_BASE = 10000.0
@@ -119,38 +119,26 @@ def build_frequency_allocation(head_dim: int, base: float = DEFAULT_BASE,
                                axis_of_pair=axis_of_pair, theta=theta, chunk_split=split)
 
 
-_TEXT, _IMAGE, _FRAMES = 0, 1, 2
+def _layout(seq) -> np.ndarray:
+    """(elements, 6) int64 rows of token count, first token index, t anchor,
+    h/w origin, grid width and element kind, from the sequence's layout
+    columns.
 
-
-def _layout(seq: MultimodalSequence) -> np.ndarray:
-    """One walk over the elements: (elements, 6) int64 rows of token count,
-    first token index, t anchor, h/w origin, grid width and element kind.
-
-    A text span reports its own length as grid width, so its k-th token
-    lands in row 0, column k.
+    The running index (the h/w origin) is the exclusive cumulative sum of
+    each element's advance: a text span's length, or the larger side of a
+    grid.  Frame group t ids form a chain from the first group's running
+    index, one per group.  A text span reports its own length as grid
+    width, so its k-th token lands in row 0, column k.
     """
-    rows = []
-    start = nxt = 0
-    group_t = None
-    for element in seq.elements:
-        if isinstance(element, TextSpan):
-            n = len(element.token_ids)
-            rows.append((n, start, nxt, nxt, n, _TEXT))
-            nxt += n
-        elif isinstance(element, ImageBlock):
-            n = element.gh * element.gw
-            rows.append((n, start, nxt, nxt, element.gw, _IMAGE))
-            nxt += max(element.gh, element.gw)
-        elif isinstance(element, FrameGroup):
-            n = element.gh * element.gw
-            t = nxt if group_t is None else group_t + 1
-            group_t = t
-            rows.append((n, start, t, nxt, element.gw, _FRAMES))
-            nxt = max(t, nxt + max(element.gh, element.gw) - 1) + 1
-        else:
-            raise TypeError(f"unknown sequence element {type(element).__name__}")
-        start += n
-    return np.array(rows, dtype=np.int64).reshape(-1, 6)
+    kind, count, gh, gw = seq.layout_columns()
+    text = kind == TEXT
+    frames = kind == FRAMES
+    advance = np.where(text, count, np.maximum(gh, gw))
+    origin = np.cumsum(advance) - advance
+    chain = np.cumsum(frames) - 1 + (origin[frames][0] if frames.any() else 0)
+    t0 = np.where(frames, chain, origin)
+    return np.stack((count, np.cumsum(count) - count, t0, origin,
+                     np.where(text, count, gw), kind), axis=1)
 
 
 def assign_position_ids(seq: MultimodalSequence) -> np.ndarray:
@@ -164,18 +152,20 @@ def assign_position_ids(seq: MultimodalSequence) -> np.ndarray:
     group anchors at its running index and each later group takes the
     previous group's t plus one, so group t ids stay consecutive no matter
     how much text (e.g. timestamps) sits between them.
+
+    ``seq`` is a ``MultimodalSequence`` or a ``timeline.Timeline``.
     """
     layout = _layout(seq)
     _, start, t0, origin, width, kind = np.repeat(layout, layout[:, 0], axis=0).T
     row, col = np.divmod(np.arange(len(start)) - start, width)
-    text_col = (kind == _TEXT) * col
+    text_col = (kind == TEXT) * col
     return np.stack((t0 + text_col, origin + row + text_col, origin + col), axis=1)
 
 
 def frame_group_ids(seq: MultimodalSequence) -> np.ndarray:
     """The (t, h, w) id of each frame group's first token, (groups, 3) int64."""
     layout = _layout(seq)
-    return layout[layout[:, 5] == _FRAMES][:, [2, 3, 3]]
+    return layout[layout[:, 5] == FRAMES][:, [2, 3, 3]]
 
 
 def apply_mrope(x: Tensor, ids, alloc: FrequencyAllocation) -> Tensor:

@@ -1,14 +1,36 @@
 """Multimodal sequence elements and their JSON manifest form.
 
 A sequence is an ordered list of text spans, image blocks, and video frame
-groups.  Grids are given in visual tokens (post-merge).
+groups.  Grids are given in visual tokens (post-merge).  Position layout
+reads a sequence as per-element columns (kind, token count, gh, gw); see
+:meth:`MultimodalSequence.layout_columns`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError
+
+# Element kinds in layout columns.
+TEXT, IMAGE, FRAMES = 0, 1, 2
+
+
+def check_frame_groups(start_times, end_times, gh: int, gw: int) -> None:
+    """The one check on frame groups: finite times with 0 <= start <= end
+    and a grid of at least 1x1.  Times are scalars or equal-length arrays."""
+    start = np.asarray(start_times, dtype=np.float64)
+    end = np.asarray(end_times, dtype=np.float64)
+    bad = ~(np.isfinite(start) & np.isfinite(end) & (0 <= start) & (start <= end))
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise ConfigError(
+            f"frame group times must be finite and satisfy 0 <= start <= end, "
+            f"got [{start.flat[i]}, {end.flat[i]}]")
+    if gh < 1 or gw < 1:
+        raise ConfigError(f"frame grid must be at least 1x1, got {gh}x{gw}")
 
 
 @dataclass(frozen=True)
@@ -43,12 +65,7 @@ class FrameGroup:
     gw: int
 
     def __post_init__(self):
-        if self.start_time < 0 or self.end_time < self.start_time:
-            raise ConfigError(
-                f"frame group times must satisfy 0 <= start <= end, "
-                f"got [{self.start_time}, {self.end_time}]")
-        if self.gh < 1 or self.gw < 1:
-            raise ConfigError(f"frame grid must be at least 1x1, got {self.gh}x{self.gw}")
+        check_frame_groups(self.start_time, self.end_time, self.gh, self.gw)
 
     def token_count(self) -> int:
         return self.gh * self.gw
@@ -69,6 +86,18 @@ class MultimodalSequence:
 
     def frame_groups(self) -> list[FrameGroup]:
         return [e for e in self.elements if isinstance(e, FrameGroup)]
+
+    @property
+    def start_times(self) -> np.ndarray:
+        """Start time of each frame group, float64."""
+        return np.array([g.start_time for g in self.frame_groups()], dtype=np.float64)
+
+    def layout_columns(self) -> np.ndarray:
+        """(4, elements) int64 rows: kind, token count, gh and gw (0 for text)."""
+        rows = [(TEXT, len(e.token_ids), 0, 0) if isinstance(e, TextSpan)
+                else (IMAGE if isinstance(e, ImageBlock) else FRAMES, e.gh * e.gw, e.gh, e.gw)
+                for e in self.elements]
+        return np.array(rows, dtype=np.int64).reshape(-1, 4).T
 
 
 def sequence_to_manifest(seq: MultimodalSequence) -> dict:

@@ -12,12 +12,16 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
+from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from . import mrope
 from .errors import ConfigError
-from .sequence import FrameGroup, MultimodalSequence, TextSpan
+from .sequence import (FRAMES, TEXT, FrameGroup, MultimodalSequence, TextSpan,
+                       check_frame_groups)
 
 # Byte-level vocabulary: ids 0..255 are raw byte values.  One special id is
 # reserved (and documented) for padding; the tokenizer itself never emits it.
@@ -27,6 +31,10 @@ VOCAB_SIZE = 257
 
 _HMS_RE = re.compile(r"^<(\d{2,}):(\d{2}):(\d{2})>$")
 _SECONDS_RE = re.compile(r"^<(\d+\.\d) seconds>$")
+# Half-up rounding to tenths, with enough digits for any finite float (the
+# default 28 fail from 1e27 s on).
+_TENTHS = Decimal("0.1")
+_HALF_UP = Context(prec=400, rounding=ROUND_HALF_UP)
 
 
 @dataclass(frozen=True)
@@ -79,10 +87,9 @@ def format_timestamp(t: float, style: str = "seconds") -> str:
     seconds truncated toward zero, and hours unbounded.
     """
     if not math.isfinite(t) or t < 0:
-        raise ValueError(f"timestamp must be finite and non-negative, got {t}")
+        raise ConfigError(f"timestamp must be finite and non-negative, got {t}")
     if style == "seconds":
-        value = Decimal(repr(float(t))).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
-        return f"<{value} seconds>"
+        return f"<{_HALF_UP.quantize(Decimal(repr(float(t))), _TENTHS)} seconds>"
     if style == "hms":
         total = int(t)
         hours, rem = divmod(total, 3600)
@@ -117,29 +124,87 @@ def detokenize(ids: Sequence[int]) -> str:
     return bytes(ids).decode("utf-8")
 
 
+@dataclass(frozen=True, eq=False)
+class Timeline:
+    """A timestamped video timeline held as arrays.
+
+    Group g covers frames ``start_times[g]`` to ``end_times[g]`` on one
+    ``gh`` x ``gw`` token grid and is preceded by its start-time text:
+    ``stamp_lengths[g]`` byte tokens, taken in order from ``stamp_tokens``.
+    ``elements`` gives the same timeline as text spans and frame groups,
+    built on first access.
+    """
+
+    start_times: np.ndarray  # (groups,) float64
+    end_times: np.ndarray  # (groups,) float64
+    gh: int
+    gw: int
+    stamp_lengths: np.ndarray  # (groups,) int64
+    stamp_tokens: np.ndarray  # (stamp_lengths.sum(),) uint8
+
+    def __post_init__(self):
+        check_frame_groups(self.start_times, self.end_times, self.gh, self.gw)
+
+    def token_count(self) -> int:
+        return len(self.stamp_tokens) + len(self.start_times) * self.gh * self.gw
+
+    @cached_property
+    def elements(self) -> tuple[TextSpan | FrameGroup, ...]:
+        tokens = self.stamp_tokens.tolist()
+        ends = np.cumsum(self.stamp_lengths).tolist()
+        elements = []
+        for a, b, start, end in zip([0] + ends, ends, self.start_times.tolist(),
+                                    self.end_times.tolist()):
+            elements.append(TextSpan(tuple(tokens[a:b])))
+            elements.append(FrameGroup(start, end, self.gh, self.gw))
+        return tuple(elements)
+
+    def frame_groups(self) -> list[FrameGroup]:
+        return list(self.elements[1::2])
+
+    def layout_columns(self) -> np.ndarray:
+        """(4, elements) int64 rows: kind, token count, gh and gw (0 for text)."""
+        groups = len(self.start_times)
+        columns = np.zeros((4, groups, 2), dtype=np.int64)
+        columns[0] = (TEXT, FRAMES)
+        columns[1, :, 0] = self.stamp_lengths
+        columns[1:, :, 1] = np.array([[self.gh * self.gw], [self.gh], [self.gw]])
+        return columns.reshape(4, -1)
+
+
 def interleave_timestamps(frames: Sequence[float], group_size: int = 2,
                           style: str = "seconds", gh: int = 1,
-                          gw: int = 1) -> MultimodalSequence:
+                          gw: int = 1) -> Timeline:
     """Group frames and prefix each group with its start timestamp as text.
 
     Frames are split into consecutive runs of ``group_size`` (the last run
-    may be short); each run becomes one frame group preceded by a text span
-    holding the formatted time of the run's first frame.
+    may be short); each run becomes one frame group preceded by the byte
+    tokens of its first frame's formatted time.  Each distinct start time is
+    formatted once.
     """
-    if not frames:
+    frames = np.asarray(frames, dtype=np.float64)
+    if not frames.size:
         raise ConfigError("interleave_timestamps needs at least one frame")
     if group_size < 1:
         raise ConfigError(f"group_size must be >= 1, got {group_size}")
-    elements = []
-    for start in range(0, len(frames), group_size):
-        chunk = frames[start:start + group_size]
-        stamp = format_timestamp(chunk[0], style)
-        elements.append(TextSpan(tuple(tokenize(stamp))))
-        elements.append(FrameGroup(start_time=chunk[0], end_time=chunk[-1], gh=gh, gw=gw))
-    return MultimodalSequence(tuple(elements))
+    first = np.arange(0, len(frames), group_size)
+    starts = frames[first]
+    ends = frames[np.minimum(first + group_size, len(frames)) - 1]
+    # Distinct bit patterns, so that -0.0 keeps its own stamp.
+    distinct, which = np.unique(starts.view(np.int64), return_inverse=True)
+    stamps = [format_timestamp(t, style).encode("utf-8")
+              for t in distinct.view(np.float64).tolist()]
+    pool = np.frombuffer(b"".join(stamps), dtype=np.uint8)
+    pool_lengths = np.array([len(stamp) for stamp in stamps], dtype=np.int64)
+    lengths = pool_lengths[which]
+    # Token k of group g is byte k of the group's stamp in the pool.
+    shift = (np.cumsum(pool_lengths) - pool_lengths)[which] - (np.cumsum(lengths) - lengths)
+    tokens = pool[np.repeat(shift, lengths) + np.arange(lengths.sum())]
+    return Timeline(starts, ends, gh, gw, lengths, tokens)
 
 
-def position_id_range_report(seq: MultimodalSequence, scheme: str = "textual_timestamp",
+def position_id_range_report(seq: MultimodalSequence | Timeline,
+                             scheme: str = "textual_timestamp",
                              granularity: float = 0.1) -> dict[str, float]:
     """Density statistics of the temporal ids assigned to frame groups.
 
@@ -150,24 +215,25 @@ def position_id_range_report(seq: MultimodalSequence, scheme: str = "textual_tim
     divided by the number of distinct ids, so consecutive ids score
     exactly 1 regardless of where the run starts.
     """
-    groups = seq.frame_groups()
-    if not seq.elements:
-        raise ConfigError("empty sequence")
-    if not groups:
-        raise ConfigError("sequence has no frame groups")
     if scheme == "textual_timestamp":
-        t_ids = mrope.frame_group_ids(seq)[:, 0].tolist()
+        t_ids = mrope.frame_group_ids(seq)[:, 0]
     elif scheme == "absolute_time":
         if not (math.isfinite(granularity) and granularity > 0):
             raise ConfigError(f"granularity must be finite and positive, got {granularity}")
-        t_ids = [math.floor(g.start_time / granularity + 0.5) for g in groups]
+        # Floats, not int64: ids of long clips at fine granularity pass 2**63.
+        with np.errstate(over="ignore"):
+            t_ids = np.floor(seq.start_times / granularity + 0.5)
+        if not np.isfinite(t_ids).all():
+            raise ConfigError(f"absolute-time ids overflow at granularity {granularity}")
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
-    distinct = sorted(set(t_ids))
-    span = distinct[-1] - distinct[0] + 1
+    if not len(t_ids):
+        raise ConfigError("sequence has no frame groups")
+    distinct = np.unique(t_ids)
+    low, high = int(distinct[0]), int(distinct[-1])
     return {
-        "max_t": distinct[-1],
-        "min_t": distinct[0],
+        "max_t": high,
+        "min_t": low,
         "count_t_distinct": len(distinct),
-        "sparsity": span / len(distinct),
+        "sparsity": (high - low + 1) / len(distinct),
     }

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from vlmlab import cli
 from vlmlab.cli import main
 
 
@@ -56,6 +57,13 @@ class TestSparsity:
     def test_bad_duration(self, capsys):
         code, _, err = run_cli(capsys, "sparsity", "--duration", "-5")
         assert code == 2
+
+    def test_group_cap_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SPARSITY_GROUPS", 10)
+        code, out, _ = run_cli(capsys, "sparsity", "--duration", "10.5", "--spacing", "1")
+        assert code == 0 and json.loads(out)["groups"] == 10
+        code, _, err = run_cli(capsys, "sparsity", "--duration", "11", "--spacing", "1")
+        assert code == 2 and "more than the 10 allowed" in err
 
 
 class TestGround:
@@ -178,6 +186,9 @@ class TestNiah:
     (["train", "--stage", "cfg.json"], {"name": "S2", "token_budget": 1.5}),
     (["train", "--stage", "cfg.json"], {"name": "S2", "bogus": 1}),
     (["spectrum", "--config", "."], None),
+    (["sparsity", "--duration", "1e300", "--spacing", "1e-300"], None),
+    (["sparsity", "--duration", "1e6", "--spacing", "1e-3"], None),
+    (["sparsity", "--duration", "1e300", "--spacing", "1e296", "--granularity", "1e-10"], None),
 ], ids=["train-lr-nan", "train-bogus-scheme", "sparsity-granularity-nan", "ground-directory",
         "train-lr-string", "sparsity-granularity-string", "spectrum-head-dim-string",
         "niah-trials-string", "train-model-dim-string", "train-unknown-key",
@@ -185,7 +196,9 @@ class TestNiah:
         "niah-duration-1e400", "niah-noise-huge-integer", "train-rope-base-nan",
         "spectrum-base-nan", "spectrum-base-inf",
         "stage-not-json", "stage-array", "stage-length-string", "stage-trainable-string",
-        "stage-budget-float", "stage-unknown-key", "spectrum-config-directory"])
+        "stage-budget-float", "stage-unknown-key", "spectrum-config-directory",
+        "sparsity-overflowing-groups", "sparsity-too-many-groups",
+        "sparsity-overflowing-absolute-ids"])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)
     if config is not None:

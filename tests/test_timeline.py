@@ -90,12 +90,16 @@ class TestTimestamps:
         assert format_timestamp(450000.0, "hms") == "<125:00:00>"
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ConfigError, match="non-negative"):
             format_timestamp(-1.0)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             format_timestamp(float("inf"))
+
+    def test_huge_seconds_exact(self):
+        assert format_timestamp(1e27) == f"<{10 ** 27}.0 seconds>"
+        assert format_timestamp(1e300) == f"<{10 ** 300}.0 seconds>"
 
     def test_unknown_style(self):
         with pytest.raises(ConfigError, match="style"):
@@ -167,6 +171,21 @@ class TestInterleave:
         seq = interleave_timestamps([3661.0], style="hms")
         assert detokenize(seq.elements[0].token_ids) == "<01:01:01>"
 
+    @pytest.mark.parametrize("frames", [[0.0, math.nan], [0.0, math.inf], [math.nan, 1.0],
+                                        [math.inf, math.inf]])
+    def test_non_finite_frames_rejected(self, frames):
+        with pytest.raises(ConfigError, match="finite"):
+            interleave_timestamps(frames, group_size=2)
+
+    def test_array_form(self):
+        seq = interleave_timestamps([0.0, 0.5, 1.0, 1.0, 2.25], group_size=2)
+        np.testing.assert_array_equal(seq.start_times, [0.0, 1.0, 2.25])
+        np.testing.assert_array_equal(seq.end_times, [0.5, 1.0, 2.25])
+        np.testing.assert_array_equal(seq.stamp_lengths, [13, 13, 13])
+        assert detokenize(seq.stamp_tokens.tolist()) == (
+            "<0.0 seconds><1.0 seconds><2.3 seconds>")
+        assert seq.token_count() == 39 + 3
+
 
 class TestSparsityReport:
     def test_textual_scheme_consecutive(self):
@@ -215,6 +234,18 @@ class TestSequenceTypes:
     def test_frame_group_negative_time(self):
         with pytest.raises(ConfigError, match="start <= end"):
             FrameGroup(-1.0, 0.0, 1, 1)
+
+    @pytest.mark.parametrize("start, end", [(0.0, math.nan), (math.nan, 1.0),
+                                            (0.0, math.inf), (-math.inf, 0.0)])
+    def test_frame_group_non_finite_time(self, start, end):
+        with pytest.raises(ConfigError, match="finite"):
+            FrameGroup(start, end, 1, 1)
+
+    def test_manifest_non_finite_time(self):
+        manifest = json.loads('{"elements": [{"kind": "frame_group", "start_time": NaN, '
+                              '"end_time": 1.0, "gh": 1, "gw": 1}]}')
+        with pytest.raises(ConfigError, match="finite"):
+            sequence_from_manifest(manifest)
 
     def test_frame_group_grid_bounds(self):
         with pytest.raises(ConfigError, match="1x1"):
@@ -275,8 +306,10 @@ def _raised(fn, *args):
 
 
 # k/20 puts half-up ties of the seconds style (0.05, 2.25, ...) in reach and
-# repeats values often; arbitrary floats cover the rest.
-frame_times = st.one_of(st.integers(0, 2000).map(lambda k: k / 20), st.floats(0.0, 1e6))
+# repeats values often; arbitrary floats cover the rest, and -0.0 renders as
+# "<-0.0 seconds>" beside 0.0.
+frame_times = st.one_of(st.integers(0, 2000).map(lambda k: k / 20), st.floats(0.0, 1e6),
+                        st.just(-0.0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -290,6 +323,7 @@ def test_interleave_matches_per_group_reference(frames, group_size, style, gh, g
     np.testing.assert_array_equal(frame_group_ids(seq), frame_group_ids(ref))
     assert seq.token_count() == ref.token_count()
     assert seq.frame_groups() == ref.frame_groups()
+    np.testing.assert_array_equal(seq.start_times, ref.start_times)
     assert seq.elements == ref.elements
     assert json.dumps(sequence_to_manifest(seq)) == json.dumps(sequence_to_manifest(ref))
 
