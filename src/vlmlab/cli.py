@@ -7,7 +7,8 @@ Subcommands:
   train     - toy staged training run on synthetic data
   niah      - needle-in-a-haystack probe grid with CSV/JSON reports
 
-Exit codes: 0 success, 2 configuration error, 3 validation failure.
+Exit codes: 0 success, 1 stdout closed before the output was written,
+2 configuration error, 3 validation failure.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -30,6 +32,7 @@ from .seeding import Rng
 from .vision import ModelConfig, VisionLanguageModel
 
 EXIT_OK = 0
+EXIT_CLOSED_PIPE = 1
 EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 
@@ -201,7 +204,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (`vlmlab ... | head`); send what is left to
+        # /dev/null so the flush at interpreter exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

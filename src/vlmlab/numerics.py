@@ -6,6 +6,13 @@ one tape node (op name, parents, backward closure), and ``backward`` walks
 the tape once in topological order.  There is no broadcasting beyond the
 last-axis affine used by ``add_bias`` and ``layer_norm``.
 
+Each differentiable op checks shapes, computes its forward value and passes
+it to ``_node`` with one gradient function per parent, mapping the upstream
+gradient to that parent's gradient (a vector-Jacobian product).  ``_node``
+alone records the node: in ``backward`` it calls a parent's function only
+if that parent requires a gradient, stores the first gradient a parent
+receives as it is and adds later ones.  No gradient is written in place.
+
 All differentiable operations here are validated against central finite
 differences by :func:`grad_check`; see the test suite for the sweep over
 every op and supported rank.
@@ -14,6 +21,7 @@ every op and supported rank.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,26 +31,20 @@ from .errors import ShapeError
 _TANH_GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def _as_array(values, shape=None) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if shape is not None:
-        arr = arr.reshape(shape)
-    return arr
-
-
 class Tensor:
     """An immutable float64 array plus its tape node.
 
     ``_op`` names the producing operation, ``_parents`` references the input
-    tensors, and ``_backward`` propagates an upstream gradient array into the
-    parents' ``grad`` accumulators.  Leaf tensors have no parents.
+    tensors, and ``_backward`` (set by ``_node``) passes an upstream
+    gradient to each parent that requires one: the parent's first gradient
+    is stored as it is, later ones are added.  Leaf tensors have no parents.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_op", "_parents", "_backward")
 
     def __init__(self, values, requires_grad: bool = False,
                  _op: str = "leaf", _parents: tuple["Tensor", ...] = ()):
-        data = _as_array(values)
+        data = np.asarray(values, dtype=np.float64)
         if not np.all(np.isfinite(data)):
             raise ValueError(f"non-finite values in result of op '{_op}'")
         data.flags.writeable = False
@@ -106,63 +108,53 @@ def parameter(values) -> Tensor:
     return Tensor(values, requires_grad=True)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad = t.grad + g
+def _node(op: str, data: np.ndarray, parents: tuple[Tensor, ...],
+          grads: Sequence[Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+    """The tape node of ``op``: ``grads[i]`` maps the upstream gradient to
+    the gradient of ``parents[i]``."""
+    node = Tensor(data, _op=op, _parents=parents)
+    if node.requires_grad:
+        def _backward(g: np.ndarray) -> None:
+            for parent, grad in zip(parents, grads):
+                if parent.requires_grad:
+                    gp = grad(g)
+                    parent.grad = gp if parent.grad is None else parent.grad + gp
+        node._backward = _backward
+    return node
 
 
-def _unary(op: str, x: Tensor, out_data: np.ndarray,
-           backward: Callable[[np.ndarray], np.ndarray]) -> Tensor:
-    out = Tensor(out_data, _op=op, _parents=(x,))
-    if out.requires_grad:
-        out._backward = lambda g: _accumulate(x, backward(g))
-    return out
+def _identity(g: np.ndarray) -> np.ndarray:
+    return g
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add: {a.shape} vs {b.shape}")
-    out = Tensor(a.data + b.data, _op="add", _parents=(a, b))
-    if out.requires_grad:
-        def _bw(g):
-            _accumulate(a, g)
-            _accumulate(b, g)
-        out._backward = _bw
-    return out
+    return _node("add", a.data + b.data, (a, b), (_identity, _identity))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul: {a.shape} vs {b.shape}")
-    out = Tensor(a.data * b.data, _op="mul", _parents=(a, b))
-    if out.requires_grad:
-        def _bw(g):
-            _accumulate(a, g * b.data)
-            _accumulate(b, g * a.data)
-        out._backward = _bw
-    return out
+    return _node("mul", a.data * b.data, (a, b),
+                 (lambda g: g * b.data, lambda g: g * a.data))
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _unary("scale", x, x.data * c, lambda g: g * c)
+    return _node("scale", x.data * c, (x,), (lambda g: g * c,))
+
+
+def _sum_leading(g: np.ndarray) -> np.ndarray:
+    """Gradient of a last-axis vector broadcast over the leading axes."""
+    return g.sum(axis=tuple(range(g.ndim - 1))) if g.ndim > 1 else g
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """Add a vector along the last axis (the only broadcast we allow)."""
     if b.data.ndim != 1 or x.shape[-1] != b.shape[0]:
         raise ShapeError(f"add_bias: {x.shape} vs {b.shape}")
-    out = Tensor(x.data + b.data, _op="add_bias", _parents=(x, b))
-    if out.requires_grad:
-        lead = tuple(range(x.data.ndim - 1))
-        def _bw(g):
-            _accumulate(x, g)
-            _accumulate(b, g.sum(axis=lead) if lead else g)
-        out._backward = _bw
-    return out
+    return _node("add_bias", x.data + b.data, (x, b), (_identity, _sum_leading))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -170,64 +162,62 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data, _op="matmul", _parents=(a, b))
-    if out.requires_grad:
-        def _bw(g):
-            _accumulate(a, g @ b.data.T)
-            _accumulate(b, a.data.T @ g)
-        out._backward = _bw
-    return out
+    return _node("matmul", a.data @ b.data, (a, b),
+                 (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
 
 def transpose(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"transpose needs rank 2, got {x.shape}")
-    return _unary("transpose", x, x.data.T.copy(), lambda g: g.T)
+    return _node("transpose", x.data.T.copy(), (x,), (lambda g: g.T,))
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     if int(np.prod(shape)) != x.data.size:
         raise ShapeError(f"reshape {x.shape} -> {shape}")
-    return _unary("reshape", x, x.data.reshape(shape),
-                  lambda g: g.reshape(x.shape))
+    return _node("reshape", x.data.reshape(shape), (x,), (lambda g: g.reshape(x.shape),))
+
+
+def _concat(op: str, parts: Sequence[Tensor], axis: int) -> Tensor:
+    """Join rank-2 tensors along ``axis``; their other axis must agree."""
+    if not parts:
+        raise ShapeError(f"{op} of nothing")
+    if any(p.data.ndim != 2 for p in parts) or len({p.shape[1 - axis] for p in parts}) != 1:
+        raise ShapeError(f"{op}: operands must be rank 2 with equal "
+                         f"{('widths', 'row counts')[axis]}")
+    bounds = list(accumulate((p.shape[axis] for p in parts), initial=0))
+    cuts = [(slice(None),) * axis + (slice(lo, hi),) for lo, hi in zip(bounds, bounds[1:])]
+    return _node(op, np.concatenate([p.data for p in parts], axis=axis), tuple(parts),
+                 [lambda g, cut=cut: g[cut] for cut in cuts])
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     """Stack rank-2 tensors vertically."""
-    if not parts:
-        raise ShapeError("concat_rows of nothing")
     if len(parts) == 1:
         return parts[0]
-    widths = {p.shape[1] for p in parts}
-    if any(p.data.ndim != 2 for p in parts) or len(widths) != 1:
-        raise ShapeError("concat_rows: operands must be rank 2 with equal widths")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0),
-                 _op="concat_rows", _parents=tuple(parts))
-    if out.requires_grad:
-        sizes = [p.shape[0] for p in parts]
-        offsets = np.cumsum([0] + sizes)
-        def _bw(g):
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                _accumulate(p, g[lo:hi])
-        out._backward = _bw
-    return out
+    return _concat("concat_rows", parts, 0)
+
+
+def concat_cols(parts: Sequence[Tensor]) -> Tensor:
+    """Concatenate rank-2 tensors along the last axis."""
+    return _concat("concat_cols", parts, 1)
 
 
 def sum_all(x: Tensor) -> Tensor:
-    return _unary("sum", x, np.asarray(x.data.sum()), lambda g: np.full_like(x.data, float(g)))
+    return _node("sum", np.asarray(x.data.sum()), (x,),
+                 (lambda g: np.full_like(x.data, float(g)),))
 
 
 def gelu(x: Tensor) -> Tensor:
     """Tanh-approximation GELU (smooth, no special-function dependency)."""
     u = _TANH_GELU_C * (x.data + 0.044715 * x.data ** 3)
     t = np.tanh(u)
-    out_data = 0.5 * x.data * (1.0 + t)
 
-    def _bw(g):
+    def _grad(g):
         du = _TANH_GELU_C * (1.0 + 3 * 0.044715 * x.data ** 2)
         return g * (0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t ** 2) * du)
 
-    return _unary("gelu", x, out_data, _bw)
+    return _node("gelu", 0.5 * x.data * (1.0 + t), (x,), (_grad,))
 
 
 def _softmax(op: str, x: Tensor, axis: int, mask: np.ndarray | None) -> Tensor:
@@ -245,7 +235,7 @@ def _softmax(op: str, x: Tensor, axis: int, mask: np.ndarray | None) -> Tensor:
     shifted = logits - logits.max(axis=ax, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=ax, keepdims=True)
-    return _unary(op, x, s, lambda g: s * (g - (g * s).sum(axis=ax, keepdims=True)))
+    return _node(op, s, (x,), (lambda g: s * (g - (g * s).sum(axis=ax, keepdims=True)),))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -277,18 +267,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
-    out = Tensor(xhat * gain.data + bias.data, _op="layer_norm", _parents=(x, gain, bias))
-    if out.requires_grad:
-        lead = tuple(range(x.data.ndim - 1))
-        def _bw(g):
-            gx = g * gain.data
-            dx = inv * (gx - gx.mean(axis=-1, keepdims=True)
-                        - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
-            _accumulate(x, dx)
-            _accumulate(gain, (g * xhat).sum(axis=lead) if lead else g * xhat)
-            _accumulate(bias, g.sum(axis=lead) if lead else g)
-        out._backward = _bw
-    return out
+
+    def _grad_x(g):
+        gx = g * gain.data
+        return inv * (gx - gx.mean(axis=-1, keepdims=True)
+                      - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+
+    return _node("layer_norm", xhat * gain.data + bias.data, (x, gain, bias),
+                 (_grad_x, lambda g: _sum_leading(g * xhat), _sum_leading))
 
 
 def gather_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
@@ -300,34 +286,13 @@ def gather_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
         raise ShapeError("gather_rows: indices must be a flat sequence")
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ShapeError(f"gather_rows: index out of range for {x.shape[0]} rows")
-    out = Tensor(x.data[idx], _op="gather_rows", _parents=(x,))
-    if out.requires_grad:
-        def _bw(g):
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, idx, g)
-            _accumulate(x, gx)
-        out._backward = _bw
-    return out
 
+    def _grad(g):
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, idx, g)
+        return gx
 
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate rank-2 tensors along the last axis."""
-    if not parts:
-        raise ShapeError("concat_cols of nothing")
-    rows = parts[0].shape[0]
-    for p in parts:
-        if p.data.ndim != 2 or p.shape[0] != rows:
-            raise ShapeError("concat_cols: row counts differ")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1),
-                 _op="concat_cols", _parents=tuple(parts))
-    if out.requires_grad:
-        widths = [p.shape[1] for p in parts]
-        offsets = np.cumsum([0] + widths)
-        def _bw(g):
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                _accumulate(p, g[:, lo:hi])
-        out._backward = _bw
-    return out
+    return _node("gather_rows", x.data[idx], (x,), (_grad,))
 
 
 def add_rows_at(x: Tensor, rows: Tensor, positions: Sequence[int]) -> Tensor:
@@ -350,13 +315,7 @@ def add_rows_at(x: Tensor, rows: Tensor, positions: Sequence[int]) -> Tensor:
             raise ShapeError("add_rows_at: duplicate positions")
     data = x.data.copy()
     data[pos] += rows.data
-    out = Tensor(data, _op="add_rows_at", _parents=(x, rows))
-    if out.requires_grad:
-        def _bw(g):
-            _accumulate(x, g)
-            _accumulate(rows, g[pos])
-        out._backward = _bw
-    return out
+    return _node("add_rows_at", data, (x, rows), (_identity, lambda g: g[pos]))
 
 
 def rotate_pairs(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
@@ -376,16 +335,15 @@ def rotate_pairs(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     data = np.empty_like(x.data)
     data[:, 0::2] = xe * cos - xo * sin
     data[:, 1::2] = xe * sin + xo * cos
-    out = Tensor(data, _op="rotate_pairs", _parents=(x,))
-    if out.requires_grad:
-        def _bw(g):
-            ge, go = g[:, 0::2], g[:, 1::2]
-            gx = np.empty_like(g)
-            gx[:, 0::2] = ge * cos + go * sin
-            gx[:, 1::2] = -ge * sin + go * cos
-            _accumulate(x, gx)
-        out._backward = _bw
-    return out
+
+    def _grad(g):
+        ge, go = g[:, 0::2], g[:, 1::2]
+        gx = np.empty_like(g)
+        gx[:, 0::2] = ge * cos + go * sin
+        gx[:, 1::2] = -ge * sin + go * cos
+        return gx
+
+    return _node("rotate_pairs", data, (x,), (_grad,))
 
 
 def token_nll(logits: Tensor, targets: Sequence[int]) -> Tensor:
@@ -406,14 +364,13 @@ def token_nll(logits: Tensor, targets: Sequence[int]) -> Tensor:
     z = e.sum(axis=1)
     probs = e / z[:, None]
     nll = np.log(z) + m[:, 0] - logits.data[np.arange(n), tgt]
-    out = Tensor(nll, _op="token_nll", _parents=(logits,))
-    if out.requires_grad:
-        def _bw(g):
-            gl = probs * g[:, None]
-            gl[np.arange(n), tgt] -= g
-            _accumulate(logits, gl)
-        out._backward = _bw
-    return out
+
+    def _grad(g):
+        gl = probs * g[:, None]
+        gl[np.arange(n), tgt] -= g
+        return gl
+
+    return _node("token_nll", nll, (logits,), (_grad,))
 
 
 def interpolate_bilinear(table: Tensor, gh: int, gw: int) -> Tensor:
@@ -446,17 +403,16 @@ def interpolate_bilinear(table: Tensor, gh: int, gw: int) -> Tensor:
             + (1 - fy) * fx * t[np.ix_(y0, x1)]
             + fy * (1 - fx) * t[np.ix_(y1, x0)]
             + fy * fx * t[np.ix_(y1, x1)])
-    out = Tensor(data, _op="interpolate_bilinear", _parents=(table,))
-    if out.requires_grad:
-        def _bw(g):
-            gt = np.zeros_like(t)
-            np.add.at(gt, np.ix_(y0, x0), (1 - fy) * (1 - fx) * g)
-            np.add.at(gt, np.ix_(y0, x1), (1 - fy) * fx * g)
-            np.add.at(gt, np.ix_(y1, x0), fy * (1 - fx) * g)
-            np.add.at(gt, np.ix_(y1, x1), fy * fx * g)
-            _accumulate(table, gt)
-        out._backward = _bw
-    return out
+
+    def _grad(g):
+        gt = np.zeros_like(t)
+        np.add.at(gt, np.ix_(y0, x0), (1 - fy) * (1 - fx) * g)
+        np.add.at(gt, np.ix_(y0, x1), (1 - fy) * fx * g)
+        np.add.at(gt, np.ix_(y1, x0), fy * (1 - fx) * g)
+        np.add.at(gt, np.ix_(y1, x1), fy * fx * g)
+        return gt
+
+    return _node("interpolate_bilinear", data, (table,), (_grad,))
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:

@@ -23,11 +23,8 @@ from .errors import ConfigError
 from .sequence import (FRAMES, TEXT, FrameGroup, MultimodalSequence, TextSpan,
                        check_frame_groups)
 
-# Byte-level vocabulary: ids 0..255 are raw byte values.  One special id is
-# reserved (and documented) for padding; the tokenizer itself never emits it.
+# Byte-level vocabulary: ids 0..255 are raw byte values.
 BYTE_VOCAB_SIZE = 256
-PAD_TOKEN_ID = 256
-VOCAB_SIZE = 257
 
 _HMS_RE = re.compile(r"^<(\d{2,}):(\d{2}):(\d{2})>$")
 _SECONDS_RE = re.compile(r"^<(\d+\.\d) seconds>$")
@@ -89,7 +86,8 @@ def format_timestamp(t: float, style: str = "seconds") -> str:
     if not math.isfinite(t) or t < 0:
         raise ConfigError(f"timestamp must be finite and non-negative, got {t}")
     if style == "seconds":
-        return f"<{_HALF_UP.quantize(Decimal(repr(float(t))), _TENTHS)} seconds>"
+        # + 0.0 turns -0.0 into 0.0, which parse_timestamp accepts.
+        return f"<{_HALF_UP.quantize(Decimal(repr(float(t) + 0.0)), _TENTHS)} seconds>"
     if style == "hms":
         total = int(t)
         hours, rem = divmod(total, 3600)
@@ -190,10 +188,8 @@ def interleave_timestamps(frames: Sequence[float], group_size: int = 2,
     first = np.arange(0, len(frames), group_size)
     starts = frames[first]
     ends = frames[np.minimum(first + group_size, len(frames)) - 1]
-    # Distinct bit patterns, so that -0.0 keeps its own stamp.
-    distinct, which = np.unique(starts.view(np.int64), return_inverse=True)
-    stamps = [format_timestamp(t, style).encode("utf-8")
-              for t in distinct.view(np.float64).tolist()]
+    distinct, which = np.unique(starts, return_inverse=True)
+    stamps = [format_timestamp(t, style).encode("utf-8") for t in distinct.tolist()]
     pool = np.frombuffer(b"".join(stamps), dtype=np.uint8)
     pool_lengths = np.array([len(stamp) for stamp in stamps], dtype=np.int64)
     lengths = pool_lengths[which]

@@ -54,7 +54,6 @@ _MODEL_KEY_TYPES = {
     "schema_version": int, "encoder_depth": int, "decoder_depth": int, "dim": int,
     "llm_dim": int, "head_dim": int, "taps": [int], "inject_layers": [int], "vocab": int,
     "rope_base": NUMBER, "rope_scheme": str, "inject_after_layer": bool,
-    "normalize_taps": bool,
 }
 
 
@@ -73,9 +72,8 @@ class ModelConfig:
     vocab: int = 300
     rope_base: float = 10000.0
     rope_scheme: str = "interleaved"
-    # Ablation knobs; defaults reflect the reference behaviour.
+    # Ablation knob; the default reflects the reference behaviour.
     inject_after_layer: bool = False
-    normalize_taps: bool = False
     alloc: FrequencyAllocation = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -380,11 +378,6 @@ class VisionLanguageModel:
             n = element.token_count()
             visual_positions.extend(range(cursor, cursor + n))
             for level, (tap_state, merger) in enumerate(zip(taps, self.tap_mergers)):
-                if self.config.normalize_taps:
-                    # Ablation: parameter-free standardization of tap features.
-                    ones = Tensor(np.ones(self.config.dim))
-                    zeros = Tensor(np.zeros(self.config.dim))
-                    tap_state = numerics.layer_norm(tap_state, ones, zeros)
                 deepstack_parts[level].append(merge_2x2(tap_state, grid.gh, grid.gw, merger))
             cursor += n
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vlmlab
 from vlmlab import cli
 from vlmlab.cli import main
 
@@ -177,6 +182,7 @@ class TestNiah:
     (["niah"], '{"durations_min": [1e400]}'),
     (["niah"], '{"signature_noise": 1%s}' % ("0" * 400)),
     (["train"], {"model": {"rope_base": float("nan")}}),
+    (["train"], {"model": {"normalize_taps": True}}),
     (["spectrum", "--base", "nan"], None),
     (["spectrum", "--base", "inf"], None),
     (["train", "--stage", "cfg.json"], "{bad"),
@@ -194,6 +200,7 @@ class TestNiah:
         "niah-trials-string", "train-model-dim-string", "train-unknown-key",
         "spectrum-unknown-key", "niah-noise-nan", "niah-duration-infinity",
         "niah-duration-1e400", "niah-noise-huge-integer", "train-rope-base-nan",
+        "train-model-removed-key",
         "spectrum-base-nan", "spectrum-base-inf",
         "stage-not-json", "stage-array", "stage-length-string", "stage-trainable-string",
         "stage-budget-float", "stage-unknown-key", "spectrum-config-directory",
@@ -216,3 +223,14 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    env = {**os.environ, "PYTHONPATH": str(Path(vlmlab.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vlmlab.cli", "sparsity", "--duration", "100", "--spacing", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader is gone before the child writes
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"Exception ignored" not in err

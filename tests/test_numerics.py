@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -107,6 +108,16 @@ class TestBackward:
         with pytest.raises(ShapeError, match="scalar"):
             N.add(x, x).backward()
 
+    def test_constant_operand_product_never_computed(self):
+        # The constant's gradient product, 1e300 * 1e10, would overflow.
+        const = Tensor(np.full((2, 3), 1e-200))
+        weight = N.parameter(np.full((3, 2), 1e10))
+        loss = N.scale(N.sum_all(N.matmul(const, weight)), 1e300)
+        with np.errstate(over="raise"):
+            loss.backward()
+        assert const.grad is None
+        np.testing.assert_allclose(weight.grad, np.full((3, 2), 2e100))
+
     def test_grad_reset_between_calls(self):
         x = N.parameter(np.asarray([3.0]))
         for _ in range(2):
@@ -194,7 +205,9 @@ OP_CASES = []
 for rank, shape in ((1, (6,)), (2, (3, 4))):
     OP_CASES += [
         (f"add/r{rank}", shape, lambda t, s=shape: N.sum_all(N.mul(N.add(t, rand(s, 91)), rand(s, 92)))),
+        (f"add_right/r{rank}", shape, lambda t, s=shape: N.sum_all(N.mul(N.add(rand(s, 122), t), rand(s, 123)))),
         (f"mul/r{rank}", shape, _two_arg(N.mul, rand(shape, 93))),
+        (f"mul_right/r{rank}", shape, lambda t, s=shape: N.sum_all(N.mul(N.mul(rand(s, 124), t), rand(s, 125)))),
         (f"scale/r{rank}", shape, lambda t: N.sum_all(N.scale(t, -1.7))),
         (f"gelu/r{rank}", shape, lambda t: N.sum_all(N.gelu(t))),
     ]
@@ -211,12 +224,18 @@ OP_CASES += [
         N.layer_norm(t, rand((6,), 102), rand((6,), 103)), rand((3, 6), 104)))),
     ("layer_norm_gain", (6,), lambda t: N.sum_all(N.mul(
         N.layer_norm(rand((3, 6), 105), t, rand((6,), 106)), rand((3, 6), 107)))),
+    ("layer_norm_bias", (6,), lambda t: N.sum_all(N.mul(
+        N.layer_norm(rand((3, 6), 126), rand((6,), 127), t), rand((3, 6), 128)))),
     ("gather_rows", (5, 3), lambda t: N.sum_all(N.mul(
         N.gather_rows(t, [0, 2, 2, 4]), rand((4, 3), 108)))),
     ("concat_cols", (3, 2), lambda t: N.sum_all(N.mul(
         N.concat_cols([t, rand((3, 4), 109)]), rand((3, 6), 110)))),
+    ("concat_cols_later", (3, 2), lambda t: N.sum_all(N.mul(
+        N.concat_cols([rand((3, 4), 129), t, rand((3, 1), 130)]), rand((3, 7), 131)))),
     ("concat_rows", (2, 3), lambda t: N.sum_all(N.mul(
         N.concat_rows([t, rand((4, 3), 111)]), rand((6, 3), 112)))),
+    ("concat_rows_later", (2, 3), lambda t: N.sum_all(N.mul(
+        N.concat_rows([rand((4, 3), 132), t, rand((1, 3), 133)]), rand((7, 3), 134)))),
     ("add_rows_at_base", (5, 3), lambda t: N.sum_all(N.mul(
         N.add_rows_at(t, rand((2, 3), 113), [1, 3]), rand((5, 3), 114)))),
     ("add_rows_at_rows", (2, 3), lambda t: N.sum_all(N.mul(
@@ -227,9 +246,9 @@ OP_CASES += [
     ("token_nll", (4, 7), lambda t: N.sum_all(N.token_nll(t, [0, 3, 6, 2]))),
     ("transpose", (3, 4), lambda t: N.sum_all(N.mul(N.transpose(t), rand((4, 3), 119)))),
     ("reshape", (3, 4), lambda t: N.sum_all(N.mul(N.reshape(t, (2, 6)), rand((2, 6), 120)))),
-    ("interpolate/r3", (3, 4, 2), lambda t: N.sum_all(N.mul(
+    ("interpolate_bilinear/r3", (3, 4, 2), lambda t: N.sum_all(N.mul(
         N.interpolate_bilinear(t, 5, 7), rand((5, 7, 2), 121)))),
-    ("sum/r3", (2, 3, 2), N.sum_all),
+    ("sum_all/r3", (2, 3, 2), N.sum_all),
 ]
 
 
@@ -240,6 +259,21 @@ def test_grad_check_sweep(name, shape, f):
         x = Tensor(Rng(1000 + trial).split(name).normal(shape))
         worst = max(worst, N.grad_check(f, x, h=1e-5))
     assert worst < 1e-5, f"{name}: max rel err {worst}"
+
+
+def test_every_public_op_is_in_the_sweep():
+    # Public functions as the benchmark tracer finds them, less the non-ops.
+    ops = {name for name, fn in vars(N).items()
+           if inspect.isfunction(fn) and fn.__module__ == N.__name__
+           and not name.startswith("_")} - {"grad_check", "parameter"}
+    # A case id is "<op>", "<op>_<operand>" or either with "/<variant>"; it
+    # belongs to the longest op name it starts with.
+    swept = set()
+    for case_id, _, _ in OP_CASES:
+        head = case_id.split("/")[0]
+        swept.add(max((op for op in ops if head == op or head.startswith(op + "_")),
+                      key=len, default=None))
+    assert ops <= swept, f"ops without a grad_check case: {sorted(ops - swept)}"
 
 
 def test_determinism_same_seed_bitwise():

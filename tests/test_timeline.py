@@ -114,6 +114,12 @@ class TestTimestamps:
     def test_seconds_parse(self):
         assert parse_timestamp("<3.0 seconds>") == 3.0
 
+    @pytest.mark.parametrize("t, seconds", [(-0.0, 0.0), (0.0, 0.0), (0.05, 0.1), (2.25, 2.3),
+                                            (59.96, 60.0), (3600.0, 3600.0), (1e27, 1e27)])
+    def test_round_trip(self, t, seconds):
+        assert parse_timestamp(format_timestamp(t)) == seconds
+        assert parse_timestamp(format_timestamp(t, "hms")) == float(int(t))
+
 
 class TestTokenizer:
     def test_empty(self):
@@ -306,8 +312,8 @@ def _raised(fn, *args):
 
 
 # k/20 puts half-up ties of the seconds style (0.05, 2.25, ...) in reach and
-# repeats values often; arbitrary floats cover the rest, and -0.0 renders as
-# "<-0.0 seconds>" beside 0.0.
+# repeats values often; arbitrary floats cover the rest, and -0.0 must get the
+# same stamp as 0.0.
 frame_times = st.one_of(st.integers(0, 2000).map(lambda k: k / 20), st.floats(0.0, 1e6),
                         st.just(-0.0))
 
