@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import numerics
 from ..errors import ConfigError
-from ..mrope import FrequencyAllocation, apply_mrope, frame_group_ids
+from ..mrope import FrequencyAllocation, _rotation_tables, frame_group_ids
 from ..numerics import Tensor
 from ..seeding import Rng
 from ..timeline import (SamplingPolicy, Timeline, format_timestamp, interleave_timestamps,
@@ -149,9 +150,10 @@ def run_niah_probe(seq: Timeline, keys, query_signature,
 
     ``keys`` holds one content signature per frame group, in sequence
     order.  Keys are rotated at their groups' positions; the query is
-    rotated to each group's position before the dot product, so a score
-    reduces to the content similarity the rotary isometry preserves.  The
-    margin is top1 minus top2 (0.0 with a single group).
+    rotated to each group's position, with the same cos/sin tables, before
+    the dot product, so a score reduces to the content similarity the
+    rotary isometry preserves.  The margin is top1 minus top2 (0.0 with a
+    single group).
     """
     group_ids = frame_group_ids(seq)
     groups = len(group_ids)
@@ -168,8 +170,9 @@ def run_niah_probe(seq: Timeline, keys, query_signature,
     if keys.shape[1] != dim:
         raise ConfigError(f"signature width {keys.shape[1]} vs query width {dim}")
 
-    rotated_keys = apply_mrope(Tensor(keys), group_ids, alloc).data
-    rotated_queries = apply_mrope(Tensor(np.tile(query, (groups, 1))), group_ids, alloc).data
+    cos, sin = _rotation_tables(group_ids, alloc)
+    rotated_keys = numerics.rotate_pairs(Tensor(keys), cos, sin).data
+    rotated_queries = numerics.rotate_pairs(Tensor(np.tile(query, (groups, 1))), cos, sin).data
     scores = np.einsum("ij,ij->i", rotated_queries, rotated_keys)
 
     order = np.argsort(scores)[::-1]

@@ -168,6 +168,20 @@ def frame_group_ids(seq: MultimodalSequence) -> np.ndarray:
     return layout[layout[:, 5] == FRAMES][:, [2, 3, 3]]
 
 
+def _rotation_tables(ids, alloc: FrequencyAllocation) -> tuple[np.ndarray, np.ndarray]:
+    """The (seq, pairs) cos and sin of each token's pair angles.
+
+    ``ids`` is any (seq, 3) integer array-like of (t, h, w) triples.
+    """
+    pos = np.asarray(ids, dtype=np.int64)
+    if pos.ndim != 2 or pos.shape[1] != 3:
+        raise ShapeError(f"position ids must be (seq, 3) triples, got shape {pos.shape}")
+    axis_index = np.asarray([AXES.index(a) for a in alloc.axis_of_pair])
+    # (seq, pairs): position component of the pair's axis times its frequency
+    ang = pos[:, axis_index].astype(np.float64) * np.asarray(alloc.theta)[None, :]
+    return np.cos(ang), np.sin(ang)
+
+
 def apply_mrope(x: Tensor, ids, alloc: FrequencyAllocation) -> Tensor:
     """Rotate each token's coordinate pairs by its position angles.
 
@@ -177,15 +191,10 @@ def apply_mrope(x: Tensor, ids, alloc: FrequencyAllocation) -> Tensor:
         raise ShapeError(f"apply_mrope expects (seq, head_dim), got {x.shape}")
     if x.shape[1] != alloc.head_dim:
         raise ShapeError(f"head_dim mismatch: tensor {x.shape[1]} vs allocation {alloc.head_dim}")
-    pos = np.asarray(ids, dtype=np.int64)
-    if pos.ndim != 2 or pos.shape[1] != 3:
-        raise ShapeError(f"position ids must be (seq, 3) triples, got shape {pos.shape}")
-    if len(pos) != x.shape[0]:
-        raise ShapeError(f"{len(pos)} position ids for {x.shape[0]} tokens")
-    axis_index = np.asarray([AXES.index(a) for a in alloc.axis_of_pair])
-    # (seq, pairs): position component of the pair's axis times its frequency
-    ang = pos[:, axis_index].astype(np.float64) * np.asarray(alloc.theta)[None, :]
-    return numerics.rotate_pairs(x, np.cos(ang), np.sin(ang))
+    cos, sin = _rotation_tables(ids, alloc)
+    if len(cos) != x.shape[0]:
+        raise ShapeError(f"{len(cos)} position ids for {x.shape[0]} tokens")
+    return numerics.rotate_pairs(x, cos, sin)
 
 
 def spectrum_report(alloc: FrequencyAllocation) -> dict[str, dict[str, int]]:

@@ -4,7 +4,11 @@ The design goal is auditability, not speed: values are immutable numpy
 arrays (safe to share read-only across threads), every operation records
 one tape node (op name, parents, backward closure), and ``backward`` walks
 the tape once in topological order.  There is no broadcasting beyond the
-last-axis affine used by ``add_bias`` and ``layer_norm``.
+last-axis affine used by ``add_bias`` and ``layer_norm``.  ``matmul`` and
+``transpose`` also take rank-3 operands, a batch of matrices along the first
+axis: ``matmul`` multiplies matching batch entries and ``transpose`` swaps
+the last two axes, so a batch of independent attentions runs as one node
+per op.
 
 Each differentiable op checks shapes, computes its forward value and passes
 it to ``_node`` with one gradient function per parent, mapping the upstream
@@ -44,8 +48,10 @@ class Tensor:
 
     def __init__(self, values, requires_grad: bool = False,
                  _op: str = "leaf", _parents: tuple["Tensor", ...] = ()):
-        data = np.asarray(values, dtype=np.float64)
-        if not np.all(np.isfinite(data)):
+        # A leaf copies its input, so freezing the array does not freeze the
+        # caller's; op results are fresh arrays already.
+        data = (np.array if _op == "leaf" else np.asarray)(values, dtype=np.float64)
+        if not np.isfinite(data).all():
             raise ValueError(f"non-finite values in result of op '{_op}'")
         data.flags.writeable = False
         self.data = data
@@ -157,19 +163,28 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return _node("add_bias", x.data + b.data, (x, b), (_identity, _sum_leading))
 
 
+def _swap_last(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """Matrix product of rank-2 operands, or of two equal batches of them."""
+    if a.data.ndim != b.data.ndim or a.data.ndim not in (2, 3):
+        raise ShapeError(f"matmul needs two rank-2 or two rank-3 operands, "
+                         f"got {a.shape} and {b.shape}")
+    if a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul: batch axes {a.shape} x {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims {a.shape} x {b.shape}")
     return _node("matmul", a.data @ b.data, (a, b),
-                 (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
+                 (lambda g: g @ _swap_last(b.data), lambda g: _swap_last(a.data) @ g))
 
 
 def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose needs rank 2, got {x.shape}")
-    return _node("transpose", x.data.T.copy(), (x,), (lambda g: g.T,))
+    """Swap the last two axes of a rank-2 or rank-3 tensor."""
+    if x.data.ndim not in (2, 3):
+        raise ShapeError(f"transpose needs rank 2 or 3, got {x.shape}")
+    return _node("transpose", _swap_last(x.data).copy(), (x,), (_swap_last,))
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -178,29 +193,17 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _node("reshape", x.data.reshape(shape), (x,), (lambda g: g.reshape(x.shape),))
 
 
-def _concat(op: str, parts: Sequence[Tensor], axis: int) -> Tensor:
-    """Join rank-2 tensors along ``axis``; their other axis must agree."""
-    if not parts:
-        raise ShapeError(f"{op} of nothing")
-    if any(p.data.ndim != 2 for p in parts) or len({p.shape[1 - axis] for p in parts}) != 1:
-        raise ShapeError(f"{op}: operands must be rank 2 with equal "
-                         f"{('widths', 'row counts')[axis]}")
-    bounds = list(accumulate((p.shape[axis] for p in parts), initial=0))
-    cuts = [(slice(None),) * axis + (slice(lo, hi),) for lo, hi in zip(bounds, bounds[1:])]
-    return _node(op, np.concatenate([p.data for p in parts], axis=axis), tuple(parts),
-                 [lambda g, cut=cut: g[cut] for cut in cuts])
-
-
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack rank-2 tensors vertically."""
+    """Stack rank-2 tensors of equal width vertically."""
     if len(parts) == 1:
         return parts[0]
-    return _concat("concat_rows", parts, 0)
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate rank-2 tensors along the last axis."""
-    return _concat("concat_cols", parts, 1)
+    if not parts:
+        raise ShapeError("concat_rows of nothing")
+    if any(p.data.ndim != 2 for p in parts) or len({p.shape[1] for p in parts}) != 1:
+        raise ShapeError("concat_rows: operands must be rank 2 with equal widths")
+    bounds = list(accumulate((p.shape[0] for p in parts), initial=0))
+    return _node("concat_rows", np.concatenate([p.data for p in parts]), tuple(parts),
+                 [lambda g, lo=lo, hi=hi: g[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -9,6 +9,13 @@ the visual tokens spliced into the decoder input; the per-tap merger
 outputs are added onto the hidden states entering the first decoder layers
 at the visual-token positions, adding no sequence length.
 
+``prepare`` packs the patch grids of a sequence by shape: all grids of one
+shape go through the encoder as one stack of rows, and through each merger,
+in one pass.  Attention stays inside each grid, as a rank-3 batch with one
+(rows, rows) score matrix per grid, so memory grows linearly with the number
+of grids.  One ``gather_rows`` then puts text and visual rows in sequence
+order.
+
 The decoder is a standard pre-norm causal transformer whose q/k vectors
 get the three-axis rotary treatment.
 """
@@ -157,12 +164,16 @@ def _block_params(rng: Rng, width: int, head_dim: int, prefix: str) -> dict[str,
 
 def _block_forward(params: Mapping[str, Tensor], prefix: str, x: Tensor,
                    ids: np.ndarray, alloc: FrequencyAllocation,
-                   causal: bool) -> Tensor:
+                   causal: bool, groups: int = 1) -> Tensor:
+    """One block over ``groups`` equal runs of rows; attention stays inside
+    each run."""
     n = x.shape[0]
     a = _norm(params, f"{prefix}.ln1", x)
     q = apply_mrope(_linear(params, f"{prefix}.q", a), ids, alloc)
     k = apply_mrope(_linear(params, f"{prefix}.k", a), ids, alloc)
     v = _linear(params, f"{prefix}.v", a)
+    if groups > 1:
+        q, k, v = (numerics.reshape(t, (groups, n // groups, alloc.head_dim)) for t in (q, k, v))
     scores = numerics.scale(numerics.matmul(q, numerics.transpose(k)),
                             1.0 / np.sqrt(alloc.head_dim))
     if causal:
@@ -170,7 +181,10 @@ def _block_forward(params: Mapping[str, Tensor], prefix: str, x: Tensor,
         attn = numerics.masked_softmax(scores, mask, axis=-1)
     else:
         attn = numerics.softmax(scores, axis=-1)
-    x = numerics.add(x, _linear(params, f"{prefix}.o", numerics.matmul(attn, v)))
+    mixed = numerics.matmul(attn, v)
+    if groups > 1:
+        mixed = numerics.reshape(mixed, (n, alloc.head_dim))
+    x = numerics.add(x, _linear(params, f"{prefix}.o", mixed))
     m = _norm(params, f"{prefix}.ln2", x)
     h = numerics.gelu(_linear(params, f"{prefix}.mlp1", m))
     return numerics.add(x, _linear(params, f"{prefix}.mlp2", h))
@@ -188,19 +202,31 @@ class VisionEncoder:
             self.params.update(_block_params(rng.split(f"block{layer}"),
                                              config.dim, config.head_dim, f"block{layer}"))
 
-    def forward(self, grid: PatchGrid) -> tuple[Tensor, list[Tensor]]:
-        """Final hidden state plus the hidden states after each tapped block."""
-        if grid.dim != self.config.dim:
-            raise ShapeError(f"grid width {grid.dim} vs encoder width {self.config.dim}")
-        pos = numerics.interpolate_bilinear(self.params["pos_table"], grid.gh, grid.gw)
-        pos_flat = numerics.reshape(pos, (grid.gh * grid.gw, grid.dim))
-        rows, cols = np.divmod(np.arange(grid.gh * grid.gw), grid.gw)
+    def forward(self, *grids: PatchGrid) -> tuple[Tensor, list[Tensor]]:
+        """Final hidden state plus the hidden states after each tapped block.
+
+        Grids of one shape run as one batch: each state holds their rows one
+        grid after another, and attention stays inside each grid.
+        """
+        gh, gw, dim = grids[0].gh, grids[0].gw, self.config.dim
+        for grid in grids:
+            if grid.dim != dim:
+                raise ShapeError(f"grid width {grid.dim} vs encoder width {dim}")
+            if (grid.gh, grid.gw) != (gh, gw):
+                raise ShapeError(f"one encoder batch holds {gh}x{gw} and "
+                                 f"{grid.gh}x{grid.gw} grids")
+        n = gh * gw
+        pos = numerics.reshape(numerics.interpolate_bilinear(self.params["pos_table"], gh, gw),
+                               (n, dim))
+        if len(grids) > 1:
+            pos = numerics.gather_rows(pos, np.tile(np.arange(n), len(grids)))
+        rows, cols = np.divmod(np.arange(len(grids) * n) % n, gw)
         ids = np.stack((np.zeros_like(rows), rows, cols), axis=1)
-        x = numerics.add(grid.features, pos_flat)
+        x = numerics.add(numerics.concat_rows([grid.features for grid in grids]), pos)
         taps = []
         for layer in range(self.config.encoder_depth):
             x = _block_forward(self.params, f"block{layer}", x, ids, self.config.alloc,
-                               causal=False)
+                               causal=False, groups=len(grids))
             if layer in self.config.taps:
                 taps.append(x)
         return x, taps
@@ -223,23 +249,24 @@ class Merger:
 def merge_2x2(level_features: Tensor, gh: int, gw: int, merger: Merger) -> Tensor:
     """Concatenate disjoint 2x2 feature blocks and project to decoder width.
 
-    The grid must be even on both axes; padding odd grids is the caller's
-    job.  Output rows follow block row-major order, gh*gw/4 in total.
+    ``level_features`` holds one or more gh x gw grids, row-major, one after
+    another.  The grid must be even on both axes; padding odd grids is the
+    caller's job.  Each block becomes the features of its top-left,
+    top-right, bottom-left and bottom-right patch side by side.  Output rows
+    follow grid order, then block row-major order: gh*gw/4 per grid.
     """
     if gh % 2 or gw % 2:
         raise ShapeError(f"merge_2x2 needs even grid sides, got {gh}x{gw}")
-    if level_features.shape != (gh * gw, merger.dim):
+    rows = level_features.shape[0]
+    if level_features.shape != (rows, merger.dim) or rows == 0 or rows % (gh * gw):
         raise ShapeError(f"features {level_features.shape} vs grid {gh}x{gw} width {merger.dim}")
-    corner_rows: list[list[int]] = [[], [], [], []]
-    for br in range(gh // 2):
-        for bc in range(gw // 2):
-            r, c = 2 * br, 2 * bc
-            corner_rows[0].append(r * gw + c)
-            corner_rows[1].append(r * gw + c + 1)
-            corner_rows[2].append((r + 1) * gw + c)
-            corner_rows[3].append((r + 1) * gw + c + 1)
-    corners = [numerics.gather_rows(level_features, rows) for rows in corner_rows]
-    return merger.forward(numerics.concat_cols(corners))
+    # First row of each block, as (grid, block row, block col), then its four corners.
+    top_left = (np.arange(0, rows, gh * gw)[:, None, None]
+                + np.arange(0, gh * gw, 2 * gw)[None, :, None]
+                + np.arange(0, gw, 2)[None, None, :])
+    corners = top_left.reshape(-1, 1) + np.array([0, 1, gw, gw + 1])
+    blocks = numerics.gather_rows(level_features, corners.reshape(-1))
+    return merger.forward(numerics.reshape(blocks, (len(corners), 4 * merger.dim)))
 
 
 class Decoder:
@@ -285,6 +312,13 @@ class Decoder:
                 x = numerics.add_rows_at(x, inject[layer], positions)
         x = _norm(self.params, "ln_f", x)
         return _linear(self.params, "head", x)
+
+
+def _in_order(x: Tensor, order: np.ndarray) -> Tensor:
+    """Rows ``order`` of ``x``; ``x`` itself when that is every row in turn."""
+    if (order == np.arange(len(order))).all():
+        return x
+    return numerics.gather_rows(x, order)
 
 
 @dataclass
@@ -351,17 +385,20 @@ class VisionLanguageModel:
         ``grids`` maps element indices of image blocks / frame groups to
         patch grids whose sides are twice the element's token grid (the
         merger halves each side).
+
+        All text is embedded with one gather.  Grids of one shape make one
+        encoder pass and one pass per merger; their token rows follow the
+        text rows, one shape after another.  ``order[i]`` is the row of
+        sequence token i in that stack.
         """
-        embed_parts: list[Tensor] = []
-        visual_positions: list[int] = []
-        deepstack_parts: list[list[Tensor]] = [[], [], []]
-        cursor = 0
+        text_ids: list[int] = []
+        by_shape: dict[tuple[int, int], list[PatchGrid]] = {}
+        # Per element: its shape (None for text), first row within its part, token count.
+        spans: list[tuple[tuple[int, int] | None, int, int]] = []
         for idx, element in enumerate(seq.elements):
             if isinstance(element, TextSpan):
-                if element.token_ids:
-                    embed_parts.append(numerics.gather_rows(self.decoder.params["embed"],
-                                                           element.token_ids))
-                cursor += element.token_count()
+                spans.append((None, len(text_ids), len(element.token_ids)))
+                text_ids.extend(element.token_ids)
                 continue
             if not isinstance(element, (ImageBlock, FrameGroup)):
                 raise TypeError(f"unknown element {type(element).__name__}")
@@ -372,25 +409,35 @@ class VisionLanguageModel:
                 raise ShapeError(
                     f"element {idx}: patch grid {grid.gh}x{grid.gw} is not twice "
                     f"the token grid {element.gh}x{element.gw}")
-            final, taps = self.encoder.forward(grid)
-            tokens = merge_2x2(final, grid.gh, grid.gw, self.main_merger)
-            embed_parts.append(tokens)
-            n = element.token_count()
-            visual_positions.extend(range(cursor, cursor + n))
-            for level, (tap_state, merger) in enumerate(zip(taps, self.tap_mergers)):
-                deepstack_parts[level].append(merge_2x2(tap_state, grid.gh, grid.gw, merger))
-            cursor += n
+            batch = by_shape.setdefault((grid.gh, grid.gw), [])
+            n = element.gh * element.gw
+            spans.append(((grid.gh, grid.gw), len(batch) * n, n))
+            batch.append(grid)
 
-        if not embed_parts:
+        n_text = rows = len(text_ids)
+        part_start = {None: 0}
+        for (gh, gw), batch in by_shape.items():
+            part_start[gh, gw] = rows
+            rows += len(batch) * gh * gw // 4
+        if rows == 0:
             raise ConfigError("cannot prepare an empty sequence")
-        embeddings = numerics.concat_rows(embed_parts)
-        deepstack = ([numerics.concat_rows(parts) for parts in deepstack_parts]
-                     if visual_positions else [])
+        order = np.concatenate([np.arange(n) + part_start[shape] + at for shape, at, n in spans])
+        visual_positions = np.flatnonzero(order >= n_text)
+
+        parts = [numerics.gather_rows(self.decoder.params["embed"], text_ids)] if text_ids else []
+        tap_parts: list[list[Tensor]] = [[], [], []]
+        for (gh, gw), batch in by_shape.items():
+            final, taps = self.encoder.forward(*batch)
+            parts.append(merge_2x2(final, gh, gw, self.main_merger))
+            for level, (tap_state, merger) in enumerate(zip(taps, self.tap_mergers)):
+                tap_parts[level].append(merge_2x2(tap_state, gh, gw, merger))
+        visual_order = order[visual_positions] - n_text
         return PreparedInput(
-            embeddings=embeddings,
+            embeddings=_in_order(numerics.concat_rows(parts), order),
             position_ids=assign_position_ids(seq),
-            visual_positions=visual_positions,
-            deepstack=deepstack,
+            visual_positions=visual_positions.tolist(),
+            deepstack=[_in_order(numerics.concat_rows(level), visual_order)
+                       for level in tap_parts] if by_shape else [],
         )
 
     def forward(self, prepared: PreparedInput, use_deepstack: bool = True) -> Tensor:

@@ -41,6 +41,38 @@ class TestBasics:
         with pytest.raises(ValueError):
             t.data[0] = 5.0
 
+    def test_leaf_leaves_the_callers_array_writable(self):
+        a = np.zeros(3)
+        t = N.parameter(a)
+        a[0] = 1.0
+        np.testing.assert_array_equal(t.data, np.zeros(3))
+
+    def test_overflowing_op_result_is_rejected(self):
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="non-finite values in result of op 'scale'"):
+            N.scale(Tensor([1e308]), 1e308)
+
+    def test_batched_matmul_is_per_entry(self):
+        a, b = rand((3, 2, 4), seed=1), rand((3, 4, 5), seed=2)
+        out = N.matmul(a, b)
+        for i in range(3):
+            np.testing.assert_array_equal(out.data[i], a.data[i] @ b.data[i])
+
+    @pytest.mark.parametrize("left,right,match", [
+        ((2, 3, 4), (3, 4, 2), "batch axes"),
+        ((3, 4), (2, 4, 2), "two rank-2 or two rank-3"),
+        ((2, 3, 4), (4, 2), "two rank-2 or two rank-3"),
+        ((1, 2, 3, 4), (1, 2, 4, 3), "two rank-2 or two rank-3"),
+        ((2, 3, 4), (2, 3, 4), "inner dims"),
+    ])
+    def test_matmul_operand_errors(self, left, right, match):
+        with pytest.raises(ShapeError, match=match):
+            N.matmul(Tensor(np.ones(left)), Tensor(np.ones(right)))
+
+    def test_transpose_rank_error(self):
+        with pytest.raises(ShapeError, match="rank 2 or 3"):
+            N.transpose(Tensor(np.ones(4)))
+
 
 class TestSoftmax:
     def test_uniform(self):
@@ -216,6 +248,10 @@ OP_CASES += [
     ("bias_of_add_bias", (4,), lambda t: N.sum_all(N.mul(N.add_bias(rand((3, 4), 95), t), rand((3, 4), 96)))),
     ("matmul_left", (3, 4), _two_arg(N.matmul, rand((4, 2), 97))),
     ("matmul_right", (4, 2), lambda t: N.sum_all(N.matmul(rand((3, 4), 98), t))),
+    ("matmul_left/r3", (2, 3, 4), lambda t: N.sum_all(N.mul(
+        N.matmul(t, rand((2, 4, 2), 135)), rand((2, 3, 2), 136)))),
+    ("matmul_right/r3", (2, 4, 2), lambda t: N.sum_all(N.mul(
+        N.matmul(rand((2, 3, 4), 137), t), rand((2, 3, 2), 138)))),
     ("softmax/r1", (5,), lambda t: N.sum_all(N.mul(N.softmax(t, axis=0), rand((5,), 99)))),
     ("softmax/r2", (3, 5), lambda t: N.sum_all(N.mul(N.softmax(t), rand((3, 5), 100)))),
     ("masked_softmax", (4, 4), lambda t: N.sum_all(N.mul(
@@ -228,10 +264,6 @@ OP_CASES += [
         N.layer_norm(rand((3, 6), 126), rand((6,), 127), t), rand((3, 6), 128)))),
     ("gather_rows", (5, 3), lambda t: N.sum_all(N.mul(
         N.gather_rows(t, [0, 2, 2, 4]), rand((4, 3), 108)))),
-    ("concat_cols", (3, 2), lambda t: N.sum_all(N.mul(
-        N.concat_cols([t, rand((3, 4), 109)]), rand((3, 6), 110)))),
-    ("concat_cols_later", (3, 2), lambda t: N.sum_all(N.mul(
-        N.concat_cols([rand((3, 4), 129), t, rand((3, 1), 130)]), rand((3, 7), 131)))),
     ("concat_rows", (2, 3), lambda t: N.sum_all(N.mul(
         N.concat_rows([t, rand((4, 3), 111)]), rand((6, 3), 112)))),
     ("concat_rows_later", (2, 3), lambda t: N.sum_all(N.mul(
@@ -245,6 +277,7 @@ OP_CASES += [
                        np.sin(Rng(117).uniform((4, 3), -3, 3))), rand((4, 6), 118)))),
     ("token_nll", (4, 7), lambda t: N.sum_all(N.token_nll(t, [0, 3, 6, 2]))),
     ("transpose", (3, 4), lambda t: N.sum_all(N.mul(N.transpose(t), rand((4, 3), 119)))),
+    ("transpose/r3", (2, 3, 4), lambda t: N.sum_all(N.mul(N.transpose(t), rand((2, 4, 3), 139)))),
     ("reshape", (3, 4), lambda t: N.sum_all(N.mul(N.reshape(t, (2, 6)), rand((2, 6), 120)))),
     ("interpolate_bilinear/r3", (3, 4, 2), lambda t: N.sum_all(N.mul(
         N.interpolate_bilinear(t, 5, 7), rand((5, 7, 2), 121)))),

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from vlmlab import numerics as N
 from vlmlab.errors import ConfigError, ShapeError
-from vlmlab.mrope import PositionId
+from vlmlab.mrope import PositionId, assign_position_ids
 from vlmlab.numerics import Tensor
 from vlmlab.seeding import Rng
 from vlmlab.sequence import FrameGroup, ImageBlock, MultimodalSequence, TextSpan
-from vlmlab.vision import (Decoder, Merger, ModelConfig, PatchGrid, VisionEncoder,
+from vlmlab.vision import (Decoder, Merger, ModelConfig, PatchGrid, PreparedInput, VisionEncoder,
                            VisionLanguageModel, merge_2x2)
 
 
@@ -131,6 +131,29 @@ class TestEncoder:
         with pytest.raises(ConfigError, match="out of range"):
             small_config(taps=(0, 1, 3))
 
+    def test_packed_grids_equal_single_calls(self):
+        cfg = small_config()
+        enc = VisionEncoder(cfg, Rng(0))
+        grids = [random_grid(cfg, 2, 4, seed=s) for s in (5, 6, 7)]
+        final, taps = enc.forward(*grids)
+        for i, grid in enumerate(grids):
+            one_final, one_taps = enc.forward(grid)
+            rows = slice(8 * i, 8 * (i + 1))
+            for packed, single in zip([final, *taps], [one_final, *one_taps]):
+                np.testing.assert_allclose(packed.data[rows], single.data, rtol=1e-12, atol=1e-12)
+
+    def test_single_grid_has_no_batch_axis(self):
+        # One grid runs its attention at rank 2: no reshape into a batch.
+        cfg = small_config()
+        final, _ = VisionEncoder(cfg, Rng(0)).forward(random_grid(cfg, 2, 2))
+        batched = [node._op for node in tape_nodes(final) if node.data.ndim == 3]
+        assert sorted(batched) == ["interpolate_bilinear", "leaf"]  # the position table
+
+    def test_batch_of_mixed_shapes_rejected(self):
+        cfg = small_config()
+        with pytest.raises(ShapeError, match="one encoder batch"):
+            VisionEncoder(cfg, Rng(0)).forward(random_grid(cfg, 2, 2), random_grid(cfg, 2, 4))
+
 
 class TestMerge2x2:
     def test_minimal_grid(self):
@@ -163,12 +186,36 @@ class TestMerge2x2:
         m.params["fc1.w"] = Tensor(np.eye(4))
         m.params["fc1.b"] = Tensor(np.zeros(4))
         feats = Tensor(np.arange(8.0)[:, None])  # 4x2 grid of scalars
-        corners = N.concat_cols([N.gather_rows(feats, idx) for idx in
-                                 ([0, 4], [1, 5], [2, 6], [3, 7])])
+        # Block b's corners r00, r01, r10, r11 are rows 4b .. 4b+3.
+        corners = Tensor(np.arange(8.0).reshape(2, 4))
         out = merge_2x2(feats, 4, 2, m)
         hidden = N.gelu(N.add_bias(N.matmul(corners, m.params["fc1.w"]), m.params["fc1.b"]))
         expected = N.add_bias(N.matmul(hidden, m.params["fc2.w"]), m.params["fc2.b"])
         np.testing.assert_allclose(out.data, expected.data)
+
+    def test_packed_grids_equal_single_calls(self):
+        m = Merger(3, 5, Rng(0))
+        feats = [Tensor(Rng(s).normal((24, 3))) for s in (1, 2)]
+        packed = merge_2x2(N.concat_rows(feats), 4, 6, m)
+        singles = np.concatenate([merge_2x2(f, 4, 6, m).data for f in feats])
+        np.testing.assert_allclose(packed.data, singles, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(6, 4), (0, 4), (8, 3), (8,), (2, 4, 4)])
+    def test_features_not_whole_grids_rejected(self, shape):
+        m = Merger(4, 8, Rng(0))
+        with pytest.raises(ShapeError, match="vs grid 2x2"):
+            merge_2x2(Tensor(np.ones(shape)), 2, 2, m)
+
+
+def tape_nodes(out: Tensor) -> list[Tensor]:
+    """Every tensor ``out`` depends on, itself included."""
+    seen, stack = {}, [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
 
 
 class TestDeepstackInject:
@@ -272,7 +319,103 @@ class TestDecoder:
         assert on.data.tobytes() == off.data.tobytes()
 
 
+# Elements 1, 4 and 5 share one patch-grid shape; element 3 has another.
+MIXED = MultimodalSequence((TextSpan((1, 2)), ImageBlock(1, 2), TextSpan((3,)), ImageBlock(2, 2),
+                            FrameGroup(0.0, 1.0, 1, 2), ImageBlock(1, 2), TextSpan((4, 5))))
+
+
+def mixed_grids(cfg):
+    return {1: random_grid(cfg, 2, 4, seed=1), 3: random_grid(cfg, 4, 4, seed=2),
+            4: random_grid(cfg, 2, 4, seed=3), 5: random_grid(cfg, 2, 4, seed=4)}
+
+
+def per_element_reference(model, seq, grids):
+    """``prepare`` built one element at a time, with single-grid passes."""
+    embed, deepstack, positions, cursor = [], [[], [], []], [], 0
+    for idx, element in enumerate(seq.elements):
+        n = element.token_count()
+        if isinstance(element, TextSpan):
+            embed.append(N.gather_rows(model.decoder.params["embed"], element.token_ids))
+        else:
+            grid = grids[idx]
+            final, taps = model.encoder.forward(grid)
+            embed.append(merge_2x2(final, grid.gh, grid.gw, model.main_merger))
+            for level, (state, merger) in enumerate(zip(taps, model.tap_mergers)):
+                deepstack[level].append(merge_2x2(state, grid.gh, grid.gw, merger))
+            positions.extend(range(cursor, cursor + n))
+        cursor += n
+    return PreparedInput(N.concat_rows(embed), assign_position_ids(seq), positions,
+                         [N.concat_rows(parts) for parts in deepstack])
+
+
+def summed_loss_grads(model, prepared):
+    logits = model.forward(prepared)
+    N.sum_all(N.token_nll(logits, [0] * logits.shape[0])).backward()
+    return {name: p.grad for name, p in model.parameters().items()}
+
+
 class TestPrepare:
+    def test_mixed_shapes_equal_per_element_reference(self):
+        cfg = small_config()
+        model = VisionLanguageModel(cfg, Rng(9))
+        grids = mixed_grids(cfg)
+        packed = model.prepare(MIXED, grids)
+        packed_grads = summed_loss_grads(model, packed)
+        reference = per_element_reference(model, MIXED, grids)
+        reference_grads = summed_loss_grads(model, reference)
+
+        assert packed.visual_positions == reference.visual_positions == [2, 3, *range(5, 13)]
+        np.testing.assert_array_equal(packed.position_ids, reference.position_ids)
+        close = dict(rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(packed.embeddings.data, reference.embeddings.data, **close)
+        assert len(packed.deepstack) == len(reference.deepstack) == 3
+        for got, want in zip(packed.deepstack, reference.deepstack):
+            np.testing.assert_allclose(got.data, want.data, **close)
+        assert sorted(packed_grads) == sorted(reference_grads)
+        for name, grad in packed_grads.items():
+            assert grad is not None, name
+            np.testing.assert_allclose(grad, reference_grads[name], **close, err_msg=name)
+
+    def test_one_encoder_pass_per_grid_shape(self, monkeypatch):
+        cfg = small_config()
+        model = VisionLanguageModel(cfg, Rng(0))
+        batches = []
+        forward = model.encoder.forward
+        monkeypatch.setattr(model.encoder, "forward",
+                            lambda *grids: batches.append(grids) or forward(*grids))
+        grids = mixed_grids(cfg)
+        model.prepare(MIXED, grids)
+        assert batches == [(grids[1], grids[4], grids[5]), (grids[3],)]
+
+    @pytest.mark.parametrize("broken,error,match", [
+        ("missing", ConfigError, "element 4 has no patch grid"),
+        ("size", ShapeError, "element 4: patch grid 4x4 is not twice"),
+        ("width", ShapeError, "grid width 3 vs encoder width 4"),
+    ])
+    def test_errors_inside_a_packed_batch(self, broken, error, match):
+        # Element 4 sits in the middle of the packed batch of elements 1, 4, 5.
+        cfg = small_config()
+        model = VisionLanguageModel(cfg, Rng(0))
+        grids = mixed_grids(cfg)
+        if broken == "missing":
+            del grids[4]
+        elif broken == "size":
+            grids[4] = random_grid(cfg, 4, 4)
+        else:
+            grids[4] = PatchGrid(2, 4, 3, Tensor(np.ones((8, 3))))
+        with pytest.raises(error, match=match):
+            model.prepare(MIXED, grids)
+
+    def test_unknown_element_rejected(self):
+        model = VisionLanguageModel(small_config(), Rng(0))
+        with pytest.raises(TypeError, match="unknown element"):
+            model.prepare(MultimodalSequence((TextSpan((1,)), "image")), {})
+
+    def test_empty_sequence_rejected(self):
+        model = VisionLanguageModel(small_config(), Rng(0))
+        with pytest.raises(ConfigError, match="empty sequence"):
+            model.prepare(MultimodalSequence((TextSpan(()),)), {})
+
     def test_grid_must_be_twice_token_grid(self):
         cfg = small_config()
         model = VisionLanguageModel(cfg, Rng(0))
