@@ -132,7 +132,10 @@ def _cmd_train(args) -> int:
         "schemes_final": result.per_scheme_final,
     }
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
+        try:
+            Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -147,9 +150,12 @@ def _cmd_niah(args) -> int:
     cfg = NiahConfig(**cfg_dict)
     alloc = mrope.build_frequency_allocation(cfg.signature_dim)
     grid = run_niah_grid(cfg, alloc)
-    json_path, csv_path = emit_report(
-        grid["durations_min"], grid["depths"], grid["accuracies"], grid["trials"],
-        out_dir=args.out, config=cfg.to_dict())
+    try:
+        json_path, csv_path = emit_report(
+            grid["durations_min"], grid["depths"], grid["accuracies"], grid["trials"],
+            out_dir=args.out, config=cfg.to_dict())
+    except OSError as exc:
+        raise ConfigError(f"cannot write reports to {args.out}: {exc.strerror or exc}") from None
     worst = min(min(row) for row in grid["accuracies"])
     print(f"wrote {json_path} and {csv_path}; minimum cell accuracy {worst:.3f}")
     return EXIT_OK

@@ -24,8 +24,8 @@ from ..errors import ConfigError
 from ..mrope import FrequencyAllocation, _rotation_tables, frame_group_ids
 from ..numerics import Tensor
 from ..seeding import Rng
-from ..timeline import (SamplingPolicy, Timeline, format_timestamp, interleave_timestamps,
-                        sample_frames)
+from ..sequence import MultimodalSequence
+from ..timeline import SamplingPolicy, format_timestamp, interleave_timestamps, sample_frames
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def _signatures(cfg: NiahConfig, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
 
 def build_niah_sequence(cfg: NiahConfig, duration_s: float, depth: float,
                         trial_seed: int = 0
-                        ) -> tuple[Timeline, np.ndarray, NiahGroundTruth]:
+                        ) -> tuple[MultimodalSequence, np.ndarray, NiahGroundTruth]:
     """Build one probe timeline with the needle at the given relative depth.
 
     Frames are taken at 1 fps (capped at ``num_frames``), one frame per
@@ -144,7 +144,7 @@ class ProbeResult:
     scores: tuple[float, ...]
 
 
-def run_niah_probe(seq: Timeline, keys, query_signature,
+def run_niah_probe(seq: MultimodalSequence, keys, query_signature,
                    alloc: FrequencyAllocation) -> ProbeResult:
     """Score every frame group against the query and predict the argmax.
 

@@ -1,10 +1,11 @@
 """Toy training loop with component freezing.
 
 Plain gradient descent over synthetic next-token-prediction batches.  The
-loss path uses per-token weights from the objective module, so the chosen
-aggregation scheme shapes the gradients exactly as it shapes the reported
-loss.  Parameters of components outside the stage's trainable set are never
-touched, so they remain bit-identical across any number of steps.
+loss path weighs each sample's summed token losses by its weight from the
+objective module, so the chosen aggregation scheme shapes the gradients
+exactly as it shapes the reported loss.  Parameters of components outside
+the stage's trainable set are never touched, so they remain bit-identical
+across any number of steps.
 """
 
 from __future__ import annotations
@@ -58,15 +59,15 @@ def make_synthetic_batch(config: ModelConfig, rng: Rng, n_examples: int = 8,
         if with_image:
             eh, ew = 1, 2
             block = ImageBlock(eh, ew)
-            seq = MultimodalSequence((TextSpan(tuple(tokens[:2])), block,
-                                      TextSpan(tuple(tokens[2:]))))
+            seq = MultimodalSequence.of((TextSpan(tuple(tokens[:2])), block,
+                                         TextSpan(tuple(tokens[2:]))))
             features = Tensor(ex_rng.split("patches").normal((4 * eh * ew, config.dim)))
             grids = {1: PatchGrid(2 * eh, 2 * ew, config.dim, features)}
             n_visual = block.token_count()
             # Positions of text tokens within the flattened sequence.
             positions = list(range(2)) + [2 + n_visual + j for j in range(length - 2)]
         else:
-            seq = MultimodalSequence((TextSpan(tuple(tokens)),))
+            seq = MultimodalSequence.of((TextSpan(tuple(tokens)),))
             grids = {}
             positions = list(range(length))
         # Predict the following text token at every text position but the last.
@@ -91,7 +92,7 @@ def _batch_loss(model: VisionLanguageModel, batch: list[TrainingExample],
         nll_tensors.append(nll)
         records.append(objective.SampleLossRecord(tuple(nll.data.tolist()), example.modality))
     weights = objective.gradient_weights(records, scheme)
-    terms = [numerics.scale(numerics.sum_all(nll), w[0])
+    terms = [numerics.scale(numerics.sum_all(nll), w)
              for nll, w in zip(nll_tensors, weights)]
     total = terms[0]
     for term in terms[1:]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,21 +33,6 @@ from .sequence import FRAMES, TEXT, MultimodalSequence
 
 AXES = ("t", "h", "w")
 DEFAULT_BASE = 10000.0
-
-
-class PositionId(NamedTuple):
-    """Temporal / vertical / horizontal indices of one token.
-
-    A convenience for writing triples by hand; ``apply_mrope`` accepts a
-    list of these like any other (n, 3) integer array-like.
-    """
-
-    t: int
-    h: int
-    w: int
-
-    def shifted(self, dt: int, dh: int, dw: int) -> "PositionId":
-        return PositionId(self.t + dt, self.h + dh, self.w + dw)
 
 
 @dataclass(frozen=True)
@@ -119,10 +104,9 @@ def build_frequency_allocation(head_dim: int, base: float = DEFAULT_BASE,
                                axis_of_pair=axis_of_pair, theta=theta, chunk_split=split)
 
 
-def _layout(seq) -> np.ndarray:
+def _layout(seq: MultimodalSequence) -> np.ndarray:
     """(elements, 6) int64 rows of token count, first token index, t anchor,
-    h/w origin, grid width and element kind, from the sequence's layout
-    columns.
+    h/w origin, grid width and element kind, from the sequence's columns.
 
     The running index (the h/w origin) is the exclusive cumulative sum of
     each element's advance: a text span's length, or the larger side of a
@@ -130,7 +114,7 @@ def _layout(seq) -> np.ndarray:
     index, one per group.  A text span reports its own length as grid
     width, so its k-th token lands in row 0, column k.
     """
-    kind, count, gh, gw = seq.layout_columns()
+    kind, count, gh, gw = seq.columns
     text = kind == TEXT
     frames = kind == FRAMES
     advance = np.where(text, count, np.maximum(gh, gw))
@@ -152,8 +136,6 @@ def assign_position_ids(seq: MultimodalSequence) -> np.ndarray:
     group anchors at its running index and each later group takes the
     previous group's t plus one, so group t ids stay consecutive no matter
     how much text (e.g. timestamps) sits between them.
-
-    ``seq`` is a ``MultimodalSequence`` or a ``timeline.Timeline``.
     """
     layout = _layout(seq)
     _, start, t0, origin, width, kind = np.repeat(layout, layout[:, 0], axis=0).T

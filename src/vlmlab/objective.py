@@ -63,14 +63,15 @@ def aggregate(batch: Sequence[SampleLossRecord], scheme: str) -> float:
     return sum(w * s.mean_loss for w, s in zip(weights, batch)) / total
 
 
-def gradient_weights(batch: Sequence[SampleLossRecord], scheme: str) -> list[list[float]]:
-    """Per-token weights whose weighted loss sum equals :func:`aggregate`.
+def gradient_weights(batch: Sequence[SampleLossRecord], scheme: str) -> list[float]:
+    """The weight every token of each sample shares, one per sample.
 
     Every token of sample s weighs n_s**(p-1) / sum_s n_s**p, so
-    sum_s sum_t weight * loss reproduces the aggregate exactly.
+    sum_s weight_s * (sum of sample s's token losses) reproduces the
+    aggregate exactly.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
     p = _exponent(scheme)
     total = sum(s.token_count ** p for s in batch)
-    return [[s.token_count ** (p - 1.0) / total] * s.token_count for s in batch]
+    return [s.token_count ** (p - 1.0) / total for s in batch]

@@ -1,14 +1,18 @@
-"""Multimodal sequence elements and their JSON manifest form.
+"""Multimodal sequences held as arrays, and their JSON manifest form.
 
 A sequence is an ordered list of text spans, image blocks, and video frame
-groups.  Grids are given in visual tokens (post-merge).  Position layout
-reads a sequence as per-element columns (kind, token count, gh, gw); see
-:meth:`MultimodalSequence.layout_columns`.
+groups.  Grids are given in visual tokens (post-merge).  A
+:class:`MultimodalSequence` stores that list as arrays: one per-element
+column block (kind, token count, gh, gw), every text token id in order, and
+the start and end time of each frame group.  ``MultimodalSequence.of``
+builds one from element objects, and ``elements`` gives them back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -18,9 +22,10 @@ from .errors import ConfigError
 TEXT, IMAGE, FRAMES = 0, 1, 2
 
 
-def check_frame_groups(start_times, end_times, gh: int, gw: int) -> None:
+def check_frame_groups(start_times, end_times, gh, gw) -> None:
     """The one check on frame groups: finite times with 0 <= start <= end
-    and a grid of at least 1x1.  Times are scalars or equal-length arrays."""
+    and a grid of at least 1x1.  Each argument is a scalar or an array with
+    one entry per group."""
     start = np.asarray(start_times, dtype=np.float64)
     end = np.asarray(end_times, dtype=np.float64)
     bad = ~(np.isfinite(start) & np.isfinite(end) & (0 <= start) & (start <= end))
@@ -29,8 +34,11 @@ def check_frame_groups(start_times, end_times, gh: int, gw: int) -> None:
         raise ConfigError(
             f"frame group times must be finite and satisfy 0 <= start <= end, "
             f"got [{start.flat[i]}, {end.flat[i]}]")
-    if gh < 1 or gw < 1:
-        raise ConfigError(f"frame grid must be at least 1x1, got {gh}x{gw}")
+    gh, gw = np.broadcast_arrays(gh, gw)
+    bad = (gh < 1) | (gw < 1)
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise ConfigError(f"frame grid must be at least 1x1, got {gh.flat[i]}x{gw.flat[i]}")
 
 
 @dataclass(frozen=True)
@@ -74,30 +82,64 @@ class FrameGroup:
 SequenceElement = TextSpan | ImageBlock | FrameGroup
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultimodalSequence:
-    elements: tuple[SequenceElement, ...]
+    """A multimodal sequence held as arrays.
+
+    Element e has kind ``columns[0, e]`` (TEXT, IMAGE or FRAMES), token count
+    ``columns[1, e]`` and grid ``columns[2, e]`` x ``columns[3, e]`` (0 x 0
+    for text).  Text spans take their ids in order from ``tokens``; frame
+    group g covers ``start_times[g]`` to ``end_times[g]``.  ``elements``
+    gives the same sequence as element objects, built on first access.
+    """
+
+    columns: np.ndarray  # (4, elements) int64
+    tokens: np.ndarray  # (text tokens,) integer ids
+    start_times: np.ndarray  # (groups,) float64
+    end_times: np.ndarray  # (groups,) float64
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
+        kind, _, gh, gw = self.columns
+        frames = kind == FRAMES
+        check_frame_groups(self.start_times, self.end_times, gh[frames], gw[frames])
+
+    @classmethod
+    def of(cls, elements: Iterable[SequenceElement]) -> MultimodalSequence:
+        """Build a sequence from text spans, image blocks and frame groups."""
+        rows, tokens, times = [], [], []
+        for e in elements:
+            if isinstance(e, TextSpan):
+                rows.append((TEXT, len(e.token_ids), 0, 0))
+                tokens.extend(e.token_ids)
+            elif isinstance(e, ImageBlock):
+                rows.append((IMAGE, e.gh * e.gw, e.gh, e.gw))
+            elif isinstance(e, FrameGroup):
+                rows.append((FRAMES, e.gh * e.gw, e.gh, e.gw))
+                times.append((e.start_time, e.end_time))
+            else:
+                raise TypeError(f"unknown element {type(e).__name__}")
+        start_times, end_times = np.array(times, dtype=np.float64).reshape(-1, 2).T
+        return cls(np.array(rows, dtype=np.int64).reshape(-1, 4).T,
+                   np.array(tokens, dtype=np.int64), start_times, end_times)
 
     def token_count(self) -> int:
-        return sum(e.token_count() for e in self.elements)
+        return int(self.columns[1].sum())
 
-    def frame_groups(self) -> list[FrameGroup]:
-        return [e for e in self.elements if isinstance(e, FrameGroup)]
-
-    @property
-    def start_times(self) -> np.ndarray:
-        """Start time of each frame group, float64."""
-        return np.array([g.start_time for g in self.frame_groups()], dtype=np.float64)
-
-    def layout_columns(self) -> np.ndarray:
-        """(4, elements) int64 rows: kind, token count, gh and gw (0 for text)."""
-        rows = [(TEXT, len(e.token_ids), 0, 0) if isinstance(e, TextSpan)
-                else (IMAGE if isinstance(e, ImageBlock) else FRAMES, e.gh * e.gw, e.gh, e.gw)
-                for e in self.elements]
-        return np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    @cached_property
+    def elements(self) -> tuple[SequenceElement, ...]:
+        tokens = self.tokens.tolist()
+        times = zip(self.start_times.tolist(), self.end_times.tolist())
+        elements: list[SequenceElement] = []
+        at = 0
+        for kind, count, gh, gw in self.columns.T.tolist():
+            if kind == TEXT:
+                elements.append(TextSpan(tuple(tokens[at:at + count])))
+                at += count
+            elif kind == IMAGE:
+                elements.append(ImageBlock(gh, gw))
+            else:
+                elements.append(FrameGroup(*next(times), gh, gw))
+        return tuple(elements)
 
 
 def sequence_to_manifest(seq: MultimodalSequence) -> dict:
@@ -108,7 +150,7 @@ def sequence_to_manifest(seq: MultimodalSequence) -> dict:
             elements.append({"kind": "text", "token_ids": list(e.token_ids)})
         elif isinstance(e, ImageBlock):
             elements.append({"kind": "image", "gh": e.gh, "gw": e.gw})
-        elif isinstance(e, FrameGroup):
+        else:
             elements.append({
                 "kind": "frame_group",
                 "start_time": e.start_time,
@@ -116,8 +158,6 @@ def sequence_to_manifest(seq: MultimodalSequence) -> dict:
                 "gh": e.gh,
                 "gw": e.gw,
             })
-        else:
-            raise TypeError(f"unknown element {type(e).__name__}")
     return {"schema_version": 1, "elements": elements}
 
 
@@ -137,4 +177,4 @@ def sequence_from_manifest(manifest: dict) -> MultimodalSequence:
             ))
         else:
             raise ConfigError(f"element {i}: unknown kind {kind!r}")
-    return MultimodalSequence(tuple(elements))
+    return MultimodalSequence.of(elements)

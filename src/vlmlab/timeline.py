@@ -3,8 +3,10 @@
 Covers the encoder-side timeline plumbing: choosing frame times under a
 token budget, rendering timestamps as text (``<3.0 seconds>`` or
 ``<HH:MM:SS>``), a lossless byte-level tokenizer, interleaving timestamp
-text with frame groups, and a report contrasting the density of temporal
-position ids under textual timestamps versus absolute-time encoding.
+text with frame groups into one :class:`~vlmlab.sequence.MultimodalSequence`
+built straight from arrays, and a report contrasting the density of
+temporal position ids under textual timestamps versus absolute-time
+encoding.
 """
 
 from __future__ import annotations
@@ -13,15 +15,13 @@ import math
 import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import mrope
 from .errors import ConfigError
-from .sequence import (FRAMES, TEXT, FrameGroup, MultimodalSequence, TextSpan,
-                       check_frame_groups)
+from .sequence import FRAMES, TEXT, MultimodalSequence
 
 # Byte-level vocabulary: ids 0..255 are raw byte values.
 BYTE_VOCAB_SIZE = 256
@@ -122,57 +122,9 @@ def detokenize(ids: Sequence[int]) -> str:
     return bytes(ids).decode("utf-8")
 
 
-@dataclass(frozen=True, eq=False)
-class Timeline:
-    """A timestamped video timeline held as arrays.
-
-    Group g covers frames ``start_times[g]`` to ``end_times[g]`` on one
-    ``gh`` x ``gw`` token grid and is preceded by its start-time text:
-    ``stamp_lengths[g]`` byte tokens, taken in order from ``stamp_tokens``.
-    ``elements`` gives the same timeline as text spans and frame groups,
-    built on first access.
-    """
-
-    start_times: np.ndarray  # (groups,) float64
-    end_times: np.ndarray  # (groups,) float64
-    gh: int
-    gw: int
-    stamp_lengths: np.ndarray  # (groups,) int64
-    stamp_tokens: np.ndarray  # (stamp_lengths.sum(),) uint8
-
-    def __post_init__(self):
-        check_frame_groups(self.start_times, self.end_times, self.gh, self.gw)
-
-    def token_count(self) -> int:
-        return len(self.stamp_tokens) + len(self.start_times) * self.gh * self.gw
-
-    @cached_property
-    def elements(self) -> tuple[TextSpan | FrameGroup, ...]:
-        tokens = self.stamp_tokens.tolist()
-        ends = np.cumsum(self.stamp_lengths).tolist()
-        elements = []
-        for a, b, start, end in zip([0] + ends, ends, self.start_times.tolist(),
-                                    self.end_times.tolist()):
-            elements.append(TextSpan(tuple(tokens[a:b])))
-            elements.append(FrameGroup(start, end, self.gh, self.gw))
-        return tuple(elements)
-
-    def frame_groups(self) -> list[FrameGroup]:
-        return list(self.elements[1::2])
-
-    def layout_columns(self) -> np.ndarray:
-        """(4, elements) int64 rows: kind, token count, gh and gw (0 for text)."""
-        groups = len(self.start_times)
-        columns = np.zeros((4, groups, 2), dtype=np.int64)
-        columns[0] = (TEXT, FRAMES)
-        columns[1, :, 0] = self.stamp_lengths
-        columns[1:, :, 1] = np.array([[self.gh * self.gw], [self.gh], [self.gw]])
-        return columns.reshape(4, -1)
-
-
 def interleave_timestamps(frames: Sequence[float], group_size: int = 2,
                           style: str = "seconds", gh: int = 1,
-                          gw: int = 1) -> Timeline:
+                          gw: int = 1) -> MultimodalSequence:
     """Group frames and prefix each group with its start timestamp as text.
 
     Frames are split into consecutive runs of ``group_size`` (the last run
@@ -196,10 +148,15 @@ def interleave_timestamps(frames: Sequence[float], group_size: int = 2,
     # Token k of group g is byte k of the group's stamp in the pool.
     shift = (np.cumsum(pool_lengths) - pool_lengths)[which] - (np.cumsum(lengths) - lengths)
     tokens = pool[np.repeat(shift, lengths) + np.arange(lengths.sum())]
-    return Timeline(starts, ends, gh, gw, lengths, tokens)
+    # Text then frames for each group: (4, groups, 2), flattened to (4, elements).
+    columns = np.zeros((4, len(starts), 2), dtype=np.int64)
+    columns[0] = (TEXT, FRAMES)
+    columns[1, :, 0] = lengths
+    columns[1:, :, 1] = np.array([[gh * gw], [gh], [gw]])
+    return MultimodalSequence(columns.reshape(4, -1), tokens, starts, ends)
 
 
-def position_id_range_report(seq: MultimodalSequence | Timeline,
+def position_id_range_report(seq: MultimodalSequence,
                              scheme: str = "textual_timestamp",
                              granularity: float = 0.1) -> dict[str, float]:
     """Density statistics of the temporal ids assigned to frame groups.

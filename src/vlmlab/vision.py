@@ -34,7 +34,7 @@ from .mrope import FrequencyAllocation, apply_mrope, assign_position_ids, \
     build_frequency_allocation
 from .numerics import Tensor
 from .seeding import Rng
-from .sequence import FrameGroup, ImageBlock, MultimodalSequence, TextSpan
+from .sequence import TEXT, MultimodalSequence
 
 INIT_STD = 0.02
 POS_TABLE = (4, 4)  # learned position table, bilinearly resized to each patch grid
@@ -391,46 +391,43 @@ class VisionLanguageModel:
         text rows, one shape after another.  ``order[i]`` is the row of
         sequence token i in that stack.
         """
-        text_ids: list[int] = []
+        kind, count, gh, gw = seq.columns
+        text_count = np.where(kind == TEXT, count, 0)
+        # First row of each element within the stack: text rows first, in order.
+        first_row = np.cumsum(text_count) - text_count
         by_shape: dict[tuple[int, int], list[PatchGrid]] = {}
-        # Per element: its shape (None for text), first row within its part, token count.
-        spans: list[tuple[tuple[int, int] | None, int, int]] = []
-        for idx, element in enumerate(seq.elements):
-            if isinstance(element, TextSpan):
-                spans.append((None, len(text_ids), len(element.token_ids)))
-                text_ids.extend(element.token_ids)
-                continue
-            if not isinstance(element, (ImageBlock, FrameGroup)):
-                raise TypeError(f"unknown element {type(element).__name__}")
+        slots: list[tuple[int, tuple[int, int], int]] = []  # element, shape, index in batch
+        for idx in np.flatnonzero(kind != TEXT).tolist():
             if idx not in grids:
                 raise ConfigError(f"element {idx} has no patch grid")
             grid = grids[idx]
-            if grid.gh != 2 * element.gh or grid.gw != 2 * element.gw:
+            if grid.gh != 2 * gh[idx] or grid.gw != 2 * gw[idx]:
                 raise ShapeError(
                     f"element {idx}: patch grid {grid.gh}x{grid.gw} is not twice "
-                    f"the token grid {element.gh}x{element.gw}")
+                    f"the token grid {gh[idx]}x{gw[idx]}")
             batch = by_shape.setdefault((grid.gh, grid.gw), [])
-            n = element.gh * element.gw
-            spans.append(((grid.gh, grid.gw), len(batch) * n, n))
+            slots.append((idx, (grid.gh, grid.gw), len(batch)))
             batch.append(grid)
 
-        n_text = rows = len(text_ids)
-        part_start = {None: 0}
-        for (gh, gw), batch in by_shape.items():
-            part_start[gh, gw] = rows
-            rows += len(batch) * gh * gw // 4
+        n_text = rows = len(seq.tokens)
+        part_start = {}
+        for (h, w), batch in by_shape.items():
+            part_start[h, w] = rows
+            rows += len(batch) * h * w // 4
         if rows == 0:
             raise ConfigError("cannot prepare an empty sequence")
-        order = np.concatenate([np.arange(n) + part_start[shape] + at for shape, at, n in spans])
+        for idx, shape, slot in slots:
+            first_row[idx] = part_start[shape] + slot * count[idx]
+        order = np.arange(rows) + np.repeat(first_row - (np.cumsum(count) - count), count)
         visual_positions = np.flatnonzero(order >= n_text)
 
-        parts = [numerics.gather_rows(self.decoder.params["embed"], text_ids)] if text_ids else []
+        parts = [numerics.gather_rows(self.decoder.params["embed"], seq.tokens)] if n_text else []
         tap_parts: list[list[Tensor]] = [[], [], []]
-        for (gh, gw), batch in by_shape.items():
+        for (h, w), batch in by_shape.items():
             final, taps = self.encoder.forward(*batch)
-            parts.append(merge_2x2(final, gh, gw, self.main_merger))
+            parts.append(merge_2x2(final, h, w, self.main_merger))
             for level, (tap_state, merger) in enumerate(zip(taps, self.tap_mergers)):
-                tap_parts[level].append(merge_2x2(tap_state, gh, gw, merger))
+                tap_parts[level].append(merge_2x2(tap_state, h, w, merger))
         visual_order = order[visual_positions] - n_text
         return PreparedInput(
             embeddings=_in_order(numerics.concat_rows(parts), order),

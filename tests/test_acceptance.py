@@ -18,7 +18,7 @@ from vlmlab.grounding import (NormalizedBox, denormalize, iou, normalize, normal
 from vlmlab.harness import (NiahConfig, build_niah_sequence, load_stage_config,
                             make_synthetic_batch, train_toy)
 from vlmlab.harness.niah import run_niah_grid
-from vlmlab.mrope import PositionId, apply_mrope, build_frequency_allocation
+from vlmlab.mrope import apply_mrope, build_frequency_allocation
 from vlmlab.numerics import Tensor
 from vlmlab.objective import SampleLossRecord, aggregate
 from vlmlab.seeding import Rng
@@ -60,13 +60,11 @@ def test_criterion_1_relative_shift_invariance():
                 r = rng.split(trial)
                 q = Tensor(r.split("q").normal((1, head_dim)))
                 k = Tensor(r.split("k").normal((1, head_dim)))
-                pq, pk, shift = (
-                    PositionId(*(int(v) for v in r.split(tag).integers(0, 4096, 3)))
-                    for tag in ("pq", "pk", "c"))
+                pq, pk, shift = (r.split(tag).integers(0, 4096, 3) for tag in ("pq", "pk", "c"))
                 base = float(apply_mrope(q, [pq], alloc).data[0]
                              @ apply_mrope(k, [pk], alloc).data[0])
-                moved = float(apply_mrope(q, [pq.shifted(*shift)], alloc).data[0]
-                              @ apply_mrope(k, [pk.shifted(*shift)], alloc).data[0])
+                moved = float(apply_mrope(q, [pq + shift], alloc).data[0]
+                              @ apply_mrope(k, [pk + shift], alloc).data[0])
                 worst = max(worst, abs(base - moved))
         assert worst < 1e-9, f"max deviation {worst}"
 
@@ -108,8 +106,8 @@ def test_criterion_3_deepstack_zero_injection_equivalence():
                 merger.params["fc2.w"] = Tensor(np.zeros((cfg.llm_dim, cfg.llm_dim)))
                 merger.params["fc2.b"] = Tensor(np.zeros(cfg.llm_dim))
             eh, ew = int(dims.integers(1, 3)), int(dims.integers(1, 3))
-            seq = MultimodalSequence((TextSpan((1, 2, 3)), ImageBlock(eh, ew),
-                                      TextSpan((4, 5))))
+            seq = MultimodalSequence.of((TextSpan((1, 2, 3)), ImageBlock(eh, ew),
+                                         TextSpan((4, 5))))
             grid = PatchGrid(2 * eh, 2 * ew, cfg.dim,
                              Tensor(r.split("feat").normal((4 * eh * ew, cfg.dim))))
             prepared = model.prepare(seq, {1: grid})
@@ -152,7 +150,7 @@ def test_criterion_4_gradient_checks():
         cfg = ModelConfig(encoder_depth=3, decoder_depth=3, dim=4, llm_dim=8,
                           head_dim=4, taps=(0, 1, 2), vocab=16)
         model = VisionLanguageModel(cfg, Rng(50))
-        ids = [PositionId(i, i, i) for i in range(4)]
+        ids = [(i, i, i) for i in range(4)]
         targets = [3, 1, 4, 1]
 
         def decoder_loss(emb):
@@ -161,7 +159,7 @@ def test_criterion_4_gradient_checks():
         err = N.grad_check(decoder_loss, Tensor(Rng(51).normal((4, cfg.llm_dim))), h=h)
         assert err < tol, f"decoder step {err}"
         # non-zero gradient norm at all three tap mergers
-        seq = MultimodalSequence((TextSpan((1, 2)), ImageBlock(1, 2), TextSpan((3,))))
+        seq = MultimodalSequence.of((TextSpan((1, 2)), ImageBlock(1, 2), TextSpan((3,))))
         grid = PatchGrid(2, 4, cfg.dim, Tensor(Rng(52).normal((8, cfg.dim))))
         prepared = model.prepare(seq, {1: grid})
         logits = model.forward(prepared)
@@ -254,7 +252,7 @@ def test_criterion_9_niah_toy_heatmap():
         alloc = build_frequency_allocation(cfg.signature_dim)
         # Confirm the grid really reaches 4096 groups at the longest duration.
         longest, _, _ = build_niah_sequence(cfg, cfg.durations_min[-1] * 60.0, 0.5)
-        assert len(longest.frame_groups()) == 4096
+        assert len(longest.start_times) == 4096
         grid = run_niah_grid(cfg, alloc)
         for row in grid["accuracies"]:
             for acc in row:

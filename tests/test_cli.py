@@ -165,6 +165,10 @@ class TestNiah:
         assert outs[0] == outs[1]
 
 
+# A one-cell niah grid, so the bad --out cases reach the report writer quickly.
+TINY_NIAH = {"num_frames": 4, "needle_depths": [0.5], "trials": 1, "durations_min": [0.1]}
+
+
 @pytest.mark.parametrize("argv, config", [
     (["train", "--lr", "nan", "--steps", "1"], None),
     (["train", "--steps", "1"], {"scheme": "bogus", "examples": 1, "text_len": 2}),
@@ -195,6 +199,9 @@ class TestNiah:
     (["sparsity", "--duration", "1e300", "--spacing", "1e-300"], None),
     (["sparsity", "--duration", "1e6", "--spacing", "1e-3"], None),
     (["sparsity", "--duration", "1e300", "--spacing", "1e296", "--granularity", "1e-10"], None),
+    (["niah", "--out", "cfg.json/reports"], TINY_NIAH),
+    (["niah", "--out", "cfg.json"], TINY_NIAH),
+    (["train", "--steps", "1", "--out", "."], {"examples": 1, "text_len": 2}),
 ], ids=["train-lr-nan", "train-bogus-scheme", "sparsity-granularity-nan", "ground-directory",
         "train-lr-string", "sparsity-granularity-string", "spectrum-head-dim-string",
         "niah-trials-string", "train-model-dim-string", "train-unknown-key",
@@ -205,7 +212,8 @@ class TestNiah:
         "stage-not-json", "stage-array", "stage-length-string", "stage-trainable-string",
         "stage-budget-float", "stage-unknown-key", "spectrum-config-directory",
         "sparsity-overflowing-groups", "sparsity-too-many-groups",
-        "sparsity-overflowing-absolute-ids"])
+        "sparsity-overflowing-absolute-ids", "niah-out-under-a-file", "niah-out-is-a-file",
+        "train-out-is-a-directory"])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)
     if config is not None:
@@ -217,6 +225,8 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, argv, co
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("config error: ") and err.count("\n") == 1
+    if "--out" in argv:
+        assert err.startswith("config error: cannot write")
 
 
 def test_version_flag(capsys):

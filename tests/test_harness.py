@@ -131,7 +131,7 @@ class TestNiahBuild:
     def test_needle_index_midpoint(self):
         cfg = NiahConfig(trials=1)
         seq, keys, truth = build_niah_sequence(cfg, 64.0, 0.5)
-        assert len(seq.frame_groups()) == 64
+        assert len(seq.start_times) == 64
         assert truth.group_index == 32  # round(0.5 * 63)
         assert keys.shape == (64, cfg.signature_dim)
         np.testing.assert_array_equal(keys[32], truth.query_signature)
@@ -140,7 +140,7 @@ class TestNiahBuild:
     def test_single_group(self):
         cfg = NiahConfig(trials=1)
         seq, _, truth = build_niah_sequence(cfg, 1.0, 0.5)
-        assert len(seq.frame_groups()) == 1
+        assert len(seq.start_times) == 1
         assert truth.group_index == 0
 
     def test_depth_near_one(self):
@@ -161,7 +161,7 @@ class TestNiahBuild:
     def test_frame_cap_respected(self):
         cfg = NiahConfig(num_frames=50, trials=1)
         seq, _, _ = build_niah_sequence(cfg, 1000.0, 0.5)
-        assert len(seq.frame_groups()) == 50
+        assert len(seq.start_times) == 50
 
 
 class TestNiahProbe:

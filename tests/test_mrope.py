@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from vlmlab import mrope
 from vlmlab.errors import ConfigError, ShapeError
-from vlmlab.mrope import (FrequencyAllocation, PositionId, apply_mrope, assign_position_ids,
+from vlmlab.mrope import (FrequencyAllocation, apply_mrope, assign_position_ids,
                           build_frequency_allocation, spans_spectrum_ends, spectrum_report)
 from vlmlab.numerics import Tensor
 from vlmlab.seeding import Rng
@@ -15,43 +15,43 @@ from vlmlab.sequence import FrameGroup, ImageBlock, MultimodalSequence, TextSpan
 
 
 def _ids(seq):
-    return [PositionId(*row) for row in assign_position_ids(seq).tolist()]
+    return [tuple(row) for row in assign_position_ids(seq).tolist()]
 
 
 class TestAssignPositionIds:
     def test_text_only_matches_1d_rope(self):
-        seq = MultimodalSequence((TextSpan(tuple(range(5))),))
+        seq = MultimodalSequence.of((TextSpan(tuple(range(5))),))
         ids = _ids(seq)
-        assert ids == [PositionId(i, i, i) for i in range(5)]
+        assert ids == [(i, i, i) for i in range(5)]
 
     def test_text_then_image(self):
-        seq = MultimodalSequence((TextSpan((7, 8, 9)), ImageBlock(2, 2), TextSpan((1,))))
+        seq = MultimodalSequence.of((TextSpan((7, 8, 9)), ImageBlock(2, 2), TextSpan((1,))))
         ids = _ids(seq)
         image_ids = ids[3:7]
-        assert all(p.t == 3 for p in image_ids)
-        assert {(p.h, p.w) for p in image_ids} == {(3, 3), (3, 4), (4, 3), (4, 4)}
-        assert ids[7] == PositionId(5, 5, 5)
+        assert all(t == 3 for t, _, _ in image_ids)
+        assert {(h, w) for _, h, w in image_ids} == {(3, 3), (3, 4), (4, 3), (4, 4)}
+        assert ids[7] == (5, 5, 5)
 
     def test_two_frame_groups_no_text(self):
-        seq = MultimodalSequence((FrameGroup(0, 0, 1, 1), FrameGroup(1, 1, 1, 1)))
-        assert _ids(seq) == [PositionId(0, 0, 0), PositionId(1, 1, 1)]
+        seq = MultimodalSequence.of((FrameGroup(0, 0, 1, 1), FrameGroup(1, 1, 1, 1)))
+        assert _ids(seq) == [(0, 0, 0), (1, 1, 1)]
 
     def test_empty_sequence(self):
-        assert _ids(MultimodalSequence(())) == []
+        assert _ids(MultimodalSequence.of(())) == []
 
     def test_group_t_ids_consecutive_across_timestamp_text(self):
         elements = []
         for k in range(6):
             elements.append(TextSpan(tuple(range(10))))  # stand-in timestamp text
             elements.append(FrameGroup(float(k), float(k), 1, 1))
-        seq = MultimodalSequence(tuple(elements))
+        seq = MultimodalSequence.of(tuple(elements))
         group_ts = mrope.frame_group_ids(seq)[:, 0].tolist()
         assert group_ts == list(range(group_ts[0], group_ts[0] + 6))
 
     def test_wide_image_advances_by_max_side(self):
-        seq = MultimodalSequence((ImageBlock(1, 4), TextSpan((0,))))
+        seq = MultimodalSequence.of((ImageBlock(1, 4), TextSpan((0,))))
         ids = _ids(seq)
-        assert ids[-1] == PositionId(4, 4, 4)
+        assert ids[-1] == (4, 4, 4)
 
 
 def reference_position_ids(seq: MultimodalSequence) -> list[tuple[int, int, int]]:
@@ -92,7 +92,7 @@ _elements = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_elements, max_size=12))
 def test_position_ids_match_per_token_reference(elements):
-    seq = MultimodalSequence(tuple(elements))
+    seq = MultimodalSequence.of(tuple(elements))
     ids = assign_position_ids(seq)
     expected = np.asarray(reference_position_ids(seq), dtype=np.int64).reshape(-1, 3)
     assert ids.dtype == np.int64 and ids.shape == (seq.token_count(), 3)
@@ -150,14 +150,13 @@ class TestApplyMrope:
     def test_zero_position_is_identity(self):
         x = Tensor(Rng(0).normal((4, 8)))
         alloc = build_frequency_allocation(8)
-        out = apply_mrope(x, [PositionId(0, 0, 0)] * 4, alloc)
+        out = apply_mrope(x, [(0, 0, 0)] * 4, alloc)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_norm_preserved(self):
         alloc = build_frequency_allocation(24)
         x = Tensor(Rng(1).normal((16, 24)))
-        ids = [PositionId(int(a), int(b), int(c))
-               for a, b, c in Rng(2).integers(0, 500, (16, 3))]
+        ids = Rng(2).integers(0, 500, (16, 3))
         out = apply_mrope(x, ids, alloc)
         np.testing.assert_allclose(np.linalg.norm(out.data, axis=1),
                                    np.linalg.norm(x.data, axis=1), atol=1e-12)
@@ -165,19 +164,19 @@ class TestApplyMrope:
     def test_hand_trigonometry(self):
         # head_dim=2 has a single pair at theta=1 driven by t.
         alloc = build_frequency_allocation(2)
-        out = apply_mrope(Tensor([[1.0, 0.0]]), [PositionId(1, 0, 0)], alloc)
+        out = apply_mrope(Tensor([[1.0, 0.0]]), [(1, 0, 0)], alloc)
         np.testing.assert_allclose(out.data, [[math.cos(1.0), math.sin(1.0)]], atol=1e-15)
         np.testing.assert_allclose(out.data, [[0.54030, 0.84147]], atol=1e-5)
 
     def test_id_length_mismatch(self):
         alloc = build_frequency_allocation(8)
         with pytest.raises(ShapeError, match="position ids"):
-            apply_mrope(Tensor(np.ones((3, 8))), [PositionId(0, 0, 0)], alloc)
+            apply_mrope(Tensor(np.ones((3, 8))), [(0, 0, 0)], alloc)
 
     def test_head_dim_mismatch(self):
         alloc = build_frequency_allocation(8)
         with pytest.raises(ShapeError, match="head_dim"):
-            apply_mrope(Tensor(np.ones((1, 6))), [PositionId(0, 0, 0)], alloc)
+            apply_mrope(Tensor(np.ones((1, 6))), [(0, 0, 0)], alloc)
 
 
 @pytest.mark.parametrize("head_dim", [6, 12, 24])
@@ -190,11 +189,10 @@ def test_relative_shift_invariance(head_dim, scheme):
         t_rng = rng.split(trial)
         q = Tensor(t_rng.split("q").normal((1, head_dim)))
         k = Tensor(t_rng.split("k").normal((1, head_dim)))
-        pq, pk, shift = (PositionId(*(int(v) for v in t_rng.split(tag).integers(0, 4096, 3)))
-                         for tag in ("pq", "pk", "c"))
+        pq, pk, shift = (t_rng.split(tag).integers(0, 4096, 3) for tag in ("pq", "pk", "c"))
         base = float(apply_mrope(q, [pq], alloc).data[0] @ apply_mrope(k, [pk], alloc).data[0])
-        moved = float(apply_mrope(q, [pq.shifted(*shift)], alloc).data[0]
-                      @ apply_mrope(k, [pk.shifted(*shift)], alloc).data[0])
+        moved = float(apply_mrope(q, [pq + shift], alloc).data[0]
+                      @ apply_mrope(k, [pk + shift], alloc).data[0])
         worst = max(worst, abs(base - moved))
     assert worst < 1e-9
 

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from vlmlab.errors import ConfigError
 from vlmlab.mrope import assign_position_ids, frame_group_ids
 from vlmlab.seeding import Rng
-from vlmlab.sequence import (FrameGroup, ImageBlock, MultimodalSequence, TextSpan,
-                             sequence_from_manifest, sequence_to_manifest)
+from vlmlab.sequence import (FRAMES, IMAGE, TEXT, FrameGroup, ImageBlock, MultimodalSequence,
+                             TextSpan, check_frame_groups, sequence_from_manifest,
+                             sequence_to_manifest)
 from vlmlab.timeline import (SamplingPolicy, detokenize, format_timestamp,
                              interleave_timestamps, parse_timestamp,
                              position_id_range_report, sample_frames, tokenize)
@@ -155,7 +156,7 @@ class TestInterleave:
         assert kinds == ["TextSpan", "FrameGroup", "TextSpan", "FrameGroup"]
         first_text = seq.elements[0]
         assert detokenize(first_text.token_ids) == "<0.0 seconds>"
-        groups = seq.frame_groups()
+        groups = seq.elements[1::2]
         assert (groups[0].start_time, groups[0].end_time) == (0.0, 0.5)
         assert (groups[1].start_time, groups[1].end_time) == (1.0, 1.5)
 
@@ -165,7 +166,7 @@ class TestInterleave:
 
     def test_remainder_group(self):
         seq = interleave_timestamps([0.0, 0.5, 1.0], group_size=2)
-        groups = seq.frame_groups()
+        groups = seq.elements[1::2]
         assert len(groups) == 2
         assert (groups[1].start_time, groups[1].end_time) == (1.0, 1.0)
 
@@ -187,8 +188,8 @@ class TestInterleave:
         seq = interleave_timestamps([0.0, 0.5, 1.0, 1.0, 2.25], group_size=2)
         np.testing.assert_array_equal(seq.start_times, [0.0, 1.0, 2.25])
         np.testing.assert_array_equal(seq.end_times, [0.5, 1.0, 2.25])
-        np.testing.assert_array_equal(seq.stamp_lengths, [13, 13, 13])
-        assert detokenize(seq.stamp_tokens.tolist()) == (
+        np.testing.assert_array_equal(seq.columns[1, 0::2], [13, 13, 13])
+        assert detokenize(seq.tokens.tolist()) == (
             "<0.0 seconds><1.0 seconds><2.3 seconds>")
         assert seq.token_count() == 39 + 3
 
@@ -229,7 +230,7 @@ class TestSparsityReport:
 
     def test_needs_frame_groups(self):
         with pytest.raises(ConfigError, match="frame groups"):
-            position_id_range_report(MultimodalSequence((TextSpan((1,)),)))
+            position_id_range_report(MultimodalSequence.of((TextSpan((1,)),)))
 
 
 class TestSequenceTypes:
@@ -257,19 +258,28 @@ class TestSequenceTypes:
         with pytest.raises(ConfigError, match="1x1"):
             FrameGroup(0.0, 0.0, 0, 1)
 
+    def test_array_check_names_first_bad_group(self):
+        with pytest.raises(ConfigError, match="got 0x2"):
+            check_frame_groups([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1, 0, 0], [1, 2, 3])
+
+    def test_array_constructor_checks_frame_grids(self):
+        columns = np.array([[TEXT, FRAMES], [1, 0], [0, 0], [0, 1]], dtype=np.int64)
+        with pytest.raises(ConfigError, match="1x1"):
+            MultimodalSequence(columns, np.array([7]), np.array([0.0]), np.array([1.0]))
+
     def test_manifest_unknown_kind(self):
         with pytest.raises(ConfigError, match="unknown kind"):
             sequence_from_manifest({"elements": [{"kind": "audio"}]})
 
 
 def test_manifest_round_trip():
-    seq = MultimodalSequence((
+    seq = MultimodalSequence.of((
         TextSpan((60, 51, 62)),
         FrameGroup(0.0, 1.0, 1, 2),
         TextSpan(()),
     ))
     again = sequence_from_manifest(sequence_to_manifest(seq))
-    assert again == seq
+    assert again.elements == seq.elements
 
 
 grids = st.integers(1, 64)
@@ -282,10 +292,32 @@ elements = st.one_of(
 )
 
 
-@given(st.lists(elements, max_size=8).map(lambda e: MultimodalSequence(tuple(e))))
+def reference_columns(elements):
+    """Per-element layout columns: kind, token count, gh and gw (0 for text)."""
+    rows = [(TEXT, len(e.token_ids), 0, 0) if isinstance(e, TextSpan)
+            else (IMAGE if isinstance(e, ImageBlock) else FRAMES, e.gh * e.gw, e.gh, e.gw)
+            for e in elements]
+    return np.array(rows, dtype=np.int64).reshape(-1, 4).T
+
+
+@given(st.lists(elements, max_size=8))
+def test_of_matches_per_element_reference(items):
+    seq = MultimodalSequence.of(items)
+    assert seq.elements == tuple(items)
+    assert seq.columns.dtype == np.int64
+    np.testing.assert_array_equal(seq.columns, reference_columns(items))
+    assert seq.tokens.tolist() == [t for e in items if isinstance(e, TextSpan)
+                                   for t in e.token_ids]
+    groups = [e for e in items if isinstance(e, FrameGroup)]
+    assert seq.start_times.tolist() == [g.start_time for g in groups]
+    assert seq.end_times.tolist() == [g.end_time for g in groups]
+    assert seq.token_count() == sum(e.token_count() for e in items)
+
+
+@given(st.lists(elements, max_size=8).map(MultimodalSequence.of))
 def test_manifest_round_trip_is_lossless(seq):
     manifest = json.loads(json.dumps(sequence_to_manifest(seq)))
-    assert sequence_from_manifest(manifest) == seq
+    assert sequence_from_manifest(manifest).elements == seq.elements
 
 
 def reference_interleave(frames, group_size=2, style="seconds", gh=1, gw=1):
@@ -300,7 +332,7 @@ def reference_interleave(frames, group_size=2, style="seconds", gh=1, gw=1):
         stamp = format_timestamp(chunk[0], style)
         elements.append(TextSpan(tuple(tokenize(stamp))))
         elements.append(FrameGroup(start_time=chunk[0], end_time=chunk[-1], gh=gh, gw=gw))
-    return MultimodalSequence(tuple(elements))
+    return MultimodalSequence.of(tuple(elements))
 
 
 def _raised(fn, *args):
@@ -328,8 +360,8 @@ def test_interleave_matches_per_group_reference(frames, group_size, style, gh, g
     np.testing.assert_array_equal(assign_position_ids(seq), assign_position_ids(ref))
     np.testing.assert_array_equal(frame_group_ids(seq), frame_group_ids(ref))
     assert seq.token_count() == ref.token_count()
-    assert seq.frame_groups() == ref.frame_groups()
     np.testing.assert_array_equal(seq.start_times, ref.start_times)
+    np.testing.assert_array_equal(seq.end_times, ref.end_times)
     assert seq.elements == ref.elements
     assert json.dumps(sequence_to_manifest(seq)) == json.dumps(sequence_to_manifest(ref))
 

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from vlmlab import numerics as N
 from vlmlab.errors import ConfigError, ShapeError
-from vlmlab.mrope import PositionId, assign_position_ids
+from vlmlab.mrope import assign_position_ids
 from vlmlab.numerics import Tensor
 from vlmlab.seeding import Rng
 from vlmlab.sequence import FrameGroup, ImageBlock, MultimodalSequence, TextSpan
+from vlmlab.timeline import interleave_timestamps
 from vlmlab.vision import (Decoder, Merger, ModelConfig, PatchGrid, PreparedInput, VisionEncoder,
                            VisionLanguageModel, merge_2x2)
 
@@ -242,7 +243,7 @@ class TestDeepstackInject:
 
 
 def prepared_multimodal(cfg, model, seed=0):
-    seq = MultimodalSequence((TextSpan((1, 2)), ImageBlock(1, 2), TextSpan((3, 4, 5))))
+    seq = MultimodalSequence.of((TextSpan((1, 2)), ImageBlock(1, 2), TextSpan((3, 4, 5))))
     grid = random_grid(cfg, 2, 4, seed=seed)
     return model.prepare(seq, {1: grid})
 
@@ -252,7 +253,7 @@ class TestDecoder:
         cfg = small_config()
         dec = Decoder(cfg, Rng(0))
         emb = Tensor(Rng(1).normal((5, cfg.llm_dim)))
-        ids = [PositionId(i, i, i) for i in range(5)]
+        ids = [(i, i, i) for i in range(5)]
         logits = dec.forward(emb, ids)
         assert logits.shape == (5, cfg.vocab)
 
@@ -260,7 +261,7 @@ class TestDecoder:
         cfg = small_config()
         dec = Decoder(cfg, Rng(0))
         emb = Tensor(Rng(1).normal((5, cfg.llm_dim)))
-        ids = [PositionId(i, i, i) for i in range(5)]
+        ids = [(i, i, i) for i in range(5)]
         base = dec.forward(emb, ids)
         zeros = Tensor(np.zeros((2, cfg.llm_dim)))
         injected = dec.forward(emb, ids, [zeros] * len(cfg.inject_layers), [1, 2])
@@ -278,7 +279,7 @@ class TestDecoder:
         cfg = small_config()
         dec = Decoder(cfg, Rng(0))
         emb = Tensor(Rng(1).normal((3, cfg.llm_dim)))
-        ids = [PositionId(i, i, i) for i in range(3)]
+        ids = [(i, i, i) for i in range(3)]
         with pytest.raises(ShapeError, match="deepstack tensors"):
             dec.forward(emb, ids, [Tensor(np.zeros((1, cfg.llm_dim)))], [0])
 
@@ -287,7 +288,7 @@ class TestDecoder:
         dec = Decoder(cfg, Rng(5))
         n = 6
         emb = Rng(6).normal((n, cfg.llm_dim))
-        ids = [PositionId(i, i, i) for i in range(n)]
+        ids = [(i, i, i) for i in range(n)]
         base = dec.forward(Tensor(emb), ids).data
         for j in range(1, n):
             bumped = emb.copy()
@@ -320,8 +321,9 @@ class TestDecoder:
 
 
 # Elements 1, 4 and 5 share one patch-grid shape; element 3 has another.
-MIXED = MultimodalSequence((TextSpan((1, 2)), ImageBlock(1, 2), TextSpan((3,)), ImageBlock(2, 2),
-                            FrameGroup(0.0, 1.0, 1, 2), ImageBlock(1, 2), TextSpan((4, 5))))
+MIXED = MultimodalSequence.of((TextSpan((1, 2)), ImageBlock(1, 2), TextSpan((3,)),
+                               ImageBlock(2, 2), FrameGroup(0.0, 1.0, 1, 2), ImageBlock(1, 2),
+                               TextSpan((4, 5))))
 
 
 def mixed_grids(cfg):
@@ -407,19 +409,34 @@ class TestPrepare:
             model.prepare(MIXED, grids)
 
     def test_unknown_element_rejected(self):
-        model = VisionLanguageModel(small_config(), Rng(0))
-        with pytest.raises(TypeError, match="unknown element"):
-            model.prepare(MultimodalSequence((TextSpan((1,)), "image")), {})
+        # Element types are checked when the sequence is built, before prepare.
+        with pytest.raises(TypeError, match="unknown element str"):
+            MultimodalSequence.of((TextSpan((1,)), "image"))
+
+    def test_timestamped_sequence_equals_element_form(self):
+        cfg = small_config(vocab=256)  # timestamp text is byte tokens
+        model = VisionLanguageModel(cfg, Rng(0))
+        seq = interleave_timestamps([0.0, 0.5, 1.0, 1.5, 2.0], group_size=2, gh=1, gw=2)
+        grids = {idx: random_grid(cfg, 2, 4, seed=idx) for idx in (1, 3, 5)}
+        got = model.prepare(seq, grids)
+        assert "elements" not in vars(seq)  # prepare reads the arrays only
+        want = model.prepare(MultimodalSequence.of(seq.elements), grids)
+        assert got.embeddings.data.tobytes() == want.embeddings.data.tobytes()
+        assert len(got.deepstack) == len(want.deepstack) == 3
+        for a, b in zip(got.deepstack, want.deepstack):
+            assert a.data.tobytes() == b.data.tobytes()
+        assert got.visual_positions == want.visual_positions
+        np.testing.assert_array_equal(got.position_ids, want.position_ids)
 
     def test_empty_sequence_rejected(self):
         model = VisionLanguageModel(small_config(), Rng(0))
         with pytest.raises(ConfigError, match="empty sequence"):
-            model.prepare(MultimodalSequence((TextSpan(()),)), {})
+            model.prepare(MultimodalSequence.of((TextSpan(()),)), {})
 
     def test_grid_must_be_twice_token_grid(self):
         cfg = small_config()
         model = VisionLanguageModel(cfg, Rng(0))
-        seq = MultimodalSequence((ImageBlock(2, 2),))
+        seq = MultimodalSequence.of((ImageBlock(2, 2),))
         with pytest.raises(ShapeError, match="twice"):
             model.prepare(seq, {0: random_grid(cfg, 2, 2)})
 
@@ -427,12 +444,12 @@ class TestPrepare:
         cfg = small_config()
         model = VisionLanguageModel(cfg, Rng(0))
         with pytest.raises(ConfigError, match="no patch grid"):
-            model.prepare(MultimodalSequence((ImageBlock(1, 1),)), {})
+            model.prepare(MultimodalSequence.of((ImageBlock(1, 1),)), {})
 
     def test_frame_group_counts_as_visual(self):
         cfg = small_config()
         model = VisionLanguageModel(cfg, Rng(0))
-        seq = MultimodalSequence((TextSpan((1,)), FrameGroup(0.0, 0.5, 1, 1)))
+        seq = MultimodalSequence.of((TextSpan((1,)), FrameGroup(0.0, 0.5, 1, 1)))
         prep = model.prepare(seq, {1: random_grid(cfg, 2, 2)})
         assert prep.visual_positions == [1]
         assert len(prep.deepstack) == len(cfg.inject_layers)
