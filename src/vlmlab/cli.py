@@ -36,10 +36,6 @@ EXIT_CLOSED_PIPE = 1
 EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 
-# Largest timeline `sparsity` builds (about 0.5 s and 80 MB at the cap).
-MAX_SPARSITY_GROUPS = 100_000
-
-
 _SPECTRUM_KEYS = {"head_dim": int, "base": NUMBER, "scheme": str, "chunk_split": [int]}
 _SPARSITY_KEYS = {"duration_s": NUMBER, "group_spacing_s": NUMBER, "granularity_s": NUMBER}
 _GROUND_KEYS = {"kind": str, "input": str}
@@ -76,9 +72,9 @@ def _cmd_sparsity(args) -> int:
     groups = duration // spacing
     if not groups >= 1:
         raise ConfigError("duration too short for one group")
-    if not groups <= MAX_SPARSITY_GROUPS:
+    if not groups <= timeline.MAX_GROUPS:
         raise ConfigError(f"duration / spacing gives {groups:.6g} groups, "
-                          f"more than the {MAX_SPARSITY_GROUPS} allowed")
+                          f"more than the {timeline.MAX_GROUPS} allowed")
     seq = timeline.interleave_timestamps(np.arange(int(groups)) * spacing, group_size=1)
     doc = {
         "groups": int(groups),

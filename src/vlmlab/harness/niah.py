@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import numerics
+from .. import numerics, timeline
 from ..errors import ConfigError
 from ..mrope import FrequencyAllocation, _rotation_tables, frame_group_ids
 from ..numerics import Tensor
@@ -43,8 +43,8 @@ class NiahConfig:
     timestamp_style: str = "seconds"
 
     def __post_init__(self):
-        if self.num_frames < 1:
-            raise ConfigError("num_frames must be positive")
+        if not 1 <= self.num_frames <= timeline.MAX_GROUPS:
+            raise ConfigError(f"num_frames must lie in [1, {timeline.MAX_GROUPS}]")
         depths = tuple(float(d) for d in self.needle_depths)
         if not depths or any(not 0 < d < 1 for d in depths):
             raise ConfigError("needle depths must lie strictly inside (0, 1)")

@@ -4,13 +4,16 @@ A sequence is an ordered list of text spans, image blocks, and video frame
 groups.  Grids are given in visual tokens (post-merge).  A
 :class:`MultimodalSequence` stores that list as arrays: one per-element
 column block (kind, token count, gh, gw), every text token id in order, and
-the start and end time of each frame group.  ``MultimodalSequence.of``
-builds one from element objects, and ``elements`` gives them back.
+the start and end time of each frame group.  Its constructor is the one
+check of every sequence invariant; the element classes hold values only.
+``MultimodalSequence.of`` builds a sequence from element objects, and
+``elements`` gives them back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable
 
@@ -22,31 +25,12 @@ from .errors import ConfigError
 TEXT, IMAGE, FRAMES = 0, 1, 2
 
 
-def check_frame_groups(start_times, end_times, gh, gw) -> None:
-    """The one check on frame groups: finite times with 0 <= start <= end
-    and a grid of at least 1x1.  Each argument is a scalar or an array with
-    one entry per group."""
-    start = np.asarray(start_times, dtype=np.float64)
-    end = np.asarray(end_times, dtype=np.float64)
-    bad = ~(np.isfinite(start) & np.isfinite(end) & (0 <= start) & (start <= end))
-    if bad.any():
-        i = np.flatnonzero(bad)[0]
-        raise ConfigError(
-            f"frame group times must be finite and satisfy 0 <= start <= end, "
-            f"got [{start.flat[i]}, {end.flat[i]}]")
-    gh, gw = np.broadcast_arrays(gh, gw)
-    bad = (gh < 1) | (gw < 1)
-    if bad.any():
-        i = np.flatnonzero(bad)[0]
-        raise ConfigError(f"frame grid must be at least 1x1, got {gh.flat[i]}x{gw.flat[i]}")
-
-
 @dataclass(frozen=True)
 class TextSpan:
     token_ids: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "token_ids", tuple(map(int, self.token_ids)))
+        object.__setattr__(self, "token_ids", tuple(map(operator.index, self.token_ids)))
 
     def token_count(self) -> int:
         return len(self.token_ids)
@@ -56,10 +40,6 @@ class TextSpan:
 class ImageBlock:
     gh: int
     gw: int
-
-    def __post_init__(self):
-        if self.gh < 1 or self.gw < 1:
-            raise ConfigError(f"image grid must be at least 1x1, got {self.gh}x{self.gw}")
 
     def token_count(self) -> int:
         return self.gh * self.gw
@@ -72,14 +52,16 @@ class FrameGroup:
     gh: int
     gw: int
 
-    def __post_init__(self):
-        check_frame_groups(self.start_time, self.end_time, self.gh, self.gw)
-
     def token_count(self) -> int:
         return self.gh * self.gw
 
 
 SequenceElement = TextSpan | ImageBlock | FrameGroup
+_MANIFEST_KINDS = {TextSpan: "text", ImageBlock: "image", FrameGroup: "frame_group"}
+
+
+def _is_int_array(a, ndim: int) -> bool:
+    return isinstance(a, np.ndarray) and a.ndim == ndim and np.issubdtype(a.dtype, np.integer)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,21 +73,53 @@ class MultimodalSequence:
     for text).  Text spans take their ids in order from ``tokens``; frame
     group g covers ``start_times[g]`` to ``end_times[g]``.  ``elements``
     gives the same sequence as element objects, built on first access.
+
+    Construction is the one check of a sequence: integer columns and tokens
+    of those shapes, known kinds, text of grid 0 x 0 whose counts (>= 0) sum
+    to ``len(tokens)``, visual grids of at least 1 x 1 holding gh * gw
+    tokens, and finite times 0 <= start <= end, one pair per frame group.
     """
 
-    columns: np.ndarray  # (4, elements) int64
+    columns: np.ndarray  # (4, elements) integer
     tokens: np.ndarray  # (text tokens,) integer ids
     start_times: np.ndarray  # (groups,) float64
     end_times: np.ndarray  # (groups,) float64
 
     def __post_init__(self):
-        kind, _, gh, gw = self.columns
-        frames = kind == FRAMES
-        check_frame_groups(self.start_times, self.end_times, gh[frames], gw[frames])
+        columns, tokens, start, end = self.columns, self.tokens, self.start_times, self.end_times
+        if not (_is_int_array(columns, 2) and len(columns) == 4 and _is_int_array(tokens, 1)):
+            raise ConfigError("columns must be a (4, elements) and tokens a flat integer array, "
+                              f"got {np.asarray(columns).dtype} {np.shape(columns)} and "
+                              f"{np.asarray(tokens).dtype} {np.shape(tokens)}")
+        kind, count, gh, gw = columns
+        text, frames = kind == TEXT, kind == FRAMES
+        groups = (np.count_nonzero(frames),)
+        if np.shape(start) != groups or np.shape(end) != groups:
+            raise ConfigError(f"start and end times need one entry per frame group ({groups[0]}), "
+                              f"got shapes {np.shape(start)} and {np.shape(end)}")
+        t0, t1 = np.zeros((2, len(kind)))
+        t0[frames], t1[frames] = start, end
+        for bad, message in (
+                (~text & (kind != IMAGE) & ~frames, "unknown kind {k}"),
+                (text & ((gh != 0) | (gw != 0) | (count < 0)),
+                 "text needs a 0x0 grid and a count of at least 0, got {c} on {h}x{w}"),
+                (~text & ((gh < 1) | (gw < 1)), "{name} grid must be at least 1x1, got {h}x{w}"),
+                (~text & (count != gh * gw), "{name} count must be {h}x{w}, got {c}"),
+                (~(np.isfinite(t0) & np.isfinite(t1) & (0 <= t0) & (t0 <= t1)),
+                 "frame group times must be finite and satisfy 0 <= start <= end, "
+                 "got [{t0}, {t1}]")):
+            if bad.any():
+                e = np.flatnonzero(bad)[0]
+                raise ConfigError(f"element {e}: " + message.format(
+                    k=kind[e], c=count[e], h=gh[e], w=gw[e], t0=t0[e], t1=t1[e],
+                    name="image" if kind[e] == IMAGE else "frame"))
+        if count[text].sum() != len(tokens):
+            raise ConfigError(f"text counts sum to {count[text].sum()}, "
+                              f"but there are {len(tokens)} tokens")
 
     @classmethod
     def of(cls, elements: Iterable[SequenceElement]) -> MultimodalSequence:
-        """Build a sequence from text spans, image blocks and frame groups."""
+        """Build a sequence from element objects, taking their grids uncast."""
         rows, tokens, times = [], [], []
         for e in elements:
             if isinstance(e, TextSpan):
@@ -119,7 +133,7 @@ class MultimodalSequence:
             else:
                 raise TypeError(f"unknown element {type(e).__name__}")
         start_times, end_times = np.array(times, dtype=np.float64).reshape(-1, 2).T
-        return cls(np.array(rows, dtype=np.int64).reshape(-1, 4).T,
+        return cls(np.array(rows or np.zeros((0, 4), np.int64)).T,
                    np.array(tokens, dtype=np.int64), start_times, end_times)
 
     def token_count(self) -> int:
@@ -146,35 +160,21 @@ def sequence_to_manifest(seq: MultimodalSequence) -> dict:
     """Serialize a sequence to a plain-JSON manifest."""
     elements = []
     for e in seq.elements:
-        if isinstance(e, TextSpan):
-            elements.append({"kind": "text", "token_ids": list(e.token_ids)})
-        elif isinstance(e, ImageBlock):
-            elements.append({"kind": "image", "gh": e.gh, "gw": e.gw})
-        else:
-            elements.append({
-                "kind": "frame_group",
-                "start_time": e.start_time,
-                "end_time": e.end_time,
-                "gh": e.gh,
-                "gw": e.gw,
-            })
+        entry = {"kind": _MANIFEST_KINDS[type(e)]}
+        for f in fields(e):
+            value = getattr(e, f.name)
+            entry[f.name] = list(value) if isinstance(value, tuple) else value
+        elements.append(entry)
     return {"schema_version": 1, "elements": elements}
 
 
 def sequence_from_manifest(manifest: dict) -> MultimodalSequence:
-    """Rebuild a sequence from its manifest form."""
-    elements: list[SequenceElement] = []
+    """Rebuild a sequence from its manifest form, ignoring unknown keys."""
+    classes = {name: cls for cls, name in _MANIFEST_KINDS.items()}
+    elements = []
     for i, entry in enumerate(manifest.get("elements", [])):
-        kind = entry.get("kind")
-        if kind == "text":
-            elements.append(TextSpan(tuple(entry["token_ids"])))
-        elif kind == "image":
-            elements.append(ImageBlock(entry["gh"], entry["gw"]))
-        elif kind == "frame_group":
-            elements.append(FrameGroup(
-                start_time=entry["start_time"], end_time=entry["end_time"],
-                gh=entry["gh"], gw=entry["gw"],
-            ))
-        else:
-            raise ConfigError(f"element {i}: unknown kind {kind!r}")
+        cls = classes.get(entry.get("kind"))
+        if cls is None:
+            raise ConfigError(f"element {i}: unknown kind {entry.get('kind')!r}")
+        elements.append(cls(*(entry[f.name] for f in fields(cls))))
     return MultimodalSequence.of(elements)

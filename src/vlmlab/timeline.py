@@ -25,6 +25,9 @@ from .sequence import FRAMES, TEXT, MultimodalSequence
 
 # Byte-level vocabulary: ids 0..255 are raw byte values.
 BYTE_VOCAB_SIZE = 256
+# Most frame groups in one timeline of `vlmlab sparsity` or `vlmlab niah` (a
+# sparsity run at the cap takes about 0.5 s and 80 MB).
+MAX_GROUPS = 100_000
 
 _HMS_RE = re.compile(r"^<(\d{2,}):(\d{2}):(\d{2})>$")
 _SECONDS_RE = re.compile(r"^<(\d+\.\d) seconds>$")
@@ -135,8 +138,8 @@ def interleave_timestamps(frames: Sequence[float], group_size: int = 2,
     frames = np.asarray(frames, dtype=np.float64)
     if not frames.size:
         raise ConfigError("interleave_timestamps needs at least one frame")
-    if group_size < 1:
-        raise ConfigError(f"group_size must be >= 1, got {group_size}")
+    if not (isinstance(group_size, (int, np.integer)) and group_size >= 1):
+        raise ConfigError(f"group_size must be an integer >= 1, got {group_size}")
     first = np.arange(0, len(frames), group_size)
     starts = frames[first]
     ends = frames[np.minimum(first + group_size, len(frames)) - 1]
@@ -148,8 +151,9 @@ def interleave_timestamps(frames: Sequence[float], group_size: int = 2,
     # Token k of group g is byte k of the group's stamp in the pool.
     shift = (np.cumsum(pool_lengths) - pool_lengths)[which] - (np.cumsum(lengths) - lengths)
     tokens = pool[np.repeat(shift, lengths) + np.arange(lengths.sum())]
-    # Text then frames for each group: (4, groups, 2), flattened to (4, elements).
-    columns = np.zeros((4, len(starts), 2), dtype=np.int64)
+    # Text then frames for each group: (4, groups, 2), flattened to (4, elements).  The
+    # dtype comes from gh and gw, so a non-integer grid fails the sequence check uncast.
+    columns = np.zeros((4, len(starts), 2), dtype=np.result_type(gh, gw))
     columns[0] = (TEXT, FRAMES)
     columns[1, :, 0] = lengths
     columns[1:, :, 1] = np.array([[gh * gw], [gh], [gw]])

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import vlmlab
-from vlmlab import cli
+from vlmlab import cli, timeline
 from vlmlab.cli import main
 
 
@@ -64,7 +64,7 @@ class TestSparsity:
         assert code == 2
 
     def test_group_cap_is_inclusive(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_SPARSITY_GROUPS", 10)
+        monkeypatch.setattr(timeline, "MAX_GROUPS", 10)
         code, out, _ = run_cli(capsys, "sparsity", "--duration", "10.5", "--spacing", "1")
         assert code == 0 and json.loads(out)["groups"] == 10
         code, _, err = run_cli(capsys, "sparsity", "--duration", "11", "--spacing", "1")
@@ -199,6 +199,7 @@ TINY_NIAH = {"num_frames": 4, "needle_depths": [0.5], "trials": 1, "durations_mi
     (["sparsity", "--duration", "1e300", "--spacing", "1e-300"], None),
     (["sparsity", "--duration", "1e6", "--spacing", "1e-3"], None),
     (["sparsity", "--duration", "1e300", "--spacing", "1e296", "--granularity", "1e-10"], None),
+    (["niah"], {"num_frames": 100_001, "durations_min": [0.01], "trials": 1}),
     (["niah", "--out", "cfg.json/reports"], TINY_NIAH),
     (["niah", "--out", "cfg.json"], TINY_NIAH),
     (["train", "--steps", "1", "--out", "."], {"examples": 1, "text_len": 2}),
@@ -212,7 +213,8 @@ TINY_NIAH = {"num_frames": 4, "needle_depths": [0.5], "trials": 1, "durations_mi
         "stage-not-json", "stage-array", "stage-length-string", "stage-trainable-string",
         "stage-budget-float", "stage-unknown-key", "spectrum-config-directory",
         "sparsity-overflowing-groups", "sparsity-too-many-groups",
-        "sparsity-overflowing-absolute-ids", "niah-out-under-a-file", "niah-out-is-a-file",
+        "sparsity-overflowing-absolute-ids", "niah-too-many-frames", "niah-out-under-a-file",
+        "niah-out-is-a-file",
         "train-out-is-a-directory"])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)

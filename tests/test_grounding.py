@@ -94,6 +94,29 @@ class TestParse:
         with pytest.raises(GroundingParseError, match="outside \\[0, 1000\\]"):
             parse_grounding_json('[{"bbox_2d": [0, 0, 1200, 10], "label": "x"}]', "box2d")
 
+    @pytest.mark.parametrize("kind, payload, message", [
+        ("box2d", '[{"bbox_2d": [0, 0, 1200, 10], "label": "x"}]', "element 0: x2=1200 outside"),
+        ("point", '[{"point_2d": [3, -1], "label": "x"}]', "element 0: y=-1 outside"),
+        ("point", '[{"point_2d": [3, 1e300], "label": "x"}]', "element 0: y=1000.* outside"),
+    ], ids=["box2d-x2", "point-y-negative", "point-y-huge"])
+    def test_out_of_range_error_names_the_slot(self, kind, payload, message):
+        with pytest.raises(GroundingParseError, match=message):
+            parse_grounding_json(payload, kind)
+
+    @pytest.mark.parametrize("make", [lambda: NormalizedBox(True, 0, 1, 1),
+                                      lambda: NormalizedBox(0, 0, 1, True),
+                                      lambda: NormalizedPoint(0, False),
+                                      lambda: CountRecord(True)],
+                             ids=["box-x1", "box-y2", "point-y", "count"])
+    def test_records_reject_bools(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    @pytest.mark.parametrize("count", ["true", "false", '"3"', "[3]", "-1", "2.0"])
+    def test_count_must_be_a_non_negative_integer(self, count):
+        with pytest.raises(GroundingParseError, match="element 0: count must be"):
+            parse_grounding_json(f'[{{"count": {count}, "label": "x"}}]', "count")
+
     def test_non_integer_normalized_coordinate(self):
         with pytest.raises(GroundingParseError, match="integers"):
             parse_grounding_json('[{"point_2d": [1.5, 2], "label": "x"}]', "point")

@@ -10,8 +10,7 @@ from vlmlab.errors import ConfigError
 from vlmlab.mrope import assign_position_ids, frame_group_ids
 from vlmlab.seeding import Rng
 from vlmlab.sequence import (FRAMES, IMAGE, TEXT, FrameGroup, ImageBlock, MultimodalSequence,
-                             TextSpan, check_frame_groups, sequence_from_manifest,
-                             sequence_to_manifest)
+                             TextSpan, sequence_from_manifest, sequence_to_manifest)
 from vlmlab.timeline import (SamplingPolicy, detokenize, format_timestamp,
                              interleave_timestamps, parse_timestamp,
                              position_id_range_report, sample_frames, tokenize)
@@ -236,17 +235,17 @@ class TestSparsityReport:
 class TestSequenceTypes:
     def test_frame_group_time_order(self):
         with pytest.raises(ConfigError, match="start <= end"):
-            FrameGroup(2.0, 1.0, 1, 1)
+            MultimodalSequence.of((FrameGroup(2.0, 1.0, 1, 1),))
 
     def test_frame_group_negative_time(self):
         with pytest.raises(ConfigError, match="start <= end"):
-            FrameGroup(-1.0, 0.0, 1, 1)
+            MultimodalSequence.of((FrameGroup(-1.0, 0.0, 1, 1),))
 
     @pytest.mark.parametrize("start, end", [(0.0, math.nan), (math.nan, 1.0),
                                             (0.0, math.inf), (-math.inf, 0.0)])
     def test_frame_group_non_finite_time(self, start, end):
         with pytest.raises(ConfigError, match="finite"):
-            FrameGroup(start, end, 1, 1)
+            MultimodalSequence.of((FrameGroup(start, end, 1, 1),))
 
     def test_manifest_non_finite_time(self):
         manifest = json.loads('{"elements": [{"kind": "frame_group", "start_time": NaN, '
@@ -256,11 +255,13 @@ class TestSequenceTypes:
 
     def test_frame_group_grid_bounds(self):
         with pytest.raises(ConfigError, match="1x1"):
-            FrameGroup(0.0, 0.0, 0, 1)
+            MultimodalSequence.of((FrameGroup(0.0, 0.0, 0, 1),))
 
     def test_array_check_names_first_bad_group(self):
+        columns = np.array([[FRAMES] * 3, [1, 0, 0], [1, 0, 0], [1, 2, 3]])
         with pytest.raises(ConfigError, match="got 0x2"):
-            check_frame_groups([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1, 0, 0], [1, 2, 3])
+            MultimodalSequence(columns, np.array([], dtype=np.int64),
+                               np.array([0.0, 0.0, 0.0]), np.array([1.0, 1.0, 1.0]))
 
     def test_array_constructor_checks_frame_grids(self):
         columns = np.array([[TEXT, FRAMES], [1, 0], [0, 0], [0, 1]], dtype=np.int64)
@@ -270,6 +271,38 @@ class TestSequenceTypes:
     def test_manifest_unknown_kind(self):
         with pytest.raises(ConfigError, match="unknown kind"):
             sequence_from_manifest({"elements": [{"kind": "audio"}]})
+
+    def test_text_counts_must_sum_to_the_tokens(self):
+        columns = np.array([[TEXT], [5], [0], [0]])
+        with pytest.raises(ConfigError, match="sum to 5, but there are 1 tokens"):
+            MultimodalSequence(columns, np.array([1]), np.array([]), np.array([]))
+
+    def test_array_constructor_checks_image_grids(self):
+        columns = np.array([[IMAGE], [0], [0], [0]])
+        with pytest.raises(ConfigError, match="element 0: image grid must be at least 1x1, got 0x0"):
+            MultimodalSequence(columns, np.array([], dtype=np.int64), np.array([]), np.array([]))
+
+    def test_non_integer_image_grid_is_not_truncated(self):
+        with pytest.raises(ConfigError, match="integer array"):
+            MultimodalSequence.of((ImageBlock(1.5, 2),))
+
+    def test_manifest_float_grid_is_not_truncated(self):
+        with pytest.raises(ConfigError, match="integer array"):
+            sequence_from_manifest({"elements": [{"kind": "image", "gh": 2.0, "gw": 1}]})
+
+    def test_text_ids_must_be_integers(self):
+        with pytest.raises(TypeError):
+            TextSpan((1.5,))
+        span = TextSpan((np.int64(3), np.uint8(4)))
+        assert span.token_ids == (3, 4) and all(type(t) is int for t in span.token_ids)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"gh": 1.5}, "integer array"), ({"gw": 2.0}, "integer array"),
+        ({"group_size": 1.5}, "group_size must be an integer"),
+    ], ids=["gh-1.5", "gw-2.0", "group-size-1.5"])
+    def test_interleave_rejects_non_integer_sizes(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            interleave_timestamps([0.0, 1.0], **{"group_size": 1, **kwargs})
 
 
 def test_manifest_round_trip():
@@ -318,6 +351,34 @@ def test_of_matches_per_element_reference(items):
 def test_manifest_round_trip_is_lossless(seq):
     manifest = json.loads(json.dumps(sequence_to_manifest(seq)))
     assert sequence_from_manifest(manifest).elements == seq.elements
+
+
+def single_perturbations(seq):
+    """Each way of breaking one value of a valid sequence's arrays."""
+    columns, tokens, start, end = seq.columns, seq.tokens, seq.start_times, seq.end_times
+    yield "extra token", (columns, np.append(tokens, 7), start, end)
+    yield "float columns", (columns.astype(np.float64), tokens, start, end)
+    if len(start):
+        yield "dropped start time", (columns, tokens, start[1:], end)
+    for e, (kind, count, _, _) in enumerate(columns.T.tolist()):
+        changes = [("kind 3", 0, 3), ("count + 1", 1, count + 1), ("count - 1", 1, count - 1)]
+        if kind == TEXT:
+            changes.append(("text gh 1", 2, 1))
+        else:
+            changes += [("gh 0", 2, 0), ("gw 0", 3, 0)]
+        for what, row, value in changes:
+            changed = columns.copy()
+            changed[row, e] = value
+            yield f"element {e}: {what}", (changed, tokens, start, end)
+
+
+@given(st.lists(elements, max_size=8).map(MultimodalSequence.of))
+def test_constructor_rejects_every_single_perturbation(seq):
+    MultimodalSequence(seq.columns, seq.tokens, seq.start_times, seq.end_times)
+    for what, arrays in single_perturbations(seq):
+        with pytest.raises(ConfigError):
+            MultimodalSequence(*arrays)
+            pytest.fail(f"built after {what}")
 
 
 def reference_interleave(frames, group_size=2, style="seconds", gh=1, gw=1):
