@@ -15,6 +15,10 @@ class ShapeError(ValueError):
     """Tensor shapes or index bounds do not line up."""
 
 
+class NonFiniteError(ValueError):
+    """An operation produced a NaN or an infinity."""
+
+
 class ConfigError(ValueError):
     """A configuration value is missing, malformed, or out of range."""
 

@@ -15,7 +15,7 @@ the mechanism.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -43,6 +43,10 @@ class NiahConfig:
     timestamp_style: str = "seconds"
 
     def __post_init__(self):
+        for name in ("num_frames", "trials", "signature_dim", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.num_frames <= timeline.MAX_GROUPS:
             raise ConfigError(f"num_frames must lie in [1, {timeline.MAX_GROUPS}]")
         depths = tuple(float(d) for d in self.needle_depths)
@@ -64,17 +68,9 @@ class NiahConfig:
         object.__setattr__(self, "durations_min", tuple(float(d) for d in self.durations_min))
 
     def to_dict(self) -> dict:
-        return {
-            "num_frames": self.num_frames,
-            "needle_depths": list(self.needle_depths),
-            "trials": self.trials,
-            "seed": self.seed,
-            "durations_min": list(self.durations_min),
-            "signature_dim": self.signature_dim,
-            "overlap": self.overlap,
-            "signature_noise": self.signature_noise,
-            "timestamp_style": self.timestamp_style,
-        }
+        """Every field, tuples as lists, as a report's config records it."""
+        raw = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in raw.items()}
 
 
 @dataclass(frozen=True)

@@ -72,21 +72,3 @@ def emit_report(durations, depths, accuracies, trials, out_dir: str | Path,
     csv_path.write_text(render_csv(durations, depths, accuracies), encoding="utf-8")
     return json_path, csv_path
 
-
-def load_report(json_path: str | Path) -> dict:
-    """Parse an emitted JSON report back into the in-memory grid."""
-    doc = json.loads(Path(json_path).read_text(encoding="utf-8"))
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported report schema {doc.get('schema_version')}")
-    durations = doc["durations"]
-    depths = doc["depths"]
-    by_cell = {(c["duration"], c["depth"]): c["accuracy"] for c in doc["cells"]}
-    accuracies = [[by_cell[(du, de)] for de in depths] for du in durations]
-    trials = doc["cells"][0]["trials"] if doc["cells"] else 0
-    return {
-        "durations_min": durations,
-        "depths": depths,
-        "accuracies": accuracies,
-        "trials": trials,
-        "config": doc.get("config", {}),
-    }

@@ -13,8 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .. import numerics, objective
-from ..errors import ConfigError
+from ..errors import ConfigError, NonFiniteError
 from ..numerics import Tensor
 from ..seeding import Rng
 from ..sequence import ImageBlock, MultimodalSequence, TextSpan
@@ -30,7 +32,6 @@ class TrainingExample:
     grids: dict[int, PatchGrid]
     target_positions: list[int]
     target_ids: list[int]
-    modality: str
 
 
 @dataclass
@@ -75,8 +76,7 @@ def make_synthetic_batch(config: ModelConfig, rng: Rng, n_examples: int = 8,
         target_ids = tokens[1:]
         examples.append(TrainingExample(
             sequence=seq, grids=grids,
-            target_positions=target_positions, target_ids=target_ids,
-            modality="multimodal" if with_image else "text"))
+            target_positions=target_positions, target_ids=target_ids))
     return examples
 
 
@@ -90,7 +90,7 @@ def _batch_loss(model: VisionLanguageModel, batch: list[TrainingExample],
         picked = numerics.gather_rows(logits, example.target_positions)
         nll = numerics.token_nll(picked, example.target_ids)
         nll_tensors.append(nll)
-        records.append(objective.SampleLossRecord(tuple(nll.data.tolist()), example.modality))
+        records.append(objective.SampleLossRecord(tuple(nll.data.tolist())))
     weights = objective.gradient_weights(records, scheme)
     terms = [numerics.scale(numerics.sum_all(nll), w)
              for nll, w in zip(nll_tensors, weights)]
@@ -106,8 +106,9 @@ def train_toy(model: VisionLanguageModel, stage: StageConfig,
     """Run ``steps`` of gradient descent on the stage's trainable components.
 
     The model is updated in place; its parameters after the call are the
-    final ones.  ``lr`` may be zero (a legal no-op step, useful for freeze
-    checks) but not negative or non-finite.
+    final ones.  ``steps`` 0 reports the loss once and updates nothing.
+    ``lr`` may be zero (a legal no-op step, useful for freeze checks) but not
+    negative or non-finite; a step that overflows raises ``ConfigError``.
     """
     if not (math.isfinite(lr) and lr >= 0):
         raise ConfigError(f"learning rate must be finite and non-negative, got {lr}")
@@ -119,22 +120,22 @@ def train_toy(model: VisionLanguageModel, stage: StageConfig,
         raise ConfigError("training data must be non-empty")
 
     losses: list[float] = []
-    initial = final = None
-    for _ in range(steps):
-        loss, records = _batch_loss(model, data, scheme)
-        losses.append(loss.item())
-        if initial is None:
-            initial = {name: objective.aggregate(records, name) for name in objective.SCHEMES}
-        final = {name: objective.aggregate(records, name) for name in objective.SCHEMES}
-        loss.backward()
-        for name, param in model.parameters().items():
-            if model.component_of(name) not in stage.trainable:
-                continue
-            if param.grad is None:
-                continue
-            model.set_parameter(name, numerics.parameter(param.data - lr * param.grad))
-    if initial is None:
-        loss, records = _batch_loss(model, data, scheme)
-        losses.append(loss.item())
-        initial = final = {name: objective.aggregate(records, name) for name in objective.SCHEMES}
+    initial = None
+    try:
+        # A diverging step overflows; Tensor's finiteness check reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(max(steps, 1)):
+                loss, records = _batch_loss(model, data, scheme)
+                losses.append(loss.item())
+                final = {name: objective.aggregate(records, name) for name in objective.SCHEMES}
+                if initial is None:
+                    initial = final
+                if not steps:
+                    break
+                loss.backward()
+                for name, param in model.parameters().items():
+                    if param.grad is not None and model.component_of(name) in stage.trainable:
+                        model.set_parameter(name, numerics.parameter(param.data - lr * param.grad))
+    except NonFiniteError as exc:
+        raise ConfigError(f"training diverged at step {step + 1} with lr {lr}: {exc}") from None
     return TrainResult(losses=losses, per_scheme_initial=initial, per_scheme_final=final)

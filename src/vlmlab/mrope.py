@@ -57,16 +57,6 @@ class FrequencyAllocation:
             cfg["chunk_split"] = list(self.chunk_split)
         return cfg
 
-    @staticmethod
-    def from_config(cfg: dict) -> "FrequencyAllocation":
-        split = cfg.get("chunk_split")
-        return build_frequency_allocation(
-            head_dim=cfg["head_dim"],
-            base=cfg.get("base", DEFAULT_BASE),
-            scheme=cfg.get("scheme", "interleaved"),
-            chunk_split=tuple(split) if split is not None else None,
-        )
-
 
 def default_chunk_split(num_pairs: int) -> tuple[int, int, int]:
     """Near-equal thirds; remainder pairs go to t, then h."""

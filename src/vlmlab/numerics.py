@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NonFiniteError, ShapeError
 
 _TANH_GELU_C = math.sqrt(2.0 / math.pi)
 
@@ -52,7 +52,7 @@ class Tensor:
         # caller's; op results are fresh arrays already.
         data = (np.array if _op == "leaf" else np.asarray)(values, dtype=np.float64)
         if not np.isfinite(data).all():
-            raise ValueError(f"non-finite values in result of op '{_op}'")
+            raise NonFiniteError(f"non-finite values in result of op '{_op}'")
         data.flags.writeable = False
         self.data = data
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
@@ -64,10 +64,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def item(self) -> float:
         if self.data.size != 1:

@@ -22,10 +22,9 @@ SCHEMES = {"per_sample": 0.0, "per_token": 1.0, "sqrt": 0.5}
 
 @dataclass(frozen=True)
 class SampleLossRecord:
-    """Per-token losses for one sample, tagged by modality."""
+    """The per-token losses of one sample; its weight reads their count only."""
 
     token_losses: tuple[float, ...]
-    modality: str = "text"
 
     def __post_init__(self):
         losses = tuple(float(x) for x in self.token_losses)
@@ -33,8 +32,6 @@ class SampleLossRecord:
             raise ValueError("sample must contain at least one token loss")
         if any(not math.isfinite(x) or x < 0 for x in losses):
             raise ValueError("token losses must be finite and non-negative")
-        if self.modality not in ("text", "multimodal"):
-            raise ValueError(f"modality must be 'text' or 'multimodal', got {self.modality!r}")
         object.__setattr__(self, "token_losses", losses)
 
     @property

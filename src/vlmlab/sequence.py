@@ -1,4 +1,4 @@
-"""Multimodal sequences held as arrays, and their JSON manifest form.
+"""Multimodal sequences held as arrays.
 
 A sequence is an ordered list of text spans, image blocks, and video frame
 groups.  Grids are given in visual tokens (post-merge).  A
@@ -13,7 +13,7 @@ check of every sequence invariant; the element classes hold values only.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -57,7 +57,6 @@ class FrameGroup:
 
 
 SequenceElement = TextSpan | ImageBlock | FrameGroup
-_MANIFEST_KINDS = {TextSpan: "text", ImageBlock: "image", FrameGroup: "frame_group"}
 
 
 def _is_int_array(a, ndim: int) -> bool:
@@ -155,26 +154,3 @@ class MultimodalSequence:
                 elements.append(FrameGroup(*next(times), gh, gw))
         return tuple(elements)
 
-
-def sequence_to_manifest(seq: MultimodalSequence) -> dict:
-    """Serialize a sequence to a plain-JSON manifest."""
-    elements = []
-    for e in seq.elements:
-        entry = {"kind": _MANIFEST_KINDS[type(e)]}
-        for f in fields(e):
-            value = getattr(e, f.name)
-            entry[f.name] = list(value) if isinstance(value, tuple) else value
-        elements.append(entry)
-    return {"schema_version": 1, "elements": elements}
-
-
-def sequence_from_manifest(manifest: dict) -> MultimodalSequence:
-    """Rebuild a sequence from its manifest form, ignoring unknown keys."""
-    classes = {name: cls for cls, name in _MANIFEST_KINDS.items()}
-    elements = []
-    for i, entry in enumerate(manifest.get("elements", [])):
-        cls = classes.get(entry.get("kind"))
-        if cls is None:
-            raise ConfigError(f"element {i}: unknown kind {entry.get('kind')!r}")
-        elements.append(cls(*(entry[f.name] for f in fields(cls))))
-    return MultimodalSequence.of(elements)

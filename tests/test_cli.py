@@ -37,12 +37,18 @@ class TestSpectrum:
         assert "config error" in err
 
     def test_config_file(self, capsys, tmp_path):
+        """The printed allocation, fed back as --config, prints the same bytes."""
         path = tmp_path / "alloc.json"
-        path.write_text(json.dumps({"head_dim": 12, "scheme": "chunked",
-                                    "chunk_split": [2, 2, 2]}))
-        code, out, _ = run_cli(capsys, "spectrum", "--config", str(path))
-        assert code == 0
-        assert json.loads(out)["allocation"]["scheme"] == "chunked"
+        for cfg in ({"head_dim": 24},
+                    {"head_dim": 24, "scheme": "chunked", "chunk_split": [5, 4, 3], "base": 500}):
+            path.write_text(json.dumps(cfg))
+            code, out, _ = run_cli(capsys, "spectrum", "--config", str(path))
+            assert code == 0
+            allocation = json.loads(out)["allocation"]
+            assert allocation == {"base": 10000.0, "scheme": "interleaved", **cfg}
+            path.write_text(json.dumps(allocation))
+            code, again, _ = run_cli(capsys, "spectrum", "--config", str(path))
+            assert code == 0 and again == out
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--config", "/nonexistent.json")
@@ -203,6 +209,9 @@ TINY_NIAH = {"num_frames": 4, "needle_depths": [0.5], "trials": 1, "durations_mi
     (["niah", "--out", "cfg.json/reports"], TINY_NIAH),
     (["niah", "--out", "cfg.json"], TINY_NIAH),
     (["train", "--steps", "1", "--out", "."], {"examples": 1, "text_len": 2}),
+    (["niah"], {"schema_version": 2}),
+    (["train", "--stage", "cfg.json"], {"schema_version": 2, "name": "S1"}),
+    (["train", "--lr", "1e308", "--steps", "3"], None),
 ], ids=["train-lr-nan", "train-bogus-scheme", "sparsity-granularity-nan", "ground-directory",
         "train-lr-string", "sparsity-granularity-string", "spectrum-head-dim-string",
         "niah-trials-string", "train-model-dim-string", "train-unknown-key",
@@ -215,7 +224,8 @@ TINY_NIAH = {"num_frames": 4, "needle_depths": [0.5], "trials": 1, "durations_mi
         "sparsity-overflowing-groups", "sparsity-too-many-groups",
         "sparsity-overflowing-absolute-ids", "niah-too-many-frames", "niah-out-under-a-file",
         "niah-out-is-a-file",
-        "train-out-is-a-directory"])
+        "train-out-is-a-directory", "niah-schema-version-2", "stage-schema-version-2",
+        "train-divergent-lr"])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)
     if config is not None:

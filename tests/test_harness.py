@@ -9,8 +9,7 @@ from vlmlab import mrope
 from vlmlab.cli import _NIAH_KEYS
 from vlmlab.errors import ConfigError, check_config_types
 from vlmlab.harness import (NiahConfig, StageConfig, build_niah_sequence, emit_report,
-                            load_report, load_stage_config, make_synthetic_batch,
-                            run_niah_probe, train_toy)
+                            load_stage_config, make_synthetic_batch, run_niah_probe, train_toy)
 from vlmlab.harness.niah import run_niah_grid
 from vlmlab.harness.stages import STAGE_NAMES
 from vlmlab.seeding import Rng
@@ -126,6 +125,29 @@ class TestTrainToy:
             finals[scheme] = param_bytes(model)
         assert finals["per_sample"] != finals["per_token"]
 
+    def test_zero_steps_reports_the_loss_without_updating(self):
+        cfg, model = tiny_model(seed=4)
+        batch = make_synthetic_batch(cfg, Rng(4).split("data"), n_examples=3, text_len=5)
+        before = param_bytes(model)
+        result = train_toy(model, load_stage_config("S1"), batch, steps=0, lr=0.3)
+        assert len(result.losses) == 1
+        assert param_bytes(model) == before
+        assert result.per_scheme_initial == result.per_scheme_final
+        _, fresh = tiny_model(seed=4)
+        two = train_toy(fresh, load_stage_config("S1"), batch, steps=2, lr=0.3)
+        assert two.per_scheme_initial == result.per_scheme_initial
+        assert two.losses[0] == result.losses[0]
+
+    def test_final_schemes_are_the_last_step_before_its_update(self):
+        cfg, model = tiny_model(seed=5)
+        batch = make_synthetic_batch(cfg, Rng(5).split("data"), n_examples=3, text_len=5)
+        three = train_toy(model, load_stage_config("S1"), batch, steps=3, lr=0.3)
+        _, other = tiny_model(seed=5)
+        train_toy(other, load_stage_config("S1"), batch, steps=2, lr=0.3)
+        zero = train_toy(other, load_stage_config("S1"), batch, steps=0, lr=0.3)
+        assert three.per_scheme_final == zero.per_scheme_initial
+        assert three.losses[-1] == zero.losses[0]
+
 
 class TestNiahBuild:
     def test_needle_index_midpoint(self):
@@ -235,12 +257,13 @@ class TestReports:
         acc = [[0.5, 1.0], [0.0, 0.25]]
         json_path, _ = emit_report([1.0, 2.0], [0.1, 0.9], acc, trials=4,
                                    out_dir=tmp_path, config={"seed": 3})
-        loaded = load_report(json_path)
-        assert loaded["accuracies"] == acc
-        assert loaded["durations_min"] == [1.0, 2.0]
-        assert loaded["depths"] == [0.1, 0.9]
-        assert loaded["trials"] == 4
-        assert loaded["config"] == {"seed": 3}
+        doc = json.loads(json_path.read_text(encoding="utf-8"))
+        assert doc["durations"] == [1.0, 2.0]
+        assert doc["depths"] == [0.1, 0.9]
+        assert doc["config"] == {"seed": 3}
+        assert [[c["accuracy"] for c in doc["cells"][2 * i:2 * i + 2]] for i in range(2)] == acc
+        assert [(c["duration"], c["depth"], c["trials"]) for c in doc["cells"]] == [
+            (1.0, 0.1, 4), (1.0, 0.9, 4), (2.0, 0.1, 4), (2.0, 0.9, 4)]
 
     def test_byte_stable(self, tmp_path):
         args = ([1.0, 2.0], [0.1, 0.9], [[1.0, 0.5], [0.25, 0.75]], 2)
@@ -273,6 +296,14 @@ class TestNiahConfigValidation:
     ])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ConfigError, match="finite"):
+            NiahConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_frames", 2.5), ("trials", 2.5), ("trials", True), ("signature_dim", 4.0),
+        ("seed", 1.5),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             NiahConfig(**{field: value})
 
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from vlmlab import mrope
 from vlmlab.errors import ConfigError, ShapeError
-from vlmlab.mrope import (FrequencyAllocation, apply_mrope, assign_position_ids,
-                          build_frequency_allocation, spans_spectrum_ends, spectrum_report)
+from vlmlab.mrope import (apply_mrope, assign_position_ids, build_frequency_allocation,
+                          spans_spectrum_ends, spectrum_report)
 from vlmlab.numerics import Tensor
 from vlmlab.seeding import Rng
 from vlmlab.sequence import FrameGroup, ImageBlock, MultimodalSequence, TextSpan
@@ -138,12 +138,6 @@ class TestFrequencyAllocation:
         for half in range(3, 65):
             split = mrope.default_chunk_split(half)
             assert sum(split) == half and min(split) >= 0
-
-    def test_config_round_trip(self):
-        for alloc in (build_frequency_allocation(24),
-                      build_frequency_allocation(24, scheme="chunked", chunk_split=(5, 4, 3))):
-            again = FrequencyAllocation.from_config(alloc.to_config())
-            assert again == alloc
 
 
 class TestApplyMrope:

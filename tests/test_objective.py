@@ -4,8 +4,8 @@ from vlmlab.objective import SCHEMES, SampleLossRecord, aggregate, gradient_weig
 from vlmlab.seeding import Rng
 
 
-def record(losses, modality="text"):
-    return SampleLossRecord(tuple(losses), modality)
+def record(losses):
+    return SampleLossRecord(tuple(losses))
 
 
 TWO_SAMPLE = [record([0.0]), record([1.0, 1.0, 1.0, 1.0])]
@@ -116,7 +116,3 @@ class TestRecordValidation:
     def test_negative_loss_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             record([-0.1])
-
-    def test_bad_modality(self):
-        with pytest.raises(ValueError, match="modality"):
-            SampleLossRecord((1.0,), "audio")

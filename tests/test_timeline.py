@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -10,7 +9,7 @@ from vlmlab.errors import ConfigError
 from vlmlab.mrope import assign_position_ids, frame_group_ids
 from vlmlab.seeding import Rng
 from vlmlab.sequence import (FRAMES, IMAGE, TEXT, FrameGroup, ImageBlock, MultimodalSequence,
-                             TextSpan, sequence_from_manifest, sequence_to_manifest)
+                             TextSpan)
 from vlmlab.timeline import (SamplingPolicy, detokenize, format_timestamp,
                              interleave_timestamps, parse_timestamp,
                              position_id_range_report, sample_frames, tokenize)
@@ -247,12 +246,6 @@ class TestSequenceTypes:
         with pytest.raises(ConfigError, match="finite"):
             MultimodalSequence.of((FrameGroup(start, end, 1, 1),))
 
-    def test_manifest_non_finite_time(self):
-        manifest = json.loads('{"elements": [{"kind": "frame_group", "start_time": NaN, '
-                              '"end_time": 1.0, "gh": 1, "gw": 1}]}')
-        with pytest.raises(ConfigError, match="finite"):
-            sequence_from_manifest(manifest)
-
     def test_frame_group_grid_bounds(self):
         with pytest.raises(ConfigError, match="1x1"):
             MultimodalSequence.of((FrameGroup(0.0, 0.0, 0, 1),))
@@ -268,10 +261,6 @@ class TestSequenceTypes:
         with pytest.raises(ConfigError, match="1x1"):
             MultimodalSequence(columns, np.array([7]), np.array([0.0]), np.array([1.0]))
 
-    def test_manifest_unknown_kind(self):
-        with pytest.raises(ConfigError, match="unknown kind"):
-            sequence_from_manifest({"elements": [{"kind": "audio"}]})
-
     def test_text_counts_must_sum_to_the_tokens(self):
         columns = np.array([[TEXT], [5], [0], [0]])
         with pytest.raises(ConfigError, match="sum to 5, but there are 1 tokens"):
@@ -285,10 +274,6 @@ class TestSequenceTypes:
     def test_non_integer_image_grid_is_not_truncated(self):
         with pytest.raises(ConfigError, match="integer array"):
             MultimodalSequence.of((ImageBlock(1.5, 2),))
-
-    def test_manifest_float_grid_is_not_truncated(self):
-        with pytest.raises(ConfigError, match="integer array"):
-            sequence_from_manifest({"elements": [{"kind": "image", "gh": 2.0, "gw": 1}]})
 
     def test_text_ids_must_be_integers(self):
         with pytest.raises(TypeError):
@@ -305,14 +290,13 @@ class TestSequenceTypes:
             interleave_timestamps([0.0, 1.0], **{"group_size": 1, **kwargs})
 
 
-def test_manifest_round_trip():
+def test_of_elements_round_trip():
     seq = MultimodalSequence.of((
         TextSpan((60, 51, 62)),
         FrameGroup(0.0, 1.0, 1, 2),
         TextSpan(()),
     ))
-    again = sequence_from_manifest(sequence_to_manifest(seq))
-    assert again.elements == seq.elements
+    assert MultimodalSequence.of(seq.elements).elements == seq.elements
 
 
 grids = st.integers(1, 64)
@@ -348,9 +332,11 @@ def test_of_matches_per_element_reference(items):
 
 
 @given(st.lists(elements, max_size=8).map(MultimodalSequence.of))
-def test_manifest_round_trip_is_lossless(seq):
-    manifest = json.loads(json.dumps(sequence_to_manifest(seq)))
-    assert sequence_from_manifest(manifest).elements == seq.elements
+def test_of_elements_round_trip_is_lossless(seq):
+    again = MultimodalSequence.of(seq.elements)
+    assert again.elements == seq.elements
+    for name in ("columns", "tokens", "start_times", "end_times"):
+        np.testing.assert_array_equal(getattr(again, name), getattr(seq, name))
 
 
 def single_perturbations(seq):
@@ -424,7 +410,6 @@ def test_interleave_matches_per_group_reference(frames, group_size, style, gh, g
     np.testing.assert_array_equal(seq.start_times, ref.start_times)
     np.testing.assert_array_equal(seq.end_times, ref.end_times)
     assert seq.elements == ref.elements
-    assert json.dumps(sequence_to_manifest(seq)) == json.dumps(sequence_to_manifest(ref))
 
 
 @pytest.mark.parametrize("frames, group_size", [
