@@ -139,6 +139,12 @@ class TestFrequencyAllocation:
             split = mrope.default_chunk_split(half)
             assert sum(split) == half and min(split) >= 0
 
+    def test_config_round_trip(self):
+        for alloc in (build_frequency_allocation(24),
+                      build_frequency_allocation(24, scheme="chunked", chunk_split=(5, 4, 3))):
+            again = build_frequency_allocation(**alloc.to_config())
+            assert again == alloc
+
 
 class TestApplyMrope:
     def test_zero_position_is_identity(self):
