@@ -21,7 +21,7 @@ import numpy as np
 
 from .. import numerics, timeline
 from ..errors import ConfigError
-from ..mrope import FrequencyAllocation, _rotation_tables, frame_group_ids
+from ..mrope import FrequencyAllocation, frame_group_ids, rotation_tables
 from ..numerics import Tensor
 from ..seeding import Rng
 from ..sequence import MultimodalSequence
@@ -47,6 +47,8 @@ class NiahConfig:
             value = getattr(self, name)
             if type(value) is not int:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not 1 <= self.num_frames <= timeline.MAX_GROUPS:
             raise ConfigError(f"num_frames must lie in [1, {timeline.MAX_GROUPS}]")
         depths = tuple(float(d) for d in self.needle_depths)
@@ -166,7 +168,7 @@ def run_niah_probe(seq: MultimodalSequence, keys, query_signature,
     if keys.shape[1] != dim:
         raise ConfigError(f"signature width {keys.shape[1]} vs query width {dim}")
 
-    cos, sin = _rotation_tables(group_ids, alloc)
+    cos, sin = rotation_tables(group_ids, alloc)
     rotated_keys = numerics.rotate_pairs(Tensor(keys), cos, sin).data
     rotated_queries = numerics.rotate_pairs(Tensor(np.tile(query, (groups, 1))), cos, sin).data
     scores = np.einsum("ij,ij->i", rotated_queries, rotated_keys)

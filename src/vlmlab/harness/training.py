@@ -4,8 +4,8 @@ Plain gradient descent over synthetic next-token-prediction batches.  The
 loss path weighs each sample's summed token losses by its weight from the
 objective module, so the chosen aggregation scheme shapes the gradients
 exactly as it shapes the reported loss.  Parameters of components outside
-the stage's trainable set are never touched, so they remain bit-identical
-across any number of steps.
+the stage's trainable set are neither differentiated nor touched, so they
+remain bit-identical across any number of steps.
 """
 
 from __future__ import annotations
@@ -106,7 +106,9 @@ def train_toy(model: VisionLanguageModel, stage: StageConfig,
     """Run ``steps`` of gradient descent on the stage's trainable components.
 
     The model is updated in place; its parameters after the call are the
-    final ones.  ``steps`` 0 reports the loss once and updates nothing.
+    final ones.  Backward differentiates the stage's trainable parameters
+    only (S0: the mergers); one the loss does not reach is not updated.
+    ``steps`` 0 reports the loss once and updates nothing.
     ``lr`` may be zero (a legal no-op step, useful for freeze checks) but not
     negative or non-finite; a step that overflows raises ``ConfigError``.
     """
@@ -132,9 +134,12 @@ def train_toy(model: VisionLanguageModel, stage: StageConfig,
                     initial = final
                 if not steps:
                     break
-                loss.backward()
-                for name, param in model.parameters().items():
-                    if param.grad is not None and model.component_of(name) in stage.trainable:
+                # Rebuilt each step: the update replaces every trained parameter.
+                trainable = {name: param for name, param in model.parameters().items()
+                             if model.component_of(name) in stage.trainable}
+                loss.backward(trainable.values())
+                for name, param in trainable.items():
+                    if param.grad is not None:
                         model.set_parameter(name, numerics.parameter(param.data - lr * param.grad))
     except NonFiniteError as exc:
         raise ConfigError(f"training diverged at step {step + 1} with lr {lr}: {exc}") from None

@@ -140,7 +140,7 @@ def frame_group_ids(seq: MultimodalSequence) -> np.ndarray:
     return layout[layout[:, 5] == FRAMES][:, [2, 3, 3]]
 
 
-def _rotation_tables(ids, alloc: FrequencyAllocation) -> tuple[np.ndarray, np.ndarray]:
+def rotation_tables(ids, alloc: FrequencyAllocation) -> tuple[np.ndarray, np.ndarray]:
     """The (seq, pairs) cos and sin of each token's pair angles.
 
     ``ids`` is any (seq, 3) integer array-like of (t, h, w) triples.
@@ -163,7 +163,7 @@ def apply_mrope(x: Tensor, ids, alloc: FrequencyAllocation) -> Tensor:
         raise ShapeError(f"apply_mrope expects (seq, head_dim), got {x.shape}")
     if x.shape[1] != alloc.head_dim:
         raise ShapeError(f"head_dim mismatch: tensor {x.shape[1]} vs allocation {alloc.head_dim}")
-    cos, sin = _rotation_tables(ids, alloc)
+    cos, sin = rotation_tables(ids, alloc)
     if len(cos) != x.shape[0]:
         raise ShapeError(f"{len(cos)} position ids for {x.shape[0]} tokens")
     return numerics.rotate_pairs(x, cos, sin)

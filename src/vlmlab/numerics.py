@@ -14,8 +14,11 @@ Each differentiable op checks shapes, computes its forward value and passes
 it to ``_node`` with one gradient function per parent, mapping the upstream
 gradient to that parent's gradient (a vector-Jacobian product).  ``_node``
 alone records the node: in ``backward`` it calls a parent's function only
-if that parent requires a gradient, stores the first gradient a parent
-receives as it is and adds later ones.  No gradient is written in place.
+if that parent is *needed*, that is, has a differentiated leaf among its
+ancestors or is one.  It stores the first gradient a parent receives as it
+is and adds later ones.  No gradient is written in place.  Every child of a
+needed node is needed, so differentiating a subset of the leaves gives them
+bit-identical gradients in less work.
 
 All differentiable operations here are validated against central finite
 differences by :func:`grad_check`; see the test suite for the sweep over
@@ -25,8 +28,8 @@ every op and supported rank.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
-from typing import Callable, Sequence
+from itertools import accumulate, chain
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -40,8 +43,8 @@ class Tensor:
 
     ``_op`` names the producing operation, ``_parents`` references the input
     tensors, and ``_backward`` (set by ``_node``) passes an upstream
-    gradient to each parent that requires one: the parent's first gradient
-    is stored as it is, later ones are added.  Leaf tensors have no parents.
+    gradient to each needed parent: the parent's first gradient is stored
+    as it is, later ones are added.  Leaf tensors have no parents.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_op", "_parents", "_backward")
@@ -59,7 +62,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._op = _op
         self._parents = _parents
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._backward: Callable[[np.ndarray, set[Tensor]], None] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -70,20 +73,30 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def backward(self) -> None:
-        """Accumulate gradients of this scalar output into all ancestors.
+    def backward(self, leaves: Iterable["Tensor"] | None = None) -> None:
+        """Accumulate gradients of this scalar output into its ancestors.
 
         Visits each tape node exactly once, in reverse topological order.
+        Differentiates ``leaves``, or by default every leaf that requires a
+        gradient; a listed leaf outside this graph ends with no gradient.
         """
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar output")
+        wanted = None if leaves is None else set(leaves)
+        if wanted and any(leaf._parents or not leaf.requires_grad for leaf in wanted):
+            raise ValueError("backward: a listed tensor is not a leaf that requires a gradient")
 
         order: list[Tensor] = []
+        needed: set[Tensor] = set()
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
+                # Post-order: every parent has been decided already.
+                if (any(p in needed for p in node._parents) if node._parents
+                        else node.requires_grad and (wanted is None or node in wanted)):
+                    needed.add(node)
                 order.append(node)
                 continue
             if id(node) in seen:
@@ -94,12 +107,12 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
 
-        for node in order:
+        for node in chain(order, wanted or ()):
             node.grad = None
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node._backward is not None and node in needed:
+                node._backward(node.grad, needed)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op!r})"
@@ -116,9 +129,9 @@ def _node(op: str, data: np.ndarray, parents: tuple[Tensor, ...],
     the gradient of ``parents[i]``."""
     node = Tensor(data, _op=op, _parents=parents)
     if node.requires_grad:
-        def _backward(g: np.ndarray) -> None:
+        def _backward(g: np.ndarray, needed: set[Tensor]) -> None:
             for parent, grad in zip(parents, grads):
-                if parent.requires_grad:
+                if parent in needed:
                     gp = grad(g)
                     parent.grad = gp if parent.grad is None else parent.grad + gp
         node._backward = _backward
@@ -262,10 +275,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         raise ShapeError("layer_norm: empty last axis")
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: affine shapes {gain.shape}/{bias.shape} vs width {d}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    # np.var's own steps, without its second mean and subtraction.
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
 
     def _grad_x(g):
         gx = g * gain.data

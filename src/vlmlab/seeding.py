@@ -19,6 +19,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def _label_key(label: str | int) -> int:
     digest = hashlib.sha256(str(label).encode("utf-8")).digest()
@@ -30,6 +32,8 @@ class Rng:
 
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         self._path = _path
         entropy = [self.seed, *(_path)]
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))

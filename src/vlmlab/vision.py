@@ -30,8 +30,8 @@ import numpy as np
 
 from . import numerics
 from .errors import NUMBER, ConfigError, ShapeError, check_config_types
-from .mrope import FrequencyAllocation, apply_mrope, assign_position_ids, \
-    build_frequency_allocation
+from .mrope import FrequencyAllocation, assign_position_ids, build_frequency_allocation, \
+    rotation_tables
 from .numerics import Tensor
 from .seeding import Rng
 from .sequence import TEXT, MultimodalSequence
@@ -163,27 +163,25 @@ def _block_params(rng: Rng, width: int, head_dim: int, prefix: str) -> dict[str,
 
 
 def _block_forward(params: Mapping[str, Tensor], prefix: str, x: Tensor,
-                   ids: np.ndarray, alloc: FrequencyAllocation,
-                   causal: bool, groups: int = 1) -> Tensor:
+                   rotation: tuple[np.ndarray, np.ndarray], mask: np.ndarray | None,
+                   groups: int = 1) -> Tensor:
     """One block over ``groups`` equal runs of rows; attention stays inside
-    each run."""
+    each run.  ``rotation`` is the (cos, sin) pair of each row's rotary
+    angles; ``mask`` is the causal mask, or None for full attention."""
     n = x.shape[0]
     a = _norm(params, f"{prefix}.ln1", x)
-    q = apply_mrope(_linear(params, f"{prefix}.q", a), ids, alloc)
-    k = apply_mrope(_linear(params, f"{prefix}.k", a), ids, alloc)
+    q = numerics.rotate_pairs(_linear(params, f"{prefix}.q", a), *rotation)
+    k = numerics.rotate_pairs(_linear(params, f"{prefix}.k", a), *rotation)
     v = _linear(params, f"{prefix}.v", a)
+    head_dim = v.shape[1]
     if groups > 1:
-        q, k, v = (numerics.reshape(t, (groups, n // groups, alloc.head_dim)) for t in (q, k, v))
+        q, k, v = (numerics.reshape(t, (groups, n // groups, head_dim)) for t in (q, k, v))
     scores = numerics.scale(numerics.matmul(q, numerics.transpose(k)),
-                            1.0 / np.sqrt(alloc.head_dim))
-    if causal:
-        mask = np.tril(np.ones((n, n), dtype=bool))
-        attn = numerics.masked_softmax(scores, mask, axis=-1)
-    else:
-        attn = numerics.softmax(scores, axis=-1)
+                            1.0 / np.sqrt(head_dim))
+    attn = numerics.softmax(scores) if mask is None else numerics.masked_softmax(scores, mask)
     mixed = numerics.matmul(attn, v)
     if groups > 1:
-        mixed = numerics.reshape(mixed, (n, alloc.head_dim))
+        mixed = numerics.reshape(mixed, (n, head_dim))
     x = numerics.add(x, _linear(params, f"{prefix}.o", mixed))
     m = _norm(params, f"{prefix}.ln2", x)
     h = numerics.gelu(_linear(params, f"{prefix}.mlp1", m))
@@ -223,10 +221,10 @@ class VisionEncoder:
         rows, cols = np.divmod(np.arange(len(grids) * n) % n, gw)
         ids = np.stack((np.zeros_like(rows), rows, cols), axis=1)
         x = numerics.add(numerics.concat_rows([grid.features for grid in grids]), pos)
+        rotation = rotation_tables(ids, self.config.alloc)
         taps = []
         for layer in range(self.config.encoder_depth):
-            x = _block_forward(self.params, f"block{layer}", x, ids, self.config.alloc,
-                               causal=False, groups=len(grids))
+            x = _block_forward(self.params, f"block{layer}", x, rotation, None, len(grids))
             if layer in self.config.taps:
                 taps.append(x)
         return x, taps
@@ -303,11 +301,13 @@ class Decoder:
                              f"{len(cfg.inject_layers)} inject layers")
         inject = dict(zip(cfg.inject_layers, deepstack))
 
+        rotation = rotation_tables(ids, cfg.alloc)
+        mask = np.tril(np.ones((len(ids), len(ids)), dtype=bool))
         x = embeddings
         for layer in range(cfg.decoder_depth):
             if layer in inject and not cfg.inject_after_layer:
                 x = numerics.add_rows_at(x, inject[layer], positions)
-            x = _block_forward(self.params, f"block{layer}", x, ids, cfg.alloc, causal=True)
+            x = _block_forward(self.params, f"block{layer}", x, rotation, mask)
             if layer in inject and cfg.inject_after_layer:
                 x = numerics.add_rows_at(x, inject[layer], positions)
         x = _norm(self.params, "ln_f", x)

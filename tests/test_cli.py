@@ -212,6 +212,8 @@ TINY_NIAH = {"num_frames": 4, "needle_depths": [0.5], "trials": 1, "durations_mi
     (["niah"], {"schema_version": 2}),
     (["train", "--stage", "cfg.json"], {"schema_version": 2, "name": "S1"}),
     (["train", "--lr", "1e308", "--steps", "3"], None),
+    (["niah", "--seed", "-1"], TINY_NIAH),
+    (["train", "--seed", "-1", "--steps", "1"], None),
 ], ids=["train-lr-nan", "train-bogus-scheme", "sparsity-granularity-nan", "ground-directory",
         "train-lr-string", "sparsity-granularity-string", "spectrum-head-dim-string",
         "niah-trials-string", "train-model-dim-string", "train-unknown-key",
@@ -225,7 +227,7 @@ TINY_NIAH = {"num_frames": 4, "needle_depths": [0.5], "trials": 1, "durations_mi
         "sparsity-overflowing-absolute-ids", "niah-too-many-frames", "niah-out-under-a-file",
         "niah-out-is-a-file",
         "train-out-is-a-directory", "niah-schema-version-2", "stage-schema-version-2",
-        "train-divergent-lr"])
+        "train-divergent-lr", "niah-negative-seed", "train-negative-seed"])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)
     if config is not None:

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vlmlab import mrope
+from vlmlab import mrope, numerics
 from vlmlab.cli import _NIAH_KEYS
 from vlmlab.errors import ConfigError, check_config_types
 from vlmlab.harness import (NiahConfig, StageConfig, build_niah_sequence, emit_report,
                             load_stage_config, make_synthetic_batch, run_niah_probe, train_toy)
 from vlmlab.harness.niah import run_niah_grid
 from vlmlab.harness.stages import STAGE_NAMES
+from vlmlab.harness.training import _batch_loss
 from vlmlab.seeding import Rng
 from vlmlab.timeline import interleave_timestamps
-from vlmlab.vision import ModelConfig, VisionLanguageModel
+from vlmlab.vision import ModelConfig, VisionEncoder, VisionLanguageModel
 
 
 def tiny_model(seed=0, **overrides):
@@ -83,6 +84,71 @@ class TestTrainToy:
             if frozen:
                 assert before[name] == after[name], name
         assert any(before[n] != after[n] for n in before if n.startswith("merger."))
+
+    def test_s0_trajectory_matches_the_full_backward(self):
+        """Merger-only gradients give the bytes a full backward gives."""
+        cfg, model = tiny_model(seed=3)
+        _, reference = tiny_model(seed=3)
+        batch = make_synthetic_batch(cfg, Rng(3).split("data"), n_examples=4, text_len=6)
+        stage = load_stage_config("S0")
+        result = train_toy(model, stage, batch, steps=20, lr=0.3)
+        losses = []
+        for _ in range(20):
+            loss, _ = _batch_loss(reference, batch, "sqrt")
+            losses.append(loss.item())
+            loss.backward()
+            for name, param in reference.parameters().items():
+                if param.grad is not None and reference.component_of(name) in stage.trainable:
+                    reference.set_parameter(
+                        name, numerics.parameter(param.data - 0.3 * param.grad))
+        assert result.losses == losses
+        assert param_bytes(model) == param_bytes(reference)
+        assert [name for name, param in model.parameters().items()
+                if param.grad is not None and not name.startswith("merger.")] == []
+
+    def test_s0_runs_no_encoder_gradient_function(self, monkeypatch):
+        cfg, model = tiny_model()
+        batch = make_synthetic_batch(cfg, Rng(1).split("data"), n_examples=2, text_len=5)
+        runs = []
+        forward = VisionEncoder.forward
+
+        def counted(fn):
+            def wrapper(*args):
+                runs.append(fn)
+                return fn(*args)
+            return wrapper
+
+        def counting_forward(self, *grids):
+            # Wrap the gradient function of every tape node the encoder made.
+            final, taps = forward(self, *grids)
+            stack, seen = [final, *taps], set()
+            while stack:
+                node = stack.pop()
+                if id(node) in seen or node._backward is None:
+                    continue
+                seen.add(id(node))
+                node._backward = counted(node._backward)
+                stack.extend(node._parents)
+            return final, taps
+
+        monkeypatch.setattr(VisionEncoder, "forward", counting_forward)
+        train_toy(model, load_stage_config("S0"), batch, steps=1, lr=0.1)
+        assert runs == []
+        train_toy(model, load_stage_config("S1"), batch, steps=1, lr=0.1)
+        assert runs
+
+    def test_a_later_stage_applies_no_stale_gradient(self):
+        """A text-only S1 step leaves the encoder alone after an S0 step."""
+        cfg, model = tiny_model()
+        batch = make_synthetic_batch(cfg, Rng(0).split("data"))
+        train_toy(model, load_stage_config("S0"), batch, steps=1, lr=0.1)
+        before = param_bytes(model)
+        text_only = [example for example in batch if not example.grids]
+        assert len(text_only) == 4
+        train_toy(model, load_stage_config("S1"), text_only, steps=1, lr=0.1)
+        after = param_bytes(model)
+        assert [n for n in before if n.startswith("encoder.") and before[n] != after[n]] == []
+        assert any(before[n] != after[n] for n in before if n.startswith("decoder."))
 
     def test_zero_lr_changes_nothing(self):
         cfg, model = tiny_model()
@@ -305,6 +371,10 @@ class TestNiahConfigValidation:
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             NiahConfig(**{field: value})
+
+    def test_seed_non_negative(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            NiahConfig(seed=-1)
 
 
 niah_configs = st.builds(

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vlmlab import numerics as N
-from vlmlab.errors import ShapeError
+from vlmlab.errors import ConfigError, ShapeError
 from vlmlab.numerics import Tensor
 from vlmlab.seeding import Rng
 
@@ -156,6 +158,57 @@ class TestBackward:
             loss = N.sum_all(N.mul(x, x))
             loss.backward()
         np.testing.assert_allclose(x.grad, [6.0])
+
+    def test_listed_tensors_must_be_leaves_that_require_gradients(self):
+        x = N.parameter(np.ones((2, 2)))
+        hidden = N.gelu(x)
+        loss = N.sum_all(hidden)
+        with pytest.raises(ValueError, match="not a leaf"):
+            loss.backward([hidden])
+        with pytest.raises(ValueError, match="not a leaf"):
+            loss.backward([x, Tensor(np.ones((2, 2)))])
+
+    def test_listed_leaf_outside_the_graph_is_cleared(self):
+        x, unused = N.parameter(np.asarray([3.0])), N.parameter(np.asarray([1.0]))
+        N.sum_all(N.mul(unused, unused)).backward()
+        N.sum_all(N.mul(x, x)).backward([x, unused])
+        np.testing.assert_allclose(x.grad, [6.0])
+        assert unused.grad is None
+
+    @given(st.data())
+    def test_listed_leaves_get_the_full_backwards_gradients(self, data):
+        """Gradients of a listed subset are bit-identical to the full backward's;
+        every other leaf of the graph ends with no gradient."""
+        rng = Rng(data.draw(st.integers(0, 2 ** 32), label="seed"))
+        kinds = data.draw(st.lists(st.sampled_from(["matrix", "vector"]), min_size=1,
+                                   max_size=3), label="kinds")
+        leaves = [N.parameter(rng.split("x").normal((3, 4)))]
+        leaves += [N.parameter(rng.split(i).normal((4, 4) if kind == "matrix" else (4,)))
+                   for i, kind in enumerate(kinds)]
+        matrices = [p for p in leaves[1:] if p.data.ndim == 2]
+        vectors = [p for p in leaves[1:] if p.data.ndim == 1]
+        ops = ["gelu"] + ["matmul"] * bool(matrices) + ["add_bias", "layer_norm"] * bool(vectors)
+        h = leaves[0]
+        for op in data.draw(st.lists(st.sampled_from(ops), min_size=1, max_size=6), label="ops"):
+            if op == "gelu":
+                h = N.gelu(h)
+            elif op == "matmul":
+                h = N.matmul(h, data.draw(st.sampled_from(matrices)))
+            elif op == "add_bias":
+                h = N.add_bias(h, data.draw(st.sampled_from(vectors)))
+            else:
+                h = N.layer_norm(h, data.draw(st.sampled_from(vectors)),
+                                 data.draw(st.sampled_from(vectors)))
+        loss = N.sum_all(N.mul(h, Tensor(rng.split("w").normal((3, 4)))))
+        loss.backward()
+        full = [p.grad for p in leaves]
+        listed = data.draw(st.sets(st.sampled_from(range(len(leaves)))), label="listed")
+        loss.backward([leaves[i] for i in listed])
+        for i, p in enumerate(leaves):
+            if i in listed and full[i] is not None:
+                assert np.array_equal(p.grad, full[i]), i
+            else:
+                assert p.grad is None, i
 
 
 class TestGradCheck:
@@ -316,6 +369,11 @@ def test_determinism_same_seed_bitwise():
     out1 = N.matmul(Tensor(a), Tensor(b))
     out2 = N.matmul(Tensor(a), Tensor(b))
     assert out1.data.tobytes() == out2.data.tobytes()
+
+
+def test_negative_seed_is_a_config_error():
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        Rng(-1)
 
 
 def test_split_streams_differ():
