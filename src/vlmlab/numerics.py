@@ -4,11 +4,11 @@ The design goal is auditability, not speed: values are immutable numpy
 arrays (safe to share read-only across threads), every operation records
 one tape node (op name, parents, backward closure), and ``backward`` walks
 the tape once in topological order.  There is no broadcasting beyond the
-last-axis affine used by ``add_bias`` and ``layer_norm``.  ``matmul`` and
-``transpose`` also take rank-3 operands, a batch of matrices along the first
-axis: ``matmul`` multiplies matching batch entries and ``transpose`` swaps
-the last two axes, so a batch of independent attentions runs as one node
-per op.
+last-axis affine used by ``add_bias`` and ``layer_norm``.  ``attention``
+also takes rank-3 operands, a batch of matrices along the first axis, so a
+batch of independent attentions runs as one node.  It is fused: scores,
+scale, mask, softmax and value product make one node that keeps only the
+probabilities for backward.
 
 Each differentiable op checks shapes, computes its forward value and passes
 it to ``_node`` with one gradient function per parent, mapping the upstream
@@ -124,15 +124,17 @@ def parameter(values) -> Tensor:
 
 
 def _node(op: str, data: np.ndarray, parents: tuple[Tensor, ...],
-          grads: Sequence[Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+          grads: Sequence[Callable], shared: Callable | None = None) -> Tensor:
     """The tape node of ``op``: ``grads[i]`` maps the upstream gradient to
-    the gradient of ``parents[i]``."""
+    the gradient of ``parents[i]``.  With ``shared``, each ``grads[i]`` takes
+    ``shared(upstream)`` instead, computed once per backward call."""
     node = Tensor(data, _op=op, _parents=parents)
     if node.requires_grad:
         def _backward(g: np.ndarray, needed: set[Tensor]) -> None:
+            h = g if shared is None else shared(g)
             for parent, grad in zip(parents, grads):
                 if parent in needed:
-                    gp = grad(g)
+                    gp = grad(h)
                     parent.grad = gp if parent.grad is None else parent.grad + gp
         node._backward = _backward
     return node
@@ -177,23 +179,55 @@ def _swap_last(x: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of rank-2 operands, or of two equal batches of them."""
-    if a.data.ndim != b.data.ndim or a.data.ndim not in (2, 3):
-        raise ShapeError(f"matmul needs two rank-2 or two rank-3 operands, "
-                         f"got {a.shape} and {b.shape}")
-    if a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul: batch axes {a.shape} x {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
+    """Matrix product of rank-2 operands."""
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(f"matmul needs two rank-2 operands, got {a.shape} and {b.shape}")
+    if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims {a.shape} x {b.shape}")
     return _node("matmul", a.data @ b.data, (a, b),
-                 (lambda g: g @ _swap_last(b.data), lambda g: _swap_last(a.data) @ g))
+                 (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
 
-def transpose(x: Tensor) -> Tensor:
-    """Swap the last two axes of a rank-2 or rank-3 tensor."""
-    if x.data.ndim not in (2, 3):
-        raise ShapeError(f"transpose needs rank 2 or 3, got {x.shape}")
-    return _node("transpose", _swap_last(x.data).copy(), (x,), (_swap_last,))
+def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
+    """Scaled dot-product attention, softmax(q k^T / sqrt(width)) v, as one node.
+
+    Operands are rank 2, (rows, width), or rank 3, a batch of independent
+    attentions along the first axis.  ``causal`` hides from each query the
+    keys after its own row.  The scores become the probabilities in place,
+    and backward keeps nothing larger.
+    """
+    if not q.data.ndim == k.data.ndim == v.data.ndim in (2, 3):
+        raise ShapeError(f"attention needs three rank-2 or three rank-3 operands, "
+                         f"got {q.shape}, {k.shape} and {v.shape}")
+    *batch, m, d = q.shape
+    n = k.shape[-2]
+    if k.shape != (*batch, n, d) or v.shape[:-1] != (*batch, n) or 0 in (n, d) \
+            or causal and m != n:
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} "
+                         f"do not fit (causal={causal})")
+    c = 1.0 / math.sqrt(d)
+    kt = _swap_last(k.data).copy()
+    p = q.data @ kt
+    p *= c
+    if causal:
+        for row in range(n - 1):
+            p[..., row, row + 1:] = -np.inf
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def _with_scores_grad(g):
+        """The upstream gradient and that of the scaled scores, via the softmax."""
+        gs = g @ _swap_last(v.data)
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= c
+        return g, gs
+
+    return _node("attention", p @ v.data, (q, k, v),
+                 (lambda h: h[1] @ _swap_last(kt),
+                  lambda h: _swap_last(_swap_last(q.data) @ h[1]),
+                  lambda h: _swap_last(p) @ h[0]), _with_scores_grad)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -230,40 +264,6 @@ def gelu(x: Tensor) -> Tensor:
         return g * (0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t ** 2) * du)
 
     return _node("gelu", 0.5 * x.data * (1.0 + t), (x,), (_grad,))
-
-
-def _softmax(op: str, x: Tensor, axis: int, mask: np.ndarray | None) -> Tensor:
-    """Stabilized softmax along ``axis``, with masked-out logits at -inf."""
-    ax = axis if axis >= 0 else x.data.ndim + axis
-    if ax < 0 or ax >= x.data.ndim:
-        raise ShapeError(f"{op}: axis {axis} invalid for shape {x.shape}")
-    logits = x.data
-    if mask is not None:
-        if not mask.any(axis=ax).all():
-            raise ShapeError(f"{op}: fully masked slice")
-        logits = np.where(mask, logits, -np.inf)
-    elif x.shape[ax] == 0:
-        raise ShapeError(f"{op} over an empty axis")
-    shifted = logits - logits.max(axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=ax, keepdims=True)
-    return _node(op, s, (x,), (lambda g: s * (g - (g * s).sum(axis=ax, keepdims=True)),))
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stabilized softmax along ``axis``."""
-    return _softmax("softmax", x, axis, None)
-
-
-def masked_softmax(x: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
-    """Softmax where entries with ``mask == False`` get zero probability.
-
-    Each slice along ``axis`` must keep at least one unmasked entry.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != x.shape:
-        raise ShapeError(f"masked_softmax: mask {mask.shape} vs {x.shape}")
-    return _softmax("masked_softmax", x, axis, mask)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:

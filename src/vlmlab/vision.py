@@ -11,13 +11,13 @@ at the visual-token positions, adding no sequence length.
 
 ``prepare`` packs the patch grids of a sequence by shape: all grids of one
 shape go through the encoder as one stack of rows, and through each merger,
-in one pass.  Attention stays inside each grid, as a rank-3 batch with one
-(rows, rows) score matrix per grid, so memory grows linearly with the number
-of grids.  One ``gather_rows`` then puts text and visual rows in sequence
-order.
+in one pass.  Attention stays inside each grid, as one ``attention`` node
+over a rank-3 batch keeping one (rows, rows) probability matrix per grid,
+so memory grows linearly with the number of grids.  One ``gather_rows``
+then puts text and visual rows in sequence order.
 
 The decoder is a standard pre-norm causal transformer whose q/k vectors
-get the three-axis rotary treatment.
+get the three-axis rotary treatment; its ``attention`` hides later tokens.
 """
 
 from __future__ import annotations
@@ -163,11 +163,11 @@ def _block_params(rng: Rng, width: int, head_dim: int, prefix: str) -> dict[str,
 
 
 def _block_forward(params: Mapping[str, Tensor], prefix: str, x: Tensor,
-                   rotation: tuple[np.ndarray, np.ndarray], mask: np.ndarray | None,
+                   rotation: tuple[np.ndarray, np.ndarray], causal: bool,
                    groups: int = 1) -> Tensor:
     """One block over ``groups`` equal runs of rows; attention stays inside
-    each run.  ``rotation`` is the (cos, sin) pair of each row's rotary
-    angles; ``mask`` is the causal mask, or None for full attention."""
+    each run, as one fused ``attention`` node.  ``rotation`` is the (cos, sin)
+    pair of each row's rotary angles; ``causal`` hides later rows."""
     n = x.shape[0]
     a = _norm(params, f"{prefix}.ln1", x)
     q = numerics.rotate_pairs(_linear(params, f"{prefix}.q", a), *rotation)
@@ -176,10 +176,7 @@ def _block_forward(params: Mapping[str, Tensor], prefix: str, x: Tensor,
     head_dim = v.shape[1]
     if groups > 1:
         q, k, v = (numerics.reshape(t, (groups, n // groups, head_dim)) for t in (q, k, v))
-    scores = numerics.scale(numerics.matmul(q, numerics.transpose(k)),
-                            1.0 / np.sqrt(head_dim))
-    attn = numerics.softmax(scores) if mask is None else numerics.masked_softmax(scores, mask)
-    mixed = numerics.matmul(attn, v)
+    mixed = numerics.attention(q, k, v, causal)
     if groups > 1:
         mixed = numerics.reshape(mixed, (n, head_dim))
     x = numerics.add(x, _linear(params, f"{prefix}.o", mixed))
@@ -224,7 +221,7 @@ class VisionEncoder:
         rotation = rotation_tables(ids, self.config.alloc)
         taps = []
         for layer in range(self.config.encoder_depth):
-            x = _block_forward(self.params, f"block{layer}", x, rotation, None, len(grids))
+            x = _block_forward(self.params, f"block{layer}", x, rotation, False, len(grids))
             if layer in self.config.taps:
                 taps.append(x)
         return x, taps
@@ -302,12 +299,11 @@ class Decoder:
         inject = dict(zip(cfg.inject_layers, deepstack))
 
         rotation = rotation_tables(ids, cfg.alloc)
-        mask = np.tril(np.ones((len(ids), len(ids)), dtype=bool))
         x = embeddings
         for layer in range(cfg.decoder_depth):
             if layer in inject and not cfg.inject_after_layer:
                 x = numerics.add_rows_at(x, inject[layer], positions)
-            x = _block_forward(self.params, f"block{layer}", x, rotation, mask)
+            x = _block_forward(self.params, f"block{layer}", x, rotation, True)
             if layer in inject and cfg.inject_after_layer:
                 x = numerics.add_rows_at(x, inject[layer], positions)
         x = _norm(self.params, "ln_f", x)

@@ -54,56 +54,126 @@ class TestBasics:
                 pytest.raises(ValueError, match="non-finite values in result of op 'scale'"):
             N.scale(Tensor([1e308]), 1e308)
 
-    def test_batched_matmul_is_per_entry(self):
-        a, b = rand((3, 2, 4), seed=1), rand((3, 4, 5), seed=2)
-        out = N.matmul(a, b)
+    def test_batched_attention_is_per_entry(self):
+        q, k, v = rand((3, 2, 4), seed=1), rand((3, 5, 4), seed=2), rand((3, 5, 6), seed=3)
+        out = N.attention(q, k, v)
         for i in range(3):
-            np.testing.assert_array_equal(out.data[i], a.data[i] @ b.data[i])
+            one = N.attention(Tensor(q.data[i]), Tensor(k.data[i]), Tensor(v.data[i]))
+            np.testing.assert_array_equal(out.data[i], one.data)
 
     @pytest.mark.parametrize("left,right,match", [
-        ((2, 3, 4), (3, 4, 2), "batch axes"),
-        ((3, 4), (2, 4, 2), "two rank-2 or two rank-3"),
-        ((2, 3, 4), (4, 2), "two rank-2 or two rank-3"),
-        ((1, 2, 3, 4), (1, 2, 4, 3), "two rank-2 or two rank-3"),
-        ((2, 3, 4), (2, 3, 4), "inner dims"),
+        ((2, 3, 4), (3, 4, 2), "two rank-2"),
+        ((3, 4), (2, 4, 2), "two rank-2"),
+        ((2, 3, 4), (4, 2), "two rank-2"),
+        ((1, 2, 3, 4), (1, 2, 4, 3), "two rank-2"),
+        ((2, 3, 4), (2, 3, 4), "two rank-2"),
+        ((4,), (4, 2), "two rank-2"),
+        ((2, 3), (2, 3), "inner dims"),
     ])
     def test_matmul_operand_errors(self, left, right, match):
         with pytest.raises(ShapeError, match=match):
             N.matmul(Tensor(np.ones(left)), Tensor(np.ones(right)))
 
-    def test_transpose_rank_error(self):
-        with pytest.raises(ShapeError, match="rank 2 or 3"):
-            N.transpose(Tensor(np.ones(4)))
+    @pytest.mark.parametrize("q,k,v,causal,match", [
+        ((2, 4), (3, 4), (3, 4, 1), False, "rank-2 or three rank-3"),
+        ((1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4), False, "rank-2 or three rank-3"),
+        ((2, 3, 4), (3, 3, 4), (3, 3, 4), False, "do not fit"),
+        ((3, 4), (3, 5), (3, 2), False, "do not fit"),
+        ((3, 4), (3, 4), (2, 2), False, "do not fit"),
+        ((3, 0), (3, 0), (3, 2), False, "do not fit"),
+        ((2, 4), (3, 4), (3, 2), True, "causal=True"),
+    ])
+    def test_attention_operand_errors(self, q, k, v, causal, match):
+        with pytest.raises(ShapeError, match=match):
+            N.attention(Tensor(np.ones(q)), Tensor(np.ones(k)), Tensor(np.ones(v)), causal)
 
 
 class TestSoftmax:
+    """The softmax inside ``attention``.  Width-1 keys make each score the
+    product of one query and one key value, and identity values make each
+    output row the probability row itself."""
+
+    @staticmethod
+    def probabilities(query, keys):
+        q = Tensor(np.reshape(query, (-1, 1)))
+        return N.attention(q, Tensor(np.reshape(keys, (-1, 1))), Tensor(np.eye(len(keys)))).data
+
     def test_uniform(self):
-        out = N.softmax(Tensor([[0.0, 0.0, 0.0, 0.0]]))
-        np.testing.assert_array_equal(out.data, [[0.25] * 4])
+        out = self.probabilities([0.0], [1.0, -2.0, 3.0, 0.5])
+        np.testing.assert_array_equal(out, [[0.25] * 4])
 
     def test_hand_values(self):
-        out = N.softmax(Tensor([[math.log(1.0), math.log(3.0)]]))
-        np.testing.assert_allclose(out.data, [[0.25, 0.75]], atol=1e-15)
+        out = self.probabilities([1.0], [math.log(1.0), math.log(3.0)])
+        np.testing.assert_allclose(out, [[0.25, 0.75]], atol=1e-15)
 
     def test_stabilized(self):
-        out = N.softmax(Tensor([[1000.0, 0.0]]))
-        np.testing.assert_allclose(out.data, [[1.0, 0.0]], atol=1e-300)
+        out = self.probabilities([1.0], [1000.0, 0.0])
+        np.testing.assert_allclose(out, [[1.0, 0.0]], atol=1e-300)
 
     def test_rows_sum_to_one(self):
-        x = rand((7, 13), seed=5)
-        out = N.softmax(x, axis=-1)
-        np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(7), atol=1e-12)
-        assert (out.data >= 0).all()
+        full = N.attention(rand((7, 3), seed=5), rand((13, 3), seed=6), Tensor(np.eye(13))).data
+        causal = N.attention(rand((13, 3), seed=7), rand((13, 3), seed=6), Tensor(np.eye(13)),
+                             causal=True).data
+        for out in (full, causal):
+            np.testing.assert_allclose(out.sum(axis=-1), np.ones(len(out)), atol=1e-12)
+            assert (out >= 0).all()
+        # A causal row puts no mass on later keys.
+        np.testing.assert_array_equal(np.triu(causal, 1), np.zeros((13, 13)))
 
     def test_empty_axis_errors(self):
-        with pytest.raises(ShapeError, match="empty axis"):
-            N.softmax(Tensor(np.zeros((2, 0))))
+        with pytest.raises(ShapeError, match="do not fit"):
+            N.attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((0, 3))),
+                        Tensor(np.zeros((0, 2))))
 
-    def test_bad_axis_errors(self):
-        with pytest.raises(ShapeError, match="axis"):
-            N.softmax(Tensor(np.zeros((2, 3))), axis=2)
-        with pytest.raises(ShapeError, match="axis"):
-            N.masked_softmax(Tensor(np.zeros((2, 3))), np.ones((2, 3), dtype=bool), axis=2)
+
+def _attention_steps(q, k, v, causal, upstream):
+    """Output and (q, k, v) gradients of attention as separate numpy steps:
+    transpose, product, scale, mask, softmax, product, and their backwards."""
+    def swap(x):
+        return np.swapaxes(x, -1, -2)
+
+    c = float(1.0 / np.sqrt(q.shape[-1]))
+    kt = swap(k).copy()
+    scaled = (q @ kt) * c
+    if causal:
+        scaled = np.where(np.tril(np.ones(scaled.shape[-2:], dtype=bool)), scaled, -np.inf)
+    e = np.exp(scaled - scaled.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    g_p = upstream @ swap(v)
+    g_scores = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * c
+    return p @ v, g_scores @ swap(kt), swap(swap(q) @ g_scores), swap(p) @ upstream
+
+
+class TestAttention:
+    @pytest.mark.parametrize("batch,rows,causal", [
+        ((), 5, False), ((), 7, True), ((), 64, True), ((3,), 6, False), ((3,), 6, True),
+        ((2,), 64, False),
+    ])
+    def test_bit_identical_to_separate_steps(self, batch, rows, causal):
+        rng = Rng(rows + len(batch) + causal)
+        q, k = (N.parameter(rng.split(name).normal((*batch, rows, 8))) for name in "qk")
+        v = N.parameter(rng.split("v").normal((*batch, rows, 5)))
+        upstream = rng.split("g").normal((*batch, rows, 5))
+        out = N.attention(q, k, v, causal)
+        N.sum_all(N.mul(out, Tensor(upstream))).backward()
+        expected = _attention_steps(q.data, k.data, v.data, causal, upstream)
+        for got, want in zip((out.data, q.grad, k.grad, v.grad), expected):
+            assert np.array_equal(got, want)
+
+    def test_each_backward_uses_its_own_upstream_gradient(self):
+        """Two losses on one output, differentiated in turn: each backward call
+        gets that loss's gradients, none left over from the call before."""
+        rng = Rng(9)
+        q, k, v = (N.parameter(rng.split(name).normal((6, 4))) for name in "qkv")
+        out = N.attention(q, k, v, causal=True)
+        weights = rng.split("w").normal((6, 4))
+        losses = {"sum": N.sum_all(out), "weighted": N.sum_all(N.mul(out, Tensor(weights)))}
+        upstreams = {"sum": np.ones((6, 4)), "weighted": weights}
+        for name in ("sum", "weighted", "sum"):
+            losses[name].backward()
+            expected = _attention_steps(q.data, k.data, v.data, True, upstreams[name])
+            for got, want in zip((q.grad, k.grad, v.grad), expected[1:]):
+                assert np.array_equal(got, want), name
 
 
 class TestLayerNorm:
@@ -301,14 +371,6 @@ OP_CASES += [
     ("bias_of_add_bias", (4,), lambda t: N.sum_all(N.mul(N.add_bias(rand((3, 4), 95), t), rand((3, 4), 96)))),
     ("matmul_left", (3, 4), _two_arg(N.matmul, rand((4, 2), 97))),
     ("matmul_right", (4, 2), lambda t: N.sum_all(N.matmul(rand((3, 4), 98), t))),
-    ("matmul_left/r3", (2, 3, 4), lambda t: N.sum_all(N.mul(
-        N.matmul(t, rand((2, 4, 2), 135)), rand((2, 3, 2), 136)))),
-    ("matmul_right/r3", (2, 4, 2), lambda t: N.sum_all(N.mul(
-        N.matmul(rand((2, 3, 4), 137), t), rand((2, 3, 2), 138)))),
-    ("softmax/r1", (5,), lambda t: N.sum_all(N.mul(N.softmax(t, axis=0), rand((5,), 99)))),
-    ("softmax/r2", (3, 5), lambda t: N.sum_all(N.mul(N.softmax(t), rand((3, 5), 100)))),
-    ("masked_softmax", (4, 4), lambda t: N.sum_all(N.mul(
-        N.masked_softmax(t, np.tril(np.ones((4, 4), dtype=bool))), rand((4, 4), 101)))),
     ("layer_norm_x", (3, 6), lambda t: N.sum_all(N.mul(
         N.layer_norm(t, rand((6,), 102), rand((6,), 103)), rand((3, 6), 104)))),
     ("layer_norm_gain", (6,), lambda t: N.sum_all(N.mul(
@@ -329,14 +391,38 @@ OP_CASES += [
         N.rotate_pairs(t, np.cos(Rng(117).uniform((4, 3), -3, 3)),
                        np.sin(Rng(117).uniform((4, 3), -3, 3))), rand((4, 6), 118)))),
     ("token_nll", (4, 7), lambda t: N.sum_all(N.token_nll(t, [0, 3, 6, 2]))),
-    ("transpose", (3, 4), lambda t: N.sum_all(N.mul(N.transpose(t), rand((4, 3), 119)))),
-    ("transpose/r3", (2, 3, 4), lambda t: N.sum_all(N.mul(N.transpose(t), rand((2, 4, 3), 139)))),
     ("reshape", (3, 4), lambda t: N.sum_all(N.mul(N.reshape(t, (2, 6)), rand((2, 6), 120)))),
     ("interpolate_bilinear/r3", (3, 4, 2), lambda t: N.sum_all(N.mul(
         N.interpolate_bilinear(t, 5, 7), rand((5, 7, 2), 121)))),
     ("sum_all/r3", (2, 3, 2), N.sum_all),
 ]
 
+
+
+def _attention_cases():
+    """One case per parent slot of ``attention``, per rank and per mask mode:
+    q (rows, 3) attends over 4 keys (rows equal to 4 when causal)."""
+    cases = []
+    for batch in ((), (2,)):
+        for causal in (False, True):
+            rows = 4 if causal else 3
+            shapes = {"q": (*batch, rows, 3), "k": (*batch, 4, 3), "v": (*batch, 4, 2)}
+            seed = 140 + 10 * len(batch) + 5 * causal
+            for i, slot in enumerate("qkv"):
+                def f(t, slot=slot, shapes=shapes, causal=causal, seed=seed):
+                    args = {s: t if s == slot else rand(shape, seed + j)
+                            for j, (s, shape) in enumerate(shapes.items())}
+                    out = N.attention(args["q"], args["k"], args["v"], causal)
+                    return N.sum_all(N.mul(out, rand(out.shape, seed + 3)))
+                variant = f"r{len(batch) + 2}" + ("-causal" if causal else "")
+                cases.append((f"attention_{slot}/{variant}", shapes[slot], f))
+    # One tensor as both queries and keys: the two slots' gradients add up.
+    cases.append(("attention_qk/r2-causal", (4, 3), lambda t: N.sum_all(N.mul(
+        N.attention(t, t, rand((4, 2), 170), causal=True), rand((4, 2), 171)))))
+    return cases
+
+
+OP_CASES += _attention_cases()
 
 @pytest.mark.parametrize("name,shape,f", OP_CASES, ids=[c[0] for c in OP_CASES])
 def test_grad_check_sweep(name, shape, f):

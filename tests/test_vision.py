@@ -219,6 +219,22 @@ def tape_nodes(out: Tensor) -> list[Tensor]:
     return list(seen.values())
 
 
+def _closure_arrays(value, found: dict, seen: set) -> None:
+    """Collect into ``found`` every array reachable from ``value`` through
+    closure cells, tuples and lists; tensors (their own nodes) are skipped."""
+    if id(value) in seen or isinstance(value, Tensor):
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        found[id(value)] = value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _closure_arrays(item, found, seen)
+    elif callable(value):
+        for cell in getattr(value, "__closure__", None) or ():
+            _closure_arrays(cell.cell_contents, found, seen)
+
+
 class TestDeepstackInject:
     def test_zero_injection_identity(self):
         hidden = Tensor(Rng(0).normal((6, 8)))
@@ -296,6 +312,25 @@ class TestDecoder:
             out = dec.forward(Tensor(bumped), ids).data
             np.testing.assert_allclose(out[:j], base[:j], atol=1e-12)
             assert np.abs(out[j:] - base[j:]).max() > 0
+
+    def test_tape_keeps_one_probability_matrix_per_layer(self):
+        """Over n tokens no tape node outputs n * n elements or more, and the
+        only arrays that large the backward closures keep are the decoder_depth
+        attention nodes' probabilities: a score or mask node fails here."""
+        cfg = small_config()
+        n = 64
+        emb = N.parameter(Rng(7).normal((n, cfg.llm_dim)))
+        ids = np.repeat(np.arange(n)[:, None], 3, axis=1)
+        logits = Decoder(cfg, Rng(8)).forward(emb, ids)
+        nodes = tape_nodes(N.sum_all(N.token_nll(logits, np.arange(n) % cfg.vocab)))
+        assert max(node.data.size for node in nodes) < n * n
+        assert sum(node._op == "attention" for node in nodes) == cfg.decoder_depth
+        kept: dict[int, np.ndarray] = {}
+        for node in nodes:
+            if node._backward is not None:
+                _closure_arrays(node._backward, kept, set())
+        assert sorted(a.shape for a in kept.values() if a.size >= n * n) == \
+            [(n, n)] * cfg.decoder_depth
 
     def test_gradient_reaches_all_tap_mergers(self):
         cfg = small_config()
