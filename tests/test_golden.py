@@ -1,5 +1,6 @@
-"""Golden outputs: the default NIAH reports, two noisy probe cells and two
-``vlmlab sparsity`` reports.
+"""Golden outputs: the default NIAH reports, two noisy probe cells, the
+timestamped timelines of the default NIAH durations and two ``vlmlab
+sparsity`` reports.
 
 The digests were recorded from the per-token reference implementation of
 position ids, per-group signatures and the per-group timeline; any refactor
@@ -44,6 +45,35 @@ def test_noisy_probe_scores_exact(duration_s, depth, trial, index, margin_hex, s
     assert result.predicted_index == truth.group_index == index
     assert result.margin.hex() == margin_hex
     assert _sha256(np.asarray(result.scores, dtype=np.float64).tobytes()) == scores_sha256
+
+
+# The reports hold only accuracies, and position ids depend on stamp lengths,
+# not on their bytes, so only these digests see a wrong stamp digit.
+@pytest.mark.parametrize("style, minutes, tokens_sha256, columns_sha256", [
+    ("seconds", 1.0, "7d067a2dfcf2e73a7ea5858bf007b912469e0fc3c62defc4330b861d77cecfbd",
+     "1b88fe6c80dd97e195c6feb3da002bda796246dc2516eaefa960682b53a7510a"),
+    ("seconds", 8.0, "f76f42d3f1dc5c95d26c6b7f4d4bf12d1961e16b24b9aabcbb9ac249411fb005",
+     "908efb26ec2335c8eb03df4995a24026f0cab43bcd2eab4b0f7059af5a85d8c3"),
+    ("seconds", 32.0, "43dd0bd6fd3ebab52d3348e1620d9b448dd4448ebf212461def5b754764fb9bd",
+     "0f1814fb573f88cf66c8fb2515ed86033f4fd7de558922b832e77e4581d32fcb"),
+    ("seconds", 68.27, "a15b54f3c1d2f83d961dedcbee741c58abf0007318f5e1ae2c37e31799c023a0",
+     "43fbec27cfcc687c45b6e964dc4025ba6b3c5f3b2339c3c3d36ca5bb9361b5a3"),
+    ("hms", 1.0, "badf4c7393ac38a7fd915cb89207e18473fe9ce6c2fa72b9fc54ebc9f5f36e50",
+     "a22d8de89a9f59ea7a3f63d43e089a08b2da795e92fceefa2aaa873237bd54b3"),
+    ("hms", 8.0, "7b8b6901f267ed9dfe0fe7b19f604339b91bf27ffc48780c3aeac55f12752d00",
+     "93ee91d431fdf67a620db3fd68c227a1fb02e8480c27aa94a3793d9464ca3992"),
+    ("hms", 32.0, "342f428804957f29831ef95ba907a40e703716c36e53392dea5e24fef4fab6d1",
+     "50ae86ff419251c69c5b1ebda3bf8f23e6f3a8010e9038440c358ac639995187"),
+    ("hms", 68.27, "e91c25299125f62d8e0a4b42269ad49f23e9af1660b0fabf6954d3bb1f5c8259",
+     "046943651f7a2cc969bf532dfe7f0cbb93dcad821627c1c93fb645e4b6babe58"),
+])
+def test_default_niah_timelines_byte_identical(style, minutes, tokens_sha256, columns_sha256):
+    cfg = NiahConfig(timestamp_style=style)
+    assert cfg.num_frames == 4096 and minutes in cfg.durations_min
+    seq, _, _ = build_niah_sequence(cfg, minutes * 60.0, 0.5)
+    assert (seq.tokens.dtype, seq.columns.dtype) == (np.uint8, np.int64)
+    assert _sha256(seq.tokens.tobytes()) == tokens_sha256
+    assert _sha256(seq.columns.tobytes()) == columns_sha256
 
 
 @pytest.mark.parametrize("argv, digest", [
