@@ -26,15 +26,21 @@ from .sequence import FRAMES, TEXT, MultimodalSequence
 # Byte-level vocabulary: ids 0..255 are raw byte values.
 BYTE_VOCAB_SIZE = 256
 # Most frame groups in one timeline of `vlmlab sparsity` or `vlmlab niah` (a
-# sparsity run at the cap takes about 0.5 s and 80 MB).
+# sparsity run at the cap takes about 0.45 s and 65 MB).
 MAX_GROUPS = 100_000
 
-_HMS_RE = re.compile(r"^<(\d{2,}):(\d{2}):(\d{2})>$")
-_SECONDS_RE = re.compile(r"^<(\d+\.\d) seconds>$")
+_HMS_RE = re.compile(r"<(\d{2,}):(\d{2}):(\d{2})>", re.ASCII)
+_SECONDS_RE = re.compile(r"<(\d+\.\d) seconds>", re.ASCII)
 # Half-up rounding to tenths, with enough digits for any finite float (the
 # default 28 fail from 1e27 s on).
 _TENTHS = Decimal("0.1")
 _HALF_UP = Context(prec=400, rounding=ROUND_HALF_UP)
+# Below this the float rule of _stamp_numbers is exact: one ulp is under 0.01,
+# so repr(t) can fall on a tie n.n5 only when t is the float nearest the tie.
+_EXACT_BELOW = 2.0 ** 45
+# Per style: the fewest digits a stamp number prints, and the text after its
+# leading digits, '#' standing for one digit.
+_LAYOUTS = {"seconds": (2, ".# seconds>"), "hms": (6, ":##:##>")}
 
 
 @dataclass(frozen=True)
@@ -49,8 +55,8 @@ class SamplingPolicy:
 
     def __post_init__(self):
         for name in ("fps", "max_frames", "tokens_per_frame", "token_budget", "group_size"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"sampling policy field {name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"sampling policy field {name} must be finite and positive")
 
     def frame_cap(self) -> int:
         return min(self.max_frames, self.token_budget // self.tokens_per_frame)
@@ -65,10 +71,10 @@ def sample_frames(duration: float, native_fps: float, policy: SamplingPolicy) ->
     sit on the sampling grid k/rate; otherwise exactly cap frames are
     spread uniformly over [0, duration).
     """
-    if duration < 0:
-        raise ConfigError(f"duration must be non-negative, got {duration}")
-    if native_fps <= 0:
-        raise ConfigError(f"native fps must be positive, got {native_fps}")
+    if not 0 <= duration < math.inf:
+        raise ConfigError(f"duration must be finite and non-negative, got {duration}")
+    if not 0 < native_fps < math.inf:
+        raise ConfigError(f"native fps must be finite and positive, got {native_fps}")
     if duration == 0:
         return [0.0]
     rate = min(policy.fps, native_fps)
@@ -79,6 +85,68 @@ def sample_frames(duration: float, native_fps: float, policy: SamplingPolicy) ->
     return [k * duration / cap for k in range(cap)]
 
 
+def _stamp_numbers(times: np.ndarray, style: str) -> np.ndarray:
+    """Each time's stamp as one integer: tenths of a second, or hours * 10**4 +
+    minutes * 100 + seconds.
+
+    ``seconds`` rounds ``Decimal(repr(t))`` half up to tenths.  Below
+    ``_EXACT_BELOW`` that is r = floor(10 t + 0.5), moved down by one where t
+    lies below the float of the tie (2 r - 1) / 20 and up by one where it
+    reaches the float of (2 r + 1) / 20: there ``repr(t)`` reaches a tie
+    exactly when t reaches the tie's float.  Larger times, over a million
+    years, take the Decimal formula itself, and the result then holds
+    Python ints.
+    """
+    small = times < _EXACT_BELOW
+    fast = np.where(small, times, 0.0)
+    if style == "seconds":
+        tenths = np.floor(fast * 10 + 0.5)
+        tenths -= fast < (2 * tenths - 1) / 20
+        tenths += fast >= (2 * tenths + 1) / 20
+        numbers = tenths.astype(np.int64)
+    else:
+        numbers = fast.astype(np.int64)
+    if not small.all():
+        numbers = numbers.astype(object)
+        numbers[~small] = [
+            int(_HALF_UP.quantize(Decimal(repr(t)), _TENTHS).scaleb(1, _HALF_UP))
+            if style == "seconds" else int(t) for t in times[~small].tolist()]
+    if style == "hms":
+        numbers = numbers // 3600 * 10_000 + numbers % 3600 // 60 * 100 + numbers % 60
+    return numbers
+
+
+def _render_stamps(times: Sequence[float], style: str) -> tuple[np.ndarray, np.ndarray]:
+    """The stamp bytes of each time, back to back, and each stamp's length.
+
+    Every stamp is written into one fixed-width row of a uint8 array; a mask
+    then drops the leading zeros beyond the stamp's own digit count.
+    """
+    times = np.asarray(times, dtype=np.float64) + 0.0  # -0.0 stamps as 0.0
+    bad = ~(np.isfinite(times) & (times >= 0))
+    if bad.any():
+        raise ConfigError("timestamp must be finite and non-negative, "
+                          f"got {times[bad.argmax()].item()}")
+    if style not in _LAYOUTS:
+        raise ConfigError(f"unknown timestamp style {style!r}")
+    min_digits, tail = _LAYOUTS[style]
+    numbers = _stamp_numbers(times, style)
+    width = max(min_digits, len(str(numbers.max())))
+    text = "<" + "#" * (width - tail.count("#")) + tail
+    slots = [i for i, c in enumerate(text) if c == "#"]
+    rows = np.tile(np.frombuffer(text.encode(), np.uint8), (len(times), 1))
+    rest = numbers
+    for slot in reversed(slots):  # numpy divides fast by a scalar, but not by an array
+        quotient = rest // 10
+        rows[:, slot] = rest - quotient * 10 + ord("0")
+        rest = quotient
+    powers = np.array([10 ** p for p in range(width)], dtype=numbers.dtype)
+    dropped = width - np.maximum(min_digits, np.searchsorted(powers, numbers, side="right"))
+    keep = np.ones(rows.shape, dtype=bool)
+    keep[:, slots] = np.arange(width) >= dropped[:, None]
+    return rows[keep], len(text) - dropped
+
+
 def format_timestamp(t: float, style: str = "seconds") -> str:
     """Render a time offset as timestamp text.
 
@@ -86,28 +154,19 @@ def format_timestamp(t: float, style: str = "seconds") -> str:
     ``<3.0 seconds>``.  ``hms`` gives ``<HH:MM:SS>`` with zero padding,
     seconds truncated toward zero, and hours unbounded.
     """
-    if not math.isfinite(t) or t < 0:
-        raise ConfigError(f"timestamp must be finite and non-negative, got {t}")
-    if style == "seconds":
-        # + 0.0 turns -0.0 into 0.0, which parse_timestamp accepts.
-        return f"<{_HALF_UP.quantize(Decimal(repr(float(t) + 0.0)), _TENTHS)} seconds>"
-    if style == "hms":
-        total = int(t)
-        hours, rem = divmod(total, 3600)
-        minutes, seconds = divmod(rem, 60)
-        return f"<{hours:02d}:{minutes:02d}:{seconds:02d}>"
-    raise ConfigError(f"unknown timestamp style {style!r}")
+    stamp, _ = _render_stamps([t], style)
+    return stamp.tobytes().decode("ascii")
 
 
 def parse_timestamp(text: str) -> float:
     """Invert :func:`format_timestamp` (seconds value for either style)."""
-    m = _HMS_RE.match(text)
+    m = _HMS_RE.fullmatch(text)
     if m:
         h, mnt, s = (int(g) for g in m.groups())
         if mnt >= 60 or s >= 60:
             raise ValueError(f"minutes/seconds out of range in {text!r}")
         return float(h * 3600 + mnt * 60 + s)
-    m = _SECONDS_RE.match(text)
+    m = _SECONDS_RE.fullmatch(text)
     if m:
         return float(m.group(1))
     raise ValueError(f"not a timestamp: {text!r}")
@@ -132,8 +191,8 @@ def interleave_timestamps(frames: Sequence[float], group_size: int = 2,
 
     Frames are split into consecutive runs of ``group_size`` (the last run
     may be short); each run becomes one frame group preceded by the byte
-    tokens of its first frame's formatted time.  Each distinct start time is
-    formatted once.
+    tokens of its first frame's formatted time.  All start times are rendered
+    in one array pass, byte for byte as :func:`format_timestamp` writes them.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if not frames.size:
@@ -143,14 +202,7 @@ def interleave_timestamps(frames: Sequence[float], group_size: int = 2,
     first = np.arange(0, len(frames), group_size)
     starts = frames[first]
     ends = frames[np.minimum(first + group_size, len(frames)) - 1]
-    distinct, which = np.unique(starts, return_inverse=True)
-    stamps = [format_timestamp(t, style).encode("utf-8") for t in distinct.tolist()]
-    pool = np.frombuffer(b"".join(stamps), dtype=np.uint8)
-    pool_lengths = np.array([len(stamp) for stamp in stamps], dtype=np.int64)
-    lengths = pool_lengths[which]
-    # Token k of group g is byte k of the group's stamp in the pool.
-    shift = (np.cumsum(pool_lengths) - pool_lengths)[which] - (np.cumsum(lengths) - lengths)
-    tokens = pool[np.repeat(shift, lengths) + np.arange(lengths.sum())]
+    tokens, lengths = _render_stamps(starts, style)
     # Text then frames for each group: (4, groups, 2), flattened to (4, elements).  The
     # dtype comes from gh and gw, so a non-integer grid fails the sequence check uncast.
     columns = np.zeros((4, len(starts), 2), dtype=np.result_type(gh, gw))

@@ -190,6 +190,7 @@ TINY_NIAH = {"num_frames": 4, "needle_depths": [0.5], "trials": 1, "durations_mi
     (["niah"], {"signature_noise": float("nan")}),
     (["niah"], {"durations_min": [float("inf")]}),
     (["niah"], '{"durations_min": [1e400]}'),
+    (["niah"], {"durations_min": [1e307]}),
     (["niah"], '{"signature_noise": 1%s}' % ("0" * 400)),
     (["train"], {"model": {"rope_base": float("nan")}}),
     (["train"], {"model": {"normalize_taps": True}}),
@@ -218,7 +219,8 @@ TINY_NIAH = {"num_frames": 4, "needle_depths": [0.5], "trials": 1, "durations_mi
         "train-lr-string", "sparsity-granularity-string", "spectrum-head-dim-string",
         "niah-trials-string", "train-model-dim-string", "train-unknown-key",
         "spectrum-unknown-key", "niah-noise-nan", "niah-duration-infinity",
-        "niah-duration-1e400", "niah-noise-huge-integer", "train-rope-base-nan",
+        "niah-duration-1e400", "niah-duration-overflows-in-seconds", "niah-noise-huge-integer",
+        "train-rope-base-nan",
         "train-model-removed-key",
         "spectrum-base-nan", "spectrum-base-inf",
         "stage-not-json", "stage-array", "stage-length-string", "stage-trainable-string",

@@ -1,4 +1,5 @@
 import math
+from decimal import ROUND_HALF_UP, Context, Decimal
 
 import numpy as np
 import pytest
@@ -50,6 +51,20 @@ class TestSampleFrames:
     def test_policy_validation(self):
         with pytest.raises(ConfigError, match="positive"):
             SamplingPolicy(fps=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("fps", math.nan), ("fps", math.inf), ("token_budget", math.nan), ("group_size", -1)])
+    def test_policy_rejects_non_finite_fields(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite and positive"):
+            SamplingPolicy(**{field: value})
+
+    @pytest.mark.parametrize("duration, native_fps, message", [
+        (math.nan, 30.0, "duration"), (math.inf, 30.0, "duration"), (-1.0, 30.0, "duration"),
+        (10.0, math.nan, "native fps"), (10.0, math.inf, "native fps"),
+        (10.0, 0.0, "native fps"), (10.0, -30.0, "native fps")])
+    def test_bad_clip_rejected(self, duration, native_fps, message):
+        with pytest.raises(ConfigError, match=f"{message} must be finite"):
+            sample_frames(duration, native_fps, ample_policy())
 
     def test_randomized_cap_sweep(self):
         rng = Rng(99)
@@ -112,6 +127,17 @@ class TestTimestamps:
 
     def test_seconds_parse(self):
         assert parse_timestamp("<3.0 seconds>") == 3.0
+
+    @pytest.mark.parametrize("text", [
+        "<\u0663.\u0660 seconds>", "<\u0660\u0661:00:00>", "<01:\u0660\u0660:00>",
+        "<3.0 seconds>\n", "<01:00:00>\n", " <3.0 seconds>", "<3.0 seconds> ", "<3 seconds>",
+        "<1:00:00>", "<01:60:00>", "<-1.0 seconds>"],
+        ids=["arabic-indic-seconds", "arabic-indic-hours", "arabic-indic-minutes",
+             "seconds-trailing-newline", "hms-trailing-newline", "leading-space",
+             "trailing-space", "no-tenths", "one-digit-hours", "minutes-60", "negative"])
+    def test_parse_rejects_what_format_never_writes(self, text):
+        with pytest.raises(ValueError):
+            parse_timestamp(text)
 
     @pytest.mark.parametrize("t, seconds", [(-0.0, 0.0), (0.0, 0.0), (0.05, 0.1), (2.25, 2.3),
                                             (59.96, 60.0), (3600.0, 3600.0), (1e27, 1e27)])
@@ -382,6 +408,54 @@ def reference_interleave(frames, group_size=2, style="seconds", gh=1, gw=1):
     return MultimodalSequence.of(tuple(elements))
 
 
+def reference_stamp(t, style):
+    """The definition of a stamp: ``Decimal(repr(t))`` half up to tenths, or
+    ``int(t)`` split into hours, minutes and seconds."""
+    t = float(t) + 0.0
+    if style == "seconds":
+        tenths = Decimal(repr(t)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP,
+                                           context=Context(prec=400))
+        return f"<{tenths} seconds>"
+    hours, rem = divmod(int(t), 3600)
+    return f"<{hours:02d}:{rem // 60:02d}:{rem % 60:02d}>"
+
+
+# Ties k/20 of the seconds style and the floats either side of them, small and
+# up to 2**46, so one list can straddle the 2**45 s bound of the float rule.
+ties = st.one_of(st.integers(0, 200_000), st.integers(0, 20 * 2 ** 46)).map(lambda k: k / 20)
+stamp_times = st.one_of(ties, ties.map(lambda t: math.nextafter(t, math.inf)),
+                        ties.map(lambda t: math.nextafter(t, 0.0)), st.floats(0.0, 2.0 ** 46),
+                        st.sampled_from([-0.0, 2.0 ** 45, math.nextafter(2.0 ** 45, 0.0)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(times=st.lists(stamp_times, min_size=1, max_size=30),
+       style=st.sampled_from(["seconds", "hms"]))
+def test_stamps_match_the_definition(times, style):
+    stamps = [reference_stamp(t, style) for t in times]
+    seq = interleave_timestamps(times, group_size=1, style=style)
+    assert detokenize(seq.tokens.tolist()) == "".join(stamps)
+    assert seq.columns[1, 0::2].tolist() == [len(stamp) for stamp in stamps]
+    assert [format_timestamp(t, style) for t in times] == stamps
+
+
+@pytest.mark.parametrize("style", ["seconds", "hms"])
+def test_stamp_sweep_matches_the_definition(style):
+    # Hypothesis draws few distinct floats with a fractional part above 2**46 s,
+    # where the float rule first goes wrong; this sweep has about 15,000, and
+    # mixes in times whose stamps run to hundreds of digits.
+    rng = np.random.default_rng(20)
+    grid = np.arange(20_001) / 20
+    times = np.concatenate([grid, np.nextafter(grid, np.inf), np.nextafter(grid, 0.0),
+                            np.exp2(rng.uniform(-10.0, 50.0, 20_000)),
+                            rng.integers(0, 20 * 2 ** 48, 20_000) / 20,
+                            [1e27, 1e300, 2.0 ** 53 + 2, 1e16 + 0.5, 5e-324]])
+    seq = interleave_timestamps(times, group_size=1, style=style)
+    stamps = [reference_stamp(t, style) for t in times.tolist()]
+    assert seq.tokens.tobytes() == "".join(stamps).encode("ascii")
+    assert seq.columns[1, 0::2].tolist() == [len(stamp) for stamp in stamps]
+
+
 def _raised(fn, *args):
     try:
         fn(*args)
@@ -393,7 +467,7 @@ def _raised(fn, *args):
 # k/20 puts half-up ties of the seconds style (0.05, 2.25, ...) in reach and
 # repeats values often; arbitrary floats cover the rest, and -0.0 must get the
 # same stamp as 0.0.
-frame_times = st.one_of(st.integers(0, 2000).map(lambda k: k / 20), st.floats(0.0, 1e6),
+frame_times = st.one_of(st.integers(0, 2000).map(lambda k: k / 20), st.floats(0.0, 2.0 ** 46),
                         st.just(-0.0))
 
 
