@@ -126,7 +126,7 @@ def build_niah_sequence(cfg: NiahConfig, duration_s: float, depth: float,
         keys += np.stack([noise_rng.split(g).normal(cfg.signature_dim, cfg.signature_noise)
                           for g in range(groups)])
 
-    needle_time = frames[needle_index]
+    needle_time = frames[needle_index].item()
     truth = NiahGroundTruth(
         group_index=needle_index,
         timestamp=needle_time,

@@ -26,9 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import numerics
 from .errors import ConfigError, ShapeError
-from .numerics import Tensor
 from .sequence import FRAMES, TEXT, MultimodalSequence
 
 AXES = ("t", "h", "w")
@@ -152,21 +150,6 @@ def rotation_tables(ids, alloc: FrequencyAllocation) -> tuple[np.ndarray, np.nda
     # (seq, pairs): position component of the pair's axis times its frequency
     ang = pos[:, axis_index].astype(np.float64) * np.asarray(alloc.theta)[None, :]
     return np.cos(ang), np.sin(ang)
-
-
-def apply_mrope(x: Tensor, ids, alloc: FrequencyAllocation) -> Tensor:
-    """Rotate each token's coordinate pairs by its position angles.
-
-    ``ids`` is any (seq, 3) integer array-like of (t, h, w) triples.
-    """
-    if x.data.ndim != 2:
-        raise ShapeError(f"apply_mrope expects (seq, head_dim), got {x.shape}")
-    if x.shape[1] != alloc.head_dim:
-        raise ShapeError(f"head_dim mismatch: tensor {x.shape[1]} vs allocation {alloc.head_dim}")
-    cos, sin = rotation_tables(ids, alloc)
-    if len(cos) != x.shape[0]:
-        raise ShapeError(f"{len(cos)} position ids for {x.shape[0]} tokens")
-    return numerics.rotate_pairs(x, cos, sin)
 
 
 def spectrum_report(alloc: FrequencyAllocation) -> dict[str, dict[str, int]]:

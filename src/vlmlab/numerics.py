@@ -4,11 +4,12 @@ The design goal is auditability, not speed: values are immutable numpy
 arrays (safe to share read-only across threads), every operation records
 one tape node (op name, parents, backward closure), and ``backward`` walks
 the tape once in topological order.  There is no broadcasting beyond the
-last-axis affine used by ``add_bias`` and ``layer_norm``.  ``attention``
+last-axis bias vector of ``linear`` and ``layer_norm``.  ``attention``
 also takes rank-3 operands, a batch of matrices along the first axis, so a
 batch of independent attentions runs as one node.  It is fused: scores,
 scale, mask, softmax and value product make one node that keeps only the
-probabilities for backward.
+probabilities for backward.  ``linear`` fuses a projection's matrix product
+and bias the same way.
 
 Each differentiable op checks shapes, computes its forward value and passes
 it to ``_node`` with one gradient function per parent, mapping the upstream
@@ -167,25 +168,21 @@ def _sum_leading(g: np.ndarray) -> np.ndarray:
     return g.sum(axis=tuple(range(g.ndim - 1))) if g.ndim > 1 else g
 
 
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a vector along the last axis (the only broadcast we allow)."""
-    if b.data.ndim != 1 or x.shape[-1] != b.shape[0]:
-        raise ShapeError(f"add_bias: {x.shape} vs {b.shape}")
-    return _node("add_bias", x.data + b.data, (x, b), (_identity, _sum_leading))
-
-
 def _swap_last(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of rank-2 operands."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs two rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims {a.shape} x {b.shape}")
-    return _node("matmul", a.data @ b.data, (a, b),
-                 (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The projection x @ w + b of rank-2 ``x`` and ``w``, the bias vector
+    ``b`` added to every row, as one node."""
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ShapeError(f"linear needs two rank-2 operands, got {x.shape} and {w.shape}")
+    if x.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear: inner dims {x.shape} x {w.shape}")
+    if b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: bias {b.shape} vs output width {w.shape[1]}")
+    return _node("linear", x.data @ w.data + b.data, (x, w, b),
+                 (lambda g: g @ w.data.T, lambda g: x.data.T @ g, _sum_leading))
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:

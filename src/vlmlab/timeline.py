@@ -55,15 +55,18 @@ class SamplingPolicy:
 
     def __post_init__(self):
         for name in ("fps", "max_frames", "tokens_per_frame", "token_budget", "group_size"):
-            if not 0 < getattr(self, name) < math.inf:
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
                 raise ConfigError(f"sampling policy field {name} must be finite and positive")
+            if name != "fps" and type(value) is not int:
+                raise ConfigError(f"sampling policy field {name} must be an integer, got {value!r}")
 
     def frame_cap(self) -> int:
         return min(self.max_frames, self.token_budget // self.tokens_per_frame)
 
 
-def sample_frames(duration: float, native_fps: float, policy: SamplingPolicy) -> list[float]:
-    """Pick frame timestamps in [0, duration) for a clip.
+def sample_frames(duration: float, native_fps: float, policy: SamplingPolicy) -> np.ndarray:
+    """Pick frame timestamps in [0, duration) for a clip, as a float64 array.
 
     The target count is floor(duration * rate), clamped to at least one
     frame, where the rate is the policy fps capped by what the source
@@ -76,13 +79,13 @@ def sample_frames(duration: float, native_fps: float, policy: SamplingPolicy) ->
     if not 0 < native_fps < math.inf:
         raise ConfigError(f"native fps must be finite and positive, got {native_fps}")
     if duration == 0:
-        return [0.0]
+        return np.zeros(1)
     rate = min(policy.fps, native_fps)
     target = max(1, math.floor(duration * rate))
     cap = policy.frame_cap()
     if target <= cap:
-        return [k / rate for k in range(target)]
-    return [k * duration / cap for k in range(cap)]
+        return np.arange(target) / rate
+    return np.arange(cap) * duration / cap
 
 
 def _stamp_numbers(times: np.ndarray, style: str) -> np.ndarray:

@@ -18,6 +18,8 @@ then puts text and visual rows in sequence order.
 
 The decoder is a standard pre-norm causal transformer whose q/k vectors
 get the three-axis rotary treatment; its ``attention`` hides later tokens.
+Every projection, in the blocks, the mergers and the head, is one
+``linear`` node.
 """
 
 from __future__ import annotations
@@ -84,11 +86,19 @@ class ModelConfig:
     alloc: FrequencyAllocation = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        for name in ("encoder_depth", "decoder_depth", "dim", "llm_dim", "head_dim", "vocab"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("taps", "inject_layers"):
+            value = getattr(self, name)
+            if value is not None and any(type(v) is not int for v in value):
+                raise ConfigError(f"{name} must hold integers, got {value!r}")
         if min(self.dim, self.llm_dim, self.vocab, self.encoder_depth, self.decoder_depth) < 1:
             raise ConfigError("model dims and depths must be positive")
         depth = self.encoder_depth
         if self.taps is not None:
-            taps = tuple(int(x) for x in self.taps)
+            taps = tuple(self.taps)
         else:
             taps = (depth // 4, depth // 2, (3 * depth) // 4)
             if not taps[0] < taps[1] < taps[2]:
@@ -142,7 +152,7 @@ def _norm_params(width: int, prefix: str) -> dict[str, Tensor]:
 
 
 def _linear(params: Mapping[str, Tensor], prefix: str, x: Tensor) -> Tensor:
-    return numerics.add_bias(numerics.matmul(x, params[f"{prefix}.w"]), params[f"{prefix}.b"])
+    return numerics.linear(x, params[f"{prefix}.w"], params[f"{prefix}.b"])
 
 
 def _norm(params: Mapping[str, Tensor], prefix: str, x: Tensor) -> Tensor:
@@ -384,16 +394,20 @@ class VisionLanguageModel:
 
         All text is embedded with one gather.  Grids of one shape make one
         encoder pass and one pass per merger; their token rows follow the
-        text rows, one shape after another.  ``order[i]`` is the row of
-        sequence token i in that stack.
+        text rows, one shape after another.  Each element is tagged with its
+        part of that stack, 0 for text and 1 + k for the k-th grid shape, so
+        a stable sort of the tokens' tags gives the stack: ``order[i]`` is
+        the row of sequence token i in it.
         """
         kind, count, gh, gw = seq.columns
-        text_count = np.where(kind == TEXT, count, 0)
-        # First row of each element within the stack: text rows first, in order.
-        first_row = np.cumsum(text_count) - text_count
+        visual = np.flatnonzero(kind != TEXT).tolist()
+        stray = set(grids).difference(visual)
+        if stray:
+            raise ConfigError(f"element {min(stray)} has a patch grid but is not an image "
+                              "block or frame group of the sequence")
         by_shape: dict[tuple[int, int], list[PatchGrid]] = {}
-        slots: list[tuple[int, tuple[int, int], int]] = []  # element, shape, index in batch
-        for idx in np.flatnonzero(kind != TEXT).tolist():
+        tags = np.zeros(len(kind), dtype=np.int64)
+        for idx in visual:
             if idx not in grids:
                 raise ConfigError(f"element {idx} has no patch grid")
             grid = grids[idx]
@@ -401,21 +415,16 @@ class VisionLanguageModel:
                 raise ShapeError(
                     f"element {idx}: patch grid {grid.gh}x{grid.gw} is not twice "
                     f"the token grid {gh[idx]}x{gw[idx]}")
-            batch = by_shape.setdefault((grid.gh, grid.gw), [])
-            slots.append((idx, (grid.gh, grid.gw), len(batch)))
-            batch.append(grid)
+            by_shape.setdefault((grid.gh, grid.gw), []).append(grid)
+            tags[idx] = list(by_shape).index((grid.gh, grid.gw)) + 1
 
-        n_text = rows = len(seq.tokens)
-        part_start = {}
-        for (h, w), batch in by_shape.items():
-            part_start[h, w] = rows
-            rows += len(batch) * h * w // 4
+        token_tags = np.repeat(tags, count)
+        rows, n_text = len(token_tags), len(seq.tokens)
         if rows == 0:
             raise ConfigError("cannot prepare an empty sequence")
-        for idx, shape, slot in slots:
-            first_row[idx] = part_start[shape] + slot * count[idx]
-        order = np.arange(rows) + np.repeat(first_row - (np.cumsum(count) - count), count)
-        visual_positions = np.flatnonzero(order >= n_text)
+        order = np.empty(rows, dtype=np.int64)
+        order[np.argsort(token_tags, kind="stable")] = np.arange(rows)
+        visual_positions = np.flatnonzero(token_tags)
 
         parts = [numerics.gather_rows(self.decoder.params["embed"], seq.tokens)] if n_text else []
         tap_parts: list[list[Tensor]] = [[], [], []]

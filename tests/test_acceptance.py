@@ -18,8 +18,8 @@ from vlmlab.grounding import (NormalizedBox, denormalize, iou, normalize, normal
 from vlmlab.harness import (NiahConfig, build_niah_sequence, load_stage_config,
                             make_synthetic_batch, train_toy)
 from vlmlab.harness.niah import run_niah_grid
-from vlmlab.mrope import apply_mrope, build_frequency_allocation
-from vlmlab.numerics import Tensor
+from vlmlab.mrope import build_frequency_allocation, rotation_tables
+from vlmlab.numerics import Tensor, rotate_pairs
 from vlmlab.objective import SampleLossRecord, aggregate
 from vlmlab.seeding import Rng
 from vlmlab.sequence import ImageBlock, MultimodalSequence, TextSpan
@@ -61,10 +61,10 @@ def test_criterion_1_relative_shift_invariance():
                 q = Tensor(r.split("q").normal((1, head_dim)))
                 k = Tensor(r.split("k").normal((1, head_dim)))
                 pq, pk, shift = (r.split(tag).integers(0, 4096, 3) for tag in ("pq", "pk", "c"))
-                base = float(apply_mrope(q, [pq], alloc).data[0]
-                             @ apply_mrope(k, [pk], alloc).data[0])
-                moved = float(apply_mrope(q, [pq + shift], alloc).data[0]
-                              @ apply_mrope(k, [pk + shift], alloc).data[0])
+                base = float(rotate_pairs(q, *rotation_tables([pq], alloc)).data[0]
+                             @ rotate_pairs(k, *rotation_tables([pk], alloc)).data[0])
+                moved = float(rotate_pairs(q, *rotation_tables([pq + shift], alloc)).data[0]
+                              @ rotate_pairs(k, *rotation_tables([pk + shift], alloc)).data[0])
                 worst = max(worst, abs(base - moved))
         assert worst < 1e-9, f"max deviation {worst}"
 
@@ -213,7 +213,7 @@ def test_criterion_7_sampling_caps_and_sparsity():
         frames = sample_frames(3600.0, 30.0, policy)
         assert len(frames) == 2048
         assert all(0 <= t < 3600.0 for t in frames)
-        assert frames == [k * 3600.0 / 2048 for k in range(2048)]
+        assert frames.tolist() == [k * 3600.0 / 2048 for k in range(2048)]
 
         two_hours = [2.0 * k for k in range(3600)]
         seq = interleave_timestamps(two_hours, group_size=1)

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from vlmlab import mrope
 from vlmlab.errors import ConfigError, ShapeError
-from vlmlab.mrope import (apply_mrope, assign_position_ids, build_frequency_allocation,
+from vlmlab.mrope import (assign_position_ids, build_frequency_allocation, rotation_tables,
                           spans_spectrum_ends, spectrum_report)
-from vlmlab.numerics import Tensor
+from vlmlab.numerics import Tensor, rotate_pairs
 from vlmlab.seeding import Rng
 from vlmlab.sequence import FrameGroup, ImageBlock, MultimodalSequence, TextSpan
 
@@ -147,36 +147,39 @@ class TestFrequencyAllocation:
 
 
 class TestApplyMrope:
+    """Rotary application as the encoder, decoder and probe run it:
+    ``rotation_tables`` of the ids, then ``rotate_pairs``."""
+
     def test_zero_position_is_identity(self):
         x = Tensor(Rng(0).normal((4, 8)))
         alloc = build_frequency_allocation(8)
-        out = apply_mrope(x, [(0, 0, 0)] * 4, alloc)
+        out = rotate_pairs(x, *rotation_tables([(0, 0, 0)] * 4, alloc))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_norm_preserved(self):
         alloc = build_frequency_allocation(24)
         x = Tensor(Rng(1).normal((16, 24)))
         ids = Rng(2).integers(0, 500, (16, 3))
-        out = apply_mrope(x, ids, alloc)
+        out = rotate_pairs(x, *rotation_tables(ids, alloc))
         np.testing.assert_allclose(np.linalg.norm(out.data, axis=1),
                                    np.linalg.norm(x.data, axis=1), atol=1e-12)
 
     def test_hand_trigonometry(self):
         # head_dim=2 has a single pair at theta=1 driven by t.
         alloc = build_frequency_allocation(2)
-        out = apply_mrope(Tensor([[1.0, 0.0]]), [(1, 0, 0)], alloc)
+        out = rotate_pairs(Tensor([[1.0, 0.0]]), *rotation_tables([(1, 0, 0)], alloc))
         np.testing.assert_allclose(out.data, [[math.cos(1.0), math.sin(1.0)]], atol=1e-15)
         np.testing.assert_allclose(out.data, [[0.54030, 0.84147]], atol=1e-5)
 
     def test_id_length_mismatch(self):
         alloc = build_frequency_allocation(8)
-        with pytest.raises(ShapeError, match="position ids"):
-            apply_mrope(Tensor(np.ones((3, 8))), [(0, 0, 0)], alloc)
+        with pytest.raises(ShapeError, match="angle shape"):
+            rotate_pairs(Tensor(np.ones((3, 8))), *rotation_tables([(0, 0, 0)], alloc))
 
     def test_head_dim_mismatch(self):
         alloc = build_frequency_allocation(8)
-        with pytest.raises(ShapeError, match="head_dim"):
-            apply_mrope(Tensor(np.ones((1, 6))), [(0, 0, 0)], alloc)
+        with pytest.raises(ShapeError, match="angle shape"):
+            rotate_pairs(Tensor(np.ones((1, 6))), *rotation_tables([(0, 0, 0)], alloc))
 
 
 @pytest.mark.parametrize("head_dim", [6, 12, 24])
@@ -190,9 +193,10 @@ def test_relative_shift_invariance(head_dim, scheme):
         q = Tensor(t_rng.split("q").normal((1, head_dim)))
         k = Tensor(t_rng.split("k").normal((1, head_dim)))
         pq, pk, shift = (t_rng.split(tag).integers(0, 4096, 3) for tag in ("pq", "pk", "c"))
-        base = float(apply_mrope(q, [pq], alloc).data[0] @ apply_mrope(k, [pk], alloc).data[0])
-        moved = float(apply_mrope(q, [pq + shift], alloc).data[0]
-                      @ apply_mrope(k, [pk + shift], alloc).data[0])
+        base = float(rotate_pairs(q, *rotation_tables([pq], alloc)).data[0]
+                     @ rotate_pairs(k, *rotation_tables([pk], alloc)).data[0])
+        moved = float(rotate_pairs(q, *rotation_tables([pq + shift], alloc)).data[0]
+                      @ rotate_pairs(k, *rotation_tables([pk + shift], alloc)).data[0])
         worst = max(worst, abs(base - moved))
     assert worst < 1e-9
 

@@ -16,23 +16,39 @@ def rand(shape, seed=0):
     return Tensor(Rng(seed).normal(shape))
 
 
+def no_bias(w):
+    """A zero bias for ``linear`` with weight shape ``w``: the matrix product alone."""
+    return Tensor(np.zeros(w[-1:]))
+
+
 class TestBasics:
+    # The test_matmul_* cases check the matrix product inside ``linear``.
     def test_matmul_identity(self):
-        out = N.matmul(Tensor([[1.0, 0.0], [0.0, 1.0]]), Tensor([[3.0, 4.0], [5.0, 6.0]]))
+        out = N.linear(Tensor([[1.0, 0.0], [0.0, 1.0]]), Tensor([[3.0, 4.0], [5.0, 6.0]]),
+                       no_bias((2, 2)))
         np.testing.assert_array_equal(out.data, [[3.0, 4.0], [5.0, 6.0]])
 
     def test_matmul_hand(self):
-        out = N.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
+        out = N.linear(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]), no_bias((2, 1)))
         np.testing.assert_array_equal(out.data, [[11.0]])
 
     def test_matmul_zero(self):
         zero = Tensor(np.zeros((2, 2)))
-        out = N.matmul(zero, Tensor(Rng(3).normal((2, 5))))
+        out = N.linear(zero, Tensor(Rng(3).normal((2, 5))), no_bias((2, 5)))
         np.testing.assert_array_equal(out.data, np.zeros((2, 5)))
 
     def test_matmul_shape_error(self):
         with pytest.raises(ShapeError, match="inner dims"):
-            N.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+            N.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), no_bias((2, 3)))
+
+    def test_linear_adds_the_bias_to_every_row(self):
+        out = N.linear(Tensor([[1.0, 2.0], [0.0, 0.0]]), Tensor([[3.0], [4.0]]), Tensor([0.5]))
+        np.testing.assert_array_equal(out.data, [[11.5], [0.5]])
+
+    @pytest.mark.parametrize("bias", [(3,), (1,), (2, 2), ()])
+    def test_linear_bias_shape_error(self, bias):
+        with pytest.raises(ShapeError, match="bias"):
+            N.linear(Tensor(np.ones((3, 4))), Tensor(np.ones((4, 2))), Tensor(np.ones(bias)))
 
     def test_tensor_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -72,7 +88,7 @@ class TestBasics:
     ])
     def test_matmul_operand_errors(self, left, right, match):
         with pytest.raises(ShapeError, match=match):
-            N.matmul(Tensor(np.ones(left)), Tensor(np.ones(right)))
+            N.linear(Tensor(np.ones(left)), Tensor(np.ones(right)), no_bias(right))
 
     @pytest.mark.parametrize("q,k,v,causal,match", [
         ((2, 4), (3, 4), (3, 4, 1), False, "rank-2 or three rank-3"),
@@ -86,6 +102,19 @@ class TestBasics:
     def test_attention_operand_errors(self, q, k, v, causal, match):
         with pytest.raises(ShapeError, match=match):
             N.attention(Tensor(np.ones(q)), Tensor(np.ones(k)), Tensor(np.ones(v)), causal)
+
+
+def test_linear_is_bit_identical_to_its_numpy_steps():
+    rng = Rng(5)
+    x, w, b = (N.parameter(rng.split(name).normal(shape))
+               for name, shape in (("x", (7, 5)), ("w", (5, 3)), ("b", (3,))))
+    upstream = rng.split("g").normal((7, 3))
+    out = N.linear(x, w, b)
+    N.sum_all(N.mul(out, Tensor(upstream))).backward()
+    expected = (x.data @ w.data + b.data, upstream @ w.data.T, x.data.T @ upstream,
+                upstream.sum(axis=0))
+    for got, want in zip((out.data, x.grad, w.grad, b.grad), expected):
+        assert np.array_equal(got, want)
 
 
 class TestSoftmax:
@@ -216,7 +245,7 @@ class TestBackward:
         # The constant's gradient product, 1e300 * 1e10, would overflow.
         const = Tensor(np.full((2, 3), 1e-200))
         weight = N.parameter(np.full((3, 2), 1e10))
-        loss = N.scale(N.sum_all(N.matmul(const, weight)), 1e300)
+        loss = N.scale(N.sum_all(N.linear(const, weight, no_bias((3, 2)))), 1e300)
         with np.errstate(over="raise"):
             loss.backward()
         assert const.grad is None
@@ -257,15 +286,15 @@ class TestBackward:
                    for i, kind in enumerate(kinds)]
         matrices = [p for p in leaves[1:] if p.data.ndim == 2]
         vectors = [p for p in leaves[1:] if p.data.ndim == 1]
-        ops = ["gelu"] + ["matmul"] * bool(matrices) + ["add_bias", "layer_norm"] * bool(vectors)
+        biases = vectors or [no_bias((4,))]
+        ops = ["gelu"] + ["linear"] * bool(matrices) + ["layer_norm"] * bool(vectors)
         h = leaves[0]
         for op in data.draw(st.lists(st.sampled_from(ops), min_size=1, max_size=6), label="ops"):
             if op == "gelu":
                 h = N.gelu(h)
-            elif op == "matmul":
-                h = N.matmul(h, data.draw(st.sampled_from(matrices)))
-            elif op == "add_bias":
-                h = N.add_bias(h, data.draw(st.sampled_from(vectors)))
+            elif op == "linear":
+                h = N.linear(h, data.draw(st.sampled_from(matrices)),
+                             data.draw(st.sampled_from(biases)))
             else:
                 h = N.layer_norm(h, data.draw(st.sampled_from(vectors)),
                                  data.draw(st.sampled_from(vectors)))
@@ -367,10 +396,12 @@ for rank, shape in ((1, (6,)), (2, (3, 4))):
         (f"gelu/r{rank}", shape, lambda t: N.sum_all(N.gelu(t))),
     ]
 OP_CASES += [
-    ("add_bias/r2", (3, 4), _two_arg(N.add_bias, rand((4,), 94))),
-    ("bias_of_add_bias", (4,), lambda t: N.sum_all(N.mul(N.add_bias(rand((3, 4), 95), t), rand((3, 4), 96)))),
-    ("matmul_left", (3, 4), _two_arg(N.matmul, rand((4, 2), 97))),
-    ("matmul_right", (4, 2), lambda t: N.sum_all(N.matmul(rand((3, 4), 98), t))),
+    ("linear_x", (3, 4), lambda t: N.sum_all(N.mul(
+        N.linear(t, rand((4, 2), 97), rand((2,), 94)), rand((3, 2), 95)))),
+    ("linear_w", (4, 2), lambda t: N.sum_all(N.mul(
+        N.linear(rand((3, 4), 98), t, rand((2,), 94)), rand((3, 2), 96)))),
+    ("linear_b", (2,), lambda t: N.sum_all(N.mul(
+        N.linear(rand((3, 4), 98), rand((4, 2), 97), t), rand((3, 2), 96)))),
     ("layer_norm_x", (3, 6), lambda t: N.sum_all(N.mul(
         N.layer_norm(t, rand((6,), 102), rand((6,), 103)), rand((3, 6), 104)))),
     ("layer_norm_gain", (6,), lambda t: N.sum_all(N.mul(
@@ -452,8 +483,9 @@ def test_determinism_same_seed_bitwise():
     a = Rng(42).split("x").normal((16, 16))
     b = Rng(42).split("x").normal((16, 16))
     assert a.tobytes() == b.tobytes()
-    out1 = N.matmul(Tensor(a), Tensor(b))
-    out2 = N.matmul(Tensor(a), Tensor(b))
+    c = Rng(42).split("b").normal(16)
+    out1 = N.linear(Tensor(a), Tensor(b), Tensor(c))
+    out2 = N.linear(Tensor(a), Tensor(b), Tensor(c))
     assert out1.data.tobytes() == out2.data.tobytes()
 
 

@@ -24,7 +24,7 @@ def ample_policy(fps=2.0):
 class TestSampleFrames:
     def test_dense_grid(self):
         frames = sample_frames(10.0, 30.0, ample_policy(fps=2.0))
-        assert frames == [k * 0.5 for k in range(20)]
+        assert frames.tolist() == [k * 0.5 for k in range(20)]
 
     def test_cap_2048_uniform(self):
         policy = SamplingPolicy(fps=2.0, max_frames=2048, tokens_per_frame=1,
@@ -32,11 +32,11 @@ class TestSampleFrames:
         frames = sample_frames(3600.0, 30.0, policy)
         assert len(frames) == 2048
         spacing = 3600.0 / 2048
-        assert frames[:3] == [0.0, spacing, 2 * spacing]
+        assert frames[:3].tolist() == [0.0, spacing, 2 * spacing]
         assert frames[-1] == 2047 * spacing < 3600.0
 
     def test_zero_duration(self):
-        assert sample_frames(0.0, 30.0, ample_policy()) == [0.0]
+        assert sample_frames(0.0, 30.0, ample_policy()).tolist() == [0.0]
 
     def test_token_budget_caps_before_max_frames(self):
         policy = SamplingPolicy(fps=1.0, max_frames=1000, tokens_per_frame=10,
@@ -46,7 +46,15 @@ class TestSampleFrames:
 
     def test_native_fps_bounds_rate(self):
         frames = sample_frames(10.0, 0.5, ample_policy(fps=2.0))
-        assert frames == [0.0, 2.0, 4.0, 6.0, 8.0]
+        assert frames.tolist() == [0.0, 2.0, 4.0, 6.0, 8.0]
+
+    @pytest.mark.parametrize("duration, policy", [
+        (0.0, ample_policy()), (10.0, ample_policy(fps=2.0)),
+        (3600.0, SamplingPolicy(fps=2.0, max_frames=2048, tokens_per_frame=1,
+                                token_budget=10 ** 9))])
+    def test_frames_are_a_float64_array(self, duration, policy):
+        frames = sample_frames(duration, 30.0, policy)
+        assert isinstance(frames, np.ndarray) and frames.dtype == np.float64
 
     def test_policy_validation(self):
         with pytest.raises(ConfigError, match="positive"):
@@ -56,6 +64,14 @@ class TestSampleFrames:
         ("fps", math.nan), ("fps", math.inf), ("token_budget", math.nan), ("group_size", -1)])
     def test_policy_rejects_non_finite_fields(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be finite and positive"):
+            SamplingPolicy(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_frames", 2.5), ("token_budget", 100.0), ("tokens_per_frame", True),
+        ("group_size", 1.5)])
+    def test_policy_rejects_non_integer_counts(self, field, value):
+        # sample_frames counts its frames with np.arange, which takes 2.5 without complaint.
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             SamplingPolicy(**{field: value})
 
     @pytest.mark.parametrize("duration, native_fps, message", [
@@ -82,7 +98,7 @@ class TestSampleFrames:
                 assert all(0 <= t < duration for t in frames)
                 assert all(a < b for a, b in zip(frames, frames[1:]))
             else:
-                assert frames == [0.0]
+                assert frames.tolist() == [0.0]
 
 
 class TestTimestamps:

@@ -1,4 +1,6 @@
 import json
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,11 +9,13 @@ from hypothesis import strategies as st
 
 from vlmlab import numerics as N
 from vlmlab.errors import ConfigError, ShapeError
+from vlmlab.harness import make_synthetic_batch
+from vlmlab.harness.training import _batch_loss
 from vlmlab.mrope import assign_position_ids
 from vlmlab.numerics import Tensor
 from vlmlab.seeding import Rng
-from vlmlab.sequence import FrameGroup, ImageBlock, MultimodalSequence, TextSpan
-from vlmlab.timeline import interleave_timestamps
+from vlmlab.sequence import TEXT, FrameGroup, ImageBlock, MultimodalSequence, TextSpan
+from vlmlab.timeline import SamplingPolicy, interleave_timestamps, sample_frames
 from vlmlab.vision import (Decoder, Merger, ModelConfig, PatchGrid, PreparedInput, VisionEncoder,
                            VisionLanguageModel, merge_2x2)
 
@@ -50,6 +54,21 @@ class TestTypes:
             ModelConfig(decoder_depth=2, inject_layers=(0, 1, 2))
         with pytest.raises(ConfigError, match="duplicate"):
             ModelConfig(decoder_depth=3, inject_layers=(0, 1, 1))
+
+    @pytest.mark.parametrize("overrides,match", [
+        ({"dim": 2.5}, "dim must be an integer"),
+        ({"llm_dim": 16.0}, "llm_dim must be an integer"),
+        ({"head_dim": 8.0}, "head_dim must be an integer"),
+        ({"encoder_depth": True}, "encoder_depth must be an integer"),
+        ({"vocab": "300"}, "vocab must be an integer"),
+        ({"taps": (0, 1, 2.5)}, "taps must hold integers"),
+        ({"taps": (0.0, 1, 2)}, "taps must hold integers"),
+        ({"inject_layers": (0, 1.5, 2)}, "inject_layers must hold integers"),
+        ({"inject_layers": (0, 1, 2.0)}, "inject_layers must hold integers"),
+    ])
+    def test_sizes_taps_and_inject_layers_are_integers(self, overrides, match):
+        with pytest.raises(ConfigError, match=match):
+            ModelConfig(**overrides)
 
     @pytest.mark.parametrize("overrides", [{"rope_scheme": "bogus"}, {"rope_base": 1.0},
                                            {"head_dim": 0}])
@@ -180,19 +199,20 @@ class TestMerge2x2:
         assert out.shape[0] == gh * gw // 4
 
     def test_block_layout(self):
-        # Zero the second MLP so fc1's pre-activation ordering is observable:
-        # with fc1 = identity on the first four channels, output block b
+        # With fc1 the identity on the four corner channels, output block b
         # reflects rows (r00, r01, r10, r11) of block b.
         m = Merger(1, 4, Rng(0))
         m.params["fc1.w"] = Tensor(np.eye(4))
         m.params["fc1.b"] = Tensor(np.zeros(4))
         feats = Tensor(np.arange(8.0)[:, None])  # 4x2 grid of scalars
         # Block b's corners r00, r01, r10, r11 are rows 4b .. 4b+3.
-        corners = Tensor(np.arange(8.0).reshape(2, 4))
+        corners = np.arange(8.0).reshape(2, 4)
         out = merge_2x2(feats, 4, 2, m)
-        hidden = N.gelu(N.add_bias(N.matmul(corners, m.params["fc1.w"]), m.params["fc1.b"]))
-        expected = N.add_bias(N.matmul(hidden, m.params["fc2.w"]), m.params["fc2.b"])
-        np.testing.assert_allclose(out.data, expected.data)
+        w1, b1, w2, b2 = (m.params[name].data for name in ("fc1.w", "fc1.b", "fc2.w", "fc2.b"))
+        pre = corners @ w1 + b1
+        hidden = 0.5 * pre * (1.0 + np.tanh(math.sqrt(2.0 / math.pi)
+                                            * (pre + 0.044715 * pre ** 3)))
+        np.testing.assert_allclose(out.data, hidden @ w2 + b2)
 
     def test_packed_grids_equal_single_calls(self):
         m = Merger(3, 5, Rng(0))
@@ -475,6 +495,16 @@ class TestPrepare:
         with pytest.raises(ShapeError, match="twice"):
             model.prepare(seq, {0: random_grid(cfg, 2, 2)})
 
+    @pytest.mark.parametrize("stray", [0, 2, 7, -1])
+    def test_grid_of_no_visual_element_rejected(self, stray):
+        # Elements 0 and 2 are text; 7 and -1 are outside the sequence.
+        cfg = small_config()
+        model = VisionLanguageModel(cfg, Rng(0))
+        seq = MultimodalSequence.of((TextSpan((1,)), ImageBlock(1, 2), TextSpan((2,))))
+        grid = random_grid(cfg, 2, 4)
+        with pytest.raises(ConfigError, match=f"element {stray} has a patch grid but is not"):
+            model.prepare(seq, {1: grid, stray: grid})
+
     def test_missing_grid(self):
         cfg = small_config()
         model = VisionLanguageModel(cfg, Rng(0))
@@ -511,3 +541,65 @@ class TestPrepare:
         raw["schema_version"] = 9
         with pytest.raises(ConfigError, match="schema_version"):
             ModelConfig.from_json(json.dumps(raw))
+
+
+def tape_ops(root: Tensor) -> Counter:
+    """How many nodes of each op the tape under ``root`` holds, leaves left out."""
+    ops, seen, stack = Counter(), set(), [root]
+    while stack:
+        node = stack.pop()
+        if node._parents and id(node) not in seen:
+            seen.add(id(node))
+            ops[node._op] += 1
+            stack.extend(node._parents)
+    return ops
+
+
+def projections(cfg: ModelConfig, decoder_passes: int, encoder_passes: int) -> int:
+    """q, k, v, o, mlp1 and mlp2 per block, the decoder's head, and fc1 and
+    fc2 of each of an encoder pass's four mergers."""
+    return (decoder_passes * (6 * cfg.decoder_depth + 1)
+            + encoder_passes * (6 * cfg.encoder_depth + 4 * 2))
+
+
+class TestTape:
+    """Each projection is one ``linear`` node.  The other op kinds are the
+    ones the model's tapes held when a projection was a matrix product node
+    followed by a bias node."""
+
+    OTHER_OPS = {"add", "scale", "sum", "token_nll", "gather_rows", "layer_norm", "gelu",
+                 "attention", "rotate_pairs", "add_rows_at", "reshape", "interpolate_bilinear",
+                 "concat_rows"}
+
+    def check(self, loss, cfg, decoder_passes, encoder_passes, nodes):
+        ops = tape_ops(loss)
+        assert ops["linear"] == projections(cfg, decoder_passes, encoder_passes)
+        assert set(ops) <= self.OTHER_OPS | {"linear"}
+        assert sum(ops.values()) == nodes
+
+    def test_s0_batch_loss(self):
+        # Eight examples, every other one with an image: the train_s0 benchmark step.
+        cfg, rng = ModelConfig(), Rng(0)
+        model = VisionLanguageModel(cfg, rng.split("model"))
+        batch = make_synthetic_batch(cfg, rng.split("data"), n_examples=8, text_len=12)
+        loss, _ = _batch_loss(model, batch, "sqrt")
+        self.check(loss, cfg, decoder_passes=8, encoder_passes=4, nodes=735)
+
+    def test_long_video_forward_and_loss(self):
+        # 32 timestamped groups of two frames, as in the long_video benchmark.
+        cfg, rng = ModelConfig(), Rng(0)
+        model = VisionLanguageModel(cfg, rng.split("model"))
+        policy = SamplingPolicy(fps=1.0, max_frames=64, tokens_per_frame=4, token_budget=256,
+                                group_size=2)
+        seq = interleave_timestamps(sample_frames(64.0, 30.0, policy), group_size=2, gh=2, gw=2)
+        kind, count, _, _ = seq.columns
+        grids = {idx: random_grid(cfg, 4, 4, seed=idx)
+                 for idx in np.flatnonzero(kind != TEXT).tolist()}
+        # Next-token targets: every position whose successor is a text token.
+        text = np.repeat(kind == TEXT, count)
+        token_at = np.zeros(len(text), dtype=np.int64)
+        token_at[text] = seq.tokens
+        positions = np.flatnonzero(text[1:])
+        logits = model.forward(model.prepare(seq, grids))
+        loss = N.sum_all(N.token_nll(N.gather_rows(logits, positions), token_at[positions + 1]))
+        self.check(loss, cfg, decoder_passes=1, encoder_passes=1, nodes=150)
