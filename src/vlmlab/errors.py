@@ -72,10 +72,12 @@ def load_json_config(path: str | None, key_types: Mapping, what: str) -> dict:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # ValueError: malformed text, or an integer past Python's digit limit;
+        # RecursionError: arrays or objects nested too deep to decode.
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     check_config_types(raw, key_types, what)

@@ -149,7 +149,8 @@ def parse_grounding_json(text: str, kind: str):
         raise GroundingParseError(f"unknown kind {kind!r}; expected one of {sorted(_KIND_KEYS)}")
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # As for configs: malformed text, an over-long integer or too deep a nesting.
         raise GroundingParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(payload, list):
         raise GroundingParseError(f"top level must be a JSON array, got {type(payload).__name__}")

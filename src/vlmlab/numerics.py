@@ -8,7 +8,9 @@ last-axis bias vector of ``linear`` and ``layer_norm``.  ``attention``
 also takes rank-3 operands, a batch of matrices along the first axis, so a
 batch of independent attentions runs as one node.  It is fused: scores,
 scale, mask, softmax and value product make one node that keeps only the
-probabilities for backward.  ``linear`` fuses a projection's matrix product
+probabilities for backward.  Causal attention runs its queries in row
+blocks that meet only the keys up to their last row, so the masked triangle
+is neither computed nor kept.  ``linear`` fuses a projection's matrix product
 and bias the same way.
 
 Each differentiable op checks shapes, computes its forward value and passes
@@ -37,6 +39,10 @@ import numpy as np
 from .errors import NonFiniteError, ShapeError
 
 _TANH_GELU_C = math.sqrt(2.0 / math.pi)
+# Rows per block of causal ``attention``, and the keys each row of a block's
+# diagonal square may not see.
+_ROW_BLOCK = 64
+_ABOVE_DIAGONAL = np.triu(np.ones((_ROW_BLOCK, _ROW_BLOCK), dtype=bool), 1)
 
 
 class Tensor:
@@ -185,13 +191,26 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                  (lambda g: g @ w.data.T, lambda g: x.data.T @ g, _sum_leading))
 
 
+def _prefix_sum(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """The sum of blocks that each cover the leading rows of the last, which
+    covers them all; a single block is returned as it is."""
+    total = parts[-1]
+    for part in parts[-2::-1]:
+        total[..., :part.shape[-2], :] += part
+    return total
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
     """Scaled dot-product attention, softmax(q k^T / sqrt(width)) v, as one node.
 
     Operands are rank 2, (rows, width), or rank 3, a batch of independent
     attentions along the first axis.  ``causal`` hides from each query the
-    keys after its own row.  The scores become the probabilities in place,
-    and backward keeps nothing larger.
+    keys after its own row.  Causal queries run in blocks of ``_ROW_BLOCK``
+    rows, each meeting only the keys up to its last row, so the masked
+    triangle beyond the blocks' diagonal squares is never computed, forward
+    or backward.  Without the mask, all rows make one block.  The scores
+    become the probabilities in place, and backward keeps nothing larger:
+    about n (n + _ROW_BLOCK) / 2 elements when causal, n * n otherwise.
     """
     if not q.data.ndim == k.data.ndim == v.data.ndim in (2, 3):
         raise ShapeError(f"attention needs three rank-2 or three rank-3 operands, "
@@ -204,27 +223,41 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
                          f"do not fit (causal={causal})")
     c = 1.0 / math.sqrt(d)
     kt = _swap_last(k.data).copy()
-    p = q.data @ kt
-    p *= c
-    if causal:
-        for row in range(n - 1):
-            p[..., row, row + 1:] = -np.inf
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    blocks = []  # (query rows, keys they meet, probabilities) per block
+    for start in range(0, m, _ROW_BLOCK) if causal else (0,):
+        stop = min(start + _ROW_BLOCK, m) if causal else m
+        keys = stop if causal else n
+        p = q.data[..., start:stop, :] @ kt[..., :keys]
+        p *= c
+        if causal:
+            size = stop - start
+            np.copyto(p[..., start:], -np.inf, where=_ABOVE_DIAGONAL[:size, :size])
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        blocks.append((slice(start, stop), keys, p))
 
-    def _with_scores_grad(g):
-        """The upstream gradient and that of the scaled scores, via the softmax."""
-        gs = g @ _swap_last(v.data)
-        gs -= (gs * p).sum(axis=-1, keepdims=True)
-        gs *= p
-        gs *= c
-        return g, gs
+    def _with_scores_grads(g):
+        """Per block, its rows of the upstream gradient and the gradient of
+        its scaled scores, via the softmax."""
+        grads = []
+        for rows, keys, p in blocks:
+            g_rows = g[..., rows, :]
+            gs = g_rows @ _swap_last(v.data[..., :keys, :])
+            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs *= p
+            gs *= c
+            grads.append((g_rows, gs))
+        return grads
 
-    return _node("attention", p @ v.data, (q, k, v),
-                 (lambda h: h[1] @ _swap_last(kt),
-                  lambda h: _swap_last(_swap_last(q.data) @ h[1]),
-                  lambda h: _swap_last(p) @ h[0]), _with_scores_grad)
+    out = np.concatenate([p @ v.data[..., :keys, :] for _, keys, p in blocks], axis=-2)
+    return _node("attention", out, (q, k, v), (
+        lambda h: np.concatenate([gs @ _swap_last(kt[..., :keys])
+                                  for (_, keys, _), (_, gs) in zip(blocks, h)], axis=-2),
+        lambda h: _prefix_sum([_swap_last(_swap_last(q.data[..., rows, :]) @ gs)
+                               for (rows, _, _), (_, gs) in zip(blocks, h)]),
+        lambda h: _prefix_sum([_swap_last(p) @ g for (_, _, p), (g, _) in zip(blocks, h)]),
+    ), _with_scores_grads)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

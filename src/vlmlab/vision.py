@@ -17,7 +17,9 @@ so memory grows linearly with the number of grids.  One ``gather_rows``
 then puts text and visual rows in sequence order.
 
 The decoder is a standard pre-norm causal transformer whose q/k vectors
-get the three-axis rotary treatment; its ``attention`` hides later tokens.
+get the three-axis rotary treatment; its ``attention`` hides later tokens,
+running the queries in row blocks that never compute or keep the masked
+triangle, so a layer keeps about n (n + 64) / 2 probabilities, not n * n.
 Every projection, in the blocks, the mergers and the head, is one
 ``linear`` node.
 """

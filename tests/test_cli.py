@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -9,6 +10,10 @@ import pytest
 import vlmlab
 from vlmlab import cli, timeline
 from vlmlab.cli import main
+
+
+# An array nested past the JSON decoder's recursion limit.
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +110,15 @@ class TestGround:
         code, out, err = run_cli(capsys, "ground", "--kind", "box3d", "--input", str(path))
         assert code == 3 and out == ""
         assert err.startswith("validation error: element 0: non-finite")
+
+    @pytest.mark.parametrize("text", [
+        '[{"point_2d": [1%s, 5], "label": "a"}]' % ("0" * 5000), DEEP_ARRAY,
+    ], ids=["5001-digit-integer", "nested-100000-deep"])
+    def test_undecodable_stdin_exit_3(self, capsys, monkeypatch, text):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, "ground", "--kind", "point")
+        assert code == 3 and out == ""
+        assert err.startswith("validation error: malformed JSON") and err.count("\n") == 1
 
     def test_missing_input_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "ground", "--kind", "box2d", "--input", "/nope.json")
@@ -215,6 +229,10 @@ TINY_NIAH = {"num_frames": 4, "needle_depths": [0.5], "trials": 1, "durations_mi
     (["train", "--lr", "1e308", "--steps", "3"], None),
     (["niah", "--seed", "-1"], TINY_NIAH),
     (["train", "--seed", "-1", "--steps", "1"], None),
+    (["spectrum"], '{"head_dim": 1%s}' % ("0" * 5000)),
+    (["spectrum"], '{"head_dim": %s}' % DEEP_ARRAY),
+    (["train", "--stage", "cfg.json"], '{"sequence_length": 1%s}' % ("0" * 5000)),
+    (["train", "--stage", "cfg.json"], '{"trainable": %s}' % DEEP_ARRAY),
 ], ids=["train-lr-nan", "train-bogus-scheme", "sparsity-granularity-nan", "ground-directory",
         "train-lr-string", "sparsity-granularity-string", "spectrum-head-dim-string",
         "niah-trials-string", "train-model-dim-string", "train-unknown-key",
@@ -229,7 +247,9 @@ TINY_NIAH = {"num_frames": 4, "needle_depths": [0.5], "trials": 1, "durations_mi
         "sparsity-overflowing-absolute-ids", "niah-too-many-frames", "niah-out-under-a-file",
         "niah-out-is-a-file",
         "train-out-is-a-directory", "niah-schema-version-2", "stage-schema-version-2",
-        "train-divergent-lr", "niah-negative-seed", "train-negative-seed"])
+        "train-divergent-lr", "niah-negative-seed", "train-negative-seed",
+        "spectrum-5001-digit-integer", "spectrum-nested-100000-deep",
+        "stage-5001-digit-integer", "stage-nested-100000-deep"])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)
     if config is not None:

@@ -189,6 +189,32 @@ class TestAttention:
         for got, want in zip((out.data, q.grad, k.grad, v.grad), expected):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("batch,rows", [((), 65), ((), 130), ((), 200), ((3,), 150)])
+    def test_row_blocks_match_separate_steps(self, batch, rows):
+        """Past one row block, causal rows are summed over fewer keys than the
+        separate steps sum, so the results agree to rounding, not bit for bit."""
+        rng = Rng(rows + len(batch))
+        q, k = (N.parameter(rng.split(name).normal((*batch, rows, 8))) for name in "qk")
+        v = N.parameter(rng.split("v").normal((*batch, rows, 5)))
+        upstream = rng.split("g").normal((*batch, rows, 5))
+        out = N.attention(q, k, v, causal=True)
+        N.sum_all(N.mul(out, Tensor(upstream))).backward()
+        expected = _attention_steps(q.data, k.data, v.data, True, upstream)
+        for got, want in zip((out.data, q.grad, k.grad, v.grad), expected):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("j", [63, 64, 65, 128])
+    def test_causal_across_row_blocks(self, j):
+        """New keys and values from row j on leave every earlier output row as
+        it was, bit for bit, on either side of a row block's edge."""
+        rng = Rng(j)
+        q, k, v = (rng.split(name).normal((130, 6)) for name in "qkv")
+        base = N.attention(Tensor(q), Tensor(k), Tensor(v), causal=True).data
+        k[j:], v[j:] = (rng.split(f"new {name}").normal((130 - j, 6)) for name in "kv")
+        out = N.attention(Tensor(q), Tensor(k), Tensor(v), causal=True).data
+        np.testing.assert_array_equal(out[:j], base[:j])
+        assert not np.array_equal(out[j], base[j])
+
     def test_each_backward_uses_its_own_upstream_gradient(self):
         """Two losses on one output, differentiated in turn: each backward call
         gets that loss's gradients, none left over from the call before."""
@@ -432,21 +458,26 @@ OP_CASES += [
 
 def _attention_cases():
     """One case per parent slot of ``attention``, per rank and per mask mode:
-    q (rows, 3) attends over 4 keys (rows equal to 4 when causal)."""
+    q (rows, 3) attends over 4 keys (rows equal to 4 when causal).  A causal
+    case of 66 rows, of width 2, crosses the edge of a row block."""
     cases = []
+
+    def add_slots(variant, shapes, causal, seed):
+        for slot in "qkv":
+            def f(t, slot=slot):
+                args = {s: t if s == slot else rand(shape, seed + j)
+                        for j, (s, shape) in enumerate(shapes.items())}
+                out = N.attention(args["q"], args["k"], args["v"], causal)
+                return N.sum_all(N.mul(out, rand(out.shape, seed + 3)))
+            cases.append((f"attention_{slot}/{variant}", shapes[slot], f))
+
     for batch in ((), (2,)):
         for causal in (False, True):
             rows = 4 if causal else 3
-            shapes = {"q": (*batch, rows, 3), "k": (*batch, 4, 3), "v": (*batch, 4, 2)}
-            seed = 140 + 10 * len(batch) + 5 * causal
-            for i, slot in enumerate("qkv"):
-                def f(t, slot=slot, shapes=shapes, causal=causal, seed=seed):
-                    args = {s: t if s == slot else rand(shape, seed + j)
-                            for j, (s, shape) in enumerate(shapes.items())}
-                    out = N.attention(args["q"], args["k"], args["v"], causal)
-                    return N.sum_all(N.mul(out, rand(out.shape, seed + 3)))
-                variant = f"r{len(batch) + 2}" + ("-causal" if causal else "")
-                cases.append((f"attention_{slot}/{variant}", shapes[slot], f))
+            add_slots(f"r{len(batch) + 2}" + ("-causal" if causal else ""),
+                      {"q": (*batch, rows, 3), "k": (*batch, 4, 3), "v": (*batch, 4, 2)},
+                      causal, 140 + 10 * len(batch) + 5 * causal)
+    add_slots("r2-causal-66", {"q": (66, 2), "k": (66, 2), "v": (66, 2)}, True, 180)
     # One tensor as both queries and keys: the two slots' gradients add up.
     cases.append(("attention_qk/r2-causal", (4, 3), lambda t: N.sum_all(N.mul(
         N.attention(t, t, rand((4, 2), 170), causal=True), rand((4, 2), 171)))))

@@ -352,6 +352,30 @@ class TestDecoder:
         assert sorted(a.shape for a in kept.values() if a.size >= n * n) == \
             [(n, n)] * cfg.decoder_depth
 
+    def test_tape_keeps_causal_row_blocks(self):
+        """Over n = 150 tokens, three row blocks, no backward closure keeps an
+        array of n * n elements, and each attention node keeps probability
+        blocks (non-negative rows summing to one) of at most n (n + 64) / 2
+        elements: the masked triangle beyond the blocks is never stored."""
+        cfg = small_config()
+        n = 150
+        emb = N.parameter(Rng(7).normal((n, cfg.llm_dim)))
+        ids = np.repeat(np.arange(n)[:, None], 3, axis=1)
+        logits = Decoder(cfg, Rng(8)).forward(emb, ids)
+        nodes = tape_nodes(N.sum_all(N.token_nll(logits, np.arange(n) % cfg.vocab)))
+        layers = [node for node in nodes if node._op == "attention"]
+        assert len(layers) == cfg.decoder_depth
+        for node in nodes:
+            if node._backward is not None:
+                kept: dict[int, np.ndarray] = {}
+                _closure_arrays(node._backward, kept, set())
+                assert all(a.size < n * n for a in kept.values()), node._op
+                if node in layers:
+                    probs = [a for a in kept.values() if (a >= 0).all()
+                             and np.allclose(a.sum(axis=-1), 1.0, rtol=0, atol=1e-12)]
+                    assert sorted(a.shape for a in probs) == [(22, 150), (64, 64), (64, 128)]
+                    assert sum(a.size for a in probs) <= n * (n + 64) // 2
+
     def test_gradient_reaches_all_tap_mergers(self):
         cfg = small_config()
         model = VisionLanguageModel(cfg, Rng(0))
