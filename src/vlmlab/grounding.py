@@ -18,20 +18,20 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import chain, repeat
 
 from .errors import GroundingParseError
 
 COORD_MAX = 1000
 _FLOAT_MAX = sys.float_info.max
 
-_KIND_KEYS = {"box2d": "bbox_2d", "point": "point_2d", "box3d": "bbox_3d", "count": "count"}
-_KIND_ARITY = {"box2d": 4, "point": 2, "box3d": 9}
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalizedBox:
     x1: int
     y1: int
@@ -51,7 +51,7 @@ class NormalizedBox:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalizedPoint:
     x: int
     y: int
@@ -64,7 +64,7 @@ class NormalizedPoint:
                 raise ValueError(f"{name}={v!r} outside [0, {COORD_MAX}]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box3D:
     x_center: float
     y_center: float
@@ -87,7 +87,7 @@ class Box3D:
                 self.roll, self.pitch, self.yaw]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CountRecord:
     count: int
     label: str = ""
@@ -97,13 +97,18 @@ class CountRecord:
             raise ValueError(f"count must be a non-negative integer, got {self.count!r}")
 
 
+def _check_dimension(dim):
+    # As for the record fields, a bool is not an integer.
+    if type(dim) is not int or dim < 1:
+        raise ValueError(f"image dimension must be an integer >= 1, got {dim!r}")
+
+
 def normalize(v: float, dim: int) -> int:
     """Map a pixel coordinate in [0, dim] to an integer in [0, 1000].
 
     Rounding is half-up, computed in exact rational arithmetic.
     """
-    if dim < 1:
-        raise ValueError(f"image dimension must be >= 1, got {dim}")
+    _check_dimension(dim)
     if not 0 <= v <= dim:
         raise ValueError(f"coordinate {v} outside image extent [0, {dim}]")
     n = math.floor(Fraction(v) * COORD_MAX / dim + Fraction(1, 2))
@@ -112,8 +117,9 @@ def normalize(v: float, dim: int) -> int:
 
 def denormalize(n: int, dim: int) -> float:
     """Map a normalized coordinate back to pixel units (real-valued)."""
-    if dim < 1:
-        raise ValueError(f"image dimension must be >= 1, got {dim}")
+    _check_dimension(dim)
+    if type(n) is not int:
+        raise ValueError(f"normalized coordinate must be an integer, got {n!r}")
     if not 0 <= n <= COORD_MAX:
         raise ValueError(f"normalized coordinate {n} outside [0, {COORD_MAX}]")
     return n * dim / COORD_MAX
@@ -125,28 +131,22 @@ def normalize_box(x1: float, y1: float, x2: float, y2: float,
                          normalize(x2, width), normalize(y2, height), label)
 
 
-def _check_number(value, kind: str, index: int):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise GroundingParseError(f"element {index}: non-numeric entry in '{_KIND_KEYS[kind]}'")
-
-
-def _coerce_normalized(value, kind: str, index: int) -> int:
-    _check_number(value, kind, index)
-    if isinstance(value, float) and not value.is_integer():
-        raise GroundingParseError(
-            f"element {index}: normalized coordinates must be integers, got {value}")
-    return int(value)
+# kind -> (the key of its value, the value's arity (None: one number), record class)
+_KINDS = {"box2d": ("bbox_2d", 4, NormalizedBox), "point": ("point_2d", 2, NormalizedPoint),
+          "box3d": ("bbox_3d", 9, Box3D), "count": ("count", None, CountRecord)}
 
 
 def parse_grounding_json(text: str, kind: str):
     """Parse a grounding JSON array into typed records.
 
     Rejects malformed JSON, wrong arity, out-of-range normalized
-    coordinates, non-finite 3D box values, non-integer counts and missing
-    labels, naming the offending element index.
+    coordinates, non-finite 3D box values, non-integer counts, missing
+    labels and labels that are not valid Unicode, naming the offending
+    element index.  Every check runs over a whole column of the document;
+    only a failed one looks for the first bad element.
     """
-    if kind not in _KIND_KEYS:
-        raise GroundingParseError(f"unknown kind {kind!r}; expected one of {sorted(_KIND_KEYS)}")
+    if kind not in _KINDS:
+        raise GroundingParseError(f"unknown kind {kind!r}; expected one of {sorted(_KINDS)}")
     try:
         payload = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -154,50 +154,130 @@ def parse_grounding_json(text: str, kind: str):
         raise GroundingParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(payload, list):
         raise GroundingParseError(f"top level must be a JSON array, got {type(payload).__name__}")
+    columns = _checked_columns(payload, kind)
+    if columns is None:
+        raise GroundingParseError(_first_fault(payload, kind))
+    return _unchecked_records(_KINDS[kind][2], columns)
 
-    key, arity = _KIND_KEYS[kind], _KIND_ARITY.get(kind)
-    records = []
+
+def _checked_columns(payload: list, kind: str):
+    """The field columns of a document's records, or None if any entry is bad.
+
+    Each check is one C-level pass over a column held in a plain Python
+    list.  numpy stays out of this module: importing it takes longer than
+    parsing a 2,000-record document.
+    """
+    key, arity, _ = _KINDS[kind]
+    if not (set(map(type, payload)) <= {dict}
+            and all(map(dict.__contains__, payload, repeat(key)))):
+        return None
+    labels = list(map(dict.get, payload, repeat("label")))
+    if not (set(map(type, labels)) <= {str} and all(labels)):
+        return None
+    flat = list(map(dict.__getitem__, payload, repeat(key)))
+    if arity is not None:
+        if not (set(map(type, flat)) <= {list} and set(map(len, flat)) <= {arity}):
+            return None
+        flat = list(chain.from_iterable(flat))
+    try:
+        "".join(labels).encode("utf-8")
+    except UnicodeEncodeError:
+        return None
+
+    types = set(map(type, flat))
+    if kind == "count":
+        if not (types <= {int} and min(flat, default=0) >= 0):
+            return None
+        return [flat, labels]
+    if not types <= {int, float}:
+        return None
+    if kind == "box3d":
+        try:
+            numbers = list(map(float, flat))
+        except OverflowError:  # an integer literal past the float range
+            return None
+        if not all(map(math.isfinite, numbers)):
+            return None
+        # An integer just past the float range rounds to a finite float.
+        if int in types and not max(map(abs, flat)) <= _FLOAT_MAX:
+            return None
+        del flat
+        if min(numbers[3::9] + numbers[4::9] + numbers[5::9], default=0.0) < 0:
+            return None
+    else:
+        if float in types:
+            try:
+                numbers = list(map(int, flat))
+            except (OverflowError, ValueError):  # the infinities and NaN
+                return None
+            if numbers != flat:
+                return None
+            del flat
+        else:
+            numbers = flat
+        if numbers and not (min(numbers) >= 0 and max(numbers) <= COORD_MAX):
+            return None
+    columns = [numbers[j::arity] for j in range(arity)]
+    if kind == "box2d" and (any(map(operator.gt, columns[0], columns[2]))
+                            or any(map(operator.gt, columns[1], columns[3]))):
+        return None
+    return [*columns, labels]
+
+
+def _first_fault(payload: list, kind: str) -> str:
+    """The error text of the lowest-index bad entry, checked one entry at a time.
+
+    Within an entry the checks run in a fixed order: the entry is an
+    object, holds the kind's key and a non-empty label, its value has the
+    kind's arity, its label encodes as UTF-8; then its numbers slot by slot
+    (type, then integrality or finiteness); then the record's own checks.
+    """
+    key, arity, cls = _KINDS[kind]
     for i, entry in enumerate(payload):
         if not isinstance(entry, dict):
-            raise GroundingParseError(f"element {i}: expected an object")
+            return f"element {i}: expected an object"
         if key not in entry:
-            raise GroundingParseError(f"element {i}: missing '{key}'")
+            return f"element {i}: missing '{key}'"
         label = entry.get("label")
         if not isinstance(label, str) or not label:
-            raise GroundingParseError(f"element {i}: missing label")
+            return f"element {i}: missing label"
         value = entry[key]
         if arity is not None and (not isinstance(value, list) or len(value) != arity):
             got = len(value) if isinstance(value, list) else type(value).__name__
-            raise GroundingParseError(
-                f"element {i}: expected {arity} numbers in '{key}', got {got}")
+            return f"element {i}: expected {arity} numbers in '{key}', got {got}"
         try:
-            if kind == "count":
-                records.append(CountRecord(value, label))
-            elif kind == "point":
-                x, y = (_coerce_normalized(c, kind, i) for c in value)
-                records.append(NormalizedPoint(x, y, label))
-            elif kind == "box2d":
-                x1, y1, x2, y2 = (_coerce_normalized(c, kind, i) for c in value)
-                records.append(NormalizedBox(x1, y1, x2, y2, label))
-            else:
-                for c in value:
-                    _check_number(c, kind, i)
-                    # False for NaN and the infinities; also bounds huge integer literals.
-                    if not -_FLOAT_MAX <= c <= _FLOAT_MAX:
-                        raise GroundingParseError(f"element {i}: non-finite entry in '{key}'")
-                records.append(Box3D(*(float(c) for c in value), label=label))
-        except GroundingParseError:
-            raise
+            label.encode("utf-8")
+        except UnicodeEncodeError:
+            return f"element {i}: label is not valid Unicode"
+        if arity is None:
+            value = [value]
+        else:
+            for c in value:
+                if type(c) not in (int, float):
+                    return f"element {i}: non-numeric entry in '{key}'"
+                if kind == "box3d" and not -_FLOAT_MAX <= c <= _FLOAT_MAX:
+                    return f"element {i}: non-finite entry in '{key}'"
+                if kind != "box3d" and type(c) is float and not c.is_integer():
+                    return f"element {i}: normalized coordinates must be integers, got {c}"
+            value = list(map(float if kind == "box3d" else int, value))
+        try:
+            cls(*value, label)
         except ValueError as exc:
-            raise GroundingParseError(f"element {i}: {exc}") from exc
+            return f"element {i}: {exc}"
+    raise AssertionError("a column check failed on a document with no bad entry")
+
+
+def _unchecked_records(cls, columns: list) -> list:
+    """Records of ``cls`` from its field columns, without running ``__post_init__``.
+
+    The parser has checked every column.  Each field is stored through its
+    slot descriptor, one column at a time, which bypasses the frozen
+    ``__setattr__`` as the dataclass's own ``__init__`` does.
+    """
+    records = list(map(object.__new__, repeat(cls, len(columns[-1]))))
+    for f, column in zip(fields(cls), columns):
+        deque(map(getattr(cls, f.name).__set__, records, column), maxlen=0)
     return records
-
-
-def _json_number(v: float):
-    # Emit integral floats as ints so serialize(parse(s)) stays byte-stable.
-    if isinstance(v, float) and v.is_integer():
-        return int(v)
-    return v
 
 
 def serialize_grounding_json(records) -> str:
@@ -209,7 +289,9 @@ def serialize_grounding_json(records) -> str:
         elif isinstance(r, NormalizedBox):
             entries.append({"bbox_2d": [r.x1, r.y1, r.x2, r.y2], "label": r.label})
         elif isinstance(r, Box3D):
-            entries.append({"bbox_3d": [_json_number(p) for p in r.params()], "label": r.label})
+            # Integral floats print as ints so serialize(parse(s)) stays byte-stable.
+            entries.append({"bbox_3d": [int(p) if isinstance(p, float) and p.is_integer() else p
+                                        for p in r.params()], "label": r.label})
         elif isinstance(r, CountRecord):
             entries.append({"count": r.count, "label": r.label})
         else:
@@ -225,4 +307,5 @@ def iou(a: NormalizedBox, b: NormalizedBox) -> float:
     union = a.area() + b.area() - inter
     if union == 0:
         return 0.0
-    return float(Fraction(inter, union))
+    # int / int is correctly rounded: the nearest float to the exact ratio.
+    return inter / union

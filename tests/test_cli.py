@@ -120,6 +120,23 @@ class TestGround:
         assert code == 3 and out == ""
         assert err.startswith("validation error: malformed JSON") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("kind, text, message", [
+        ("point", '[{"point_2d": [1, 2], "label": "\\ud800"}]', "label is not valid Unicode"),
+        ("point", '[{"point_2d": [true, 2], "label": "a"}]', "non-numeric entry in 'point_2d'"),
+        ("box2d", '[{"bbox_2d": [10, 0, 5, 10], "label": "a"}]', "box corners out of order"),
+        ("box3d", '[{"bbox_3d": [0, 0, 0, 1, 1, -1, 0, 0, 0], "label": "a"}]',
+         "3D box sizes must be non-negative"),
+        ("count", '[{"count": -1, "label": "a"}]', "count must be a non-negative integer"),
+    ], ids=["lone-surrogate-label", "bool-coordinate", "corners-out-of-order",
+            "negative-3d-size", "negative-count"])
+    def test_bad_document_exits_3_with_one_line(self, capsys, tmp_path, kind, text, message):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "ground", "--kind", kind, "--input", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith(f"validation error: element 0: {message}")
+        assert err.count("\n") == 1
+
     def test_missing_input_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "ground", "--kind", "box2d", "--input", "/nope.json")
         assert code == 2

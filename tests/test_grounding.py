@@ -1,10 +1,17 @@
 import json
+import math
+import os
+import string
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vlmlab
 from vlmlab.errors import GroundingParseError
 from vlmlab.grounding import (Box3D, CountRecord, NormalizedBox, NormalizedPoint, denormalize,
                               iou, normalize, normalize_box, parse_grounding_json,
@@ -58,6 +65,22 @@ class TestNormalize:
             v = int(r.split("v").integers(0, dim + 1))
             factor = int(r.split("f").integers(1, 9))
             assert normalize(v, dim) == normalize(v * factor, dim * factor)
+
+    @pytest.mark.parametrize("call", [
+        lambda: normalize(5, float("inf")),
+        lambda: normalize(5, 10.5),
+        lambda: normalize(1, True),
+        lambda: normalize(0, 0),
+        lambda: denormalize(500.5, 1000),
+        lambda: denormalize(True, 1000),
+        lambda: denormalize(500, 10.5),
+        lambda: denormalize(500, float("nan")),
+    ], ids=["normalize-dim-inf", "normalize-dim-float", "normalize-dim-bool", "normalize-dim-0",
+            "denormalize-coordinate-float", "denormalize-coordinate-bool",
+            "denormalize-dim-float", "denormalize-dim-nan"])
+    def test_bad_inputs_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
 
 
 class TestParse:
@@ -149,9 +172,41 @@ class TestParse:
         with pytest.raises(GroundingParseError, match="element 1: non-finite"):
             parse_grounding_json(payload, "box3d")
 
+    @pytest.mark.parametrize("value", [int(sys.float_info.max) + 1, -int(sys.float_info.max) - 1],
+                             ids=["past-max", "past-minus-max"])
+    def test_box3d_integer_past_the_float_range_rejected(self, value):
+        # float() would round these to +-max rather than overflow.
+        payload = json.dumps([{"bbox_3d": [0, 0, 0, 1, 1, 1, 0, 0, value], "label": "x"}])
+        with pytest.raises(GroundingParseError, match="element 0: non-finite"):
+            parse_grounding_json(payload, "box3d")
+
+    @pytest.mark.parametrize("kind, payload, message", [
+        ("point", '[{"point_2d": [1.5, 2], "label": "a"}, {"label": "b"}]',
+         "element 0: normalized coordinates must be integers, got 1.5"),
+        ("point", '[{"point_2d": [1.5, "x"], "label": "a"}]',
+         "element 0: normalized coordinates must be integers, got 1.5"),
+        ("box2d", '[{"bbox_2d": [0, 0, 1200, true], "label": "a"}]',
+         "element 0: non-numeric entry in 'bbox_2d'"),
+        ("box3d", '[{"bbox_3d": [0, 0, 0, -1, 1, 1, 0, 0, NaN], "label": "a"}]',
+         "element 0: non-finite entry in 'bbox_3d'"),
+    ], ids=["number-fault-before-a-later-structure-fault", "slot-0-before-slot-1",
+            "every-slot-typed-before-ranges", "finiteness-before-sizes"])
+    def test_first_fault_in_check_order(self, kind, payload, message):
+        with pytest.raises(GroundingParseError) as exc:
+            parse_grounding_json(payload, kind)
+        assert str(exc.value) == message
+
     def test_serialize_rejects_non_finite(self):
         with pytest.raises(ValueError):
             serialize_grounding_json([Box3D(float("nan"), 0, 0, 1, 1, 1, 0, 0, 0, "x")])
+
+    def test_label_must_be_valid_unicode(self):
+        # JSON can spell a lone surrogate, which no UTF-8 output can carry.
+        payload = ('[{"point_2d": [1, 2], "label": "ok"}, '
+                   '{"point_2d": [1, 2], "label": "a\\ud800"}]')
+        with pytest.raises(GroundingParseError,
+                           match="^element 1: label is not valid Unicode$"):
+            parse_grounding_json(payload, "point")
 
     def test_count_envelope(self):
         records = parse_grounding_json('[{"count": 7, "label": "apples"}]', "count")
@@ -246,3 +301,172 @@ class TestIoU:
     def test_degenerate_union(self):
         a = NormalizedBox(5, 5, 5, 5)
         assert iou(a, a) == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxes=st.lists(records_of_kind["box2d"], min_size=2, max_size=2),
+       shared=st.booleans(), degenerate=st.booleans())
+def test_iou_is_the_exact_ratio_rounded_once(boxes, shared, degenerate):
+    a, b = boxes
+    if shared:
+        b = a
+    if degenerate:  # zero width: the intersection, and maybe the union, is empty
+        a = NormalizedBox(a.x1, a.y1, a.x1, a.y2)
+    ix = max(0, min(a.x2, b.x2) - max(a.x1, b.x1))
+    iy = max(0, min(a.y2, b.y2) - max(a.y1, b.y1))
+    union = a.area() + b.area() - ix * iy
+    assert iou(a, b) == (float(Fraction(ix * iy, union)) if union else 0.0)
+
+
+def test_grounding_imports_no_numpy():
+    # numpy's import alone would take longer than parsing a 2,000-record document.
+    env = {**os.environ, "PYTHONPATH": str(Path(vlmlab.__file__).parents[1])}
+    code = "import sys, vlmlab.grounding; assert 'numpy' not in sys.modules, 'numpy imported'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+# --- The error text of a bad document -------------------------------------------------
+#
+# reference_parse is the per-record parser that the column checks replaced: every
+# number is checked in a Python loop and every record through its constructor.  It
+# defines which element and which slot the error names, and the text.
+
+_REFERENCE = {"box2d": ("bbox_2d", 4), "point": ("point_2d", 2), "box3d": ("bbox_3d", 9),
+              "count": ("count", None)}
+
+
+def _reference_number(value, key: str, index: int):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise GroundingParseError(f"element {index}: non-numeric entry in '{key}'")
+
+
+def _reference_normalized(value, key: str, index: int) -> int:
+    _reference_number(value, key, index)
+    if isinstance(value, float) and not value.is_integer():
+        raise GroundingParseError(
+            f"element {index}: normalized coordinates must be integers, got {value}")
+    return int(value)
+
+
+def reference_parse(text: str, kind: str):
+    payload = json.loads(text)
+    key, arity = _REFERENCE[kind]
+    records = []
+    for i, entry in enumerate(payload):
+        if not isinstance(entry, dict):
+            raise GroundingParseError(f"element {i}: expected an object")
+        if key not in entry:
+            raise GroundingParseError(f"element {i}: missing '{key}'")
+        label = entry.get("label")
+        if not isinstance(label, str) or not label:
+            raise GroundingParseError(f"element {i}: missing label")
+        value = entry[key]
+        if arity is not None and (not isinstance(value, list) or len(value) != arity):
+            got = len(value) if isinstance(value, list) else type(value).__name__
+            raise GroundingParseError(
+                f"element {i}: expected {arity} numbers in '{key}', got {got}")
+        try:
+            if kind == "count":
+                records.append(CountRecord(value, label))
+            elif kind == "point":
+                x, y = (_reference_normalized(c, key, i) for c in value)
+                records.append(NormalizedPoint(x, y, label))
+            elif kind == "box2d":
+                x1, y1, x2, y2 = (_reference_normalized(c, key, i) for c in value)
+                records.append(NormalizedBox(x1, y1, x2, y2, label))
+            else:
+                for c in value:
+                    _reference_number(c, key, i)
+                    if not -sys.float_info.max <= c <= sys.float_info.max:
+                        raise GroundingParseError(f"element {i}: non-finite entry in '{key}'")
+                records.append(Box3D(*(float(c) for c in value), label=label))
+        except GroundingParseError:
+            raise
+        except ValueError as exc:
+            raise GroundingParseError(f"element {i}: {exc}") from exc
+    return records
+
+
+# Written into the JSON text verbatim: json.dumps cannot spell these.
+_VERBATIM = {"<1e400>": "1e400", "<-1e400>": "-1e400"}
+BAD_NUMBERS = [True, False, "3", None, math.nan, math.inf, -math.inf, *_VERBATIM, 1.5, -0.5,
+               -1, 1001, 10 ** 400, int(sys.float_info.max) + 1]
+# (fault, the bad number it writes); each bad number is a fault of its own.
+FAULTS = [("number", bad) for bad in BAD_NUMBERS] + [
+    (fault, None) for fault in ("swap", "negative-size", "short", "long", "not-a-list",
+                                "not-an-object", "no-key", "no-label", "empty-label",
+                                "label-not-a-string")]
+
+_coordinate = st.one_of(st.integers(0, 1000), st.integers(0, 1000).map(float))
+_param = st.one_of(st.floats(-1e6, 1e6), st.integers(-100, 100))
+_size = st.one_of(st.floats(0.0, 1e6), st.integers(0, 100))
+_values = {
+    "point": st.lists(_coordinate, min_size=2, max_size=2),
+    "box2d": st.tuples(_coordinate, _coordinate, _coordinate, _coordinate).map(
+        lambda c: [min(c[0], c[2]), min(c[1], c[3]), max(c[0], c[2]), max(c[1], c[3])]),
+    "box3d": st.tuples(st.lists(_param, min_size=3, max_size=3),
+                       st.lists(_size, min_size=3, max_size=3),
+                       st.lists(_param, min_size=3, max_size=3)).map(lambda p: [*p[0], *p[1], *p[2]]),
+    "count": st.integers(0, 10 ** 6),
+}
+
+
+def _corrupt(entries: list, index: int, fault: str, bad, data, kind: str):
+    key, arity = _REFERENCE[kind]
+    entry = entries[index]
+    if not isinstance(entry, dict):
+        return
+    value = entry.get(key)
+    if fault == "number":
+        if arity is None:
+            entry[key] = bad
+        elif isinstance(value, list) and value:
+            value[data.draw(st.integers(0, len(value) - 1))] = bad
+    elif fault == "swap" and kind == "box2d" and isinstance(value, list) and len(value) == 4:
+        axis = data.draw(st.integers(0, 1))
+        value[axis], value[axis + 2] = value[axis + 2], value[axis]
+    elif fault == "negative-size" and kind == "box3d" and isinstance(value, list) and len(value) == 9:
+        value[data.draw(st.integers(3, 5))] = -data.draw(st.floats(1e-3, 1e3))
+    elif fault == "short" and isinstance(value, list) and value:
+        value.pop()
+    elif fault == "long" and isinstance(value, list):
+        value.append(0)
+    elif fault == "not-a-list":
+        entry[key] = data.draw(st.sampled_from(["1, 2", {"x": 1}, 3]))
+    elif fault == "not-an-object":
+        entries[index] = data.draw(st.sampled_from([[1, 2], "x", 3, None]))
+    elif fault == "no-key":
+        entry.pop(key, None)
+    elif fault == "no-label":
+        entry.pop("label", None)
+    elif fault == "empty-label":
+        entry["label"] = ""
+    elif fault == "label-not-a-string":
+        entry["label"] = data.draw(st.sampled_from([3, None, ["a"]]))
+
+
+@pytest.mark.parametrize("kind", sorted(_REFERENCE))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_error_text_matches_the_per_record_reference(kind, data):
+    key, _ = _REFERENCE[kind]
+    labels = st.text(string.ascii_letters + "_ ", min_size=1, max_size=5)
+    values = data.draw(st.lists(_values[kind], min_size=1, max_size=6))
+    entries = [{key: v, "label": data.draw(labels)} for v in values]
+    faults = data.draw(st.lists(st.tuples(st.integers(0, len(entries) - 1), st.sampled_from(FAULTS)),
+                                max_size=2))
+    for index, (fault, bad) in faults:
+        _corrupt(entries, index, fault, bad, data, kind)
+    text = json.dumps(entries)
+    for marker, literal in _VERBATIM.items():
+        text = text.replace(json.dumps(marker), literal)
+
+    try:
+        want = reference_parse(text, kind)
+    except GroundingParseError as exc:
+        with pytest.raises(GroundingParseError) as got:
+            parse_grounding_json(text, kind)
+        assert str(got.value) == str(exc)
+    else:
+        # repr tells 1 from 1.0, so the field types must match too.
+        assert repr(parse_grounding_json(text, kind)) == repr(want)
