@@ -243,6 +243,7 @@ TINY_NIAH = {"num_frames": 4, "needle_depths": [0.5], "trials": 1, "durations_mi
     (["train", "--steps", "1", "--out", "."], {"examples": 1, "text_len": 2}),
     (["niah"], {"schema_version": 2}),
     (["train", "--stage", "cfg.json"], {"schema_version": 2, "name": "S1"}),
+    (["train"], {"model": {"schema_version": 2}}),
     (["train", "--lr", "1e308", "--steps", "3"], None),
     (["niah", "--seed", "-1"], TINY_NIAH),
     (["train", "--seed", "-1", "--steps", "1"], None),
@@ -264,6 +265,7 @@ TINY_NIAH = {"num_frames": 4, "needle_depths": [0.5], "trials": 1, "durations_mi
         "sparsity-overflowing-absolute-ids", "niah-too-many-frames", "niah-out-under-a-file",
         "niah-out-is-a-file",
         "train-out-is-a-directory", "niah-schema-version-2", "stage-schema-version-2",
+        "train-model-schema-version-2",
         "train-divergent-lr", "niah-negative-seed", "train-negative-seed",
         "spectrum-5001-digit-integer", "spectrum-nested-100000-deep",
         "stage-5001-digit-integer", "stage-nested-100000-deep"])

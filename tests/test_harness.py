@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -149,6 +150,27 @@ class TestTrainToy:
         after = param_bytes(model)
         assert [n for n in before if n.startswith("encoder.") and before[n] != after[n]] == []
         assert any(before[n] != after[n] for n in before if n.startswith("decoder."))
+
+    def test_parameter_and_loss_digests_pinned(self):
+        """The default model's parameters, by name and in order, after init and after
+        20 S0 steps, and the losses of those steps, hash to pinned values."""
+        def digest(model):
+            h = hashlib.sha256()
+            for name, param in model.parameters().items():
+                h.update(name.encode())
+                h.update(param.data.tobytes())
+            return h.hexdigest()
+
+        cfg, rng = ModelConfig(), Rng(0)
+        model = VisionLanguageModel(cfg, rng.split("model"))
+        assert len(model.parameters()) == 134
+        assert digest(model) == "078799625d986457e6172cce7890c853b763a9b7b44e32ace32af746e7c18241"
+        batch = make_synthetic_batch(cfg, rng.split("data"))
+        losses = train_toy(model, load_stage_config("S0"), batch, steps=20, lr=0.1).losses
+        assert digest(model) == "d603e5d02338093db75e7fcf3f6dedc279cffcd40f12c06589995c1524dcb7b3"
+        assert (hashlib.sha256(np.array(losses).tobytes()).hexdigest()
+                == "000ee5711ea09234811ad231b3260ae2623c337c3bbde1b3b88f08b8704adcaa")
+        assert (losses[0], losses[-1]) == (5.701772113914188, 5.698126242992732)
 
     def test_zero_lr_changes_nothing(self):
         cfg, model = tiny_model()
