@@ -138,9 +138,6 @@ def _cmd_train(args) -> int:
 
 def _cmd_niah(args) -> int:
     cfg_dict = load_json_config(args.config, _NIAH_KEYS, "niah")
-    version = cfg_dict.pop("schema_version", 1)
-    if version != 1:
-        raise ConfigError(f"unsupported niah config schema_version {version}")
     if args.seed is not None:
         cfg_dict["seed"] = args.seed
     cfg = NiahConfig(**cfg_dict)

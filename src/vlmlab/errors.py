@@ -42,11 +42,13 @@ def _has_type(value, expected) -> bool:
     return expected is not NUMBER or abs(value) <= sys.float_info.max
 
 
-def check_config_types(raw: Mapping, key_types: Mapping, what: str) -> None:
+def check_config_types(raw: dict, key_types: Mapping, what: str) -> None:
     """Reject keys absent from ``key_types`` and values of the wrong JSON type.
 
     ``key_types`` maps each key to a type, to ``NUMBER`` (a finite number),
-    or to ``[t]`` for an array whose items are all of type ``t``.
+    or to ``[t]`` for an array whose items are all of type ``t``.  Where it
+    lists ``schema_version``, a version other than 1 is rejected; the key
+    is then dropped from ``raw``.
     """
     unknown = set(raw) - set(key_types)
     if unknown:
@@ -58,6 +60,9 @@ def check_config_types(raw: Mapping, key_types: Mapping, what: str) -> None:
                     else _JSON_NAMES[expected])
             raise ConfigError(
                 f"{what} config key {key!r} must be a JSON {name}, got {json.dumps(value)}")
+    version = raw.pop("schema_version", 1)
+    if version != 1:
+        raise ConfigError(f"unsupported {what} config schema_version {version}")
 
 
 def load_json_config(path: str | None, key_types: Mapping, what: str) -> dict:

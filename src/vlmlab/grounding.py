@@ -78,6 +78,12 @@ class Box3D:
     label: str = ""
 
     def __post_init__(self):
+        for f in fields(self)[:9]:
+            v = getattr(self, f.name)
+            # The comparison is false for NaN and the infinities, and exact for ints.
+            if (not isinstance(v, (int, float)) or isinstance(v, bool)
+                    or not -_FLOAT_MAX <= v <= _FLOAT_MAX):
+                raise ValueError(f"{f.name}={v!r} is not a finite number")
         if min(self.x_size, self.y_size, self.z_size) < 0:
             raise ValueError("3D box sizes must be non-negative")
 
@@ -109,6 +115,8 @@ def normalize(v: float, dim: int) -> int:
     Rounding is half-up, computed in exact rational arithmetic.
     """
     _check_dimension(dim)
+    if isinstance(v, bool):
+        raise ValueError(f"coordinate must be a number, got {v!r}")
     if not 0 <= v <= dim:
         raise ValueError(f"coordinate {v} outside image extent [0, {dim}]")
     n = math.floor(Fraction(v) * COORD_MAX / dim + Fraction(1, 2))

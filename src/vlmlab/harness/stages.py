@@ -71,9 +71,6 @@ def load_stage_config(name_or_path: str) -> StageConfig:
             f"unknown stage {name_or_path!r}; valid names: {', '.join(STAGE_NAMES)} "
             "(or pass a path to a JSON stage file)")
     raw = load_json_config(name_or_path, _STAGE_KEYS, "stage")
-    version = raw.pop("schema_version", 1)
-    if version != 1:
-        raise ConfigError(f"unsupported stage schema_version {version}")
     name = raw.get("name")
     if name not in _STAGE_TABLE:
         raise ConfigError(f"unknown stage {name!r}; valid names: {', '.join(STAGE_NAMES)}")

@@ -43,20 +43,22 @@ class SampleLossRecord:
         return sum(self.token_losses) / len(self.token_losses)
 
 
-def _exponent(scheme: str) -> float:
+def _sample_weights(batch: Sequence[SampleLossRecord],
+                    scheme: str) -> tuple[float, list[float], float]:
+    """The scheme's exponent p, each sample's weight n_s**p, and their sum."""
+    if not batch:
+        raise ValueError("batch must be non-empty")
     try:
-        return SCHEMES[scheme]
+        p = SCHEMES[scheme]
     except KeyError:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {sorted(SCHEMES)}") from None
+    weights = [s.token_count ** p for s in batch]
+    return p, weights, sum(weights)
 
 
 def aggregate(batch: Sequence[SampleLossRecord], scheme: str) -> float:
     """The batch loss under the chosen weighting scheme."""
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    p = _exponent(scheme)
-    weights = [s.token_count ** p for s in batch]
-    total = sum(weights)
+    _, weights, total = _sample_weights(batch, scheme)
     return sum(w * s.mean_loss for w, s in zip(weights, batch)) / total
 
 
@@ -67,8 +69,5 @@ def gradient_weights(batch: Sequence[SampleLossRecord], scheme: str) -> list[flo
     sum_s weight_s * (sum of sample s's token losses) reproduces the
     aggregate exactly.
     """
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    p = _exponent(scheme)
-    total = sum(s.token_count ** p for s in batch)
+    p, _, total = _sample_weights(batch, scheme)
     return [s.token_count ** (p - 1.0) / total for s in batch]

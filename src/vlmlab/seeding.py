@@ -16,6 +16,7 @@ any platform.
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
 
@@ -31,7 +32,10 @@ class Rng:
     """A named, splittable wrapper around numpy's PCG64 generator."""
 
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
-        self.seed = int(seed)
+        # An integer, numpy's included; a float, a string or a bool is not one.
+        if isinstance(seed, bool) or not hasattr(seed, "__index__"):
+            raise ConfigError(f"seed must be an integer, got {seed!r}")
+        self.seed = operator.index(seed)
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         self._path = _path

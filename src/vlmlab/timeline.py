@@ -29,8 +29,10 @@ BYTE_VOCAB_SIZE = 256
 # sparsity run at the cap takes about 0.45 s and 65 MB).
 MAX_GROUPS = 100_000
 
-_HMS_RE = re.compile(r"<(\d{2,}):(\d{2}):(\d{2})>", re.ASCII)
-_SECONDS_RE = re.compile(r"<(\d+\.\d) seconds>", re.ASCII)
+# As format_timestamp writes them: hours of two digits, or more with no leading
+# zero; whole seconds 0 or with no leading zero.
+_HMS_RE = re.compile(r"<(\d{2}|[1-9]\d{2,}):(\d{2}):(\d{2})>", re.ASCII)
+_SECONDS_RE = re.compile(r"<((?:0|[1-9]\d*)\.\d) seconds>", re.ASCII)
 # Half-up rounding to tenths, with enough digits for any finite float (the
 # default 28 fail from 1e27 s on).
 _TENTHS = Decimal("0.1")

@@ -103,9 +103,6 @@ class ModelConfig:
             taps = tuple(self.taps)
         else:
             taps = (depth // 4, depth // 2, (3 * depth) // 4)
-            if not taps[0] < taps[1] < taps[2]:
-                # Degenerate shallow encoders fall back to the first three layers.
-                taps = (0, 1, 2)
         if len(taps) != 3 or not 0 <= taps[0] < taps[1] < taps[2]:
             raise ConfigError(f"taps must be three strictly increasing indices, got {taps}")
         if taps[-1] >= depth:
@@ -133,9 +130,6 @@ class ModelConfig:
         if not isinstance(raw, dict):
             raise ConfigError("model config must be a JSON object")
         check_config_types(raw, _MODEL_KEY_TYPES, "model")
-        version = raw.pop("schema_version", 1)
-        if version != 1:
-            raise ConfigError(f"unsupported model config schema_version {version}")
         return ModelConfig(**raw)
 
 
@@ -343,7 +337,9 @@ class VisionLanguageModel:
     """Bundle of encoder, mergers, and decoder with named parameters.
 
     Parameter names are prefixed by component (``encoder.``, ``merger.``,
-    ``decoder.``) so training stages can freeze whole components.
+    ``decoder.``) so training stages can freeze whole components.  The
+    names are decided once, here: ``_slots`` maps each one to the component
+    ``params`` dict that holds it and its key there.
     """
 
     def __init__(self, config: ModelConfig, rng: Rng):
@@ -355,32 +351,19 @@ class VisionLanguageModel:
             for i in range(3)
         ]
         self.decoder = Decoder(config, rng.split("decoder"))
+        components = {"encoder": self.encoder.params, "merger.main": self.main_merger.params,
+                      **{f"merger.tap{i}": m.params for i, m in enumerate(self.tap_mergers)},
+                      "decoder": self.decoder.params}
+        self._slots = {f"{prefix}.{key}": (params, key)
+                       for prefix, params in components.items() for key in params}
 
     def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for name, p in self.encoder.params.items():
-            out[f"encoder.{name}"] = p
-        for name, p in self.main_merger.params.items():
-            out[f"merger.main.{name}"] = p
-        for i, merger in enumerate(self.tap_mergers):
-            for name, p in merger.params.items():
-                out[f"merger.tap{i}.{name}"] = p
-        for name, p in self.decoder.params.items():
-            out[f"decoder.{name}"] = p
-        return out
+        return {name: params[key] for name, (params, key) in self._slots.items()}
 
     def set_parameter(self, name: str, value: Tensor) -> None:
-        component, _, rest = name.partition(".")
-        if component == "encoder":
-            self.encoder.params[rest] = value
-        elif component == "decoder":
-            self.decoder.params[rest] = value
-        elif component == "merger":
-            which, _, leaf = rest.partition(".")
-            merger = self.main_merger if which == "main" else self.tap_mergers[int(which[3:])]
-            merger.params[leaf] = value
-        else:
-            raise KeyError(name)
+        """Replace parameter ``name``; a name ``parameters()`` does not list raises KeyError."""
+        params, key = self._slots[name]
+        params[key] = value
 
     @staticmethod
     def component_of(name: str) -> str:

@@ -71,11 +71,14 @@ class TestNormalize:
         lambda: normalize(5, 10.5),
         lambda: normalize(1, True),
         lambda: normalize(0, 0),
+        lambda: normalize(True, 10),
+        lambda: normalize_box(True, 0, 1, 1, 10, 10),
         lambda: denormalize(500.5, 1000),
         lambda: denormalize(True, 1000),
         lambda: denormalize(500, 10.5),
         lambda: denormalize(500, float("nan")),
     ], ids=["normalize-dim-inf", "normalize-dim-float", "normalize-dim-bool", "normalize-dim-0",
+            "normalize-coordinate-bool", "normalize-box-coordinate-bool",
             "denormalize-coordinate-float", "denormalize-coordinate-bool",
             "denormalize-dim-float", "denormalize-dim-nan"])
     def test_bad_inputs_rejected(self, call):
@@ -199,6 +202,21 @@ class TestParse:
     def test_serialize_rejects_non_finite(self):
         with pytest.raises(ValueError):
             serialize_grounding_json([Box3D(float("nan"), 0, 0, 1, 1, 1, 0, 0, 0, "x")])
+
+    @pytest.mark.parametrize("params, message", [
+        ((float("nan"), 0, 0, 1, 1, 1, 0, 0, 0), "x_center=nan is not a finite number"),
+        ((0, 0, 0, 1, 1, 1, 0, 0, float("inf")), "yaw=inf is not a finite number"),
+        ((0, 0, 0, 1, float("-inf"), 1, 0, 0, 0), "y_size=-inf is not a finite number"),
+        ((0, 0, 10 ** 400, 1, 1, 1, 0, 0, 0), "z_center=1000"),
+        ((True, 0, 0, 1, 1, 1, 0, 0, 0), "x_center=True is not a finite number"),
+        ((0, "a", 0, 1, 1, 1, 0, 0, 0), "y_center='a' is not a finite number"),
+        ((0, 0, 0, 1, 1, None, 0, 0, 0), "z_size=None is not a finite number"),
+        ((0, 0, 0, 1, -0.5, 1, 0, 0, 0), "3D box sizes must be non-negative"),
+    ], ids=["nan", "inf", "negative-inf-size", "integer-past-float-range", "bool", "string",
+            "none", "negative-size"])
+    def test_box3d_holds_nine_finite_numbers(self, params, message):
+        with pytest.raises(ValueError, match=message):
+            Box3D(*params, "x")
 
     def test_label_must_be_valid_unicode(self):
         # JSON can spell a lone surrogate, which no UTF-8 output can carry.

@@ -525,6 +525,17 @@ def test_negative_seed_is_a_config_error():
         Rng(-1)
 
 
+@pytest.mark.parametrize("seed", ["3", 1.5, True, np.float64(2.0), np.True_])
+def test_seed_that_is_not_an_integer_is_a_config_error(seed):
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        Rng(seed)
+
+
+def test_numpy_integer_seed_seeds_as_its_value():
+    assert Rng(np.int64(3)).seed == 3
+    assert Rng(np.int64(3)).split("x").normal(4).tobytes() == Rng(3).split("x").normal(4).tobytes()
+
+
 def test_split_streams_differ():
     a = Rng(42).split("x").normal(8)
     b = Rng(42).split("y").normal(8)

@@ -147,10 +147,13 @@ class TestTimestamps:
     @pytest.mark.parametrize("text", [
         "<\u0663.\u0660 seconds>", "<\u0660\u0661:00:00>", "<01:\u0660\u0660:00>",
         "<3.0 seconds>\n", "<01:00:00>\n", " <3.0 seconds>", "<3.0 seconds> ", "<3 seconds>",
-        "<1:00:00>", "<01:60:00>", "<-1.0 seconds>"],
+        "<1:00:00>", "<01:60:00>", "<-1.0 seconds>", "<03.0 seconds>", "<00.0 seconds>",
+        "<001:00:00>", "<0100:00:00>"],
         ids=["arabic-indic-seconds", "arabic-indic-hours", "arabic-indic-minutes",
              "seconds-trailing-newline", "hms-trailing-newline", "leading-space",
-             "trailing-space", "no-tenths", "one-digit-hours", "minutes-60", "negative"])
+             "trailing-space", "no-tenths", "one-digit-hours", "minutes-60", "negative",
+             "seconds-leading-zero", "seconds-double-zero", "hours-leading-zero-3-digits",
+             "hours-leading-zero-4-digits"])
     def test_parse_rejects_what_format_never_writes(self, text):
         with pytest.raises(ValueError):
             parse_timestamp(text)

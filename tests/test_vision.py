@@ -43,6 +43,12 @@ class TestTypes:
     def test_default_taps_evenly_spaced(self):
         assert ModelConfig(encoder_depth=12).taps == (3, 6, 9)
         assert ModelConfig(encoder_depth=4).taps == (1, 2, 3)
+        assert ModelConfig(encoder_depth=3).taps == (0, 1, 2)
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_encoder_too_shallow_for_three_taps(self, depth):
+        with pytest.raises(ConfigError, match="three strictly increasing"):
+            ModelConfig(encoder_depth=depth)
 
     def test_patch_grid_row_count(self):
         with pytest.raises(ShapeError):
@@ -547,6 +553,15 @@ class TestPrepare:
         model = VisionLanguageModel(small_config(), Rng(0))
         components = {model.component_of(k) for k in model.parameters()}
         assert components == {"encoder", "merger", "decoder"}
+
+    @pytest.mark.parametrize("name", ["encoder.bogus", "merger.tap7.fc1.w", "merger.tapX.fc1.w",
+                                      "merger.foo", "decoder", "bogus.embed"])
+    def test_set_parameter_rejects_an_unlisted_name(self, name):
+        model = VisionLanguageModel(small_config(), Rng(0))
+        before = dict(model.parameters())
+        with pytest.raises(KeyError):
+            model.set_parameter(name, Tensor(np.zeros(1)))
+        assert model.parameters() == before
 
     def test_post_layer_injection_ablation(self):
         pre = VisionLanguageModel(small_config(), Rng(8))
