@@ -29,6 +29,19 @@ def param_bytes(model):
     return {k: v.data.tobytes() for k, v in model.parameters().items()}
 
 
+def param_digest(model):
+    """SHA-256 of the model's parameters, by name and in order."""
+    h = hashlib.sha256()
+    for name, param in model.parameters().items():
+        h.update(name.encode())
+        h.update(param.data.tobytes())
+    return h.hexdigest()
+
+
+# The default model's parameters as built from Rng(0).split("model").
+INIT_DIGEST = "078799625d986457e6172cce7890c853b763a9b7b44e32ace32af746e7c18241"
+
+
 class TestStages:
     def test_builtin_table(self):
         expected = {"S0": 8192, "S1": 8192, "S2": 32768, "S3": 262144}
@@ -154,23 +167,34 @@ class TestTrainToy:
     def test_parameter_and_loss_digests_pinned(self):
         """The default model's parameters, by name and in order, after init and after
         20 S0 steps, and the losses of those steps, hash to pinned values."""
-        def digest(model):
-            h = hashlib.sha256()
-            for name, param in model.parameters().items():
-                h.update(name.encode())
-                h.update(param.data.tobytes())
-            return h.hexdigest()
-
         cfg, rng = ModelConfig(), Rng(0)
         model = VisionLanguageModel(cfg, rng.split("model"))
         assert len(model.parameters()) == 134
-        assert digest(model) == "078799625d986457e6172cce7890c853b763a9b7b44e32ace32af746e7c18241"
+        assert param_digest(model) == INIT_DIGEST
         batch = make_synthetic_batch(cfg, rng.split("data"))
         losses = train_toy(model, load_stage_config("S0"), batch, steps=20, lr=0.1).losses
-        assert digest(model) == "d603e5d02338093db75e7fcf3f6dedc279cffcd40f12c06589995c1524dcb7b3"
+        assert (param_digest(model)
+                == "d603e5d02338093db75e7fcf3f6dedc279cffcd40f12c06589995c1524dcb7b3")
         assert (hashlib.sha256(np.array(losses).tobytes()).hexdigest()
                 == "000ee5711ea09234811ad231b3260ae2623c337c3bbde1b3b88f08b8704adcaa")
         assert (losses[0], losses[-1]) == (5.701772113914188, 5.698126242992732)
+
+    def test_s1_parameter_and_loss_digests_pinned(self):
+        """Three S1 steps update the encoder too: each step's loss must come from
+        the encoder's current parameters, so the digests pin every re-encoding."""
+        cfg, rng = ModelConfig(), Rng(0)
+        model = VisionLanguageModel(cfg, rng.split("model"))
+        assert param_digest(model) == INIT_DIGEST
+        before = param_bytes(model)
+        batch = make_synthetic_batch(cfg, rng.split("data"))
+        losses = train_toy(model, load_stage_config("S1"), batch, steps=3, lr=0.1).losses
+        after = param_bytes(model)
+        assert all(before[n] != after[n] for n in before if n.startswith("encoder.block"))
+        assert (param_digest(model)
+                == "eda64d279a61e54b0611568c1fecd364fb50e2de2a06426d0e721142561bf5a8")
+        assert (hashlib.sha256(np.array(losses).tobytes()).hexdigest()
+                == "1b231efcea50d0ae7c293ab3c5d25b81898672cfb610278668cfd140f2513e15")
+        assert losses == [5.701772113914188, 5.6660795600242135, 5.642397884946508]
 
     def test_zero_lr_changes_nothing(self):
         cfg, model = tiny_model()
