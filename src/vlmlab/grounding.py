@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import sys
 from collections import deque
@@ -112,10 +113,11 @@ def _check_dimension(dim):
 def normalize(v: float, dim: int) -> int:
     """Map a pixel coordinate in [0, dim] to an integer in [0, 1000].
 
-    Rounding is half-up, computed in exact rational arithmetic.
+    Rounding is half-up, computed in exact rational arithmetic.  ``v`` is a
+    float or a rational number (int, ``Fraction``, numpy integer), not a bool.
     """
     _check_dimension(dim)
-    if isinstance(v, bool):
+    if isinstance(v, bool) or not isinstance(v, (float, numbers.Rational)):
         raise ValueError(f"coordinate must be a number, got {v!r}")
     if not 0 <= v <= dim:
         raise ValueError(f"coordinate {v} outside image extent [0, {dim}]")

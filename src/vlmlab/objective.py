@@ -22,12 +22,19 @@ SCHEMES = {"per_sample": 0.0, "per_token": 1.0, "sqrt": 0.5}
 
 @dataclass(frozen=True)
 class SampleLossRecord:
-    """The per-token losses of one sample; its weight reads their count only."""
+    """The per-token losses of one sample; its weight reads their count only.
+
+    Each loss is an int or a float (numpy float64 included), not a bool or a
+    string, and is stored as a float."""
 
     token_losses: tuple[float, ...]
 
     def __post_init__(self):
-        losses = tuple(float(x) for x in self.token_losses)
+        losses = tuple(self.token_losses)
+        bad = [x for x in losses if isinstance(x, bool) or not isinstance(x, (int, float))]
+        if bad:
+            raise ValueError(f"token losses must be int or float numbers, got {bad[0]!r}")
+        losses = tuple(map(float, losses))
         if not losses:
             raise ValueError("sample must contain at least one token loss")
         if any(not math.isfinite(x) or x < 0 for x in losses):

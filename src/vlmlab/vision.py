@@ -16,6 +16,13 @@ over a rank-3 batch keeping one (rows, rows) probability matrix per grid,
 so memory grows linearly with the number of grids.  One ``gather_rows``
 then puts text and visual rows in sequence order.
 
+The encoder is a memo of its own pure function: a second ``forward`` of
+the same grids returns the first call's tensors while the encoder holds the
+same parameter objects, and any new parameter object empties the memo.
+So the steps of stage S0, which keeps the encoder frozen, encode each grid
+once; a backward that does differentiate the encoder walks the remembered
+nodes again, from their new upstream gradient.
+
 The decoder is a standard pre-norm causal transformer whose q/k vectors
 get the three-axis rotary treatment; its ``attention`` hides later tokens,
 running the queries in row blocks that never compute or keep the masked
@@ -46,7 +53,11 @@ POS_TABLE = (4, 4)  # learned position table, bilinearly resized to each patch g
 
 @dataclass(frozen=True)
 class PatchGrid:
-    """Patch features laid out row-major over a (gh, gw) grid."""
+    """Patch features laid out row-major over a (gh, gw) grid.
+
+    ``gh``, ``gw`` and ``dim`` are ints and ``features`` a ``Tensor``.  A
+    tensor compares by identity, so two grids are equal, and encode once,
+    when they share their shape and their ``features`` object."""
 
     gh: int
     gw: int
@@ -54,6 +65,13 @@ class PatchGrid:
     features: Tensor
 
     def __post_init__(self):
+        for name in ("gh", "gw", "dim"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ConfigError(f"patch grid {name} must be an integer, got {value!r}")
+        if not isinstance(self.features, Tensor):
+            raise ConfigError(f"patch grid features must be a Tensor, "
+                              f"got {type(self.features).__name__}")
         if self.gh < 1 or self.gw < 1:
             raise ConfigError(f"patch grid must be at least 1x1, got {self.gh}x{self.gw}")
         if self.features.shape != (self.gh * self.gw, self.dim):
@@ -202,13 +220,31 @@ class VisionEncoder:
         for layer in range(config.encoder_depth):
             self.params.update(_block_params(rng.split(f"block{layer}"),
                                              config.dim, config.head_dim, f"block{layer}"))
+        self._memo_state: tuple[Tensor, ...] = ()
+        self._memo: dict[tuple[PatchGrid, ...], tuple[Tensor, tuple[Tensor, ...]]] = {}
 
-    def forward(self, *grids: PatchGrid) -> tuple[Tensor, list[Tensor]]:
+    def forward(self, *grids: PatchGrid) -> tuple[Tensor, tuple[Tensor, ...]]:
         """Final hidden state plus the hidden states after each tapped block.
 
         Grids of one shape run as one batch: each state holds their rows one
         grid after another, and attention stays inside each grid.
+
+        A memo of this pure function: a call with the grids of an earlier
+        one returns that call's tensors, tape nodes and all, for as long as
+        ``params`` holds the same parameter objects.  Grids match when they
+        have the same shape and the same ``features`` object.  Any change of
+        parameter object (``set_parameter``, a training update, a direct
+        write to ``params``) empties the memo.  It keeps every grid batch
+        seen since then: that suits ``train_toy`` and the CLI ``train``,
+        which encode one fixed batch step after step, and would grow
+        without bound under a stream of new grids through a frozen encoder.
         """
+        state = tuple(self.params.values())
+        if len(state) != len(self._memo_state) or any(
+                a is not b for a, b in zip(state, self._memo_state)):
+            self._memo_state, self._memo = state, {}
+        if grids in self._memo:
+            return self._memo[grids]
         gh, gw, dim = grids[0].gh, grids[0].gw, self.config.dim
         for grid in grids:
             if grid.dim != dim:
@@ -230,7 +266,8 @@ class VisionEncoder:
             x = _block_forward(self.params, f"block{layer}", x, rotation, False, len(grids))
             if layer in self.config.taps:
                 taps.append(x)
-        return x, taps
+        self._memo[grids] = x, tuple(taps)
+        return self._memo[grids]
 
 
 class Merger:

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +36,10 @@ class TestNormalize:
     def test_half_rounds_up(self):
         # 1*1000/2000 = 0.5 exactly
         assert normalize(1, 2000) == 1
+
+    def test_rational_and_float_coordinates(self):
+        assert normalize(Fraction(1, 2), 1) == normalize(0.5, 1) == 500
+        assert normalize(np.int64(512), 1024) == normalize(np.float64(512.0), 1024) == 500
 
     def test_out_of_extent_rejected(self):
         with pytest.raises(ValueError, match="outside image extent"):
@@ -72,13 +77,17 @@ class TestNormalize:
         lambda: normalize(1, True),
         lambda: normalize(0, 0),
         lambda: normalize(True, 10),
+        lambda: normalize("5", 10),
+        lambda: normalize(None, 10),
+        lambda: normalize([1], 10),
         lambda: normalize_box(True, 0, 1, 1, 10, 10),
         lambda: denormalize(500.5, 1000),
         lambda: denormalize(True, 1000),
         lambda: denormalize(500, 10.5),
         lambda: denormalize(500, float("nan")),
     ], ids=["normalize-dim-inf", "normalize-dim-float", "normalize-dim-bool", "normalize-dim-0",
-            "normalize-coordinate-bool", "normalize-box-coordinate-bool",
+            "normalize-coordinate-bool", "normalize-coordinate-str", "normalize-coordinate-none",
+            "normalize-coordinate-list", "normalize-box-coordinate-bool",
             "denormalize-coordinate-float", "denormalize-coordinate-bool",
             "denormalize-dim-float", "denormalize-dim-nan"])
     def test_bad_inputs_rejected(self, call):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from vlmlab.objective import SCHEMES, SampleLossRecord, aggregate, gradient_weights
@@ -116,3 +117,14 @@ class TestRecordValidation:
     def test_negative_loss_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             record([-0.1])
+
+    @pytest.mark.parametrize("losses", [(True, 1), ("1.5",), (None,), (1.0, b"2")],
+                             ids=["bool", "str", "none", "bytes"])
+    def test_non_number_loss_rejected(self, losses):
+        with pytest.raises(ValueError, match="int or float"):
+            SampleLossRecord(losses)
+
+    def test_ints_and_numpy_floats_stored_as_floats(self):
+        stored = SampleLossRecord((1, np.float64(0.5), 2.0)).token_losses
+        assert stored == (1.0, 0.5, 2.0)
+        assert all(type(x) is float for x in stored)

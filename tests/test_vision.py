@@ -54,6 +54,17 @@ class TestTypes:
         with pytest.raises(ShapeError):
             PatchGrid(2, 2, 3, Tensor(np.ones((3, 3))))
 
+    @pytest.mark.parametrize("gh,gw,dim,features,field", [
+        (2.0, 4, 4, Tensor(np.ones((8, 4))), "gh"),
+        (True, 8, 4, Tensor(np.ones((8, 4))), "gh"),
+        (2, np.int64(4), 4, Tensor(np.ones((8, 4))), "gw"),
+        (2, 4, 4.0, Tensor(np.ones((8, 4))), "dim"),
+        (2, 4, 4, np.ones((8, 4)), "features"),
+    ], ids=["gh-float", "gh-bool", "gw-numpy-int", "dim-float", "features-ndarray"])
+    def test_patch_grid_field_types(self, gh, gw, dim, features, field):
+        with pytest.raises(ConfigError, match=f"patch grid {field} must be"):
+            PatchGrid(gh, gw, dim, features)
+
     def test_injection_plan_validation(self):
         ModelConfig(decoder_depth=3, inject_layers=(0, 1, 2))
         with pytest.raises(ConfigError, match="out of range"):
@@ -179,6 +190,67 @@ class TestEncoder:
         cfg = small_config()
         with pytest.raises(ShapeError, match="one encoder batch"):
             VisionEncoder(cfg, Rng(0)).forward(random_grid(cfg, 2, 2), random_grid(cfg, 2, 4))
+
+
+def prepared_bytes(prepared: PreparedInput) -> list[bytes]:
+    return [t.data.tobytes() for t in (prepared.embeddings, *prepared.deepstack)]
+
+
+class TestEncoderMemo:
+    """``VisionEncoder.forward`` returns the tensors of an earlier call with the
+    same grids until a parameter object of the encoder changes."""
+
+    def test_same_grids_return_the_same_tensors(self):
+        cfg = small_config()
+        enc = VisionEncoder(cfg, Rng(0))
+        grids = [random_grid(cfg, 2, 4, seed=s) for s in (5, 6)]
+        final, taps = enc.forward(*grids)
+        again, again_taps = enc.forward(*grids)
+        assert again is final
+        assert all(a is b for a, b in zip(again_taps, taps, strict=True))
+        # Equal shapes and equal values are not the same grid: the features
+        # object is part of the key, and so is the shape.
+        copy = PatchGrid(2, 4, cfg.dim, Tensor(grids[0].features.data))
+        assert enc.forward(copy)[0] is not enc.forward(grids[0])[0]
+        assert (enc.forward(copy)[0].data.tobytes()
+                == enc.forward(grids[0])[0].data.tobytes())
+        transposed = PatchGrid(4, 2, cfg.dim, grids[0].features)
+        assert (enc.forward(transposed)[0].data.tobytes()
+                != enc.forward(grids[0])[0].data.tobytes())
+
+    def test_second_prepare_adds_no_encoder_nodes(self):
+        cfg = small_config()
+        model = VisionLanguageModel(cfg, Rng(0))
+        seq = MultimodalSequence.of((TextSpan((1, 2)), ImageBlock(1, 2), TextSpan((3, 4, 5))))
+        grid = random_grid(cfg, 2, 4, seed=5)
+        first = model.prepare(seq, {1: grid})
+        second = model.prepare(seq, {1: grid})
+        seen = {id(node) for out in (first.embeddings, *first.deepstack)
+                for node in tape_nodes(out)}
+        new_ops = Counter(node._op for out in (second.embeddings, *second.deepstack)
+                          for node in tape_nodes(out) if id(node) not in seen)
+        # Only the text embedding, the four mergers and the sequence order run again.
+        assert new_ops == {"linear": 4 * 2, "gelu": 4, "gather_rows": 1 + 4 + 1, "reshape": 4,
+                           "concat_rows": 1}
+        fresh = VisionLanguageModel(cfg, Rng(0)).prepare(seq, {1: grid})
+        assert prepared_bytes(second) == prepared_bytes(first) == prepared_bytes(fresh)
+
+    @pytest.mark.parametrize("write", ["set_parameter", "params"])
+    def test_changed_parameter_gives_a_fresh_encoding(self, write):
+        cfg = small_config()
+        model, fresh = VisionLanguageModel(cfg, Rng(0)), VisionLanguageModel(cfg, Rng(0))
+        seq = MultimodalSequence.of((TextSpan((1, 2)), ImageBlock(1, 2), TextSpan((3, 4, 5))))
+        grids = {1: random_grid(cfg, 2, 4, seed=5)}
+        before = prepared_bytes(model.prepare(seq, grids))
+        for target in (model, fresh):
+            value = Tensor(target.encoder.params["block1.q.w"].data * 3.0)
+            if write == "set_parameter":
+                target.set_parameter("encoder.block1.q.w", value)
+            else:
+                target.encoder.params["block1.q.w"] = value
+        after = prepared_bytes(model.prepare(seq, grids))
+        assert after == prepared_bytes(fresh.prepare(seq, grids))
+        assert after != before
 
 
 class TestMerge2x2:
@@ -623,6 +695,10 @@ class TestTape:
         batch = make_synthetic_batch(cfg, rng.split("data"), n_examples=8, text_len=12)
         loss, _ = _batch_loss(model, batch, "sqrt")
         self.check(loss, cfg, decoder_passes=8, encoder_passes=4, nodes=735)
+        # A later step reaches the same number of nodes, the encoder's
+        # remembered ones among them.
+        again, _ = _batch_loss(model, batch, "sqrt")
+        self.check(again, cfg, decoder_passes=8, encoder_passes=4, nodes=735)
 
     def test_long_video_forward_and_loss(self):
         # 32 timestamped groups of two frames, as in the long_video benchmark.
