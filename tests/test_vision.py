@@ -221,10 +221,9 @@ class TestEncoderMemo:
     def test_second_prepare_adds_no_encoder_nodes(self):
         cfg = small_config()
         model = VisionLanguageModel(cfg, Rng(0))
-        seq = MultimodalSequence.of((TextSpan((1, 2)), ImageBlock(1, 2), TextSpan((3, 4, 5))))
         grid = random_grid(cfg, 2, 4, seed=5)
-        first = model.prepare(seq, {1: grid})
-        second = model.prepare(seq, {1: grid})
+        first = prepared_multimodal(cfg, model, grid=grid)
+        second = prepared_multimodal(cfg, model, grid=grid)
         seen = {id(node) for out in (first.embeddings, *first.deepstack)
                 for node in tape_nodes(out)}
         new_ops = Counter(node._op for out in (second.embeddings, *second.deepstack)
@@ -232,24 +231,23 @@ class TestEncoderMemo:
         # Only the text embedding, the four mergers and the sequence order run again.
         assert new_ops == {"linear": 4 * 2, "gelu": 4, "gather_rows": 1 + 4 + 1, "reshape": 4,
                            "concat_rows": 1}
-        fresh = VisionLanguageModel(cfg, Rng(0)).prepare(seq, {1: grid})
+        fresh = prepared_multimodal(cfg, VisionLanguageModel(cfg, Rng(0)), grid=grid)
         assert prepared_bytes(second) == prepared_bytes(first) == prepared_bytes(fresh)
 
     @pytest.mark.parametrize("write", ["set_parameter", "params"])
     def test_changed_parameter_gives_a_fresh_encoding(self, write):
         cfg = small_config()
         model, fresh = VisionLanguageModel(cfg, Rng(0)), VisionLanguageModel(cfg, Rng(0))
-        seq = MultimodalSequence.of((TextSpan((1, 2)), ImageBlock(1, 2), TextSpan((3, 4, 5))))
-        grids = {1: random_grid(cfg, 2, 4, seed=5)}
-        before = prepared_bytes(model.prepare(seq, grids))
+        grid = random_grid(cfg, 2, 4, seed=5)
+        before = prepared_bytes(prepared_multimodal(cfg, model, grid=grid))
         for target in (model, fresh):
             value = Tensor(target.encoder.params["block1.q.w"].data * 3.0)
             if write == "set_parameter":
                 target.set_parameter("encoder.block1.q.w", value)
             else:
                 target.encoder.params["block1.q.w"] = value
-        after = prepared_bytes(model.prepare(seq, grids))
-        assert after == prepared_bytes(fresh.prepare(seq, grids))
+        after = prepared_bytes(prepared_multimodal(cfg, model, grid=grid))
+        assert after == prepared_bytes(prepared_multimodal(cfg, fresh, grid=grid))
         assert after != before
 
 
@@ -356,10 +354,9 @@ class TestDeepstackInject:
             N.add_rows_at(Tensor(np.ones((4, 8))), Tensor(np.ones((1, 8))), [4])
 
 
-def prepared_multimodal(cfg, model, seed=0):
+def prepared_multimodal(cfg, model, seed=0, grid=None):
     seq = MultimodalSequence.of((TextSpan((1, 2)), ImageBlock(1, 2), TextSpan((3, 4, 5))))
-    grid = random_grid(cfg, 2, 4, seed=seed)
-    return model.prepare(seq, {1: grid})
+    return model.prepare(seq, {1: grid or random_grid(cfg, 2, 4, seed=seed)})
 
 
 class TestDecoder:
