@@ -42,6 +42,11 @@ def _has_type(value, expected) -> bool:
     return expected is not NUMBER or abs(value) <= sys.float_info.max
 
 
+def is_number(value) -> bool:
+    """Whether ``value`` is a finite int or float, as a JSON config's number: a bool is not."""
+    return _has_type(value, NUMBER)
+
+
 def check_config_types(raw: dict, key_types: Mapping, what: str) -> None:
     """Reject keys absent from ``key_types`` and values of the wrong JSON type.
 

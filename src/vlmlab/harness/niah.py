@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .. import numerics, timeline
-from ..errors import ConfigError
+from ..errors import ConfigError, is_number
 from ..mrope import FrequencyAllocation, frame_group_ids, rotation_tables
 from ..numerics import Tensor
 from ..seeding import Rng
@@ -47,6 +47,14 @@ class NiahConfig:
             value = getattr(self, name)
             if type(value) is not int:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("overlap", "signature_noise"):
+            value = getattr(self, name)
+            if not is_number(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        for name in ("needle_depths", "durations_min"):
+            value = getattr(self, name)
+            if not isinstance(value, (tuple, list)) or not all(map(is_number, value)):
+                raise ConfigError(f"{name} must be a tuple of finite numbers, got {value!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not 1 <= self.num_frames <= timeline.MAX_GROUPS:
@@ -58,16 +66,19 @@ class NiahConfig:
             raise ConfigError("needle depths must be strictly increasing")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
-        if not self.durations_min or not all(0 < d < math.inf for d in self.durations_min):
+        durations = tuple(float(d) for d in self.durations_min)
+        if not durations or min(durations) <= 0:
             raise ConfigError("durations must be finite and positive")
+        if max(durations) * 60.0 == math.inf:
+            raise ConfigError(f"durations of {max(durations)!r} min overflow in seconds")
         if self.signature_dim < 2 or self.signature_dim % 2:
             raise ConfigError("signature_dim must be even and >= 2")
         if not 0.0 <= self.overlap <= 1.0:
             raise ConfigError("overlap must lie in [0, 1]")
-        if not 0 <= self.signature_noise < math.inf:
+        if self.signature_noise < 0:
             raise ConfigError("signature_noise must be finite and non-negative")
         object.__setattr__(self, "needle_depths", depths)
-        object.__setattr__(self, "durations_min", tuple(float(d) for d in self.durations_min))
+        object.__setattr__(self, "durations_min", durations)
 
     def to_dict(self) -> dict:
         """Every field, tuples as lists, as a report's config records it."""
@@ -94,6 +105,37 @@ def _signatures(cfg: NiahConfig, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
     return needle, hay
 
 
+def _trial_keys(cfg: NiahConfig, trial_seed: int, groups: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A trial's needle signature and two (groups, signature_dim) key arrays:
+    row g of the first is group g's key as hay, of the second as the needle.
+
+    Group g's noise comes from its own stream, so a longer timeline's rows
+    open with a shorter one's.
+    """
+    rng = Rng(cfg.seed).split("build").split(trial_seed)
+    needle, hay = _signatures(cfg, rng)
+    hay_keys = np.tile(hay, (groups, 1))
+    needle_keys = np.tile(needle, (groups, 1))
+    if cfg.signature_noise > 0:
+        noise_rng = rng.split("noise")
+        noise = np.stack([noise_rng.split(g).normal(cfg.signature_dim, cfg.signature_noise)
+                          for g in range(groups)])
+        hay_keys += noise
+        needle_keys += noise
+    return needle, hay_keys, needle_keys
+
+
+def _sample(cfg: NiahConfig, duration_s: float) -> np.ndarray:
+    """A probe's frame times: 1 fps, capped at ``num_frames``."""
+    policy = SamplingPolicy(max_frames=cfg.num_frames, token_budget=cfg.num_frames, group_size=1)
+    return sample_frames(duration_s, native_fps=30.0, policy=policy)
+
+
+def _needle_index(depth: float, groups: int) -> int:
+    return math.floor(depth * (groups - 1) + 0.5)  # round half up
+
+
 def build_niah_sequence(cfg: NiahConfig, duration_s: float, depth: float,
                         trial_seed: int = 0
                         ) -> tuple[MultimodalSequence, np.ndarray, NiahGroundTruth]:
@@ -108,23 +150,11 @@ def build_niah_sequence(cfg: NiahConfig, duration_s: float, depth: float,
         raise ConfigError(f"depth must lie strictly inside (0, 1), got {depth}")
     if duration_s <= 0:
         raise ConfigError(f"duration must be positive, got {duration_s}")
-    policy = SamplingPolicy(fps=1.0, max_frames=cfg.num_frames,
-                            tokens_per_frame=1, token_budget=cfg.num_frames,
-                            group_size=1)
-    frames = sample_frames(duration_s, native_fps=30.0, policy=policy)
+    frames = _sample(cfg, duration_s)
     seq = interleave_timestamps(frames, group_size=1, style=cfg.timestamp_style)
-
-    rng = Rng(cfg.seed).split("build").split(trial_seed)
-    needle_sig, hay_sig = _signatures(cfg, rng)
-    groups = len(frames)
-    needle_index = math.floor(depth * (groups - 1) + 0.5)  # round half up
-
-    keys = np.tile(hay_sig, (groups, 1))
-    keys[needle_index] = needle_sig
-    if cfg.signature_noise > 0:
-        noise_rng = rng.split("noise")
-        keys += np.stack([noise_rng.split(g).normal(cfg.signature_dim, cfg.signature_noise)
-                          for g in range(groups)])
+    needle_sig, keys, needle_keys = _trial_keys(cfg, trial_seed, len(frames))
+    needle_index = _needle_index(depth, len(frames))
+    keys[needle_index] = needle_keys[needle_index]
 
     needle_time = frames[needle_index].item()
     truth = NiahGroundTruth(
@@ -140,6 +170,21 @@ class ProbeResult:
     predicted_index: int
     margin: float
     scores: tuple[float, ...]
+
+
+def _scores(query: np.ndarray, keys: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Each row's score: the query and the row's key, both rotated by the row's angles, dotted.
+
+    Every step works row by row, so a row scores the same alone as in a longer array.
+    """
+    rotated_keys = numerics.rotate_pairs(Tensor(keys), cos, sin).data
+    rotated_queries = numerics.rotate_pairs(Tensor(np.tile(query, (len(keys), 1))), cos, sin).data
+    return np.einsum("ij,ij->i", rotated_queries, rotated_keys)
+
+
+def _ranking(scores: np.ndarray) -> np.ndarray:
+    """Row indices from the highest score down."""
+    return np.argsort(scores)[::-1]
 
 
 def run_niah_probe(seq: MultimodalSequence, keys, query_signature,
@@ -169,34 +214,47 @@ def run_niah_probe(seq: MultimodalSequence, keys, query_signature,
         raise ConfigError(f"signature width {keys.shape[1]} vs query width {dim}")
 
     cos, sin = rotation_tables(group_ids, alloc)
-    rotated_keys = numerics.rotate_pairs(Tensor(keys), cos, sin).data
-    rotated_queries = numerics.rotate_pairs(Tensor(np.tile(query, (groups, 1))), cos, sin).data
-    scores = np.einsum("ij,ij->i", rotated_queries, rotated_keys)
-
-    order = np.argsort(scores)[::-1]
+    scores = _scores(query, keys, cos, sin)
+    order = _ranking(scores)
     predicted = int(order[0])
     margin = float(scores[order[0]] - scores[order[1]]) if groups > 1 else 0.0
     return ProbeResult(predicted_index=predicted, margin=margin, scores=tuple(scores.tolist()))
 
 
 def run_niah_grid(cfg: NiahConfig, alloc: FrequencyAllocation) -> dict:
-    """Accuracy per (duration, depth) cell, averaged over trials."""
+    """Accuracy per (duration, depth) cell, averaged over trials.
+
+    A cell's hit is ``run_niah_probe`` on ``build_niah_sequence``'s probe
+    predicting the needle, but each distinct timeline is built once: a
+    duration whose frames open a longer duration's frames reads the first
+    rows of that timeline's cos/sin tables and of its per-trial hay scores.
+    A cell then scores only its needle row.
+    """
     if alloc.head_dim != cfg.signature_dim:
         raise ConfigError("allocation head_dim must match signature_dim")
-    accuracies = []
-    for duration_min in cfg.durations_min:
-        row = []
-        for depth in cfg.needle_depths:
-            hits = 0
-            for trial in range(cfg.trials):
-                seq, keys, truth = build_niah_sequence(cfg, duration_min * 60.0, depth, trial)
-                result = run_niah_probe(seq, keys, truth.query_signature, alloc)
-                hits += int(result.predicted_index == truth.group_index)
-            row.append(hits / cfg.trials)
-        accuracies.append(row)
+    frame_sets = [_sample(cfg, minutes * 60.0) for minutes in cfg.durations_min]
+    hits = np.zeros((len(frame_sets), len(cfg.needle_depths)), dtype=np.int64)
+    pending = sorted(range(len(frame_sets)), key=lambda i: -len(frame_sets[i]))
+    while pending:
+        longest = frame_sets[pending[0]]
+        rows = [i for i in pending if np.array_equal(frame_sets[i], longest[:len(frame_sets[i])])]
+        pending = [i for i in pending if i not in rows]
+        seq = interleave_timestamps(longest, group_size=1, style=cfg.timestamp_style)
+        cos, sin = rotation_tables(frame_group_ids(seq), alloc)
+        for trial in range(cfg.trials):
+            needle, hay_keys, needle_keys = _trial_keys(cfg, trial, len(longest))
+            hay_scores = _scores(needle, hay_keys, cos, sin)
+            for i in rows:
+                groups = len(frame_sets[i])
+                for j, depth in enumerate(cfg.needle_depths):
+                    n = _needle_index(depth, groups)
+                    scores = hay_scores[:groups].copy()
+                    scores[n] = _scores(needle, needle_keys[n:n + 1], cos[n:n + 1],
+                                        sin[n:n + 1])[0]
+                    hits[i, j] += _ranking(scores)[0] == n
     return {
         "durations_min": list(cfg.durations_min),
         "depths": list(cfg.needle_depths),
-        "accuracies": accuracies,
+        "accuracies": (hits / cfg.trials).tolist(),
         "trials": cfg.trials,
     }

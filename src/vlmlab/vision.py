@@ -239,6 +239,8 @@ class VisionEncoder:
         which encode one fixed batch step after step, and would grow
         without bound under a stream of new grids through a frozen encoder.
         """
+        if not grids:
+            raise ShapeError("the encoder needs at least one grid")
         state = tuple(self.params.values())
         if len(state) != len(self._memo_state) or any(
                 a is not b for a, b in zip(state, self._memo_state)):

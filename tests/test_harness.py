@@ -1,9 +1,10 @@
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from vlmlab import mrope, numerics
@@ -11,6 +12,7 @@ from vlmlab.cli import _NIAH_KEYS
 from vlmlab.errors import ConfigError, check_config_types
 from vlmlab.harness import (NiahConfig, StageConfig, build_niah_sequence, emit_report,
                             load_stage_config, make_synthetic_batch, run_niah_probe, train_toy)
+from vlmlab.harness import niah
 from vlmlab.harness.niah import run_niah_grid
 from vlmlab.harness.stages import STAGE_NAMES
 from vlmlab.harness.training import _batch_loss
@@ -343,6 +345,63 @@ class TestNiahProbe:
             run_niah_probe(seq, np.ones((1, 16)), tuple(np.ones(16)), alloc)
 
 
+grid_configs = st.builds(
+    NiahConfig,
+    num_frames=st.integers(1, 40),
+    needle_depths=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3, unique=True).map(sorted),
+    trials=st.integers(1, 3),
+    seed=st.integers(0, 2 ** 32),
+    # 0.001 min is one group; past num_frames seconds the frames spread out.
+    durations_min=st.lists(st.sampled_from([0.001, 0.05, 0.1, 0.5, 1.0]) | st.floats(0.001, 2.0),
+                           min_size=1, max_size=4),
+    overlap=st.sampled_from([0.0, 0.5, 0.99, 1.0]),
+    signature_noise=st.sampled_from([0.0, 0.05]),
+    timestamp_style=st.sampled_from(["seconds", "hms"]),
+)
+
+
+class TestNiahGrid:
+    @given(grid_configs, st.sampled_from(["interleaved", "chunked"]))
+    @example(NiahConfig(num_frames=4, durations_min=(1.0, 0.05), needle_depths=(0.5,), trials=1),
+             "interleaved")
+    def test_cells_score_as_probes(self, cfg, scheme):
+        """Every cell's scores equal, byte for byte, those of run_niah_probe on
+        build_niah_sequence's probe, and its hits count that probe's hits."""
+        alloc = mrope.build_frequency_allocation(cfg.signature_dim, scheme=scheme)
+        expected, accuracies = [], []
+        for minutes in cfg.durations_min:
+            row = []
+            for depth in cfg.needle_depths:
+                hits = 0
+                for trial in range(cfg.trials):
+                    seq, keys, truth = build_niah_sequence(cfg, minutes * 60.0, depth, trial)
+                    result = run_niah_probe(seq, keys, truth.query_signature, alloc)
+                    expected.append(np.array(result.scores).tobytes())
+                    hits += result.predicted_index == truth.group_index
+                row.append(hits / cfg.trials)
+            accuracies.append(row)
+        with mock.patch.object(niah, "_ranking", wraps=niah._ranking) as ranking:
+            grid = run_niah_grid(cfg, alloc)
+        scored = [call.args[0].tobytes() for call in ranking.call_args_list]
+        assert sorted(scored) == sorted(expected)
+        assert grid["accuracies"] == accuracies
+
+    @pytest.mark.parametrize("durations, builds", [
+        (NiahConfig().durations_min, 1),
+        ((*NiahConfig().durations_min, 100.0), 2),  # 6,000 s spreads the 4,096 frames
+    ])
+    def test_one_timeline_per_prefix_family(self, monkeypatch, durations, builds):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return interleave_timestamps(*args, **kwargs)
+
+        monkeypatch.setattr(niah, "interleave_timestamps", counting)
+        run_niah_grid(NiahConfig(durations_min=durations), mrope.build_frequency_allocation(16))
+        assert len(calls) == builds
+
+
 class TestReports:
     def test_minimal_grid_csv(self, tmp_path):
         _, csv_path = emit_report([1.0], [0.5], [[1.0]], trials=1, out_dir=tmp_path)
@@ -417,6 +476,20 @@ class TestNiahConfigValidation:
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             NiahConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("overlap", True), ("signature_noise", True), ("signature_noise", "0.1"),
+        ("durations_min", (True,)), ("durations_min", ("1",)), ("durations_min", 1.0),
+        ("durations_min", (10 ** 400,)), ("needle_depths", ("0.5",)), ("needle_depths", (False,)),
+    ])
+    def test_numbers_must_be_numbers(self, field, value):
+        # As in a JSON config, a bool is not a number.
+        with pytest.raises(ConfigError, match=f"{field} must be a (tuple of )?finite number"):
+            NiahConfig(**{field: value})
+
+    def test_duration_overflowing_in_seconds_rejected(self):
+        with pytest.raises(ConfigError, match="1e\\+308 min overflow in seconds"):
+            NiahConfig(durations_min=(1.0, 1e308))
 
     def test_seed_non_negative(self):
         with pytest.raises(ConfigError, match="seed must be non-negative"):

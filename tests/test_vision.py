@@ -191,6 +191,10 @@ class TestEncoder:
         with pytest.raises(ShapeError, match="one encoder batch"):
             VisionEncoder(cfg, Rng(0)).forward(random_grid(cfg, 2, 2), random_grid(cfg, 2, 4))
 
+    def test_no_grids_rejected(self):
+        with pytest.raises(ShapeError, match="at least one grid"):
+            VisionEncoder(small_config(), Rng(0)).forward()
+
 
 def prepared_bytes(prepared: PreparedInput) -> list[bytes]:
     return [t.data.tobytes() for t in (prepared.embeddings, *prepared.deepstack)]
