@@ -110,7 +110,8 @@ def train_toy(model: VisionLanguageModel, stage: StageConfig,
     only (S0: the mergers); one the loss does not reach is not updated.
     ``steps`` 0 reports the loss once and updates nothing.
     ``lr`` may be zero (a legal no-op step, useful for freeze checks) but not
-    negative or non-finite; a step that overflows raises ``ConfigError``.
+    negative or non-finite; a step that overflows raises ``ConfigError``, as
+    does an example longer than the stage's ``sequence_length``.
     """
     if not (math.isfinite(lr) and lr >= 0):
         raise ConfigError(f"learning rate must be finite and non-negative, got {lr}")
@@ -120,6 +121,11 @@ def train_toy(model: VisionLanguageModel, stage: StageConfig,
         raise ConfigError(f"steps must be non-negative, got {steps}")
     if not data:
         raise ConfigError("training data must be non-empty")
+    for index, example in enumerate(data):
+        length = example.sequence.token_count()
+        if length > stage.sequence_length:
+            raise ConfigError(f"example {index} has {length} tokens, more than stage "
+                              f"{stage.name}'s sequence_length {stage.sequence_length}")
 
     losses: list[float] = []
     initial = None

@@ -7,10 +7,12 @@ the tape once in topological order.  There is no broadcasting beyond the
 last-axis bias vector of ``linear`` and ``layer_norm``.  ``attention``
 also takes rank-3 operands, a batch of matrices along the first axis, so a
 batch of independent attentions runs as one node.  It is fused: scores,
-scale, mask, softmax and value product make one node that keeps only the
-probabilities for backward.  Causal attention runs its queries in row
+scale, mask, softmax and value product make one node that keeps, besides
+its operands, only each row's max and sum of exponentials; backward
+recomputes the probabilities from them one row block at a time, so its
+memory grows linearly in the rows.  Causal attention runs its queries in row
 blocks that meet only the keys up to their last row, so the masked triangle
-is neither computed nor kept.  ``linear`` fuses a projection's matrix product
+is never computed.  ``linear`` fuses a projection's matrix product
 and bias the same way.
 
 Each differentiable op checks shapes, computes its forward value and passes
@@ -191,13 +193,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                  (lambda g: g @ w.data.T, lambda g: x.data.T @ g, _sum_leading))
 
 
-def _prefix_sum(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """The sum of blocks that each cover the leading rows of the last, which
-    covers them all; a single block is returned as it is."""
-    total = parts[-1]
-    for part in parts[-2::-1]:
-        total[..., :part.shape[-2], :] += part
-    return total
+def _stack(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Row blocks stacked in order; a single block is returned as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
@@ -208,9 +206,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
     keys after its own row.  Causal queries run in blocks of ``_ROW_BLOCK``
     rows, each meeting only the keys up to its last row, so the masked
     triangle beyond the blocks' diagonal squares is never computed, forward
-    or backward.  Without the mask, all rows make one block.  The scores
-    become the probabilities in place, and backward keeps nothing larger:
-    about n (n + _ROW_BLOCK) / 2 elements when causal, n * n otherwise.
+    or backward.  Without the mask, all rows make one block.  The node keeps
+    q, k^T and v and two floats per row, each block's row max and row sum, so
+    its memory grows linearly in the rows.  Backward walks the blocks from
+    the last to the first, recomputing each one's probabilities with the
+    forward's own expressions, so they come out bit for bit the same; it
+    holds one block's probabilities and score gradient at a time.
     """
     if not q.data.ndim == k.data.ndim == v.data.ndim in (2, 3):
         raise ShapeError(f"attention needs three rank-2 or three rank-3 operands, "
@@ -223,41 +224,57 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
                          f"do not fit (causal={causal})")
     c = 1.0 / math.sqrt(d)
     kt = _swap_last(k.data).copy()
-    blocks = []  # (query rows, keys they meet, probabilities) per block
-    for start in range(0, m, _ROW_BLOCK) if causal else (0,):
-        stop = min(start + _ROW_BLOCK, m) if causal else m
-        keys = stop if causal else n
-        p = q.data[..., start:stop, :] @ kt[..., :keys]
-        p *= c
-        if causal:
-            size = stop - start
-            np.copyto(p[..., start:], -np.inf, where=_ABOVE_DIAGONAL[:size, :size])
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        blocks.append((slice(start, stop), keys, p))
 
-    def _with_scores_grads(g):
-        """Per block, its rows of the upstream gradient and the gradient of
-        its scaled scores, via the softmax."""
-        grads = []
-        for rows, keys, p in blocks:
+    def _scores(rows: slice, keys: int) -> np.ndarray:
+        """A block's scaled scores, its keys after each row at -inf if causal."""
+        s = q.data[..., rows, :] @ kt[..., :keys]
+        s *= c
+        if causal:
+            size = rows.stop - rows.start
+            np.copyto(s[..., rows.start:], -np.inf, where=_ABOVE_DIAGONAL[:size, :size])
+        return s
+
+    blocks = []  # (query rows, keys they meet, row max, row sum) per block
+    outs = []
+    for start in range(0, m, _ROW_BLOCK) if causal else (0,):
+        rows = slice(start, min(start + _ROW_BLOCK, m) if causal else m)
+        keys = rows.stop if causal else n
+        p = _scores(rows, keys)
+        top = p.max(axis=-1, keepdims=True)
+        p -= top
+        np.exp(p, out=p)
+        total = p.sum(axis=-1, keepdims=True)
+        p /= total
+        blocks.append((rows, keys, top, total))
+        outs.append(p @ v.data[..., :keys, :])
+
+    def _grads(g):
+        """The q, k and v gradients, one block at a time from the last, the
+        full-width one: the q parts stacked, each earlier block's k and v
+        parts added onto the leading rows of the sums so far."""
+        gq, gk, gv = [], None, None
+        for rows, keys, top, total in reversed(blocks):
+            p = _scores(rows, keys)
+            p -= top
+            np.exp(p, out=p)
+            p /= total
             g_rows = g[..., rows, :]
             gs = g_rows @ _swap_last(v.data[..., :keys, :])
             gs -= (gs * p).sum(axis=-1, keepdims=True)
             gs *= p
             gs *= c
-            grads.append((g_rows, gs))
-        return grads
+            gq.append(gs @ _swap_last(kt[..., :keys]))
+            gk_part = _swap_last(_swap_last(q.data[..., rows, :]) @ gs)
+            gv_part = _swap_last(p) @ g_rows
+            if gk is None:
+                gk, gv = gk_part, gv_part
+            else:
+                gk[..., :keys, :] += gk_part
+                gv[..., :keys, :] += gv_part
+        return _stack(gq[::-1]), gk, gv
 
-    out = np.concatenate([p @ v.data[..., :keys, :] for _, keys, p in blocks], axis=-2)
-    return _node("attention", out, (q, k, v), (
-        lambda h: np.concatenate([gs @ _swap_last(kt[..., :keys])
-                                  for (_, keys, _), (_, gs) in zip(blocks, h)], axis=-2),
-        lambda h: _prefix_sum([_swap_last(_swap_last(q.data[..., rows, :]) @ gs)
-                               for (rows, _, _), (_, gs) in zip(blocks, h)]),
-        lambda h: _prefix_sum([_swap_last(p) @ g for (_, _, p), (g, _) in zip(blocks, h)]),
-    ), _with_scores_grads)
+    return _node("attention", _stack(outs), (q, k, v),
+                 (lambda h: h[0], lambda h: h[1], lambda h: h[2]), _grads)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -298,8 +315,8 @@ def gelu(x: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    if eps <= 0:
-        raise ValueError("layer_norm: eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"layer_norm: eps must be positive and finite, got {eps}")
     d = x.shape[-1]
     if d < 1:
         raise ShapeError("layer_norm: empty last axis")
@@ -319,11 +336,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
                  (_grad_x, lambda g: _sum_leading(g * xhat), _sum_leading))
 
 
+def _indices(values, op: str) -> np.ndarray:
+    """``values`` as an int64 array; a float or bool is not an index, while
+    an empty sequence (float64 to numpy) is."""
+    idx = np.asarray(values)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ShapeError(f"{op}: indices must be integers, got dtype {idx.dtype}")
+    return idx.astype(np.int64, copy=False)
+
+
 def gather_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
     """Select rows of a rank-2 tensor; repeated indices are allowed."""
     if x.data.ndim != 2:
         raise ShapeError(f"gather_rows needs rank 2, got {x.shape}")
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = _indices(indices, "gather_rows")
     if idx.ndim != 1:
         raise ShapeError("gather_rows: indices must be a flat sequence")
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
@@ -345,7 +371,7 @@ def add_rows_at(x: Tensor, rows: Tensor, positions: Sequence[int]) -> Tensor:
     """
     if x.data.ndim != 2 or rows.data.ndim != 2:
         raise ShapeError("add_rows_at needs rank-2 operands")
-    pos = np.asarray(positions, dtype=np.int64)
+    pos = _indices(positions, "add_rows_at")
     if pos.ndim != 1 or pos.shape[0] != rows.shape[0]:
         raise ShapeError(f"add_rows_at: {rows.shape[0]} rows vs {pos.shape} positions")
     if rows.shape[1] != x.shape[1]:
@@ -395,7 +421,7 @@ def token_nll(logits: Tensor, targets: Sequence[int]) -> Tensor:
     """
     if logits.data.ndim != 2:
         raise ShapeError(f"token_nll needs rank-2 logits, got {logits.shape}")
-    tgt = np.asarray(targets, dtype=np.int64)
+    tgt = _indices(targets, "token_nll")
     n, v = logits.shape
     if tgt.shape != (n,):
         raise ShapeError(f"token_nll: {n} rows vs targets {tgt.shape}")

@@ -12,9 +12,10 @@ at the visual-token positions, adding no sequence length.
 ``prepare`` packs the patch grids of a sequence by shape: all grids of one
 shape go through the encoder as one stack of rows, and through each merger,
 in one pass.  Attention stays inside each grid, as one ``attention`` node
-over a rank-3 batch keeping one (rows, rows) probability matrix per grid,
-so memory grows linearly with the number of grids.  One ``gather_rows``
-then puts text and visual rows in sequence order.
+over a rank-3 batch that recomputes each grid's probabilities in backward
+instead of keeping them, so memory grows linearly with the number of
+grids.  One ``gather_rows`` then puts text and visual rows in sequence
+order.
 
 The encoder is a memo of its own pure function: a second ``forward`` of
 the same grids returns the first call's tensors while the encoder holds the
@@ -25,8 +26,10 @@ nodes again, from their new upstream gradient.
 
 The decoder is a standard pre-norm causal transformer whose q/k vectors
 get the three-axis rotary treatment; its ``attention`` hides later tokens,
-running the queries in row blocks that never compute or keep the masked
-triangle, so a layer keeps about n (n + 64) / 2 probabilities, not n * n.
+running the queries in row blocks that never compute the masked triangle.
+A layer keeps no probabilities, only two floats per row, the row max and
+sum, from which backward recomputes them one block at a time, so its
+memory grows linearly in the sequence length.
 Every projection, in the blocks, the mergers and the head, is one
 ``linear`` node.
 """

@@ -251,6 +251,7 @@ TINY_NIAH = {"num_frames": 4, "needle_depths": [0.5], "trials": 1, "durations_mi
     (["spectrum"], '{"head_dim": %s}' % DEEP_ARRAY),
     (["train", "--stage", "cfg.json"], '{"sequence_length": 1%s}' % ("0" * 5000)),
     (["train", "--stage", "cfg.json"], '{"trainable": %s}' % DEEP_ARRAY),
+    (["train", "--stage", "cfg.json"], {"name": "S1", "sequence_length": 4}),
 ], ids=["train-lr-nan", "train-bogus-scheme", "sparsity-granularity-nan", "ground-directory",
         "train-lr-string", "sparsity-granularity-string", "spectrum-head-dim-string",
         "niah-trials-string", "train-model-dim-string", "train-unknown-key",
@@ -268,7 +269,8 @@ TINY_NIAH = {"num_frames": 4, "needle_depths": [0.5], "trials": 1, "durations_mi
         "train-model-schema-version-2",
         "train-divergent-lr", "niah-negative-seed", "train-negative-seed",
         "spectrum-5001-digit-integer", "spectrum-nested-100000-deep",
-        "stage-5001-digit-integer", "stage-nested-100000-deep"])
+        "stage-5001-digit-integer", "stage-nested-100000-deep",
+        "stage-sequence-length-below-the-examples"])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)
     if config is not None:

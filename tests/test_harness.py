@@ -239,6 +239,22 @@ class TestTrainToy:
             finals[scheme] = param_bytes(model)
         assert finals["per_sample"] != finals["per_token"]
 
+    def test_example_longer_than_the_stage_rejected(self):
+        """Every example is checked against the stage's sequence_length once,
+        before any step; the error names the example and both lengths."""
+        cfg, model = tiny_model(seed=6)
+        batch = make_synthetic_batch(cfg, Rng(6).split("data"), n_examples=3, text_len=5)
+        lengths = [example.sequence.token_count() for example in batch]
+        assert lengths == [7, 6, 9]
+        at_limit = StageConfig("S1", 9, frozenset({"merger"}), 100)
+        assert len(train_toy(model, at_limit, batch, steps=1, lr=0.0).losses) == 1
+        short = StageConfig("S1", 7, frozenset({"merger"}), 100)
+        with mock.patch("vlmlab.harness.training._batch_loss") as batch_loss, \
+                pytest.raises(ConfigError, match=r"^example 2 has 9 tokens, more than "
+                                                 r"stage S1's sequence_length 7$"):
+            train_toy(model, short, batch, steps=3, lr=0.1)
+        batch_loss.assert_not_called()
+
     def test_zero_steps_reports_the_loss_without_updating(self):
         cfg, model = tiny_model(seed=4)
         batch = make_synthetic_batch(cfg, Rng(4).split("data"), n_examples=3, text_len=5)

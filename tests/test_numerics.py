@@ -1,9 +1,10 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from vlmlab import numerics as N
@@ -231,6 +232,102 @@ class TestAttention:
                 assert np.array_equal(got, want), name
 
 
+def _stored_probability_attention(q, k, v, causal, upstream):
+    """Output and (q, k, v) gradients of the row-blocked attention that keeps
+    every block's probabilities for backward, the design recomputation
+    replaced: the reference its outputs and gradients must match bit for bit."""
+    def swap(x):
+        return np.swapaxes(x, -1, -2)
+
+    def prefix_sum(parts):
+        total = parts[-1]
+        for part in parts[-2::-1]:
+            total[..., :part.shape[-2], :] += part
+        return total
+
+    m, d = q.shape[-2:]
+    c = 1.0 / math.sqrt(d)
+    kt = swap(k).copy()
+    above = np.triu(np.ones((64, 64), dtype=bool), 1)
+    blocks = []
+    for start in range(0, m, 64) if causal else (0,):
+        stop = min(start + 64, m) if causal else m
+        keys = stop if causal else k.shape[-2]
+        p = q[..., start:stop, :] @ kt[..., :keys]
+        p *= c
+        if causal:
+            size = stop - start
+            np.copyto(p[..., start:], -np.inf, where=above[:size, :size])
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        blocks.append((slice(start, stop), keys, p))
+    grads = []
+    for rows, keys, p in blocks:
+        g_rows = upstream[..., rows, :]
+        gs = g_rows @ swap(v[..., :keys, :])
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= c
+        grads.append((g_rows, gs))
+    out = np.concatenate([p @ v[..., :keys, :] for _, keys, p in blocks], axis=-2)
+    gq = np.concatenate([gs @ swap(kt[..., :keys])
+                         for (_, keys, _), (_, gs) in zip(blocks, grads)], axis=-2)
+    gk = prefix_sum([swap(swap(q[..., rows, :]) @ gs)
+                     for (rows, _, _), (_, gs) in zip(blocks, grads)])
+    gv = prefix_sum([swap(p) @ g for (_, _, p), (g, _) in zip(blocks, grads)])
+    return out, gq, gk, gv
+
+
+class TestRecomputedAttention:
+    @given(batch=st.sampled_from([(), (1,), (3,)]), rows=st.integers(1, 260),
+           keys=st.integers(1, 260), width=st.integers(1, 9), causal=st.booleans(),
+           seed=st.integers(0, 2**16))
+    @example(batch=(), rows=63, keys=63, width=8, causal=True, seed=0)
+    @example(batch=(), rows=64, keys=64, width=8, causal=True, seed=0)
+    @example(batch=(), rows=65, keys=65, width=8, causal=True, seed=0)
+    @example(batch=(2,), rows=128, keys=128, width=4, causal=True, seed=0)
+    @example(batch=(), rows=129, keys=129, width=8, causal=True, seed=0)
+    @example(batch=(3,), rows=129, keys=65, width=8, causal=False, seed=0)
+    def test_matches_stored_probabilities(self, batch, rows, keys, width, causal, seed):
+        """Output and q, k, v gradients equal, bit for bit, those of the
+        design that kept each row block's probabilities for backward."""
+        keys = rows if causal else keys
+        rng = Rng(seed)
+        q = N.parameter(rng.split("q").normal((*batch, rows, width)))
+        k = N.parameter(rng.split("k").normal((*batch, keys, width)))
+        v = N.parameter(rng.split("v").normal((*batch, keys, 5)))
+        upstream = rng.split("g").normal((*batch, rows, 5))
+        out = N.attention(q, k, v, causal)
+        N.sum_all(N.mul(out, Tensor(upstream))).backward()
+        expected = _stored_probability_attention(q.data, k.data, v.data, causal, upstream)
+        for got, want in zip((out.data, q.grad, k.grad, v.grad), expected):
+            assert np.array_equal(got, want)
+
+    def test_memory_linear_in_rows(self):
+        """At n = 1,024 causal rows of width 8, forward keeps less than 1 MB
+        (the probabilities alone would take 4.5 MB), and backward's peak stays
+        under five 64-row blocks of all n keys: one block at a time."""
+        n, d = 1024, 8
+        rng = Rng(3)
+        q, k, v = (N.parameter(rng.split(name).normal((n, d))) for name in "qkv")
+        upstream = Tensor(rng.split("g").normal((n, d)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = N.attention(q, k, v, causal=True)
+            kept = tracemalloc.get_traced_memory()[0] - before
+            loss = N.sum_all(N.mul(out, upstream))
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 2**20
+        assert peak < 5 * 64 * n * 8
+
+
 class TestLayerNorm:
     def test_constant_row_is_zero(self):
         out = N.layer_norm(Tensor([[4.0, 4.0, 4.0]]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
@@ -250,6 +347,13 @@ class TestLayerNorm:
     def test_eps_positive(self):
         with pytest.raises(ValueError, match="eps"):
             N.layer_norm(rand((1, 2)), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=0.0)
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_eps_finite(self, eps):
+        """An infinite eps would return the bias row; NaN would fail later as
+        a non-finite result instead of a bad argument."""
+        with pytest.raises(ValueError, match="eps"):
+            N.layer_norm(rand((1, 2)), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=eps)
 
 
 class TestBackward:
@@ -386,6 +490,26 @@ def test_add_rows_at_rejects_duplicates():
 def test_gather_rows_out_of_range():
     with pytest.raises(ShapeError, match="out of range"):
         N.gather_rows(rand((3, 2)), [0, 3])
+
+
+@pytest.mark.parametrize("indices", [[0.9, 2.2], [True, False], np.array([1.0])],
+                         ids=["floats", "bools", "float-array"])
+@pytest.mark.parametrize("op", [
+    lambda idx: N.gather_rows(rand((4, 2)), idx),
+    lambda idx: N.add_rows_at(rand((4, 2)), rand((len(idx), 2), seed=1), idx),
+    lambda idx: N.token_nll(rand((len(idx), 4)), idx),
+], ids=["gather_rows", "add_rows_at", "token_nll"])
+def test_indices_must_be_integers(op, indices):
+    """A float or bool index is not truncated or read as 0/1: it is refused."""
+    with pytest.raises(ShapeError, match="integers"):
+        op(indices)
+
+
+def test_empty_index_lists_stay_legal():
+    x = rand((3, 2))
+    assert N.gather_rows(x, []).shape == (0, 2)
+    assert N.add_rows_at(x, Tensor(np.zeros((0, 2))), []).data.tobytes() == x.data.tobytes()
+    assert N.token_nll(Tensor(np.zeros((0, 4))), []).shape == (0,)
 
 
 class TestInterpolate:
