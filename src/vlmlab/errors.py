@@ -7,6 +7,7 @@ validation/parse failures with 3.
 from __future__ import annotations
 
 import json
+import numbers
 import sys
 from typing import Mapping
 
@@ -45,6 +46,11 @@ def _has_type(value, expected) -> bool:
 def is_number(value) -> bool:
     """Whether ``value`` is a finite int or float, as a JSON config's number: a bool is not."""
     return _has_type(value, NUMBER)
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer: a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def check_config_types(raw: dict, key_types: Mapping, what: str) -> None:

@@ -26,7 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, is_integer
+# Private, as the benchmark tracer wraps every public numerics function as an op.
+from .numerics import _indices
 from .sequence import FRAMES, TEXT, MultimodalSequence
 
 AXES = ("t", "h", "w")
@@ -66,8 +68,8 @@ def build_frequency_allocation(head_dim: int, base: float = DEFAULT_BASE,
                                scheme: str = "interleaved",
                                chunk_split: Sequence[int] | None = None) -> FrequencyAllocation:
     """Construct and validate a frequency allocation."""
-    if head_dim < 2 or head_dim % 2 != 0:
-        raise ConfigError(f"head_dim must be even and >= 2, got {head_dim}")
+    if not (is_integer(head_dim) and head_dim >= 2 and head_dim % 2 == 0):
+        raise ConfigError(f"head_dim must be an even integer >= 2, got {head_dim!r}")
     if not 1.0 < base < math.inf:
         raise ConfigError(f"rotary base must be finite and exceed 1, got {base}")
     num_pairs = head_dim // 2
@@ -79,16 +81,18 @@ def build_frequency_allocation(head_dim: int, base: float = DEFAULT_BASE,
         axis_of_pair = tuple(AXES[i % 3] for i in range(num_pairs))
         split = None
     elif scheme == "chunked":
-        split = tuple(int(c) for c in (chunk_split or default_chunk_split(num_pairs)))
-        if len(split) != 3 or any(c < 0 for c in split) or sum(split) != num_pairs:
+        split = tuple(chunk_split or default_chunk_split(num_pairs))
+        if (len(split) != 3 or not all(is_integer(c) and c >= 0 for c in split)
+                or sum(split) != num_pairs):
             raise ConfigError(f"chunk_split {split} must be three counts summing to {num_pairs}")
+        split = tuple(map(int, split))
         axis_of_pair = tuple(
             axis for axis, count in zip(AXES, split) for _ in range(count)
         )
     else:
         raise ConfigError(f"unknown scheme {scheme!r}; expected 'interleaved' or 'chunked'")
 
-    return FrequencyAllocation(head_dim=head_dim, base=float(base), scheme=scheme,
+    return FrequencyAllocation(head_dim=int(head_dim), base=float(base), scheme=scheme,
                                axis_of_pair=axis_of_pair, theta=theta, chunk_split=split)
 
 
@@ -141,9 +145,9 @@ def frame_group_ids(seq: MultimodalSequence) -> np.ndarray:
 def rotation_tables(ids, alloc: FrequencyAllocation) -> tuple[np.ndarray, np.ndarray]:
     """The (seq, pairs) cos and sin of each token's pair angles.
 
-    ``ids`` is any (seq, 3) integer array-like of (t, h, w) triples.
+    ``ids`` is any (seq, 3) integer, not bool, array-like of (t, h, w) triples.
     """
-    pos = np.asarray(ids, dtype=np.int64)
+    pos = _indices(ids, "rotation_tables")
     if pos.ndim != 2 or pos.shape[1] != 3:
         raise ShapeError(f"position ids must be (seq, 3) triples, got shape {pos.shape}")
     axis_index = np.asarray([AXES.index(a) for a in alloc.axis_of_pair])

@@ -14,13 +14,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import Sequence
 
 import numpy as np
 
 from . import mrope
-from .errors import ConfigError
+from .errors import ConfigError, is_integer
 from .sequence import FRAMES, TEXT, MultimodalSequence
 
 # Byte-level vocabulary: ids 0..255 are raw byte values.
@@ -28,18 +27,15 @@ BYTE_VOCAB_SIZE = 256
 # Most frame groups in one timeline of `vlmlab sparsity` or `vlmlab niah` (a
 # sparsity run at the cap takes about 0.45 s and 65 MB).
 MAX_GROUPS = 100_000
+# Largest time a stamp can carry, about 1.1 million years.  Up to it the float
+# rule of _stamp_numbers is exact: one ulp is under 0.01, so repr(t) can fall on
+# a tie n.n5 only when t is the float nearest the tie.
+MAX_STAMP_SECONDS = 2.0 ** 45
 
 # As format_timestamp writes them: hours of two digits, or more with no leading
 # zero; whole seconds 0 or with no leading zero.
 _HMS_RE = re.compile(r"<(\d{2}|[1-9]\d{2,}):(\d{2}):(\d{2})>", re.ASCII)
 _SECONDS_RE = re.compile(r"<((?:0|[1-9]\d*)\.\d) seconds>", re.ASCII)
-# Half-up rounding to tenths, with enough digits for any finite float (the
-# default 28 fail from 1e27 s on).
-_TENTHS = Decimal("0.1")
-_HALF_UP = Context(prec=400, rounding=ROUND_HALF_UP)
-# Below this the float rule of _stamp_numbers is exact: one ulp is under 0.01,
-# so repr(t) can fall on a tie n.n5 only when t is the float nearest the tie.
-_EXACT_BELOW = 2.0 ** 45
 # Per style: the fewest digits a stamp number prints, and the text after its
 # leading digits, '#' standing for one digit.
 _LAYOUTS = {"seconds": (2, ".# seconds>"), "hms": (6, ":##:##>")}
@@ -91,34 +87,22 @@ def sample_frames(duration: float, native_fps: float, policy: SamplingPolicy) ->
 
 
 def _stamp_numbers(times: np.ndarray, style: str) -> np.ndarray:
-    """Each time's stamp as one integer: tenths of a second, or hours * 10**4 +
-    minutes * 100 + seconds.
+    """Each time in [0, MAX_STAMP_SECONDS] as one int64 stamp number: tenths of
+    a second, or hours * 10**4 + minutes * 100 + seconds.
 
-    ``seconds`` rounds ``Decimal(repr(t))`` half up to tenths.  Below
-    ``_EXACT_BELOW`` that is r = floor(10 t + 0.5), moved down by one where t
-    lies below the float of the tie (2 r - 1) / 20 and up by one where it
-    reaches the float of (2 r + 1) / 20: there ``repr(t)`` reaches a tie
-    exactly when t reaches the tie's float.  Larger times, over a million
-    years, take the Decimal formula itself, and the result then holds
-    Python ints.
+    ``seconds`` rounds ``repr(t)``, read exactly, half up to tenths, which is
+    r = floor(10 t + 0.5), moved down by one where t lies below the float of
+    the tie (2 r - 1) / 20 and up by one where it reaches the float of
+    (2 r + 1) / 20: in the domain ``repr(t)`` reaches a tie exactly when t
+    reaches the tie's float.
     """
-    small = times < _EXACT_BELOW
-    fast = np.where(small, times, 0.0)
     if style == "seconds":
-        tenths = np.floor(fast * 10 + 0.5)
-        tenths -= fast < (2 * tenths - 1) / 20
-        tenths += fast >= (2 * tenths + 1) / 20
-        numbers = tenths.astype(np.int64)
-    else:
-        numbers = fast.astype(np.int64)
-    if not small.all():
-        numbers = numbers.astype(object)
-        numbers[~small] = [
-            int(_HALF_UP.quantize(Decimal(repr(t)), _TENTHS).scaleb(1, _HALF_UP))
-            if style == "seconds" else int(t) for t in times[~small].tolist()]
-    if style == "hms":
-        numbers = numbers // 3600 * 10_000 + numbers % 3600 // 60 * 100 + numbers % 60
-    return numbers
+        tenths = np.floor(times * 10 + 0.5)
+        tenths -= times < (2 * tenths - 1) / 20
+        tenths += times >= (2 * tenths + 1) / 20
+        return tenths.astype(np.int64)
+    seconds = times.astype(np.int64)
+    return seconds // 3600 * 10_000 + seconds % 3600 // 60 * 100 + seconds % 60
 
 
 def _render_stamps(times: Sequence[float], style: str) -> tuple[np.ndarray, np.ndarray]:
@@ -128,9 +112,9 @@ def _render_stamps(times: Sequence[float], style: str) -> tuple[np.ndarray, np.n
     then drops the leading zeros beyond the stamp's own digit count.
     """
     times = np.asarray(times, dtype=np.float64) + 0.0  # -0.0 stamps as 0.0
-    bad = ~(np.isfinite(times) & (times >= 0))
+    bad = ~((times >= 0) & (times <= MAX_STAMP_SECONDS))  # NaN fails both
     if bad.any():
-        raise ConfigError("timestamp must be finite and non-negative, "
+        raise ConfigError("timestamp must be finite and non-negative, at most 2**45 s, "
                           f"got {times[bad.argmax()].item()}")
     if style not in _LAYOUTS:
         raise ConfigError(f"unknown timestamp style {style!r}")
@@ -145,7 +129,7 @@ def _render_stamps(times: Sequence[float], style: str) -> tuple[np.ndarray, np.n
         quotient = rest // 10
         rows[:, slot] = rest - quotient * 10 + ord("0")
         rest = quotient
-    powers = np.array([10 ** p for p in range(width)], dtype=numbers.dtype)
+    powers = np.array([10 ** p for p in range(width)], dtype=np.int64)
     dropped = width - np.maximum(min_digits, np.searchsorted(powers, numbers, side="right"))
     keep = np.ones(rows.shape, dtype=bool)
     keep[:, slots] = np.arange(width) >= dropped[:, None]
@@ -155,26 +139,30 @@ def _render_stamps(times: Sequence[float], style: str) -> tuple[np.ndarray, np.n
 def format_timestamp(t: float, style: str = "seconds") -> str:
     """Render a time offset as timestamp text.
 
-    ``seconds`` gives one decimal place with half-up rounding, e.g.
+    ``seconds`` gives tenths of a second with half-up rounding, e.g.
     ``<3.0 seconds>``.  ``hms`` gives ``<HH:MM:SS>`` with zero padding,
-    seconds truncated toward zero, and hours unbounded.
+    seconds truncated toward zero, and hours bounded by t <= MAX_STAMP_SECONDS.
     """
     stamp, _ = _render_stamps([t], style)
     return stamp.tobytes().decode("ascii")
 
 
 def parse_timestamp(text: str) -> float:
-    """Invert :func:`format_timestamp` (seconds value for either style)."""
+    """Invert :func:`format_timestamp` (seconds value for either style); a
+    stamp above ``MAX_STAMP_SECONDS``, which format never writes, is rejected."""
     m = _HMS_RE.fullmatch(text)
     if m:
         h, mnt, s = (int(g) for g in m.groups())
         if mnt >= 60 or s >= 60:
             raise ValueError(f"minutes/seconds out of range in {text!r}")
-        return float(h * 3600 + mnt * 60 + s)
-    m = _SECONDS_RE.fullmatch(text)
-    if m:
-        return float(m.group(1))
-    raise ValueError(f"not a timestamp: {text!r}")
+        seconds = h * 3600 + mnt * 60 + s  # an int: compared before float() can overflow
+    elif m := _SECONDS_RE.fullmatch(text):
+        seconds = float(m.group(1))
+    else:
+        raise ValueError(f"not a timestamp: {text!r}")
+    if seconds > MAX_STAMP_SECONDS:
+        raise ValueError(f"timestamp above 2**45 s: {text!r}")
+    return float(seconds)
 
 
 def tokenize(text: str) -> list[int]:
@@ -202,7 +190,7 @@ def interleave_timestamps(frames: Sequence[float], group_size: int = 2,
     frames = np.asarray(frames, dtype=np.float64)
     if not frames.size:
         raise ConfigError("interleave_timestamps needs at least one frame")
-    if not (isinstance(group_size, (int, np.integer)) and group_size >= 1):
+    if not (is_integer(group_size) and group_size >= 1):
         raise ConfigError(f"group_size must be an integer >= 1, got {group_size}")
     first = np.arange(0, len(frames), group_size)
     starts = frames[first]

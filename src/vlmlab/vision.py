@@ -469,7 +469,6 @@ class VisionLanguageModel:
                        for level in tap_parts] if by_shape else [],
         )
 
-    def forward(self, prepared: PreparedInput, use_deepstack: bool = True) -> Tensor:
-        deepstack = prepared.deepstack if use_deepstack else ()
-        return self.decoder.forward(prepared.embeddings, prepared.position_ids, deepstack,
-                                    prepared.visual_positions)
+    def forward(self, prepared: PreparedInput) -> Tensor:
+        return self.decoder.forward(prepared.embeddings, prepared.position_ids,
+                                    prepared.deepstack, prepared.visual_positions)

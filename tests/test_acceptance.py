@@ -5,6 +5,7 @@ single ``[criterion N] PASS`` line (visible with ``pytest -s``); a failing
 assertion surfaces as the test's FAILED line instead.
 """
 
+import dataclasses
 import time
 from fractions import Fraction
 
@@ -111,8 +112,8 @@ def test_criterion_3_deepstack_zero_injection_equivalence():
             grid = PatchGrid(2 * eh, 2 * ew, cfg.dim,
                              Tensor(r.split("feat").normal((4 * eh * ew, cfg.dim))))
             prepared = model.prepare(seq, {1: grid})
-            with_ds = model.forward(prepared, use_deepstack=True)
-            without = model.forward(prepared, use_deepstack=False)
+            with_ds = model.forward(prepared)
+            without = model.forward(dataclasses.replace(prepared, deepstack=[]))
             assert with_ds.data.tobytes() == without.data.tobytes(), case
             # Context-length neutrality on every test input.
             assert with_ds.shape[0] == without.shape[0] == seq.token_count()

@@ -252,6 +252,8 @@ TINY_NIAH = {"num_frames": 4, "needle_depths": [0.5], "trials": 1, "durations_mi
     (["train", "--stage", "cfg.json"], '{"sequence_length": 1%s}' % ("0" * 5000)),
     (["train", "--stage", "cfg.json"], '{"trainable": %s}' % DEEP_ARRAY),
     (["train", "--stage", "cfg.json"], {"name": "S1", "sequence_length": 4}),
+    (["sparsity", "--duration", "1e20", "--spacing", "1e16"], None),
+    (["niah"], {**TINY_NIAH, "durations_min": [1e12]}),
 ], ids=["train-lr-nan", "train-bogus-scheme", "sparsity-granularity-nan", "ground-directory",
         "train-lr-string", "sparsity-granularity-string", "spectrum-head-dim-string",
         "niah-trials-string", "train-model-dim-string", "train-unknown-key",
@@ -270,7 +272,8 @@ TINY_NIAH = {"num_frames": 4, "needle_depths": [0.5], "trials": 1, "durations_mi
         "train-divergent-lr", "niah-negative-seed", "train-negative-seed",
         "spectrum-5001-digit-integer", "spectrum-nested-100000-deep",
         "stage-5001-digit-integer", "stage-nested-100000-deep",
-        "stage-sequence-length-below-the-examples"])
+        "stage-sequence-length-below-the-examples", "sparsity-stamps-above-2**45-s",
+        "niah-stamps-above-2**45-s"])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)
     if config is not None:
@@ -284,6 +287,7 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, argv, co
     assert err.startswith("config error: ") and err.count("\n") == 1
     if "--out" in argv:
         assert err.startswith("config error: cannot write")
+    assert not (tmp_path / "reports").exists()
 
 
 def test_version_flag(capsys):

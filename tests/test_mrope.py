@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -130,6 +131,21 @@ class TestFrequencyAllocation:
         with pytest.raises(ConfigError, match="summing"):
             build_frequency_allocation(12, scheme="chunked", chunk_split=(1, 2, 2))
 
+    def test_float_head_dim_rejected(self):
+        with pytest.raises(ConfigError, match="integer"):
+            build_frequency_allocation(8.0)
+
+    def test_float_split_not_truncated(self):
+        # int() would read it as (1, 1, 1), which sums to head_dim 6's three pairs.
+        with pytest.raises(ConfigError, match="summing"):
+            build_frequency_allocation(6, scheme="chunked", chunk_split=[1.5, 1.5, 1])
+
+    def test_numpy_integers_pass(self):
+        alloc = build_frequency_allocation(np.int64(6), scheme="chunked",
+                                           chunk_split=[np.int64(1), np.int32(1), np.uint8(1)])
+        assert alloc.axis_of_pair == ("t", "h", "w")
+        assert build_frequency_allocation(**json.loads(json.dumps(alloc.to_config()))) == alloc
+
     def test_bad_base_rejected(self):
         with pytest.raises(ConfigError, match="base"):
             build_frequency_allocation(8, base=1.0)
@@ -175,6 +191,12 @@ class TestApplyMrope:
         alloc = build_frequency_allocation(8)
         with pytest.raises(ShapeError, match="angle shape"):
             rotate_pairs(Tensor(np.ones((3, 8))), *rotation_tables([(0, 0, 0)], alloc))
+
+    @pytest.mark.parametrize("ids", [[(0.5, 0, 0)], [(True, False, True)]],
+                             ids=["float", "bool"])
+    def test_ids_must_be_integers(self, ids):
+        with pytest.raises(ShapeError, match="integers"):
+            rotation_tables(ids, build_frequency_allocation(8))
 
     def test_head_dim_mismatch(self):
         alloc = build_frequency_allocation(8)

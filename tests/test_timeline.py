@@ -128,8 +128,12 @@ class TestTimestamps:
             format_timestamp(float("inf"))
 
     def test_huge_seconds_exact(self):
-        assert format_timestamp(1e27) == f"<{10 ** 27}.0 seconds>"
-        assert format_timestamp(1e300) == f"<{10 ** 300}.0 seconds>"
+        # Exact up to the bound of the domain, about 1.1 million years; rejected above it.
+        assert format_timestamp(2.0 ** 45) == f"<{2 ** 45}.0 seconds>"
+        assert format_timestamp(2.0 ** 45, "hms") == "<9773436691:20:32>"
+        for t in (1e27, 1e300):
+            with pytest.raises(ConfigError, match=r"at most 2\*\*45 s"):
+                format_timestamp(t)
 
     def test_unknown_style(self):
         with pytest.raises(ConfigError, match="style"):
@@ -158,8 +162,18 @@ class TestTimestamps:
         with pytest.raises(ValueError):
             parse_timestamp(text)
 
+    @pytest.mark.parametrize("text", [
+        "<35184372088832.1 seconds>", "<9773436691:20:33>", "<" + "9" * 400 + ".0 seconds>",
+        "<" + "9" * 400 + ":00:00>"],
+        ids=["seconds-one-tenth-above", "hms-one-second-above", "seconds-400-digits",
+             "hms-400-digits"])
+    def test_parse_rejects_stamps_above_the_bound(self, text):
+        with pytest.raises(ValueError, match=r"above 2\*\*45 s"):
+            parse_timestamp(text)
+
     @pytest.mark.parametrize("t, seconds", [(-0.0, 0.0), (0.0, 0.0), (0.05, 0.1), (2.25, 2.3),
-                                            (59.96, 60.0), (3600.0, 3600.0), (1e27, 1e27)])
+                                            (59.96, 60.0), (3600.0, 3600.0),
+                                            (2.0 ** 45, 2.0 ** 45)])
     def test_round_trip(self, t, seconds):
         assert parse_timestamp(format_timestamp(t)) == seconds
         assert parse_timestamp(format_timestamp(t, "hms")) == float(int(t))
@@ -329,7 +343,8 @@ class TestSequenceTypes:
     @pytest.mark.parametrize("kwargs, message", [
         ({"gh": 1.5}, "integer array"), ({"gw": 2.0}, "integer array"),
         ({"group_size": 1.5}, "group_size must be an integer"),
-    ], ids=["gh-1.5", "gw-2.0", "group-size-1.5"])
+        ({"group_size": True}, "group_size must be an integer"),
+    ], ids=["gh-1.5", "gw-2.0", "group-size-1.5", "group-size-true"])
     def test_interleave_rejects_non_integer_sizes(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):
             interleave_timestamps([0.0, 1.0], **{"group_size": 1, **kwargs})
@@ -421,7 +436,7 @@ def reference_interleave(frames, group_size=2, style="seconds", gh=1, gw=1):
     elements = []
     for start in range(0, len(frames), group_size):
         chunk = frames[start:start + group_size]
-        stamp = format_timestamp(chunk[0], style)
+        stamp = reference_stamp(chunk[0], style)
         elements.append(TextSpan(tuple(tokenize(stamp))))
         elements.append(FrameGroup(start_time=chunk[0], end_time=chunk[-1], gh=gh, gw=gw))
     return MultimodalSequence.of(tuple(elements))
@@ -429,8 +444,10 @@ def reference_interleave(frames, group_size=2, style="seconds", gh=1, gw=1):
 
 def reference_stamp(t, style):
     """The definition of a stamp: ``Decimal(repr(t))`` half up to tenths, or
-    ``int(t)`` split into hours, minutes and seconds."""
+    ``int(t)`` split into hours, minutes and seconds, for t in [0, 2**45]."""
     t = float(t) + 0.0
+    if not 0 <= t <= 2.0 ** 45:
+        raise ConfigError(f"no stamp for {t}")
     if style == "seconds":
         tenths = Decimal(repr(t)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP,
                                            context=Context(prec=400))
@@ -440,10 +457,10 @@ def reference_stamp(t, style):
 
 
 # Ties k/20 of the seconds style and the floats either side of them, small and
-# up to 2**46, so one list can straddle the 2**45 s bound of the float rule.
-ties = st.one_of(st.integers(0, 200_000), st.integers(0, 20 * 2 ** 46)).map(lambda k: k / 20)
-stamp_times = st.one_of(ties, ties.map(lambda t: math.nextafter(t, math.inf)),
-                        ties.map(lambda t: math.nextafter(t, 0.0)), st.floats(0.0, 2.0 ** 46),
+# up to the 2**45 s bound of the domain, where one ulp is largest.
+ties = st.one_of(st.integers(0, 200_000), st.integers(0, 20 * 2 ** 45)).map(lambda k: k / 20)
+stamp_times = st.one_of(ties, ties.map(lambda t: min(math.nextafter(t, math.inf), 2.0 ** 45)),
+                        ties.map(lambda t: math.nextafter(t, 0.0)), st.floats(0.0, 2.0 ** 45),
                         st.sampled_from([-0.0, 2.0 ** 45, math.nextafter(2.0 ** 45, 0.0)]))
 
 
@@ -460,19 +477,24 @@ def test_stamps_match_the_definition(times, style):
 
 @pytest.mark.parametrize("style", ["seconds", "hms"])
 def test_stamp_sweep_matches_the_definition(style):
-    # Hypothesis draws few distinct floats with a fractional part above 2**46 s,
-    # where the float rule first goes wrong; this sweep has about 15,000, and
-    # mixes in times whose stamps run to hundreds of digits.
+    # Hypothesis draws few distinct floats with a fractional part near 2**45 s,
+    # the bound of the domain and where one ulp is largest; this sweep has about
+    # 70,000 ties, floats just below them and uniform floats in [2**44, 2**45].
     rng = np.random.default_rng(20)
     grid = np.arange(20_001) / 20
+    top = rng.integers(20 * 2 ** 44, 20 * 2 ** 45 + 1, 20_000) / 20
     times = np.concatenate([grid, np.nextafter(grid, np.inf), np.nextafter(grid, 0.0),
-                            np.exp2(rng.uniform(-10.0, 50.0, 20_000)),
-                            rng.integers(0, 20 * 2 ** 48, 20_000) / 20,
-                            [1e27, 1e300, 2.0 ** 53 + 2, 1e16 + 0.5, 5e-324]])
+                            np.exp2(rng.uniform(-10.0, 45.0, 20_000)),
+                            rng.integers(0, 20 * 2 ** 45 + 1, 20_000) / 20,
+                            top, np.nextafter(top, 0.0), rng.uniform(2.0 ** 44, 2.0 ** 45, 20_000),
+                            [2.0 ** 45, math.nextafter(2.0 ** 45, 0.0), 5e-324]])
     seq = interleave_timestamps(times, group_size=1, style=style)
     stamps = [reference_stamp(t, style) for t in times.tolist()]
     assert seq.tokens.tobytes() == "".join(stamps).encode("ascii")
     assert seq.columns[1, 0::2].tolist() == [len(stamp) for stamp in stamps]
+    for t in (math.nextafter(2.0 ** 45, math.inf), 2.0 ** 53 + 2, 1e16 + 0.5, 1e27, 1e300):
+        with pytest.raises(ConfigError, match="at most"):
+            interleave_timestamps([0.0, t], group_size=1, style=style)
 
 
 def _raised(fn, *args):
@@ -486,7 +508,7 @@ def _raised(fn, *args):
 # k/20 puts half-up ties of the seconds style (0.05, 2.25, ...) in reach and
 # repeats values often; arbitrary floats cover the rest, and -0.0 must get the
 # same stamp as 0.0.
-frame_times = st.one_of(st.integers(0, 2000).map(lambda k: k / 20), st.floats(0.0, 2.0 ** 46),
+frame_times = st.one_of(st.integers(0, 2000).map(lambda k: k / 20), st.floats(0.0, 2.0 ** 45),
                         st.just(-0.0))
 
 
@@ -509,6 +531,7 @@ def test_interleave_matches_per_group_reference(frames, group_size, style, gh, g
     ([], 1), ([-1.0], 1), ([0.0, -1.0], 1), ([0.0, -1.0], 2), ([math.nan], 1),
     ([math.inf], 1), ([0.0, math.nan], 2), ([0.0, math.inf], 2), ([0.0, 1.0, math.nan], 1),
     ([1.0, 0.5], 2), ([0.0, 2.0, 1.0], 3), ([1.0, 0.0, -1.0], 2), ([0.0], 0),
+    ([math.nextafter(2.0 ** 45, math.inf)], 1), ([2.0 ** 46], 1), ([0.0, 1e300], 1),
 ])
 def test_interleave_rejects_what_the_reference_rejects(frames, group_size):
     assert _raised(interleave_timestamps, frames, group_size) is (

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -386,8 +387,8 @@ class TestDecoder:
         cfg = small_config()
         model = VisionLanguageModel(cfg, Rng(0))
         prep = prepared_multimodal(cfg, model)
-        with_ds = model.forward(prep, use_deepstack=True)
-        without = model.forward(prep, use_deepstack=False)
+        with_ds = model.forward(prep)
+        without = model.forward(dataclasses.replace(prep, deepstack=[]))
         assert with_ds.shape == without.shape == (prep.embeddings.shape[0], cfg.vocab)
 
     def test_deepstack_count_checked(self):
@@ -450,8 +451,8 @@ class TestDecoder:
             merger.params["fc2.w"] = Tensor(np.zeros((cfg.llm_dim, cfg.llm_dim)))
             merger.params["fc2.b"] = Tensor(np.zeros(cfg.llm_dim))
         prep = prepared_multimodal(cfg, model, seed=4)
-        on = model.forward(prep, use_deepstack=True)
-        off = model.forward(prep, use_deepstack=False)
+        on = model.forward(prep)
+        off = model.forward(dataclasses.replace(prep, deepstack=[]))
         assert on.data.tobytes() == off.data.tobytes()
 
 
