@@ -41,9 +41,6 @@ _SPARSITY_KEYS = {"duration_s": NUMBER, "group_spacing_s": NUMBER, "granularity_
 _GROUND_KEYS = {"kind": str, "input": str}
 _TRAIN_KEYS = {"stage": str, "model": dict, "examples": int, "text_len": int, "steps": int,
                "lr": NUMBER, "scheme": str}
-_NIAH_KEYS = {"schema_version": int, "num_frames": int, "needle_depths": [NUMBER],
-              "trials": int, "seed": int, "durations_min": [NUMBER], "signature_dim": int,
-              "overlap": NUMBER, "signature_noise": NUMBER, "timestamp_style": str}
 
 
 def _cmd_spectrum(args) -> int:
@@ -137,7 +134,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_niah(args) -> int:
-    cfg_dict = load_json_config(args.config, _NIAH_KEYS, "niah")
+    cfg_dict = load_json_config(args.config, NiahConfig.FIELD_TYPES, "niah")
     if args.seed is not None:
         cfg_dict["seed"] = args.seed
     cfg = NiahConfig(**cfg_dict)

@@ -1,4 +1,4 @@
-"""Shared exception types, and the one reader and type check for JSON configs.
+"""Shared exception types, and the one type check of configs, at construction and JSON load.
 
 The CLI maps these onto exit codes: configuration problems exit with 2,
 validation/parse failures with 3.
@@ -29,12 +29,24 @@ class GroundingParseError(ValueError):
 
 
 NUMBER = (int, float)
-_JSON_NAMES = {int: "integer", NUMBER: "number", str: "string", bool: "boolean", dict: "object"}
+_TYPE_NAMES = {int: "integer", NUMBER: "finite number", str: "string", bool: "boolean",
+               dict: "object"}
+
+
+def _required(expected) -> str:
+    """What a value of type ``expected`` must do, as ``be an integer`` or ``hold strings in an
+    array``."""
+    if isinstance(expected, list):
+        return f"hold {_TYPE_NAMES[expected[0]]}s in an array"
+    name = _TYPE_NAMES.get(expected) or expected.__name__
+    return f"be {'an' if name[0] in 'aeiou' else 'a'} {name}"
 
 
 def _has_type(value, expected) -> bool:
     if isinstance(expected, list):
-        return isinstance(value, list) and all(_has_type(v, expected[0]) for v in value)
+        # A Python caller's tuple or frozenset stands for a JSON array.
+        return (isinstance(value, (list, tuple, frozenset))
+                and all(_has_type(v, expected[0]) for v in value))
     # JSON true/false parse to bool, which Python counts as an int.
     if not (isinstance(value, expected) and isinstance(value, bool) == (expected is bool)):
         return False
@@ -43,9 +55,16 @@ def _has_type(value, expected) -> bool:
     return expected is not NUMBER or abs(value) <= sys.float_info.max
 
 
-def is_number(value) -> bool:
-    """Whether ``value`` is a finite int or float, as a JSON config's number: a bool is not."""
-    return _has_type(value, NUMBER)
+def check_fields(config, what: str) -> None:
+    """Check each init field of the dataclass ``config`` against ``config.FIELD_TYPES``, the
+    table its JSON loader also reads; a field left at a ``None`` default is not checked."""
+    for f in config.__dataclass_fields__.values():
+        if not f.init:
+            continue
+        value = getattr(config, f.name)
+        expected = config.FIELD_TYPES[f.name]
+        if not ((value is None and f.default is None) or _has_type(value, expected)):
+            raise ConfigError(f"{what} {f.name} must {_required(expected)}, got {value!r}")
 
 
 def is_integer(value) -> bool:
@@ -67,10 +86,8 @@ def check_config_types(raw: dict, key_types: Mapping, what: str) -> None:
     for key, value in raw.items():
         expected = key_types[key]
         if not _has_type(value, expected):
-            name = (f"array of {_JSON_NAMES[expected[0]]}s" if isinstance(expected, list)
-                    else _JSON_NAMES[expected])
-            raise ConfigError(
-                f"{what} config key {key!r} must be a JSON {name}, got {json.dumps(value)}")
+            raise ConfigError(f"{what} config key {key!r} must {_required(expected)}, "
+                              f"got {json.dumps(value)}")
     version = raw.pop("schema_version", 1)
     if version != 1:
         raise ConfigError(f"unsupported {what} config schema_version {version}")

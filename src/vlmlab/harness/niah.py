@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .. import numerics, timeline
-from ..errors import ConfigError, is_number
+from ..errors import NUMBER, ConfigError, check_fields
 from ..mrope import FrequencyAllocation, frame_group_ids, rotation_tables
 from ..numerics import Tensor
 from ..seeding import Rng
@@ -31,6 +31,10 @@ from ..timeline import SamplingPolicy, format_timestamp, interleave_timestamps, 
 @dataclass(frozen=True)
 class NiahConfig:
     """Grid shape and signature generation for the probe."""
+
+    FIELD_TYPES = {"schema_version": int, "num_frames": int, "needle_depths": [NUMBER],
+                   "trials": int, "seed": int, "durations_min": [NUMBER], "signature_dim": int,
+                   "overlap": NUMBER, "signature_noise": NUMBER, "timestamp_style": str}
 
     num_frames: int = 4096
     needle_depths: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -43,18 +47,7 @@ class NiahConfig:
     timestamp_style: str = "seconds"
 
     def __post_init__(self):
-        for name in ("num_frames", "trials", "signature_dim", "seed"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("overlap", "signature_noise"):
-            value = getattr(self, name)
-            if not is_number(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        for name in ("needle_depths", "durations_min"):
-            value = getattr(self, name)
-            if not isinstance(value, (tuple, list)) or not all(map(is_number, value)):
-                raise ConfigError(f"{name} must be a tuple of finite numbers, got {value!r}")
+        check_fields(self, "niah")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not 1 <= self.num_frames <= timeline.MAX_GROUPS:

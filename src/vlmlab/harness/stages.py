@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 
-from ..errors import ConfigError, load_json_config
+from ..errors import ConfigError, check_fields, load_json_config
 
 COMPONENTS = frozenset({"encoder", "merger", "decoder"})
 BUDGET_SCALE = 1e-7
@@ -26,18 +26,20 @@ _STAGE_TABLE: dict[str, tuple[int, int, frozenset[str]]] = {
     "S3": (262_144, 100_000_000_000, COMPONENTS),
 }
 STAGE_NAMES = tuple(_STAGE_TABLE)
-_STAGE_KEYS = {"schema_version": int, "name": str, "sequence_length": int,
-               "token_budget": int, "trainable": [str]}
 
 
 @dataclass(frozen=True)
 class StageConfig:
+    FIELD_TYPES = {"schema_version": int, "name": str, "sequence_length": int,
+                   "token_budget": int, "trainable": [str]}
+
     name: str
     sequence_length: int
     trainable: frozenset[str]
     token_budget: int
 
     def __post_init__(self):
+        check_fields(self, "stage")
         if self.name not in _STAGE_TABLE:
             raise ConfigError(f"unknown stage {self.name!r}; valid names: {', '.join(STAGE_NAMES)}")
         if self.sequence_length < 1 or self.token_budget < 1:
@@ -70,7 +72,7 @@ def load_stage_config(name_or_path: str) -> StageConfig:
         raise ConfigError(
             f"unknown stage {name_or_path!r}; valid names: {', '.join(STAGE_NAMES)} "
             "(or pass a path to a JSON stage file)")
-    raw = load_json_config(name_or_path, _STAGE_KEYS, "stage")
+    raw = load_json_config(name_or_path, StageConfig.FIELD_TYPES, "stage")
     name = raw.get("name")
     if name not in _STAGE_TABLE:
         raise ConfigError(f"unknown stage {name!r}; valid names: {', '.join(STAGE_NAMES)}")

@@ -81,7 +81,7 @@ def build_frequency_allocation(head_dim: int, base: float = DEFAULT_BASE,
         axis_of_pair = tuple(AXES[i % 3] for i in range(num_pairs))
         split = None
     elif scheme == "chunked":
-        split = tuple(chunk_split or default_chunk_split(num_pairs))
+        split = tuple(default_chunk_split(num_pairs) if chunk_split is None else chunk_split)
         if (len(split) != 3 or not all(is_integer(c) and c >= 0 for c in split)
                 or sum(split) != num_pairs):
             raise ConfigError(f"chunk_split {split} must be three counts summing to {num_pairs}")

@@ -16,11 +16,10 @@ any platform.
 from __future__ import annotations
 
 import hashlib
-import operator
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_integer
 
 
 def _label_key(label: str | int) -> int:
@@ -32,10 +31,9 @@ class Rng:
     """A named, splittable wrapper around numpy's PCG64 generator."""
 
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
-        # An integer, numpy's included; a float, a string or a bool is not one.
-        if isinstance(seed, bool) or not hasattr(seed, "__index__"):
+        if not is_integer(seed):
             raise ConfigError(f"seed must be an integer, got {seed!r}")
-        self.seed = operator.index(seed)
+        self.seed = int(seed)
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         self._path = _path

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import mrope
-from .errors import ConfigError, is_integer
+from .errors import NUMBER, ConfigError, check_fields, is_integer
 from .sequence import FRAMES, TEXT, MultimodalSequence
 
 # Byte-level vocabulary: ids 0..255 are raw byte values.
@@ -45,6 +45,9 @@ _LAYOUTS = {"seconds": (2, ".# seconds>"), "hms": (6, ":##:##>")}
 class SamplingPolicy:
     """Frame-sampling knobs: target rate, frame cap, and token budget."""
 
+    FIELD_TYPES = {"fps": NUMBER, "max_frames": int, "tokens_per_frame": int,
+                   "token_budget": int, "group_size": int}
+
     fps: float = 1.0
     max_frames: int = 2048
     tokens_per_frame: int = 1
@@ -52,12 +55,10 @@ class SamplingPolicy:
     group_size: int = 2
 
     def __post_init__(self):
-        for name in ("fps", "max_frames", "tokens_per_frame", "token_budget", "group_size"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
+        check_fields(self, "sampling policy")
+        for name in self.FIELD_TYPES:
+            if getattr(self, name) <= 0:
                 raise ConfigError(f"sampling policy field {name} must be finite and positive")
-            if name != "fps" and type(value) is not int:
-                raise ConfigError(f"sampling policy field {name} must be an integer, got {value!r}")
 
     def frame_cap(self) -> int:
         return min(self.max_frames, self.token_budget // self.tokens_per_frame)

@@ -43,7 +43,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import numerics
-from .errors import NUMBER, ConfigError, ShapeError, check_config_types
+from .errors import NUMBER, ConfigError, ShapeError, check_config_types, check_fields
 from .mrope import FrequencyAllocation, assign_position_ids, build_frequency_allocation, \
     rotation_tables
 from .numerics import Tensor
@@ -58,9 +58,10 @@ POS_TABLE = (4, 4)  # learned position table, bilinearly resized to each patch g
 class PatchGrid:
     """Patch features laid out row-major over a (gh, gw) grid.
 
-    ``gh``, ``gw`` and ``dim`` are ints and ``features`` a ``Tensor``.  A
-    tensor compares by identity, so two grids are equal, and encode once,
-    when they share their shape and their ``features`` object."""
+    A ``Tensor`` compares by identity, so two grids are equal, and encode
+    once, when they share their shape and their ``features`` object."""
+
+    FIELD_TYPES = {"gh": int, "gw": int, "dim": int, "features": Tensor}
 
     gh: int
     gw: int
@@ -68,13 +69,7 @@ class PatchGrid:
     features: Tensor
 
     def __post_init__(self):
-        for name in ("gh", "gw", "dim"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ConfigError(f"patch grid {name} must be an integer, got {value!r}")
-        if not isinstance(self.features, Tensor):
-            raise ConfigError(f"patch grid features must be a Tensor, "
-                              f"got {type(self.features).__name__}")
+        check_fields(self, "patch grid")
         if self.gh < 1 or self.gw < 1:
             raise ConfigError(f"patch grid must be at least 1x1, got {self.gh}x{self.gw}")
         if self.features.shape != (self.gh * self.gw, self.dim):
@@ -82,17 +77,15 @@ class PatchGrid:
                 f"features {self.features.shape} vs grid {self.gh}x{self.gw} width {self.dim}")
 
 
-_MODEL_KEY_TYPES = {
-    "schema_version": int, "encoder_depth": int, "decoder_depth": int, "dim": int,
-    "llm_dim": int, "head_dim": int, "taps": [int], "inject_layers": [int], "vocab": int,
-    "rope_base": NUMBER, "rope_scheme": str, "inject_after_layer": bool,
-}
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Model shape, DeepStack taps and inject layers, and the one rotary
     allocation encoder and decoder share; all validated here, once."""
+
+    FIELD_TYPES = {"schema_version": int, "encoder_depth": int, "decoder_depth": int, "dim": int,
+                   "llm_dim": int, "head_dim": int, "taps": [int], "inject_layers": [int],
+                   "vocab": int, "rope_base": NUMBER, "rope_scheme": str,
+                   "inject_after_layer": bool}
 
     encoder_depth: int = 4
     decoder_depth: int = 3
@@ -109,14 +102,7 @@ class ModelConfig:
     alloc: FrequencyAllocation = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for name in ("encoder_depth", "decoder_depth", "dim", "llm_dim", "head_dim", "vocab"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("taps", "inject_layers"):
-            value = getattr(self, name)
-            if value is not None and any(type(v) is not int for v in value):
-                raise ConfigError(f"{name} must hold integers, got {value!r}")
+        check_fields(self, "model")
         if min(self.dim, self.llm_dim, self.vocab, self.encoder_depth, self.decoder_depth) < 1:
             raise ConfigError("model dims and depths must be positive")
         depth = self.encoder_depth
@@ -150,7 +136,7 @@ class ModelConfig:
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ConfigError("model config must be a JSON object")
-        check_config_types(raw, _MODEL_KEY_TYPES, "model")
+        check_config_types(raw, ModelConfig.FIELD_TYPES, "model")
         return ModelConfig(**raw)
 
 

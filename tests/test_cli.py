@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,10 @@ import pytest
 import vlmlab
 from vlmlab import cli, timeline
 from vlmlab.cli import main
+from vlmlab.errors import ConfigError
+from vlmlab.harness import NiahConfig, StageConfig
+from vlmlab.timeline import SamplingPolicy
+from vlmlab.vision import ModelConfig, PatchGrid
 
 
 # An array nested past the JSON decoder's recursion limit.
@@ -276,6 +281,12 @@ TINY_NIAH = {"num_frames": 4, "needle_depths": [0.5], "trials": 1, "durations_mi
         "niah-stamps-above-2**45-s"])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)
+    assert_exits_2_with_one_line(capsys, tmp_path, argv, config)
+
+
+def assert_exits_2_with_one_line(capsys, tmp_path, argv, config):
+    """Run ``argv`` in ``tmp_path``, the working directory, with ``config`` as its
+    config file, and check that it exits 2 with one line and writes no report."""
     if config is not None:
         # A string is written verbatim: JSON text that json.dumps would not produce.
         text = config if isinstance(config, str) else json.dumps(config)
@@ -288,6 +299,46 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, argv, co
     if "--out" in argv:
         assert err.startswith("config error: cannot write")
     assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize("cls", [ModelConfig, NiahConfig, StageConfig, SamplingPolicy, PatchGrid],
+                         ids=lambda cls: cls.__name__)
+def test_field_types_name_every_init_field(cls):
+    """A field cannot be added without a declared type: the table its constructor
+    and its JSON loader check holds each init field, plus ``schema_version`` where
+    the config has a JSON form."""
+    json_form = {"schema_version"} if cls in (ModelConfig, NiahConfig, StageConfig) else set()
+    assert set(cls.FIELD_TYPES) == {f.name for f in fields(cls) if f.init} | json_form
+
+
+@pytest.mark.parametrize("make, match, argv, config", [
+    (lambda: ModelConfig(rope_base="x"), "rope_base must be a finite number",
+     ["train"], {"model": {"rope_base": "x"}}),
+    (lambda: ModelConfig(inject_after_layer=1), "inject_after_layer must be a boolean",
+     ["train"], {"model": {"inject_after_layer": 1}}),
+    (lambda: StageConfig("S1", 1.5, {"decoder"}, True), "sequence_length must be an integer",
+     ["train", "--stage", "cfg.json"], {"name": "S1", "sequence_length": 1.5}),
+    (lambda: StageConfig("S1", 100, frozenset({"decoder"}), True),
+     "token_budget must be an integer",
+     ["train", "--stage", "cfg.json"], {"name": "S1", "token_budget": True}),
+    (lambda: StageConfig("S1", 100, "decoder", 100), "trainable must hold strings",
+     ["train", "--stage", "cfg.json"], {"name": "S1", "trainable": "decoder"}),
+    (lambda: SamplingPolicy(fps=True), "fps must be a finite number", None, None),
+    (lambda: SamplingPolicy(fps="1"), "fps must be a finite number", None, None),
+    (lambda: NiahConfig(timestamp_style=3), "timestamp_style must be a string",
+     ["niah"], {**TINY_NIAH, "timestamp_style": 3}),
+], ids=["model-rope-base-string", "model-inject-after-layer-int", "stage-length-float",
+        "stage-budget-bool", "stage-trainable-string", "policy-fps-bool", "policy-fps-string",
+        "niah-timestamp-style-int"])
+def test_wrong_field_types_raise_config_error(capsys, tmp_path, monkeypatch, make, match, argv,
+                                              config):
+    """Each field's type is checked at construction, as at JSON load: a wrong one
+    is a ConfigError, never a TypeError nor an accepted config."""
+    with pytest.raises(ConfigError, match=match):
+        make()
+    if argv is not None:
+        monkeypatch.chdir(tmp_path)
+        assert_exits_2_with_one_line(capsys, tmp_path, argv, config)
 
 
 def test_version_flag(capsys):

@@ -8,7 +8,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from vlmlab import mrope, numerics
-from vlmlab.cli import _NIAH_KEYS
 from vlmlab.errors import ConfigError, check_config_types
 from vlmlab.harness import (NiahConfig, StageConfig, build_niah_sequence, emit_report,
                             load_stage_config, make_synthetic_batch, run_niah_probe, train_toy)
@@ -84,7 +83,7 @@ class TestStages:
         path.write_text(json.dumps({"name": "S2", "trainable": ["merger"]}), encoding="utf-8")
         assert load_stage_config(str(path)).trainable == frozenset({"merger"})
         path.write_text(json.dumps({"name": "S2", "trainable": "merger"}), encoding="utf-8")
-        with pytest.raises(ConfigError, match="'trainable' must be a JSON array of strings"):
+        with pytest.raises(ConfigError, match="'trainable' must hold strings in an array"):
             load_stage_config(str(path))
 
 
@@ -500,7 +499,7 @@ class TestNiahConfigValidation:
     ])
     def test_numbers_must_be_numbers(self, field, value):
         # As in a JSON config, a bool is not a number.
-        with pytest.raises(ConfigError, match=f"{field} must be a (tuple of )?finite number"):
+        with pytest.raises(ConfigError, match=f"{field} must (be a|hold) finite number"):
             NiahConfig(**{field: value})
 
     def test_duration_overflowing_in_seconds_rejected(self):
@@ -531,5 +530,5 @@ niah_configs = st.builds(
 @given(niah_configs)
 def test_niah_config_round_trip(cfg):
     """A report's config reads back, through JSON and the CLI's key check, as the same config."""
-    check_config_types(cfg.to_dict(), _NIAH_KEYS, "niah")
+    check_config_types(cfg.to_dict(), NiahConfig.FIELD_TYPES, "niah")
     assert NiahConfig(**json.loads(json.dumps(cfg.to_dict()))) == cfg

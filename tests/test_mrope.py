@@ -146,6 +146,13 @@ class TestFrequencyAllocation:
         assert alloc.axis_of_pair == ("t", "h", "w")
         assert build_frequency_allocation(**json.loads(json.dumps(alloc.to_config()))) == alloc
 
+    def test_chunk_split_array_and_empty(self):
+        # A numpy array has no truth value, and an empty split is not a request for the default.
+        from_array = build_frequency_allocation(6, scheme="chunked", chunk_split=np.array([1, 1, 1]))
+        assert from_array == build_frequency_allocation(6, scheme="chunked", chunk_split=[1, 1, 1])
+        with pytest.raises(ConfigError, match="summing"):
+            build_frequency_allocation(6, scheme="chunked", chunk_split=())
+
     def test_bad_base_rejected(self):
         with pytest.raises(ConfigError, match="base"):
             build_frequency_allocation(8, base=1.0)
