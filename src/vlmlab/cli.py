@@ -139,14 +139,12 @@ def _cmd_niah(args) -> int:
         cfg_dict["seed"] = args.seed
     cfg = NiahConfig(**cfg_dict)
     alloc = mrope.build_frequency_allocation(cfg.signature_dim)
-    grid = run_niah_grid(cfg, alloc)
+    accuracies = run_niah_grid(cfg, alloc)
     try:
-        json_path, csv_path = emit_report(
-            grid["durations_min"], grid["depths"], grid["accuracies"], grid["trials"],
-            out_dir=args.out, config=cfg.to_dict())
+        json_path, csv_path = emit_report(cfg, accuracies, args.out)
     except OSError as exc:
         raise ConfigError(f"cannot write reports to {args.out}: {exc.strerror or exc}") from None
-    worst = min(min(row) for row in grid["accuracies"])
+    worst = min(min(row) for row in accuracies)
     print(f"wrote {json_path} and {csv_path}; minimum cell accuracy {worst:.3f}")
     return EXIT_OK
 

@@ -22,7 +22,6 @@ import numpy as np
 from .. import numerics, timeline
 from ..errors import NUMBER, ConfigError, check_fields
 from ..mrope import FrequencyAllocation, frame_group_ids, rotation_tables
-from ..numerics import Tensor
 from ..seeding import Rng
 from ..sequence import MultimodalSequence
 from ..timeline import SamplingPolicy, format_timestamp, interleave_timestamps, sample_frames
@@ -170,8 +169,8 @@ def _scores(query: np.ndarray, keys: np.ndarray, cos: np.ndarray, sin: np.ndarra
 
     Every step works row by row, so a row scores the same alone as in a longer array.
     """
-    rotated_keys = numerics.rotate_pairs(Tensor(keys), cos, sin).data
-    rotated_queries = numerics.rotate_pairs(Tensor(np.tile(query, (len(keys), 1))), cos, sin).data
+    rotated_keys = numerics._rotated(keys, cos, sin)
+    rotated_queries = numerics._rotated(np.tile(query, (len(keys), 1)), cos, sin)
     return np.einsum("ij,ij->i", rotated_queries, rotated_keys)
 
 
@@ -214,8 +213,9 @@ def run_niah_probe(seq: MultimodalSequence, keys, query_signature,
     return ProbeResult(predicted_index=predicted, margin=margin, scores=tuple(scores.tolist()))
 
 
-def run_niah_grid(cfg: NiahConfig, alloc: FrequencyAllocation) -> dict:
-    """Accuracy per (duration, depth) cell, averaged over trials.
+def run_niah_grid(cfg: NiahConfig, alloc: FrequencyAllocation) -> list[list[float]]:
+    """The accuracy table: one row per duration and one column per depth of ``cfg``, each
+    cell's hits averaged over its trials.
 
     A cell's hit is ``run_niah_probe`` on ``build_niah_sequence``'s probe
     predicting the needle, but each distinct timeline is built once: a
@@ -245,9 +245,4 @@ def run_niah_grid(cfg: NiahConfig, alloc: FrequencyAllocation) -> dict:
                     scores[n] = _scores(needle, needle_keys[n:n + 1], cos[n:n + 1],
                                         sin[n:n + 1])[0]
                     hits[i, j] += _ranking(scores)[0] == n
-    return {
-        "durations_min": list(cfg.durations_min),
-        "depths": list(cfg.needle_depths),
-        "accuracies": (hits / cfg.trials).tolist(),
-        "trials": cfg.trials,
-    }
+    return (hits / cfg.trials).tolist()

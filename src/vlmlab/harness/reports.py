@@ -1,4 +1,5 @@
-"""Byte-stable JSON and CSV reports for probe grids."""
+"""Byte-stable JSON and CSV reports of a NIAH grid: everything but the accuracies comes
+from the grid's :class:`NiahConfig`."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ import csv
 import io
 import json
 from pathlib import Path
+
+from .niah import NiahConfig
 
 SCHEMA_VERSION = 1
 
@@ -19,56 +22,43 @@ METADATA_STUB = {
 }
 
 
-def _validate_grid(durations, depths, accuracies, trials):
-    if not durations or not depths:
-        raise ValueError("report grid must be non-empty")
-    if len(accuracies) != len(durations):
-        raise ValueError(f"{len(accuracies)} rows for {len(durations)} durations")
-    for row in accuracies:
-        if len(row) != len(depths):
-            raise ValueError("report grid must be rectangular")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-
-
-def render_csv(durations, depths, accuracies) -> str:
+def render_csv(cfg: NiahConfig, accuracies) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["duration", "depth", "accuracy"])
-    for duration, row in zip(durations, accuracies):
-        for depth, acc in zip(depths, row):
-            writer.writerow([float(duration), float(depth), float(acc)])
+    for duration, row in zip(cfg.durations_min, accuracies):
+        for depth, acc in zip(cfg.needle_depths, row):
+            writer.writerow([duration, depth, float(acc)])
     return buf.getvalue()
 
 
-def render_json(durations, depths, accuracies, trials, config: dict | None = None) -> str:
+def render_json(cfg: NiahConfig, accuracies) -> str:
     cells = [
-        {"duration": float(duration), "depth": float(depth),
-         "accuracy": float(acc), "trials": trials}
-        for duration, row in zip(durations, accuracies)
-        for depth, acc in zip(depths, row)
+        {"duration": duration, "depth": depth, "accuracy": float(acc), "trials": cfg.trials}
+        for duration, row in zip(cfg.durations_min, accuracies)
+        for depth, acc in zip(cfg.needle_depths, row)
     ]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "metadata": METADATA_STUB,
-        "config": config or {},
-        "durations": [float(d) for d in durations],
-        "depths": [float(d) for d in depths],
+        "config": cfg.to_dict(),
+        "durations": list(cfg.durations_min),
+        "depths": list(cfg.needle_depths),
         "cells": cells,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def emit_report(durations, depths, accuracies, trials, out_dir: str | Path,
-                config: dict | None = None) -> tuple[Path, Path]:
-    """Write the grid as niah.json and niah.csv under ``out_dir``."""
-    _validate_grid(durations, depths, accuracies, trials)
+def emit_report(cfg: NiahConfig, accuracies, out_dir: str | Path) -> tuple[Path, Path]:
+    """Write the grid of ``cfg`` with its accuracy table, one row per duration and one
+    column per depth, as niah.json and niah.csv under ``out_dir``."""
+    if [len(row) for row in accuracies] != [len(cfg.needle_depths)] * len(cfg.durations_min):
+        raise ValueError("report grid must be rectangular, one row per duration and one "
+                         "column per depth")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     json_path = out / "niah.json"
     csv_path = out / "niah.csv"
-    json_path.write_text(render_json(durations, depths, accuracies, trials, config),
-                         encoding="utf-8")
-    csv_path.write_text(render_csv(durations, depths, accuracies), encoding="utf-8")
+    json_path.write_text(render_json(cfg, accuracies), encoding="utf-8")
+    csv_path.write_text(render_csv(cfg, accuracies), encoding="utf-8")
     return json_path, csv_path
-

@@ -10,13 +10,12 @@ remain bit-identical across any number of steps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .. import numerics, objective
-from ..errors import ConfigError, NonFiniteError
+from ..errors import NUMBER, ConfigError, NonFiniteError, _has_type, is_integer
 from ..numerics import Tensor
 from ..seeding import Rng
 from ..sequence import ImageBlock, MultimodalSequence, TextSpan
@@ -49,6 +48,9 @@ def make_synthetic_batch(config: ModelConfig, rng: Rng, n_examples: int = 8,
     visual positions carry no loss.  Lengths vary across the batch so the
     aggregation schemes are distinguishable.
     """
+    for name, count in (("n_examples", n_examples), ("text_len", text_len)):
+        if not is_integer(count):
+            raise ConfigError(f"{name} must be an integer, got {count!r}")
     if text_len < 2:
         raise ConfigError("text_len must be at least 2")
     examples = []
@@ -110,13 +112,16 @@ def train_toy(model: VisionLanguageModel, stage: StageConfig,
     only (S0: the mergers); one the loss does not reach is not updated.
     ``steps`` 0 reports the loss once and updates nothing.
     ``lr`` may be zero (a legal no-op step, useful for freeze checks) but not
-    negative or non-finite; a step that overflows raises ``ConfigError``, as
-    does an example longer than the stage's ``sequence_length``.
+    negative or non-finite, and a bool is neither a step count nor a rate.  A
+    step that overflows raises ``ConfigError``, as does an example longer than
+    the stage's ``sequence_length``.
     """
-    if not (math.isfinite(lr) and lr >= 0):
+    if not (_has_type(lr, NUMBER) and lr >= 0):
         raise ConfigError(f"learning rate must be finite and non-negative, got {lr}")
     if scheme not in objective.SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; expected one of {sorted(objective.SCHEMES)}")
+    if not is_integer(steps):
+        raise ConfigError(f"steps must be an integer, got {steps!r}")
     if steps < 0:
         raise ConfigError(f"steps must be non-negative, got {steps}")
     if not data:

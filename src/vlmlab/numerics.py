@@ -386,6 +386,16 @@ def add_rows_at(x: Tensor, rows: Tensor, positions: Sequence[int]) -> Tensor:
     return _node("add_rows_at", data, (x, rows), (_identity, lambda g: g[pos]))
 
 
+def _rotated(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """``x`` with each column pair (x1, x2) = (x[:, 2i], x[:, 2i+1]) turned into
+    (x1*cos - x2*sin, x1*sin + x2*cos)."""
+    xe, xo = x[:, 0::2], x[:, 1::2]
+    out = np.empty_like(x)
+    out[:, 0::2] = xe * cos - xo * sin
+    out[:, 1::2] = xe * sin + xo * cos
+    return out
+
+
 def rotate_pairs(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """Rotate adjacent coordinate pairs (x[2i], x[2i+1]) by fixed angles.
 
@@ -399,19 +409,8 @@ def rotate_pairs(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     sin = np.asarray(sin, dtype=np.float64)
     if cos.shape != (x.shape[0], half) or sin.shape != cos.shape:
         raise ShapeError(f"rotate_pairs: angle shape {cos.shape} vs {(x.shape[0], half)}")
-    xe, xo = x.data[:, 0::2], x.data[:, 1::2]
-    data = np.empty_like(x.data)
-    data[:, 0::2] = xe * cos - xo * sin
-    data[:, 1::2] = xe * sin + xo * cos
-
-    def _grad(g):
-        ge, go = g[:, 0::2], g[:, 1::2]
-        gx = np.empty_like(g)
-        gx[:, 0::2] = ge * cos + go * sin
-        gx[:, 1::2] = -ge * sin + go * cos
-        return gx
-
-    return _node("rotate_pairs", data, (x,), (_grad,))
+    return _node("rotate_pairs", _rotated(x.data, cos, sin), (x,),
+                 (lambda g: _rotated(g, cos, -sin),))  # back by the opposite angles
 
 
 def token_nll(logits: Tensor, targets: Sequence[int]) -> Tensor:

@@ -12,14 +12,13 @@ check of every sequence invariant; the element classes hold values only.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_integer
 
 # Element kinds in layout columns.
 TEXT, IMAGE, FRAMES = 0, 1, 2
@@ -30,7 +29,9 @@ class TextSpan:
     token_ids: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "token_ids", tuple(map(operator.index, self.token_ids)))
+        if not all(map(is_integer, self.token_ids)):
+            raise TypeError(f"token ids must be integers, got {self.token_ids!r}")
+        object.__setattr__(self, "token_ids", tuple(map(int, self.token_ids)))
 
     def token_count(self) -> int:
         return len(self.token_ids)
@@ -57,6 +58,12 @@ class FrameGroup:
 
 
 SequenceElement = TextSpan | ImageBlock | FrameGroup
+
+
+def _check_grid(gh, gw) -> None:
+    """Stop a grid that an integer column would truncate (1.5) or read as 0 or 1 (a bool)."""
+    if not (is_integer(gh) and is_integer(gw)):
+        raise ConfigError(f"a grid needs integer sizes for its integer array, got {gh!r}x{gw!r}")
 
 
 def _is_int_array(a, ndim: int) -> bool:
@@ -118,15 +125,17 @@ class MultimodalSequence:
 
     @classmethod
     def of(cls, elements: Iterable[SequenceElement]) -> MultimodalSequence:
-        """Build a sequence from element objects, taking their grids uncast."""
+        """Build a sequence from element objects; a grid size must be an integer."""
         rows, tokens, times = [], [], []
         for e in elements:
             if isinstance(e, TextSpan):
                 rows.append((TEXT, len(e.token_ids), 0, 0))
                 tokens.extend(e.token_ids)
             elif isinstance(e, ImageBlock):
+                _check_grid(e.gh, e.gw)
                 rows.append((IMAGE, e.gh * e.gw, e.gh, e.gw))
             elif isinstance(e, FrameGroup):
+                _check_grid(e.gh, e.gw)
                 rows.append((FRAMES, e.gh * e.gw, e.gh, e.gw))
                 times.append((e.start_time, e.end_time))
             else:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import mrope
 from .errors import NUMBER, ConfigError, check_fields, is_integer
-from .sequence import FRAMES, TEXT, MultimodalSequence
+from .sequence import FRAMES, TEXT, MultimodalSequence, _check_grid
 
 # Byte-level vocabulary: ids 0..255 are raw byte values.
 BYTE_VOCAB_SIZE = 256
@@ -173,7 +173,7 @@ def tokenize(text: str) -> list[int]:
 
 def detokenize(ids: Sequence[int]) -> str:
     for i, t in enumerate(ids):
-        if not 0 <= t < BYTE_VOCAB_SIZE:
+        if not (is_integer(t) and 0 <= t < BYTE_VOCAB_SIZE):
             raise ValueError(f"token {t} at position {i} is not a byte value")
     return bytes(ids).decode("utf-8")
 
@@ -193,13 +193,13 @@ def interleave_timestamps(frames: Sequence[float], group_size: int = 2,
         raise ConfigError("interleave_timestamps needs at least one frame")
     if not (is_integer(group_size) and group_size >= 1):
         raise ConfigError(f"group_size must be an integer >= 1, got {group_size}")
+    _check_grid(gh, gw)
     first = np.arange(0, len(frames), group_size)
     starts = frames[first]
     ends = frames[np.minimum(first + group_size, len(frames)) - 1]
     tokens, lengths = _render_stamps(starts, style)
-    # Text then frames for each group: (4, groups, 2), flattened to (4, elements).  The
-    # dtype comes from gh and gw, so a non-integer grid fails the sequence check uncast.
-    columns = np.zeros((4, len(starts), 2), dtype=np.result_type(gh, gw))
+    # Text then frames for each group: (4, groups, 2), flattened to (4, elements).
+    columns = np.zeros((4, len(starts), 2), dtype=np.int64)
     columns[0] = (TEXT, FRAMES)
     columns[1, :, 0] = lengths
     columns[1:, :, 1] = np.array([[gh * gw], [gh], [gw]])

@@ -255,9 +255,9 @@ def test_criterion_9_niah_toy_heatmap():
         longest, _, _ = build_niah_sequence(cfg, cfg.durations_min[-1] * 60.0, 0.5)
         assert len(longest.start_times) == 4096
         grid = run_niah_grid(cfg, alloc)
-        for row in grid["accuracies"]:
+        for row in grid:
             for acc in row:
-                assert acc == 1.0, grid["accuracies"]
+                assert acc == 1.0, grid
 
 
 def test_criterion_10_stage_schema():

@@ -210,6 +210,21 @@ class TestTrainToy:
         with pytest.raises(ConfigError, match="learning rate"):
             train_toy(model, load_stage_config("S1"), batch, steps=1, lr=-0.1)
 
+    @pytest.mark.parametrize("batch_args, train_args, message", [
+        ({}, {"steps": True}, "steps must be an integer, got True"),
+        ({}, {"steps": 1.5}, "steps must be an integer, got 1.5"),
+        ({}, {"lr": "x"}, "learning rate must be finite and non-negative, got x"),
+        ({}, {"lr": True}, "learning rate must be finite and non-negative, got True"),
+        ({"n_examples": True}, {}, "n_examples must be an integer, got True"),
+        ({"text_len": 2.5}, {}, "text_len must be an integer, got 2.5"),
+    ], ids=["steps-true", "steps-1.5", "lr-str", "lr-true", "n-examples-true", "text-len-2.5"])
+    def test_arguments_of_the_wrong_type_rejected(self, batch_args, train_args, message):
+        cfg, model = tiny_model()
+        with pytest.raises(ConfigError, match=message):
+            batch = make_synthetic_batch(cfg, Rng(3).split("data"),
+                                         **{"n_examples": 1, "text_len": 4, **batch_args})
+            train_toy(model, load_stage_config("S1"), batch, **{"steps": 1, "lr": 0.1, **train_args})
+
     def test_overfits_small_batch(self):
         cfg, model = tiny_model(seed=0)
         batch = make_synthetic_batch(cfg, Rng(0).split("data"), n_examples=8, text_len=6)
@@ -345,8 +360,7 @@ class TestNiahProbe:
         for overlap in (0.0, 0.5, 0.9, 1.0):
             cfg = NiahConfig(trials=10, overlap=overlap, signature_noise=0.05,
                              durations_min=(0.5,), needle_depths=(0.3, 0.7), seed=0)
-            grid = run_niah_grid(cfg, alloc)
-            accuracies.append(float(np.mean(grid["accuracies"])))
+            accuracies.append(float(np.mean(run_niah_grid(cfg, alloc))))
         assert accuracies[0] == 1.0
         assert accuracies == sorted(accuracies, reverse=True)
         # At full overlap the needle is exchangeable with the hay, so
@@ -399,7 +413,7 @@ class TestNiahGrid:
             grid = run_niah_grid(cfg, alloc)
         scored = [call.args[0].tobytes() for call in ranking.call_args_list]
         assert sorted(scored) == sorted(expected)
-        assert grid["accuracies"] == accuracies
+        assert grid == accuracies
 
     @pytest.mark.parametrize("durations, builds", [
         (NiahConfig().durations_min, 1),
@@ -417,44 +431,60 @@ class TestNiahGrid:
         assert len(calls) == builds
 
 
+def grid_config(durations, depths, trials, seed=0):
+    return NiahConfig(durations_min=durations, needle_depths=depths, trials=trials, seed=seed)
+
+
 class TestReports:
     def test_minimal_grid_csv(self, tmp_path):
-        _, csv_path = emit_report([1.0], [0.5], [[1.0]], trials=1, out_dir=tmp_path)
+        _, csv_path = emit_report(grid_config((1.0,), (0.5,), trials=1), [[1.0]], tmp_path)
         lines = csv_path.read_text().splitlines()
         assert len(lines) == 2
         assert lines[0] == "duration,depth,accuracy"
 
     def test_grid_line_count(self, tmp_path):
         acc = [[1.0] * 9 for _ in range(3)]
-        _, csv_path = emit_report([1.0, 2.0, 3.0], [x / 10 for x in range(1, 10)],
-                                  acc, trials=2, out_dir=tmp_path)
+        cfg = grid_config((1.0, 2.0, 3.0), tuple(x / 10 for x in range(1, 10)), trials=2)
+        _, csv_path = emit_report(cfg, acc, tmp_path)
         assert len(csv_path.read_text().splitlines()) == 28
-
-    def test_empty_grid_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="non-empty"):
-            emit_report([], [], [], trials=1, out_dir=tmp_path)
 
     def test_ragged_grid_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="rectangular"):
-            emit_report([1.0, 2.0], [0.1, 0.2], [[1.0, 1.0], [1.0]], trials=1,
-                        out_dir=tmp_path)
+            emit_report(grid_config((1.0, 2.0), (0.1, 0.2), trials=1), [[1.0, 1.0], [1.0]],
+                        tmp_path)
+
+    def test_table_of_the_wrong_shape_rejected(self, tmp_path):
+        # Rectangular, but two rows of three for three durations by two depths.
+        with pytest.raises(ValueError, match="one row per duration"):
+            emit_report(grid_config((1.0, 2.0, 3.0), (0.1, 0.2), trials=1),
+                        [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]], tmp_path)
 
     def test_json_round_trip(self, tmp_path):
         acc = [[0.5, 1.0], [0.0, 0.25]]
-        json_path, _ = emit_report([1.0, 2.0], [0.1, 0.9], acc, trials=4,
-                                   out_dir=tmp_path, config={"seed": 3})
+        json_path, _ = emit_report(grid_config((1.0, 2.0), (0.1, 0.9), trials=4, seed=3), acc,
+                                   tmp_path)
         doc = json.loads(json_path.read_text(encoding="utf-8"))
         assert doc["durations"] == [1.0, 2.0]
         assert doc["depths"] == [0.1, 0.9]
-        assert doc["config"] == {"seed": 3}
+        assert doc["config"]["seed"] == 3
         assert [[c["accuracy"] for c in doc["cells"][2 * i:2 * i + 2]] for i in range(2)] == acc
         assert [(c["duration"], c["depth"], c["trials"]) for c in doc["cells"]] == [
             (1.0, 0.1, 4), (1.0, 0.9, 4), (2.0, 0.1, 4), (2.0, 0.9, 4)]
 
+    def test_report_reads_the_grid_from_its_config(self, tmp_path):
+        cfg = NiahConfig(durations_min=(0.5, 3), needle_depths=(0.25,), trials=5, seed=7,
+                         timestamp_style="hms")
+        json_path, _ = emit_report(cfg, [[0.4], [1.0]], tmp_path)
+        doc = json.loads(json_path.read_text(encoding="utf-8"))
+        assert doc["durations"] == list(cfg.durations_min)
+        assert doc["depths"] == list(cfg.needle_depths)
+        assert [c["trials"] for c in doc["cells"]] == [cfg.trials] * 2
+        assert doc["config"] == cfg.to_dict()
+
     def test_byte_stable(self, tmp_path):
-        args = ([1.0, 2.0], [0.1, 0.9], [[1.0, 0.5], [0.25, 0.75]], 2)
-        j1, c1 = emit_report(*args, out_dir=tmp_path / "a", config={"seed": 0})
-        j2, c2 = emit_report(*args, out_dir=tmp_path / "b", config={"seed": 0})
+        args = (grid_config((1.0, 2.0), (0.1, 0.9), trials=2), [[1.0, 0.5], [0.25, 0.75]])
+        j1, c1 = emit_report(*args, tmp_path / "a")
+        j2, c2 = emit_report(*args, tmp_path / "b")
         assert j1.read_bytes() == j2.read_bytes()
         assert c1.read_bytes() == c2.read_bytes()
 
@@ -475,6 +505,12 @@ class TestNiahConfigValidation:
     def test_durations_positive(self):
         with pytest.raises(ConfigError, match="durations"):
             NiahConfig(durations_min=(0.0,))
+
+    def test_empty_axes_rejected(self):
+        with pytest.raises(ConfigError, match="durations must be finite and positive"):
+            NiahConfig(durations_min=())
+        with pytest.raises(ConfigError, match="needle depths"):
+            NiahConfig(needle_depths=())
 
     @pytest.mark.parametrize("field, value", [
         ("durations_min", (float("inf"),)), ("durations_min", (float("nan"),)),

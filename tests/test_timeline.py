@@ -193,6 +193,8 @@ class TestTokenizer:
     def test_invalid_id(self):
         with pytest.raises(ValueError, match="byte value"):
             detokenize([65, 300])
+        with pytest.raises(ValueError, match="byte value"):
+            detokenize([True, 65])
 
     def test_injective_on_random_corpus(self):
         rng = Rng(17)
@@ -335,10 +337,14 @@ class TestSequenceTypes:
     def test_non_integer_image_grid_is_not_truncated(self):
         with pytest.raises(ConfigError, match="integer array"):
             MultimodalSequence.of((ImageBlock(1.5, 2),))
+        with pytest.raises(ConfigError, match="integer array"):
+            MultimodalSequence.of((ImageBlock(True, 2),))
 
     def test_text_ids_must_be_integers(self):
         with pytest.raises(TypeError):
             TextSpan((1.5,))
+        with pytest.raises(TypeError):
+            TextSpan((True, 2))
         span = TextSpan((np.int64(3), np.uint8(4)))
         assert span.token_ids == (3, 4) and all(type(t) is int for t in span.token_ids)
 
@@ -346,7 +352,8 @@ class TestSequenceTypes:
         ({"gh": 1.5}, "integer array"), ({"gw": 2.0}, "integer array"),
         ({"group_size": 1.5}, "group_size must be an integer"),
         ({"group_size": True}, "group_size must be an integer"),
-    ], ids=["gh-1.5", "gw-2.0", "group-size-1.5", "group-size-true"])
+        ({"gh": True}, "integer array"),
+    ], ids=["gh-1.5", "gw-2.0", "group-size-1.5", "group-size-true", "gh-true"])
     def test_interleave_rejects_non_integer_sizes(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):
             interleave_timestamps([0.0, 1.0], **{"group_size": 1, **kwargs})
