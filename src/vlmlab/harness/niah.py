@@ -52,14 +52,18 @@ class NiahConfig:
         if not 1 <= self.num_frames <= timeline.MAX_GROUPS:
             raise ConfigError(f"num_frames must lie in [1, {timeline.MAX_GROUPS}]")
         depths = tuple(float(d) for d in self.needle_depths)
-        if not depths or any(not 0 < d < 1 for d in depths):
+        if not depths:
+            raise ConfigError("needle_depths must not be empty")
+        if any(not 0 < d < 1 for d in depths):
             raise ConfigError("needle depths must lie strictly inside (0, 1)")
         if list(depths) != sorted(set(depths)):
             raise ConfigError("needle depths must be strictly increasing")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
         durations = tuple(float(d) for d in self.durations_min)
-        if not durations or min(durations) <= 0:
+        if not durations:
+            raise ConfigError("durations_min must not be empty")
+        if min(durations) <= 0:
             raise ConfigError("durations must be finite and positive")
         if max(durations) * 60.0 == math.inf:
             raise ConfigError(f"durations of {max(durations)!r} min overflow in seconds")

@@ -51,6 +51,8 @@ def make_synthetic_batch(config: ModelConfig, rng: Rng, n_examples: int = 8,
     for name, count in (("n_examples", n_examples), ("text_len", text_len)):
         if not is_integer(count):
             raise ConfigError(f"{name} must be an integer, got {count!r}")
+    if n_examples < 1:
+        raise ConfigError(f"n_examples must be at least 1, got {n_examples}")
     if text_len < 2:
         raise ConfigError("text_len must be at least 2")
     examples = []

@@ -23,7 +23,11 @@ if that parent is *needed*, that is, has a differentiated leaf among its
 ancestors or is one.  It stores the first gradient a parent receives as it
 is and adds later ones.  No gradient is written in place.  Every child of a
 needed node is needed, so differentiating a subset of the leaves gives them
-bit-identical gradients in less work.
+bit-identical gradients in less work.  Once a computed tensor has passed its
+gradient on, backward drops it: after ``backward`` only leaves hold a
+``.grad``, and a computed tensor's gradient lives only until it is used.
+``token_nll``, like ``attention``, keeps two floats per row instead of its
+probabilities and recomputes them in backward.
 
 All differentiable operations here are validated against central finite
 differences by :func:`grad_check`; see the test suite for the sweep over
@@ -88,6 +92,8 @@ class Tensor:
         Visits each tape node exactly once, in reverse topological order.
         Differentiates ``leaves``, or by default every leaf that requires a
         gradient; a listed leaf outside this graph ends with no gradient.
+        Afterwards only leaves hold a ``.grad``: each computed tensor, this
+        output included, drops its gradient once it has passed it on.
         """
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar output")
@@ -120,8 +126,9 @@ class Tensor:
             node.grad = None
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node._backward is not None and node in needed:
+            if node._parents and node in needed:
                 node._backward(node.grad, needed)
+                node.grad = None  # used up: only leaves keep a gradient
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op!r})"
@@ -357,7 +364,11 @@ def gather_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
 
     def _grad(g):
         gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
+        if np.unique(idx).size == idx.size:
+            gx[idx] = g
+            np.add(gx, 0.0, out=gx)  # -0.0 to +0.0, as adding onto zeros gives
+        else:
+            np.add.at(gx, idx, g)
         return gx
 
     return _node("gather_rows", x.data[idx], (x,), (_grad,))
@@ -416,7 +427,10 @@ def rotate_pairs(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
 def token_nll(logits: Tensor, targets: Sequence[int]) -> Tensor:
     """Per-row negative log-likelihood of the target class.
 
-    ``logits`` is (n, vocab); returns a length-n vector of losses.
+    ``logits`` is (n, vocab); returns a length-n vector of losses.  The node
+    keeps each row's max and sum of exponentials, not the (n, vocab)
+    probabilities; backward recomputes those with the forward's own
+    expressions, so they come out bit for bit the same.
     """
     if logits.data.ndim != 2:
         raise ShapeError(f"token_nll needs rank-2 logits, got {logits.shape}")
@@ -427,13 +441,20 @@ def token_nll(logits: Tensor, targets: Sequence[int]) -> Tensor:
     if tgt.size and (tgt.min() < 0 or tgt.max() >= v):
         raise ShapeError(f"token_nll: target id out of vocab {v}")
     m = logits.data.max(axis=1, keepdims=True)
-    e = np.exp(logits.data - m)
-    z = e.sum(axis=1)
-    probs = e / z[:, None]
+
+    def _exps() -> np.ndarray:
+        """exp(logits - m), a fresh array."""
+        e = logits.data - m
+        np.exp(e, out=e)
+        return e
+
+    z = _exps().sum(axis=1)
     nll = np.log(z) + m[:, 0] - logits.data[np.arange(n), tgt]
 
     def _grad(g):
-        gl = probs * g[:, None]
+        gl = _exps()
+        gl /= z[:, None]  # the probabilities
+        gl *= g[:, None]
         gl[np.arange(n), tgt] -= g
         return gl
 

@@ -259,6 +259,9 @@ TINY_NIAH = {"num_frames": 4, "needle_depths": [0.5], "trials": 1, "durations_mi
     (["train", "--stage", "cfg.json"], {"name": "S1", "sequence_length": 4}),
     (["sparsity", "--duration", "1e20", "--spacing", "1e16"], None),
     (["niah"], {**TINY_NIAH, "durations_min": [1e12]}),
+    (["niah"], {**TINY_NIAH, "needle_depths": []}),
+    (["niah"], {**TINY_NIAH, "durations_min": []}),
+    (["train"], {"examples": 0}),
 ], ids=["train-lr-nan", "train-bogus-scheme", "sparsity-granularity-nan", "ground-directory",
         "train-lr-string", "sparsity-granularity-string", "spectrum-head-dim-string",
         "niah-trials-string", "train-model-dim-string", "train-unknown-key",
@@ -278,7 +281,8 @@ TINY_NIAH = {"num_frames": 4, "needle_depths": [0.5], "trials": 1, "durations_mi
         "spectrum-5001-digit-integer", "spectrum-nested-100000-deep",
         "stage-5001-digit-integer", "stage-nested-100000-deep",
         "stage-sequence-length-below-the-examples", "sparsity-stamps-above-2**45-s",
-        "niah-stamps-above-2**45-s"])
+        "niah-stamps-above-2**45-s", "niah-no-depths", "niah-no-durations",
+        "train-zero-examples"])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)
     assert_exits_2_with_one_line(capsys, tmp_path, argv, config)

@@ -225,6 +225,12 @@ class TestTrainToy:
                                          **{"n_examples": 1, "text_len": 4, **batch_args})
             train_toy(model, load_stage_config("S1"), batch, **{"steps": 1, "lr": 0.1, **train_args})
 
+    @pytest.mark.parametrize("n_examples", [0, -1])
+    def test_fewer_than_one_example_rejected(self, n_examples):
+        cfg, _ = tiny_model()
+        with pytest.raises(ConfigError, match=f"n_examples must be at least 1, got {n_examples}"):
+            make_synthetic_batch(cfg, Rng(3).split("data"), n_examples=n_examples)
+
     def test_overfits_small_batch(self):
         cfg, model = tiny_model(seed=0)
         batch = make_synthetic_batch(cfg, Rng(0).split("data"), n_examples=8, text_len=6)
@@ -507,9 +513,9 @@ class TestNiahConfigValidation:
             NiahConfig(durations_min=(0.0,))
 
     def test_empty_axes_rejected(self):
-        with pytest.raises(ConfigError, match="durations must be finite and positive"):
+        with pytest.raises(ConfigError, match="durations_min must not be empty"):
             NiahConfig(durations_min=())
-        with pytest.raises(ConfigError, match="needle depths"):
+        with pytest.raises(ConfigError, match="needle_depths must not be empty"):
             NiahConfig(needle_depths=())
 
     @pytest.mark.parametrize("field, value", [

@@ -492,6 +492,24 @@ def test_gather_rows_out_of_range():
         N.gather_rows(rand((3, 2)), [0, 3])
 
 
+@given(st.lists(st.integers(0, 5), max_size=12), st.integers(0, 2 ** 32))
+@example([3, 0, 5], 0)
+@example([2, 2, 0, 2], 0)
+@example([], 0)
+def test_gather_rows_gradient_is_add_at_onto_zeros(indices, seed):
+    """Unique indices write the gradient by assignment, repeated ones add it
+    up; either way it is np.add.at onto zeros bit for bit, so an upstream
+    -0.0 lands as +0.0."""
+    rng = Rng(seed)
+    x = N.parameter(rng.normal((6, 3)))
+    upstream = rng.split("g").normal((len(indices), 3))
+    upstream.flat[::2] = -0.0
+    N.sum_all(N.mul(N.gather_rows(x, indices), Tensor(upstream))).backward()
+    want = np.zeros((6, 3))
+    np.add.at(want, np.asarray(indices, dtype=np.int64), upstream)
+    assert x.grad.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("indices", [[0.9, 2.2], [True, False], np.array([1.0])],
                          ids=["floats", "bools", "float-array"])
 @pytest.mark.parametrize("op", [

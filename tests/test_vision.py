@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -454,6 +455,55 @@ class TestDecoder:
         on = model.forward(prep)
         off = model.forward(dataclasses.replace(prep, deepstack=[]))
         assert on.data.tobytes() == off.data.tobytes()
+
+
+def decoder_loss(n: int, **overrides) -> Tensor:
+    """The summed next-token loss of a small decoder over ``n`` random rows."""
+    cfg = small_config(**overrides)
+    emb = N.parameter(Rng(7).normal((n, cfg.llm_dim)))
+    ids = np.repeat(np.arange(n)[:, None], 3, axis=1)
+    logits = Decoder(cfg, Rng(8)).forward(emb, ids)
+    return N.sum_all(N.token_nll(logits, np.arange(n) % cfg.vocab))
+
+
+def backward_peak(loss: Tensor) -> int:
+    """Bytes ``loss.backward()`` holds at its traced peak."""
+    tracemalloc.start()
+    try:
+        loss.backward()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBackwardMemory:
+    """Backward keeps only what it still needs: a computed tensor's gradient
+    is dropped once passed on, and ``token_nll`` recomputes its probabilities."""
+
+    def test_only_leaves_keep_gradients(self):
+        loss = decoder_loss(150)
+        loss.backward()
+        nodes = tape_nodes(loss)
+        assert all(node.grad is None for node in nodes if node._parents)
+        leaves = [node for node in nodes if not node._parents and node.requires_grad]
+        assert leaves and all(node.grad is not None for node in leaves)
+
+    def test_peak_linear_in_rows_and_flat_in_depth(self):
+        """Twice the rows take under about twice the memory, and four times
+        the layers barely more: only the parameter gradients add up.  Kept
+        intermediate gradients would grow the peak with every layer."""
+        n = 256
+        base = backward_peak(decoder_loss(n))
+        assert backward_peak(decoder_loss(2 * n)) < 2.1 * base
+        assert backward_peak(decoder_loss(n, decoder_depth=12)) < 1.5 * base
+
+    def test_token_nll_keeps_no_probabilities(self):
+        n, vocab = 40, 23
+        logits = N.parameter(Rng(9).normal((n, vocab)))
+        node = N.token_nll(logits, np.arange(n) % vocab)
+        kept: dict[int, np.ndarray] = {}
+        _closure_arrays(node._backward, kept, set())
+        assert kept and max(a.size for a in kept.values()) <= n
 
 
 # Elements 1, 4 and 5 share one patch-grid shape; element 3 has another.
