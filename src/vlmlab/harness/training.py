@@ -3,9 +3,9 @@
 Plain gradient descent over synthetic next-token-prediction batches.  The
 loss path weighs each sample's summed token losses by its weight from the
 objective module, so the chosen aggregation scheme shapes the gradients
-exactly as it shapes the reported loss.  Parameters of components outside
-the stage's trainable set are neither differentiated nor touched, so they
-remain bit-identical across any number of steps.
+exactly as it shapes the reported loss.  ``requires_grad`` alone says what
+backward differentiates; parameters of components outside the stage's
+trainable set have it off, so they stay bit-identical over any number of steps.
 """
 
 from __future__ import annotations
@@ -110,8 +110,10 @@ def train_toy(model: VisionLanguageModel, stage: StageConfig,
     """Run ``steps`` of gradient descent on the stage's trainable components.
 
     The model is updated in place; its parameters after the call are the
-    final ones.  Backward differentiates the stage's trainable parameters
-    only (S0: the mergers); one the loss does not reach is not updated.
+    final ones.  First each parameter drops any gradient, and one whose
+    ``requires_grad`` disagrees with the stage becomes a leaf with the same
+    bytes and the stage's flag: a frozen one (S0: all but the mergers)
+    requires no gradient until a later call's stage trains it.
     ``steps`` 0 reports the loss once and updates nothing.
     ``lr`` may be zero (a legal no-op step, useful for freeze checks) but not
     negative or non-finite, and a bool is neither a step count nor a rate.  A
@@ -134,6 +136,12 @@ def train_toy(model: VisionLanguageModel, stage: StageConfig,
             raise ConfigError(f"example {index} has {length} tokens, more than stage "
                               f"{stage.name}'s sequence_length {stage.sequence_length}")
 
+    for name, param in model.parameters().items():
+        param.grad = None  # one left by a backward before this call is stale
+        trainable = model.component_of(name) in stage.trainable
+        if param.requires_grad != trainable:
+            model.set_parameter(name, (numerics.parameter if trainable else Tensor)(param.data))
+
     losses: list[float] = []
     initial = None
     try:
@@ -147,11 +155,8 @@ def train_toy(model: VisionLanguageModel, stage: StageConfig,
                     initial = final
                 if not steps:
                     break
-                # Rebuilt each step: the update replaces every trained parameter.
-                trainable = {name: param for name, param in model.parameters().items()
-                             if model.component_of(name) in stage.trainable}
-                loss.backward(trainable.values())
-                for name, param in trainable.items():
+                loss.backward()
+                for name, param in model.parameters().items():
                     if param.grad is not None:
                         model.set_parameter(name, numerics.parameter(param.data - lr * param.grad))
     except NonFiniteError as exc:

@@ -19,13 +19,13 @@ Each differentiable op checks shapes, computes its forward value and passes
 it to ``_node`` with one gradient function per parent, mapping the upstream
 gradient to that parent's gradient (a vector-Jacobian product).  ``_node``
 alone records the node: in ``backward`` it calls a parent's function only
-if that parent is *needed*, that is, has a differentiated leaf among its
-ancestors or is one.  It stores the first gradient a parent receives as it
-is and adds later ones.  No gradient is written in place.  Every child of a
-needed node is needed, so differentiating a subset of the leaves gives them
-bit-identical gradients in less work.  Once a computed tensor has passed its
-gradient on, backward drops it: after ``backward`` only leaves hold a
-``.grad``, and a computed tensor's gradient lives only until it is used.
+if that parent ``requires_grad``: is such a leaf or has one as ancestor.  It
+stores the first gradient a parent receives as it is and adds later ones.
+No gradient is written in place.  ``backward`` walks only the tensors that
+require a gradient; the others' ancestors require none either, so a frozen
+leaf prunes whole subtrees and the rest keep their order, and with it the
+order in which each gradient's terms are added.  After ``backward`` only
+leaves hold a ``.grad``: a computed tensor drops its gradient once used.
 ``token_nll``, like ``attention``, keeps two floats per row instead of its
 probabilities and recomputes them in backward.
 
@@ -37,8 +37,8 @@ every op and supported rank.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, chain
-from typing import Callable, Iterable, Sequence
+from itertools import accumulate
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -56,8 +56,8 @@ class Tensor:
 
     ``_op`` names the producing operation, ``_parents`` references the input
     tensors, and ``_backward`` (set by ``_node``) passes an upstream
-    gradient to each needed parent: the parent's first gradient is stored
-    as it is, later ones are added.  Leaf tensors have no parents.
+    gradient to each parent that requires one: the parent's first gradient
+    is stored as it is, later ones are added.  Leaf tensors have no parents.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_op", "_parents", "_backward")
@@ -75,7 +75,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._op = _op
         self._parents = _parents
-        self._backward: Callable[[np.ndarray, set[Tensor]], None] | None = None
+        self._backward: Callable[[np.ndarray], None] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -86,48 +86,42 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def backward(self, leaves: Iterable["Tensor"] | None = None) -> None:
+    def backward(self) -> None:
         """Accumulate gradients of this scalar output into its ancestors.
 
-        Visits each tape node exactly once, in reverse topological order.
-        Differentiates ``leaves``, or by default every leaf that requires a
-        gradient; a listed leaf outside this graph ends with no gradient.
+        Visits each tensor that requires a gradient once, in reverse
+        topological order; a tensor that requires none is never visited.
         Afterwards only leaves hold a ``.grad``: each computed tensor, this
-        output included, drops its gradient once it has passed it on.
+        output included, drops its gradient once it has passed it on.  An
+        output that requires no gradient changes nothing.
         """
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar output")
-        wanted = None if leaves is None else set(leaves)
-        if wanted and any(leaf._parents or not leaf.requires_grad for leaf in wanted):
-            raise ValueError("backward: a listed tensor is not a leaf that requires a gradient")
+        if not self.requires_grad:
+            return
 
         order: list[Tensor] = []
-        needed: set[Tensor] = set()
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
-                # Post-order: every parent has been decided already.
-                if (any(p in needed for p in node._parents) if node._parents
-                        else node.requires_grad and (wanted is None or node in wanted)):
-                    needed.add(node)
-                order.append(node)
+                order.append(node)  # post-order: after all its parents
                 continue
             if id(node) in seen:
                 continue
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in seen:
+                if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
 
-        for node in chain(order, wanted or ()):
+        for node in order:
             node.grad = None
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node._parents and node in needed:
-                node._backward(node.grad, needed)
+            if node._parents:
+                node._backward(node.grad)
                 node.grad = None  # used up: only leaves keep a gradient
 
     def __repr__(self) -> str:
@@ -146,10 +140,10 @@ def _node(op: str, data: np.ndarray, parents: tuple[Tensor, ...],
     ``shared(upstream)`` instead, computed once per backward call."""
     node = Tensor(data, _op=op, _parents=parents)
     if node.requires_grad:
-        def _backward(g: np.ndarray, needed: set[Tensor]) -> None:
+        def _backward(g: np.ndarray) -> None:
             h = g if shared is None else shared(g)
             for parent, grad in zip(parents, grads):
-                if parent in needed:
+                if parent.requires_grad:
                     gp = grad(h)
                     parent.grad = gp if parent.grad is None else parent.grad + gp
         node._backward = _backward

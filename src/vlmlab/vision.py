@@ -357,7 +357,7 @@ class PreparedInput:
 
     embeddings: Tensor
     position_ids: np.ndarray  # (seq, 3) int64 (t, h, w) triples
-    visual_positions: list[int]
+    visual_positions: np.ndarray  # (visual tokens,) int64 sequence positions
     deepstack: list[Tensor]  # one tensor per inject layer; empty without visual tokens
 
 
@@ -450,7 +450,7 @@ class VisionLanguageModel:
         return PreparedInput(
             embeddings=_in_order(numerics.concat_rows(parts), order),
             position_ids=assign_position_ids(seq),
-            visual_positions=visual_positions.tolist(),
+            visual_positions=visual_positions,
             deepstack=[_in_order(numerics.concat_rows(level), visual_order)
                        for level in tap_parts] if by_shape else [],
         )

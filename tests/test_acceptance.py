@@ -159,16 +159,20 @@ def test_criterion_4_gradient_checks():
 
         err = N.grad_check(decoder_loss, Tensor(Rng(51).normal((4, cfg.llm_dim))), h=h)
         assert err < tol, f"decoder step {err}"
-        # non-zero gradient norm at all three tap mergers
+        # non-zero gradient norm at all three tap mergers, whether they add
+        # onto a decoder layer's input or, under the ablation, its output
         seq = MultimodalSequence.of((TextSpan((1, 2)), ImageBlock(1, 2), TextSpan((3,))))
         grid = PatchGrid(2, 4, cfg.dim, Tensor(Rng(52).normal((8, cfg.dim))))
-        prepared = model.prepare(seq, {1: grid})
-        logits = model.forward(prepared)
-        N.sum_all(N.token_nll(logits, [0] * logits.shape[0])).backward()
-        for i, merger in enumerate(model.tap_mergers):
-            for key in ("fc1.w", "fc1.b", "fc2.w", "fc2.b"):
-                grad = merger.params[key].grad
-                assert grad is not None and np.linalg.norm(grad) > 0, (i, key)
+        for after in (False, True):
+            model = VisionLanguageModel(dataclasses.replace(cfg, inject_after_layer=after),
+                                        Rng(50))
+            prepared = model.prepare(seq, {1: grid})
+            logits = model.forward(prepared)
+            N.sum_all(N.token_nll(logits, [0] * logits.shape[0])).backward()
+            for i, merger in enumerate(model.tap_mergers):
+                for key in ("fc1.w", "fc1.b", "fc2.w", "fc2.b"):
+                    grad = merger.params[key].grad
+                    assert grad is not None and np.linalg.norm(grad) > 0, (after, i, key)
 
 
 def test_criterion_5_objective_module():

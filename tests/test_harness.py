@@ -165,6 +165,35 @@ class TestTrainToy:
         assert [n for n in before if n.startswith("encoder.") and before[n] != after[n]] == []
         assert any(before[n] != after[n] for n in before if n.startswith("decoder."))
 
+    def test_outside_gradient_of_an_unreached_parameter_is_not_applied(self):
+        """A merger gradient from a backward before the call stays unapplied
+        by a text-only S0 step, whose loss reaches no merger."""
+        cfg, model = tiny_model()
+        batch = make_synthetic_batch(cfg, Rng(0).split("data"))
+        _batch_loss(model, batch, "sqrt")[0].backward()
+        mergers = {n: p for n, p in model.parameters().items() if n.startswith("merger.")}
+        assert all(p.grad is not None for p in mergers.values())
+        before = param_bytes(model)
+        text_only = [example for example in batch if not example.grids]
+        train_toy(model, load_stage_config("S0"), text_only, steps=1, lr=0.1)
+        assert param_bytes(model) == before
+        assert all(model.parameters()[n] is p for n, p in mergers.items())
+
+    def test_flags_follow_each_calls_stage(self):
+        """After a call, exactly the stage's trainable parameters require a
+        gradient; frozen ones are leaves with unchanged bytes."""
+        cfg, model = tiny_model()
+        batch = make_synthetic_batch(cfg, Rng(0).split("data"), n_examples=2, text_len=5)
+        for name in ("S0", "S1", "S0"):
+            stage = load_stage_config(name)
+            before = param_bytes(model)
+            train_toy(model, stage, batch, steps=1, lr=0.1)
+            after = param_bytes(model)
+            for n, p in model.parameters().items():
+                trainable = model.component_of(n) in stage.trainable
+                assert p.requires_grad == trainable and not p._parents, (name, n)
+                assert trainable or before[n] == after[n], (name, n)
+
     def test_parameter_and_loss_digests_pinned(self):
         """The default model's parameters, by name and in order, after init and after
         20 S0 steps, and the losses of those steps, hash to pinned values."""

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from vlmlab import numerics as N
 from vlmlab.errors import ConfigError, ShapeError
-from vlmlab.harness import make_synthetic_batch
+from vlmlab.harness import load_stage_config, make_synthetic_batch, train_toy
 from vlmlab.harness.training import _batch_loss
 from vlmlab.mrope import assign_position_ids
 from vlmlab.numerics import Tensor
@@ -375,14 +375,16 @@ class TestDecoder:
         assert logits.shape == (5, cfg.vocab)
 
     def test_zero_injection_bit_identical(self):
-        cfg = small_config()
-        dec = Decoder(cfg, Rng(0))
-        emb = Tensor(Rng(1).normal((5, cfg.llm_dim)))
-        ids = [(i, i, i) for i in range(5)]
-        base = dec.forward(emb, ids)
-        zeros = Tensor(np.zeros((2, cfg.llm_dim)))
-        injected = dec.forward(emb, ids, [zeros] * len(cfg.inject_layers), [1, 2])
-        assert base.data.tobytes() == injected.data.tobytes()
+        for after in (False, True):  # onto each layer's input, then its output
+            cfg = small_config(inject_after_layer=after)
+            dec = Decoder(cfg, Rng(0))
+            emb = Tensor(Rng(1).normal((5, cfg.llm_dim)))
+            ids = [(i, i, i) for i in range(5)]
+            base = dec.forward(emb, ids)
+            zeros = Tensor(np.zeros((2, cfg.llm_dim)))
+            injected = dec.forward(emb, ids, [zeros] * len(cfg.inject_layers), [1, 2])
+            assert base.data.tobytes() == injected.data.tobytes(), after
+            assert tape_ops(injected)["add_rows_at"] == len(cfg.inject_layers), after
 
     def test_context_length_neutrality(self):
         cfg = small_config()
@@ -532,7 +534,7 @@ def per_element_reference(model, seq, grids):
                 deepstack[level].append(merge_2x2(state, grid.gh, grid.gw, merger))
             positions.extend(range(cursor, cursor + n))
         cursor += n
-    return PreparedInput(N.concat_rows(embed), assign_position_ids(seq), positions,
+    return PreparedInput(N.concat_rows(embed), assign_position_ids(seq), np.asarray(positions),
                          [N.concat_rows(parts) for parts in deepstack])
 
 
@@ -552,7 +554,9 @@ class TestPrepare:
         reference = per_element_reference(model, MIXED, grids)
         reference_grads = summed_loss_grads(model, reference)
 
-        assert packed.visual_positions == reference.visual_positions == [2, 3, *range(5, 13)]
+        assert packed.visual_positions.dtype == np.int64
+        assert (packed.visual_positions.tolist() == reference.visual_positions.tolist()
+                == [2, 3, *range(5, 13)])
         np.testing.assert_array_equal(packed.position_ids, reference.position_ids)
         close = dict(rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(packed.embeddings.data, reference.embeddings.data, **close)
@@ -611,7 +615,7 @@ class TestPrepare:
         assert len(got.deepstack) == len(want.deepstack) == 3
         for a, b in zip(got.deepstack, want.deepstack):
             assert a.data.tobytes() == b.data.tobytes()
-        assert got.visual_positions == want.visual_positions
+        assert got.visual_positions.tolist() == want.visual_positions.tolist()
         np.testing.assert_array_equal(got.position_ids, want.position_ids)
 
     def test_empty_sequence_rejected(self):
@@ -647,7 +651,7 @@ class TestPrepare:
         model = VisionLanguageModel(cfg, Rng(0))
         seq = MultimodalSequence.of((TextSpan((1,)), FrameGroup(0.0, 0.5, 1, 1)))
         prep = model.prepare(seq, {1: random_grid(cfg, 2, 2)})
-        assert prep.visual_positions == [1]
+        assert prep.visual_positions.tolist() == [1]
         assert len(prep.deepstack) == len(cfg.inject_layers)
 
     def test_parameters_are_component_prefixed(self):
@@ -683,16 +687,21 @@ class TestPrepare:
             ModelConfig.from_json(json.dumps(raw))
 
 
-def tape_ops(root: Tensor) -> Counter:
-    """How many nodes of each op the tape under ``root`` holds, leaves left out."""
-    ops, seen, stack = Counter(), set(), [root]
+def tensors_under(*roots: Tensor) -> list[Tensor]:
+    """Every tensor the tapes under ``roots`` hold, leaves included, once each."""
+    found, seen, stack = [], set(), list(roots)
     while stack:
         node = stack.pop()
-        if node._parents and id(node) not in seen:
+        if id(node) not in seen:
             seen.add(id(node))
-            ops[node._op] += 1
+            found.append(node)
             stack.extend(node._parents)
-    return ops
+    return found
+
+
+def tape_ops(root: Tensor) -> Counter:
+    """How many nodes of each op the tape under ``root`` holds, leaves left out."""
+    return Counter(node._op for node in tensors_under(root) if node._parents)
 
 
 def projections(cfg: ModelConfig, decoder_passes: int, encoder_passes: int) -> int:
@@ -728,6 +737,20 @@ class TestTape:
         # remembered ones among them.
         again, _ = _batch_loss(model, batch, "sqrt")
         self.check(again, cfg, decoder_passes=8, encoder_passes=4, nodes=735)
+        # After an S0 step only the mergers require a gradient, so backward
+        # walks 283 of the tape's 873 tensors, leaves included, and no
+        # encoder node.
+        train_toy(model, load_stage_config("S0"), batch, steps=1, lr=0.1)
+        pruned, _ = _batch_loss(model, batch, "sqrt")
+        self.check(pruned, cfg, decoder_passes=8, encoder_passes=4, nodes=735)
+        reached = tensors_under(pruned)
+        assert (len(reached), sum(t.requires_grad for t in reached)) == (873, 283)
+        encoded = [model.encoder.forward(*example.grids.values())
+                   for example in batch if example.grids]
+        assert len(encoded) == 4
+        assert {id(final) for final, _ in encoded} <= {id(t) for t in reached}
+        assert not any(t.requires_grad for final, taps in encoded
+                       for t in tensors_under(final, *taps))
 
     def test_long_video_forward_and_loss(self):
         # 32 timestamped groups of two frames, as in the long_video benchmark.
