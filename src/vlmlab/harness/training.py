@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import numerics, objective
-from ..errors import NUMBER, ConfigError, NonFiniteError, _has_type, is_integer
+from ..errors import NUMBER, ConfigError, NonFiniteError, ShapeError, _has_type, is_integer
 from ..numerics import Tensor
 from ..seeding import Rng
 from ..sequence import ImageBlock, MultimodalSequence, TextSpan
-from ..vision import ModelConfig, PatchGrid, VisionLanguageModel
+from ..vision import ModelConfig, PatchGrid, PreparedInput, VisionLanguageModel
 from .stages import StageConfig
 
 
@@ -86,15 +86,31 @@ def make_synthetic_batch(config: ModelConfig, rng: Rng, n_examples: int = 8,
 
 def _batch_loss(model: VisionLanguageModel, batch: list[TrainingExample],
                 scheme: str) -> tuple[Tensor, list[objective.SampleLossRecord]]:
+    """The batch's weighted loss and each example's token losses.
+
+    Each example is prepared on its own (the encoder memo and the mergers
+    run per example); then the examples are packed and the decoder runs
+    once over the batch, one segment per example, which gives each example
+    the bits of its own pass.  An example's loss rows are its target
+    positions moved by its first row.
+    """
+    prepared = [model.prepare(example.sequence, example.grids) for example in batch]
+    logits = model.forward(PreparedInput.pack(prepared))
     records: list[objective.SampleLossRecord] = []
     nll_tensors: list[Tensor] = []
-    for example in batch:
-        prepared = model.prepare(example.sequence, example.grids)
-        logits = model.forward(prepared)
-        picked = numerics.gather_rows(logits, example.target_positions)
+    start = 0
+    for index, (example, sample) in enumerate(zip(batch, prepared)):
+        rows = sample.embeddings.shape[0]
+        positions = np.asarray(example.target_positions)
+        if positions.size and (positions.dtype.kind not in "iu" or positions.min() < 0
+                               or positions.max() >= rows):
+            raise ShapeError(f"example {index}: target positions must be integers "
+                             f"in [0, {rows})")
+        picked = numerics.gather_rows(logits, positions + start)
         nll = numerics.token_nll(picked, example.target_ids)
         nll_tensors.append(nll)
         records.append(objective.SampleLossRecord(tuple(nll.data.tolist())))
+        start += rows
     weights = objective.gradient_weights(records, scheme)
     terms = [numerics.scale(numerics.sum_all(nll), w)
              for nll, w in zip(nll_tensors, weights)]
@@ -109,11 +125,13 @@ def train_toy(model: VisionLanguageModel, stage: StageConfig,
               scheme: str = "sqrt") -> TrainResult:
     """Run ``steps`` of gradient descent on the stage's trainable components.
 
-    The model is updated in place; its parameters after the call are the
-    final ones.  First each parameter drops any gradient, and one whose
-    ``requires_grad`` disagrees with the stage becomes a leaf with the same
-    bytes and the stage's flag: a frozen one (S0: all but the mergers)
-    requires no gradient until a later call's stage trains it.
+    Each step runs the whole batch through the decoder as one packed pass
+    (see ``_batch_loss``).  The model is updated in place; its parameters
+    after the call are the final ones.  First each parameter drops any
+    gradient, and one whose ``requires_grad`` disagrees with the stage
+    becomes a leaf with the same bytes and the stage's flag: a frozen one
+    (S0: all but the mergers) requires no gradient until a later call's
+    stage trains it.
     ``steps`` 0 reports the loss once and updates nothing.
     ``lr`` may be zero (a legal no-op step, useful for freeze checks) but not
     negative or non-finite, and a bool is neither a step count nor a rate.  A

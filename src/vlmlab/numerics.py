@@ -29,6 +29,16 @@ leaves hold a ``.grad``: a computed tensor drops its gradient once used.
 ``token_nll``, like ``attention``, keeps two floats per row instead of its
 probabilities and recomputes them in backward.
 
+``linear``, ``layer_norm`` and ``attention`` take ``segments``, the lengths
+of runs of rank-2 rows, one after another; the default is one run of all
+rows.  A packed batch of samples has one run per sample, and each run gets
+the bits of its own call: every matrix product runs on one run's rows,
+forward and backward (OpenBLAS picks its kernel by shape, so a product over
+more rows may round otherwise), attention stays inside each run, and each
+parameter gradient is summed per run and the sums added in run order, as
+the tape adds the gradients of separate calls.  Row-wise ops (``add``,
+``gelu``, ``rotate_pairs``, ``add_rows_at``) need no segments.
+
 All differentiable operations here are validated against central finite
 differences by :func:`grad_check`; see the test suite for the sweep over
 every op and supported rank.
@@ -37,12 +47,14 @@ every op and supported rank.
 from __future__ import annotations
 
 import math
+import operator
+from functools import reduce
 from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeError
+from .errors import NonFiniteError, ShapeError, is_integer
 
 _TANH_GELU_C = math.sqrt(2.0 / math.pi)
 # Rows per block of causal ``attention``, and the keys each row of a block's
@@ -172,47 +184,64 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _node("scale", x.data * c, (x,), (lambda g: g * c,))
 
 
-def _sum_leading(g: np.ndarray) -> np.ndarray:
-    """Gradient of a last-axis vector broadcast over the leading axes."""
-    return g.sum(axis=tuple(range(g.ndim - 1))) if g.ndim > 1 else g
-
-
 def _swap_last(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor, segments: Sequence[int] | None = None) -> Tensor:
     """The projection x @ w + b of rank-2 ``x`` and ``w``, the bias vector
-    ``b`` added to every row, as one node."""
+    ``b`` added to every row, as one node.
+
+    ``segments`` splits the rows into runs, one run after another (by
+    default one run of all rows).  Each run is its own product, forward and
+    backward, and the w and b gradients are summed per run and added in run
+    order: the bits of one call per run whose parameter gradients the tape
+    adds up.
+    """
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise ShapeError(f"linear needs two rank-2 operands, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[0]:
         raise ShapeError(f"linear: inner dims {x.shape} x {w.shape}")
     if b.shape != w.shape[1:]:
         raise ShapeError(f"linear: bias {b.shape} vs output width {w.shape[1]}")
-    return _node("linear", x.data @ w.data + b.data, (x, w, b),
-                 (lambda g: g @ w.data.T, lambda g: x.data.T @ g, _sum_leading))
+    runs = _segments(segments, x.shape, "linear")
+    return _node("linear", _stack([x.data[r] @ w.data + b.data for r in runs]), (x, w, b),
+                 (lambda g: _stack([g[r] @ w.data.T for r in runs]),
+                  lambda g: reduce(operator.add, [x.data[r].T @ g[r] for r in runs]),
+                  lambda g: _sum_runs(g, runs)))
 
 
-def _stack(parts: Sequence[np.ndarray]) -> np.ndarray:
+def _stack(parts: Sequence[np.ndarray], axis: int = -2) -> np.ndarray:
     """Row blocks stacked in order; a single block is returned as it is."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
+def _sum_runs(g: np.ndarray, runs: Sequence[slice]) -> np.ndarray:
+    """Gradient of a last-axis vector broadcast over the leading axes: ``g``
+    summed over them in each run of rows, the sums added in run order."""
+    return reduce(operator.add, [g[r].sum(axis=tuple(range(g.ndim - 1))) for r in runs])
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
+              segments: Sequence[int] | None = None) -> Tensor:
     """Scaled dot-product attention, softmax(q k^T / sqrt(width)) v, as one node.
 
     Operands are rank 2, (rows, width), or rank 3, a batch of independent
     attentions along the first axis.  ``causal`` hides from each query the
-    keys after its own row.  Causal queries run in blocks of ``_ROW_BLOCK``
-    rows, each meeting only the keys up to its last row, so the masked
-    triangle beyond the blocks' diagonal squares is never computed, forward
-    or backward.  Without the mask, all rows make one block.  The node keeps
-    q, k^T and v and two floats per row, each block's row max and row sum, so
-    its memory grows linearly in the rows.  Backward walks the blocks from
-    the last to the first, recomputing each one's probabilities with the
+    keys after its own row.  ``segments`` splits the rows of rank-2 operands,
+    queries and keys alike, into runs, one after another (by default one run
+    of all rows): each run attends only within itself, as its own call
+    would, and no mask over the whole rows is ever built.  Causal queries
+    run in blocks of ``_ROW_BLOCK`` rows of a run, each meeting only the
+    keys up to its last row, so the masked triangle beyond the blocks'
+    diagonal squares is never computed, forward or backward.  Without the
+    mask, all rows of a run make one block.  The node keeps q, k^T and v and
+    two floats per row, each block's row max and row sum, so its memory
+    grows linearly in the rows.  Backward walks each run's blocks from the
+    last to the first, recomputing each one's probabilities with the
     forward's own expressions, so they come out bit for bit the same; it
-    holds one block's probabilities and score gradient at a time.
+    holds one block's probabilities and score gradient at a time.  The k
+    gradient is laid out as one call's is, rows along the faster axis.
     """
     if not q.data.ndim == k.data.ndim == v.data.ndim in (2, 3):
         raise ShapeError(f"attention needs three rank-2 or three rank-3 operands, "
@@ -223,56 +252,72 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
             or causal and m != n:
         raise ShapeError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} "
                          f"do not fit (causal={causal})")
+    runs = _segments(segments, q.shape, "attention")
+    _segments(segments, k.shape, "attention")  # the keys split alike
     c = 1.0 / math.sqrt(d)
-    kt = _swap_last(k.data).copy()
 
-    def _scores(rows: slice, keys: int) -> np.ndarray:
+    def _scores(qs: np.ndarray, kt: np.ndarray, rows: slice, keys: int) -> np.ndarray:
         """A block's scaled scores, its keys after each row at -inf if causal."""
-        s = q.data[..., rows, :] @ kt[..., :keys]
+        s = qs[..., rows, :] @ kt[..., :keys]
         s *= c
         if causal:
             size = rows.stop - rows.start
             np.copyto(s[..., rows.start:], -np.inf, where=_ABOVE_DIAGONAL[:size, :size])
         return s
 
-    blocks = []  # (query rows, keys they meet, row max, row sum) per block
+    # Per run: its q, k^T and v, and per block (query rows, keys they meet,
+    # row max, row sum).
+    saved = []
     outs = []
-    for start in range(0, m, _ROW_BLOCK) if causal else (0,):
-        rows = slice(start, min(start + _ROW_BLOCK, m) if causal else m)
-        keys = rows.stop if causal else n
-        p = _scores(rows, keys)
-        top = p.max(axis=-1, keepdims=True)
-        p -= top
-        np.exp(p, out=p)
-        total = p.sum(axis=-1, keepdims=True)
-        p /= total
-        blocks.append((rows, keys, top, total))
-        outs.append(p @ v.data[..., :keys, :])
-
-    def _grads(g):
-        """The q, k and v gradients, one block at a time from the last, the
-        full-width one: the q parts stacked, each earlier block's k and v
-        parts added onto the leading rows of the sums so far."""
-        gq, gk, gv = [], None, None
-        for rows, keys, top, total in reversed(blocks):
-            p = _scores(rows, keys)
+    for run in runs:
+        qs, vs = q.data[..., run, :], v.data[..., run, :]
+        kt = _swap_last(k.data[..., run, :]).copy()
+        rows_in_run, blocks = qs.shape[-2], []
+        for start in range(0, rows_in_run, _ROW_BLOCK) if causal else (0,):
+            rows = slice(start, min(start + _ROW_BLOCK, rows_in_run) if causal else rows_in_run)
+            keys = rows.stop if causal else kt.shape[-1]
+            p = _scores(qs, kt, rows, keys)
+            top = p.max(axis=-1, keepdims=True)
             p -= top
             np.exp(p, out=p)
+            total = p.sum(axis=-1, keepdims=True)
             p /= total
-            g_rows = g[..., rows, :]
-            gs = g_rows @ _swap_last(v.data[..., :keys, :])
-            gs -= (gs * p).sum(axis=-1, keepdims=True)
-            gs *= p
-            gs *= c
-            gq.append(gs @ _swap_last(kt[..., :keys]))
-            gk_part = _swap_last(_swap_last(q.data[..., rows, :]) @ gs)
-            gv_part = _swap_last(p) @ g_rows
-            if gk is None:
-                gk, gv = gk_part, gv_part
-            else:
-                gk[..., :keys, :] += gk_part
-                gv[..., :keys, :] += gv_part
-        return _stack(gq[::-1]), gk, gv
+            blocks.append((rows, keys, top, total))
+            outs.append(p @ vs[..., :keys, :])
+        saved.append((run, qs, kt, vs, blocks))
+
+    def _grads(g):
+        """The q, k and v gradients, run by run.  In a run, one block at a
+        time from the last, the full-width one: the q parts stacked, each
+        earlier block's k and v parts added onto the leading rows of the
+        sums so far.  The runs' k gradients are stacked transposed, so each
+        keeps the layout it has alone."""
+        gq, gk, gv = [], [], []
+        for run, qs, kt, vs, blocks in saved:
+            g_run = g[..., run, :]
+            gq_run, gk_run, gv_run = [], None, None
+            for rows, keys, top, total in reversed(blocks):
+                p = _scores(qs, kt, rows, keys)
+                p -= top
+                np.exp(p, out=p)
+                p /= total
+                g_rows = g_run[..., rows, :]
+                gs = g_rows @ _swap_last(vs[..., :keys, :])
+                gs -= (gs * p).sum(axis=-1, keepdims=True)
+                gs *= p
+                gs *= c
+                gq_run.append(gs @ _swap_last(kt[..., :keys]))
+                gk_part = _swap_last(_swap_last(qs[..., rows, :]) @ gs)
+                gv_part = _swap_last(p) @ g_rows
+                if gk_run is None:
+                    gk_run, gv_run = gk_part, gv_part
+                else:
+                    gk_run[..., :keys, :] += gk_part
+                    gv_run[..., :keys, :] += gv_part
+            gq += gq_run[::-1]
+            gk.append(_swap_last(gk_run))
+            gv.append(gv_run)
+        return _stack(gq), _swap_last(_stack(gk, axis=-1)), _stack(gv)
 
     return _node("attention", _stack(outs), (q, k, v),
                  (lambda h: h[0], lambda h: h[1], lambda h: h[2]), _grads)
@@ -314,8 +359,15 @@ def gelu(x: Tensor) -> Tensor:
     return _node("gelu", 0.5 * x.data * (1.0 + t), (x,), (_grad,))
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6,
+               segments: Sequence[int] | None = None) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    Rows are normalized one by one.  ``segments`` splits the rows of a
+    rank-2 ``x`` into runs, one after another (by default one run of all
+    rows); the gain and bias gradients are summed per run and added in run
+    order, as the tape adds those of one call per run.
+    """
     if not 0 < eps < math.inf:
         raise ValueError(f"layer_norm: eps must be positive and finite, got {eps}")
     d = x.shape[-1]
@@ -323,6 +375,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         raise ShapeError("layer_norm: empty last axis")
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: affine shapes {gain.shape}/{bias.shape} vs width {d}")
+    runs = _segments(segments, x.shape, "layer_norm")
     xc = x.data - x.data.mean(axis=-1, keepdims=True)
     # np.var's own steps, without its second mean and subtraction.
     inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
@@ -334,7 +387,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
                       - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
 
     return _node("layer_norm", xhat * gain.data + bias.data, (x, gain, bias),
-                 (_grad_x, lambda g: _sum_leading(g * xhat), _sum_leading))
+                 (_grad_x, lambda g: _sum_runs(g * xhat, runs), lambda g: _sum_runs(g, runs)))
 
 
 def _indices(values, op: str) -> np.ndarray:
@@ -344,6 +397,26 @@ def _indices(values, op: str) -> np.ndarray:
     if idx.size and idx.dtype.kind not in "iu":
         raise ShapeError(f"{op}: indices must be integers, got dtype {idx.dtype}")
     return idx.astype(np.int64, copy=False)
+
+
+def _segments(segments: Sequence[int] | None, shape: tuple[int, ...], op: str) -> list[slice]:
+    """The row slices of ``segments``: positive integer lengths of runs of
+    rows, one after another, that cover the rows of a rank-2 operand of
+    ``shape``.  ``None`` is one run covering every row, in any rank."""
+    if segments is None:
+        return [slice(None)]
+    if len(shape) != 2:
+        raise ShapeError(f"{op}: segments need rank-2 operands, got shape {shape}")
+    lengths = list(segments)
+    if not all(is_integer(n) for n in lengths):
+        raise ShapeError(f"{op}: segment lengths must be integers, got {lengths!r}")
+    if not lengths or min(lengths) < 1:
+        raise ShapeError(f"{op}: segment lengths must be at least 1, got {lengths}")
+    if sum(lengths) != shape[0]:
+        raise ShapeError(f"{op}: segment lengths sum to {sum(lengths)}, not to the "
+                         f"{shape[0]} rows")
+    bounds = list(accumulate(lengths, initial=0))
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def gather_rows(x: Tensor, indices: Sequence[int]) -> Tensor:

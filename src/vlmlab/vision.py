@@ -29,7 +29,9 @@ get the three-axis rotary treatment; its ``attention`` hides later tokens,
 running the queries in row blocks that never compute the masked triangle.
 A layer keeps no probabilities, only two floats per row, the row max and
 sum, from which backward recomputes them one block at a time, so its
-memory grows linearly in the sequence length.
+memory grows linearly in the sequence length.  ``PreparedInput.pack`` joins
+prepared samples into one input, one segment per sample, and the decoder
+runs it as one pass in which each sample gets the bits of its own pass.
 Every projection, in the blocks, the mergers and the head, is one
 ``linear`` node.
 """
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -154,12 +157,15 @@ def _norm_params(width: int, prefix: str) -> dict[str, Tensor]:
     }
 
 
-def _linear(params: Mapping[str, Tensor], prefix: str, x: Tensor) -> Tensor:
-    return numerics.linear(x, params[f"{prefix}.w"], params[f"{prefix}.b"])
+def _linear(params: Mapping[str, Tensor], prefix: str, x: Tensor,
+            segments: Sequence[int] | None = None) -> Tensor:
+    return numerics.linear(x, params[f"{prefix}.w"], params[f"{prefix}.b"], segments)
 
 
-def _norm(params: Mapping[str, Tensor], prefix: str, x: Tensor) -> Tensor:
-    return numerics.layer_norm(x, params[f"{prefix}.gain"], params[f"{prefix}.bias"])
+def _norm(params: Mapping[str, Tensor], prefix: str, x: Tensor,
+          segments: Sequence[int] | None = None) -> Tensor:
+    return numerics.layer_norm(x, params[f"{prefix}.gain"], params[f"{prefix}.bias"],
+                               segments=segments)
 
 
 def _block_params(rng: Rng, width: int, head_dim: int, prefix: str) -> dict[str, Tensor]:
@@ -177,25 +183,27 @@ def _block_params(rng: Rng, width: int, head_dim: int, prefix: str) -> dict[str,
 
 def _block_forward(params: Mapping[str, Tensor], prefix: str, x: Tensor,
                    rotation: tuple[np.ndarray, np.ndarray], causal: bool,
-                   groups: int = 1) -> Tensor:
-    """One block over ``groups`` equal runs of rows; attention stays inside
-    each run, as one fused ``attention`` node.  ``rotation`` is the (cos, sin)
-    pair of each row's rotary angles; ``causal`` hides later rows."""
+                   groups: int = 1, segments: Sequence[int] | None = None) -> Tensor:
+    """One block over ``groups`` equal runs of rows, attention staying inside
+    each run, as one fused ``attention`` node over a rank-3 batch; or over
+    the packed samples of ``segments``, each norm, projection and attention
+    taken per sample inside its node.  ``rotation`` is the (cos, sin) pair
+    of each row's rotary angles; ``causal`` hides later rows."""
     n = x.shape[0]
-    a = _norm(params, f"{prefix}.ln1", x)
-    q = numerics.rotate_pairs(_linear(params, f"{prefix}.q", a), *rotation)
-    k = numerics.rotate_pairs(_linear(params, f"{prefix}.k", a), *rotation)
-    v = _linear(params, f"{prefix}.v", a)
+    a = _norm(params, f"{prefix}.ln1", x, segments)
+    q = numerics.rotate_pairs(_linear(params, f"{prefix}.q", a, segments), *rotation)
+    k = numerics.rotate_pairs(_linear(params, f"{prefix}.k", a, segments), *rotation)
+    v = _linear(params, f"{prefix}.v", a, segments)
     head_dim = v.shape[1]
     if groups > 1:
         q, k, v = (numerics.reshape(t, (groups, n // groups, head_dim)) for t in (q, k, v))
-    mixed = numerics.attention(q, k, v, causal)
+    mixed = numerics.attention(q, k, v, causal, segments)
     if groups > 1:
         mixed = numerics.reshape(mixed, (n, head_dim))
-    x = numerics.add(x, _linear(params, f"{prefix}.o", mixed))
-    m = _norm(params, f"{prefix}.ln2", x)
-    h = numerics.gelu(_linear(params, f"{prefix}.mlp1", m))
-    return numerics.add(x, _linear(params, f"{prefix}.mlp2", h))
+    x = numerics.add(x, _linear(params, f"{prefix}.o", mixed, segments))
+    m = _norm(params, f"{prefix}.ln2", x, segments)
+    h = numerics.gelu(_linear(params, f"{prefix}.mlp1", m, segments))
+    return numerics.add(x, _linear(params, f"{prefix}.mlp2", h, segments))
 
 
 class VisionEncoder:
@@ -314,13 +322,19 @@ class Decoder:
                                           config.vocab, "head"))
 
     def forward(self, embeddings: Tensor, ids: np.ndarray, deepstack: Sequence[Tensor] = (),
-                positions: Sequence[int] = ()) -> Tensor:
+                positions: Sequence[int] = (), segments: Sequence[int] | None = None) -> Tensor:
         """Run the decoder stack; returns (seq, vocab) logits.
 
         ``deepstack`` holds one tensor of visual tokens per inject layer, in
         ``config.inject_layers`` order, or nothing; each is added at
         ``positions`` onto its layer's input hidden state (or its output,
         under the post-layer ablation).  The sequence never grows.
+
+        ``segments`` gives the rows of each packed sample, one after another
+        (by default all rows are one sample).  A packed batch runs as one
+        pass: every norm, projection and attention node works per sample
+        (see ``numerics``), so each sample's logits and gradients are the
+        bits its own pass would give, and no sample sees another.
         """
         cfg = self.config
         if embeddings.shape[1] != cfg.llm_dim:
@@ -337,11 +351,12 @@ class Decoder:
         for layer in range(cfg.decoder_depth):
             if layer in inject and not cfg.inject_after_layer:
                 x = numerics.add_rows_at(x, inject[layer], positions)
-            x = _block_forward(self.params, f"block{layer}", x, rotation, True)
+            x = _block_forward(self.params, f"block{layer}", x, rotation, True,
+                               segments=segments)
             if layer in inject and cfg.inject_after_layer:
                 x = numerics.add_rows_at(x, inject[layer], positions)
-        x = _norm(self.params, "ln_f", x)
-        return _linear(self.params, "head", x)
+        x = _norm(self.params, "ln_f", x, segments)
+        return _linear(self.params, "head", x, segments)
 
 
 def _in_order(x: Tensor, order: np.ndarray) -> Tensor:
@@ -353,12 +368,35 @@ def _in_order(x: Tensor, order: np.ndarray) -> Tensor:
 
 @dataclass
 class PreparedInput:
-    """A multimodal sequence lowered to decoder inputs."""
+    """Decoder inputs of one multimodal sequence, or of a packed batch of them.
+
+    ``segments`` holds the rows of each sample, one after another: ``prepare``
+    gives one sample, ``pack`` joins several, which the decoder then runs as
+    one pass in which no sample sees another.
+    """
 
     embeddings: Tensor
-    position_ids: np.ndarray  # (seq, 3) int64 (t, h, w) triples
-    visual_positions: np.ndarray  # (visual tokens,) int64 sequence positions
+    position_ids: np.ndarray  # (seq, 3) int64 (t, h, w) triples, restarting per sample
+    visual_positions: np.ndarray  # (visual tokens,) int64 row positions
     deepstack: list[Tensor]  # one tensor per inject layer; empty without visual tokens
+    segments: tuple[int, ...]  # rows per sample
+
+    @staticmethod
+    def pack(inputs: Sequence["PreparedInput"]) -> "PreparedInput":
+        """The samples of ``inputs``, in order, as one input: rows, position
+        ids and segments follow one another, each sample's visual positions
+        move by its first row, and each DeepStack level joins the levels of
+        the inputs that have visual tokens."""
+        starts = accumulate((p.embeddings.shape[0] for p in inputs), initial=0)
+        with_visual = [p.deepstack for p in inputs if p.deepstack]
+        return PreparedInput(
+            embeddings=numerics.concat_rows([p.embeddings for p in inputs]),
+            position_ids=np.concatenate([p.position_ids for p in inputs]),
+            visual_positions=np.concatenate([p.visual_positions + start
+                                             for p, start in zip(inputs, starts)]),
+            deepstack=[numerics.concat_rows(level) for level in zip(*with_visual)],
+            segments=tuple(n for p in inputs for n in p.segments),
+        )
 
 
 class VisionLanguageModel:
@@ -453,8 +491,11 @@ class VisionLanguageModel:
             visual_positions=visual_positions,
             deepstack=[_in_order(numerics.concat_rows(level), visual_order)
                        for level in tap_parts] if by_shape else [],
+            segments=(rows,),
         )
 
     def forward(self, prepared: PreparedInput) -> Tensor:
+        """Logits of every row; a packed batch runs as one decoder pass."""
         return self.decoder.forward(prepared.embeddings, prepared.position_ids,
-                                    prepared.deepstack, prepared.visual_positions)
+                                    prepared.deepstack, prepared.visual_positions,
+                                    prepared.segments)

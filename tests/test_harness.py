@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from vlmlab import mrope, numerics
-from vlmlab.errors import ConfigError, check_config_types
+from vlmlab import mrope, numerics, objective
+from vlmlab.errors import ConfigError, ShapeError, check_config_types
 from vlmlab.harness import (NiahConfig, StageConfig, build_niah_sequence, emit_report,
                             load_stage_config, make_synthetic_batch, run_niah_probe, train_toy)
 from vlmlab.harness import niah
@@ -225,6 +225,63 @@ class TestTrainToy:
         assert (hashlib.sha256(np.array(losses).tobytes()).hexdigest()
                 == "1b231efcea50d0ae7c293ab3c5d25b81898672cfb610278668cfd140f2513e15")
         assert losses == [5.701772113914188, 5.6660795600242135, 5.642397884946508]
+
+    @pytest.mark.parametrize("stage", ["S0", "S1"])
+    def test_batch_loss_equals_a_per_example_loop(self, stage):
+        """One packed decoder pass gives the loss, records and parameter
+        gradients, byte for byte, of one decoder pass per example with the
+        examples' weighted terms added in order."""
+        cfg, rng = ModelConfig(), Rng(0)
+        model = VisionLanguageModel(cfg, rng.split("model"))
+        batch = make_synthetic_batch(cfg, rng.split("data"))
+        train_toy(model, load_stage_config(stage), batch, steps=0, lr=0.0)  # sets the flags
+
+        def differentiate(loss):
+            loss.backward()
+            grads = {name: param.grad for name, param in model.parameters().items()}
+            for param in model.parameters().values():
+                param.grad = None
+            return loss.data.tobytes(), grads
+
+        packed_loss, packed_records = _batch_loss(model, batch, "sqrt")
+        packed, packed_grads = differentiate(packed_loss)
+
+        nlls = []
+        for example in batch:
+            logits = model.forward(model.prepare(example.sequence, example.grids))
+            picked = numerics.gather_rows(logits, example.target_positions)
+            nlls.append(numerics.token_nll(picked, example.target_ids))
+        records = [objective.SampleLossRecord(tuple(nll.data.tolist())) for nll in nlls]
+        terms = [numerics.scale(numerics.sum_all(nll), w)
+                 for nll, w in zip(nlls, objective.gradient_weights(records, "sqrt"))]
+        total = terms[0]
+        for term in terms[1:]:
+            total = numerics.add(total, term)
+        reference, reference_grads = differentiate(total)
+
+        assert packed == reference
+        assert packed_records == records
+        trained = {name for name, grad in reference_grads.items() if grad is not None}
+        assert {model.component_of(name) for name in trained} == (
+            {"merger"} if stage == "S0" else {"encoder", "merger", "decoder"})
+        for name, grad in packed_grads.items():
+            want = reference_grads[name]
+            assert (grad is None) == (want is None), name
+            assert grad is None or grad.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("positions", [[0, 6], [-1], [True], [0.5]],
+                             ids=["past-the-end", "negative", "bool", "float"])
+    def test_target_positions_outside_their_example_rejected(self, positions):
+        """A target position must name a row of its own example: moved by
+        the example's first row, it would otherwise read another example."""
+        cfg, model = tiny_model()
+        batch = make_synthetic_batch(cfg, Rng(1).split("data"), n_examples=2, text_len=4)
+        assert batch[0].sequence.token_count() == 6
+        batch[0].target_positions = positions
+        batch[0].target_ids = [1] * len(positions)
+        with pytest.raises(ShapeError, match=r"example 0: target positions must be integers "
+                                             r"in \[0, 6\)"):
+            _batch_loss(model, batch, "sqrt")
 
     def test_zero_lr_changes_nothing(self):
         cfg, model = tiny_model()

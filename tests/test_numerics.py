@@ -1,6 +1,8 @@
 import inspect
 import math
+import operator
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -328,6 +330,96 @@ class TestRecomputedAttention:
         assert peak < 5 * 64 * n * 8
 
 
+def _runs(lengths):
+    bounds = np.cumsum([0, *lengths])
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+# Each op with segments, as (operand widths, parameter shapes, output width,
+# call).  The linear shapes are the model's head, mlp1 and mlp2: one product
+# over all rows gives other bits than one per run from 76 rows on in the
+# head and mlp1 backward, and from 209 rows on in the head forward.
+SEGMENTED_OPS = {
+    "linear/head": ((16,), ((16, 300), (300,)), 300, N.linear),
+    "linear/mlp1": ((16,), ((16, 32), (32,)), 32, N.linear),
+    "linear/mlp2": ((32,), ((32, 16), (16,)), 16, N.linear),
+    "layer_norm": ((16,), ((16,), (16,)), 16,
+                   lambda x, gain, bias, segments: N.layer_norm(x, gain, bias, segments=segments)),
+    "attention": ((8, 8, 8), (), 8, lambda q, k, v, segments: N.attention(q, k, v, False, segments)),
+    "attention/causal": ((8, 8, 8), (), 8,
+                         lambda q, k, v, segments: N.attention(q, k, v, True, segments)),
+}
+
+
+class TestSegments:
+    @pytest.mark.parametrize("name", sorted(SEGMENTED_OPS))
+    @given(lengths=st.lists(st.integers(1, 90), min_size=1, max_size=4),
+           seed=st.integers(0, 2**16))
+    @example(lengths=[1], seed=0)
+    @example(lengths=[75], seed=0)
+    @example(lengths=[76], seed=0)
+    @example(lengths=[209], seed=0)
+    @example(lengths=[1, 75, 76, 209], seed=1)
+    @example(lengths=[76, 76], seed=2)
+    def test_one_call_per_run(self, name, lengths, seed):
+        """With ``segments``, the output and the operand gradients are, byte
+        for byte and in the same row layout, those of one call per run
+        stacked; the parameter gradients are the runs' ones added in order."""
+        widths, param_shapes, out_width, call = SEGMENTED_OPS[name]
+        rng = Rng(seed)
+        rows = sum(lengths)
+        operands = [rng.split(f"x{i}").normal((rows, w)) for i, w in enumerate(widths)]
+        params = [rng.split(f"p{i}").normal(shape) for i, shape in enumerate(param_shapes)]
+        upstream = rng.split("g").normal((rows, out_width))
+
+        def once(run, segments):
+            xs = [N.parameter(x[run]) for x in operands]
+            ps = [N.parameter(p) for p in params]
+            out = call(*xs, *ps, segments)
+            N.sum_all(N.mul(out, Tensor(upstream[run]))).backward()
+            return out.data, [t.grad for t in xs], [t.grad for t in ps]
+
+        out, grads, param_grads = once(slice(None), lengths)
+        runs = [once(run, None) for run in _runs(lengths)]
+        assert out.tobytes() == np.concatenate([r[0] for r in runs]).tobytes()
+        for i, grad in enumerate(grads):
+            assert grad.tobytes() == np.concatenate([r[1][i] for r in runs]).tobytes(), i
+            assert all(grad.strides[0] == r[1][i].strides[0] for r in runs), i
+        for i, grad in enumerate(param_grads):
+            assert grad.tobytes() == reduce(operator.add, [r[2][i] for r in runs]).tobytes(), i
+
+    @pytest.mark.parametrize("segments,match", [
+        ([2.0, 3], "must be integers"),
+        ([True, 4], "must be integers"),
+        ([np.float64(2), 3], "must be integers"),
+        (["2", 3], "must be integers"),
+        ([0, 5], "must be at least 1"),
+        ([-1, 6], "must be at least 1"),
+        ([], "must be at least 1"),
+        ([2, 2], "sum to 4, not to the 5 rows"),
+        ([5, 1], "sum to 6, not to the 5 rows"),
+    ])
+    @pytest.mark.parametrize("op", ["linear", "layer_norm", "attention"])
+    def test_bad_segment_lists(self, op, segments, match):
+        x = rand((5, 4))
+        calls = {"linear": lambda: N.linear(x, rand((4, 3), 1), rand((3,), 2), segments),
+                 "layer_norm": lambda: N.layer_norm(x, rand((4,), 1), rand((4,), 2),
+                                                    segments=segments),
+                 "attention": lambda: N.attention(x, x, x, True, segments)}
+        with pytest.raises(ShapeError, match=f"{op}: segment lengths {match}"):
+            calls[op]()
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_segments_with_rank_3_attention_rejected(self, causal):
+        q = rand((2, 3, 4))
+        with pytest.raises(ShapeError, match="attention: segments need rank-2 operands"):
+            N.attention(q, q, q, causal, [3])
+
+    def test_keys_split_like_queries(self):
+        with pytest.raises(ShapeError, match="attention: segment lengths sum to 3, not to the 5"):
+            N.attention(rand((3, 4)), rand((5, 4)), rand((5, 2)), segments=[1, 2])
+
+
 class TestLayerNorm:
     def test_constant_row_is_zero(self):
         out = N.layer_norm(Tensor([[4.0, 4.0, 4.0]]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
@@ -581,6 +673,20 @@ OP_CASES += [
         N.layer_norm(rand((3, 6), 105), t, rand((6,), 106)), rand((3, 6), 107)))),
     ("layer_norm_bias", (6,), lambda t: N.sum_all(N.mul(
         N.layer_norm(rand((3, 6), 126), rand((6,), 127), t), rand((3, 6), 128)))),
+    ("linear_x/segmented", (5, 4), lambda t: N.sum_all(N.mul(
+        N.linear(t, rand((4, 2), 97), rand((2,), 94), [2, 3]), rand((5, 2), 95)))),
+    ("linear_w/segmented", (4, 2), lambda t: N.sum_all(N.mul(
+        N.linear(rand((5, 4), 98), t, rand((2,), 94), [1, 3, 1]), rand((5, 2), 96)))),
+    ("linear_b/segmented", (2,), lambda t: N.sum_all(N.mul(
+        N.linear(rand((5, 4), 98), rand((4, 2), 97), t, [3, 2]), rand((5, 2), 96)))),
+    ("layer_norm_x/segmented", (5, 6), lambda t: N.sum_all(N.mul(
+        N.layer_norm(t, rand((6,), 102), rand((6,), 103), segments=[2, 3]), rand((5, 6), 104)))),
+    ("layer_norm_gain/segmented", (6,), lambda t: N.sum_all(N.mul(
+        N.layer_norm(rand((5, 6), 105), t, rand((6,), 106), segments=[4, 1]),
+        rand((5, 6), 107)))),
+    ("layer_norm_bias/segmented", (6,), lambda t: N.sum_all(N.mul(
+        N.layer_norm(rand((5, 6), 126), rand((6,), 127), t, segments=[1, 1, 3]),
+        rand((5, 6), 128)))),
     ("gather_rows", (5, 3), lambda t: N.sum_all(N.mul(
         N.gather_rows(t, [0, 2, 2, 4]), rand((4, 3), 108)))),
     ("concat_rows", (2, 3), lambda t: N.sum_all(N.mul(
@@ -606,15 +712,16 @@ OP_CASES += [
 def _attention_cases():
     """One case per parent slot of ``attention``, per rank and per mask mode:
     q (rows, 3) attends over 4 keys (rows equal to 4 when causal).  A causal
-    case of 66 rows, of width 2, crosses the edge of a row block."""
+    case of 66 rows, of width 2, crosses the edge of a row block.  Segmented
+    cases split 5 rows into runs of 2 and 3, per mask mode."""
     cases = []
 
-    def add_slots(variant, shapes, causal, seed):
+    def add_slots(variant, shapes, causal, seed, segments=None):
         for slot in "qkv":
             def f(t, slot=slot):
                 args = {s: t if s == slot else rand(shape, seed + j)
                         for j, (s, shape) in enumerate(shapes.items())}
-                out = N.attention(args["q"], args["k"], args["v"], causal)
+                out = N.attention(args["q"], args["k"], args["v"], causal, segments)
                 return N.sum_all(N.mul(out, rand(out.shape, seed + 3)))
             cases.append((f"attention_{slot}/{variant}", shapes[slot], f))
 
@@ -625,6 +732,9 @@ def _attention_cases():
                       {"q": (*batch, rows, 3), "k": (*batch, 4, 3), "v": (*batch, 4, 2)},
                       causal, 140 + 10 * len(batch) + 5 * causal)
     add_slots("r2-causal-66", {"q": (66, 2), "k": (66, 2), "v": (66, 2)}, True, 180)
+    for causal in (False, True):
+        add_slots("r2-segmented" + ("-causal" if causal else ""),
+                  {"q": (5, 3), "k": (5, 3), "v": (5, 2)}, causal, 190 + 5 * causal, [2, 3])
     # One tensor as both queries and keys: the two slots' gradients add up.
     cases.append(("attention_qk/r2-causal", (4, 3), lambda t: N.sum_all(N.mul(
         N.attention(t, t, rand((4, 2), 170), causal=True), rand((4, 2), 171)))))

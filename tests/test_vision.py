@@ -10,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from vlmlab import numerics as N
+from vlmlab import vision
 from vlmlab.errors import ConfigError, ShapeError
 from vlmlab.harness import load_stage_config, make_synthetic_batch, train_toy
 from vlmlab.harness.training import _batch_loss
@@ -180,6 +181,20 @@ class TestEncoder:
             rows = slice(8 * i, 8 * (i + 1))
             for packed, single in zip([final, *taps], [one_final, *one_taps]):
                 np.testing.assert_allclose(packed.data[rows], single.data, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("gh,gw", [(2, 4), (4, 2), (1, 3)])
+    def test_rotary_ids_are_zero_row_column(self, monkeypatch, gh, gw):
+        """Each patch's rotary ids are (0, its row, its column), row-major over
+        a non-square grid and again for each grid of a batch."""
+        cfg = small_config()
+        seen = []
+        tables = vision.rotation_tables
+        monkeypatch.setattr(vision, "rotation_tables",
+                            lambda ids, alloc: seen.append(np.asarray(ids).tolist())
+                            or tables(ids, alloc))
+        VisionEncoder(cfg, Rng(0)).forward(random_grid(cfg, gh, gw, seed=1),
+                                           random_grid(cfg, gh, gw, seed=2))
+        assert seen == [[[0, r, c] for r in range(gh) for c in range(gw)] * 2]
 
     def test_single_grid_has_no_batch_axis(self):
         # One grid runs its attention at rank 2: no reshape into a batch.
@@ -447,6 +462,48 @@ class TestDecoder:
             grads = [merger.params[k].grad for k in ("fc1.w", "fc2.w")]
             assert all(g is not None and np.linalg.norm(g) > 0 for g in grads), f"tap {i}"
 
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_each_tap_level_reaches_its_inject_layer_at_visual_rows(self, monkeypatch, level):
+        """Against all tap mergers zeroed, keeping only ``level``'s leaves the
+        inputs of the layers before ``inject_layers[level]`` as they were and
+        moves that layer's input at the visual rows alone, in a packed batch
+        of two samples whose second starts at row 5."""
+        cfg = small_config(inject_layers=(2, 0, 1))
+        model = VisionLanguageModel(cfg, Rng(3))
+        samples = [
+            (MultimodalSequence.of((TextSpan((1, 2)), ImageBlock(1, 2), TextSpan((3,)))),
+             {1: random_grid(cfg, 2, 4, seed=1)}),
+            (MultimodalSequence.of((TextSpan((4, 5, 6)), ImageBlock(1, 2), TextSpan((7, 8)))),
+             {1: random_grid(cfg, 2, 4, seed=2)}),
+        ]
+        inputs = {}
+        block_forward = vision._block_forward
+
+        def recording(params, prefix, x, rotation, causal, *args, **kwargs):
+            if causal:  # a decoder block
+                inputs[prefix] = x.data
+            return block_forward(params, prefix, x, rotation, causal, *args, **kwargs)
+
+        monkeypatch.setattr(vision, "_block_forward", recording)
+        trained = [dict(merger.params) for merger in model.tap_mergers]
+
+        def layer_inputs(kept):
+            for i, merger in enumerate(model.tap_mergers):
+                merger.params.update(trained[i])
+                if i != kept:
+                    merger.params["fc2.w"] = Tensor(np.zeros((cfg.llm_dim, cfg.llm_dim)))
+                    merger.params["fc2.b"] = Tensor(np.zeros(cfg.llm_dim))
+            inputs.clear()
+            model.forward(PreparedInput.pack([model.prepare(*sample) for sample in samples]))
+            return dict(inputs)
+
+        base, moved = layer_inputs(None), layer_inputs(level)
+        target = cfg.inject_layers[level]
+        for layer in range(target + 1):
+            changed = (moved[f"block{layer}"] != base[f"block{layer}"]).any(axis=1)
+            assert np.flatnonzero(changed).tolist() == ([2, 3, 8, 9] if layer == target
+                                                        else []), layer
+
     def test_zeroed_mergers_match_no_deepstack_baseline(self):
         cfg = small_config()
         model = VisionLanguageModel(cfg, Rng(3))
@@ -535,7 +592,7 @@ def per_element_reference(model, seq, grids):
             positions.extend(range(cursor, cursor + n))
         cursor += n
     return PreparedInput(N.concat_rows(embed), assign_position_ids(seq), np.asarray(positions),
-                         [N.concat_rows(parts) for parts in deepstack])
+                         [N.concat_rows(parts) for parts in deepstack], (cursor,))
 
 
 def summed_loss_grads(model, prepared):
@@ -567,6 +624,23 @@ class TestPrepare:
         for name, grad in packed_grads.items():
             assert grad is not None, name
             np.testing.assert_allclose(grad, reference_grads[name], **close, err_msg=name)
+
+    def test_packed_samples_run_as_their_own_passes(self):
+        """A packed input's segments are its samples' rows; its logits are
+        each sample's own logits, byte for byte, one after another."""
+        cfg = small_config()
+        model = VisionLanguageModel(cfg, Rng(9))
+        samples = [model.prepare(MIXED, mixed_grids(cfg)),
+                   model.prepare(MultimodalSequence.of((TextSpan((3, 1, 4)),)), {}),
+                   prepared_multimodal(cfg, model, seed=6)]
+        packed = PreparedInput.pack(samples)
+        assert [sample.segments for sample in samples] == [(15,), (3,), (7,)]
+        assert packed.segments == (15, 3, 7)
+        assert packed.visual_positions.tolist() == [2, 3, *range(5, 13), 20, 21]
+        logits = model.forward(packed).data
+        for sample, start in zip(samples, (0, 15, 18)):
+            rows = sample.segments[0]
+            assert logits[start:start + rows].tobytes() == model.forward(sample).data.tobytes()
 
     def test_one_encoder_pass_per_grid_shape(self, monkeypatch):
         cfg = small_config()
@@ -727,24 +801,26 @@ class TestTape:
         assert sum(ops.values()) == nodes
 
     def test_s0_batch_loss(self):
-        # Eight examples, every other one with an image: the train_s0 benchmark step.
+        # Eight examples, every other one with an image: the train_s0 benchmark
+        # step.  The decoder runs once over the packed batch; each image
+        # example's grid makes its own encoder pass.
         cfg, rng = ModelConfig(), Rng(0)
         model = VisionLanguageModel(cfg, rng.split("model"))
         batch = make_synthetic_batch(cfg, rng.split("data"), n_examples=8, text_len=12)
         loss, _ = _batch_loss(model, batch, "sqrt")
-        self.check(loss, cfg, decoder_passes=8, encoder_passes=4, nodes=735)
+        self.check(loss, cfg, decoder_passes=1, encoder_passes=4, nodes=422)
         # A later step reaches the same number of nodes, the encoder's
         # remembered ones among them.
         again, _ = _batch_loss(model, batch, "sqrt")
-        self.check(again, cfg, decoder_passes=8, encoder_passes=4, nodes=735)
+        self.check(again, cfg, decoder_passes=1, encoder_passes=4, nodes=422)
         # After an S0 step only the mergers require a gradient, so backward
-        # walks 283 of the tape's 873 tensors, leaves included, and no
+        # walks 162 of the tape's 560 tensors, leaves included, and no
         # encoder node.
         train_toy(model, load_stage_config("S0"), batch, steps=1, lr=0.1)
         pruned, _ = _batch_loss(model, batch, "sqrt")
-        self.check(pruned, cfg, decoder_passes=8, encoder_passes=4, nodes=735)
+        self.check(pruned, cfg, decoder_passes=1, encoder_passes=4, nodes=422)
         reached = tensors_under(pruned)
-        assert (len(reached), sum(t.requires_grad for t in reached)) == (873, 283)
+        assert (len(reached), sum(t.requires_grad for t in reached)) == (560, 162)
         encoded = [model.encoder.forward(*example.grids.values())
                    for example in batch if example.grids]
         assert len(encoded) == 4
