@@ -1,16 +1,19 @@
 """Toy training loop with component freezing.
 
-Plain gradient descent over synthetic next-token-prediction batches.  The
-loss path weighs each sample's summed token losses by its weight from the
-objective module, so the chosen aggregation scheme shapes the gradients
-exactly as it shapes the reported loss.  ``requires_grad`` alone says what
-backward differentiates; parameters of components outside the stage's
-trainable set have it off, so they stay bit-identical over any number of steps.
+Plain gradient descent over synthetic next-token-prediction batches.  A
+batch is prepared as one packed input and runs through the decoder as one
+pass.  One ``weighted_run_sum`` node weighs each sample's summed token
+losses by its weight from the objective module, so the chosen aggregation
+scheme shapes the gradients exactly as it shapes the reported loss.
+``requires_grad`` alone says what backward differentiates; parameters of
+components outside the stage's trainable set have it off, so they stay
+bit-identical over any number of steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -19,7 +22,7 @@ from ..errors import NUMBER, ConfigError, NonFiniteError, ShapeError, _has_type,
 from ..numerics import Tensor
 from ..seeding import Rng
 from ..sequence import ImageBlock, MultimodalSequence, TextSpan
-from ..vision import ModelConfig, PatchGrid, PreparedInput, VisionLanguageModel
+from ..vision import ModelConfig, PatchGrid, VisionLanguageModel
 from .stages import StageConfig
 
 
@@ -84,40 +87,47 @@ def make_synthetic_batch(config: ModelConfig, rng: Rng, n_examples: int = 8,
     return examples
 
 
+def _example_indices(values, bound: int, what: str, index: int) -> np.ndarray:
+    """``values`` as an int64 vector, once they are checked to be integers
+    in [0, ``bound``); a ``ShapeError`` names example ``index``."""
+    idx = np.asarray(values)
+    if idx.ndim != 1 or idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0
+                                      or idx.max() >= bound):
+        raise ShapeError(f"example {index}: {what} must be integers in [0, {bound})")
+    return idx.astype(np.int64)
+
+
 def _batch_loss(model: VisionLanguageModel, batch: list[TrainingExample],
                 scheme: str) -> tuple[Tensor, list[objective.SampleLossRecord]]:
     """The batch's weighted loss and each example's token losses.
 
-    Each example is prepared on its own (the encoder memo and the mergers
-    run per example); then the examples are packed and the decoder runs
-    once over the batch, one segment per example, which gives each example
-    the bits of its own pass.  An example's loss rows are its target
-    positions moved by its first row.
+    The batch is prepared as one packed input, one segment per example
+    (``prepare_batch``), and the decoder runs once over it, which gives each
+    example the bits of its own pass.  An example's loss rows are its target
+    positions moved by its first row.  One ``gather_rows`` takes every
+    example's loss rows, one ``token_nll`` their token losses, and one
+    ``weighted_run_sum`` weighs each example's summed losses and adds them in
+    example order.
     """
-    prepared = [model.prepare(example.sequence, example.grids) for example in batch]
-    logits = model.forward(PreparedInput.pack(prepared))
-    records: list[objective.SampleLossRecord] = []
-    nll_tensors: list[Tensor] = []
-    start = 0
-    for index, (example, sample) in enumerate(zip(batch, prepared)):
-        rows = sample.embeddings.shape[0]
-        positions = np.asarray(example.target_positions)
-        if positions.size and (positions.dtype.kind not in "iu" or positions.min() < 0
-                               or positions.max() >= rows):
-            raise ShapeError(f"example {index}: target positions must be integers "
-                             f"in [0, {rows})")
-        picked = numerics.gather_rows(logits, positions + start)
-        nll = numerics.token_nll(picked, example.target_ids)
-        nll_tensors.append(nll)
-        records.append(objective.SampleLossRecord(tuple(nll.data.tolist())))
-        start += rows
+    prepared = model.prepare_batch([(example.sequence, example.grids) for example in batch])
+    logits = model.forward(prepared)
+    rows, targets = [], []
+    starts = accumulate(prepared.segments, initial=0)
+    for index, (example, length, start) in enumerate(zip(batch, prepared.segments, starts)):
+        positions = _example_indices(example.target_positions, length, "target positions", index)
+        ids = _example_indices(example.target_ids, logits.shape[1], "target ids", index)
+        if len(positions) != len(ids):
+            raise ShapeError(f"example {index}: {len(positions)} target positions for "
+                             f"{len(ids)} target ids")
+        rows.append(positions + start)
+        targets.append(ids)
+    nll = numerics.token_nll(numerics.gather_rows(logits, np.concatenate(rows)),
+                             np.concatenate(targets))
+    counts = [len(ids) for ids in targets]
+    records = [objective.SampleLossRecord(tuple(losses.tolist()))
+               for losses in np.split(nll.data, np.cumsum(counts)[:-1])]
     weights = objective.gradient_weights(records, scheme)
-    terms = [numerics.scale(numerics.sum_all(nll), w)
-             for nll, w in zip(nll_tensors, weights)]
-    total = terms[0]
-    for term in terms[1:]:
-        total = numerics.add(total, term)
-    return total, records
+    return numerics.weighted_run_sum(nll, counts, weights), records
 
 
 def train_toy(model: VisionLanguageModel, stage: StageConfig,

@@ -38,6 +38,8 @@ more rows may round otherwise), attention stays inside each run, and each
 parameter gradient is summed per run and the sums added in run order, as
 the tape adds the gradients of separate calls.  Row-wise ops (``add``,
 ``gelu``, ``rotate_pairs``, ``add_rows_at``) need no segments.
+``weighted_run_sum`` takes the runs of a vector, such as a packed batch's
+token losses, and adds their sums, each times its own weight, in run order.
 
 All differentiable operations here are validated against central finite
 differences by :func:`grad_check`; see the test suite for the sweep over
@@ -177,11 +179,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul: {a.shape} vs {b.shape}")
     return _node("mul", a.data * b.data, (a, b),
                  (lambda g: g * b.data, lambda g: g * a.data))
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _node("scale", x.data * c, (x,), (lambda g: g * c,))
 
 
 def _swap_last(x: np.ndarray) -> np.ndarray:
@@ -347,6 +344,28 @@ def sum_all(x: Tensor) -> Tensor:
                  (lambda g: np.full_like(x.data, float(g)),))
 
 
+def weighted_run_sum(x: Tensor, segments: Sequence[int], weights: Sequence[float]) -> Tensor:
+    """The sum over runs of a vector's entries of each run's sum times its
+    weight, as one node.
+
+    ``segments`` splits the entries into runs, one after another, and
+    ``weights`` gives one weight per run.  Each run's sum is multiplied by
+    its weight and the products added left to right; backward gives each
+    entry its run's weight times the upstream gradient.  These are the bits
+    of ``mul`` of each run's ``sum_all`` by its weight, added by ``add``.
+    """
+    if x.data.ndim != 1:
+        raise ShapeError(f"weighted_run_sum needs a vector, got {x.shape}")
+    runs = _segments(segments, x.shape, "weighted_run_sum", rank=1)
+    w = np.array(weights, dtype=np.float64)
+    if w.shape != (len(runs),):
+        raise ShapeError(f"weighted_run_sum: {w.shape} weights for {len(runs)} runs")
+    lengths = [len(x.data[r]) for r in runs]
+    total = reduce(operator.add, [x.data[r].sum() * c for r, c in zip(runs, w)])
+    return _node("weighted_run_sum", np.asarray(total), (x,),
+                 (lambda g: np.repeat(g * w, lengths),))
+
+
 def gelu(x: Tensor) -> Tensor:
     """Tanh-approximation GELU (smooth, no special-function dependency)."""
     u = _TANH_GELU_C * (x.data + 0.044715 * x.data ** 3)
@@ -399,16 +418,18 @@ def _indices(values, op: str) -> np.ndarray:
     return idx.astype(np.int64, copy=False)
 
 
-def _segments(segments: Sequence[int] | None, shape: tuple[int, ...], op: str) -> list[slice]:
+def _segments(segments: Sequence[int] | None, shape: tuple[int, ...], op: str,
+              rank: int = 2) -> list[slice]:
     """The row slices of ``segments``: positive integer lengths of runs of
-    rows, one after another, that cover the rows of a rank-2 operand of
-    ``shape``.  ``None`` is one run covering every row, in any rank."""
+    rows, one after another, that cover the rows of an operand of ``shape``
+    and ``rank``.  ``None`` is one run covering every row, in any rank."""
     if segments is None:
         return [slice(None)]
-    if len(shape) != 2:
-        raise ShapeError(f"{op}: segments need rank-2 operands, got shape {shape}")
+    if len(shape) != rank:
+        raise ShapeError(f"{op}: segments need rank-{rank} operands, got shape {shape}")
     lengths = list(segments)
-    if not all(is_integer(n) for n in lengths):
+    # ``type(n) is int`` first: the ABC check of ``is_integer`` is slow.
+    if not all(type(n) is int or is_integer(n) for n in lengths):
         raise ShapeError(f"{op}: segment lengths must be integers, got {lengths!r}")
     if not lengths or min(lengths) < 1:
         raise ShapeError(f"{op}: segment lengths must be at least 1, got {lengths}")

@@ -9,13 +9,15 @@ the visual tokens spliced into the decoder input; the per-tap merger
 outputs are added onto the hidden states entering the first decoder layers
 at the visual-token positions, adding no sequence length.
 
-``prepare`` packs the patch grids of a sequence by shape: all grids of one
-shape go through the encoder as one stack of rows, and through each merger,
-in one pass.  Attention stays inside each grid, as one ``attention`` node
-over a rank-3 batch that recomputes each grid's probabilities in backward
-instead of keeping them, so memory grows linearly with the number of
-grids.  One ``gather_rows`` then puts text and visual rows in sequence
-order.
+``prepare_batch`` lowers a batch of sequences to one packed input, one
+segment per sample.  A sample's patch grids of one shape go through the
+encoder as one stack of rows; attention stays inside each grid, as one
+``attention`` node over a rank-3 batch that recomputes each grid's
+probabilities in backward instead of keeping them, so memory grows linearly
+with the number of grids.  All encoder passes of the batch then go through
+each merger in one pass, one run of rows per sample, and one
+``gather_rows`` puts text and visual rows in packed order.  ``prepare`` is
+the batch of one sequence.
 
 The encoder is a memo of its own pure function: a second ``forward`` of
 the same grids returns the first call's tensors while the encoder holds the
@@ -29,18 +31,17 @@ get the three-axis rotary treatment; its ``attention`` hides later tokens,
 running the queries in row blocks that never compute the masked triangle.
 A layer keeps no probabilities, only two floats per row, the row max and
 sum, from which backward recomputes them one block at a time, so its
-memory grows linearly in the sequence length.  ``PreparedInput.pack`` joins
-prepared samples into one input, one segment per sample, and the decoder
-runs it as one pass in which each sample gets the bits of its own pass.
-Every projection, in the blocks, the mergers and the head, is one
-``linear`` node.
+memory grows linearly in the sequence length.  It runs a packed batch as
+one pass in which each sample gets the bits of its own pass.  Every
+projection, in the blocks, the mergers and the head, is one ``linear``
+node, which in a packed batch takes each sample's rows as a run of its own.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from itertools import accumulate
+from itertools import groupby
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -278,32 +279,44 @@ class Merger:
         self.params.update(_linear_params(rng.split("fc1"), 4 * dim, llm_dim, "fc1"))
         self.params.update(_linear_params(rng.split("fc2"), llm_dim, llm_dim, "fc2"))
 
-    def forward(self, merged_features: Tensor) -> Tensor:
-        h = numerics.gelu(_linear(self.params, "fc1", merged_features))
-        return _linear(self.params, "fc2", h)
+    def forward(self, merged_features: Tensor, segments: Sequence[int] | None = None) -> Tensor:
+        """Both projections over the runs of rows ``segments`` gives, each
+        run with the bits of its own call (by default one run of all rows)."""
+        h = numerics.gelu(_linear(self.params, "fc1", merged_features, segments))
+        return _linear(self.params, "fc2", h, segments)
 
 
-def merge_2x2(level_features: Tensor, gh: int, gw: int, merger: Merger) -> Tensor:
+def merge_2x2(level_features: Tensor, sides: Sequence[tuple[int, int]], merger: Merger,
+              segments: Sequence[int] | None = None) -> Tensor:
     """Concatenate disjoint 2x2 feature blocks and project to decoder width.
 
-    ``level_features`` holds one or more gh x gw grids, row-major, one after
-    another.  The grid must be even on both axes; padding odd grids is the
-    caller's job.  Each block becomes the features of its top-left,
-    top-right, bottom-left and bottom-right patch side by side.  Output rows
-    follow grid order, then block row-major order: gh*gw/4 per grid.
+    ``level_features`` holds grids of the (gh, gw) ``sides``, each
+    row-major, one after another.  Each side must be even; padding odd
+    grids is the caller's job.  Each block becomes the features of its
+    top-left, top-right, bottom-left and bottom-right patch side by side.
+    Output rows follow grid order, then block row-major order: gh*gw/4 per
+    grid.  ``segments`` splits the output rows into runs, which the merger
+    projects as separate calls would (by default one run of all rows).
     """
-    if gh % 2 or gw % 2:
-        raise ShapeError(f"merge_2x2 needs even grid sides, got {gh}x{gw}")
-    rows = level_features.shape[0]
-    if level_features.shape != (rows, merger.dim) or rows == 0 or rows % (gh * gw):
-        raise ShapeError(f"features {level_features.shape} vs grid {gh}x{gw} width {merger.dim}")
-    # First row of each block, as (grid, block row, block col), then its four corners.
-    top_left = (np.arange(0, rows, gh * gw)[:, None, None]
-                + np.arange(0, gh * gw, 2 * gw)[None, :, None]
-                + np.arange(0, gw, 2)[None, None, :])
-    corners = top_left.reshape(-1, 1) + np.array([0, 1, gw, gw + 1])
+    # First row of each block, as (grid, block row, block col), then its four
+    # corners: one stretch of grids of one shape at a time.
+    corners, rows = [], 0
+    for (gh, gw), same in groupby(sides):
+        if gh % 2 or gw % 2 or min(gh, gw) < 2:
+            raise ShapeError(f"merge_2x2 needs even grid sides, got {gh}x{gw}")
+        end = rows + len(list(same)) * gh * gw
+        top_left = (np.arange(rows, end, gh * gw)[:, None, None]
+                    + np.arange(0, gh * gw, 2 * gw)[None, :, None]
+                    + np.arange(0, gw, 2)[None, None, :])
+        corners.append(top_left.reshape(-1, 1) + np.array([0, 1, gw, gw + 1]))
+        rows = end
+    if not rows or level_features.shape != (rows, merger.dim):
+        names = " ".join(f"{gh}x{gw}" for gh, gw in sides)
+        raise ShapeError(f"features {level_features.shape} vs grids {names} "
+                         f"width {merger.dim}")
+    corners = np.concatenate(corners)
     blocks = numerics.gather_rows(level_features, corners.reshape(-1))
-    return merger.forward(numerics.reshape(blocks, (len(corners), 4 * merger.dim)))
+    return merger.forward(numerics.reshape(blocks, (len(corners), 4 * merger.dim)), segments)
 
 
 class Decoder:
@@ -368,11 +381,10 @@ def _in_order(x: Tensor, order: np.ndarray) -> Tensor:
 
 @dataclass
 class PreparedInput:
-    """Decoder inputs of one multimodal sequence, or of a packed batch of them.
+    """Decoder inputs of a packed batch of multimodal sequences, or of one.
 
-    ``segments`` holds the rows of each sample, one after another: ``prepare``
-    gives one sample, ``pack`` joins several, which the decoder then runs as
-    one pass in which no sample sees another.
+    ``segments`` holds the rows of each sample, one after another; the
+    decoder runs the batch as one pass in which no sample sees another.
     """
 
     embeddings: Tensor
@@ -380,23 +392,6 @@ class PreparedInput:
     visual_positions: np.ndarray  # (visual tokens,) int64 row positions
     deepstack: list[Tensor]  # one tensor per inject layer; empty without visual tokens
     segments: tuple[int, ...]  # rows per sample
-
-    @staticmethod
-    def pack(inputs: Sequence["PreparedInput"]) -> "PreparedInput":
-        """The samples of ``inputs``, in order, as one input: rows, position
-        ids and segments follow one another, each sample's visual positions
-        move by its first row, and each DeepStack level joins the levels of
-        the inputs that have visual tokens."""
-        starts = accumulate((p.embeddings.shape[0] for p in inputs), initial=0)
-        with_visual = [p.deepstack for p in inputs if p.deepstack]
-        return PreparedInput(
-            embeddings=numerics.concat_rows([p.embeddings for p in inputs]),
-            position_ids=np.concatenate([p.position_ids for p in inputs]),
-            visual_positions=np.concatenate([p.visual_positions + start
-                                             for p, start in zip(inputs, starts)]),
-            deepstack=[numerics.concat_rows(level) for level in zip(*with_visual)],
-            segments=tuple(n for p in inputs for n in p.segments),
-        )
 
 
 class VisionLanguageModel:
@@ -437,61 +432,81 @@ class VisionLanguageModel:
 
     def prepare(self, seq: MultimodalSequence,
                 grids: Mapping[int, PatchGrid]) -> PreparedInput:
-        """Lower a sequence to embeddings, ids, and deepstack features.
+        """``prepare_batch`` of the one sample (``seq``, ``grids``)."""
+        return self.prepare_batch([(seq, grids)])
+
+    def prepare_batch(self, samples: Sequence[tuple[MultimodalSequence, Mapping[int, PatchGrid]]]
+                      ) -> PreparedInput:
+        """Lower a batch of (sequence, grids) samples to one packed input:
+        embeddings, ids and DeepStack features, one segment per sample.
 
         ``grids`` maps element indices of image blocks / frame groups to
         patch grids whose sides are twice the element's token grid (the
         merger halves each side).
 
-        All text is embedded with one gather.  Grids of one shape make one
-        encoder pass and one pass per merger; their token rows follow the
-        text rows, one shape after another.  Each element is tagged with its
-        part of that stack, 0 for text and 1 + k for the k-th grid shape, so
-        a stable sort of the tokens' tags gives the stack: ``order[i]`` is
-        the row of sequence token i in it.
+        Per sample, its text is embedded with one gather, its grids of one
+        shape make one encoder pass (in the order it first meets the shapes)
+        and its position ids restart.  All encoder passes then make one pass
+        per merger, one run of rows per sample, so each sample gets the bits
+        of its own ``prepare``; only a grid object that two samples share, one
+        encoder memo entry, gets its gradient terms added in another order.
+        The rows of this stack are the samples' text, then the passes' merged
+        rows, each in batch order.  Each element is tagged with its part of
+        the stack, 0 for text and 1 + k for the k-th encoder pass, so a stable
+        sort of the batch's token tags gives the stack: ``order[i]`` is the
+        row of packed token i in it.
         """
-        kind, count, gh, gw = seq.columns
-        visual = np.flatnonzero(kind != TEXT).tolist()
-        stray = set(grids).difference(visual)
-        if stray:
-            raise ConfigError(f"element {min(stray)} has a patch grid but is not an image "
-                              "block or frame group of the sequence")
-        by_shape: dict[tuple[int, int], list[PatchGrid]] = {}
-        tags = np.zeros(len(kind), dtype=np.int64)
-        for idx in visual:
-            if idx not in grids:
-                raise ConfigError(f"element {idx} has no patch grid")
-            grid = grids[idx]
-            if grid.gh != 2 * gh[idx] or grid.gw != 2 * gw[idx]:
-                raise ShapeError(
-                    f"element {idx}: patch grid {grid.gh}x{grid.gw} is not twice "
-                    f"the token grid {gh[idx]}x{gw[idx]}")
-            by_shape.setdefault((grid.gh, grid.gw), []).append(grid)
-            tags[idx] = list(by_shape).index((grid.gh, grid.gw)) + 1
+        if not samples:
+            raise ConfigError("cannot prepare an empty batch")
+        passes: list[tuple[list[PatchGrid], Tensor, tuple[Tensor, ...]]] = []
+        texts, tags, ids = [], [], []
+        for seq, grids in samples:
+            kind, count, gh, gw = seq.columns
+            visual = np.flatnonzero(kind != TEXT).tolist()
+            stray = set(grids).difference(visual)
+            if stray:
+                raise ConfigError(f"element {min(stray)} has a patch grid but is not an image "
+                                  "block or frame group of the sequence")
+            by_shape: dict[tuple[int, int], list[PatchGrid]] = {}
+            element_tags = np.zeros(len(kind), dtype=np.int64)
+            for idx in visual:
+                if idx not in grids:
+                    raise ConfigError(f"element {idx} has no patch grid")
+                grid = grids[idx]
+                if grid.gh != 2 * gh[idx] or grid.gw != 2 * gw[idx]:
+                    raise ShapeError(
+                        f"element {idx}: patch grid {grid.gh}x{grid.gw} is not twice "
+                        f"the token grid {gh[idx]}x{gw[idx]}")
+                by_shape.setdefault((grid.gh, grid.gw), []).append(grid)
+                element_tags[idx] = len(passes) + list(by_shape).index((grid.gh, grid.gw)) + 1
+            if not count.sum():
+                raise ConfigError("cannot prepare an empty sequence")
+            passes += [(batch, *self.encoder.forward(*batch)) for batch in by_shape.values()]
+            if len(seq.tokens):
+                texts.append(numerics.gather_rows(self.decoder.params["embed"], seq.tokens))
+            tags.append(np.repeat(element_tags, count))
+            ids.append(assign_position_ids(seq))
 
-        token_tags = np.repeat(tags, count)
-        rows, n_text = len(token_tags), len(seq.tokens)
-        if rows == 0:
-            raise ConfigError("cannot prepare an empty sequence")
-        order = np.empty(rows, dtype=np.int64)
-        order[np.argsort(token_tags, kind="stable")] = np.arange(rows)
+        token_tags = np.concatenate(tags)
+        order = np.empty(len(token_tags), dtype=np.int64)
+        order[np.argsort(token_tags, kind="stable")] = np.arange(len(token_tags))
         visual_positions = np.flatnonzero(token_tags)
-
-        parts = [numerics.gather_rows(self.decoder.params["embed"], seq.tokens)] if n_text else []
-        tap_parts: list[list[Tensor]] = [[], [], []]
-        for (h, w), batch in by_shape.items():
-            final, taps = self.encoder.forward(*batch)
-            parts.append(merge_2x2(final, h, w, self.main_merger))
-            for level, (tap_state, merger) in enumerate(zip(taps, self.tap_mergers)):
-                tap_parts[level].append(merge_2x2(tap_state, h, w, merger))
-        visual_order = order[visual_positions] - n_text
+        parts, deepstack = list(texts), []
+        if passes:
+            batches, finals, taps = zip(*passes)
+            sides = [(grid.gh, grid.gw) for batch in batches for grid in batch]
+            runs = [n for n in map(np.count_nonzero, tags) if n]
+            parts.append(merge_2x2(numerics.concat_rows(finals), sides, self.main_merger, runs))
+            visual_order = order[visual_positions] - (len(order) - len(visual_positions))
+            deepstack = [_in_order(merge_2x2(numerics.concat_rows(states), sides, merger, runs),
+                                   visual_order)
+                         for states, merger in zip(zip(*taps), self.tap_mergers)]
         return PreparedInput(
             embeddings=_in_order(numerics.concat_rows(parts), order),
-            position_ids=assign_position_ids(seq),
+            position_ids=np.concatenate(ids),
             visual_positions=visual_positions,
-            deepstack=[_in_order(numerics.concat_rows(level), visual_order)
-                       for level in tap_parts] if by_shape else [],
-            segments=(rows,),
+            deepstack=deepstack,
+            segments=tuple(len(t) for t in tags),
         )
 
     def forward(self, prepared: PreparedInput) -> Tensor:

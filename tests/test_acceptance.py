@@ -136,14 +136,14 @@ def test_criterion_4_gradient_checks():
         # merger MLP, wrt its input features and its first-layer weight
         merger = Merger(4, 8, Rng(46))
         probe = Tensor(Rng(47).normal((4, 8)))
-        err = N.grad_check(lambda x: N.sum_all(N.mul(merge_2x2(x, 4, 4, merger), probe)),
+        err = N.grad_check(lambda x: N.sum_all(N.mul(merge_2x2(x, [(4, 4)], merger), probe)),
                            Tensor(Rng(48).normal((16, 4))), h=h)
         assert err < tol, f"merger input {err}"
         feats = Tensor(Rng(49).normal((4, 4)))
 
         def merger_weight_loss(w):
             merger.params["fc1.w"] = w
-            return N.sum_all(merge_2x2(feats, 2, 2, merger))
+            return N.sum_all(merge_2x2(feats, [(2, 2)], merger))
 
         err = N.grad_check(merger_weight_loss, merger.params["fc1.w"], h=h)
         assert err < tol, f"merger weight {err}"

@@ -252,7 +252,7 @@ class TestTrainToy:
             picked = numerics.gather_rows(logits, example.target_positions)
             nlls.append(numerics.token_nll(picked, example.target_ids))
         records = [objective.SampleLossRecord(tuple(nll.data.tolist())) for nll in nlls]
-        terms = [numerics.scale(numerics.sum_all(nll), w)
+        terms = [numerics.mul(numerics.sum_all(nll), numerics.Tensor(w))
                  for nll, w in zip(nlls, objective.gradient_weights(records, "sqrt"))]
         total = terms[0]
         for term in terms[1:]:
@@ -281,6 +281,27 @@ class TestTrainToy:
         batch[0].target_ids = [1] * len(positions)
         with pytest.raises(ShapeError, match=r"example 0: target positions must be integers "
                                              r"in \[0, 6\)"):
+            _batch_loss(model, batch, "sqrt")
+
+    def test_target_counts_checked_per_example(self):
+        """Three positions and two ids in one example, two and three in the
+        next, would line up over the batch's one loss node; each example is
+        checked on its own."""
+        cfg, model = tiny_model()
+        batch = make_synthetic_batch(cfg, Rng(1).split("data"), n_examples=2, text_len=4)
+        batch[0].target_positions, batch[0].target_ids = [0, 1, 2], [1, 2]
+        batch[1].target_positions, batch[1].target_ids = [0, 1], [1, 2, 3]
+        with pytest.raises(ShapeError, match="example 0: 3 target positions for 2 target ids"):
+            _batch_loss(model, batch, "sqrt")
+
+    @pytest.mark.parametrize("ids", [[32], [-1], [1.0], [True]],
+                             ids=["past-the-vocab", "negative", "float", "bool"])
+    def test_target_ids_outside_the_vocabulary_rejected(self, ids):
+        cfg, model = tiny_model()
+        batch = make_synthetic_batch(cfg, Rng(1).split("data"), n_examples=2, text_len=4)
+        batch[1].target_positions, batch[1].target_ids = [0], ids
+        with pytest.raises(ShapeError, match=r"example 1: target ids must be integers "
+                                             r"in \[0, 32\)"):
             _batch_loss(model, batch, "sqrt")
 
     def test_zero_lr_changes_nothing(self):

@@ -10,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from vlmlab import numerics as N
+from vlmlab import objective
 from vlmlab.errors import ConfigError, ShapeError
 from vlmlab.numerics import Tensor
 from vlmlab.seeding import Rng
@@ -70,8 +71,8 @@ class TestBasics:
 
     def test_overflowing_op_result_is_rejected(self):
         with np.errstate(over="ignore"), \
-                pytest.raises(ValueError, match="non-finite values in result of op 'scale'"):
-            N.scale(Tensor([1e308]), 1e308)
+                pytest.raises(ValueError, match="non-finite values in result of op 'mul'"):
+            N.mul(Tensor(1e308), Tensor(1e308))
 
     def test_batched_attention_is_per_entry(self):
         q, k, v = rand((3, 2, 4), seed=1), rand((3, 5, 4), seed=2), rand((3, 5, 6), seed=3)
@@ -399,15 +400,61 @@ class TestSegments:
         ([2, 2], "sum to 4, not to the 5 rows"),
         ([5, 1], "sum to 6, not to the 5 rows"),
     ])
-    @pytest.mark.parametrize("op", ["linear", "layer_norm", "attention"])
+    @pytest.mark.parametrize("op", ["linear", "layer_norm", "attention", "weighted_run_sum"])
     def test_bad_segment_lists(self, op, segments, match):
         x = rand((5, 4))
         calls = {"linear": lambda: N.linear(x, rand((4, 3), 1), rand((3,), 2), segments),
                  "layer_norm": lambda: N.layer_norm(x, rand((4,), 1), rand((4,), 2),
                                                     segments=segments),
-                 "attention": lambda: N.attention(x, x, x, True, segments)}
+                 "attention": lambda: N.attention(x, x, x, True, segments),
+                 "weighted_run_sum": lambda: N.weighted_run_sum(rand((5,)), segments,
+                                                                np.ones(len(segments)))}
         with pytest.raises(ShapeError, match=f"{op}: segment lengths {match}"):
             calls[op]()
+
+    @pytest.mark.parametrize("segments", [[np.int64(2), 3], (np.uint8(1), 4), np.array([2, 3])])
+    def test_numpy_integer_lengths_accepted(self, segments):
+        """Lengths that are numpy integers pass the slower check and run as
+        the Python ints of the same values."""
+        x, w, b = rand((5, 4)), rand((4, 3), 1), rand((3,), 2)
+        plain = [int(n) for n in segments]
+        assert (N.linear(x, w, b, segments).data.tobytes()
+                == N.linear(x, w, b, plain).data.tobytes())
+
+    @given(lengths=st.lists(st.integers(1, 20), min_size=1, max_size=8),
+           scheme=st.sampled_from(sorted(objective.SCHEMES)), seed=st.integers(0, 2**16))
+    @example(lengths=[1], scheme="sqrt", seed=0)
+    @example(lengths=[13, 11, 14, 11, 12, 11, 13, 11], scheme="sqrt", seed=1)
+    def test_weighted_run_sum_is_the_sum_all_mul_add_chain(self, lengths, scheme, seed):
+        """The forward value and the gradient, under an upstream gradient
+        other than 1, are byte for byte those of each run's ``sum_all``
+        multiplied by its weight, the products added in run order."""
+        rng = Rng(seed)
+        x = np.abs(rng.split("x").normal(sum(lengths)))
+        runs = _runs(lengths)
+        records = [objective.SampleLossRecord(tuple(x[run])) for run in runs]
+        weights = objective.gradient_weights(records, scheme)
+        upstream = Tensor(rng.split("g").normal(()))
+
+        leaf = N.parameter(x)
+        out = N.weighted_run_sum(leaf, lengths, weights)
+        N.mul(out, upstream).backward()
+
+        parts = [N.parameter(x[run]) for run in runs]
+        chain = reduce(N.add, [N.mul(N.sum_all(part), Tensor(w))
+                               for part, w in zip(parts, weights)])
+        N.mul(chain, upstream).backward()
+        assert out.data.tobytes() == chain.data.tobytes()
+        assert leaf.grad.tobytes() == np.concatenate([part.grad for part in parts]).tobytes()
+
+    @pytest.mark.parametrize("x,weights,match", [
+        ((5, 1), [1.0], "needs a vector"),
+        ((5,), [1.0], r"\(1,\) weights for 2 runs"),
+        ((5,), [[1.0, 2.0]], r"\(1, 2\) weights for 2 runs"),
+    ])
+    def test_weighted_run_sum_shapes(self, x, weights, match):
+        with pytest.raises(ShapeError, match=match):
+            N.weighted_run_sum(rand(x), [2, 3], weights)
 
     @pytest.mark.parametrize("causal", [False, True])
     def test_segments_with_rank_3_attention_rejected(self, causal):
@@ -467,7 +514,7 @@ class TestBackward:
         # The constant's gradient product, 1e300 * 1e10, would overflow.
         const = Tensor(np.full((2, 3), 1e-200))
         weight = N.parameter(np.full((3, 2), 1e10))
-        loss = N.scale(N.sum_all(N.linear(const, weight, no_bias((3, 2)))), 1e300)
+        loss = N.mul(N.sum_all(N.linear(const, weight, no_bias((3, 2)))), Tensor(1e300))
         with np.errstate(over="raise"):
             loss.backward()
         assert const.grad is None
@@ -657,7 +704,6 @@ for rank, shape in ((1, (6,)), (2, (3, 4))):
         (f"add_right/r{rank}", shape, lambda t, s=shape: N.sum_all(N.mul(N.add(rand(s, 122), t), rand(s, 123)))),
         (f"mul/r{rank}", shape, _two_arg(N.mul, rand(shape, 93))),
         (f"mul_right/r{rank}", shape, lambda t, s=shape: N.sum_all(N.mul(N.mul(rand(s, 124), t), rand(s, 125)))),
-        (f"scale/r{rank}", shape, lambda t: N.sum_all(N.scale(t, -1.7))),
         (f"gelu/r{rank}", shape, lambda t: N.sum_all(N.gelu(t))),
     ]
 OP_CASES += [
@@ -705,6 +751,7 @@ OP_CASES += [
     ("interpolate_bilinear/r3", (3, 4, 2), lambda t: N.sum_all(N.mul(
         N.interpolate_bilinear(t, 5, 7), rand((5, 7, 2), 121)))),
     ("sum_all/r3", (2, 3, 2), N.sum_all),
+    ("weighted_run_sum", (6,), lambda t: N.weighted_run_sum(t, [2, 3, 1], [0.5, -1.3, 2.0])),
 ]
 
 

@@ -15,23 +15,38 @@ from vlmlab.vision import ModelConfig, VisionLanguageModel
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_s0_digest_hashes_the_chained_steps():
-    """Three chained train_s0 operations hash to the digests of one
-    three-step S0 ``train_toy`` run on the benchmark's model and batch."""
-    done = subprocess.run([sys.executable, str(ROOT / "tools" / "s0_digest.py"), "--steps", "3",
-                           "--seed", "1"], capture_output=True, text=True, timeout=300)
+def digest_report(*args: str) -> dict:
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "s0_digest.py"), *args],
+                          capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    report = json.loads(done.stdout)
+    return json.loads(done.stdout)
 
-    rng = Rng(1)
+
+def train_digests(seed: int, stage: str, steps: int) -> dict:
+    """The digests of one ``steps``-step ``train_toy`` run of ``stage`` on the
+    benchmark's train_s0 model and batch."""
+    rng = Rng(seed)
     cfg = ModelConfig()
     model = VisionLanguageModel(cfg, rng.split("model"))
     batch = make_synthetic_batch(cfg, rng.split("data"), n_examples=8, text_len=12)
-    losses = train_toy(model, load_stage_config("S0"), batch, steps=3, lr=0.1).losses
+    losses = train_toy(model, load_stage_config(stage), batch, steps=steps, lr=0.1).losses
     params = hashlib.sha256()
     for name, param in model.parameters().items():
         params.update(name.encode())
         params.update(param.data.tobytes())
-    assert report == {"seed": 1, "steps": 3,
-                      "losses_sha256": hashlib.sha256(np.array(losses).tobytes()).hexdigest(),
-                      "params_sha256": params.hexdigest()}
+    return {"losses_sha256": hashlib.sha256(np.array(losses).tobytes()).hexdigest(),
+            "params_sha256": params.hexdigest()}
+
+
+def test_s0_digest_hashes_the_chained_steps():
+    """Three chained train_s0 operations hash to the digests of one
+    three-step S0 ``train_toy`` run on the benchmark's model and batch."""
+    assert digest_report("--steps", "3", "--seed", "1") == {"seed": 1, "steps": 3,
+                                                           **train_digests(1, "S0", 3)}
+
+
+def test_s0_digest_trains_another_stage():
+    """``--stage S1`` chains S1 steps on the same model and batch, and names
+    the stage in its report."""
+    assert digest_report("--steps", "2", "--seed", "0", "--stage", "S1") == {
+        "seed": 0, "steps": 2, "stage": "S1", **train_digests(0, "S1", 2)}

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import tracemalloc
@@ -275,24 +276,24 @@ class TestEncoderMemo:
 class TestMerge2x2:
     def test_minimal_grid(self):
         m = Merger(4, 8, Rng(0))
-        out = merge_2x2(Tensor(Rng(1).normal((4, 4))), 2, 2, m)
+        out = merge_2x2(Tensor(Rng(1).normal((4, 4))), [(2, 2)], m)
         assert out.shape == (1, 8)
 
     def test_counting(self):
         m = Merger(4, 8, Rng(0))
-        out = merge_2x2(Tensor(Rng(1).normal((24, 4))), 4, 6, m)
+        out = merge_2x2(Tensor(Rng(1).normal((24, 4))), [(4, 6)], m)
         assert out.shape == (6, 8)
 
     def test_odd_grid_rejected(self):
         m = Merger(4, 8, Rng(0))
         with pytest.raises(ShapeError, match="even"):
-            merge_2x2(Tensor(np.ones((6, 4))), 3, 2, m)
+            merge_2x2(Tensor(np.ones((6, 4))), [(3, 2)], m)
 
     @pytest.mark.parametrize("gh", range(2, 17, 2))
     @pytest.mark.parametrize("gw", range(2, 17, 2))
     def test_output_count_exhaustive(self, gh, gw):
         m = Merger(2, 3, Rng(0))
-        out = merge_2x2(Tensor(Rng(1).normal((gh * gw, 2))), gh, gw, m)
+        out = merge_2x2(Tensor(Rng(1).normal((gh * gw, 2))), [(gh, gw)], m)
         assert out.shape[0] == gh * gw // 4
 
     def test_block_layout(self):
@@ -304,7 +305,7 @@ class TestMerge2x2:
         feats = Tensor(np.arange(8.0)[:, None])  # 4x2 grid of scalars
         # Block b's corners r00, r01, r10, r11 are rows 4b .. 4b+3.
         corners = np.arange(8.0).reshape(2, 4)
-        out = merge_2x2(feats, 4, 2, m)
+        out = merge_2x2(feats, [(4, 2)], m)
         w1, b1, w2, b2 = (m.params[name].data for name in ("fc1.w", "fc1.b", "fc2.w", "fc2.b"))
         pre = corners @ w1 + b1
         hidden = 0.5 * pre * (1.0 + np.tanh(math.sqrt(2.0 / math.pi)
@@ -314,15 +315,31 @@ class TestMerge2x2:
     def test_packed_grids_equal_single_calls(self):
         m = Merger(3, 5, Rng(0))
         feats = [Tensor(Rng(s).normal((24, 3))) for s in (1, 2)]
-        packed = merge_2x2(N.concat_rows(feats), 4, 6, m)
-        singles = np.concatenate([merge_2x2(f, 4, 6, m).data for f in feats])
+        packed = merge_2x2(N.concat_rows(feats), [(4, 6)] * 2, m)
+        singles = np.concatenate([merge_2x2(f, [(4, 6)], m).data for f in feats])
         np.testing.assert_allclose(packed.data, singles, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("shape", [(6, 4), (0, 4), (8, 3), (8,), (2, 4, 4)])
+    def test_mixed_sides_equal_single_calls(self):
+        """Grids of several shapes in one call, one run per grid, give the
+        bytes of one call per grid."""
+        m = Merger(3, 5, Rng(0))
+        sides = [(2, 4), (4, 2), (2, 2), (4, 6)]
+        feats = [Tensor(Rng(s).normal((gh * gw, 3))) for s, (gh, gw) in enumerate(sides)]
+        packed = merge_2x2(N.concat_rows(feats), sides, m, [gh * gw // 4 for gh, gw in sides])
+        singles = [merge_2x2(f, [side], m).data for f, side in zip(feats, sides)]
+        assert packed.data.tobytes() == np.concatenate(singles).tobytes()
+
+    @pytest.mark.parametrize("sides", [[(2, 4), (3, 2)], [(0, 2)], [(2, -2)]])
+    def test_every_grid_must_have_even_sides(self, sides):
+        m = Merger(4, 8, Rng(0))
+        with pytest.raises(ShapeError, match="even"):
+            merge_2x2(Tensor(np.ones((14, 4))), sides, m)
+
+    @pytest.mark.parametrize("shape", [(6, 4), (0, 4), (8, 3), (8,), (2, 4, 4), (8, 4)])
     def test_features_not_whole_grids_rejected(self, shape):
         m = Merger(4, 8, Rng(0))
-        with pytest.raises(ShapeError, match="vs grid 2x2"):
-            merge_2x2(Tensor(np.ones(shape)), 2, 2, m)
+        with pytest.raises(ShapeError, match="vs grids 2x2 width 4"):
+            merge_2x2(Tensor(np.ones(shape)), [(2, 2)], m)
 
 
 def tape_nodes(out: Tensor) -> list[Tensor]:
@@ -494,7 +511,7 @@ class TestDecoder:
                     merger.params["fc2.w"] = Tensor(np.zeros((cfg.llm_dim, cfg.llm_dim)))
                     merger.params["fc2.b"] = Tensor(np.zeros(cfg.llm_dim))
             inputs.clear()
-            model.forward(PreparedInput.pack([model.prepare(*sample) for sample in samples]))
+            model.forward(model.prepare_batch(samples))
             return dict(inputs)
 
         base, moved = layer_inputs(None), layer_inputs(level)
@@ -586,9 +603,9 @@ def per_element_reference(model, seq, grids):
         else:
             grid = grids[idx]
             final, taps = model.encoder.forward(grid)
-            embed.append(merge_2x2(final, grid.gh, grid.gw, model.main_merger))
+            embed.append(merge_2x2(final, [(grid.gh, grid.gw)], model.main_merger))
             for level, (state, merger) in enumerate(zip(taps, model.tap_mergers)):
-                deepstack[level].append(merge_2x2(state, grid.gh, grid.gw, merger))
+                deepstack[level].append(merge_2x2(state, [(grid.gh, grid.gw)], merger))
             positions.extend(range(cursor, cursor + n))
         cursor += n
     return PreparedInput(N.concat_rows(embed), assign_position_ids(seq), np.asarray(positions),
@@ -626,21 +643,97 @@ class TestPrepare:
             np.testing.assert_allclose(grad, reference_grads[name], **close, err_msg=name)
 
     def test_packed_samples_run_as_their_own_passes(self):
-        """A packed input's segments are its samples' rows; its logits are
-        each sample's own logits, byte for byte, one after another."""
+        """A batch's segments are its samples' rows; its logits are each
+        sample's own logits, byte for byte, one after another."""
         cfg = small_config()
         model = VisionLanguageModel(cfg, Rng(9))
-        samples = [model.prepare(MIXED, mixed_grids(cfg)),
-                   model.prepare(MultimodalSequence.of((TextSpan((3, 1, 4)),)), {}),
-                   prepared_multimodal(cfg, model, seed=6)]
-        packed = PreparedInput.pack(samples)
-        assert [sample.segments for sample in samples] == [(15,), (3,), (7,)]
+        samples = [(MIXED, mixed_grids(cfg)),
+                   (MultimodalSequence.of((TextSpan((3, 1, 4)),)), {}),
+                   (MultimodalSequence.of((TextSpan((1, 2)), ImageBlock(1, 2),
+                                           TextSpan((3, 4, 5)))), {1: random_grid(cfg, 2, 4, 6)})]
+        packed = model.prepare_batch(samples)
+        assert [model.prepare(*sample).segments for sample in samples] == [(15,), (3,), (7,)]
         assert packed.segments == (15, 3, 7)
         assert packed.visual_positions.tolist() == [2, 3, *range(5, 13), 20, 21]
         logits = model.forward(packed).data
         for sample, start in zip(samples, (0, 15, 18)):
-            rows = sample.segments[0]
-            assert logits[start:start + rows].tobytes() == model.forward(sample).data.tobytes()
+            alone = model.forward(model.prepare(*sample)).data
+            assert logits[start:start + len(alone)].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("names", [
+        ("mixed", "text", "visual", "two_of_one_shape", "shapes_reversed"),
+        ("shapes_reversed", "mixed"),
+        ("visual", "another_visual"),
+        ("text", "two_of_one_shape", "text"),
+        ("visual",),
+    ])
+    def test_batch_equals_single_sample_prepares(self, names):
+        """Each sample's rows of a batch's embeddings, ids, visual positions
+        and DeepStack levels are, byte for byte, those of its own prepare,
+        and the parameter gradients those of one pass per sample with the
+        losses added in order.  "mixed" meets its grid shapes 2x4 then 4x4,
+        "shapes_reversed" 4x4 then 2x4.  No two samples share a grid object:
+        their encoder states would be one memo entry, whose gradient terms a
+        batch adds in another order than the loop."""
+        cfg = small_config()
+        model = VisionLanguageModel(cfg, Rng(5))
+        catalogue = {
+            "mixed": (MIXED, mixed_grids(cfg)),
+            "text": (MultimodalSequence.of((TextSpan((3, 1, 4)),)), {}),
+            "visual": (MultimodalSequence.of((ImageBlock(2, 2),)), {0: random_grid(cfg, 4, 4, 7)}),
+            "another_visual": (MultimodalSequence.of((ImageBlock(2, 2),)),
+                               {0: random_grid(cfg, 4, 4, 12)}),
+            "two_of_one_shape": (
+                MultimodalSequence.of((ImageBlock(1, 2), TextSpan((6,)), ImageBlock(1, 2))),
+                {0: random_grid(cfg, 2, 4, 8), 2: random_grid(cfg, 2, 4, 9)}),
+            "shapes_reversed": (
+                MultimodalSequence.of((TextSpan((7, 8)), ImageBlock(2, 2), TextSpan((9,)),
+                                       FrameGroup(0.0, 1.0, 1, 2))),
+                {1: random_grid(cfg, 4, 4, 10), 3: random_grid(cfg, 2, 4, 11)}),
+        }
+        samples = [catalogue[name] for name in names]
+        batch = model.prepare_batch(samples)
+        singles = [model.prepare(*sample) for sample in samples]
+        assert batch.segments == tuple(single.segments[0] for single in singles)
+        starts = np.cumsum([0, *batch.segments])
+        firsts = np.cumsum([0, *(len(single.visual_positions) for single in singles)])
+        assert len(batch.deepstack) == (3 if firsts[-1] else 0)
+        for single, start, end, first, last in zip(singles, starts, starts[1:], firsts,
+                                                   firsts[1:]):
+            assert batch.embeddings.data[start:end].tobytes() == single.embeddings.data.tobytes()
+            assert batch.position_ids[start:end].tobytes() == single.position_ids.tobytes()
+            assert (batch.visual_positions[first:last] - start).tolist() == \
+                single.visual_positions.tolist()
+            for level, alone in zip(batch.deepstack, single.deepstack):
+                assert level.data[first:last].tobytes() == alone.data.tobytes()
+
+        def targets(rows, salt):
+            return (np.arange(rows) * 7 + salt) % cfg.vocab
+
+        def gradients(loss):
+            loss.backward()
+            grads = {name: param.grad for name, param in model.parameters().items()}
+            for param in model.parameters().values():
+                param.grad = None
+            return grads
+
+        logits = model.forward(batch)
+        batch_grads = gradients(N.sum_all(N.token_nll(logits, np.concatenate(
+            [targets(rows, salt) for salt, rows in enumerate(batch.segments)]))))
+        losses = [N.sum_all(N.token_nll(model.forward(model.prepare(*sample)),
+                                        targets(rows, salt)))
+                  for salt, (sample, rows) in enumerate(zip(samples, batch.segments))]
+        loop_grads = gradients(functools.reduce(N.add, losses))
+        assert batch_grads.keys() == loop_grads.keys()
+        for name, grad in batch_grads.items():
+            want = loop_grads[name]
+            assert (grad is None) == (want is None), name
+            assert grad is None or grad.tobytes() == want.tobytes(), name
+
+    def test_empty_batch_rejected(self):
+        model = VisionLanguageModel(small_config(), Rng(0))
+        with pytest.raises(ConfigError, match="cannot prepare an empty batch"):
+            model.prepare_batch([])
 
     def test_one_encoder_pass_per_grid_shape(self, monkeypatch):
         cfg = small_config()
@@ -778,49 +871,52 @@ def tape_ops(root: Tensor) -> Counter:
     return Counter(node._op for node in tensors_under(root) if node._parents)
 
 
-def projections(cfg: ModelConfig, decoder_passes: int, encoder_passes: int) -> int:
+def projections(cfg: ModelConfig, decoder_passes: int, encoder_passes: int,
+                merger_passes: int) -> int:
     """q, k, v, o, mlp1 and mlp2 per block, the decoder's head, and fc1 and
-    fc2 of each of an encoder pass's four mergers."""
+    fc2 of each of the four mergers."""
     return (decoder_passes * (6 * cfg.decoder_depth + 1)
-            + encoder_passes * (6 * cfg.encoder_depth + 4 * 2))
+            + encoder_passes * 6 * cfg.encoder_depth + merger_passes * 4 * 2)
 
 
 class TestTape:
     """Each projection is one ``linear`` node.  The other op kinds are the
     ones the model's tapes held when a projection was a matrix product node
-    followed by a bias node."""
+    followed by a bias node, and the loss's ``weighted_run_sum``."""
 
-    OTHER_OPS = {"add", "scale", "sum", "token_nll", "gather_rows", "layer_norm", "gelu",
-                 "attention", "rotate_pairs", "add_rows_at", "reshape", "interpolate_bilinear",
-                 "concat_rows"}
+    OTHER_OPS = {"add", "sum", "weighted_run_sum", "token_nll", "gather_rows", "layer_norm",
+                 "gelu", "attention", "rotate_pairs", "add_rows_at", "reshape",
+                 "interpolate_bilinear", "concat_rows"}
 
     def check(self, loss, cfg, decoder_passes, encoder_passes, nodes):
         ops = tape_ops(loss)
-        assert ops["linear"] == projections(cfg, decoder_passes, encoder_passes)
+        assert ops["linear"] == projections(cfg, decoder_passes, encoder_passes, 1)
         assert set(ops) <= self.OTHER_OPS | {"linear"}
         assert sum(ops.values()) == nodes
 
     def test_s0_batch_loss(self):
         # Eight examples, every other one with an image: the train_s0 benchmark
-        # step.  The decoder runs once over the packed batch; each image
-        # example's grid makes its own encoder pass.
+        # step.  The batch is prepared as one input: each image example's
+        # grid makes its own encoder pass, and each merger and the decoder
+        # run once over the batch; one node takes the weighted loss.
         cfg, rng = ModelConfig(), Rng(0)
         model = VisionLanguageModel(cfg, rng.split("model"))
         batch = make_synthetic_batch(cfg, rng.split("data"), n_examples=8, text_len=12)
         loss, _ = _batch_loss(model, batch, "sqrt")
-        self.check(loss, cfg, decoder_passes=1, encoder_passes=4, nodes=422)
+        self.check(loss, cfg, decoder_passes=1, encoder_passes=4, nodes=320)
+        assert tape_ops(loss)["token_nll"] == tape_ops(loss)["weighted_run_sum"] == 1
         # A later step reaches the same number of nodes, the encoder's
         # remembered ones among them.
         again, _ = _batch_loss(model, batch, "sqrt")
-        self.check(again, cfg, decoder_passes=1, encoder_passes=4, nodes=422)
+        self.check(again, cfg, decoder_passes=1, encoder_passes=4, nodes=320)
         # After an S0 step only the mergers require a gradient, so backward
-        # walks 162 of the tape's 560 tensors, leaves included, and no
+        # walks 80 of the tape's 458 tensors, leaves included, and no
         # encoder node.
         train_toy(model, load_stage_config("S0"), batch, steps=1, lr=0.1)
         pruned, _ = _batch_loss(model, batch, "sqrt")
-        self.check(pruned, cfg, decoder_passes=1, encoder_passes=4, nodes=422)
+        self.check(pruned, cfg, decoder_passes=1, encoder_passes=4, nodes=320)
         reached = tensors_under(pruned)
-        assert (len(reached), sum(t.requires_grad for t in reached)) == (560, 162)
+        assert (len(reached), sum(t.requires_grad for t in reached)) == (458, 80)
         encoded = [model.encoder.forward(*example.grids.values())
                    for example in batch if example.grids]
         assert len(encoded) == 4
