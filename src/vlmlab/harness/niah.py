@@ -10,6 +10,10 @@ score the decoder would produce with query and key co-located.  Because the
 rotary map is an isometry, a clean needle is found at any depth and any
 length; degrading the signature separation degrades retrieval rather than
 the mechanism.
+
+The grid scores each timeline in row blocks of a fixed size, so its scratch
+memory does not grow with the timeline: beyond the timeline itself it keeps
+one score per group and trial, plus the noise rows of a noisy signature.
 """
 
 from __future__ import annotations
@@ -25,6 +29,11 @@ from ..mrope import FrequencyAllocation, frame_group_ids, rotation_tables
 from ..seeding import Rng
 from ..sequence import MultimodalSequence
 from ..timeline import SamplingPolicy, format_timestamp, interleave_timestamps, sample_frames
+
+# Timeline rows run_niah_grid scores at a time, chosen by measurement: a
+# block's largest arrays (64 KiB at 16-wide signatures) stay below glibc's
+# 128 KiB mmap threshold, so each grid reuses heap pages, not fresh ones.
+_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -102,24 +111,22 @@ def _signatures(cfg: NiahConfig, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _trial_keys(cfg: NiahConfig, trial_seed: int, groups: int
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A trial's needle signature and two (groups, signature_dim) key arrays:
-    row g of the first is group g's key as hay, of the second as the needle.
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """A trial's needle and hay signatures and its (groups, signature_dim)
+    noise rows, or None without noise.  Group g's key is the hay (or, at the
+    needle's group, the needle) signature plus noise row g.
 
     Group g's noise comes from its own stream, so a longer timeline's rows
     open with a shorter one's.
     """
     rng = Rng(cfg.seed).split("build").split(trial_seed)
     needle, hay = _signatures(cfg, rng)
-    hay_keys = np.tile(hay, (groups, 1))
-    needle_keys = np.tile(needle, (groups, 1))
-    if cfg.signature_noise > 0:
-        noise_rng = rng.split("noise")
-        noise = np.stack([noise_rng.split(g).normal(cfg.signature_dim, cfg.signature_noise)
-                          for g in range(groups)])
-        hay_keys += noise
-        needle_keys += noise
-    return needle, hay_keys, needle_keys
+    if cfg.signature_noise == 0:
+        return needle, hay, None
+    noise_rng = rng.split("noise")
+    noise = np.stack([noise_rng.split(g).normal(cfg.signature_dim, cfg.signature_noise)
+                      for g in range(groups)])
+    return needle, hay, noise
 
 
 def _sample(cfg: NiahConfig, duration_s: float) -> np.ndarray:
@@ -148,9 +155,12 @@ def build_niah_sequence(cfg: NiahConfig, duration_s: float, depth: float,
         raise ConfigError(f"duration must be positive, got {duration_s}")
     frames = _sample(cfg, duration_s)
     seq = interleave_timestamps(frames, group_size=1, style=cfg.timestamp_style)
-    needle_sig, keys, needle_keys = _trial_keys(cfg, trial_seed, len(frames))
+    needle_sig, hay, noise = _trial_keys(cfg, trial_seed, len(frames))
     needle_index = _needle_index(depth, len(frames))
-    keys[needle_index] = needle_keys[needle_index]
+    keys = np.tile(hay, (len(frames), 1))
+    keys[needle_index] = needle_sig
+    if noise is not None:
+        keys += noise
 
     needle_time = frames[needle_index].item()
     truth = NiahGroundTruth(
@@ -171,7 +181,10 @@ class ProbeResult:
 def _scores(query: np.ndarray, keys: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """Each row's score: the query and the row's key, both rotated by the row's angles, dotted.
 
-    Every step works row by row, so a row scores the same alone as in a longer array.
+    Every step works row by row, so a row scores the same alone as in a longer array,
+    and ``run_niah_grid`` can score row blocks.  ``keys`` must be C-ordered: for a
+    strided view such as ``np.broadcast_to``'s, ``np.empty_like`` is not, and
+    ``einsum`` then sums each row in another order.
     """
     rotated_keys = numerics._rotated(keys, cos, sin)
     rotated_queries = numerics._rotated(np.tile(query, (len(keys), 1)), cos, sin)
@@ -224,8 +237,13 @@ def run_niah_grid(cfg: NiahConfig, alloc: FrequencyAllocation) -> list[list[floa
     A cell's hit is ``run_niah_probe`` on ``build_niah_sequence``'s probe
     predicting the needle, but each distinct timeline is built once: a
     duration whose frames open a longer duration's frames reads the first
-    rows of that timeline's cos/sin tables and of its per-trial hay scores.
-    A cell then scores only its needle row.
+    columns of that timeline's per-trial hay scores.  A cell then scores
+    only its needle row.
+
+    The hay scores are taken ``_BLOCK`` rows at a time, each block with its
+    own cos/sin tables and tiled keys: beside the timeline, its ids, the
+    (trials, groups) hay scores and any noise rows, the grid's scratch
+    memory does not grow with the timeline.
     """
     if alloc.head_dim != cfg.signature_dim:
         raise ConfigError("allocation head_dim must match signature_dim")
@@ -236,17 +254,26 @@ def run_niah_grid(cfg: NiahConfig, alloc: FrequencyAllocation) -> list[list[floa
         longest = frame_sets[pending[0]]
         rows = [i for i in pending if np.array_equal(frame_sets[i], longest[:len(frame_sets[i])])]
         pending = [i for i in pending if i not in rows]
-        seq = interleave_timestamps(longest, group_size=1, style=cfg.timestamp_style)
-        cos, sin = rotation_tables(frame_group_ids(seq), alloc)
-        for trial in range(cfg.trials):
-            needle, hay_keys, needle_keys = _trial_keys(cfg, trial, len(longest))
-            hay_scores = _scores(needle, hay_keys, cos, sin)
-            for i in rows:
-                groups = len(frame_sets[i])
-                for j, depth in enumerate(cfg.needle_depths):
-                    n = _needle_index(depth, groups)
-                    scores = hay_scores[:groups].copy()
-                    scores[n] = _scores(needle, needle_keys[n:n + 1], cos[n:n + 1],
-                                        sin[n:n + 1])[0]
+        ids = frame_group_ids(interleave_timestamps(longest, group_size=1,
+                                                    style=cfg.timestamp_style))
+        signatures = [_trial_keys(cfg, trial, len(longest)) for trial in range(cfg.trials)]
+        hay_scores = np.empty((cfg.trials, len(longest)))
+        for lo in range(0, len(longest), _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            cos, sin = rotation_tables(ids[block], alloc)
+            for trial, (needle, hay, noise) in enumerate(signatures):
+                block_keys = np.tile(hay, (len(cos), 1))
+                if noise is not None:
+                    block_keys += noise[block]
+                hay_scores[trial, block] = _scores(needle, block_keys, cos, sin)
+        for i in rows:
+            groups = len(frame_sets[i])
+            for j, depth in enumerate(cfg.needle_depths):
+                n = _needle_index(depth, groups)
+                cos, sin = rotation_tables(ids[n:n + 1], alloc)
+                for trial, (needle, _, noise) in enumerate(signatures):
+                    needle_key = needle if noise is None else needle + noise[n]
+                    scores = hay_scores[trial, :groups].copy()
+                    scores[n] = _scores(needle, needle_key[None], cos, sin)[0]
                     hits[i, j] += _ranking(scores)[0] == n
     return (hits / cfg.trials).tolist()

@@ -96,15 +96,17 @@ def build_frequency_allocation(head_dim: int, base: float = DEFAULT_BASE,
                                axis_of_pair=axis_of_pair, theta=theta, chunk_split=split)
 
 
-def _layout(seq: MultimodalSequence) -> np.ndarray:
-    """(elements, 6) int64 rows of token count, first token index, t anchor,
-    h/w origin, grid width and element kind, from the sequence's columns.
+def _layout(seq: MultimodalSequence) -> tuple[np.ndarray, ...]:
+    """Six int64 columns, one row per element: token count, first token
+    index, t anchor, h/w origin, grid width and element kind, from the
+    sequence's columns.
 
     The running index (the h/w origin) is the exclusive cumulative sum of
     each element's advance: a text span's length, or the larger side of a
     grid.  Frame group t ids form a chain from the first group's running
     index, one per group.  A text span reports its own length as grid
-    width, so its k-th token lands in row 0, column k.
+    width, so its k-th token lands in row 0, column k.  The columns stay
+    apart so that a caller needing two of them copies only those.
     """
     kind, count, gh, gw = seq.columns
     text = kind == TEXT
@@ -113,8 +115,7 @@ def _layout(seq: MultimodalSequence) -> np.ndarray:
     origin = np.cumsum(advance) - advance
     chain = np.cumsum(frames) - 1 + (origin[frames][0] if frames.any() else 0)
     t0 = np.where(frames, chain, origin)
-    return np.stack((count, np.cumsum(count) - count, t0, origin,
-                     np.where(text, count, gw), kind), axis=1)
+    return count, np.cumsum(count) - count, t0, origin, np.where(text, count, gw), kind
 
 
 def assign_position_ids(seq: MultimodalSequence) -> np.ndarray:
@@ -129,7 +130,7 @@ def assign_position_ids(seq: MultimodalSequence) -> np.ndarray:
     previous group's t plus one, so group t ids stay consecutive no matter
     how much text (e.g. timestamps) sits between them.
     """
-    layout = _layout(seq)
+    layout = np.stack(_layout(seq), axis=1)
     _, start, t0, origin, width, kind = np.repeat(layout, layout[:, 0], axis=0).T
     row, col = np.divmod(np.arange(len(start)) - start, width)
     text_col = (kind == TEXT) * col
@@ -138,8 +139,10 @@ def assign_position_ids(seq: MultimodalSequence) -> np.ndarray:
 
 def frame_group_ids(seq: MultimodalSequence) -> np.ndarray:
     """The (t, h, w) id of each frame group's first token, (groups, 3) int64."""
-    layout = _layout(seq)
-    return layout[layout[:, 5] == FRAMES][:, [2, 3, 3]]
+    _, _, t0, origin, _, kind = _layout(seq)
+    frames = kind == FRAMES
+    origin = origin[frames]
+    return np.stack((t0[frames], origin, origin), axis=1)
 
 
 def rotation_tables(ids, alloc: FrequencyAllocation) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -501,32 +503,51 @@ grid_configs = st.builds(
     timestamp_style=st.sampled_from(["seconds", "hms"]),
 )
 
+# A timeline of more than two row blocks and a partial last one, with a
+# 540-frame prefix, and needles in its first, a middle and its last block.
+ACROSS_BLOCKS = NiahConfig(num_frames=2 * niah._BLOCK + 37,
+                           durations_min=((2 * niah._BLOCK + 37) / 60, 9.0),
+                           needle_depths=(0.1, 0.6, 0.99), trials=2)
+
+
+def assert_cells_score_as_probes(cfg, scheme):
+    """Every cell's scores equal, byte for byte, those of run_niah_probe on
+    build_niah_sequence's probe, and its hits count that probe's hits."""
+    alloc = mrope.build_frequency_allocation(cfg.signature_dim, scheme=scheme)
+    expected, accuracies = [], []
+    for minutes in cfg.durations_min:
+        row = []
+        for depth in cfg.needle_depths:
+            hits = 0
+            for trial in range(cfg.trials):
+                seq, keys, truth = build_niah_sequence(cfg, minutes * 60.0, depth, trial)
+                result = run_niah_probe(seq, keys, truth.query_signature, alloc)
+                expected.append(np.array(result.scores).tobytes())
+                hits += result.predicted_index == truth.group_index
+            row.append(hits / cfg.trials)
+        accuracies.append(row)
+    with mock.patch.object(niah, "_ranking", wraps=niah._ranking) as ranking:
+        grid = run_niah_grid(cfg, alloc)
+    scored = [call.args[0].tobytes() for call in ranking.call_args_list]
+    assert sorted(scored) == sorted(expected)
+    assert grid == accuracies
+
 
 class TestNiahGrid:
     @given(grid_configs, st.sampled_from(["interleaved", "chunked"]))
     @example(NiahConfig(num_frames=4, durations_min=(1.0, 0.05), needle_depths=(0.5,), trials=1),
              "interleaved")
     def test_cells_score_as_probes(self, cfg, scheme):
-        """Every cell's scores equal, byte for byte, those of run_niah_probe on
-        build_niah_sequence's probe, and its hits count that probe's hits."""
-        alloc = mrope.build_frequency_allocation(cfg.signature_dim, scheme=scheme)
-        expected, accuracies = [], []
-        for minutes in cfg.durations_min:
-            row = []
-            for depth in cfg.needle_depths:
-                hits = 0
-                for trial in range(cfg.trials):
-                    seq, keys, truth = build_niah_sequence(cfg, minutes * 60.0, depth, trial)
-                    result = run_niah_probe(seq, keys, truth.query_signature, alloc)
-                    expected.append(np.array(result.scores).tobytes())
-                    hits += result.predicted_index == truth.group_index
-                row.append(hits / cfg.trials)
-            accuracies.append(row)
-        with mock.patch.object(niah, "_ranking", wraps=niah._ranking) as ranking:
-            grid = run_niah_grid(cfg, alloc)
-        scored = [call.args[0].tobytes() for call in ranking.call_args_list]
-        assert sorted(scored) == sorted(expected)
-        assert grid == accuracies
+        assert_cells_score_as_probes(cfg, scheme)
+
+    @pytest.mark.parametrize("cfg, scheme", [
+        (ACROSS_BLOCKS, "interleaved"),
+        (replace(ACROSS_BLOCKS, signature_noise=0.05, overlap=0.5), "chunked"),
+        (replace(ACROSS_BLOCKS, signature_noise=0.05, timestamp_style="hms"), "interleaved"),
+        (replace(ACROSS_BLOCKS, timestamp_style="hms"), "chunked"),
+    ])
+    def test_cells_across_row_blocks_score_as_probes(self, cfg, scheme):
+        assert_cells_score_as_probes(cfg, scheme)
 
     @pytest.mark.parametrize("durations, builds", [
         (NiahConfig().durations_min, 1),
@@ -542,6 +563,38 @@ class TestNiahGrid:
         monkeypatch.setattr(niah, "interleave_timestamps", counting)
         run_niah_grid(NiahConfig(durations_min=durations), mrope.build_frequency_allocation(16))
         assert len(calls) == builds
+
+    def test_scored_in_row_blocks(self):
+        """No rotation table or score array of the grid spans more than one
+        row block, though its timeline spans several."""
+        cfg = replace(ACROSS_BLOCKS, signature_noise=0.05)
+        with mock.patch.object(niah, "rotation_tables", wraps=niah.rotation_tables) as tables, \
+                mock.patch.object(niah, "_scores", wraps=niah._scores) as scores:
+            run_niah_grid(cfg, mrope.build_frequency_allocation(cfg.signature_dim))
+        spans = [len(call.args[0]) for call in tables.call_args_list]
+        spans += [len(call.args[1]) for call in scores.call_args_list]
+        assert max(spans) == niah._BLOCK
+
+    def test_scratch_memory_bounded(self):
+        """At 16,384 groups the grid's traced peak exceeds that of building its
+        timeline and ids by less than 1 MB: no array of the grid but the hay
+        scores has a row per group (the 16-wide keys alone would take 2 MB)."""
+        cfg = NiahConfig(num_frames=16384, durations_min=(300.0,), needle_depths=(0.5,),
+                         trials=1)
+        alloc = mrope.build_frequency_allocation(cfg.signature_dim)
+
+        def traced_peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        timeline = traced_peak(lambda: mrope.frame_group_ids(
+            interleave_timestamps(niah._sample(cfg, 300 * 60.0), group_size=1)))
+        grid = traced_peak(lambda: run_niah_grid(cfg, alloc))
+        assert grid - timeline < 2**20
 
 
 def grid_config(durations, depths, trials, seed=0):

@@ -50,3 +50,20 @@ def test_s0_digest_trains_another_stage():
     the stage in its report."""
     assert digest_report("--steps", "2", "--seed", "0", "--stage", "S1") == {
         "seed": 0, "steps": 2, "stage": "S1", **train_digests(0, "S1", 2)}
+
+
+def test_op_faults_reports_each_operation():
+    """Two ground_io operations give two fault counts, the peak memory and
+    the median operation time, by name."""
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "op_faults.py"),
+                           "--workload", "ground_io", "--ops", "2", "--seed", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert set(report) == {"workload", "seed", "ops", "minflt_per_op", "maxrss_kb",
+                           "op_median_ms"}
+    assert (report["workload"], report["seed"], report["ops"]) == ("ground_io", 1, 2)
+    assert len(report["minflt_per_op"]) == 2
+    assert all(type(n) is int and n >= 0 for n in report["minflt_per_op"])
+    assert type(report["maxrss_kb"]) is int and report["maxrss_kb"] > 0
+    assert type(report["op_median_ms"]) is float and report["op_median_ms"] > 0
