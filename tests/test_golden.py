@@ -1,6 +1,6 @@
 """Golden outputs: the default NIAH reports, two noisy probe cells, the
-timestamped timelines of the default NIAH durations and two ``vlmlab
-sparsity`` reports.
+timestamped timelines of the default NIAH durations, two ``vlmlab
+sparsity`` reports and four ``vlmlab train`` reports.
 
 The digests were recorded from the per-token reference implementation of
 position ids, per-group signatures and the per-group timeline; any refactor
@@ -8,6 +8,7 @@ of those paths must reproduce them bit for bit.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -84,4 +85,22 @@ def test_default_niah_timelines_byte_identical(style, minutes, tokens_sha256, co
 ], ids=["readme-two-hours", "fractional-spacing"])
 def test_sparsity_report_byte_identical(capsys, argv, digest):
     assert main(["sparsity", *argv]) == 0
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == digest
+
+
+@pytest.mark.parametrize("stage, steps, scheme, digest", [
+    ("S0", 5, "per_sample", "2a078c0ce9cf0361ded01eef08f350c7bf08940a8b90a11719d282ec8f1407f1"),
+    ("S0", 5, "per_token", "f70077d2ed17c63015ec41fafe683e3ffc877c402b68ba95e6b3c4b07ec0168f"),
+    ("S0", 5, "sqrt", "5ae5d2adb9e31c17a1cd8d9d688e3fb784cd647d1e6b038aa101648df925001e"),
+    ("S1", 2, None, "a505c2e5cbf09b84383211a4e3749a9900a5bd4f2a88f4f3248efbb881d4627b"),
+])
+def test_train_report_byte_identical(tmp_path, capsys, stage, steps, scheme, digest):
+    """The losses and the ``schemes_initial`` / ``schemes_final`` of every
+    scheme, with the trained scheme set through ``--config``."""
+    argv = ["train", "--stage", stage, "--steps", str(steps)]
+    if scheme is not None:
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"scheme": scheme}), encoding="utf-8")
+        argv += ["--config", str(config)]
+    assert main(argv) == 0
     assert _sha256(capsys.readouterr().out.encode("utf-8")) == digest
