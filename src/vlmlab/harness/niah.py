@@ -171,11 +171,11 @@ def build_niah_sequence(cfg: NiahConfig, duration_s: float, depth: float,
     return seq, keys, truth
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbeResult:
     predicted_index: int
     margin: float
-    scores: tuple[float, ...]
+    scores: np.ndarray  # (groups,) float64, in sequence order
 
 
 def _scores(query: np.ndarray, keys: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
@@ -227,7 +227,7 @@ def run_niah_probe(seq: MultimodalSequence, keys, query_signature,
     order = _ranking(scores)
     predicted = int(order[0])
     margin = float(scores[order[0]] - scores[order[1]]) if groups > 1 else 0.0
-    return ProbeResult(predicted_index=predicted, margin=margin, scores=tuple(scores.tolist()))
+    return ProbeResult(predicted_index=predicted, margin=margin, scores=scores)
 
 
 def run_niah_grid(cfg: NiahConfig, alloc: FrequencyAllocation) -> list[list[float]]:

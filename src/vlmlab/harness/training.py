@@ -1,19 +1,19 @@
 """Toy training loop with component freezing.
 
-Plain gradient descent over synthetic next-token-prediction batches.  A
-batch is prepared as one packed input and runs through the decoder as one
-pass.  One ``weighted_run_sum`` node weighs each sample's summed token
-losses by its weight from the objective module, so the chosen aggregation
-scheme shapes the gradients exactly as it shapes the reported loss.
-``requires_grad`` alone says what backward differentiates; parameters of
-components outside the stage's trainable set have it off, so they stay
-bit-identical over any number of steps.
+Plain gradient descent over synthetic next-token-prediction batches.
+``train_toy`` checks every example's targets and lays out the batch's loss
+rows, targets, counts and gradient weights once (``_batch_loss``).  Each step
+runs the batch through the decoder as one packed pass; one
+``weighted_run_sum`` node weighs each sample's summed token losses by its
+weight from the objective module, so the scheme shapes the gradients exactly
+as it shapes the reported loss.  ``requires_grad`` alone says what backward
+differentiates: frozen components have it off and stay bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from typing import Callable
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .. import numerics, objective
 from ..errors import NUMBER, ConfigError, NonFiniteError, ShapeError, _has_type, is_integer
 from ..numerics import Tensor
 from ..seeding import Rng
-from ..sequence import ImageBlock, MultimodalSequence, TextSpan
+from ..sequence import IMAGE, TEXT, MultimodalSequence
 from ..vision import ModelConfig, PatchGrid, VisionLanguageModel
 from .stages import StageConfig
 
@@ -32,8 +32,8 @@ class TrainingExample:
 
     sequence: MultimodalSequence
     grids: dict[int, PatchGrid]
-    target_positions: list[int]
-    target_ids: list[int]
+    target_positions: np.ndarray  # int64 arrays; any integer sequences pass the checks
+    target_ids: np.ndarray
 
 
 @dataclass
@@ -62,28 +62,19 @@ def make_synthetic_batch(config: ModelConfig, rng: Rng, n_examples: int = 8,
     for i in range(n_examples):
         ex_rng = rng.split(f"example{i}")
         length = text_len + (i % 3)
-        tokens = [int(t) for t in ex_rng.split("tokens").integers(0, config.vocab, length)]
-        with_image = i % 2 == 0
-        if with_image:
-            eh, ew = 1, 2
-            block = ImageBlock(eh, ew)
-            seq = MultimodalSequence.of((TextSpan(tuple(tokens[:2])), block,
-                                         TextSpan(tuple(tokens[2:]))))
-            features = Tensor(ex_rng.split("patches").normal((4 * eh * ew, config.dim)))
-            grids = {1: PatchGrid(2 * eh, 2 * ew, config.dim, features)}
-            n_visual = block.token_count()
-            # Positions of text tokens within the flattened sequence.
-            positions = list(range(2)) + [2 + n_visual + j for j in range(length - 2)]
+        tokens = ex_rng.split("tokens").integers(0, config.vocab, length)
+        if i % 2 == 0:
+            # Two text tokens, a 1x2 image block, then the rest of the text.
+            columns = [[TEXT, IMAGE, TEXT], [2, 2, length - 2], [0, 1, 0], [0, 2, 0]]
+            features = Tensor(ex_rng.split("patches").normal((8, config.dim)))
+            grids = {1: PatchGrid(2, 4, config.dim, features)}
         else:
-            seq = MultimodalSequence.of((TextSpan(tuple(tokens)),))
-            grids = {}
-            positions = list(range(length))
+            columns, grids = [[TEXT], [length], [0], [0]], {}
+        seq = MultimodalSequence(np.array(columns), tokens, np.zeros(0), np.zeros(0))
         # Predict the following text token at every text position but the last.
-        target_positions = positions[:-1]
-        target_ids = tokens[1:]
-        examples.append(TrainingExample(
-            sequence=seq, grids=grids,
-            target_positions=target_positions, target_ids=target_ids))
+        text_rows = np.flatnonzero(np.repeat(seq.columns[0] == TEXT, seq.columns[1]))
+        examples.append(TrainingExample(sequence=seq, grids=grids,
+                                        target_positions=text_rows[:-1], target_ids=tokens[1:]))
     return examples
 
 
@@ -97,37 +88,42 @@ def _example_indices(values, bound: int, what: str, index: int) -> np.ndarray:
     return idx.astype(np.int64)
 
 
-def _batch_loss(model: VisionLanguageModel, batch: list[TrainingExample],
-                scheme: str) -> tuple[Tensor, list[objective.SampleLossRecord]]:
-    """The batch's weighted loss and each example's token losses.
+def _batch_loss(model: VisionLanguageModel, batch: list[TrainingExample], scheme: str
+                ) -> Callable[[], tuple[Tensor, dict[str, float]]]:
+    """Check each example's targets and lay out the batch's loss once; the
+    function returned gives the model's weighted loss and each scheme's
+    aggregate.  Target positions must fall in [0, the example's token count)
+    and target ids in [0, vocab), one id per position.
 
-    The batch is prepared as one packed input, one segment per example
-    (``prepare_batch``), and the decoder runs once over it, which gives each
-    example the bits of its own pass.  An example's loss rows are its target
-    positions moved by its first row.  One ``gather_rows`` takes every
-    example's loss rows, one ``token_nll`` their token losses, and one
-    ``weighted_run_sum`` weighs each example's summed losses and adds them in
-    example order.
+    A call prepares the batch as one packed input and runs the decoder once
+    over it, which gives each example the bits of its own pass.  One
+    ``gather_rows`` takes the loss rows (each example's target positions
+    moved by its first row), one ``token_nll`` their losses, and one
+    ``weighted_run_sum`` weighs each example's sum, in example order.
     """
-    prepared = model.prepare_batch([(example.sequence, example.grids) for example in batch])
-    logits = model.forward(prepared)
-    rows, targets = [], []
-    starts = accumulate(prepared.segments, initial=0)
-    for index, (example, length, start) in enumerate(zip(batch, prepared.segments, starts)):
+    inputs = [(example.sequence, example.grids) for example in batch]
+    rows, targets, start = [], [], 0
+    for index, example in enumerate(batch):
+        length = example.sequence.token_count()
         positions = _example_indices(example.target_positions, length, "target positions", index)
-        ids = _example_indices(example.target_ids, logits.shape[1], "target ids", index)
+        ids = _example_indices(example.target_ids, model.config.vocab, "target ids", index)
         if len(positions) != len(ids):
             raise ShapeError(f"example {index}: {len(positions)} target positions for "
                              f"{len(ids)} target ids")
         rows.append(positions + start)
         targets.append(ids)
-    nll = numerics.token_nll(numerics.gather_rows(logits, np.concatenate(rows)),
-                             np.concatenate(targets))
-    counts = [len(ids) for ids in targets]
-    records = [objective.SampleLossRecord(tuple(losses.tolist()))
-               for losses in np.split(nll.data, np.cumsum(counts)[:-1])]
-    weights = objective.gradient_weights(records, scheme)
-    return numerics.weighted_run_sum(nll, counts, weights), records
+        start += length
+    counts = np.array([len(ids) for ids in targets], dtype=np.int64)
+    rows, targets = np.concatenate(rows), np.concatenate(targets)
+    weights = objective.gradient_weights(counts, scheme)
+
+    def step() -> tuple[Tensor, dict[str, float]]:
+        logits = model.forward(model.prepare_batch(inputs))
+        nll = numerics.token_nll(numerics.gather_rows(logits, rows), targets)
+        return (numerics.weighted_run_sum(nll, counts, weights),
+                {name: objective.aggregate(nll.data, counts, name) for name in objective.SCHEMES})
+
+    return step
 
 
 def train_toy(model: VisionLanguageModel, stage: StageConfig,
@@ -135,7 +131,8 @@ def train_toy(model: VisionLanguageModel, stage: StageConfig,
               scheme: str = "sqrt") -> TrainResult:
     """Run ``steps`` of gradient descent on the stage's trainable components.
 
-    Each step runs the whole batch through the decoder as one packed pass
+    Every example's targets are checked once, before the first step, and
+    each step runs the whole batch through the decoder as one packed pass
     (see ``_batch_loss``).  The model is updated in place; its parameters
     after the call are the final ones.  First each parameter drops any
     gradient, and one whose ``requires_grad`` disagrees with the stage
@@ -163,6 +160,7 @@ def train_toy(model: VisionLanguageModel, stage: StageConfig,
         if length > stage.sequence_length:
             raise ConfigError(f"example {index} has {length} tokens, more than stage "
                               f"{stage.name}'s sequence_length {stage.sequence_length}")
+    batch_loss = _batch_loss(model, data, scheme)
 
     for name, param in model.parameters().items():
         param.grad = None  # one left by a backward before this call is stale
@@ -176,9 +174,8 @@ def train_toy(model: VisionLanguageModel, stage: StageConfig,
         # A diverging step overflows; Tensor's finiteness check reports it.
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(max(steps, 1)):
-                loss, records = _batch_loss(model, data, scheme)
+                loss, final = batch_loss()
                 losses.append(loss.item())
-                final = {name: objective.aggregate(records, name) for name in objective.SCHEMES}
                 if initial is None:
                     initial = final
                 if not steps:

@@ -91,16 +91,24 @@ def _stamp_numbers(times: np.ndarray, style: str) -> np.ndarray:
     """Each time in [0, MAX_STAMP_SECONDS] as one int64 stamp number: tenths of
     a second, or hours * 10**4 + minutes * 100 + seconds.
 
-    ``seconds`` rounds ``repr(t)``, read exactly, half up to tenths, which is
-    r = floor(10 t + 0.5), moved down by one where t lies below the float of
-    the tie (2 r - 1) / 20 and up by one where it reaches the float of
-    (2 r + 1) / 20: in the domain ``repr(t)`` reaches a tie exactly when t
-    reaches the tie's float.
+    ``seconds`` rounds ``repr(t)``, read exactly, half up to tenths.  In the
+    domain ``repr(t)`` reaches a tie (2 r + 1) / 20 exactly when t reaches the
+    tie's float, so that is r = floor(10 t + 0.5), moved down by one where t
+    lies below the float of the tie (2 r - 1) / 20.
+
+    It never needs moving up.  Rounding is monotone, so every t at or above
+    the float tau of the tie T = (r + 0.5) / 10 gets at least r + 1 if tau
+    does, that is if fl(10 tau) >= r + 0.5 (r + 1 is exact).  That holds
+    where tau >= T.  Where tau < T, T - tau is 1/5 or 2/5 of an ulp of T, as
+    T's binary digits repeat those of a fifth, so 10 tau is at most 4 ulps
+    of T below r + 0.5: half an ulp of r + 0.5, 3 or 4 binades above T (at
+    T = 0.05, where r + 0.5 is a power of two, tau > T); at exactly half,
+    rounding to even gives r + 0.5, whose last significand bit is 0 below
+    2**49.  ``test_no_tie_needs_moving_up`` checks the step in every binade.
     """
     if style == "seconds":
         tenths = np.floor(times * 10 + 0.5)
         tenths -= times < (2 * tenths - 1) / 20
-        tenths += times >= (2 * tenths + 1) / 20
         return tenths.astype(np.int64)
     seconds = times.astype(np.int64)
     return seconds // 3600 * 10_000 + seconds % 3600 // 60 * 100 + seconds % 60

@@ -21,7 +21,7 @@ from vlmlab.harness import (NiahConfig, build_niah_sequence, load_stage_config,
 from vlmlab.harness.niah import run_niah_grid
 from vlmlab.mrope import build_frequency_allocation, rotation_tables
 from vlmlab.numerics import Tensor, rotate_pairs
-from vlmlab.objective import SampleLossRecord, aggregate
+from vlmlab.objective import aggregate
 from vlmlab.seeding import Rng
 from vlmlab.sequence import ImageBlock, MultimodalSequence, TextSpan
 from vlmlab.timeline import (SamplingPolicy, detokenize, format_timestamp,
@@ -177,23 +177,24 @@ def test_criterion_4_gradient_checks():
 
 def test_criterion_5_objective_module():
     with _Stopwatch(5, 5.0, "scheme values exact; comonotone sandwich x1000"):
-        batch = [SampleLossRecord((0.0,)), SampleLossRecord((1.0, 1.0, 1.0, 1.0))]
-        assert aggregate(batch, "per_sample") == 0.5
-        assert aggregate(batch, "per_token") == 0.8
-        assert aggregate(batch, "sqrt") == pytest.approx(2.0 / 3.0, abs=1e-15)
+        losses, counts = np.array([0.0, 1.0, 1.0, 1.0, 1.0]), [1, 4]
+        assert aggregate(losses, counts, "per_sample") == 0.5
+        assert aggregate(losses, counts, "per_token") == 0.8
+        assert aggregate(losses, counts, "sqrt") == pytest.approx(2.0 / 3.0, abs=1e-15)
         rng = Rng(505)
         for trial in range(100):
             loss = float(rng.split(f"c{trial}").uniform((), 0.0, 3.0))
-            const = [SampleLossRecord((loss,) * n) for n in (1, 2, 5, 11)]
+            counts = [1, 2, 5, 11]
             for scheme in ("per_sample", "per_token", "sqrt"):
-                assert aggregate(const, scheme) == pytest.approx(loss, abs=1e-12)
+                assert aggregate(np.full(sum(counts), loss), counts, scheme) == pytest.approx(
+                    loss, abs=1e-12)
         for trial in range(1000):
             r = rng.split(trial)
             n = int(r.split("n").integers(2, 7))
             counts = sorted(int(c) for c in r.split("c").integers(1, 48, n))
             means = sorted(float(m) for m in r.split("m").uniform(n, 0.0, 4.0))
-            comon = [SampleLossRecord((m,) * c) for c, m in zip(counts, means)]
-            lo, mid, hi = (aggregate(comon, s) for s in ("per_sample", "sqrt", "per_token"))
+            comon = np.repeat(means, counts)
+            lo, mid, hi = (aggregate(comon, counts, s) for s in ("per_sample", "sqrt", "per_token"))
             assert lo <= mid + 1e-12 <= hi + 2e-12, trial
 
 

@@ -13,7 +13,7 @@ from vlmlab import mrope, numerics, objective
 from vlmlab.errors import ConfigError, ShapeError, check_config_types
 from vlmlab.harness import (NiahConfig, StageConfig, build_niah_sequence, emit_report,
                             load_stage_config, make_synthetic_batch, run_niah_probe, train_toy)
-from vlmlab.harness import niah
+from vlmlab.harness import niah, training
 from vlmlab.harness.niah import run_niah_grid
 from vlmlab.harness.stages import STAGE_NAMES
 from vlmlab.harness.training import _batch_loss
@@ -109,9 +109,9 @@ class TestTrainToy:
         batch = make_synthetic_batch(cfg, Rng(3).split("data"), n_examples=4, text_len=6)
         stage = load_stage_config("S0")
         result = train_toy(model, stage, batch, steps=20, lr=0.3)
-        losses = []
+        losses, batch_loss = [], _batch_loss(reference, batch, "sqrt")
         for _ in range(20):
-            loss, _ = _batch_loss(reference, batch, "sqrt")
+            loss, _ = batch_loss()
             losses.append(loss.item())
             loss.backward()
             for name, param in reference.parameters().items():
@@ -172,7 +172,7 @@ class TestTrainToy:
         by a text-only S0 step, whose loss reaches no merger."""
         cfg, model = tiny_model()
         batch = make_synthetic_batch(cfg, Rng(0).split("data"))
-        _batch_loss(model, batch, "sqrt")[0].backward()
+        _batch_loss(model, batch, "sqrt")()[0].backward()
         mergers = {n: p for n, p in model.parameters().items() if n.startswith("merger.")}
         assert all(p.grad is not None for p in mergers.values())
         before = param_bytes(model)
@@ -230,9 +230,9 @@ class TestTrainToy:
 
     @pytest.mark.parametrize("stage", ["S0", "S1"])
     def test_batch_loss_equals_a_per_example_loop(self, stage):
-        """One packed decoder pass gives the loss, records and parameter
-        gradients, byte for byte, of one decoder pass per example with the
-        examples' weighted terms added in order."""
+        """One packed decoder pass gives the loss, token losses, scheme
+        aggregates and parameter gradients, byte for byte, of one decoder
+        pass per example with the examples' weighted terms added in order."""
         cfg, rng = ModelConfig(), Rng(0)
         model = VisionLanguageModel(cfg, rng.split("model"))
         batch = make_synthetic_batch(cfg, rng.split("data"))
@@ -245,7 +245,8 @@ class TestTrainToy:
                 param.grad = None
             return loss.data.tobytes(), grads
 
-        packed_loss, packed_records = _batch_loss(model, batch, "sqrt")
+        packed_loss, packed_schemes = _batch_loss(model, batch, "sqrt")()
+        (packed_nll,) = packed_loss._parents
         packed, packed_grads = differentiate(packed_loss)
 
         nlls = []
@@ -253,16 +254,19 @@ class TestTrainToy:
             logits = model.forward(model.prepare(example.sequence, example.grids))
             picked = numerics.gather_rows(logits, example.target_positions)
             nlls.append(numerics.token_nll(picked, example.target_ids))
-        records = [objective.SampleLossRecord(tuple(nll.data.tolist())) for nll in nlls]
+        losses = np.concatenate([nll.data for nll in nlls])
+        counts = [len(nll.data) for nll in nlls]
         terms = [numerics.mul(numerics.sum_all(nll), numerics.Tensor(w))
-                 for nll, w in zip(nlls, objective.gradient_weights(records, "sqrt"))]
+                 for nll, w in zip(nlls, objective.gradient_weights(counts, "sqrt"))]
         total = terms[0]
         for term in terms[1:]:
             total = numerics.add(total, term)
         reference, reference_grads = differentiate(total)
 
         assert packed == reference
-        assert packed_records == records
+        assert packed_nll.data.tobytes() == losses.tobytes()
+        assert packed_schemes == {name: objective.aggregate(losses, counts, name)
+                                  for name in objective.SCHEMES}
         trained = {name for name, grad in reference_grads.items() if grad is not None}
         assert {model.component_of(name) for name in trained} == (
             {"merger"} if stage == "S0" else {"encoder", "merger", "decoder"})
@@ -295,6 +299,22 @@ class TestTrainToy:
         batch[1].target_positions, batch[1].target_ids = [0, 1], [1, 2, 3]
         with pytest.raises(ShapeError, match="example 0: 3 target positions for 2 target ids"):
             _batch_loss(model, batch, "sqrt")
+
+    def test_targets_checked_once_per_call_before_any_step(self):
+        """Each example's positions and ids are checked once per call, not
+        once per step, and a bad target stops the call before the model is
+        touched."""
+        cfg, model = tiny_model()
+        batch = make_synthetic_batch(cfg, Rng(1).split("data"), n_examples=3, text_len=4)
+        with mock.patch.object(training, "_example_indices",
+                               wraps=training._example_indices) as checks:
+            train_toy(model, load_stage_config("S0"), batch, steps=3, lr=0.1)
+        assert checks.call_count == 2 * len(batch)
+        before = dict(model.parameters())
+        batch[2].target_ids = [1] * (len(batch[2].target_ids) - 1) + [32]
+        with pytest.raises(ShapeError, match="example 2: target ids"):
+            train_toy(model, load_stage_config("S1"), batch, steps=1, lr=0.1)
+        assert all(model.parameters()[name] is param for name, param in before.items())
 
     @pytest.mark.parametrize("ids", [[32], [-1], [1.0], [True]],
                              ids=["past-the-vocab", "negative", "float", "bool"])
@@ -468,6 +488,7 @@ class TestNiahProbe:
         seq, keys, truth = build_niah_sequence(cfg, 1.0, 0.5)
         result = run_niah_probe(seq, keys, truth.query_signature, alloc)
         assert result.predicted_index == 0
+        assert (result.scores.dtype, result.scores.shape) == (np.float64, (1,))
 
     def test_accuracy_degrades_gracefully_with_overlap(self):
         alloc = mrope.build_frequency_allocation(16)
@@ -522,7 +543,7 @@ def assert_cells_score_as_probes(cfg, scheme):
             for trial in range(cfg.trials):
                 seq, keys, truth = build_niah_sequence(cfg, minutes * 60.0, depth, trial)
                 result = run_niah_probe(seq, keys, truth.query_signature, alloc)
-                expected.append(np.array(result.scores).tobytes())
+                expected.append(result.scores.tobytes())
                 hits += result.predicted_index == truth.group_index
             row.append(hits / cfg.trials)
         accuracies.append(row)

@@ -11,7 +11,7 @@ from vlmlab.mrope import assign_position_ids, frame_group_ids
 from vlmlab.seeding import Rng
 from vlmlab.sequence import (FRAMES, IMAGE, TEXT, FrameGroup, ImageBlock, MultimodalSequence,
                              TextSpan)
-from vlmlab.timeline import (SamplingPolicy, detokenize, format_timestamp,
+from vlmlab.timeline import (SamplingPolicy, _stamp_numbers, detokenize, format_timestamp,
                              interleave_timestamps, parse_timestamp,
                              position_id_range_report, sample_frames, tokenize)
 
@@ -504,6 +504,27 @@ def test_stamp_sweep_matches_the_definition(style):
     for t in (math.nextafter(2.0 ** 45, math.inf), 2.0 ** 53 + 2, 1e16 + 0.5, 1e27, 1e300):
         with pytest.raises(ConfigError, match="at most"):
             interleave_timestamps([0.0, t], group_size=1, style=style)
+
+
+def test_no_tie_needs_moving_up():
+    """The step of ``_stamp_numbers``' docstring: the float tau of every tie
+    (r + 0.5) / 10 gets floor(fl(10 tau) + 0.5) = r + 1, so no time needs
+    moving up to a tie's tenths.  In each binade up to 2**45 s this checks the first
+    and last 5,000 ties and 5,000 drawn between, and that the float below
+    each tie stamps as r."""
+    rng = np.random.default_rng(45)
+    for k in range(-5, 45):
+        lo = max(0, math.ceil(2.0 ** k * 10 - 0.5))  # the first r whose tie is in the binade
+        hi = min(math.ceil(2.0 ** (k + 1) * 10 - 0.5), 10 * 2 ** 45) - 1
+        if hi < lo:  # [1/16, 1/8) holds no tie
+            continue
+        r = np.concatenate([np.arange(lo, min(lo + 5000, hi + 1)),
+                            np.arange(max(hi - 4999, lo), hi + 1), rng.integers(lo, hi + 1, 5000)])
+        tau = (2 * r + 1) / 20
+        assert ((2.0 ** k <= tau) & (tau < 2.0 ** (k + 1))).all(), k
+        assert (np.floor(tau * 10 + 0.5) == r + 1).all(), k
+        assert (_stamp_numbers(tau, "seconds") == r + 1).all(), k
+        assert (_stamp_numbers(np.nextafter(tau, 0.0), "seconds") == r).all(), k
 
 
 def _raised(fn, *args):

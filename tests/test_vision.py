@@ -902,18 +902,18 @@ class TestTape:
         cfg, rng = ModelConfig(), Rng(0)
         model = VisionLanguageModel(cfg, rng.split("model"))
         batch = make_synthetic_batch(cfg, rng.split("data"), n_examples=8, text_len=12)
-        loss, _ = _batch_loss(model, batch, "sqrt")
+        loss, _ = _batch_loss(model, batch, "sqrt")()
         self.check(loss, cfg, decoder_passes=1, encoder_passes=4, nodes=320)
         assert tape_ops(loss)["token_nll"] == tape_ops(loss)["weighted_run_sum"] == 1
         # A later step reaches the same number of nodes, the encoder's
         # remembered ones among them.
-        again, _ = _batch_loss(model, batch, "sqrt")
+        again, _ = _batch_loss(model, batch, "sqrt")()
         self.check(again, cfg, decoder_passes=1, encoder_passes=4, nodes=320)
         # After an S0 step only the mergers require a gradient, so backward
         # walks 80 of the tape's 458 tensors, leaves included, and no
         # encoder node.
         train_toy(model, load_stage_config("S0"), batch, steps=1, lr=0.1)
-        pruned, _ = _batch_loss(model, batch, "sqrt")
+        pruned, _ = _batch_loss(model, batch, "sqrt")()
         self.check(pruned, cfg, decoder_passes=1, encoder_passes=4, nodes=320)
         reached = tensors_under(pruned)
         assert (len(reached), sum(t.requires_grad for t in reached)) == (458, 80)
