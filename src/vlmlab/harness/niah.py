@@ -13,13 +13,15 @@ the mechanism.
 
 The grid scores each timeline in row blocks of a fixed size, so its scratch
 memory does not grow with the timeline: beyond the timeline itself it keeps
-one score per group and trial, plus the noise rows of a noisy signature.
+one score per group and trial, and draws a noisy signature's noise rows one
+block at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
@@ -110,28 +112,28 @@ def _signatures(cfg: NiahConfig, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
     return needle, hay
 
 
-def _trial_keys(cfg: NiahConfig, trial_seed: int, groups: int
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """A trial's needle and hay signatures and its (groups, signature_dim)
-    noise rows, or None without noise.  Group g's key is the hay (or, at the
-    needle's group, the needle) signature plus noise row g.
-
-    Group g's noise comes from its own stream, so a longer timeline's rows
-    open with a shorter one's.
+def _trial_keys(cfg: NiahConfig, trial_seed: int
+                ) -> tuple[np.ndarray, np.ndarray, Callable[[int, int], np.ndarray] | None]:
+    """A trial's needle and hay signatures, and ``noise(lo, hi)`` giving the
+    noise rows of groups lo..hi (None without noise).  Group g's key is the
+    hay (or, at the needle's group, the needle) signature plus noise row g,
+    drawn from g's own stream: any block that draws it draws the same row.
     """
     rng = Rng(cfg.seed).split("build").split(trial_seed)
     needle, hay = _signatures(cfg, rng)
     if cfg.signature_noise == 0:
         return needle, hay, None
     noise_rng = rng.split("noise")
-    noise = np.stack([noise_rng.split(g).normal(cfg.signature_dim, cfg.signature_noise)
-                      for g in range(groups)])
+
+    def noise(lo: int, hi: int) -> np.ndarray:
+        return np.stack([noise_rng.split(g).normal(cfg.signature_dim, cfg.signature_noise)
+                         for g in range(lo, hi)])
     return needle, hay, noise
 
 
 def _sample(cfg: NiahConfig, duration_s: float) -> np.ndarray:
     """A probe's frame times: 1 fps, capped at ``num_frames``."""
-    policy = SamplingPolicy(max_frames=cfg.num_frames, token_budget=cfg.num_frames, group_size=1)
+    policy = SamplingPolicy(max_frames=cfg.num_frames, token_budget=cfg.num_frames)
     return sample_frames(duration_s, native_fps=30.0, policy=policy)
 
 
@@ -155,12 +157,12 @@ def build_niah_sequence(cfg: NiahConfig, duration_s: float, depth: float,
         raise ConfigError(f"duration must be positive, got {duration_s}")
     frames = _sample(cfg, duration_s)
     seq = interleave_timestamps(frames, group_size=1, style=cfg.timestamp_style)
-    needle_sig, hay, noise = _trial_keys(cfg, trial_seed, len(frames))
+    needle_sig, hay, noise = _trial_keys(cfg, trial_seed)
     needle_index = _needle_index(depth, len(frames))
     keys = np.tile(hay, (len(frames), 1))
     keys[needle_index] = needle_sig
     if noise is not None:
-        keys += noise
+        keys += noise(0, len(frames))
 
     needle_time = frames[needle_index].item()
     truth = NiahGroundTruth(
@@ -241,9 +243,10 @@ def run_niah_grid(cfg: NiahConfig, alloc: FrequencyAllocation) -> list[list[floa
     only its needle row.
 
     The hay scores are taken ``_BLOCK`` rows at a time, each block with its
-    own cos/sin tables and tiled keys: beside the timeline, its ids, the
-    (trials, groups) hay scores and any noise rows, the grid's scratch
-    memory does not grow with the timeline.
+    own cos/sin tables, tiled keys and noise rows, and the needle's noise
+    row is drawn when its cell is scored: beside the timeline, its ids and
+    the (trials, groups) hay scores, the grid's scratch memory does not
+    grow with the timeline.
     """
     if alloc.head_dim != cfg.signature_dim:
         raise ConfigError("allocation head_dim must match signature_dim")
@@ -256,7 +259,7 @@ def run_niah_grid(cfg: NiahConfig, alloc: FrequencyAllocation) -> list[list[floa
         pending = [i for i in pending if i not in rows]
         ids = frame_group_ids(interleave_timestamps(longest, group_size=1,
                                                     style=cfg.timestamp_style))
-        signatures = [_trial_keys(cfg, trial, len(longest)) for trial in range(cfg.trials)]
+        signatures = [_trial_keys(cfg, trial) for trial in range(cfg.trials)]
         hay_scores = np.empty((cfg.trials, len(longest)))
         for lo in range(0, len(longest), _BLOCK):
             block = slice(lo, lo + _BLOCK)
@@ -264,7 +267,7 @@ def run_niah_grid(cfg: NiahConfig, alloc: FrequencyAllocation) -> list[list[floa
             for trial, (needle, hay, noise) in enumerate(signatures):
                 block_keys = np.tile(hay, (len(cos), 1))
                 if noise is not None:
-                    block_keys += noise[block]
+                    block_keys += noise(lo, lo + len(cos))
                 hay_scores[trial, block] = _scores(needle, block_keys, cos, sin)
         for i in rows:
             groups = len(frame_sets[i])
@@ -272,7 +275,7 @@ def run_niah_grid(cfg: NiahConfig, alloc: FrequencyAllocation) -> list[list[floa
                 n = _needle_index(depth, groups)
                 cos, sin = rotation_tables(ids[n:n + 1], alloc)
                 for trial, (needle, _, noise) in enumerate(signatures):
-                    needle_key = needle if noise is None else needle + noise[n]
+                    needle_key = needle if noise is None else needle + noise(n, n + 1)[0]
                     scores = hay_scores[trial, :groups].copy()
                     scores[n] = _scores(needle, needle_key[None], cos, sin)[0]
                     hits[i, j] += _ranking(scores)[0] == n

@@ -10,14 +10,15 @@ outputs are added onto the hidden states entering the first decoder layers
 at the visual-token positions, adding no sequence length.
 
 ``prepare_batch`` lowers a batch of sequences to one packed input, one
-segment per sample.  A sample's patch grids of one shape go through the
-encoder as one stack of rows; attention stays inside each grid, as one
-``attention`` node over a rank-3 batch that recomputes each grid's
-probabilities in backward instead of keeping them, so memory grows linearly
-with the number of grids.  All encoder passes of the batch then go through
-each merger in one pass, one run of rows per sample, and one
-``gather_rows`` puts text and visual rows in packed order.  ``prepare`` is
-the batch of one sequence.
+segment per sample.  Each run of consecutive same-shape patch grids in a
+sample goes through the encoder as one stack of rows; attention stays inside
+each grid, as one ``attention`` node over a rank-3 batch that recomputes
+each grid's probabilities in backward instead of keeping them, so memory
+grows linearly with the number of grids.  All encoder passes of the batch
+then go through each merger in one pass, one run of rows per sample.  The
+merged rows and the DeepStack levels come out in element order; one
+``gather_rows`` interleaves text and visual rows.  ``prepare`` is the batch
+of one sequence.
 
 The encoder is a memo of its own pure function: a second ``forward`` of
 the same grids returns the first call's tensors while the encoder holds the
@@ -224,8 +225,8 @@ class VisionEncoder:
     def forward(self, *grids: PatchGrid) -> tuple[Tensor, tuple[Tensor, ...]]:
         """Final hidden state plus the hidden states after each tapped block.
 
-        Grids of one shape run as one batch: each state holds their rows one
-        grid after another, and attention stays inside each grid.
+        The grids, all of one shape, run as one batch: each state holds
+        their rows one grid after another, and attention stays inside each.
 
         A memo of this pure function: a call with the grids of an earlier
         one returns that call's tensors, tape nodes and all, for as long as
@@ -299,7 +300,7 @@ def merge_2x2(level_features: Tensor, sides: Sequence[tuple[int, int]], merger: 
     projects as separate calls would (by default one run of all rows).
     """
     # First row of each block, as (grid, block row, block col), then its four
-    # corners: one stretch of grids of one shape at a time.
+    # corners: one run of consecutive grids of one shape at a time.
     corners, rows = [], 0
     for (gh, gw), same in groupby(sides):
         if gh % 2 or gw % 2 or min(gh, gw) < 2:
@@ -372,13 +373,6 @@ class Decoder:
         return _linear(self.params, "head", x, segments)
 
 
-def _in_order(x: Tensor, order: np.ndarray) -> Tensor:
-    """Rows ``order`` of ``x``; ``x`` itself when that is every row in turn."""
-    if (order == np.arange(len(order))).all():
-        return x
-    return numerics.gather_rows(x, order)
-
-
 @dataclass
 class PreparedInput:
     """Decoder inputs of a packed batch of multimodal sequences, or of one.
@@ -444,22 +438,21 @@ class VisionLanguageModel:
         patch grids whose sides are twice the element's token grid (the
         merger halves each side).
 
-        Per sample, its text is embedded with one gather, its grids of one
-        shape make one encoder pass (in the order it first meets the shapes)
-        and its position ids restart.  All encoder passes then make one pass
-        per merger, one run of rows per sample, so each sample gets the bits
-        of its own ``prepare``; only a grid object that two samples share, one
+        Per sample, its text is embedded with one gather, each run of
+        consecutive grids of one shape makes one encoder pass and its
+        position ids restart.  All encoder passes then make one pass per
+        merger, one run of rows per sample, so each sample gets the bits of
+        its own ``prepare``; only a grid object that two samples share, one
         encoder memo entry, gets its gradient terms added in another order.
-        The rows of this stack are the samples' text, then the passes' merged
-        rows, each in batch order.  Each element is tagged with its part of
-        the stack, 0 for text and 1 + k for the k-th encoder pass, so a stable
-        sort of the batch's token tags gives the stack: ``order[i]`` is the
-        row of packed token i in it.
+        The passes keep element order, so the merged rows and each DeepStack
+        level are in the order of the batch's visual tokens.  The embeddings
+        stack the samples' text, then the merged rows; a stable sort of the
+        batch's visual mask interleaves them, with one gather unless the
+        text already comes first.
         """
         if not samples:
             raise ConfigError("cannot prepare an empty batch")
-        passes: list[tuple[list[PatchGrid], Tensor, tuple[Tensor, ...]]] = []
-        texts, tags, ids = [], [], []
+        texts, masks, ids, sides, passes = [], [], [], [], []
         for seq, grids in samples:
             kind, count, gh, gw = seq.columns
             visual = np.flatnonzero(kind != TEXT).tolist()
@@ -467,8 +460,6 @@ class VisionLanguageModel:
             if stray:
                 raise ConfigError(f"element {min(stray)} has a patch grid but is not an image "
                                   "block or frame group of the sequence")
-            by_shape: dict[tuple[int, int], list[PatchGrid]] = {}
-            element_tags = np.zeros(len(kind), dtype=np.int64)
             for idx in visual:
                 if idx not in grids:
                     raise ConfigError(f"element {idx} has no patch grid")
@@ -477,36 +468,35 @@ class VisionLanguageModel:
                     raise ShapeError(
                         f"element {idx}: patch grid {grid.gh}x{grid.gw} is not twice "
                         f"the token grid {gh[idx]}x{gw[idx]}")
-                by_shape.setdefault((grid.gh, grid.gw), []).append(grid)
-                element_tags[idx] = len(passes) + list(by_shape).index((grid.gh, grid.gw)) + 1
+                sides.append((grid.gh, grid.gw))
             if not count.sum():
                 raise ConfigError("cannot prepare an empty sequence")
-            passes += [(batch, *self.encoder.forward(*batch)) for batch in by_shape.values()]
+            passes += [self.encoder.forward(*run) for _, run in
+                       groupby([grids[idx] for idx in visual], lambda g: (g.gh, g.gw))]
             if len(seq.tokens):
                 texts.append(numerics.gather_rows(self.decoder.params["embed"], seq.tokens))
-            tags.append(np.repeat(element_tags, count))
+            masks.append(np.repeat(kind != TEXT, count))
             ids.append(assign_position_ids(seq))
 
-        token_tags = np.concatenate(tags)
-        order = np.empty(len(token_tags), dtype=np.int64)
-        order[np.argsort(token_tags, kind="stable")] = np.arange(len(token_tags))
-        visual_positions = np.flatnonzero(token_tags)
+        mask = np.concatenate(masks)
+        visual_positions = np.flatnonzero(mask)
         parts, deepstack = list(texts), []
         if passes:
-            batches, finals, taps = zip(*passes)
-            sides = [(grid.gh, grid.gw) for batch in batches for grid in batch]
-            runs = [n for n in map(np.count_nonzero, tags) if n]
+            finals, taps = zip(*passes)
+            runs = [n for n in map(np.count_nonzero, masks) if n]
             parts.append(merge_2x2(numerics.concat_rows(finals), sides, self.main_merger, runs))
-            visual_order = order[visual_positions] - (len(order) - len(visual_positions))
-            deepstack = [_in_order(merge_2x2(numerics.concat_rows(states), sides, merger, runs),
-                                   visual_order)
+            deepstack = [merge_2x2(numerics.concat_rows(states), sides, merger, runs)
                          for states, merger in zip(zip(*taps), self.tap_mergers)]
+        embeddings = numerics.concat_rows(parts)
+        order = np.argsort(np.argsort(mask, kind="stable"))
+        if (order != np.arange(len(order))).any():
+            embeddings = numerics.gather_rows(embeddings, order)
         return PreparedInput(
-            embeddings=_in_order(numerics.concat_rows(parts), order),
+            embeddings=embeddings,
             position_ids=np.concatenate(ids),
             visual_positions=visual_positions,
             deepstack=deepstack,
-            segments=tuple(len(t) for t in tags),
+            segments=tuple(len(m) for m in masks),
         )
 
     def forward(self, prepared: PreparedInput) -> Tensor:

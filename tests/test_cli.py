@@ -60,6 +60,22 @@ class TestSpectrum:
             code, again, _ = run_cli(capsys, "spectrum", "--config", str(path))
             assert code == 0 and again == out
 
+    def test_chunk_with_no_pairs(self, capsys, tmp_path):
+        """An axis a chunked split gives no pair reports count 0, indices -1
+        and no span of the spectrum's ends."""
+        path = tmp_path / "alloc.json"
+        path.write_text(json.dumps({"head_dim": 8, "scheme": "chunked",
+                                    "chunk_split": [4, 0, 0]}))
+        code, out, _ = run_cli(capsys, "spectrum", "--config", str(path))
+        assert code == 0
+        empty = {"count": 0, "min_index": -1, "max_index": -1, "max_gap": 0}
+        assert json.loads(out) == {
+            "allocation": {"base": 10000.0, "chunk_split": [4, 0, 0], "head_dim": 8,
+                           "scheme": "chunked"},
+            "axes": {"t": {"count": 4, "min_index": 0, "max_index": 3, "max_gap": 1},
+                     "h": empty, "w": empty},
+            "spans_ends": {"t": True, "h": False, "w": False}}
+
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--config", "/nonexistent.json")
         assert code == 2
@@ -262,6 +278,17 @@ TINY_NIAH = {"num_frames": 4, "needle_depths": [0.5], "trials": 1, "durations_mi
     (["niah"], {**TINY_NIAH, "needle_depths": []}),
     (["niah"], {**TINY_NIAH, "durations_min": []}),
     (["train"], {"examples": 0}),
+    (["sparsity", "--duration", "1", "--spacing", "2"], None),
+    (["ground"], None),
+    (["spectrum"], {"scheme": "interleaved", "chunk_split": [2, 1, 1]}),
+    (["niah"], {"signature_dim": 3}),
+    (["niah"], {"overlap": 1.5}),
+    (["niah"], {"signature_noise": -0.1}),
+    (["train"], {"steps": -1}),
+    (["train"], {"model": {"dim": 0}}),
+    (["train"], {"model": {"inject_layers": [0, 1]}}),
+    (["train", "--stage", "cfg.json"], {"name": "S1", "trainable": ["vision"]}),
+    (["train", "--stage", "cfg.json"], {"name": "S9"}),
 ], ids=["train-lr-nan", "train-bogus-scheme", "sparsity-granularity-nan", "ground-directory",
         "train-lr-string", "sparsity-granularity-string", "spectrum-head-dim-string",
         "niah-trials-string", "train-model-dim-string", "train-unknown-key",
@@ -282,7 +309,10 @@ TINY_NIAH = {"num_frames": 4, "needle_depths": [0.5], "trials": 1, "durations_mi
         "stage-5001-digit-integer", "stage-nested-100000-deep",
         "stage-sequence-length-below-the-examples", "sparsity-stamps-above-2**45-s",
         "niah-stamps-above-2**45-s", "niah-no-depths", "niah-no-durations",
-        "train-zero-examples"])
+        "train-zero-examples", "sparsity-shorter-than-one-group", "ground-no-kind",
+        "spectrum-interleaved-chunk-split", "niah-odd-signature-dim", "niah-overlap-above-1",
+        "niah-negative-noise", "train-negative-steps", "train-model-zero-dim",
+        "train-model-two-inject-layers", "stage-unknown-component", "stage-unknown-name"])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)
     assert_exits_2_with_one_line(capsys, tmp_path, argv, config)

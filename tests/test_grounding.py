@@ -71,28 +71,30 @@ class TestNormalize:
             factor = int(r.split("f").integers(1, 9))
             assert normalize(v, dim) == normalize(v * factor, dim * factor)
 
-    @pytest.mark.parametrize("call", [
-        lambda: normalize(5, float("inf")),
-        lambda: normalize(5, 10.5),
-        lambda: normalize(1, True),
-        lambda: normalize(0, 0),
-        lambda: normalize(True, 10),
-        lambda: normalize("5", 10),
-        lambda: normalize(None, 10),
-        lambda: normalize([1], 10),
-        lambda: normalize_box(True, 0, 1, 1, 10, 10),
-        lambda: denormalize(500.5, 1000),
-        lambda: denormalize(True, 1000),
-        lambda: denormalize(500, 10.5),
-        lambda: denormalize(500, float("nan")),
+    @pytest.mark.parametrize("call, message", [
+        (lambda: normalize(5, float("inf")), "image dimension must be an integer >= 1, got inf"),
+        (lambda: normalize(5, 10.5), "image dimension must be an integer >= 1, got 10.5"),
+        (lambda: normalize(1, True), "image dimension must be an integer >= 1, got True"),
+        (lambda: normalize(0, 0), "image dimension must be an integer >= 1, got 0"),
+        (lambda: normalize(True, 10), "coordinate must be a number, got True"),
+        (lambda: normalize("5", 10), "coordinate must be a number, got '5'"),
+        (lambda: normalize(None, 10), "coordinate must be a number, got None"),
+        (lambda: normalize([1], 10), "coordinate must be a number, got [1]"),
+        (lambda: normalize_box(True, 0, 1, 1, 10, 10), "coordinate must be a number, got True"),
+        (lambda: denormalize(500.5, 1000), "normalized coordinate must be an integer, got 500.5"),
+        (lambda: denormalize(True, 1000), "normalized coordinate must be an integer, got True"),
+        (lambda: denormalize(500, 10.5), "image dimension must be an integer >= 1, got 10.5"),
+        (lambda: denormalize(500, float("nan")), "image dimension must be an integer >= 1, got nan"),
+        (lambda: denormalize(1001, 1000), "normalized coordinate 1001 outside [0, 1000]"),
     ], ids=["normalize-dim-inf", "normalize-dim-float", "normalize-dim-bool", "normalize-dim-0",
             "normalize-coordinate-bool", "normalize-coordinate-str", "normalize-coordinate-none",
             "normalize-coordinate-list", "normalize-box-coordinate-bool",
             "denormalize-coordinate-float", "denormalize-coordinate-bool",
-            "denormalize-dim-float", "denormalize-dim-nan"])
-    def test_bad_inputs_rejected(self, call):
-        with pytest.raises(ValueError):
+            "denormalize-dim-float", "denormalize-dim-nan", "denormalize-coordinate-above-1000"])
+    def test_bad_inputs_rejected(self, call, message):
+        with pytest.raises(ValueError) as exc:
             call()
+        assert str(exc.value) == message
 
 
 class TestParse:
@@ -207,6 +209,10 @@ class TestParse:
         with pytest.raises(GroundingParseError) as exc:
             parse_grounding_json(payload, kind)
         assert str(exc.value) == message
+
+    def test_serialize_rejects_an_unknown_record(self):
+        with pytest.raises(TypeError, match="cannot serialize dict"):
+            serialize_grounding_json([{"point_2d": [1, 2], "label": "a"}])
 
     def test_serialize_rejects_non_finite(self):
         with pytest.raises(ValueError):

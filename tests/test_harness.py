@@ -18,6 +18,7 @@ from vlmlab.harness.niah import run_niah_grid
 from vlmlab.harness.stages import STAGE_NAMES
 from vlmlab.harness.training import _batch_loss
 from vlmlab.seeding import Rng
+from vlmlab.sequence import MultimodalSequence, TextSpan
 from vlmlab.timeline import interleave_timestamps
 from vlmlab.vision import ModelConfig, VisionEncoder, VisionLanguageModel
 
@@ -67,6 +68,17 @@ class TestStages:
     def test_schedule_lengths_non_decreasing(self):
         lengths = [load_stage_config(name).sequence_length for name in STAGE_NAMES]
         assert lengths == sorted(lengths)
+
+    @pytest.mark.parametrize("args, message", [
+        (("S9", 8192, frozenset({"merger"}), 100), "unknown stage 'S9'; valid names: S0, S1"),
+        (("S1", 0, frozenset({"merger"}), 100),
+         "sequence_length and token_budget must be positive"),
+        (("S1", 8192, frozenset({"merger"}), 0),
+         "sequence_length and token_budget must be positive"),
+    ], ids=["unknown-name", "zero-length", "zero-budget"])
+    def test_stage_fields_checked(self, args, message):
+        with pytest.raises(ConfigError, match=message):
+            StageConfig(*args)
 
     def test_s0_freeze_rule_enforced(self):
         with pytest.raises(ConfigError, match="only the merger"):
@@ -346,13 +358,20 @@ class TestTrainToy:
         ({}, {"lr": True}, "learning rate must be finite and non-negative, got True"),
         ({"n_examples": True}, {}, "n_examples must be an integer, got True"),
         ({"text_len": 2.5}, {}, "text_len must be an integer, got 2.5"),
-    ], ids=["steps-true", "steps-1.5", "lr-str", "lr-true", "n-examples-true", "text-len-2.5"])
+        ({"text_len": 1}, {}, "text_len must be at least 2"),
+    ], ids=["steps-true", "steps-1.5", "lr-str", "lr-true", "n-examples-true", "text-len-2.5",
+            "text-len-1"])
     def test_arguments_of_the_wrong_type_rejected(self, batch_args, train_args, message):
         cfg, model = tiny_model()
         with pytest.raises(ConfigError, match=message):
             batch = make_synthetic_batch(cfg, Rng(3).split("data"),
                                          **{"n_examples": 1, "text_len": 4, **batch_args})
             train_toy(model, load_stage_config("S1"), batch, **{"steps": 1, "lr": 0.1, **train_args})
+
+    def test_empty_data_rejected(self):
+        _, model = tiny_model()
+        with pytest.raises(ConfigError, match="training data must be non-empty"):
+            train_toy(model, load_stage_config("S1"), [], steps=1, lr=0.1)
 
     @pytest.mark.parametrize("n_examples", [0, -1])
     def test_fewer_than_one_example_rejected(self, n_examples):
@@ -453,6 +472,11 @@ class TestNiahBuild:
         with pytest.raises(ConfigError, match="depth"):
             build_niah_sequence(NiahConfig(), 10.0, 1.0)
 
+    @pytest.mark.parametrize("duration", [0.0, -1.0])
+    def test_duration_must_be_positive(self, duration):
+        with pytest.raises(ConfigError, match=f"duration must be positive, got {duration}"):
+            build_niah_sequence(NiahConfig(), duration, 0.5)
+
     def test_ground_truth_timestamp_text(self):
         cfg = NiahConfig(trials=1)
         _, _, truth = build_niah_sequence(cfg, 64.0, 0.5)
@@ -508,6 +532,21 @@ class TestNiahProbe:
         seq = interleave_timestamps([0.0, 1.0], group_size=1)
         with pytest.raises(ConfigError, match="signature"):
             run_niah_probe(seq, np.ones((1, 16)), tuple(np.ones(16)), alloc)
+
+    @pytest.mark.parametrize("seq, keys, query, match", [
+        (MultimodalSequence.of((TextSpan((1,)),)), np.ones((0, 16)), np.ones(16),
+         "probe sequence has no frame groups"),
+        (None, np.ones((2, 8)), np.ones(8), r"query width \(8,\) vs allocation head_dim 16"),
+        (None, np.ones((2, 8)), np.ones(16), "signature width 8 vs query width 16"),
+    ], ids=["no-frame-groups", "query-width", "key-width"])
+    def test_probe_inputs_checked(self, seq, keys, query, match):
+        seq = seq or interleave_timestamps([0.0, 1.0], group_size=1)
+        with pytest.raises(ConfigError, match=match):
+            run_niah_probe(seq, keys, query, mrope.build_frequency_allocation(16))
+
+    def test_grid_allocation_must_fit_the_signatures(self):
+        with pytest.raises(ConfigError, match="allocation head_dim must match signature_dim"):
+            run_niah_grid(NiahConfig(), mrope.build_frequency_allocation(8))
 
 
 grid_configs = st.builds(
@@ -596,12 +635,15 @@ class TestNiahGrid:
         spans += [len(call.args[1]) for call in scores.call_args_list]
         assert max(spans) == niah._BLOCK
 
-    def test_scratch_memory_bounded(self):
-        """At 16,384 groups the grid's traced peak exceeds that of building its
-        timeline and ids by less than 1 MB: no array of the grid but the hay
-        scores has a row per group (the 16-wide keys alone would take 2 MB)."""
-        cfg = NiahConfig(num_frames=16384, durations_min=(300.0,), needle_depths=(0.5,),
-                         trials=1)
+    @pytest.mark.parametrize("groups, noise", [(16384, 0.0), (4096, 0.05)],
+                             ids=["clean", "noisy"])
+    def test_scratch_memory_bounded(self, groups, noise):
+        """The grid's traced peak exceeds that of building its timeline and
+        ids by less than 1 MB: no array of the grid but the hay scores has a
+        row per group (the 16-wide keys alone would take 2 MB at 16,384
+        groups, and a noisy grid's noise rows 0.5 MB at 4,096)."""
+        cfg = NiahConfig(num_frames=groups, durations_min=(300.0,), needle_depths=(0.5,),
+                         trials=1, signature_noise=noise)
         alloc = mrope.build_frequency_allocation(cfg.signature_dim)
 
         def traced_peak(run):

@@ -205,6 +205,11 @@ class TestApplyMrope:
         with pytest.raises(ShapeError, match="integers"):
             rotation_tables(ids, build_frequency_allocation(8))
 
+    @pytest.mark.parametrize("ids", [[0, 1], [(0, 1)], [[(0, 0, 0)]]], ids=["flat", "pairs", "rank-3"])
+    def test_ids_must_be_triples(self, ids):
+        with pytest.raises(ShapeError, match="position ids must be \\(seq, 3\\) triples"):
+            rotation_tables(ids, build_frequency_allocation(8))
+
     def test_head_dim_mismatch(self):
         alloc = build_frequency_allocation(8)
         with pytest.raises(ShapeError, match="angle shape"):

@@ -602,6 +602,18 @@ class TestGradCheck:
         with pytest.raises(ValueError, match="step"):
             N.grad_check(N.sum_all, rand((2, 2)), h=1e-2)
 
+    def test_non_finite_bumped_value_rejected(self):
+        """f is finite at x but overflows a step above it: the Tensor that
+        would hold the infinity refuses it, inside grad_check's loop."""
+        def f(t):
+            return N.mul(N.sum_all(t), Tensor(1e308))
+
+        x = Tensor([1.7976931348623])
+        assert math.isfinite(f(x).item())
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="non-finite values in result of op 'mul'"):
+            N.grad_check(f, x)
+
 
 def _gelu_scalar_cases():
     # gelu(0) = 0; large positive passes through, large negative vanishes
@@ -664,6 +676,44 @@ def test_indices_must_be_integers(op, indices):
     """A float or bool index is not truncated or read as 0/1: it is refused."""
     with pytest.raises(ShapeError, match="integers"):
         op(indices)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: rand((2,)).item(), r"item\(\) on tensor of shape \(2,\)"),
+    (lambda: N.add(rand((2, 3)), rand((3, 2))), r"add: \(2, 3\) vs \(3, 2\)"),
+    (lambda: N.mul(rand((2,)), rand((3,))), r"mul: \(2,\) vs \(3,\)"),
+    (lambda: N.reshape(rand((2, 3)), (4, 2)), r"reshape \(2, 3\) -> \(4, 2\)"),
+    (lambda: N.concat_rows([]), "concat_rows of nothing"),
+    (lambda: N.concat_rows([rand((2, 3)), rand((2, 4))]),
+     "concat_rows: operands must be rank 2 with equal widths"),
+    (lambda: N.layer_norm(rand((2, 0)), rand((0,)), rand((0,))), "layer_norm: empty last axis"),
+    (lambda: N.layer_norm(rand((2, 3)), rand((3,)), rand((2,))),
+     r"layer_norm: affine shapes \(3,\)/\(2,\) vs width 3"),
+    (lambda: N.gather_rows(rand((4,)), [0]), r"gather_rows needs rank 2, got \(4,\)"),
+    (lambda: N.gather_rows(rand((4, 2)), [[0, 1]]), "gather_rows: indices must be a flat sequence"),
+    (lambda: N.add_rows_at(rand((4,)), rand((1, 2)), [0]), "add_rows_at needs rank-2 operands"),
+    (lambda: N.add_rows_at(rand((4, 2)), rand((2, 2)), [0]),
+     r"add_rows_at: 2 rows vs \(1,\) positions"),
+    (lambda: N.add_rows_at(rand((4, 2)), rand((1, 3)), [0]), "add_rows_at: widths 2 vs 3"),
+    (lambda: N.rotate_pairs(rand((2, 3)), np.ones((2, 1)), np.ones((2, 1))),
+     r"rotate_pairs needs an even width, got \(2, 3\)"),
+    (lambda: N.token_nll(rand((4,)), [0]), r"token_nll needs rank-2 logits, got \(4,\)"),
+    (lambda: N.token_nll(rand((2, 4)), [0]), r"token_nll: 2 rows vs targets \(1,\)"),
+    (lambda: N.token_nll(rand((2, 4)), [0, 4]), "token_nll: target id out of vocab 4"),
+    (lambda: N.interpolate_bilinear(rand((2, 2)), 2, 2),
+     r"interpolate_bilinear needs rank 3, got \(2, 2\)"),
+    (lambda: N.interpolate_bilinear(rand((2, 2, 1)), 0, 2),
+     "interpolate_bilinear: all grid sizes must be >= 1"),
+    (lambda: N.grad_check(lambda t: t, rand((2,))), "grad_check: f must return a scalar"),
+], ids=["item-of-a-vector", "add-shapes", "mul-shapes", "reshape-size", "concat-nothing",
+        "concat-widths", "layer-norm-empty-width", "layer-norm-affine-shape", "gather-rank-1",
+        "gather-nested-indices", "add-rows-at-rank-1", "add-rows-at-count", "add-rows-at-width",
+        "rotate-odd-width", "token-nll-rank-1", "token-nll-target-count",
+        "token-nll-target-out-of-vocab", "interpolate-rank-2", "interpolate-empty-grid",
+        "grad-check-vector-output"])
+def test_operand_errors(call, match):
+    with pytest.raises(ShapeError, match=match):
+        call()
 
 
 def test_empty_index_lists_stay_legal():

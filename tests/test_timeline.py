@@ -289,6 +289,16 @@ class TestSparsityReport:
         with pytest.raises(ConfigError, match="granularity"):
             position_id_range_report(seq, "absolute_time", granularity=0.0)
 
+    def test_absolute_ids_overflow(self):
+        seq = interleave_timestamps([0.0, 1.0], group_size=1)
+        with pytest.raises(ConfigError, match="absolute-time ids overflow at granularity 5e-324"):
+            position_id_range_report(seq, "absolute_time", granularity=5e-324)
+
+    def test_unknown_scheme(self):
+        seq = interleave_timestamps([0.0])
+        with pytest.raises(ConfigError, match="unknown scheme 'relative'"):
+            position_id_range_report(seq, "relative")
+
     def test_needs_frame_groups(self):
         with pytest.raises(ConfigError, match="frame groups"):
             position_id_range_report(MultimodalSequence.of((TextSpan((1,)),)))

@@ -67,3 +67,29 @@ def test_op_faults_reports_each_operation():
     assert all(type(n) is int and n >= 0 for n in report["minflt_per_op"])
     assert type(report["maxrss_kb"]) is int and report["maxrss_kb"] > 0
     assert type(report["op_median_ms"]) is float and report["op_median_ms"] > 0
+
+
+def test_src_lines_counts_total_and_code_lines(tmp_path):
+    """``total`` counts every line of the ``*.py`` files under ``src/``;
+    ``code`` leaves out blank lines, comments and docstrings, and counts a
+    multi-line string that is no docstring on each of its lines."""
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text('"""Module docstring,\non two lines."""\n'
+                                         '\n'
+                                         'X = 1  # a comment\n')
+    (package / "mod.py").write_text('def f():\n'
+                                    '    """Docstring."""\n'
+                                    '    # a comment\n'
+                                    '    return """two\n'
+                                    'lines"""\n'
+                                    '\n'
+                                    'class C:\n'
+                                    '    "one-line docstring"\n'
+                                    '    y = "no docstring"\n')
+    (tmp_path / "outside.py").write_text("Z = 2\n")
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "src_lines.py"),
+                           "--root", str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"total": 13, "code": 6}

@@ -69,6 +69,11 @@ class TestTypes:
         with pytest.raises(ConfigError, match=f"patch grid {field} must be"):
             PatchGrid(gh, gw, dim, features)
 
+    @pytest.mark.parametrize("gh,gw", [(0, 2), (2, 0)])
+    def test_patch_grid_at_least_1x1(self, gh, gw):
+        with pytest.raises(ConfigError, match=f"patch grid must be at least 1x1, got {gh}x{gw}"):
+            PatchGrid(gh, gw, 4, Tensor(np.ones((0, 4))))
+
     def test_injection_plan_validation(self):
         ModelConfig(decoder_depth=3, inject_layers=(0, 1, 2))
         with pytest.raises(ConfigError, match="out of range"):
@@ -434,6 +439,15 @@ class TestDecoder:
         with pytest.raises(ShapeError, match="deepstack tensors"):
             dec.forward(emb, ids, [Tensor(np.zeros((1, cfg.llm_dim)))], [0])
 
+    @pytest.mark.parametrize("width,tokens,match", [
+        (5, 3, "embedding width 5 vs 8"),
+        (8, 2, "3 position ids for 2 tokens"),
+    ])
+    def test_embedding_shape_checked(self, width, tokens, match):
+        dec = Decoder(small_config(), Rng(0))
+        with pytest.raises(ShapeError, match=match):
+            dec.forward(Tensor(np.ones((tokens, width))), [(i, i, i) for i in range(3)])
+
     def test_causality(self):
         cfg = small_config()
         dec = Decoder(cfg, Rng(5))
@@ -582,7 +596,8 @@ class TestBackwardMemory:
         assert kept and max(a.size for a in kept.values()) <= n
 
 
-# Elements 1, 4 and 5 share one patch-grid shape; element 3 has another.
+# Elements 1, 4 and 5 share one patch-grid shape; element 3 has another, so
+# elements 1, 3 and the run 4-5 make three encoder passes.
 MIXED = MultimodalSequence.of((TextSpan((1, 2)), ImageBlock(1, 2), TextSpan((3,)),
                                ImageBlock(2, 2), FrameGroup(0.0, 1.0, 1, 2), ImageBlock(1, 2),
                                TextSpan((4, 5))))
@@ -735,7 +750,10 @@ class TestPrepare:
         with pytest.raises(ConfigError, match="cannot prepare an empty batch"):
             model.prepare_batch([])
 
-    def test_one_encoder_pass_per_grid_shape(self, monkeypatch):
+    def test_one_encoder_pass_per_run_of_grid_shape(self, monkeypatch):
+        """Consecutive grids of one shape make one encoder pass, so every
+        level comes out in element order: each DeepStack level is its tap
+        merger's output itself, with no gather to reorder its rows."""
         cfg = small_config()
         model = VisionLanguageModel(cfg, Rng(0))
         batches = []
@@ -743,8 +761,11 @@ class TestPrepare:
         monkeypatch.setattr(model.encoder, "forward",
                             lambda *grids: batches.append(grids) or forward(*grids))
         grids = mixed_grids(cfg)
-        model.prepare(MIXED, grids)
-        assert batches == [(grids[1], grids[4], grids[5]), (grids[3],)]
+        prepared = model.prepare(MIXED, grids)
+        assert batches == [(grids[1],), (grids[3],), (grids[4], grids[5])]
+        for level, merger in zip(prepared.deepstack, model.tap_mergers):
+            assert level._op == "linear"
+            assert merger.params["fc2.w"] in level._parents
 
     @pytest.mark.parametrize("broken,error,match", [
         ("missing", ConfigError, "element 4 has no patch grid"),
@@ -752,7 +773,8 @@ class TestPrepare:
         ("width", ShapeError, "grid width 3 vs encoder width 4"),
     ])
     def test_errors_inside_a_packed_batch(self, broken, error, match):
-        # Element 4 sits in the middle of the packed batch of elements 1, 4, 5.
+        # Element 4 sits in the middle of the sample, opening the run of
+        # elements 4 and 5 that makes one encoder pass.
         cfg = small_config()
         model = VisionLanguageModel(cfg, Rng(0))
         grids = mixed_grids(cfg)
@@ -844,6 +866,10 @@ class TestPrepare:
         b = post.forward(prep_post)
         assert a.shape == b.shape
         assert a.data.tobytes() != b.data.tobytes()
+
+    def test_model_config_json_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="model config must be a JSON object"):
+            ModelConfig.from_json("[1]")
 
     def test_model_config_schema_version_checked(self):
         cfg = small_config()
