@@ -1,49 +1,45 @@
 """The four-stage training schedule and its freeze semantics.
 
 The reference schedule goes through alignment (only the merger trains),
-full multimodal training, long-context, and ultra-long-context phases.
-Sequence lengths are carried at their documented values; token budgets are
-scaled down by ``BUDGET_SCALE`` so the schedule's shape, not its size, is
-what the harness exercises.
+full multimodal training, long-context, and ultra-long-context phases, on
+about 67B, 1T, 1T and 100B tokens.  A stage here carries only the
+schedule's shape, not its budgets: what trains and the documented sequence
+length (8K, 8K, 32K and 256K tokens).
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, replace
 
 from ..errors import ConfigError, check_fields, load_json_config
 
 COMPONENTS = frozenset({"encoder", "merger", "decoder"})
-BUDGET_SCALE = 1e-7
 
-# name -> (sequence_length, reference token budget, trainable components)
-_STAGE_TABLE: dict[str, tuple[int, int, frozenset[str]]] = {
-    "S0": (8_192, 67_000_000_000, frozenset({"merger"})),
-    "S1": (8_192, 1_000_000_000_000, COMPONENTS),
-    "S2": (32_768, 1_000_000_000_000, COMPONENTS),
-    "S3": (262_144, 100_000_000_000, COMPONENTS),
+# name -> (sequence_length, trainable components)
+_STAGE_TABLE: dict[str, tuple[int, frozenset[str]]] = {
+    "S0": (8_192, frozenset({"merger"})),
+    "S1": (8_192, COMPONENTS),
+    "S2": (32_768, COMPONENTS),
+    "S3": (262_144, COMPONENTS),
 }
 STAGE_NAMES = tuple(_STAGE_TABLE)
 
 
 @dataclass(frozen=True)
 class StageConfig:
-    FIELD_TYPES = {"schema_version": int, "name": str, "sequence_length": int,
-                   "token_budget": int, "trainable": [str]}
+    FIELD_TYPES = {"schema_version": int, "name": str, "sequence_length": int, "trainable": [str]}
 
     name: str
     sequence_length: int
     trainable: frozenset[str]
-    token_budget: int
 
     def __post_init__(self):
         check_fields(self, "stage")
         if self.name not in _STAGE_TABLE:
             raise ConfigError(f"unknown stage {self.name!r}; valid names: {', '.join(STAGE_NAMES)}")
-        if self.sequence_length < 1 or self.token_budget < 1:
-            raise ConfigError("sequence_length and token_budget must be positive")
+        if self.sequence_length < 1:
+            raise ConfigError("sequence_length must be positive")
         trainable = frozenset(self.trainable)
         unknown = trainable - COMPONENTS
         if unknown:
@@ -54,9 +50,8 @@ class StageConfig:
 
 
 def _builtin(name: str) -> StageConfig:
-    seq_len, budget, trainable = _STAGE_TABLE[name]
-    return StageConfig(name=name, sequence_length=seq_len, trainable=trainable,
-                       token_budget=math.floor(budget * BUDGET_SCALE))
+    seq_len, trainable = _STAGE_TABLE[name]
+    return StageConfig(name=name, sequence_length=seq_len, trainable=trainable)
 
 
 def load_stage_config(name_or_path: str) -> StageConfig:

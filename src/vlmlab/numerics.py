@@ -59,6 +59,7 @@ import numpy as np
 from .errors import NonFiniteError, ShapeError, is_integer
 
 _TANH_GELU_C = math.sqrt(2.0 / math.pi)
+_LN_EPS = 1e-6  # added to each row's variance by ``layer_norm``
 # Rows per block of causal ``attention``, and the keys each row of a block's
 # diagonal square may not see.
 _ROW_BLOCK = 64
@@ -321,8 +322,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if int(np.prod(shape)) != x.data.size:
-        raise ShapeError(f"reshape {x.shape} -> {shape}")
+    if not all((type(n) is int or is_integer(n)) and n >= 0 for n in shape) \
+            or math.prod(shape) != x.data.size:
+        raise ShapeError(f"reshape {x.shape} -> {shape}: the sizes must be non-negative "
+                         f"integers whose product is {x.data.size}")
     return _node("reshape", x.data.reshape(shape), (x,), (lambda g: g.reshape(x.shape),))
 
 
@@ -378,17 +381,18 @@ def gelu(x: Tensor) -> Tensor:
     return _node("gelu", 0.5 * x.data * (1.0 + t), (x,), (_grad,))
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6,
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
                segments: Sequence[int] | None = None) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
-    Rows are normalized one by one.  ``segments`` splits the rows of a
+    Rows are normalized one by one, each divided by the square root of its
+    variance plus ``_LN_EPS`` (1e-6).  ``segments`` splits the rows of a
     rank-2 ``x`` into runs, one after another (by default one run of all
     rows); the gain and bias gradients are summed per run and added in run
     order, as the tape adds those of one call per run.
     """
-    if not 0 < eps < math.inf:
-        raise ValueError(f"layer_norm: eps must be positive and finite, got {eps}")
+    if x.data.ndim == 0:
+        raise ShapeError("layer_norm needs at least one axis, got a scalar")
     d = x.shape[-1]
     if d < 1:
         raise ShapeError("layer_norm: empty last axis")
@@ -397,7 +401,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6,
     runs = _segments(segments, x.shape, "layer_norm")
     xc = x.data - x.data.mean(axis=-1, keepdims=True)
     # np.var's own steps, without its second mean and subtraction.
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + _LN_EPS)
     xhat = xc * inv
 
     def _grad_x(g):

@@ -166,8 +166,7 @@ def _linear(params: Mapping[str, Tensor], prefix: str, x: Tensor,
 
 def _norm(params: Mapping[str, Tensor], prefix: str, x: Tensor,
           segments: Sequence[int] | None = None) -> Tensor:
-    return numerics.layer_norm(x, params[f"{prefix}.gain"], params[f"{prefix}.bias"],
-                               segments=segments)
+    return numerics.layer_norm(x, params[f"{prefix}.gain"], params[f"{prefix}.bias"], segments)
 
 
 def _block_params(rng: Rng, width: int, head_dim: int, prefix: str) -> dict[str, Tensor]:

@@ -252,7 +252,7 @@ TINY_NIAH = {"num_frames": 4, "needle_depths": [0.5], "trials": 1, "durations_mi
     (["train", "--stage", "cfg.json"], "[1]"),
     (["train", "--stage", "cfg.json"], {"name": "S0", "sequence_length": "x"}),
     (["train", "--stage", "cfg.json"], {"name": "S0", "trainable": "merger"}),
-    (["train", "--stage", "cfg.json"], {"name": "S2", "token_budget": 1.5}),
+    (["train", "--stage", "cfg.json"], {"name": "S2", "token_budget": 123}),
     (["train", "--stage", "cfg.json"], {"name": "S2", "bogus": 1}),
     (["spectrum", "--config", "."], None),
     (["sparsity", "--duration", "1e300", "--spacing", "1e-300"], None),
@@ -298,7 +298,7 @@ TINY_NIAH = {"num_frames": 4, "needle_depths": [0.5], "trials": 1, "durations_mi
         "train-model-removed-key",
         "spectrum-base-nan", "spectrum-base-inf",
         "stage-not-json", "stage-array", "stage-length-string", "stage-trainable-string",
-        "stage-budget-float", "stage-unknown-key", "spectrum-config-directory",
+        "stage-token-budget", "stage-unknown-key", "spectrum-config-directory",
         "sparsity-overflowing-groups", "sparsity-too-many-groups",
         "sparsity-overflowing-absolute-ids", "niah-too-many-frames", "niah-out-under-a-file",
         "niah-out-is-a-file",
@@ -350,19 +350,16 @@ def test_field_types_name_every_init_field(cls):
      ["train"], {"model": {"rope_base": "x"}}),
     (lambda: ModelConfig(inject_after_layer=1), "inject_after_layer must be a boolean",
      ["train"], {"model": {"inject_after_layer": 1}}),
-    (lambda: StageConfig("S1", 1.5, {"decoder"}, True), "sequence_length must be an integer",
+    (lambda: StageConfig("S1", 1.5, {"decoder"}), "sequence_length must be an integer",
      ["train", "--stage", "cfg.json"], {"name": "S1", "sequence_length": 1.5}),
-    (lambda: StageConfig("S1", 100, frozenset({"decoder"}), True),
-     "token_budget must be an integer",
-     ["train", "--stage", "cfg.json"], {"name": "S1", "token_budget": True}),
-    (lambda: StageConfig("S1", 100, "decoder", 100), "trainable must hold strings",
+    (lambda: StageConfig("S1", 100, "decoder"), "trainable must hold strings",
      ["train", "--stage", "cfg.json"], {"name": "S1", "trainable": "decoder"}),
     (lambda: SamplingPolicy(fps=True), "fps must be a finite number", None, None),
     (lambda: SamplingPolicy(fps="1"), "fps must be a finite number", None, None),
     (lambda: NiahConfig(timestamp_style=3), "timestamp_style must be a string",
      ["niah"], {**TINY_NIAH, "timestamp_style": 3}),
 ], ids=["model-rope-base-string", "model-inject-after-layer-int", "stage-length-float",
-        "stage-budget-bool", "stage-trainable-string", "policy-fps-bool", "policy-fps-string",
+        "stage-trainable-string", "policy-fps-bool", "policy-fps-string",
         "niah-timestamp-style-int"])
 def test_wrong_field_types_raise_config_error(capsys, tmp_path, monkeypatch, make, match, argv,
                                               config):
@@ -373,6 +370,16 @@ def test_wrong_field_types_raise_config_error(capsys, tmp_path, monkeypatch, mak
     if argv is not None:
         monkeypatch.chdir(tmp_path)
         assert_exits_2_with_one_line(capsys, tmp_path, argv, config)
+
+
+def test_stage_file_naming_a_token_budget_exits_2(capsys, tmp_path):
+    """A stage carries no token budget, so an older stage file naming one is
+    refused like any unknown key, not read and ignored."""
+    stage = tmp_path / "stage.json"
+    stage.write_text(json.dumps({"name": "S2", "token_budget": 123}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "train", "--stage", str(stage), "--steps", "1")
+    assert (code, out) == (2, "")
+    assert err == "config error: unknown stage config keys: ['token_budget']\n"
 
 
 def test_version_flag(capsys):

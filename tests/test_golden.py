@@ -9,10 +9,16 @@ of those paths must reproduce them bit for bit.
 
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from numeric_env import openblas_core, pinned_in
 from vlmlab import mrope
 from vlmlab.cli import main
 from vlmlab.harness import NiahConfig, build_niah_sequence, run_niah_probe
@@ -43,9 +49,10 @@ def test_noisy_probe_scores_exact(duration_s, depth, trial, index, margin_hex, s
     seq, keys, truth = build_niah_sequence(cfg, duration_s, depth, trial)
     result = run_niah_probe(seq, keys, truth.query_signature, alloc)
     assert len(result.scores) == int(duration_s)
-    assert result.predicted_index == truth.group_index == index
-    assert result.margin.hex() == margin_hex
-    assert _sha256(np.asarray(result.scores, dtype=np.float64).tobytes()) == scores_sha256
+    assert result.predicted_index == truth.group_index == index, pinned_in()
+    assert result.margin.hex() == margin_hex, pinned_in()
+    assert _sha256(np.asarray(result.scores, dtype=np.float64).tobytes()) == scores_sha256, \
+        pinned_in()
 
 
 # The reports hold only accuracies, and position ids depend on stamp lengths,
@@ -103,4 +110,18 @@ def test_train_report_byte_identical(tmp_path, capsys, stage, steps, scheme, dig
         config.write_text(json.dumps({"scheme": scheme}), encoding="utf-8")
         argv += ["--config", str(config)]
     assert main(argv) == 0
-    assert _sha256(capsys.readouterr().out.encode("utf-8")) == digest
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == digest, pinned_in()
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64" or openblas_core() == "unknown",
+                    reason="needs numpy's bundled OpenBLAS on x86-64")
+def test_pin_message_names_the_openblas_core():
+    """A pin's failure message names the OpenBLAS core of the run: here one
+    forced to Haswell, for a child process only."""
+    done = subprocess.run([sys.executable, "-c", "from numeric_env import pinned_in; "
+                           "print(pinned_in())"], cwd=Path(__file__).parent,
+                          env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("pinned with OpenBLAS core SkylakeX, numpy X86_V4 on; "
+                                  "this run has OpenBLAS core Haswell, numpy X86_V4 ")

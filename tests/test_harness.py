@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from numeric_env import pinned_in
 from vlmlab import mrope, numerics, objective
 from vlmlab.errors import ConfigError, ShapeError, check_config_types
 from vlmlab.harness import (NiahConfig, StageConfig, build_niah_sequence, emit_report,
@@ -56,11 +57,6 @@ class TestStages:
     def test_s0_trains_only_merger(self):
         assert load_stage_config("S0").trainable == frozenset({"merger"})
 
-    def test_budgets_scaled(self):
-        assert load_stage_config("S0").token_budget == 6700
-        assert load_stage_config("S1").token_budget == 100000
-        assert load_stage_config("S3").token_budget == 10_000
-
     def test_unknown_stage_lists_valid_names(self):
         with pytest.raises(ConfigError, match="S0, S1, S2, S3"):
             load_stage_config("S9")
@@ -70,27 +66,24 @@ class TestStages:
         assert lengths == sorted(lengths)
 
     @pytest.mark.parametrize("args, message", [
-        (("S9", 8192, frozenset({"merger"}), 100), "unknown stage 'S9'; valid names: S0, S1"),
-        (("S1", 0, frozenset({"merger"}), 100),
-         "sequence_length and token_budget must be positive"),
-        (("S1", 8192, frozenset({"merger"}), 0),
-         "sequence_length and token_budget must be positive"),
-    ], ids=["unknown-name", "zero-length", "zero-budget"])
+        (("S9", 8192, frozenset({"merger"})), "unknown stage 'S9'; valid names: S0, S1"),
+        (("S1", 0, frozenset({"merger"})), "sequence_length must be positive"),
+    ], ids=["unknown-name", "zero-length"])
     def test_stage_fields_checked(self, args, message):
         with pytest.raises(ConfigError, match=message):
             StageConfig(*args)
 
     def test_s0_freeze_rule_enforced(self):
         with pytest.raises(ConfigError, match="only the merger"):
-            StageConfig("S0", 8192, frozenset({"merger", "decoder"}), 100)
+            StageConfig("S0", 8192, frozenset({"merger", "decoder"}))
 
     def test_stage_file_round_trip(self, tmp_path):
         path = tmp_path / "stage.json"
-        path.write_text(json.dumps({"name": "S2", "token_budget": 123}), encoding="utf-8")
+        path.write_text(json.dumps({"name": "S2", "sequence_length": 123}), encoding="utf-8")
         stage = load_stage_config(str(path))
         assert stage.name == "S2"
-        assert stage.token_budget == 123
-        assert stage.sequence_length == 32768
+        assert stage.sequence_length == 123
+        assert stage.trainable == frozenset({"encoder", "merger", "decoder"})
 
     def test_stage_file_trainable_is_an_array(self, tmp_path):
         path = tmp_path / "stage.json"
@@ -218,10 +211,10 @@ class TestTrainToy:
         batch = make_synthetic_batch(cfg, rng.split("data"))
         losses = train_toy(model, load_stage_config("S0"), batch, steps=20, lr=0.1).losses
         assert (param_digest(model)
-                == "d603e5d02338093db75e7fcf3f6dedc279cffcd40f12c06589995c1524dcb7b3")
+                == "d603e5d02338093db75e7fcf3f6dedc279cffcd40f12c06589995c1524dcb7b3"), pinned_in()
         assert (hashlib.sha256(np.array(losses).tobytes()).hexdigest()
-                == "000ee5711ea09234811ad231b3260ae2623c337c3bbde1b3b88f08b8704adcaa")
-        assert (losses[0], losses[-1]) == (5.701772113914188, 5.698126242992732)
+                == "000ee5711ea09234811ad231b3260ae2623c337c3bbde1b3b88f08b8704adcaa"), pinned_in()
+        assert (losses[0], losses[-1]) == (5.701772113914188, 5.698126242992732), pinned_in()
 
     def test_s1_parameter_and_loss_digests_pinned(self):
         """Three S1 steps update the encoder too: each step's loss must come from
@@ -235,10 +228,10 @@ class TestTrainToy:
         after = param_bytes(model)
         assert all(before[n] != after[n] for n in before if n.startswith("encoder.block"))
         assert (param_digest(model)
-                == "eda64d279a61e54b0611568c1fecd364fb50e2de2a06426d0e721142561bf5a8")
+                == "eda64d279a61e54b0611568c1fecd364fb50e2de2a06426d0e721142561bf5a8"), pinned_in()
         assert (hashlib.sha256(np.array(losses).tobytes()).hexdigest()
-                == "1b231efcea50d0ae7c293ab3c5d25b81898672cfb610278668cfd140f2513e15")
-        assert losses == [5.701772113914188, 5.6660795600242135, 5.642397884946508]
+                == "1b231efcea50d0ae7c293ab3c5d25b81898672cfb610278668cfd140f2513e15"), pinned_in()
+        assert losses == [5.701772113914188, 5.6660795600242135, 5.642397884946508], pinned_in()
 
     @pytest.mark.parametrize("stage", ["S0", "S1"])
     def test_batch_loss_equals_a_per_example_loop(self, stage):
@@ -414,9 +407,9 @@ class TestTrainToy:
         batch = make_synthetic_batch(cfg, Rng(6).split("data"), n_examples=3, text_len=5)
         lengths = [example.sequence.token_count() for example in batch]
         assert lengths == [7, 6, 9]
-        at_limit = StageConfig("S1", 9, frozenset({"merger"}), 100)
+        at_limit = StageConfig("S1", 9, frozenset({"merger"}))
         assert len(train_toy(model, at_limit, batch, steps=1, lr=0.0).losses) == 1
-        short = StageConfig("S1", 7, frozenset({"merger"}), 100)
+        short = StageConfig("S1", 7, frozenset({"merger"}))
         with mock.patch("vlmlab.harness.training._batch_loss") as batch_loss, \
                 pytest.raises(ConfigError, match=r"^example 2 has 9 tokens, more than "
                                                  r"stage S1's sequence_length 7$"):

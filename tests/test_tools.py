@@ -69,6 +69,29 @@ def test_op_faults_reports_each_operation():
     assert type(report["op_median_ms"]) is float and report["op_median_ms"] > 0
 
 
+def test_op_cost_counts_are_the_same_in_two_processes():
+    """Two processes print the same cProfile call counts and the same traced
+    numerics calls for a train_s0 operation, which trains once; the memory
+    peak is a positive byte count."""
+    reports = []
+    for _ in range(2):
+        done = subprocess.run([sys.executable, str(ROOT / "tools" / "op_cost.py"),
+                               "--workload", "train_s0", "--seed", "1"],
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        reports.append(json.loads(done.stdout))
+    first, second = reports
+    assert set(first) == {"workload", "seed", "calls_total", "calls", "tracemalloc_peak_bytes",
+                          "numerics_calls", "numerics.ops"}
+    assert (first["workload"], first["seed"]) == ("train_s0", 1)
+    assert first["calls"]["vlmlab.harness.training.train_toy"] == 1
+    assert first["calls_total"] > sum(first["calls"].values())
+    assert first["numerics_calls"]["linear"] > 0 and first["numerics.ops"] > 0
+    assert type(first["tracemalloc_peak_bytes"]) is int and first["tracemalloc_peak_bytes"] > 0
+    for key in ("calls_total", "calls", "numerics_calls", "numerics.ops"):
+        assert first[key] == second[key], key
+
+
 def test_src_lines_counts_total_and_code_lines(tmp_path):
     """``total`` counts every line of the ``*.py`` files under ``src/``;
     ``code`` leaves out blank lines, comments and docstrings, and counts a
