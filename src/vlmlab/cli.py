@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 stdout closed before the output was written,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -194,9 +195,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -1,19 +1,22 @@
 """Toy training loop with component freezing.
 
-Plain gradient descent over synthetic next-token-prediction batches.
-``train_toy`` checks every example's targets and lays out the batch's loss
-rows, targets, counts and gradient weights once (``_batch_loss``).  Each step
-runs the batch through the decoder as one packed pass; one
-``weighted_run_sum`` node weighs each sample's summed token losses by its
-weight from the objective module, so the scheme shapes the gradients exactly
-as it shapes the reported loss.  ``requires_grad`` alone says what backward
+Plain gradient descent over synthetic next-token-prediction batches.  A
+``TrainingBatch`` is checked and laid out when it is made: its examples'
+targets are checked and its loss rows, targets and counts laid out next to
+the parameter-free half of ``prepare_batch`` (a ``BatchPlan``), so every
+step of every ``train_toy`` call on it reuses that layout.  Each step runs
+the batch through the decoder as one packed pass; one ``weighted_run_sum``
+node weighs each sample's summed token losses by its weight from the
+objective module, so the scheme shapes the gradients exactly as it shapes
+the reported loss.  ``requires_grad`` alone says what backward
 differentiates: frozen components have it off and stay bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -22,18 +25,77 @@ from ..errors import NUMBER, ConfigError, NonFiniteError, ShapeError, _has_type,
 from ..numerics import Tensor
 from ..seeding import Rng
 from ..sequence import IMAGE, TEXT, MultimodalSequence
-from ..vision import ModelConfig, PatchGrid, VisionLanguageModel
+from ..vision import ModelConfig, PatchGrid, VisionLanguageModel, plan_batch
 from .stages import StageConfig
 
 
-@dataclass
+def _read_only(values) -> np.ndarray:
+    """A read-only copy of ``values`` as an array."""
+    a = np.array(values)
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class TrainingExample:
-    """One next-token-prediction sample, optionally with an image."""
+    """One next-token-prediction sample, optionally with an image.
+
+    An example cannot change once made: it keeps read-only copies of its
+    sequence's arrays and of its targets, and a read-only view of its grids
+    (whose features, being Tensors, are read-only too), so a write into any
+    of them raises.
+    """
 
     sequence: MultimodalSequence
-    grids: dict[int, PatchGrid]
-    target_positions: np.ndarray  # int64 arrays; any integer sequences pass the checks
+    grids: Mapping[int, PatchGrid]
+    target_positions: np.ndarray  # integer arrays; any integer sequences pass the checks
     target_ids: np.ndarray
+
+    def __post_init__(self):
+        seq = self.sequence
+        for name, value in (
+                ("sequence", MultimodalSequence(*map(_read_only, (
+                    seq.columns, seq.tokens, seq.start_times, seq.end_times)))),
+                ("grids", MappingProxyType(dict(self.grids))),
+                ("target_positions", _read_only(self.target_positions)),
+                ("target_ids", _read_only(self.target_ids))):
+            object.__setattr__(self, name, value)
+
+
+class TrainingBatch(tuple):
+    """``TrainingExample``s as a tuple, checked and laid out once, when made.
+
+    Every example's target positions must fall in [0, its token count) and
+    its target ids in [0, ``vocab``), one id per position, and every grid
+    must fit its sequence.  The batch keeps what each ``train_toy`` step
+    shares: its ``BatchPlan`` (``inputs``), the loss rows (each example's
+    target positions moved by its first row), target ids and target count
+    per example.  Examples cannot change, so neither can the layout.
+    """
+
+    def __new__(cls, examples: Iterable[TrainingExample], vocab: int):
+        self = super().__new__(cls, examples)
+        if not self:
+            raise ConfigError("training data must be non-empty")
+        inputs, rows, targets, start = [], [], [], 0
+        for index, example in enumerate(self):
+            length = example.sequence.token_count()
+            positions = _example_indices(example.target_positions, length, "target positions",
+                                         index)
+            ids = _example_indices(example.target_ids, vocab, "target ids", index)
+            if len(positions) != len(ids):
+                raise ShapeError(f"example {index}: {len(positions)} target positions for "
+                                 f"{len(ids)} target ids")
+            inputs.append((example.sequence, example.grids))
+            rows.append(positions + start)
+            targets.append(ids)
+            start += length
+        self.vocab = vocab
+        self.inputs = plan_batch(inputs)
+        self.rows, self.targets = np.concatenate(rows), np.concatenate(targets)
+        self.rows.flags.writeable = self.targets.flags.writeable = False
+        self.counts = numerics.Segments(map(len, targets))
+        return self
 
 
 @dataclass
@@ -44,7 +106,7 @@ class TrainResult:
 
 
 def make_synthetic_batch(config: ModelConfig, rng: Rng, n_examples: int = 8,
-                         text_len: int = 12) -> list[TrainingExample]:
+                         text_len: int = 12) -> TrainingBatch:
     """Random token sequences; every other one, from the first, gets a 1x2 image.
 
     Targets are the next token at each text position (teacher forcing);
@@ -75,7 +137,7 @@ def make_synthetic_batch(config: ModelConfig, rng: Rng, n_examples: int = 8,
         text_rows = np.flatnonzero(np.repeat(seq.columns[0] == TEXT, seq.columns[1]))
         examples.append(TrainingExample(sequence=seq, grids=grids,
                                         target_positions=text_rows[:-1], target_ids=tokens[1:]))
-    return examples
+    return TrainingBatch(examples, config.vocab)
 
 
 def _example_indices(values, bound: int, what: str, index: int) -> np.ndarray:
@@ -88,57 +150,48 @@ def _example_indices(values, bound: int, what: str, index: int) -> np.ndarray:
     return idx.astype(np.int64)
 
 
-def _batch_loss(model: VisionLanguageModel, batch: list[TrainingExample], scheme: str
-                ) -> Callable[[], tuple[Tensor, dict[str, float]]]:
-    """Check each example's targets and lay out the batch's loss once; the
-    function returned gives the model's weighted loss and each scheme's
-    aggregate.  Target positions must fall in [0, the example's token count)
-    and target ids in [0, vocab), one id per position.
+def _batch(data: Iterable[TrainingExample], vocab: int) -> TrainingBatch:
+    """``data`` as a ``TrainingBatch`` checked against ``vocab``: itself if it
+    is one, else a new one."""
+    if isinstance(data, TrainingBatch) and data.vocab == vocab:
+        return data
+    return TrainingBatch(data, vocab)
 
-    A call prepares the batch as one packed input and runs the decoder once
-    over it, which gives each example the bits of its own pass.  One
-    ``gather_rows`` takes the loss rows (each example's target positions
-    moved by its first row), one ``token_nll`` their losses, and one
-    ``weighted_run_sum`` weighs each example's sum, in example order.
+
+def batch_loss(model: VisionLanguageModel, data: Iterable[TrainingExample],
+               scheme: str) -> tuple[Tensor, dict[str, float]]:
+    """One ``train_toy`` step's weighted loss tensor under ``scheme``, and
+    each scheme's aggregate, without updating the model.
+
+    The batch runs as one packed input through one decoder pass, which gives
+    each example the bits of its own pass.  One ``gather_rows`` takes the
+    loss rows, one ``token_nll`` their losses, and one ``weighted_run_sum``
+    weighs each example's sum, in example order.
     """
-    inputs = [(example.sequence, example.grids) for example in batch]
-    rows, targets, start = [], [], 0
-    for index, example in enumerate(batch):
-        length = example.sequence.token_count()
-        positions = _example_indices(example.target_positions, length, "target positions", index)
-        ids = _example_indices(example.target_ids, model.config.vocab, "target ids", index)
-        if len(positions) != len(ids):
-            raise ShapeError(f"example {index}: {len(positions)} target positions for "
-                             f"{len(ids)} target ids")
-        rows.append(positions + start)
-        targets.append(ids)
-        start += length
-    counts = np.array([len(ids) for ids in targets], dtype=np.int64)
-    rows, targets = np.concatenate(rows), np.concatenate(targets)
-    weights = objective.gradient_weights(counts, scheme)
-
-    def step() -> tuple[Tensor, dict[str, float]]:
-        logits = model.forward(model.prepare_batch(inputs))
-        nll = numerics.token_nll(numerics.gather_rows(logits, rows), targets)
-        return (numerics.weighted_run_sum(nll, counts, weights),
-                {name: objective.aggregate(nll.data, counts, name) for name in objective.SCHEMES})
-
-    return step
+    batch = _batch(data, model.config.vocab)
+    logits = model.forward(model.prepare_planned(batch.inputs))
+    nll = numerics.token_nll(numerics.gather_rows(logits, batch.rows), batch.targets)
+    weights = objective.gradient_weights(batch.counts, scheme)
+    return (numerics.weighted_run_sum(nll, batch.counts, weights),
+            {name: objective.aggregate(nll.data, batch.counts, name)
+             for name in objective.SCHEMES})
 
 
 def train_toy(model: VisionLanguageModel, stage: StageConfig,
-              data: list[TrainingExample], steps: int, lr: float,
+              data: Iterable[TrainingExample], steps: int, lr: float,
               scheme: str = "sqrt") -> TrainResult:
     """Run ``steps`` of gradient descent on the stage's trainable components.
 
-    Every example's targets are checked once, before the first step, and
-    each step runs the whole batch through the decoder as one packed pass
-    (see ``_batch_loss``).  The model is updated in place; its parameters
-    after the call are the final ones.  First each parameter drops any
-    gradient, and one whose ``requires_grad`` disagrees with the stage
-    becomes a leaf with the same bytes and the stage's flag: a frozen one
-    (S0: all but the mergers) requires no gradient until a later call's
-    stage trains it.
+    ``data`` is a ``TrainingBatch`` checked against the model's vocabulary,
+    as ``make_synthetic_batch`` returns, which is used as it is; any other
+    iterable of examples is made into one, once per call, before the first
+    step (every target and grid checked, the batch laid out).  Each step runs
+    the whole batch through the decoder as one packed pass.  The model is
+    updated in place; its parameters after the call are the final ones.
+    First each parameter drops any gradient, and one whose ``requires_grad``
+    disagrees with the stage becomes a leaf with the same bytes and the
+    stage's flag: a frozen one (S0: all but the mergers) requires no
+    gradient until a later call's stage trains it.
     ``steps`` 0 reports the loss once and updates nothing.
     ``lr`` may be zero (a legal no-op step, useful for freeze checks) but not
     negative or non-finite, and a bool is neither a step count nor a rate.  A
@@ -153,14 +206,11 @@ def train_toy(model: VisionLanguageModel, stage: StageConfig,
         raise ConfigError(f"steps must be an integer, got {steps!r}")
     if steps < 0:
         raise ConfigError(f"steps must be non-negative, got {steps}")
-    if not data:
-        raise ConfigError("training data must be non-empty")
-    for index, example in enumerate(data):
-        length = example.sequence.token_count()
+    batch = _batch(data, model.config.vocab)
+    for index, length in enumerate(batch.inputs.segments):
         if length > stage.sequence_length:
             raise ConfigError(f"example {index} has {length} tokens, more than stage "
                               f"{stage.name}'s sequence_length {stage.sequence_length}")
-    batch_loss = _batch_loss(model, data, scheme)
 
     for name, param in model.parameters().items():
         param.grad = None  # one left by a backward before this call is stale
@@ -174,7 +224,7 @@ def train_toy(model: VisionLanguageModel, stage: StageConfig,
         # A diverging step overflows; Tensor's finiteness check reports it.
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(max(steps, 1)):
-                loss, final = batch_loss()
+                loss, final = batch_loss(model, batch, scheme)
                 losses.append(loss.item())
                 if initial is None:
                     initial = final

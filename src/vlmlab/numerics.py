@@ -40,6 +40,8 @@ the tape adds the gradients of separate calls.  Row-wise ops (``add``,
 ``gelu``, ``rotate_pairs``, ``add_rows_at``) need no segments.
 ``weighted_run_sum`` takes the runs of a vector, such as a packed batch's
 token losses, and adds their sums, each times its own weight, in run order.
+All four take a ``Segments``, lengths checked once, without checking them
+again; any other sequence of lengths is checked on each call.
 
 All differentiable operations here are validated against central finite
 differences by :func:`grad_check`; see the test suite for the sweep over
@@ -202,7 +204,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, segments: Sequence[int] | None = Non
         raise ShapeError(f"linear: inner dims {x.shape} x {w.shape}")
     if b.shape != w.shape[1:]:
         raise ShapeError(f"linear: bias {b.shape} vs output width {w.shape[1]}")
-    runs = _segments(segments, x.shape, "linear")
+    runs = _runs(segments, x.shape, "linear")
     return _node("linear", _stack([x.data[r] @ w.data + b.data for r in runs]), (x, w, b),
                  (lambda g: _stack([g[r] @ w.data.T for r in runs]),
                   lambda g: reduce(operator.add, [x.data[r].T @ g[r] for r in runs]),
@@ -250,8 +252,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
             or causal and m != n:
         raise ShapeError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} "
                          f"do not fit (causal={causal})")
-    runs = _segments(segments, q.shape, "attention")
-    _segments(segments, k.shape, "attention")  # the keys split alike
+    runs = _runs(segments, q.shape, "attention")
+    _runs(segments, k.shape, "attention")  # the keys split alike
     c = 1.0 / math.sqrt(d)
 
     def _scores(qs: np.ndarray, kt: np.ndarray, rows: slice, keys: int) -> np.ndarray:
@@ -359,7 +361,7 @@ def weighted_run_sum(x: Tensor, segments: Sequence[int], weights: Sequence[float
     """
     if x.data.ndim != 1:
         raise ShapeError(f"weighted_run_sum needs a vector, got {x.shape}")
-    runs = _segments(segments, x.shape, "weighted_run_sum", rank=1)
+    runs = _runs(segments, x.shape, "weighted_run_sum", rank=1)
     w = np.array(weights, dtype=np.float64)
     if w.shape != (len(runs),):
         raise ShapeError(f"weighted_run_sum: {w.shape} weights for {len(runs)} runs")
@@ -398,7 +400,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
         raise ShapeError("layer_norm: empty last axis")
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: affine shapes {gain.shape}/{bias.shape} vs width {d}")
-    runs = _segments(segments, x.shape, "layer_norm")
+    runs = _runs(segments, x.shape, "layer_norm")
     xc = x.data - x.data.mean(axis=-1, keepdims=True)
     # np.var's own steps, without its second mean and subtraction.
     inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + _LN_EPS)
@@ -422,26 +424,48 @@ def _indices(values, op: str) -> np.ndarray:
     return idx.astype(np.int64, copy=False)
 
 
-def _segments(segments: Sequence[int] | None, shape: tuple[int, ...], op: str,
-              rank: int = 2) -> list[slice]:
-    """The row slices of ``segments``: positive integer lengths of runs of
-    rows, one after another, that cover the rows of an operand of ``shape``
-    and ``rank``.  ``None`` is one run covering every row, in any rank."""
-    if segments is None:
-        return [slice(None)]
-    if len(shape) != rank:
-        raise ShapeError(f"{op}: segments need rank-{rank} operands, got shape {shape}")
-    lengths = list(segments)
+class Segments(tuple):
+    """Lengths of runs of rows, one after another, checked once: a tuple of
+    positive ints, with each run's row slice (``runs``) and their total
+    (``rows``).  ``linear``, ``layer_norm``, ``attention`` and
+    ``weighted_run_sum`` take one without checking its lengths again; any
+    other sequence of lengths is checked on every call."""
+
+    def __new__(cls, lengths: Sequence[int]):
+        self = super().__new__(cls, _segments(lengths, "segments"))
+        bounds = list(accumulate(self, initial=0))
+        self.runs = tuple(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
+        self.rows = bounds[-1]
+        return self
+
+
+def _segments(lengths: Sequence[int], op: str) -> list[int]:
+    """``lengths`` as ints, once checked to be positive integers, at least one."""
+    lengths = list(lengths)
     # ``type(n) is int`` first: the ABC check of ``is_integer`` is slow.
     if not all(type(n) is int or is_integer(n) for n in lengths):
         raise ShapeError(f"{op}: segment lengths must be integers, got {lengths!r}")
     if not lengths or min(lengths) < 1:
         raise ShapeError(f"{op}: segment lengths must be at least 1, got {lengths}")
-    if sum(lengths) != shape[0]:
-        raise ShapeError(f"{op}: segment lengths sum to {sum(lengths)}, not to the "
+    return [int(n) for n in lengths]
+
+
+def _runs(segments: Sequence[int] | None, shape: tuple[int, ...], op: str,
+          rank: int = 2) -> list[slice]:
+    """The row slices of ``segments``, lengths of runs of rows that cover
+    the rows of an operand of ``shape`` and ``rank``; lengths that are not a
+    ``Segments`` are checked first.  ``None`` is one run covering every row,
+    in any rank."""
+    if segments is None:
+        return [slice(None)]
+    if len(shape) != rank:
+        raise ShapeError(f"{op}: segments need rank-{rank} operands, got shape {shape}")
+    if not isinstance(segments, Segments):
+        segments = Segments(_segments(segments, op))
+    if segments.rows != shape[0]:
+        raise ShapeError(f"{op}: segment lengths sum to {segments.rows}, not to the "
                          f"{shape[0]} rows")
-    bounds = list(accumulate(lengths, initial=0))
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    return segments.runs
 
 
 def gather_rows(x: Tensor, indices: Sequence[int]) -> Tensor:

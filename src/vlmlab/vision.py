@@ -10,22 +10,26 @@ outputs are added onto the hidden states entering the first decoder layers
 at the visual-token positions, adding no sequence length.
 
 ``prepare_batch`` lowers a batch of sequences to one packed input, one
-segment per sample.  Each run of consecutive same-shape patch grids in a
-sample goes through the encoder as one stack of rows; attention stays inside
-each grid, as one ``attention`` node over a rank-3 batch that recomputes
-each grid's probabilities in backward instead of keeping them, so memory
-grows linearly with the number of grids.  All encoder passes of the batch
-then go through each merger in one pass, one run of rows per sample.  The
-merged rows and the DeepStack levels come out in element order; one
-``gather_rows`` interleaves text and visual rows.  ``prepare`` is the batch
-of one sequence.
+segment per sample, in two parts: ``plan_batch`` does once all that reads no
+parameter (a ``BatchPlan``, which a batch that runs step after step keeps),
+and ``VisionLanguageModel.prepare_planned`` the tensor work.  Each run of
+consecutive same-shape patch grids in a sample goes through the encoder as
+one stack of rows; attention stays inside each grid, as one ``attention``
+node over a rank-3 batch that recomputes each grid's probabilities in
+backward instead of keeping them, so memory grows linearly with the number
+of grids.  All encoder passes of the batch then go through each merger in
+one pass, one run of rows per sample.  The merged rows and the DeepStack
+levels come out in element order; one ``gather_rows`` interleaves text and
+visual rows.  ``prepare`` is the batch of one sequence.
 
 The encoder is a memo of its own pure function: a second ``forward`` of
 the same grids returns the first call's tensors while the encoder holds the
 same parameter objects, and any new parameter object empties the memo.
 So the steps of stage S0, which keeps the encoder frozen, encode each grid
 once; a backward that does differentiate the encoder walks the remembered
-nodes again, from their new upstream gradient.
+nodes again, from their new upstream gradient.  Samples of one batch that
+share a grid share its memo entry, and still hand it their gradient terms
+sample after sample, as one ``prepare`` per sample does.
 
 The decoder is a standard pre-norm causal transformer whose q/k vectors
 get the three-axis rotary treatment; its ``attention`` hides later tokens,
@@ -286,18 +290,11 @@ class Merger:
         return _linear(self.params, "fc2", h, segments)
 
 
-def merge_2x2(level_features: Tensor, sides: Sequence[tuple[int, int]], merger: Merger,
-              segments: Sequence[int] | None = None) -> Tensor:
-    """Concatenate disjoint 2x2 feature blocks and project to decoder width.
-
-    ``level_features`` holds grids of the (gh, gw) ``sides``, each
-    row-major, one after another.  Each side must be even; padding odd
-    grids is the caller's job.  Each block becomes the features of its
-    top-left, top-right, bottom-left and bottom-right patch side by side.
-    Output rows follow grid order, then block row-major order: gh*gw/4 per
-    grid.  ``segments`` splits the output rows into runs, which the merger
-    projects as separate calls would (by default one run of all rows).
-    """
+def _block_corners(sides: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The (blocks, 4) rows of each 2x2 block's top-left, top-right,
+    bottom-left and bottom-right patch, for grids of the (gh, gw) ``sides``
+    laid out row-major one after another; blocks follow grid order, then
+    block row-major order.  Each side must be even."""
     # First row of each block, as (grid, block row, block col), then its four
     # corners: one run of consecutive grids of one shape at a time.
     corners, rows = [], 0
@@ -310,13 +307,36 @@ def merge_2x2(level_features: Tensor, sides: Sequence[tuple[int, int]], merger: 
                     + np.arange(0, gw, 2)[None, None, :])
         corners.append(top_left.reshape(-1, 1) + np.array([0, 1, gw, gw + 1]))
         rows = end
+    return np.concatenate(corners) if corners else np.zeros((0, 4), dtype=np.int64)
+
+
+def _merge(features: Tensor, corners: np.ndarray, merger: Merger,
+           segments: Sequence[int] | None) -> Tensor:
+    """Each block's four ``corners`` rows of ``features`` side by side,
+    through ``merger``."""
+    blocks = numerics.gather_rows(features, corners.reshape(-1))
+    return merger.forward(numerics.reshape(blocks, (len(corners), 4 * merger.dim)), segments)
+
+
+def merge_2x2(level_features: Tensor, sides: Sequence[tuple[int, int]], merger: Merger,
+              segments: Sequence[int] | None = None) -> Tensor:
+    """Concatenate disjoint 2x2 feature blocks and project to decoder width.
+
+    ``level_features`` holds grids of the (gh, gw) ``sides``, each
+    row-major, one after another.  Each side must be even; padding odd
+    grids is the caller's job.  Each block becomes the features of its
+    top-left, top-right, bottom-left and bottom-right patch side by side.
+    Output rows follow grid order, then block row-major order: gh*gw/4 per
+    grid.  ``segments`` splits the output rows into runs, which the merger
+    projects as separate calls would (by default one run of all rows).
+    """
+    corners = _block_corners(sides)
+    rows = 4 * len(corners)
     if not rows or level_features.shape != (rows, merger.dim):
         names = " ".join(f"{gh}x{gw}" for gh, gw in sides)
         raise ShapeError(f"features {level_features.shape} vs grids {names} "
                          f"width {merger.dim}")
-    corners = np.concatenate(corners)
-    blocks = numerics.gather_rows(level_features, corners.reshape(-1))
-    return merger.forward(numerics.reshape(blocks, (len(corners), 4 * merger.dim)), segments)
+    return _merge(level_features, corners, merger, segments)
 
 
 class Decoder:
@@ -384,7 +404,101 @@ class PreparedInput:
     position_ids: np.ndarray  # (seq, 3) int64 (t, h, w) triples, restarting per sample
     visual_positions: np.ndarray  # (visual tokens,) int64 row positions
     deepstack: list[Tensor]  # one tensor per inject layer; empty without visual tokens
-    segments: tuple[int, ...]  # rows per sample
+    segments: tuple[int, ...]  # rows per sample, a ``numerics.Segments``
+
+
+_LEVELS = 4  # encoder states that feed a merger: the final one and the three taps
+
+
+@dataclass(frozen=True, eq=False)
+class BatchPlan:
+    """Everything ``prepare_batch`` derives from a batch without reading a
+    parameter, checked and laid out once by ``plan_batch``.
+
+    ``passes`` are the encoder runs, sample after sample, each in element
+    order.  ``corners[level]`` holds, for that level's merger, the rows of
+    each 2x2 block's patches in the stack of every pass's final state and
+    taps (``_LEVELS`` states per pass, pass after pass).  ``order`` is the
+    gather that interleaves the text rows and the merged rows, or None when
+    the text already comes first.  The arrays are the plan's own, read-only.
+    """
+
+    tokens: tuple[np.ndarray, ...]  # text token ids of each sample that has any
+    passes: tuple[tuple[PatchGrid, ...], ...]
+    corners: tuple[np.ndarray, ...]
+    merged: numerics.Segments | None  # merged rows of each sample that has any
+    order: np.ndarray | None
+    position_ids: np.ndarray
+    visual_positions: np.ndarray
+    segments: numerics.Segments  # rows per sample
+
+    def __post_init__(self):
+        for a in (*self.tokens, *self.corners, self.order, self.position_ids,
+                  self.visual_positions):
+            if a is not None:
+                a.flags.writeable = False
+
+
+def plan_batch(samples: Sequence[tuple[MultimodalSequence, Mapping[int, PatchGrid]]]
+               ) -> BatchPlan:
+    """Check a batch of (sequence, grids) samples and lay it out for
+    ``VisionLanguageModel.prepare_planned``.
+
+    ``grids`` maps element indices of image blocks / frame groups to patch
+    grids whose sides are twice the element's token grid (the merger halves
+    each side).  Each run of consecutive grids of one shape in a sample makes
+    one encoder pass, and each sample's position ids restart.
+    """
+    if not samples:
+        raise ConfigError("cannot prepare an empty batch")
+    tokens, masks, ids, sides, passes = [], [], [], [], []
+    for seq, grids in samples:
+        kind, count, gh, gw = seq.columns
+        visual = np.flatnonzero(kind != TEXT).tolist()
+        stray = set(grids).difference(visual)
+        if stray:
+            raise ConfigError(f"element {min(stray)} has a patch grid but is not an image "
+                              "block or frame group of the sequence")
+        for idx in visual:
+            if idx not in grids:
+                raise ConfigError(f"element {idx} has no patch grid")
+            grid = grids[idx]
+            if grid.gh != 2 * gh[idx] or grid.gw != 2 * gw[idx]:
+                raise ShapeError(
+                    f"element {idx}: patch grid {grid.gh}x{grid.gw} is not twice "
+                    f"the token grid {gh[idx]}x{gw[idx]}")
+            sides.append((grid.gh, grid.gw))
+        if not count.sum():
+            raise ConfigError("cannot prepare an empty sequence")
+        passes += [tuple(run) for _, run in
+                   groupby([grids[idx] for idx in visual], lambda g: (g.gh, g.gw))]
+        if len(seq.tokens):
+            tokens.append(seq.tokens.astype(np.int64))
+        masks.append(np.repeat(kind != TEXT, count))
+        ids.append(assign_position_ids(seq))
+
+    mask = np.concatenate(masks)
+    order = np.argsort(np.argsort(mask, kind="stable"))
+    corners, merged = (), None
+    if passes:
+        # Row r of one level's stack of states, pass after pass, is row
+        # r + shift[r] + level * size[r] of the stack of every pass's levels.
+        sizes = np.array([len(run) * run[0].gh * run[0].gw for run in passes])
+        shift = np.repeat((_LEVELS - 1) * (np.cumsum(sizes) - sizes), sizes)
+        size = np.repeat(sizes, sizes)
+        rows = _block_corners(sides)
+        corners = tuple(rows + (shift + level * size)[rows] for level in range(_LEVELS))
+        merged = numerics.Segments(n for n in map(np.count_nonzero, masks) if n)
+    return BatchPlan(
+        tokens=tuple(tokens),
+        passes=tuple(passes),
+        corners=corners,
+        merged=merged,
+        order=None if (order == np.arange(len(order))).all() else order,
+        position_ids=np.concatenate(ids),
+        visual_positions=np.flatnonzero(mask),
+        segments=numerics.Segments(len(m) for m in masks),
+    )
 
 
 class VisionLanguageModel:
@@ -431,71 +545,47 @@ class VisionLanguageModel:
     def prepare_batch(self, samples: Sequence[tuple[MultimodalSequence, Mapping[int, PatchGrid]]]
                       ) -> PreparedInput:
         """Lower a batch of (sequence, grids) samples to one packed input:
-        embeddings, ids and DeepStack features, one segment per sample.
+        ``prepare_planned`` of ``plan_batch(samples)``."""
+        return self.prepare_planned(plan_batch(samples))
 
-        ``grids`` maps element indices of image blocks / frame groups to
-        patch grids whose sides are twice the element's token grid (the
-        merger halves each side).
+    def prepare_planned(self, plan: BatchPlan) -> PreparedInput:
+        """Embeddings, ids and DeepStack features of a planned batch, one
+        segment per sample: the part of ``prepare_batch`` that reads
+        parameters, for a batch that runs step after step.
 
-        Per sample, its text is embedded with one gather, each run of
-        consecutive grids of one shape makes one encoder pass and its
-        position ids restart.  All encoder passes then make one pass per
-        merger, one run of rows per sample, so each sample gets the bits of
-        its own ``prepare``; only a grid object that two samples share, one
-        encoder memo entry, gets its gradient terms added in another order.
-        The passes keep element order, so the merged rows and each DeepStack
-        level are in the order of the batch's visual tokens.  The embeddings
-        stack the samples' text, then the merged rows; a stable sort of the
-        batch's visual mask interleaves them, with one gather unless the
-        text already comes first.
+        Each sample's text is embedded with one gather and each of the
+        plan's runs of grids makes one encoder pass.  Each merger gathers
+        its blocks and runs once over the batch, one run of rows per sample,
+        so each sample gets the bits of its own ``prepare``.  The mergers
+        gather from one stack of every pass's final state and taps, pass
+        after pass.  The stack hands each encoder state its gradient terms
+        sample after sample, as one ``prepare`` per sample does, even when
+        two samples share a grid object and so one encoder memo entry.  The
+        merged rows and each DeepStack level are in the order of the batch's
+        visual tokens.  The embeddings stack the samples' text, then the
+        merged rows; the plan's ``order`` interleaves them.
         """
-        if not samples:
-            raise ConfigError("cannot prepare an empty batch")
-        texts, masks, ids, sides, passes = [], [], [], [], []
-        for seq, grids in samples:
-            kind, count, gh, gw = seq.columns
-            visual = np.flatnonzero(kind != TEXT).tolist()
-            stray = set(grids).difference(visual)
-            if stray:
-                raise ConfigError(f"element {min(stray)} has a patch grid but is not an image "
-                                  "block or frame group of the sequence")
-            for idx in visual:
-                if idx not in grids:
-                    raise ConfigError(f"element {idx} has no patch grid")
-                grid = grids[idx]
-                if grid.gh != 2 * gh[idx] or grid.gw != 2 * gw[idx]:
-                    raise ShapeError(
-                        f"element {idx}: patch grid {grid.gh}x{grid.gw} is not twice "
-                        f"the token grid {gh[idx]}x{gw[idx]}")
-                sides.append((grid.gh, grid.gw))
-            if not count.sum():
-                raise ConfigError("cannot prepare an empty sequence")
-            passes += [self.encoder.forward(*run) for _, run in
-                       groupby([grids[idx] for idx in visual], lambda g: (g.gh, g.gw))]
-            if len(seq.tokens):
-                texts.append(numerics.gather_rows(self.decoder.params["embed"], seq.tokens))
-            masks.append(np.repeat(kind != TEXT, count))
-            ids.append(assign_position_ids(seq))
-
-        mask = np.concatenate(masks)
-        visual_positions = np.flatnonzero(mask)
-        parts, deepstack = list(texts), []
-        if passes:
-            finals, taps = zip(*passes)
-            runs = [n for n in map(np.count_nonzero, masks) if n]
-            parts.append(merge_2x2(numerics.concat_rows(finals), sides, self.main_merger, runs))
-            deepstack = [merge_2x2(numerics.concat_rows(states), sides, merger, runs)
-                         for states, merger in zip(zip(*taps), self.tap_mergers)]
+        embed = self.decoder.params["embed"]
+        parts = [numerics.gather_rows(embed, tokens) for tokens in plan.tokens]
+        deepstack = []
+        if plan.passes:
+            encoded = [self.encoder.forward(*run) for run in plan.passes]
+            stack = numerics.concat_rows([state for final, taps in encoded
+                                          for state in (final, *taps)])
+            merged = [_merge(stack, corners, merger, plan.merged)
+                      for corners, merger in zip(plan.corners,
+                                                 (self.main_merger, *self.tap_mergers))]
+            parts.append(merged[0])
+            deepstack = merged[1:]
         embeddings = numerics.concat_rows(parts)
-        order = np.argsort(np.argsort(mask, kind="stable"))
-        if (order != np.arange(len(order))).any():
-            embeddings = numerics.gather_rows(embeddings, order)
+        if plan.order is not None:
+            embeddings = numerics.gather_rows(embeddings, plan.order)
         return PreparedInput(
             embeddings=embeddings,
-            position_ids=np.concatenate(ids),
-            visual_positions=visual_positions,
+            position_ids=plan.position_ids,
+            visual_positions=plan.visual_positions,
             deepstack=deepstack,
-            segments=tuple(len(m) for m in masks),
+            segments=plan.segments,
         )
 
     def forward(self, prepared: PreparedInput) -> Tensor:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -386,6 +387,37 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_two_calls_build_one_parser(capsys, monkeypatch):
+    """The argparse tree is built on a process's first ``main`` call, not
+    on import, and every later call parses with it."""
+    cli._parser.cache_clear()
+    built = mock.Mock(wraps=cli.build_parser)
+    monkeypatch.setattr(cli, "build_parser", built)
+    argv = ["sparsity", "--duration", "100", "--spacing", "1"]
+    first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
+    assert built.call_count == 1
+    assert first == second and first[0] == 0
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["train", "--help"], ["--version"], [],
+                                  ["nope"], ["train", "--steps", "x"], ["niah", "--bogus"]],
+                         ids=["help", "train-help", "version", "no-command", "bad-command",
+                              "bad-value", "bad-flag"])
+def test_kept_parser_prints_what_a_new_one_prints(capsys, argv):
+    """Help, the version and argparse's exit-2 errors from the kept parser,
+    used before, are byte for byte those of a newly built one."""
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return exc.value.code, capsys.readouterr()
+
+    main(["sparsity", "--duration", "100", "--spacing", "1"])
+    capsys.readouterr()
+    kept = outcome(main)
+    assert kept == outcome(cli.build_parser().parse_args)
+    assert kept[0] == (0 if "--help" in argv or "--version" in argv else 2)
 
 
 def test_closed_stdout_exits_1_without_traceback():

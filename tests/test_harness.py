@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -10,14 +11,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from numeric_env import pinned_in
-from vlmlab import mrope, numerics, objective
+from vlmlab import mrope, numerics, objective, vision
 from vlmlab.errors import ConfigError, ShapeError, check_config_types
 from vlmlab.harness import (NiahConfig, StageConfig, build_niah_sequence, emit_report,
                             load_stage_config, make_synthetic_batch, run_niah_probe, train_toy)
 from vlmlab.harness import niah, training
 from vlmlab.harness.niah import run_niah_grid
 from vlmlab.harness.stages import STAGE_NAMES
-from vlmlab.harness.training import _batch_loss
+from vlmlab.harness.training import TrainingBatch, TrainingExample, batch_loss
 from vlmlab.seeding import Rng
 from vlmlab.sequence import MultimodalSequence, TextSpan
 from vlmlab.timeline import interleave_timestamps
@@ -114,9 +115,9 @@ class TestTrainToy:
         batch = make_synthetic_batch(cfg, Rng(3).split("data"), n_examples=4, text_len=6)
         stage = load_stage_config("S0")
         result = train_toy(model, stage, batch, steps=20, lr=0.3)
-        losses, batch_loss = [], _batch_loss(reference, batch, "sqrt")
+        losses = []
         for _ in range(20):
-            loss, _ = batch_loss()
+            loss, _ = batch_loss(reference, batch, "sqrt")
             losses.append(loss.item())
             loss.backward()
             for name, param in reference.parameters().items():
@@ -177,7 +178,7 @@ class TestTrainToy:
         by a text-only S0 step, whose loss reaches no merger."""
         cfg, model = tiny_model()
         batch = make_synthetic_batch(cfg, Rng(0).split("data"))
-        _batch_loss(model, batch, "sqrt")()[0].backward()
+        batch_loss(model, batch, "sqrt")[0].backward()
         mergers = {n: p for n, p in model.parameters().items() if n.startswith("merger.")}
         assert all(p.grad is not None for p in mergers.values())
         before = param_bytes(model)
@@ -250,7 +251,7 @@ class TestTrainToy:
                 param.grad = None
             return loss.data.tobytes(), grads
 
-        packed_loss, packed_schemes = _batch_loss(model, batch, "sqrt")()
+        packed_loss, packed_schemes = batch_loss(model, batch, "sqrt")
         (packed_nll,) = packed_loss._parents
         packed, packed_grads = differentiate(packed_loss)
 
@@ -288,11 +289,11 @@ class TestTrainToy:
         cfg, model = tiny_model()
         batch = make_synthetic_batch(cfg, Rng(1).split("data"), n_examples=2, text_len=4)
         assert batch[0].sequence.token_count() == 6
-        batch[0].target_positions = positions
-        batch[0].target_ids = [1] * len(positions)
+        batch = [replace(batch[0], target_positions=positions, target_ids=[1] * len(positions)),
+                 *batch[1:]]
         with pytest.raises(ShapeError, match=r"example 0: target positions must be integers "
                                              r"in \[0, 6\)"):
-            _batch_loss(model, batch, "sqrt")
+            batch_loss(model, batch, "sqrt")
 
     def test_target_counts_checked_per_example(self):
         """Three positions and two ids in one example, two and three in the
@@ -300,25 +301,26 @@ class TestTrainToy:
         checked on its own."""
         cfg, model = tiny_model()
         batch = make_synthetic_batch(cfg, Rng(1).split("data"), n_examples=2, text_len=4)
-        batch[0].target_positions, batch[0].target_ids = [0, 1, 2], [1, 2]
-        batch[1].target_positions, batch[1].target_ids = [0, 1], [1, 2, 3]
+        batch = [replace(batch[0], target_positions=[0, 1, 2], target_ids=[1, 2]),
+                 replace(batch[1], target_positions=[0, 1], target_ids=[1, 2, 3])]
         with pytest.raises(ShapeError, match="example 0: 3 target positions for 2 target ids"):
-            _batch_loss(model, batch, "sqrt")
+            batch_loss(model, batch, "sqrt")
 
     def test_targets_checked_once_per_call_before_any_step(self):
-        """Each example's positions and ids are checked once per call, not
-        once per step, and a bad target stops the call before the model is
-        touched."""
+        """Each example's positions and ids are checked once, when its batch
+        is made, not once per step, and a bad target stops the call before
+        the model is touched."""
         cfg, model = tiny_model()
-        batch = make_synthetic_batch(cfg, Rng(1).split("data"), n_examples=3, text_len=4)
         with mock.patch.object(training, "_example_indices",
                                wraps=training._example_indices) as checks:
+            batch = make_synthetic_batch(cfg, Rng(1).split("data"), n_examples=3, text_len=4)
             train_toy(model, load_stage_config("S0"), batch, steps=3, lr=0.1)
         assert checks.call_count == 2 * len(batch)
         before = dict(model.parameters())
-        batch[2].target_ids = [1] * (len(batch[2].target_ids) - 1) + [32]
+        bad = [*batch[:2], replace(batch[2], target_ids=[1] * (len(batch[2].target_ids) - 1)
+                                   + [32])]
         with pytest.raises(ShapeError, match="example 2: target ids"):
-            train_toy(model, load_stage_config("S1"), batch, steps=1, lr=0.1)
+            train_toy(model, load_stage_config("S1"), bad, steps=1, lr=0.1)
         assert all(model.parameters()[name] is param for name, param in before.items())
 
     @pytest.mark.parametrize("ids", [[32], [-1], [1.0], [True]],
@@ -326,10 +328,10 @@ class TestTrainToy:
     def test_target_ids_outside_the_vocabulary_rejected(self, ids):
         cfg, model = tiny_model()
         batch = make_synthetic_batch(cfg, Rng(1).split("data"), n_examples=2, text_len=4)
-        batch[1].target_positions, batch[1].target_ids = [0], ids
+        batch = [batch[0], replace(batch[1], target_positions=[0], target_ids=ids)]
         with pytest.raises(ShapeError, match=r"example 1: target ids must be integers "
                                              r"in \[0, 32\)"):
-            _batch_loss(model, batch, "sqrt")
+            batch_loss(model, batch, "sqrt")
 
     def test_zero_lr_changes_nothing(self):
         cfg, model = tiny_model()
@@ -410,11 +412,11 @@ class TestTrainToy:
         at_limit = StageConfig("S1", 9, frozenset({"merger"}))
         assert len(train_toy(model, at_limit, batch, steps=1, lr=0.0).losses) == 1
         short = StageConfig("S1", 7, frozenset({"merger"}))
-        with mock.patch("vlmlab.harness.training._batch_loss") as batch_loss, \
+        with mock.patch("vlmlab.harness.training.batch_loss") as step, \
                 pytest.raises(ConfigError, match=r"^example 2 has 9 tokens, more than "
                                                  r"stage S1's sequence_length 7$"):
             train_toy(model, short, batch, steps=3, lr=0.1)
-        batch_loss.assert_not_called()
+        step.assert_not_called()
 
     def test_zero_steps_reports_the_loss_without_updating(self):
         cfg, model = tiny_model(seed=4)
@@ -438,6 +440,106 @@ class TestTrainToy:
         zero = train_toy(other, load_stage_config("S1"), batch, steps=0, lr=0.3)
         assert three.per_scheme_final == zero.per_scheme_initial
         assert three.losses[-1] == zero.losses[0]
+
+
+class TestTrainingPlan:
+    """A ``TrainingBatch`` is checked and laid out once, when it is made,
+    and every ``train_toy`` call on it reuses that layout."""
+
+    @pytest.mark.parametrize("stage", ["S0", "S1"])
+    def test_chained_calls_train_as_one_call(self, stage):
+        """Four one-step calls on one batch give the losses and parameter
+        bytes of one four-step call."""
+        runs = []
+        for chained in (False, True):
+            cfg, model = tiny_model(seed=2)
+            batch = make_synthetic_batch(cfg, Rng(2).split("data"), n_examples=4, text_len=6)
+            if chained:
+                losses = [train_toy(model, load_stage_config(stage), batch, steps=1,
+                                    lr=0.3).losses[0] for _ in range(4)]
+            else:
+                losses = train_toy(model, load_stage_config(stage), batch, steps=4,
+                                   lr=0.3).losses
+            runs.append((losses, param_bytes(model)))
+        assert runs[0] == runs[1]
+        assert len(set(runs[0][0])) == 4
+
+    def test_a_call_on_a_batch_plans_nothing(self):
+        """Making a batch assigns its position ids and checks its targets;
+        a call on it, under any stage and scheme, does neither.  A plain
+        list of the examples is planned on each call, and so is a batch
+        checked against another vocabulary than the model's."""
+        cfg, model = tiny_model()
+        with mock.patch.object(vision, "assign_position_ids",
+                               wraps=mrope.assign_position_ids) as ids, \
+                mock.patch.object(training, "_example_indices",
+                                  wraps=training._example_indices) as checks:
+            def planned(call):
+                """What ``call`` returns, and the position-id assignments
+                and target checks it made."""
+                before = ids.call_count, checks.call_count
+                result = call()
+                return result, (ids.call_count - before[0], checks.call_count - before[1])
+
+            def train(data, stage="S0", **kwargs):
+                return planned(lambda: train_toy(model, load_stage_config(stage), data,
+                                                 steps=1, lr=0.1, **kwargs))[1]
+
+            batch, made = planned(lambda: make_synthetic_batch(cfg, Rng(1).split("data"),
+                                                               n_examples=4, text_len=5))
+            assert made == (4, 8)
+            assert train(batch) == train(batch, "S1") == train(batch, scheme="per_token") == (0, 0)
+            assert train(list(batch)) == train(list(batch)) == (4, 8)
+            model = VisionLanguageModel(replace(cfg), Rng(0))
+            assert train(batch) == (0, 0)
+            model = VisionLanguageModel(replace(cfg, vocab=8), Rng(0))
+            with pytest.raises(ShapeError, match=r"example 0: target ids must be integers "
+                                                 r"in \[0, 8\)"):
+                train(batch)
+
+    def test_a_replaced_bad_target_is_rejected_before_the_model_is_touched(self):
+        """Examples are frozen; a bad example made with ``dataclasses.replace``
+        is rejected when its batch is made, and in a list before any
+        parameter changes."""
+        cfg, model = tiny_model()
+        batch = make_synthetic_batch(cfg, Rng(1).split("data"), n_examples=3, text_len=4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            batch[1].target_ids = batch[1].target_ids[:-1]
+        bad = replace(batch[1], target_positions=batch[1].target_positions[:-1])
+        message = "example 1: 3 target positions for 4 target ids"
+        with pytest.raises(ShapeError, match=message):
+            TrainingBatch([batch[0], bad, batch[2]], cfg.vocab)
+        before = dict(model.parameters())
+        with pytest.raises(ShapeError, match=message):
+            train_toy(model, load_stage_config("S1"), [batch[0], bad, batch[2]], steps=1, lr=0.1)
+        assert all(model.parameters()[name] is param for name, param in before.items())
+
+    def test_an_example_cannot_change(self):
+        """A write into an example's arrays or grids raises, and a write into
+        the arrays it was made from reaches nothing it holds, so a batch
+        trains on the same data as a plain list of its examples."""
+        cfg, model = tiny_model()
+        batch = make_synthetic_batch(cfg, Rng(1).split("data"), n_examples=2, text_len=4)
+        loss = batch_loss(model, list(batch), "sqrt")[0].item()
+        first = batch[0]
+        for a in (first.sequence.columns, first.sequence.tokens, first.target_ids,
+                  first.target_positions, batch.rows, batch.targets,
+                  batch.inputs.position_ids, *batch.inputs.tokens):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+        with pytest.raises(TypeError):
+            first.grids[1] = first.grids[1]
+        sources = [first.sequence.columns.copy(), first.sequence.tokens.copy(),
+                   first.target_positions.copy(), first.target_ids.copy()]
+        made = TrainingExample(MultimodalSequence(*sources[:2], np.zeros(0), np.zeros(0)),
+                               dict(first.grids), *sources[2:])
+        for a in sources:
+            a[:] = 0
+        assert all(getattr(made, name).tobytes() == getattr(first, name).tobytes()
+                   for name in ("target_positions", "target_ids"))
+        assert made.sequence.tokens.tobytes() == first.sequence.tokens.tobytes()
+        assert batch_loss(model, batch, "sqrt")[0].item() == loss
+        assert batch_loss(model, [made, batch[1]], "sqrt")[0].item() == loss
 
 
 class TestNiahBuild:

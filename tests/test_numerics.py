@@ -421,6 +421,21 @@ class TestSegments:
         assert (N.linear(x, w, b, segments).data.tobytes()
                 == N.linear(x, w, b, plain).data.tobytes())
 
+    def test_checked_segments(self):
+        """A ``Segments`` is the tuple of its lengths as ints, checked once,
+        with each run's row slice; an op takes it as it takes the plain
+        lengths, and still checks that it covers the operand's rows."""
+        seg = N.Segments([np.int64(2), 3])
+        assert seg == (2, 3) and all(type(n) is int for n in seg)
+        assert (seg.runs, seg.rows) == ((slice(0, 2), slice(2, 5)), 5)
+        x, w, b = rand((5, 4)), rand((4, 3), 1), rand((3,), 2)
+        assert N.linear(x, w, b, seg).data.tobytes() == N.linear(x, w, b, [2, 3]).data.tobytes()
+        with pytest.raises(ShapeError, match="layer_norm: segment lengths sum to 5, not to the "
+                                             "6 rows"):
+            N.layer_norm(rand((6, 4)), rand((4,), 1), rand((4,), 2), segments=seg)
+        with pytest.raises(ShapeError, match="segments: segment lengths must be at least 1"):
+            N.Segments([2, 0])
+
     @given(lengths=st.lists(st.integers(1, 20), min_size=1, max_size=8),
            scheme=st.sampled_from(sorted(objective.SCHEMES)), seed=st.integers(0, 2**16))
     @example(lengths=[1], scheme="sqrt", seed=0)

@@ -92,6 +92,24 @@ def test_op_cost_counts_are_the_same_in_two_processes():
         assert first[key] == second[key], key
 
 
+def test_op_cost_train_s0_step_reuses_the_batch_plan():
+    """After the warm-up, a train_s0 operation, one ``train_toy`` call on the
+    benchmark's batch, plans nothing: it assigns no position ids, checks no
+    target and no segment lengths, and prepares the batch from the plan
+    made with it."""
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "op_cost.py"),
+                           "--workload", "train_s0", "--seed", "0"],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    calls = json.loads(done.stdout)["calls"]
+    assert calls["vlmlab.harness.training.train_toy"] == 1
+    assert calls["vlmlab.vision.VisionLanguageModel.prepare_planned"] == 1
+    assert calls["vlmlab.numerics._runs"] > 0
+    for name in ("vlmlab.mrope.assign_position_ids", "vlmlab.harness.training._example_indices",
+                 "vlmlab.numerics._segments", "vlmlab.vision.plan_batch"):
+        assert name not in calls, name
+
+
 def test_src_lines_counts_total_and_code_lines(tmp_path):
     """``total`` counts every line of the ``*.py`` files under ``src/``;
     ``code`` leaves out blank lines, comments and docstrings, and counts a

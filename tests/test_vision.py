@@ -14,7 +14,7 @@ from vlmlab import numerics as N
 from vlmlab import vision
 from vlmlab.errors import ConfigError, ShapeError
 from vlmlab.harness import load_stage_config, make_synthetic_batch, train_toy
-from vlmlab.harness.training import _batch_loss
+from vlmlab.harness.training import batch_loss
 from vlmlab.mrope import assign_position_ids
 from vlmlab.numerics import Tensor
 from vlmlab.seeding import Rng
@@ -253,11 +253,13 @@ class TestEncoderMemo:
         second = prepared_multimodal(cfg, model, grid=grid)
         seen = {id(node) for out in (first.embeddings, *first.deepstack)
                 for node in tape_nodes(out)}
-        new_ops = Counter(node._op for out in (second.embeddings, *second.deepstack)
-                          for node in tape_nodes(out) if id(node) not in seen)
-        # Only the text embedding, the four mergers and the sequence order run again.
+        new = {id(node): node._op for out in (second.embeddings, *second.deepstack)
+               for node in tape_nodes(out) if id(node) not in seen}
+        new_ops = Counter(new.values())
+        # Only the text embedding, the stack of encoder states, the four
+        # mergers and the sequence order run again.
         assert new_ops == {"linear": 4 * 2, "gelu": 4, "gather_rows": 1 + 4 + 1, "reshape": 4,
-                           "concat_rows": 1}
+                           "concat_rows": 1 + 1}
         fresh = prepared_multimodal(cfg, VisionLanguageModel(cfg, Rng(0)), grid=grid)
         assert prepared_bytes(second) == prepared_bytes(first) == prepared_bytes(fresh)
 
@@ -681,23 +683,29 @@ class TestPrepare:
         ("visual", "another_visual"),
         ("text", "two_of_one_shape", "text"),
         ("visual",),
+        ("visual", "visual_again"),
+        ("mixed", "text", "mixed", "visual_again", "visual"),
     ])
     def test_batch_equals_single_sample_prepares(self, names):
         """Each sample's rows of a batch's embeddings, ids, visual positions
         and DeepStack levels are, byte for byte, those of its own prepare,
         and the parameter gradients those of one pass per sample with the
         losses added in order.  "mixed" meets its grid shapes 2x4 then 4x4,
-        "shapes_reversed" 4x4 then 2x4.  No two samples share a grid object:
-        their encoder states would be one memo entry, whose gradient terms a
-        batch adds in another order than the loop."""
+        "shapes_reversed" 4x4 then 2x4.  "visual_again" holds the 4x4 grid
+        object of "visual", and a name listed twice is one sample twice:
+        samples that share a grid share its encoder memo entry, whose
+        gradient terms the batch still adds sample after sample."""
         cfg = small_config()
         model = VisionLanguageModel(cfg, Rng(5))
+        visual_grid = random_grid(cfg, 4, 4, 7)
         catalogue = {
             "mixed": (MIXED, mixed_grids(cfg)),
             "text": (MultimodalSequence.of((TextSpan((3, 1, 4)),)), {}),
-            "visual": (MultimodalSequence.of((ImageBlock(2, 2),)), {0: random_grid(cfg, 4, 4, 7)}),
+            "visual": (MultimodalSequence.of((ImageBlock(2, 2),)), {0: visual_grid}),
             "another_visual": (MultimodalSequence.of((ImageBlock(2, 2),)),
                                {0: random_grid(cfg, 4, 4, 12)}),
+            "visual_again": (MultimodalSequence.of((TextSpan((5, 2)), ImageBlock(2, 2))),
+                             {1: visual_grid}),
             "two_of_one_shape": (
                 MultimodalSequence.of((ImageBlock(1, 2), TextSpan((6,)), ImageBlock(1, 2))),
                 {0: random_grid(cfg, 2, 4, 8), 2: random_grid(cfg, 2, 4, 9)}),
@@ -924,25 +932,26 @@ class TestTape:
         # Eight examples, every other one with an image: the train_s0 benchmark
         # step.  The batch is prepared as one input: each image example's
         # grid makes its own encoder pass, and each merger and the decoder
-        # run once over the batch; one node takes the weighted loss.
+        # run once over the batch, gathering its blocks from one stack of
+        # every pass's states; one node takes the weighted loss.
         cfg, rng = ModelConfig(), Rng(0)
         model = VisionLanguageModel(cfg, rng.split("model"))
         batch = make_synthetic_batch(cfg, rng.split("data"), n_examples=8, text_len=12)
-        loss, _ = _batch_loss(model, batch, "sqrt")()
-        self.check(loss, cfg, decoder_passes=1, encoder_passes=4, nodes=320)
+        loss, _ = batch_loss(model, batch, "sqrt")
+        self.check(loss, cfg, decoder_passes=1, encoder_passes=4, nodes=317)
         assert tape_ops(loss)["token_nll"] == tape_ops(loss)["weighted_run_sum"] == 1
         # A later step reaches the same number of nodes, the encoder's
-        # remembered ones among them.
-        again, _ = _batch_loss(model, batch, "sqrt")()
-        self.check(again, cfg, decoder_passes=1, encoder_passes=4, nodes=320)
+        # remembered ones among them, from the batch's kept plan.
+        again, _ = batch_loss(model, batch, "sqrt")
+        self.check(again, cfg, decoder_passes=1, encoder_passes=4, nodes=317)
         # After an S0 step only the mergers require a gradient, so backward
-        # walks 80 of the tape's 458 tensors, leaves included, and no
+        # walks 80 of the tape's 455 tensors, leaves included, and no
         # encoder node.
         train_toy(model, load_stage_config("S0"), batch, steps=1, lr=0.1)
-        pruned, _ = _batch_loss(model, batch, "sqrt")()
-        self.check(pruned, cfg, decoder_passes=1, encoder_passes=4, nodes=320)
+        pruned, _ = batch_loss(model, batch, "sqrt")
+        self.check(pruned, cfg, decoder_passes=1, encoder_passes=4, nodes=317)
         reached = tensors_under(pruned)
-        assert (len(reached), sum(t.requires_grad for t in reached)) == (458, 80)
+        assert (len(reached), sum(t.requires_grad for t in reached)) == (455, 80)
         encoded = [model.encoder.forward(*example.grids.values())
                    for example in batch if example.grids]
         assert len(encoded) == 4
@@ -967,4 +976,4 @@ class TestTape:
         positions = np.flatnonzero(text[1:])
         logits = model.forward(model.prepare(seq, grids))
         loss = N.sum_all(N.token_nll(N.gather_rows(logits, positions), token_at[positions + 1]))
-        self.check(loss, cfg, decoder_passes=1, encoder_passes=1, nodes=150)
+        self.check(loss, cfg, decoder_passes=1, encoder_passes=1, nodes=151)
