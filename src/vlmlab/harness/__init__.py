@@ -3,11 +3,12 @@
 from .niah import NiahConfig, NiahGroundTruth, build_niah_sequence, run_niah_probe
 from .reports import emit_report
 from .stages import StageConfig, load_stage_config
-from .training import TrainingExample, TrainResult, make_synthetic_batch, train_toy
+from .training import (TrainingBatch, TrainingExample, TrainResult, make_synthetic_batch,
+                       train_toy)
 
 __all__ = [
     "NiahConfig", "NiahGroundTruth", "build_niah_sequence", "run_niah_probe",
     "emit_report",
     "StageConfig", "load_stage_config",
-    "TrainingExample", "TrainResult", "make_synthetic_batch", "train_toy",
+    "TrainingBatch", "TrainingExample", "TrainResult", "make_synthetic_batch", "train_toy",
 ]

@@ -1,10 +1,11 @@
 """Toy training loop with component freezing.
 
-Plain gradient descent over synthetic next-token-prediction batches.  A
-``TrainingBatch`` is checked and laid out when it is made: its examples'
-targets are checked and its loss rows, targets and counts laid out next to
-the parameter-free half of ``prepare_batch`` (a ``BatchPlan``), so every
-step of every ``train_toy`` call on it reuses that layout.  Each step runs
+Plain gradient descent over synthetic next-token-prediction batches.
+``train_toy`` trains on a ``TrainingBatch``, which is checked and laid out
+when it is made: its examples' targets are checked and its loss rows,
+targets and counts laid out next to the batch's ``BatchPlan`` (everything
+``prepare_planned`` needs that reads no parameter), so every step of every
+``train_toy`` call on it reuses that layout.  Each step runs
 the batch through the decoder as one packed pass; one ``weighted_run_sum``
 node weighs each sample's summed token losses by its weight from the
 objective module, so the scheme shapes the gradients exactly as it shapes
@@ -75,8 +76,6 @@ class TrainingBatch(tuple):
 
     def __new__(cls, examples: Iterable[TrainingExample], vocab: int):
         self = super().__new__(cls, examples)
-        if not self:
-            raise ConfigError("training data must be non-empty")
         inputs, rows, targets, start = [], [], [], 0
         for index, example in enumerate(self):
             length = example.sequence.token_count()
@@ -150,25 +149,17 @@ def _example_indices(values, bound: int, what: str, index: int) -> np.ndarray:
     return idx.astype(np.int64)
 
 
-def _batch(data: Iterable[TrainingExample], vocab: int) -> TrainingBatch:
-    """``data`` as a ``TrainingBatch`` checked against ``vocab``: itself if it
-    is one, else a new one."""
-    if isinstance(data, TrainingBatch) and data.vocab == vocab:
-        return data
-    return TrainingBatch(data, vocab)
-
-
-def batch_loss(model: VisionLanguageModel, data: Iterable[TrainingExample],
+def batch_loss(model: VisionLanguageModel, batch: TrainingBatch,
                scheme: str) -> tuple[Tensor, dict[str, float]]:
     """One ``train_toy`` step's weighted loss tensor under ``scheme``, and
-    each scheme's aggregate, without updating the model.
+    each scheme's aggregate, without updating the model; ``batch`` must be
+    checked against the model's vocabulary.
 
     The batch runs as one packed input through one decoder pass, which gives
     each example the bits of its own pass.  One ``gather_rows`` takes the
     loss rows, one ``token_nll`` their losses, and one ``weighted_run_sum``
     weighs each example's sum, in example order.
     """
-    batch = _batch(data, model.config.vocab)
     logits = model.forward(model.prepare_planned(batch.inputs))
     nll = numerics.token_nll(numerics.gather_rows(logits, batch.rows), batch.targets)
     weights = objective.gradient_weights(batch.counts, scheme)
@@ -178,15 +169,15 @@ def batch_loss(model: VisionLanguageModel, data: Iterable[TrainingExample],
 
 
 def train_toy(model: VisionLanguageModel, stage: StageConfig,
-              data: Iterable[TrainingExample], steps: int, lr: float,
+              batch: TrainingBatch, steps: int, lr: float,
               scheme: str = "sqrt") -> TrainResult:
     """Run ``steps`` of gradient descent on the stage's trainable components.
 
-    ``data`` is a ``TrainingBatch`` checked against the model's vocabulary,
-    as ``make_synthetic_batch`` returns, which is used as it is; any other
-    iterable of examples is made into one, once per call, before the first
-    step (every target and grid checked, the batch laid out).  Each step runs
-    the whole batch through the decoder as one packed pass.  The model is
+    ``batch`` is a ``TrainingBatch`` checked against the model's vocabulary,
+    as ``make_synthetic_batch`` returns; anything else, a plain list of
+    examples or a batch checked against another vocabulary, raises
+    ``ConfigError``.  Each step runs the whole batch through the decoder as
+    one packed pass, on the layout the batch made once.  The model is
     updated in place; its parameters after the call are the final ones.
     First each parameter drops any gradient, and one whose ``requires_grad``
     disagrees with the stage becomes a leaf with the same bytes and the
@@ -196,7 +187,8 @@ def train_toy(model: VisionLanguageModel, stage: StageConfig,
     ``lr`` may be zero (a legal no-op step, useful for freeze checks) but not
     negative or non-finite, and a bool is neither a step count nor a rate.  A
     step that overflows raises ``ConfigError``, as does an example longer than
-    the stage's ``sequence_length``.
+    the stage's ``sequence_length``.  Every check runs before any parameter
+    changes.
     """
     if not (_has_type(lr, NUMBER) and lr >= 0):
         raise ConfigError(f"learning rate must be finite and non-negative, got {lr}")
@@ -206,7 +198,11 @@ def train_toy(model: VisionLanguageModel, stage: StageConfig,
         raise ConfigError(f"steps must be an integer, got {steps!r}")
     if steps < 0:
         raise ConfigError(f"steps must be non-negative, got {steps}")
-    batch = _batch(data, model.config.vocab)
+    if not (isinstance(batch, TrainingBatch) and batch.vocab == model.config.vocab):
+        got = (f"one made with vocab {batch.vocab}" if isinstance(batch, TrainingBatch)
+               else f"a {type(batch).__name__}")
+        raise ConfigError(f"train_toy needs a TrainingBatch made with the model's vocab "
+                          f"{model.config.vocab}, got {got}")
     for index, length in enumerate(batch.inputs.segments):
         if length > stage.sequence_length:
             raise ConfigError(f"example {index} has {length} tokens, more than stage "

@@ -84,6 +84,8 @@ class MultimodalSequence:
     of those shapes, known kinds, text of grid 0 x 0 whose counts (>= 0) sum
     to ``len(tokens)``, visual grids of at least 1 x 1 holding gh * gw
     tokens, and finite times 0 <= start <= end, one pair per frame group.
+    The sequence then holds read-only views of the four arrays, so a write
+    through it raises instead of getting past that check.
     """
 
     columns: np.ndarray  # (4, elements) integer
@@ -122,6 +124,10 @@ class MultimodalSequence:
         if count[text].sum() != len(tokens):
             raise ConfigError(f"text counts sum to {count[text].sum()}, "
                               f"but there are {len(tokens)} tokens")
+        for name in ("columns", "tokens", "start_times", "end_times"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @classmethod
     def of(cls, elements: Iterable[SequenceElement]) -> MultimodalSequence:

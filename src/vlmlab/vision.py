@@ -9,18 +9,19 @@ the visual tokens spliced into the decoder input; the per-tap merger
 outputs are added onto the hidden states entering the first decoder layers
 at the visual-token positions, adding no sequence length.
 
-``prepare_batch`` lowers a batch of sequences to one packed input, one
-segment per sample, in two parts: ``plan_batch`` does once all that reads no
-parameter (a ``BatchPlan``, which a batch that runs step after step keeps),
-and ``VisionLanguageModel.prepare_planned`` the tensor work.  Each run of
+A batch of sequences is lowered to one packed input, one segment per
+sample, in two parts: ``plan_batch`` does once all that reads no parameter
+(a ``BatchPlan``, which a batch that runs step after step keeps), and
+``VisionLanguageModel.prepare_planned`` the tensor work.  Each run of
 consecutive same-shape patch grids in a sample goes through the encoder as
 one stack of rows; attention stays inside each grid, as one ``attention``
 node over a rank-3 batch that recomputes each grid's probabilities in
 backward instead of keeping them, so memory grows linearly with the number
-of grids.  All encoder passes of the batch then go through each merger in
-one pass, one run of rows per sample.  The merged rows and the DeepStack
-levels come out in element order; one ``gather_rows`` interleaves text and
-visual rows.  ``prepare`` is the batch of one sequence.
+of grids.  Each merger then gathers its 2x2 blocks from every encoder pass
+of the batch (``_merge``, by the rows ``_block_corners`` lays out) and runs
+once, one run of rows per sample.  The merged rows and the DeepStack levels
+come out in element order; one ``gather_rows`` interleaves text and visual
+rows.  ``prepare`` is the plan and the tensor work of one sequence.
 
 The encoder is a memo of its own pure function: a second ``forward`` of
 the same grids returns the first call's tensors while the encoder holds the
@@ -294,49 +295,27 @@ def _block_corners(sides: Sequence[tuple[int, int]]) -> np.ndarray:
     """The (blocks, 4) rows of each 2x2 block's top-left, top-right,
     bottom-left and bottom-right patch, for grids of the (gh, gw) ``sides``
     laid out row-major one after another; blocks follow grid order, then
-    block row-major order.  Each side must be even."""
+    block row-major order.  ``plan_batch`` passes at least one grid, each of
+    even sides, twice its token grid."""
     # First row of each block, as (grid, block row, block col), then its four
     # corners: one run of consecutive grids of one shape at a time.
     corners, rows = [], 0
     for (gh, gw), same in groupby(sides):
-        if gh % 2 or gw % 2 or min(gh, gw) < 2:
-            raise ShapeError(f"merge_2x2 needs even grid sides, got {gh}x{gw}")
         end = rows + len(list(same)) * gh * gw
         top_left = (np.arange(rows, end, gh * gw)[:, None, None]
                     + np.arange(0, gh * gw, 2 * gw)[None, :, None]
                     + np.arange(0, gw, 2)[None, None, :])
         corners.append(top_left.reshape(-1, 1) + np.array([0, 1, gw, gw + 1]))
         rows = end
-    return np.concatenate(corners) if corners else np.zeros((0, 4), dtype=np.int64)
+    return np.concatenate(corners)
 
 
 def _merge(features: Tensor, corners: np.ndarray, merger: Merger,
            segments: Sequence[int] | None) -> Tensor:
     """Each block's four ``corners`` rows of ``features`` side by side,
-    through ``merger``."""
+    through ``merger``: the 2x2 merge, one visual token per block."""
     blocks = numerics.gather_rows(features, corners.reshape(-1))
     return merger.forward(numerics.reshape(blocks, (len(corners), 4 * merger.dim)), segments)
-
-
-def merge_2x2(level_features: Tensor, sides: Sequence[tuple[int, int]], merger: Merger,
-              segments: Sequence[int] | None = None) -> Tensor:
-    """Concatenate disjoint 2x2 feature blocks and project to decoder width.
-
-    ``level_features`` holds grids of the (gh, gw) ``sides``, each
-    row-major, one after another.  Each side must be even; padding odd
-    grids is the caller's job.  Each block becomes the features of its
-    top-left, top-right, bottom-left and bottom-right patch side by side.
-    Output rows follow grid order, then block row-major order: gh*gw/4 per
-    grid.  ``segments`` splits the output rows into runs, which the merger
-    projects as separate calls would (by default one run of all rows).
-    """
-    corners = _block_corners(sides)
-    rows = 4 * len(corners)
-    if not rows or level_features.shape != (rows, merger.dim):
-        names = " ".join(f"{gh}x{gw}" for gh, gw in sides)
-        raise ShapeError(f"features {level_features.shape} vs grids {names} "
-                         f"width {merger.dim}")
-    return _merge(level_features, corners, merger, segments)
 
 
 class Decoder:
@@ -404,7 +383,7 @@ class PreparedInput:
     position_ids: np.ndarray  # (seq, 3) int64 (t, h, w) triples, restarting per sample
     visual_positions: np.ndarray  # (visual tokens,) int64 row positions
     deepstack: list[Tensor]  # one tensor per inject layer; empty without visual tokens
-    segments: tuple[int, ...]  # rows per sample, a ``numerics.Segments``
+    segments: numerics.Segments  # rows per sample
 
 
 _LEVELS = 4  # encoder states that feed a merger: the final one and the three taps
@@ -412,7 +391,7 @@ _LEVELS = 4  # encoder states that feed a merger: the final one and the three ta
 
 @dataclass(frozen=True, eq=False)
 class BatchPlan:
-    """Everything ``prepare_batch`` derives from a batch without reading a
+    """Everything ``prepare_planned`` needs of a batch that reads no
     parameter, checked and laid out once by ``plan_batch``.
 
     ``passes`` are the encoder runs, sample after sample, each in element
@@ -539,19 +518,13 @@ class VisionLanguageModel:
 
     def prepare(self, seq: MultimodalSequence,
                 grids: Mapping[int, PatchGrid]) -> PreparedInput:
-        """``prepare_batch`` of the one sample (``seq``, ``grids``)."""
-        return self.prepare_batch([(seq, grids)])
-
-    def prepare_batch(self, samples: Sequence[tuple[MultimodalSequence, Mapping[int, PatchGrid]]]
-                      ) -> PreparedInput:
-        """Lower a batch of (sequence, grids) samples to one packed input:
-        ``prepare_planned`` of ``plan_batch(samples)``."""
-        return self.prepare_planned(plan_batch(samples))
+        """``prepare_planned`` of the one-sample batch (``seq``, ``grids``)."""
+        return self.prepare_planned(plan_batch([(seq, grids)]))
 
     def prepare_planned(self, plan: BatchPlan) -> PreparedInput:
         """Embeddings, ids and DeepStack features of a planned batch, one
-        segment per sample: the part of ``prepare_batch`` that reads
-        parameters, for a batch that runs step after step.
+        segment per sample: the tensor work, which a batch that runs step
+        after step repeats on its one plan.
 
         Each sample's text is embedded with one gather and each of the
         plan's runs of grids makes one encoder pass.  Each merger gathers

@@ -27,7 +27,8 @@ from vlmlab.sequence import ImageBlock, MultimodalSequence, TextSpan
 from vlmlab.timeline import (SamplingPolicy, detokenize, format_timestamp,
                              interleave_timestamps, parse_timestamp,
                              position_id_range_report, sample_frames, tokenize)
-from vlmlab.vision import Merger, ModelConfig, PatchGrid, VisionLanguageModel, merge_2x2
+from vlmlab.vision import (Merger, ModelConfig, PatchGrid, VisionLanguageModel, _block_corners,
+                           _merge)
 
 from test_grounding import random_records
 
@@ -136,14 +137,15 @@ def test_criterion_4_gradient_checks():
         # merger MLP, wrt its input features and its first-layer weight
         merger = Merger(4, 8, Rng(46))
         probe = Tensor(Rng(47).normal((4, 8)))
-        err = N.grad_check(lambda x: N.sum_all(N.mul(merge_2x2(x, [(4, 4)], merger), probe)),
+        corners = _block_corners([(4, 4)])
+        err = N.grad_check(lambda x: N.sum_all(N.mul(_merge(x, corners, merger, None), probe)),
                            Tensor(Rng(48).normal((16, 4))), h=h)
         assert err < tol, f"merger input {err}"
         feats = Tensor(Rng(49).normal((4, 4)))
 
         def merger_weight_loss(w):
             merger.params["fc1.w"] = w
-            return N.sum_all(merge_2x2(feats, [(2, 2)], merger))
+            return N.sum_all(_merge(feats, _block_corners([(2, 2)]), merger, None))
 
         err = N.grad_check(merger_weight_loss, merger.params["fc1.w"], h=h)
         assert err < tol, f"merger weight {err}"

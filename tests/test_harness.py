@@ -166,7 +166,7 @@ class TestTrainToy:
         batch = make_synthetic_batch(cfg, Rng(0).split("data"))
         train_toy(model, load_stage_config("S0"), batch, steps=1, lr=0.1)
         before = param_bytes(model)
-        text_only = [example for example in batch if not example.grids]
+        text_only = TrainingBatch([example for example in batch if not example.grids], cfg.vocab)
         assert len(text_only) == 4
         train_toy(model, load_stage_config("S1"), text_only, steps=1, lr=0.1)
         after = param_bytes(model)
@@ -182,7 +182,7 @@ class TestTrainToy:
         mergers = {n: p for n, p in model.parameters().items() if n.startswith("merger.")}
         assert all(p.grad is not None for p in mergers.values())
         before = param_bytes(model)
-        text_only = [example for example in batch if not example.grids]
+        text_only = TrainingBatch([example for example in batch if not example.grids], cfg.vocab)
         train_toy(model, load_stage_config("S0"), text_only, steps=1, lr=0.1)
         assert param_bytes(model) == before
         assert all(model.parameters()[n] is p for n, p in mergers.items())
@@ -286,52 +286,50 @@ class TestTrainToy:
     def test_target_positions_outside_their_example_rejected(self, positions):
         """A target position must name a row of its own example: moved by
         the example's first row, it would otherwise read another example."""
-        cfg, model = tiny_model()
+        cfg, _ = tiny_model()
         batch = make_synthetic_batch(cfg, Rng(1).split("data"), n_examples=2, text_len=4)
         assert batch[0].sequence.token_count() == 6
-        batch = [replace(batch[0], target_positions=positions, target_ids=[1] * len(positions)),
-                 *batch[1:]]
+        examples = [replace(batch[0], target_positions=positions,
+                            target_ids=[1] * len(positions)), *batch[1:]]
         with pytest.raises(ShapeError, match=r"example 0: target positions must be integers "
                                              r"in \[0, 6\)"):
-            batch_loss(model, batch, "sqrt")
+            TrainingBatch(examples, cfg.vocab)
 
     def test_target_counts_checked_per_example(self):
         """Three positions and two ids in one example, two and three in the
         next, would line up over the batch's one loss node; each example is
         checked on its own."""
-        cfg, model = tiny_model()
+        cfg, _ = tiny_model()
         batch = make_synthetic_batch(cfg, Rng(1).split("data"), n_examples=2, text_len=4)
-        batch = [replace(batch[0], target_positions=[0, 1, 2], target_ids=[1, 2]),
-                 replace(batch[1], target_positions=[0, 1], target_ids=[1, 2, 3])]
+        examples = [replace(batch[0], target_positions=[0, 1, 2], target_ids=[1, 2]),
+                    replace(batch[1], target_positions=[0, 1], target_ids=[1, 2, 3])]
         with pytest.raises(ShapeError, match="example 0: 3 target positions for 2 target ids"):
-            batch_loss(model, batch, "sqrt")
+            TrainingBatch(examples, cfg.vocab)
 
     def test_targets_checked_once_per_call_before_any_step(self):
         """Each example's positions and ids are checked once, when its batch
-        is made, not once per step, and a bad target stops the call before
-        the model is touched."""
+        is made, not once per step, and a bad target stops the batch from
+        being made, so no call can train on it."""
         cfg, model = tiny_model()
         with mock.patch.object(training, "_example_indices",
                                wraps=training._example_indices) as checks:
             batch = make_synthetic_batch(cfg, Rng(1).split("data"), n_examples=3, text_len=4)
             train_toy(model, load_stage_config("S0"), batch, steps=3, lr=0.1)
         assert checks.call_count == 2 * len(batch)
-        before = dict(model.parameters())
         bad = [*batch[:2], replace(batch[2], target_ids=[1] * (len(batch[2].target_ids) - 1)
                                    + [32])]
         with pytest.raises(ShapeError, match="example 2: target ids"):
-            train_toy(model, load_stage_config("S1"), bad, steps=1, lr=0.1)
-        assert all(model.parameters()[name] is param for name, param in before.items())
+            TrainingBatch(bad, cfg.vocab)
 
     @pytest.mark.parametrize("ids", [[32], [-1], [1.0], [True]],
                              ids=["past-the-vocab", "negative", "float", "bool"])
     def test_target_ids_outside_the_vocabulary_rejected(self, ids):
-        cfg, model = tiny_model()
+        cfg, _ = tiny_model()
         batch = make_synthetic_batch(cfg, Rng(1).split("data"), n_examples=2, text_len=4)
-        batch = [batch[0], replace(batch[1], target_positions=[0], target_ids=ids)]
+        examples = [batch[0], replace(batch[1], target_positions=[0], target_ids=ids)]
         with pytest.raises(ShapeError, match=r"example 1: target ids must be integers "
                                              r"in \[0, 32\)"):
-            batch_loss(model, batch, "sqrt")
+            TrainingBatch(examples, cfg.vocab)
 
     def test_zero_lr_changes_nothing(self):
         cfg, model = tiny_model()
@@ -364,9 +362,9 @@ class TestTrainToy:
             train_toy(model, load_stage_config("S1"), batch, **{"steps": 1, "lr": 0.1, **train_args})
 
     def test_empty_data_rejected(self):
-        _, model = tiny_model()
-        with pytest.raises(ConfigError, match="training data must be non-empty"):
-            train_toy(model, load_stage_config("S1"), [], steps=1, lr=0.1)
+        cfg, _ = tiny_model()
+        with pytest.raises(ConfigError, match="cannot prepare an empty batch"):
+            TrainingBatch([], cfg.vocab)
 
     @pytest.mark.parametrize("n_examples", [0, -1])
     def test_fewer_than_one_example_rejected(self, n_examples):
@@ -466,9 +464,8 @@ class TestTrainingPlan:
 
     def test_a_call_on_a_batch_plans_nothing(self):
         """Making a batch assigns its position ids and checks its targets;
-        a call on it, under any stage and scheme, does neither.  A plain
-        list of the examples is planned on each call, and so is a batch
-        checked against another vocabulary than the model's."""
+        a call on it, under any stage and scheme, or with a model of an
+        equal config, does neither."""
         cfg, model = tiny_model()
         with mock.patch.object(vision, "assign_position_ids",
                                wraps=mrope.assign_position_ids) as ids, \
@@ -489,18 +486,33 @@ class TestTrainingPlan:
                                                                n_examples=4, text_len=5))
             assert made == (4, 8)
             assert train(batch) == train(batch, "S1") == train(batch, scheme="per_token") == (0, 0)
-            assert train(list(batch)) == train(list(batch)) == (4, 8)
             model = VisionLanguageModel(replace(cfg), Rng(0))
             assert train(batch) == (0, 0)
-            model = VisionLanguageModel(replace(cfg, vocab=8), Rng(0))
-            with pytest.raises(ShapeError, match=r"example 0: target ids must be integers "
-                                                 r"in \[0, 8\)"):
-                train(batch)
+
+    @pytest.mark.parametrize("made", ["list", "other-vocab"])
+    def test_only_a_batch_made_with_the_models_vocab_is_trained(self, made):
+        """A plain list of examples, or a batch whose targets were checked
+        against another vocabulary, raises ``ConfigError`` before any
+        parameter changes, also one whose flag the stage would flip."""
+        cfg, model = tiny_model()
+        batch = make_synthetic_batch(cfg, Rng(1).split("data"), n_examples=3, text_len=4)
+        if made == "list":
+            data, got = list(batch), "a list"
+        else:
+            model = VisionLanguageModel(replace(cfg, vocab=64), Rng(0))
+            data, got = batch, "one made with vocab 32"
+        before = dict(model.parameters())
+        assert all(param.requires_grad for param in before.values())
+        with pytest.raises(ConfigError, match=f"^train_toy needs a TrainingBatch made with the "
+                                              f"model's vocab {model.config.vocab}, got {got}$"):
+            train_toy(model, load_stage_config("S0"), data, steps=1, lr=0.1)
+        assert all(model.parameters()[name] is param and param.requires_grad
+                   and param.grad is None for name, param in before.items())
 
     def test_a_replaced_bad_target_is_rejected_before_the_model_is_touched(self):
         """Examples are frozen; a bad example made with ``dataclasses.replace``
-        is rejected when its batch is made, and in a list before any
-        parameter changes."""
+        is rejected when its batch is made, and a list holding it is refused
+        before any parameter changes."""
         cfg, model = tiny_model()
         batch = make_synthetic_batch(cfg, Rng(1).split("data"), n_examples=3, text_len=4)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -510,17 +522,17 @@ class TestTrainingPlan:
         with pytest.raises(ShapeError, match=message):
             TrainingBatch([batch[0], bad, batch[2]], cfg.vocab)
         before = dict(model.parameters())
-        with pytest.raises(ShapeError, match=message):
-            train_toy(model, load_stage_config("S1"), [batch[0], bad, batch[2]], steps=1, lr=0.1)
+        with pytest.raises(ConfigError, match="got a list"):
+            train_toy(model, load_stage_config("S0"), [batch[0], bad, batch[2]], steps=1, lr=0.1)
         assert all(model.parameters()[name] is param for name, param in before.items())
 
     def test_an_example_cannot_change(self):
         """A write into an example's arrays or grids raises, and a write into
-        the arrays it was made from reaches nothing it holds, so a batch
-        trains on the same data as a plain list of its examples."""
+        the arrays it was made from reaches nothing it holds, so a batch made
+        of it later trains on the data it was made with."""
         cfg, model = tiny_model()
         batch = make_synthetic_batch(cfg, Rng(1).split("data"), n_examples=2, text_len=4)
-        loss = batch_loss(model, list(batch), "sqrt")[0].item()
+        loss = batch_loss(model, batch, "sqrt")[0].item()
         first = batch[0]
         for a in (first.sequence.columns, first.sequence.tokens, first.target_ids,
                   first.target_positions, batch.rows, batch.targets,
@@ -539,7 +551,8 @@ class TestTrainingPlan:
                    for name in ("target_positions", "target_ids"))
         assert made.sequence.tokens.tobytes() == first.sequence.tokens.tobytes()
         assert batch_loss(model, batch, "sqrt")[0].item() == loss
-        assert batch_loss(model, [made, batch[1]], "sqrt")[0].item() == loss
+        assert batch_loss(model, TrainingBatch([made, batch[1]], cfg.vocab),
+                          "sqrt")[0].item() == loss
 
 
 class TestNiahBuild:

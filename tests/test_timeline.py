@@ -339,6 +339,19 @@ class TestSequenceTypes:
         with pytest.raises(ConfigError, match="sum to 5, but there are 1 tokens"):
             MultimodalSequence(columns, np.array([1]), np.array([]), np.array([]))
 
+    def test_a_checked_sequence_cannot_be_written_through(self):
+        """The sequence holds read-only views: a write through it raises
+        where it happens, and the arrays it was made from are not copied."""
+        columns = np.array([[TEXT, FRAMES], [4, 1], [0, 1], [0, 1]])
+        arrays = columns, np.arange(4), np.array([0.0]), np.array([1.0])
+        seq = MultimodalSequence(*arrays)
+        for name, source in zip(("columns", "tokens", "start_times", "end_times"), arrays):
+            held = getattr(seq, name)
+            assert np.shares_memory(held, source) and source.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 6
+        assert seq.token_count() == 5
+
     def test_array_constructor_checks_image_grids(self):
         columns = np.array([[IMAGE], [0], [0], [0]])
         with pytest.raises(ConfigError, match="element 0: image grid must be at least 1x1, got 0x0"):

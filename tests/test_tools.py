@@ -113,7 +113,8 @@ def test_op_cost_train_s0_step_reuses_the_batch_plan():
 def test_src_lines_counts_total_and_code_lines(tmp_path):
     """``total`` counts every line of the ``*.py`` files under ``src/``;
     ``code`` leaves out blank lines, comments and docstrings, and counts a
-    multi-line string that is no docstring on each of its lines."""
+    multi-line string that is no docstring on each of its lines.
+    ``modules`` gives both counts per file, by its path under ``src/``."""
     package = tmp_path / "src" / "pkg"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text('"""Module docstring,\non two lines."""\n'
@@ -133,4 +134,5 @@ def test_src_lines_counts_total_and_code_lines(tmp_path):
                            "--root", str(tmp_path)],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == {"total": 13, "code": 6}
+    assert json.loads(done.stdout) == {"total": 13, "code": 6, "modules": {
+        "pkg/__init__.py": {"total": 4, "code": 1}, "pkg/mod.py": {"total": 9, "code": 5}}}

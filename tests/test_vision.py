@@ -21,7 +21,7 @@ from vlmlab.seeding import Rng
 from vlmlab.sequence import TEXT, FrameGroup, ImageBlock, MultimodalSequence, TextSpan
 from vlmlab.timeline import SamplingPolicy, interleave_timestamps, sample_frames
 from vlmlab.vision import (Decoder, Merger, ModelConfig, PatchGrid, PreparedInput, VisionEncoder,
-                           VisionLanguageModel, merge_2x2)
+                           VisionLanguageModel, plan_batch)
 
 
 def small_config(**overrides) -> ModelConfig:
@@ -280,28 +280,49 @@ class TestEncoderMemo:
         assert after != before
 
 
+def explicit_corners(sides):
+    """The rows of each 2x2 block's top-left, top-right, bottom-left and
+    bottom-right patch, for row-major grids of ``sides`` one after another,
+    block by block with explicit loops."""
+    rows, start = [], 0
+    for gh, gw in sides:
+        for r in range(0, gh, 2):
+            for c in range(0, gw, 2):
+                top = start + r * gw + c
+                rows.append([top, top + 1, top + gw, top + gw + 1])
+        start += gh * gw
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
+
+
+def merged_blocks(features, sides, merger, segments=None):
+    """``merger`` over each 2x2 block's patches of ``features`` side by side,
+    the blocks laid out by ``explicit_corners``."""
+    corners = explicit_corners(sides)
+    blocks = N.gather_rows(features, corners.reshape(-1))
+    return merger.forward(N.reshape(blocks, (len(corners), 4 * merger.dim)), segments)
+
+
 class TestMerge2x2:
+    """The merge ``prepare_planned`` runs, ``_merge`` over the block rows of
+    ``_block_corners``, against blocks laid out by explicit loops."""
+
     def test_minimal_grid(self):
-        m = Merger(4, 8, Rng(0))
-        out = merge_2x2(Tensor(Rng(1).normal((4, 4))), [(2, 2)], m)
+        corners = vision._block_corners([(2, 2)])
+        assert corners.tolist() == [[0, 1, 2, 3]]
+        out = vision._merge(Tensor(Rng(1).normal((4, 4))), corners, Merger(4, 8, Rng(0)), None)
         assert out.shape == (1, 8)
 
     def test_counting(self):
-        m = Merger(4, 8, Rng(0))
-        out = merge_2x2(Tensor(Rng(1).normal((24, 4))), [(4, 6)], m)
-        assert out.shape == (6, 8)
-
-    def test_odd_grid_rejected(self):
-        m = Merger(4, 8, Rng(0))
-        with pytest.raises(ShapeError, match="even"):
-            merge_2x2(Tensor(np.ones((6, 4))), [(3, 2)], m)
+        assert vision._block_corners([(4, 6)]).tolist() == [
+            [0, 1, 6, 7], [2, 3, 8, 9], [4, 5, 10, 11],
+            [12, 13, 18, 19], [14, 15, 20, 21], [16, 17, 22, 23]]
 
     @pytest.mark.parametrize("gh", range(2, 17, 2))
     @pytest.mark.parametrize("gw", range(2, 17, 2))
     def test_output_count_exhaustive(self, gh, gw):
-        m = Merger(2, 3, Rng(0))
-        out = merge_2x2(Tensor(Rng(1).normal((gh * gw, 2))), [(gh, gw)], m)
-        assert out.shape[0] == gh * gw // 4
+        corners = vision._block_corners([(gh, gw)])
+        assert corners.shape == (gh * gw // 4, 4)
+        assert corners.tolist() == explicit_corners([(gh, gw)]).tolist()
 
     def test_block_layout(self):
         # With fc1 the identity on the four corner channels, output block b
@@ -312,7 +333,7 @@ class TestMerge2x2:
         feats = Tensor(np.arange(8.0)[:, None])  # 4x2 grid of scalars
         # Block b's corners r00, r01, r10, r11 are rows 4b .. 4b+3.
         corners = np.arange(8.0).reshape(2, 4)
-        out = merge_2x2(feats, [(4, 2)], m)
+        out = vision._merge(feats, vision._block_corners([(4, 2)]), m, None)
         w1, b1, w2, b2 = (m.params[name].data for name in ("fc1.w", "fc1.b", "fc2.w", "fc2.b"))
         pre = corners @ w1 + b1
         hidden = 0.5 * pre * (1.0 + np.tanh(math.sqrt(2.0 / math.pi)
@@ -322,8 +343,10 @@ class TestMerge2x2:
     def test_packed_grids_equal_single_calls(self):
         m = Merger(3, 5, Rng(0))
         feats = [Tensor(Rng(s).normal((24, 3))) for s in (1, 2)]
-        packed = merge_2x2(N.concat_rows(feats), [(4, 6)] * 2, m)
-        singles = np.concatenate([merge_2x2(f, [(4, 6)], m).data for f in feats])
+        corners = vision._block_corners([(4, 6)] * 2)
+        assert corners.tolist() == explicit_corners([(4, 6)] * 2).tolist()
+        packed = vision._merge(N.concat_rows(feats), corners, m, None)
+        singles = np.concatenate([merged_blocks(f, [(4, 6)], m).data for f in feats])
         np.testing.assert_allclose(packed.data, singles, rtol=1e-12, atol=1e-12)
 
     def test_mixed_sides_equal_single_calls(self):
@@ -332,21 +355,34 @@ class TestMerge2x2:
         m = Merger(3, 5, Rng(0))
         sides = [(2, 4), (4, 2), (2, 2), (4, 6)]
         feats = [Tensor(Rng(s).normal((gh * gw, 3))) for s, (gh, gw) in enumerate(sides)]
-        packed = merge_2x2(N.concat_rows(feats), sides, m, [gh * gw // 4 for gh, gw in sides])
-        singles = [merge_2x2(f, [side], m).data for f, side in zip(feats, sides)]
+        corners = vision._block_corners(sides)
+        assert corners.tolist() == explicit_corners(sides).tolist()
+        packed = vision._merge(N.concat_rows(feats), corners, m,
+                               [gh * gw // 4 for gh, gw in sides])
+        singles = [merged_blocks(f, [side], m).data for f, side in zip(feats, sides)]
         assert packed.data.tobytes() == np.concatenate(singles).tobytes()
+
+    # The merge takes whole grids of even sides on trust; they are checked
+    # where grids are made and planned, once.
+    def test_odd_grid_rejected(self):
+        seq = MultimodalSequence.of((ImageBlock(1, 1),))
+        with pytest.raises(ShapeError, match="patch grid 3x2 is not twice the token grid 1x1"):
+            plan_batch([(seq, {0: random_grid(small_config(), 3, 2)})])
 
     @pytest.mark.parametrize("sides", [[(2, 4), (3, 2)], [(0, 2)], [(2, -2)]])
     def test_every_grid_must_have_even_sides(self, sides):
-        m = Merger(4, 8, Rng(0))
-        with pytest.raises(ShapeError, match="even"):
-            merge_2x2(Tensor(np.ones((14, 4))), sides, m)
+        """``plan_batch`` refuses an odd side in any grid of a sample, and
+        ``PatchGrid`` a side below 1."""
+        with pytest.raises((ShapeError, ConfigError), match="element 1: patch grid 3x2 is not "
+                                                            "twice|patch grid must be at least"):
+            grids = {i: PatchGrid(gh, gw, 4, Tensor(np.ones((abs(gh * gw), 4))))
+                     for i, (gh, gw) in enumerate(sides)}
+            plan_batch([(MultimodalSequence.of([ImageBlock(1, 2)] * len(sides)), grids)])
 
     @pytest.mark.parametrize("shape", [(6, 4), (0, 4), (8, 3), (8,), (2, 4, 4), (8, 4)])
     def test_features_not_whole_grids_rejected(self, shape):
-        m = Merger(4, 8, Rng(0))
-        with pytest.raises(ShapeError, match="vs grids 2x2 width 4"):
-            merge_2x2(Tensor(np.ones(shape)), [(2, 2)], m)
+        with pytest.raises(ShapeError, match=r"features \S.* vs grid 2x2 width 4"):
+            PatchGrid(2, 2, 4, Tensor(np.ones(shape)))
 
 
 def tape_nodes(out: Tensor) -> list[Tensor]:
@@ -527,7 +563,7 @@ class TestDecoder:
                     merger.params["fc2.w"] = Tensor(np.zeros((cfg.llm_dim, cfg.llm_dim)))
                     merger.params["fc2.b"] = Tensor(np.zeros(cfg.llm_dim))
             inputs.clear()
-            model.forward(model.prepare_batch(samples))
+            model.forward(model.prepare_planned(plan_batch(samples)))
             return dict(inputs)
 
         base, moved = layer_inputs(None), layer_inputs(level)
@@ -611,7 +647,8 @@ def mixed_grids(cfg):
 
 
 def per_element_reference(model, seq, grids):
-    """``prepare`` built one element at a time, with single-grid passes."""
+    """``prepare`` built one element at a time, with single-grid passes and
+    2x2 blocks laid out by explicit loops."""
     embed, deepstack, positions, cursor = [], [[], [], []], [], 0
     for idx, element in enumerate(seq.elements):
         n = element.token_count()
@@ -620,9 +657,9 @@ def per_element_reference(model, seq, grids):
         else:
             grid = grids[idx]
             final, taps = model.encoder.forward(grid)
-            embed.append(merge_2x2(final, [(grid.gh, grid.gw)], model.main_merger))
+            embed.append(merged_blocks(final, [(grid.gh, grid.gw)], model.main_merger))
             for level, (state, merger) in enumerate(zip(taps, model.tap_mergers)):
-                deepstack[level].append(merge_2x2(state, [(grid.gh, grid.gw)], merger))
+                deepstack[level].append(merged_blocks(state, [(grid.gh, grid.gw)], merger))
             positions.extend(range(cursor, cursor + n))
         cursor += n
     return PreparedInput(N.concat_rows(embed), assign_position_ids(seq), np.asarray(positions),
@@ -668,7 +705,7 @@ class TestPrepare:
                    (MultimodalSequence.of((TextSpan((3, 1, 4)),)), {}),
                    (MultimodalSequence.of((TextSpan((1, 2)), ImageBlock(1, 2),
                                            TextSpan((3, 4, 5)))), {1: random_grid(cfg, 2, 4, 6)})]
-        packed = model.prepare_batch(samples)
+        packed = model.prepare_planned(plan_batch(samples))
         assert [model.prepare(*sample).segments for sample in samples] == [(15,), (3,), (7,)]
         assert packed.segments == (15, 3, 7)
         assert packed.visual_positions.tolist() == [2, 3, *range(5, 13), 20, 21]
@@ -715,7 +752,7 @@ class TestPrepare:
                 {1: random_grid(cfg, 4, 4, 10), 3: random_grid(cfg, 2, 4, 11)}),
         }
         samples = [catalogue[name] for name in names]
-        batch = model.prepare_batch(samples)
+        batch = model.prepare_planned(plan_batch(samples))
         singles = [model.prepare(*sample) for sample in samples]
         assert batch.segments == tuple(single.segments[0] for single in singles)
         starts = np.cumsum([0, *batch.segments])
@@ -754,9 +791,8 @@ class TestPrepare:
             assert grad is None or grad.tobytes() == want.tobytes(), name
 
     def test_empty_batch_rejected(self):
-        model = VisionLanguageModel(small_config(), Rng(0))
         with pytest.raises(ConfigError, match="cannot prepare an empty batch"):
-            model.prepare_batch([])
+            plan_batch([])
 
     def test_one_encoder_pass_per_run_of_grid_shape(self, monkeypatch):
         """Consecutive grids of one shape make one encoder pass, so every

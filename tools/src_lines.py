@@ -1,12 +1,13 @@
 """Line counts of a checkout's ``src/`` tree.
 
-Prints one JSON line with two counts over every ``*.py`` file under
-``src/``: ``total``, every line, and ``code``, the lines that hold a token
-other than a comment or a docstring.  A docstring is the string that opens a
-module, class or function body.  A token spanning several lines, such as a
-multi-line string that is not a docstring, counts on each of them.  Editing
-comments or docstrings moves ``total`` but not ``code``, so a fall in
-``code`` is a fall in program text.
+Prints one JSON line: ``total``, every line of every ``*.py`` file under
+``src/``; ``code``, the lines that hold a token other than a comment or a
+docstring; and ``modules``, both counts of each file, keyed by its path
+under ``src/`` (for example ``vlmlab/vision.py``).
+A docstring is the string that opens a module, class or function body.  A
+token spanning several lines, such as a multi-line string that is not a
+docstring, counts on each of them.  Editing comments or docstrings moves
+``total`` but not ``code``, so a fall in ``code`` is a fall in program text.
 
 Usage, from anywhere:
 
@@ -58,11 +59,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
     args = parser.parse_args(argv)
-    totals = {"total": 0, "code": 0}
-    for path in sorted((args.root / "src").rglob("*.py")):
-        for key, n in count(path.read_text(encoding="utf-8")).items():
-            totals[key] += n
-    print(json.dumps(totals))
+    src = args.root / "src"
+    modules = {path.relative_to(src).as_posix(): count(path.read_text(encoding="utf-8"))
+               for path in sorted(src.rglob("*.py"))}
+    totals = {key: sum(counts[key] for counts in modules.values()) for key in ("total", "code")}
+    print(json.dumps({**totals, "modules": modules}))
     return 0
 
 
