@@ -5,12 +5,13 @@ Plain gradient descent over synthetic next-token-prediction batches.
 when it is made: its examples' targets are checked and its loss rows,
 targets and counts laid out next to the batch's ``BatchPlan`` (everything
 ``prepare_planned`` needs that reads no parameter), so every step of every
-``train_toy`` call on it reuses that layout.  Each step runs
-the batch through the decoder as one packed pass; one ``weighted_run_sum``
-node weighs each sample's summed token losses by its weight from the
-objective module, so the scheme shapes the gradients exactly as it shapes
-the reported loss.  ``requires_grad`` alone says what backward
-differentiates: frozen components have it off and stay bit-identical.
+``train_toy`` call on it reuses that layout.  Each step runs the batch
+through the decoder as one packed pass, whose ``ln_f`` and head see only the
+loss rows; one ``weighted_run_sum`` node weighs each sample's summed token
+losses by its weight from the objective module, so the scheme shapes the
+gradients exactly as it shapes the reported loss.  ``requires_grad`` alone
+says what backward differentiates: frozen components have it off and stay
+bit-identical.
 """
 
 from __future__ import annotations
@@ -153,19 +154,23 @@ def batch_loss(model: VisionLanguageModel, batch: TrainingBatch,
                scheme: str) -> tuple[Tensor, dict[str, float]]:
     """One ``train_toy`` step's weighted loss tensor under ``scheme``, and
     each scheme's aggregate, without updating the model; ``batch`` must be
-    checked against the model's vocabulary.
+    checked against the model's vocabulary."""
+    loss, nll = _weighted_loss(model, batch, objective.gradient_weights(batch.counts, scheme))
+    return loss, _aggregates(nll.data, batch)
 
-    The batch runs as one packed input through one decoder pass, which gives
-    each example the bits of its own pass.  One ``gather_rows`` takes the
-    loss rows, one ``token_nll`` their losses, and one ``weighted_run_sum``
-    weighs each example's sum, in example order.
-    """
-    logits = model.forward(model.prepare_planned(batch.inputs))
-    nll = numerics.token_nll(numerics.gather_rows(logits, batch.rows), batch.targets)
-    weights = objective.gradient_weights(batch.counts, scheme)
-    return (numerics.weighted_run_sum(nll, batch.counts, weights),
-            {name: objective.aggregate(nll.data, batch.counts, name)
-             for name in objective.SCHEMES})
+
+def _weighted_loss(model: VisionLanguageModel, batch: TrainingBatch,
+                   weights: np.ndarray) -> tuple[Tensor, Tensor]:
+    """The loss tensor and the token losses: one packed decoder pass, its head
+    on the loss rows only, then ``token_nll`` and ``weighted_run_sum``."""
+    logits = model.forward(model.prepare_planned(batch.inputs), (batch.rows, batch.counts))
+    nll = numerics.token_nll(logits, batch.targets)
+    return numerics.weighted_run_sum(nll, batch.counts, weights), nll
+
+
+def _aggregates(token_losses: np.ndarray, batch: TrainingBatch) -> dict[str, float]:
+    return {name: objective.aggregate(token_losses, batch.counts, name)
+            for name in objective.SCHEMES}
 
 
 def train_toy(model: VisionLanguageModel, stage: StageConfig,
@@ -183,7 +188,8 @@ def train_toy(model: VisionLanguageModel, stage: StageConfig,
     disagrees with the stage becomes a leaf with the same bytes and the
     stage's flag: a frozen one (S0: all but the mergers) requires no
     gradient until a later call's stage trains it.
-    ``steps`` 0 reports the loss once and updates nothing.
+    ``steps`` 0 reports the loss once and updates nothing.  The scheme
+    aggregates are those of the first and the last step's token losses.
     ``lr`` may be zero (a legal no-op step, useful for freeze checks) but not
     negative or non-finite, and a bool is neither a step count nor a rate.  A
     step that overflows raises ``ConfigError``, as does an example longer than
@@ -215,15 +221,15 @@ def train_toy(model: VisionLanguageModel, stage: StageConfig,
             model.set_parameter(name, (numerics.parameter if trainable else Tensor)(param.data))
 
     losses: list[float] = []
-    initial = None
+    token_losses: list[np.ndarray] = []
+    weights = objective.gradient_weights(batch.counts, scheme)
     try:
         # A diverging step overflows; Tensor's finiteness check reports it.
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(max(steps, 1)):
-                loss, final = batch_loss(model, batch, scheme)
+                loss, nll = _weighted_loss(model, batch, weights)
                 losses.append(loss.item())
-                if initial is None:
-                    initial = final
+                token_losses.append(nll.data)
                 if not steps:
                     break
                 loss.backward()
@@ -232,4 +238,6 @@ def train_toy(model: VisionLanguageModel, stage: StageConfig,
                         model.set_parameter(name, numerics.parameter(param.data - lr * param.grad))
     except NonFiniteError as exc:
         raise ConfigError(f"training diverged at step {step + 1} with lr {lr}: {exc}") from None
+    initial = _aggregates(token_losses[0], batch)
+    final = initial if len(token_losses) == 1 else _aggregates(token_losses[-1], batch)
     return TrainResult(losses=losses, per_scheme_initial=initial, per_scheme_final=final)

@@ -33,11 +33,12 @@ probabilities and recomputes them in backward.
 of runs of rank-2 rows, one after another; the default is one run of all
 rows.  A packed batch of samples has one run per sample, and each run gets
 the bits of its own call: every matrix product runs on one run's rows,
-forward and backward (OpenBLAS picks its kernel by shape, so a product over
-more rows may round otherwise), attention stays inside each run, and each
-parameter gradient is summed per run and the sums added in run order, as
-the tape adds the gradients of separate calls.  Row-wise ops (``add``,
-``gelu``, ``rotate_pairs``, ``add_rows_at``) need no segments.
+forward and backward, into one array for all runs (OpenBLAS picks its kernel
+by shape, so a product over more rows may round otherwise), attention stays
+inside each run, and each parameter gradient is summed per run and the sums
+added in run order, as the tape adds the gradients of separate calls.
+Row-wise ops (``add``, ``gelu``, ``rotate_pairs``, ``add_rows_at``) need no
+segments.
 ``weighted_run_sum`` takes the runs of a vector, such as a packed batch's
 token losses, and adds their sums, each times its own weight, in run order.
 All four take a ``Segments``, lengths checked once, without checking them
@@ -194,9 +195,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor, segments: Sequence[int] | None = Non
 
     ``segments`` splits the rows into runs, one run after another (by
     default one run of all rows).  Each run is its own product, forward and
-    backward, and the w and b gradients are summed per run and added in run
-    order: the bits of one call per run whose parameter gradients the tape
-    adds up.
+    backward, written into one output (bias added in place) or x gradient;
+    the w and b gradients are summed per run and added in run order: the
+    bits of one call per run whose parameter gradients the tape adds up.
     """
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise ShapeError(f"linear needs two rank-2 operands, got {x.shape} and {w.shape}")
@@ -205,10 +206,20 @@ def linear(x: Tensor, w: Tensor, b: Tensor, segments: Sequence[int] | None = Non
     if b.shape != w.shape[1:]:
         raise ShapeError(f"linear: bias {b.shape} vs output width {w.shape[1]}")
     runs = _runs(segments, x.shape, "linear")
-    return _node("linear", _stack([x.data[r] @ w.data + b.data for r in runs]), (x, w, b),
-                 (lambda g: _stack([g[r] @ w.data.T for r in runs]),
-                  lambda g: reduce(operator.add, [x.data[r].T @ g[r] for r in runs]),
+    out = _run_products(x.data, w.data, runs)
+    out += b.data
+    return _node("linear", out, (x, w, b),
+                 (lambda g: _run_products(g, w.data.T, runs),
+                  lambda g: reduce(operator.iadd, [x.data[r].T @ g[r] for r in runs]),
                   lambda g: _sum_runs(g, runs)))
+
+
+def _run_products(a: np.ndarray, b: np.ndarray, runs: Sequence[slice]) -> np.ndarray:
+    """``a @ b``, each run of ``a``'s rows its own product, in one array."""
+    out = np.empty((a.shape[0], b.shape[1]))
+    for r in runs:
+        np.matmul(a[r], b, out=out[r])
+    return out
 
 
 def _stack(parts: Sequence[np.ndarray], axis: int = -2) -> np.ndarray:
@@ -235,7 +246,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
     run in blocks of ``_ROW_BLOCK`` rows of a run, each meeting only the
     keys up to its last row, so the masked triangle beyond the blocks'
     diagonal squares is never computed, forward or backward.  Without the
-    mask, all rows of a run make one block.  The node keeps q, k^T and v and
+    mask, all rows of a run make one block.  Each block writes its ``p @ v``
+    and its q gradient into one array each.  The node keeps q, k^T and v and
     two floats per row, each block's row max and row sum, so its memory
     grows linearly in the rows.  Backward walks each run's blocks from the
     last to the first, recomputing each one's probabilities with the
@@ -268,7 +280,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
     # Per run: its q, k^T and v, and per block (query rows, keys they meet,
     # row max, row sum).
     saved = []
-    outs = []
+    out = np.empty((*q.shape[:-1], v.shape[-1]))
     for run in runs:
         qs, vs = q.data[..., run, :], v.data[..., run, :]
         kt = _swap_last(k.data[..., run, :]).copy()
@@ -283,19 +295,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
             total = p.sum(axis=-1, keepdims=True)
             p /= total
             blocks.append((rows, keys, top, total))
-            outs.append(p @ vs[..., :keys, :])
+            np.matmul(p, vs[..., :keys, :], out=out[..., run, :][..., rows, :])
         saved.append((run, qs, kt, vs, blocks))
 
     def _grads(g):
         """The q, k and v gradients, run by run.  In a run, one block at a
-        time from the last, the full-width one: the q parts stacked, each
-        earlier block's k and v parts added onto the leading rows of the
-        sums so far.  The runs' k gradients are stacked transposed, so each
-        keeps the layout it has alone."""
-        gq, gk, gv = [], [], []
+        time from the last, the full-width one: the q parts written into one
+        array, each earlier block's k and v parts added onto the leading
+        rows of the sums so far.  The runs' k gradients are stacked
+        transposed, so each keeps the layout it has alone."""
+        gq, gk, gv = np.empty_like(q.data), [], []
         for run, qs, kt, vs, blocks in saved:
             g_run = g[..., run, :]
-            gq_run, gk_run, gv_run = [], None, None
+            gk_run = gv_run = None
             for rows, keys, top, total in reversed(blocks):
                 p = _scores(qs, kt, rows, keys)
                 p -= top
@@ -306,7 +318,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
                 gs -= (gs * p).sum(axis=-1, keepdims=True)
                 gs *= p
                 gs *= c
-                gq_run.append(gs @ _swap_last(kt[..., :keys]))
+                np.matmul(gs, _swap_last(kt[..., :keys]), out=gq[..., run, :][..., rows, :])
                 gk_part = _swap_last(_swap_last(qs[..., rows, :]) @ gs)
                 gv_part = _swap_last(p) @ g_rows
                 if gk_run is None:
@@ -314,12 +326,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
                 else:
                     gk_run[..., :keys, :] += gk_part
                     gv_run[..., :keys, :] += gv_part
-            gq += gq_run[::-1]
             gk.append(_swap_last(gk_run))
             gv.append(gv_run)
-        return _stack(gq), _swap_last(_stack(gk, axis=-1)), _stack(gv)
+        return gq, _swap_last(_stack(gk, axis=-1)), _stack(gv)
 
-    return _node("attention", _stack(outs), (q, k, v),
+    return _node("attention", out, (q, k, v),
                  (lambda h: h[0], lambda h: h[1], lambda h: h[2]), _grads)
 
 
@@ -401,15 +412,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: affine shapes {gain.shape}/{bias.shape} vs width {d}")
     runs = _runs(segments, x.shape, "layer_norm")
-    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+
+    def mean(a):  # ndarray.mean's own sum and division, without its wrapper
+        return np.add.reduce(a, axis=-1, keepdims=True) / d
+
+    xc = x.data - mean(x.data)
     # np.var's own steps, without its second mean and subtraction.
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + _LN_EPS)
+    inv = 1.0 / np.sqrt(mean(xc * xc) + _LN_EPS)
     xhat = xc * inv
 
     def _grad_x(g):
         gx = g * gain.data
-        return inv * (gx - gx.mean(axis=-1, keepdims=True)
-                      - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+        return inv * (gx - mean(gx) - xhat * mean(gx * xhat))
 
     return _node("layer_norm", xhat * gain.data + bias.data, (x, gain, bias),
                  (_grad_x, lambda g: _sum_runs(g * xhat, runs), lambda g: _sum_runs(g, runs)))
@@ -477,10 +491,11 @@ def gather_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
         raise ShapeError("gather_rows: indices must be a flat sequence")
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ShapeError(f"gather_rows: index out of range for {x.shape[0]} rows")
+    distinct = x.requires_grad and np.unique(idx).size == idx.size
 
     def _grad(g):
         gx = np.zeros_like(x.data)
-        if np.unique(idx).size == idx.size:
+        if distinct:
             gx[idx] = g
             np.add(gx, 0.0, out=gx)  # -0.0 to +0.0, as adding onto zeros gives
         else:

@@ -334,7 +334,8 @@ class Decoder:
                                           config.vocab, "head"))
 
     def forward(self, embeddings: Tensor, ids: np.ndarray, deepstack: Sequence[Tensor] = (),
-                positions: Sequence[int] = (), segments: Sequence[int] | None = None) -> Tensor:
+                positions: Sequence[int] = (), segments: Sequence[int] | None = None,
+                rows: tuple[np.ndarray, numerics.Segments] | None = None) -> Tensor:
         """Run the decoder stack; returns (seq, vocab) logits.
 
         ``deepstack`` holds one tensor of visual tokens per inject layer, in
@@ -347,6 +348,10 @@ class Decoder:
         pass: every norm, projection and attention node works per sample
         (see ``numerics``), so each sample's logits and gradients are the
         bits its own pass would give, and no sample sees another.
+
+        ``rows``, indices and a ``Segments`` of each sample's count, gathers
+        the last hidden state: ``ln_f`` and the head run on those rows only,
+        a sample at a time, giving the full logits' rows to within rounding.
         """
         cfg = self.config
         if embeddings.shape[1] != cfg.llm_dim:
@@ -367,6 +372,8 @@ class Decoder:
                                segments=segments)
             if layer in inject and cfg.inject_after_layer:
                 x = numerics.add_rows_at(x, inject[layer], positions)
+        if rows is not None:
+            x, segments = numerics.gather_rows(x, rows[0]), rows[1]
         x = _norm(self.params, "ln_f", x, segments)
         return _linear(self.params, "head", x, segments)
 
@@ -402,7 +409,7 @@ class BatchPlan:
     the text already comes first.  The arrays are the plan's own, read-only.
     """
 
-    tokens: tuple[np.ndarray, ...]  # text token ids of each sample that has any
+    tokens: tuple[np.ndarray, ...]  # all samples' text token ids as one array, or () if none
     passes: tuple[tuple[PatchGrid, ...], ...]
     corners: tuple[np.ndarray, ...]
     merged: numerics.Segments | None  # merged rows of each sample that has any
@@ -430,7 +437,7 @@ def plan_batch(samples: Sequence[tuple[MultimodalSequence, Mapping[int, PatchGri
     """
     if not samples:
         raise ConfigError("cannot prepare an empty batch")
-    tokens, masks, ids, sides, passes = [], [], [], [], []
+    masks, ids, sides, passes = [], [], [], []
     for seq, grids in samples:
         kind, count, gh, gw = seq.columns
         visual = np.flatnonzero(kind != TEXT).tolist()
@@ -451,11 +458,10 @@ def plan_batch(samples: Sequence[tuple[MultimodalSequence, Mapping[int, PatchGri
             raise ConfigError("cannot prepare an empty sequence")
         passes += [tuple(run) for _, run in
                    groupby([grids[idx] for idx in visual], lambda g: (g.gh, g.gw))]
-        if len(seq.tokens):
-            tokens.append(seq.tokens.astype(np.int64))
         masks.append(np.repeat(kind != TEXT, count))
         ids.append(assign_position_ids(seq))
 
+    tokens = np.concatenate([seq.tokens for seq, _ in samples]).astype(np.int64)
     mask = np.concatenate(masks)
     order = np.argsort(np.argsort(mask, kind="stable"))
     corners, merged = (), None
@@ -469,7 +475,7 @@ def plan_batch(samples: Sequence[tuple[MultimodalSequence, Mapping[int, PatchGri
         corners = tuple(rows + (shift + level * size)[rows] for level in range(_LEVELS))
         merged = numerics.Segments(n for n in map(np.count_nonzero, masks) if n)
     return BatchPlan(
-        tokens=tuple(tokens),
+        tokens=(tokens,) if tokens.size else (),
         passes=tuple(passes),
         corners=corners,
         merged=merged,
@@ -526,7 +532,7 @@ class VisionLanguageModel:
         segment per sample: the tensor work, which a batch that runs step
         after step repeats on its one plan.
 
-        Each sample's text is embedded with one gather and each of the
+        Every sample's text is embedded with one gather and each of the
         plan's runs of grids makes one encoder pass.  Each merger gathers
         its blocks and runs once over the batch, one run of rows per sample,
         so each sample gets the bits of its own ``prepare``.  The mergers
@@ -561,8 +567,9 @@ class VisionLanguageModel:
             segments=plan.segments,
         )
 
-    def forward(self, prepared: PreparedInput) -> Tensor:
-        """Logits of every row; a packed batch runs as one decoder pass."""
+    def forward(self, prepared: PreparedInput,
+                rows: tuple[np.ndarray, numerics.Segments] | None = None) -> Tensor:
+        """Logits of every row, or of ``rows`` only, as ``Decoder.forward`` gives them."""
         return self.decoder.forward(prepared.embeddings, prepared.position_ids,
                                     prepared.deepstack, prepared.visual_positions,
-                                    prepared.segments)
+                                    prepared.segments, rows)

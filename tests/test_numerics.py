@@ -353,6 +353,31 @@ SEGMENTED_OPS = {
 
 
 class TestSegments:
+    @pytest.mark.parametrize("lengths", [[1, 300], [300, 1, 7], [5, 1, 300, 1]])
+    def test_linear_fills_one_output_with_each_runs_products(self, lengths):
+        """``linear`` writes each run's product into one output, and its x
+        gradient into one array, and adds the runs' w gradients in place: the
+        bits of one call per run.  A one-row run is a matrix-vector product,
+        and above about 120 rows OpenBLAS switches kernels, so a product over
+        all rows rounds otherwise in the forward and in each gradient."""
+        rng = Rng(sum(lengths))
+        x, upstream = rng.split("x").normal((sum(lengths), 16)), rng.split("g").normal(
+            (sum(lengths), 300))
+        w, b = rng.split("w").normal((16, 300)), rng.split("b").normal((300,))
+
+        def once(run, segments):
+            xs, ws, bs = N.parameter(x[run]), N.parameter(w), N.parameter(b)
+            out = N.linear(xs, ws, bs, segments)
+            N.sum_all(N.mul(out, Tensor(upstream[run]))).backward()
+            return out.data, xs.grad, ws.grad, bs.grad
+
+        out, gx, gw, gb = once(slice(None), N.Segments(lengths))
+        runs = [once(run, None) for run in _runs(lengths)]
+        assert out.tobytes() == np.concatenate([r[0] for r in runs]).tobytes()
+        assert gx.tobytes() == np.concatenate([r[1] for r in runs]).tobytes()
+        assert gw.tobytes() == reduce(operator.add, [r[2] for r in runs]).tobytes()
+        assert gb.tobytes() == reduce(operator.add, [r[3] for r in runs]).tobytes()
+
     @pytest.mark.parametrize("name", sorted(SEGMENTED_OPS))
     @given(lengths=st.lists(st.integers(1, 90), min_size=1, max_size=4),
            seed=st.integers(0, 2**16))

@@ -69,6 +69,21 @@ def test_op_faults_reports_each_operation():
     assert type(report["op_median_ms"]) is float and report["op_median_ms"] > 0
 
 
+def test_op_faults_all_prints_one_line_per_workload():
+    """``--workload all`` measures the four workloads one after another, in
+    a process each, and prints each one's report on a line of its own."""
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "op_faults.py"),
+                           "--workload", "all", "--ops", "1", "--seed", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    reports = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [r["workload"] for r in reports] == ["niah_grid", "train_s0", "long_video",
+                                                "ground_io"]
+    for report in reports:
+        assert (report["seed"], report["ops"], len(report["minflt_per_op"])) == (1, 1, 1)
+        assert type(report["maxrss_kb"]) is int and report["maxrss_kb"] > 0
+
+
 def test_op_cost_counts_are_the_same_in_two_processes():
     """Two processes print the same cProfile call counts and the same traced
     numerics calls for a train_s0 operation, which trains once; the memory

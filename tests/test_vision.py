@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from vlmlab import numerics as N
-from vlmlab import vision
+from vlmlab import objective, vision
 from vlmlab.errors import ConfigError, ShapeError
 from vlmlab.harness import load_stage_config, make_synthetic_batch, train_toy
 from vlmlab.harness.training import batch_loss
@@ -585,6 +585,71 @@ class TestDecoder:
         assert on.data.tobytes() == off.data.tobytes()
 
 
+def long_timeline(cfg: ModelConfig):
+    """The long_video benchmark's input: 32 timestamped groups of two frames
+    (571 tokens), random 4x4 patch grids, and the next-token loss rows, every
+    row whose successor is a text token."""
+    policy = SamplingPolicy(fps=1.0, max_frames=64, tokens_per_frame=4, token_budget=256,
+                            group_size=2)
+    seq = interleave_timestamps(sample_frames(64.0, 30.0, policy), group_size=2, gh=2, gw=2)
+    kind, count, _, _ = seq.columns
+    grids = {idx: random_grid(cfg, 4, 4, seed=idx)
+             for idx in np.flatnonzero(kind != TEXT).tolist()}
+    return seq, grids, np.flatnonzero(np.repeat(kind == TEXT, count)[1:])
+
+
+class TestLossRows:
+    """``forward(prepared, rows)`` runs ``ln_f`` and the head on the loss
+    rows only, one sample at a time."""
+
+    def test_s0_batch_is_bit_identical_to_the_full_logits(self):
+        """On the train_s0 batch, whose samples hold 11 to 13 loss rows each,
+        the loss rows' logits are the full logits' rows, and every
+        parameter's gradient of the weighted loss is the one taken through
+        the full logits, bit for bit."""
+        cfg, rng = ModelConfig(), Rng(0)
+        model = VisionLanguageModel(cfg, rng.split("model"))
+        batch = make_synthetic_batch(cfg, rng.split("data"), n_examples=8, text_len=12)
+        prepared = model.prepare_planned(batch.inputs)
+        full = model.forward(prepared)
+        rows = model.forward(prepared, (batch.rows, batch.counts))
+        assert rows.data.tobytes() == full.data[batch.rows].tobytes()
+
+        def gradients(logits):
+            nll = N.token_nll(logits, batch.targets)
+            weights = objective.gradient_weights(batch.counts, "sqrt")
+            N.weighted_run_sum(nll, batch.counts, weights).backward()
+            grads = {name: param.grad for name, param in model.parameters().items()}
+            for param in model.parameters().values():
+                param.grad = None
+            return grads
+
+        want = gradients(N.gather_rows(full, batch.rows))
+        got = gradients(rows)
+        assert got.keys() == want.keys()
+        for name, grad in got.items():
+            assert grad.tobytes() == want[name].tobytes(), name
+
+    def test_one_row_and_a_long_timeline_agree_to_1e_12(self):
+        """A sample with one loss row takes a matrix-vector product, and the
+        442 loss rows of a 571-row timeline a product of another shape than
+        all rows take, so either may round otherwise: each logit agrees with
+        the full logits' to 1e-12 of the row's largest magnitude."""
+        cfg, rng = ModelConfig(), Rng(0)
+        model = VisionLanguageModel(cfg, rng.split("model"))
+        example = make_synthetic_batch(cfg, rng.split("data"), n_examples=1, text_len=12)[0]
+        seq, grids, positions = long_timeline(cfg)
+        for prepared, rows in (
+                *((model.prepare(example.sequence, example.grids), [row]) for row in range(14)),
+                (model.prepare(seq, grids), positions)):
+            rows = np.asarray(rows)
+            want = model.forward(prepared).data[rows]
+            got = model.forward(prepared, (rows, N.Segments([len(rows)]))).data
+            assert got.shape == want.shape
+            assert (np.abs(got - want).max(axis=1)
+                    <= 1e-12 * np.abs(want).max(axis=1)).all(), len(rows)
+
+
 def decoder_loss(n: int, **overrides) -> Tensor:
     """The summed next-token loss of a small decoder over ``n`` random rows."""
     cfg = small_config(**overrides)
@@ -974,20 +1039,20 @@ class TestTape:
         model = VisionLanguageModel(cfg, rng.split("model"))
         batch = make_synthetic_batch(cfg, rng.split("data"), n_examples=8, text_len=12)
         loss, _ = batch_loss(model, batch, "sqrt")
-        self.check(loss, cfg, decoder_passes=1, encoder_passes=4, nodes=317)
+        self.check(loss, cfg, decoder_passes=1, encoder_passes=4, nodes=310)
         assert tape_ops(loss)["token_nll"] == tape_ops(loss)["weighted_run_sum"] == 1
         # A later step reaches the same number of nodes, the encoder's
         # remembered ones among them, from the batch's kept plan.
         again, _ = batch_loss(model, batch, "sqrt")
-        self.check(again, cfg, decoder_passes=1, encoder_passes=4, nodes=317)
+        self.check(again, cfg, decoder_passes=1, encoder_passes=4, nodes=310)
         # After an S0 step only the mergers require a gradient, so backward
-        # walks 80 of the tape's 455 tensors, leaves included, and no
+        # walks 80 of the tape's 448 tensors, leaves included, and no
         # encoder node.
         train_toy(model, load_stage_config("S0"), batch, steps=1, lr=0.1)
         pruned, _ = batch_loss(model, batch, "sqrt")
-        self.check(pruned, cfg, decoder_passes=1, encoder_passes=4, nodes=317)
+        self.check(pruned, cfg, decoder_passes=1, encoder_passes=4, nodes=310)
         reached = tensors_under(pruned)
-        assert (len(reached), sum(t.requires_grad for t in reached)) == (455, 80)
+        assert (len(reached), sum(t.requires_grad for t in reached)) == (448, 80)
         encoded = [model.encoder.forward(*example.grids.values())
                    for example in batch if example.grids]
         assert len(encoded) == 4

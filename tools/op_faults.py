@@ -13,6 +13,10 @@ Usage, from anywhere:
 
     python3 tools/op_faults.py --workload niah_grid --ops 50 --seed 0 [--root CHECKOUT]
 
+``--workload all`` measures each of the four workloads in a process of its
+own, one after another, and prints one line per workload, so that one
+command takes the census of a checkout.
+
 ``--root`` names the checkout whose ``bench/workloads.py`` and ``src/`` run,
 by default the one holding this script, so that one copy of the script
 measures another commit's checkout too.  The script only reads ``bench/``;
@@ -25,9 +29,12 @@ import argparse
 import json
 import resource
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
+
+WORKLOADS = ("niah_grid", "train_s0", "long_video", "ground_io")
 
 
 def measure(workload_name: str, ops: int, seed: int) -> dict:
@@ -52,14 +59,21 @@ def measure(workload_name: str, ops: int, seed: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True,
-                        choices=("niah_grid", "train_s0", "long_video", "ground_io"))
+    parser.add_argument("--workload", required=True, choices=(*WORKLOADS, "all"))
     parser.add_argument("--ops", type=int, default=50)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
     args = parser.parse_args(argv)
     if args.ops < 1:
         parser.error("--ops must be at least 1")
+    if args.workload == "all":
+        for name in WORKLOADS:
+            done = subprocess.run([sys.executable, __file__, "--workload", name,
+                                   "--ops", str(args.ops), "--seed", str(args.seed),
+                                   "--root", str(args.root)])
+            if done.returncode:
+                return done.returncode
+        return 0
     sys.path.insert(0, str(args.root.resolve() / "bench"))
     print(json.dumps(measure(args.workload, args.ops, args.seed)))
     return 0
