@@ -21,16 +21,10 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, mrope, timeline
+# Each subcommand imports the modules it runs, so building the parser loads
+# neither numpy nor any module a subcommand does not use.
+from . import __version__
 from .errors import NUMBER, ConfigError, GroundingParseError, load_json_config
-from .grounding import parse_grounding_json, serialize_grounding_json
-from .harness import (NiahConfig, emit_report, load_stage_config, make_synthetic_batch,
-                      train_toy)
-from .harness.niah import run_niah_grid
-from .seeding import Rng
-from .vision import ModelConfig, VisionLanguageModel
 
 EXIT_OK = 0
 EXIT_CLOSED_PIPE = 1
@@ -45,10 +39,13 @@ _TRAIN_KEYS = {"stage": str, "model": dict, "examples": int, "text_len": int, "s
 
 
 def _cmd_spectrum(args) -> int:
+    from . import mrope
+
     cfg = load_json_config(args.config, _SPECTRUM_KEYS, "spectrum")
+    base = cfg.get("base", args.base)
     alloc = mrope.build_frequency_allocation(
         head_dim=cfg.get("head_dim", args.head_dim),
-        base=cfg.get("base", args.base),
+        base=mrope.DEFAULT_BASE if base is None else base,
         scheme=cfg.get("scheme", args.scheme),
         chunk_split=cfg.get("chunk_split"),
     )
@@ -61,6 +58,10 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_sparsity(args) -> int:
+    import numpy as np
+
+    from . import timeline
+
     cfg = load_json_config(args.config, _SPARSITY_KEYS, "sparsity")
     duration = cfg.get("duration_s", args.duration)
     spacing = cfg.get("group_spacing_s", args.spacing)
@@ -85,6 +86,8 @@ def _cmd_sparsity(args) -> int:
 
 
 def _cmd_ground(args) -> int:
+    from .grounding import parse_grounding_json, serialize_grounding_json
+
     cfg = load_json_config(args.config, _GROUND_KEYS, "ground")
     kind = cfg.get("kind", args.kind)
     source = cfg.get("input", args.input)
@@ -105,6 +108,11 @@ def _cmd_ground(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    from .harness.stages import load_stage_config
+    from .harness.training import make_synthetic_batch, train_toy
+    from .seeding import Rng
+    from .vision import ModelConfig, VisionLanguageModel
+
     cfg = load_json_config(args.config, _TRAIN_KEYS, "train")
     stage = load_stage_config(cfg.get("stage", args.stage))
     model_cfg = ModelConfig.from_json(json.dumps(cfg["model"])) if "model" in cfg else ModelConfig()
@@ -135,6 +143,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_niah(args) -> int:
+    from . import mrope
+    from .harness.niah import NiahConfig, run_niah_grid
+    from .harness.reports import emit_report
+
     cfg_dict = load_json_config(args.config, NiahConfig.FIELD_TYPES, "niah")
     if args.seed is not None:
         cfg_dict["seed"] = args.seed
@@ -159,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="frequency allocation occupancy report")
     p.add_argument("--config", help="JSON file with head_dim/base/scheme/chunk_split")
     p.add_argument("--head-dim", dest="head_dim", type=int, default=24)
-    p.add_argument("--base", type=float, default=mrope.DEFAULT_BASE)
+    p.add_argument("--base", type=float)  # None: mrope.DEFAULT_BASE
     p.add_argument("--scheme", choices=["interleaved", "chunked"], default="interleaved")
     p.set_defaults(func=_cmd_spectrum)
 

@@ -150,15 +150,6 @@ def _example_indices(values, bound: int, what: str, index: int) -> np.ndarray:
     return idx.astype(np.int64)
 
 
-def batch_loss(model: VisionLanguageModel, batch: TrainingBatch,
-               scheme: str) -> tuple[Tensor, dict[str, float]]:
-    """One ``train_toy`` step's weighted loss tensor under ``scheme``, and
-    each scheme's aggregate, without updating the model; ``batch`` must be
-    checked against the model's vocabulary."""
-    loss, nll = _weighted_loss(model, batch, objective.gradient_weights(batch.counts, scheme))
-    return loss, _aggregates(nll.data, batch)
-
-
 def _weighted_loss(model: VisionLanguageModel, batch: TrainingBatch,
                    weights: np.ndarray) -> tuple[Tensor, Tensor]:
     """The loss tensor and the token losses: one packed decoder pass, its head

@@ -351,11 +351,83 @@ def test_iou_is_the_exact_ratio_rounded_once(boxes, shared, degenerate):
     assert iou(a, b) == (float(Fraction(ix * iy, union)) if union else 0.0)
 
 
+def fresh_python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports vlmlab from this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(vlmlab.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
 def test_grounding_imports_no_numpy():
     # numpy's import alone would take longer than parsing a 2,000-record document.
-    env = {**os.environ, "PYTHONPATH": str(Path(vlmlab.__file__).parents[1])}
     code = "import sys, vlmlab.grounding; assert 'numpy' not in sys.modules, 'numpy imported'"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    done = fresh_python(code)
+    assert done.returncode == 0, done.stderr
+
+
+# --- What an entry point loads ----------------------------------------------------------
+#
+# Each CLI subcommand and each vlmlab.harness name imports its own modules on first use,
+# so `vlmlab ground` runs without numpy and the niah probe without the model.
+
+def test_cli_import_loads_only_the_parser_modules():
+    code = ("import sys, vlmlab.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'vlmlab'))")
+    done = fresh_python(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["['vlmlab',", "'vlmlab.cli',", "'vlmlab.errors']"]
+
+
+@pytest.mark.parametrize("document, argv, exit_code", [
+    ('[{"point_2d": [500, 500], "label": "p"}]', ["ground", "--kind", "point"], 0),
+    ('[{"point_2d": [500, 1001], "label": "p"}]', ["ground", "--kind", "point"], 3),
+    (None, ["--version"], 0),
+    (None, ["--help"], 0),
+    (None, ["ground", "--no-such-flag"], 2),
+])
+def test_cli_without_numpy(tmp_path, document, argv, exit_code):
+    """`vlmlab ground`, on a valid and on an invalid document, and the
+    parser's own exits leave numpy unimported."""
+    if document is not None:
+        (tmp_path / "doc.json").write_text(document, encoding="utf-8")
+        argv = [*argv, "--input", str(tmp_path / "doc.json")]
+    code = ("import sys\n"
+            "from vlmlab import cli\n"
+            "try:\n"
+            "    code = cli.main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+            "sys.exit(code)")
+    done = fresh_python(code, *argv)
+    assert done.returncode == exit_code, done.stderr
+
+
+def test_every_harness_name_resolves():
+    """Each name of ``vlmlab.harness.__all__`` is listed by ``dir`` before its
+    first use and resolves to its submodule's object, and the submodules
+    import by name from the package."""
+    code = ("import sys, vlmlab.harness as h\n"
+            "assert len(h.__all__) == 12 and set(h.__all__) <= set(dir(h)), dir(h)\n"
+            "from vlmlab.harness import niah, training\n"
+            "for name in h.__all__:\n"
+            "    value = getattr(h, name)\n"
+            "    home = value.__module__\n"
+            "    assert home.startswith('vlmlab.harness.'), (name, home)\n"
+            "    assert getattr(sys.modules[home], name) is value, name\n"
+            "assert niah.__name__ == 'vlmlab.harness.niah'\n"
+            "assert training.__name__ == 'vlmlab.harness.training'")
+    done = fresh_python(code)
+    assert done.returncode == 0, done.stderr
+
+
+def test_unknown_harness_name_raises_attribute_error():
+    import vlmlab.harness
+
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        vlmlab.harness.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        from vlmlab.harness import no_such_name  # noqa: F401
 
 
 # --- The error text of a bad document -------------------------------------------------

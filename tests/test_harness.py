@@ -18,11 +18,17 @@ from vlmlab.harness import (NiahConfig, StageConfig, build_niah_sequence, emit_r
 from vlmlab.harness import niah, training
 from vlmlab.harness.niah import run_niah_grid
 from vlmlab.harness.stages import STAGE_NAMES
-from vlmlab.harness.training import TrainingBatch, TrainingExample, batch_loss
+from vlmlab.harness.training import TrainingBatch, TrainingExample
 from vlmlab.seeding import Rng
 from vlmlab.sequence import MultimodalSequence, TextSpan
 from vlmlab.timeline import interleave_timestamps
 from vlmlab.vision import ModelConfig, VisionEncoder, VisionLanguageModel
+
+
+def sqrt_loss(model, batch):
+    """One ``train_toy`` step's loss tensor and token losses under the sqrt
+    scheme, without updating the model."""
+    return training._weighted_loss(model, batch, objective.gradient_weights(batch.counts, "sqrt"))
 
 
 def tiny_model(seed=0, **overrides):
@@ -117,7 +123,7 @@ class TestTrainToy:
         result = train_toy(model, stage, batch, steps=20, lr=0.3)
         losses = []
         for _ in range(20):
-            loss, _ = batch_loss(reference, batch, "sqrt")
+            loss, _ = sqrt_loss(reference, batch)
             losses.append(loss.item())
             loss.backward()
             for name, param in reference.parameters().items():
@@ -178,7 +184,7 @@ class TestTrainToy:
         by a text-only S0 step, whose loss reaches no merger."""
         cfg, model = tiny_model()
         batch = make_synthetic_batch(cfg, Rng(0).split("data"))
-        batch_loss(model, batch, "sqrt")[0].backward()
+        sqrt_loss(model, batch)[0].backward()
         mergers = {n: p for n, p in model.parameters().items() if n.startswith("merger.")}
         assert all(p.grad is not None for p in mergers.values())
         before = param_bytes(model)
@@ -251,8 +257,9 @@ class TestTrainToy:
                 param.grad = None
             return loss.data.tobytes(), grads
 
-        packed_loss, packed_schemes = batch_loss(model, batch, "sqrt")
+        packed_loss, _ = sqrt_loss(model, batch)
         (packed_nll,) = packed_loss._parents
+        packed_schemes = training._aggregates(packed_nll.data, batch)
         packed, packed_grads = differentiate(packed_loss)
 
         nlls = []
@@ -410,7 +417,7 @@ class TestTrainToy:
         at_limit = StageConfig("S1", 9, frozenset({"merger"}))
         assert len(train_toy(model, at_limit, batch, steps=1, lr=0.0).losses) == 1
         short = StageConfig("S1", 7, frozenset({"merger"}))
-        with mock.patch("vlmlab.harness.training.batch_loss") as step, \
+        with mock.patch("vlmlab.harness.training._weighted_loss") as step, \
                 pytest.raises(ConfigError, match=r"^example 2 has 9 tokens, more than "
                                                  r"stage S1's sequence_length 7$"):
             train_toy(model, short, batch, steps=3, lr=0.1)
@@ -532,7 +539,7 @@ class TestTrainingPlan:
         of it later trains on the data it was made with."""
         cfg, model = tiny_model()
         batch = make_synthetic_batch(cfg, Rng(1).split("data"), n_examples=2, text_len=4)
-        loss = batch_loss(model, batch, "sqrt")[0].item()
+        loss = sqrt_loss(model, batch)[0].item()
         first = batch[0]
         for a in (first.sequence.columns, first.sequence.tokens, first.target_ids,
                   first.target_positions, batch.rows, batch.targets,
@@ -550,9 +557,8 @@ class TestTrainingPlan:
         assert all(getattr(made, name).tobytes() == getattr(first, name).tobytes()
                    for name in ("target_positions", "target_ids"))
         assert made.sequence.tokens.tobytes() == first.sequence.tokens.tobytes()
-        assert batch_loss(model, batch, "sqrt")[0].item() == loss
-        assert batch_loss(model, TrainingBatch([made, batch[1]], cfg.vocab),
-                          "sqrt")[0].item() == loss
+        assert sqrt_loss(model, batch)[0].item() == loss
+        assert sqrt_loss(model, TrainingBatch([made, batch[1]], cfg.vocab))[0].item() == loss
 
 
 class TestNiahBuild:

@@ -96,14 +96,14 @@ def test_op_cost_counts_are_the_same_in_two_processes():
         assert done.returncode == 0, done.stderr
         reports.append(json.loads(done.stdout))
     first, second = reports
-    assert set(first) == {"workload", "seed", "calls_total", "calls", "tracemalloc_peak_bytes",
-                          "numerics_calls", "numerics.ops"}
+    assert set(first) == {"workload", "seed", "setup_modules", "calls_total", "calls",
+                          "tracemalloc_peak_bytes", "numerics_calls", "numerics.ops"}
     assert (first["workload"], first["seed"]) == ("train_s0", 1)
     assert first["calls"]["vlmlab.harness.training.train_toy"] == 1
     assert first["calls_total"] > sum(first["calls"].values())
     assert first["numerics_calls"]["linear"] > 0 and first["numerics.ops"] > 0
     assert type(first["tracemalloc_peak_bytes"]) is int and first["tracemalloc_peak_bytes"] > 0
-    for key in ("calls_total", "calls", "numerics_calls", "numerics.ops"):
+    for key in ("setup_modules", "calls_total", "calls", "numerics_calls", "numerics.ops"):
         assert first[key] == second[key], key
 
 
@@ -123,6 +123,25 @@ def test_op_cost_train_s0_step_reuses_the_batch_plan():
     for name in ("vlmlab.mrope.assign_position_ids", "vlmlab.harness.training._example_indices",
                  "vlmlab.numerics._segments", "vlmlab.vision.plan_batch"):
         assert name not in calls, name
+
+
+def test_op_cost_setup_loads_only_the_modules_its_workload_runs():
+    """niah_grid's setup, which loads the CLI and ``NiahConfig``, loads no
+    model, training or grounding module; train_s0's, which loads the model
+    and ``make_synthetic_batch``, loads neither the probe nor the timeline."""
+    setup_modules = {}
+    for workload in ("niah_grid", "train_s0"):
+        done = subprocess.run([sys.executable, str(ROOT / "tools" / "op_cost.py"),
+                               "--workload", workload, "--seed", "0"],
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        setup_modules[workload] = json.loads(done.stdout)["setup_modules"]
+    assert {"vlmlab.cli", "vlmlab.harness.niah"} <= set(setup_modules["niah_grid"])
+    for name in ("vlmlab.vision", "vlmlab.harness.training", "vlmlab.grounding"):
+        assert name not in setup_modules["niah_grid"], name
+    assert {"vlmlab.vision", "vlmlab.harness.training"} <= set(setup_modules["train_s0"])
+    for name in ("vlmlab.harness.niah", "vlmlab.timeline"):
+        assert name not in setup_modules["train_s0"], name
 
 
 def test_src_lines_counts_total_and_code_lines(tmp_path):

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from vlmlab import numerics as N
 from vlmlab import objective, vision
 from vlmlab.errors import ConfigError, ShapeError
-from vlmlab.harness import load_stage_config, make_synthetic_batch, train_toy
-from vlmlab.harness.training import batch_loss
+from vlmlab.harness import load_stage_config, make_synthetic_batch, train_toy, training
 from vlmlab.mrope import assign_position_ids
 from vlmlab.numerics import Tensor
 from vlmlab.seeding import Rng
@@ -1038,18 +1037,19 @@ class TestTape:
         cfg, rng = ModelConfig(), Rng(0)
         model = VisionLanguageModel(cfg, rng.split("model"))
         batch = make_synthetic_batch(cfg, rng.split("data"), n_examples=8, text_len=12)
-        loss, _ = batch_loss(model, batch, "sqrt")
+        weights = objective.gradient_weights(batch.counts, "sqrt")
+        loss, _ = training._weighted_loss(model, batch, weights)
         self.check(loss, cfg, decoder_passes=1, encoder_passes=4, nodes=310)
         assert tape_ops(loss)["token_nll"] == tape_ops(loss)["weighted_run_sum"] == 1
         # A later step reaches the same number of nodes, the encoder's
         # remembered ones among them, from the batch's kept plan.
-        again, _ = batch_loss(model, batch, "sqrt")
+        again, _ = training._weighted_loss(model, batch, weights)
         self.check(again, cfg, decoder_passes=1, encoder_passes=4, nodes=310)
         # After an S0 step only the mergers require a gradient, so backward
         # walks 80 of the tape's 448 tensors, leaves included, and no
         # encoder node.
         train_toy(model, load_stage_config("S0"), batch, steps=1, lr=0.1)
-        pruned, _ = batch_loss(model, batch, "sqrt")
+        pruned, _ = training._weighted_loss(model, batch, weights)
         self.check(pruned, cfg, decoder_passes=1, encoder_passes=4, nodes=310)
         reached = tensors_under(pruned)
         assert (len(reached), sum(t.requires_grad for t in reached)) == (448, 80)

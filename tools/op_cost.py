@@ -13,6 +13,10 @@ that no instrument's own work shows in another's count:
 * under ``bench/tracer.py``'s ``Tracer``: the calls of each public
   ``numerics`` function, and ``numerics.ops``, the tape nodes they made.
 
+Beside them it prints ``setup_modules``, the sorted vlmlab modules that
+the workload's ``setup`` loads: an exact count of the import work that
+``bench/run.py``'s ``setup_s`` times in a fresh interpreter.
+
 It prints them as one JSON line.  Unlike times, the call counts are exact:
 two processes print the same counts, so a change that removes work can
 state exactly how much.  Compare two checkouts at the same path depth:
@@ -62,7 +66,10 @@ def measure(workload_name: str, seed: int) -> dict:
     from tracer import Tracer
 
     workload = workloads.WORKLOADS[workload_name]
+    loaded = set(sys.modules)
     state = workload.setup(seed)
+    setup_modules = sorted(name for name in set(sys.modules) - loaded
+                           if name == "vlmlab" or name.startswith("vlmlab."))
     workload.before(state)
     workload.op(state)  # warm-up: lazy set-up and memoised work land here
 
@@ -94,7 +101,8 @@ def measure(workload_name: str, seed: int) -> dict:
     ops = {name.removeprefix("numerics."): n for name, n in sorted(tracer.calls.items())
            if name.startswith("numerics.") and not name.endswith(".bwd")
            and name not in ("numerics.tensor_init", "numerics.backward")}
-    return {"workload": workload_name, "seed": seed, "calls_total": stats.total_calls,
+    return {"workload": workload_name, "seed": seed, "setup_modules": setup_modules,
+            "calls_total": stats.total_calls,
             "calls": dict(sorted(calls.items())), "tracemalloc_peak_bytes": peak,
             "numerics_calls": ops, "numerics.ops": tracer.counts["numerics.ops"]}
 
