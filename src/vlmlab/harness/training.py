@@ -68,11 +68,12 @@ class TrainingBatch(tuple):
     """``TrainingExample``s as a tuple, checked and laid out once, when made.
 
     Every example's target positions must fall in [0, its token count) and
-    its target ids in [0, ``vocab``), one id per position, and every grid
-    must fit its sequence.  The batch keeps what each ``train_toy`` step
-    shares: its ``BatchPlan`` (``inputs``), the loss rows (each example's
-    target positions moved by its first row), target ids and target count
-    per example.  Examples cannot change, so neither can the layout.
+    its target ids in [0, ``vocab``), one id per position and at least one,
+    and every grid must fit its sequence.  The batch keeps what each
+    ``train_toy`` step shares: its ``BatchPlan`` (``inputs``), the loss rows
+    (each example's target positions moved by its first row), target ids
+    and target count per example.  Examples cannot change, so neither can
+    the layout.
     """
 
     def __new__(cls, examples: Iterable[TrainingExample], vocab: int):
@@ -86,6 +87,8 @@ class TrainingBatch(tuple):
             if len(positions) != len(ids):
                 raise ShapeError(f"example {index}: {len(positions)} target positions for "
                                  f"{len(ids)} target ids")
+            if not len(ids):
+                raise ShapeError(f"example {index}: no targets; each example needs at least one")
             inputs.append((example.sequence, example.grids))
             rows.append(positions + start)
             targets.append(ids)

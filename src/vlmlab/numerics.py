@@ -41,8 +41,8 @@ Row-wise ops (``add``, ``gelu``, ``rotate_pairs``, ``add_rows_at``) need no
 segments.
 ``weighted_run_sum`` takes the runs of a vector, such as a packed batch's
 token losses, and adds their sums, each times its own weight, in run order.
-All four take a ``Segments``, lengths checked once, without checking them
-again; any other sequence of lengths is checked on each call.
+All four take their runs only as a ``Segments``, whose lengths are checked
+once, when it is made, and refuse any other value, such as a list of lengths.
 
 All differentiable operations here are validated against central finite
 differences by :func:`grad_check`; see the test suite for the sweep over
@@ -55,7 +55,7 @@ import math
 import operator
 from functools import reduce
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -189,7 +189,7 @@ def _swap_last(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor, segments: Sequence[int] | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor, segments: Segments | None = None) -> Tensor:
     """The projection x @ w + b of rank-2 ``x`` and ``w``, the bias vector
     ``b`` added to every row, as one node.
 
@@ -228,13 +228,13 @@ def _stack(parts: Sequence[np.ndarray], axis: int = -2) -> np.ndarray:
 
 
 def _sum_runs(g: np.ndarray, runs: Sequence[slice]) -> np.ndarray:
-    """Gradient of a last-axis vector broadcast over the leading axes: ``g``
-    summed over them in each run of rows, the sums added in run order."""
-    return reduce(operator.add, [g[r].sum(axis=tuple(range(g.ndim - 1))) for r in runs])
+    """Gradient of a vector added to every row: ``g`` summed over the rows of
+    each run, the sums added in run order."""
+    return reduce(operator.add, [g[r].sum(axis=0) for r in runs])
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
-              segments: Sequence[int] | None = None) -> Tensor:
+              segments: Segments | None = None) -> Tensor:
     """Scaled dot-product attention, softmax(q k^T / sqrt(width)) v, as one node.
 
     Operands are rank 2, (rows, width), or rank 3, a batch of independent
@@ -343,13 +343,13 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack rank-2 tensors of equal width vertically."""
-    if len(parts) == 1:
-        return parts[0]
+    """Stack rank-2 tensors of equal width vertically; one alone is returned."""
     if not parts:
         raise ShapeError("concat_rows of nothing")
-    if any(p.data.ndim != 2 for p in parts) or len({p.shape[1] for p in parts}) != 1:
+    if parts[0].data.ndim != 2 or len({p.shape[1:] for p in parts}) != 1:
         raise ShapeError("concat_rows: operands must be rank 2 with equal widths")
+    if len(parts) == 1:
+        return parts[0]
     bounds = list(accumulate((p.shape[0] for p in parts), initial=0))
     return _node("concat_rows", np.concatenate([p.data for p in parts]), tuple(parts),
                  [lambda g, lo=lo, hi=hi: g[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
@@ -360,7 +360,7 @@ def sum_all(x: Tensor) -> Tensor:
                  (lambda g: np.full_like(x.data, float(g)),))
 
 
-def weighted_run_sum(x: Tensor, segments: Sequence[int], weights: Sequence[float]) -> Tensor:
+def weighted_run_sum(x: Tensor, segments: Segments, weights: Sequence[float]) -> Tensor:
     """The sum over runs of a vector's entries of each run's sum times its
     weight, as one node.
 
@@ -376,10 +376,9 @@ def weighted_run_sum(x: Tensor, segments: Sequence[int], weights: Sequence[float
     w = np.array(weights, dtype=np.float64)
     if w.shape != (len(runs),):
         raise ShapeError(f"weighted_run_sum: {w.shape} weights for {len(runs)} runs")
-    lengths = [len(x.data[r]) for r in runs]
     total = reduce(operator.add, [x.data[r].sum() * c for r, c in zip(runs, w)])
     return _node("weighted_run_sum", np.asarray(total), (x,),
-                 (lambda g: np.repeat(g * w, lengths),))
+                 (lambda g: np.repeat(g * w, segments),))
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -395,18 +394,18 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
-               segments: Sequence[int] | None = None) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine.
+               segments: Segments | None = None) -> Tensor:
+    """Normalize each row of rank-2 ``x`` to zero mean / unit variance, then affine.
 
     Rows are normalized one by one, each divided by the square root of its
-    variance plus ``_LN_EPS`` (1e-6).  ``segments`` splits the rows of a
-    rank-2 ``x`` into runs, one after another (by default one run of all
-    rows); the gain and bias gradients are summed per run and added in run
-    order, as the tape adds those of one call per run.
+    variance plus ``_LN_EPS`` (1e-6).  ``segments`` splits the rows into
+    runs, one after another (by default one run of all rows); the gain and
+    bias gradients are summed per run and added in run order, as the tape
+    adds those of one call per run.
     """
-    if x.data.ndim == 0:
-        raise ShapeError("layer_norm needs at least one axis, got a scalar")
-    d = x.shape[-1]
+    if x.data.ndim != 2:
+        raise ShapeError(f"layer_norm needs a rank-2 operand, got {x.shape}")
+    d = x.shape[1]
     if d < 1:
         raise ShapeError("layer_norm: empty last axis")
     if gain.shape != (d,) or bias.shape != (d,):
@@ -440,42 +439,36 @@ def _indices(values, op: str) -> np.ndarray:
 
 class Segments(tuple):
     """Lengths of runs of rows, one after another, checked once: a tuple of
-    positive ints, with each run's row slice (``runs``) and their total
-    (``rows``).  ``linear``, ``layer_norm``, ``attention`` and
-    ``weighted_run_sum`` take one without checking its lengths again; any
-    other sequence of lengths is checked on every call."""
+    at least one positive int, with each run's row slice (``runs``) and their
+    total (``rows``).  ``linear``, ``layer_norm``, ``attention`` and
+    ``weighted_run_sum`` take their runs only as one."""
 
-    def __new__(cls, lengths: Sequence[int]):
-        self = super().__new__(cls, _segments(lengths, "segments"))
+    def __new__(cls, lengths: Iterable[int]):
+        lengths = list(lengths)
+        # ``type(n) is int`` first: the ABC check of ``is_integer`` is slow.
+        if not all(type(n) is int or is_integer(n) for n in lengths):
+            raise ShapeError(f"segments: segment lengths must be integers, got {lengths!r}")
+        if not lengths or min(lengths) < 1:
+            raise ShapeError(f"segments: segment lengths must be at least 1, got {lengths}")
+        self = super().__new__(cls, map(int, lengths))
         bounds = list(accumulate(self, initial=0))
         self.runs = tuple(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
         self.rows = bounds[-1]
         return self
 
 
-def _segments(lengths: Sequence[int], op: str) -> list[int]:
-    """``lengths`` as ints, once checked to be positive integers, at least one."""
-    lengths = list(lengths)
-    # ``type(n) is int`` first: the ABC check of ``is_integer`` is slow.
-    if not all(type(n) is int or is_integer(n) for n in lengths):
-        raise ShapeError(f"{op}: segment lengths must be integers, got {lengths!r}")
-    if not lengths or min(lengths) < 1:
-        raise ShapeError(f"{op}: segment lengths must be at least 1, got {lengths}")
-    return [int(n) for n in lengths]
-
-
-def _runs(segments: Sequence[int] | None, shape: tuple[int, ...], op: str,
-          rank: int = 2) -> list[slice]:
-    """The row slices of ``segments``, lengths of runs of rows that cover
-    the rows of an operand of ``shape`` and ``rank``; lengths that are not a
-    ``Segments`` are checked first.  ``None`` is one run covering every row,
-    in any rank."""
-    if segments is None:
+def _runs(segments: Segments | None, shape: tuple[int, ...], op: str,
+          rank: int = 2) -> Sequence[slice]:
+    """The row slices of ``segments``, a ``Segments`` that covers the rows of
+    an operand of ``shape`` and ``rank``.  ``None`` is one run covering every
+    row, in any rank, except where the runs split a vector (``rank`` 1):
+    ``weighted_run_sum`` needs them."""
+    if segments is None and rank == 2:
         return [slice(None)]
+    if not isinstance(segments, Segments):
+        raise ShapeError(f"{op}: segments must be a Segments, got {type(segments).__name__}")
     if len(shape) != rank:
         raise ShapeError(f"{op}: segments need rank-{rank} operands, got shape {shape}")
-    if not isinstance(segments, Segments):
-        segments = Segments(_segments(segments, op))
     if segments.rows != shape[0]:
         raise ShapeError(f"{op}: segment lengths sum to {segments.rows}, not to the "
                          f"{shape[0]} rows")

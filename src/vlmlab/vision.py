@@ -165,12 +165,12 @@ def _norm_params(width: int, prefix: str) -> dict[str, Tensor]:
 
 
 def _linear(params: Mapping[str, Tensor], prefix: str, x: Tensor,
-            segments: Sequence[int] | None = None) -> Tensor:
+            segments: numerics.Segments | None = None) -> Tensor:
     return numerics.linear(x, params[f"{prefix}.w"], params[f"{prefix}.b"], segments)
 
 
 def _norm(params: Mapping[str, Tensor], prefix: str, x: Tensor,
-          segments: Sequence[int] | None = None) -> Tensor:
+          segments: numerics.Segments | None = None) -> Tensor:
     return numerics.layer_norm(x, params[f"{prefix}.gain"], params[f"{prefix}.bias"], segments)
 
 
@@ -189,7 +189,7 @@ def _block_params(rng: Rng, width: int, head_dim: int, prefix: str) -> dict[str,
 
 def _block_forward(params: Mapping[str, Tensor], prefix: str, x: Tensor,
                    rotation: tuple[np.ndarray, np.ndarray], causal: bool,
-                   groups: int = 1, segments: Sequence[int] | None = None) -> Tensor:
+                   groups: int = 1, segments: numerics.Segments | None = None) -> Tensor:
     """One block over ``groups`` equal runs of rows, attention staying inside
     each run, as one fused ``attention`` node over a rank-3 batch; or over
     the packed samples of ``segments``, each norm, projection and attention
@@ -284,9 +284,9 @@ class Merger:
         self.params.update(_linear_params(rng.split("fc1"), 4 * dim, llm_dim, "fc1"))
         self.params.update(_linear_params(rng.split("fc2"), llm_dim, llm_dim, "fc2"))
 
-    def forward(self, merged_features: Tensor, segments: Sequence[int] | None = None) -> Tensor:
+    def forward(self, merged_features: Tensor, segments: numerics.Segments | None) -> Tensor:
         """Both projections over the runs of rows ``segments`` gives, each
-        run with the bits of its own call (by default one run of all rows)."""
+        run with the bits of its own call (``None``: one run of all rows)."""
         h = numerics.gelu(_linear(self.params, "fc1", merged_features, segments))
         return _linear(self.params, "fc2", h, segments)
 
@@ -311,7 +311,7 @@ def _block_corners(sides: Sequence[tuple[int, int]]) -> np.ndarray:
 
 
 def _merge(features: Tensor, corners: np.ndarray, merger: Merger,
-           segments: Sequence[int] | None) -> Tensor:
+           segments: numerics.Segments | None) -> Tensor:
     """Each block's four ``corners`` rows of ``features`` side by side,
     through ``merger``: the 2x2 merge, one visual token per block."""
     blocks = numerics.gather_rows(features, corners.reshape(-1))
@@ -334,7 +334,7 @@ class Decoder:
                                           config.vocab, "head"))
 
     def forward(self, embeddings: Tensor, ids: np.ndarray, deepstack: Sequence[Tensor] = (),
-                positions: Sequence[int] = (), segments: Sequence[int] | None = None,
+                positions: Sequence[int] = (), segments: numerics.Segments | None = None,
                 rows: tuple[np.ndarray, numerics.Segments] | None = None) -> Tensor:
         """Run the decoder stack; returns (seq, vocab) logits.
 

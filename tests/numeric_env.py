@@ -1,12 +1,15 @@
-"""The numeric environment that the exact pins of the suite hold in.
+"""The numeric environments that the exact pins of the suite hold in.
 
 A few tests pin SHA-256 digests or exact values of float64 results.  Their
 bits depend on two things besides the code: the dgemm kernel of the OpenBLAS
 that numpy bundles, which the library picks for the CPU, and whether numpy
 dispatches its X86_V4 (AVX-512) loops, whose ``x ** 3`` rounds otherwise
-than the C library's ``pow``.  The pins were recorded in ``RECORDED``; a
-pinned test names the environment of the failing run in its message, so that
-bits moved by another kernel are told apart from a regression.
+than the C library's ``pow``.  Each pinned value is a table keyed by the
+environment it was recorded in: ``SKYLAKEX``, an AVX-512 x86-64 CPU, and
+``HASWELL``, the kernels of an AVX2-only one (recorded on the AVX-512 CPU
+with ``OPENBLAS_CORETYPE=Haswell`` and
+``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``).  In any other
+environment a pinned test fails and names it: the pin has no value there.
 """
 
 from __future__ import annotations
@@ -15,9 +18,11 @@ import ctypes
 from pathlib import Path
 
 import numpy as np
+import pytest
 from numpy._core._multiarray_umath import __cpu_features__
 
-RECORDED = "OpenBLAS core SkylakeX, numpy X86_V4 on"
+SKYLAKEX = "OpenBLAS core SkylakeX, numpy X86_V4 on"
+HASWELL = "OpenBLAS core Haswell, numpy X86_V4 off"
 
 
 def openblas_core() -> str:
@@ -34,12 +39,21 @@ def openblas_core() -> str:
 
 def numeric_environment() -> str:
     """This process's OpenBLAS core and numpy X86_V4 dispatch, in the form of
-    ``RECORDED``."""
+    ``SKYLAKEX``."""
     v4 = "on" if __cpu_features__.get("X86_V4") else "off"
     return f"OpenBLAS core {openblas_core()}, numpy X86_V4 {v4}"
 
 
+def pinned(table: dict[str, object]) -> object:
+    """The value ``table`` pins for this run's numeric environment; the test
+    fails, naming the environment, where none was recorded."""
+    env = numeric_environment()
+    if env not in table:
+        pytest.fail(f"no value pinned for {env}; pins recorded for {' and '.join(table)}",
+                    pytrace=False)
+    return table[env]
+
+
 def pinned_in() -> str:
-    """The failure message of an exact pin: where it was recorded, and
-    where this run is."""
-    return f"pinned with {RECORDED}; this run has {numeric_environment()}"
+    """The failure message of an exact pin: the environment it was read for."""
+    return f"the value pinned for {numeric_environment()}"

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from numeric_env import openblas_core, pinned_in
+from numeric_env import HASWELL, SKYLAKEX, openblas_core, pinned, pinned_in
 from vlmlab import mrope
 from vlmlab.cli import main
 from vlmlab.harness import NiahConfig, build_niah_sequence, run_niah_probe
@@ -37,19 +37,34 @@ def test_default_niah_reports_byte_identical(tmp_path, capsys):
         "2e4b86f2f18dd95806ba5607a4e37c5511486589e812c77270c1fbb99933dde7")
 
 
-@pytest.mark.parametrize("duration_s, depth, trial, index, margin_hex, scores_sha256", [
-    (30.0, 0.3, 0, 9, "0x1.8e29d7cbcae76p-2",
-     "47caa7f7ca5cf2b69eb594c628da5780e35ca9467e7cb610bf552a6d0161ca41"),
-    (60.0, 0.7, 2, 41, "0x1.7ec326dc38e38p-2",
-     "3099ac6428f73e4e4bd0a87baf31bca975652f4f135a626e1d7de387a5a081cd"),
-])
-def test_noisy_probe_scores_exact(duration_s, depth, trial, index, margin_hex, scores_sha256):
+def _pin_id(value):
+    """A pin table's part of a test id: its value under ``SKYLAKEX``, where
+    the pins were first recorded, so that the ids stay as they were."""
+    if isinstance(value, dict):
+        pin = value[SKYLAKEX]
+        return pin if isinstance(pin, str) else "-".join(pin)
+    return None
+
+
+# Each pin as (margin in hex, SHA-256 of the scores), by numeric environment.
+@pytest.mark.parametrize("duration_s, depth, trial, index, pins", [
+    (30.0, 0.3, 0, 9, {
+        SKYLAKEX: ("0x1.8e29d7cbcae76p-2",
+                   "47caa7f7ca5cf2b69eb594c628da5780e35ca9467e7cb610bf552a6d0161ca41"),
+        HASWELL: ("0x1.8e29d7cbcae78p-2",
+                  "1d872af5e05421ae7e690953a63845e63a92d6b6d07af69429c3cd2a730a4005")}),
+    (60.0, 0.7, 2, 41, dict.fromkeys((SKYLAKEX, HASWELL), (
+        "0x1.7ec326dc38e38p-2",
+        "3099ac6428f73e4e4bd0a87baf31bca975652f4f135a626e1d7de387a5a081cd"))),
+], ids=_pin_id)
+def test_noisy_probe_scores_exact(duration_s, depth, trial, index, pins):
+    margin_hex, scores_sha256 = pinned(pins)
     cfg = NiahConfig(overlap=0.5, signature_noise=0.05)
     alloc = mrope.build_frequency_allocation(cfg.signature_dim)
     seq, keys, truth = build_niah_sequence(cfg, duration_s, depth, trial)
     result = run_niah_probe(seq, keys, truth.query_signature, alloc)
     assert len(result.scores) == int(duration_s)
-    assert result.predicted_index == truth.group_index == index, pinned_in()
+    assert result.predicted_index == truth.group_index == index
     assert result.margin.hex() == margin_hex, pinned_in()
     assert _sha256(np.asarray(result.scores, dtype=np.float64).tobytes()) == scores_sha256, \
         pinned_in()
@@ -96,11 +111,19 @@ def test_sparsity_report_byte_identical(capsys, argv, digest):
 
 
 @pytest.mark.parametrize("stage, steps, scheme, digest", [
-    ("S0", 5, "per_sample", "2a078c0ce9cf0361ded01eef08f350c7bf08940a8b90a11719d282ec8f1407f1"),
-    ("S0", 5, "per_token", "f70077d2ed17c63015ec41fafe683e3ffc877c402b68ba95e6b3c4b07ec0168f"),
-    ("S0", 5, "sqrt", "5ae5d2adb9e31c17a1cd8d9d688e3fb784cd647d1e6b038aa101648df925001e"),
-    ("S1", 2, None, "a505c2e5cbf09b84383211a4e3749a9900a5bd4f2a88f4f3248efbb881d4627b"),
-])
+    ("S0", 5, "per_sample", {
+        SKYLAKEX: "2a078c0ce9cf0361ded01eef08f350c7bf08940a8b90a11719d282ec8f1407f1",
+        HASWELL: "e120ac95d38c20b3aa03428b3a588e37e5848a6a0e6f3d1da882d1e491204d19"}),
+    ("S0", 5, "per_token", {
+        SKYLAKEX: "f70077d2ed17c63015ec41fafe683e3ffc877c402b68ba95e6b3c4b07ec0168f",
+        HASWELL: "83fc2bfc2b26be53151d8856b211ce5500f32b3887ce8a682e5b327ce83cfbef"}),
+    ("S0", 5, "sqrt", {
+        SKYLAKEX: "5ae5d2adb9e31c17a1cd8d9d688e3fb784cd647d1e6b038aa101648df925001e",
+        HASWELL: "61bc0752c2d81847fce179fb931d0a6fb71e06db9f19c509c0f93bf34817aad1"}),
+    ("S1", 2, None, {
+        SKYLAKEX: "a505c2e5cbf09b84383211a4e3749a9900a5bd4f2a88f4f3248efbb881d4627b",
+        HASWELL: "6fad6954d642f8986d01e146a0ee44490aff335bdce2a51aaf94b433d793e671"}),
+], ids=_pin_id)
 def test_train_report_byte_identical(tmp_path, capsys, stage, steps, scheme, digest):
     """The losses and the ``schemes_initial`` / ``schemes_final`` of every
     scheme, with the trained scheme set through ``--config``."""
@@ -110,18 +133,27 @@ def test_train_report_byte_identical(tmp_path, capsys, stage, steps, scheme, dig
         config.write_text(json.dumps({"scheme": scheme}), encoding="utf-8")
         argv += ["--config", str(config)]
     assert main(argv) == 0
-    assert _sha256(capsys.readouterr().out.encode("utf-8")) == digest, pinned_in()
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == pinned(digest), pinned_in()
 
 
 @pytest.mark.skipif(platform.machine() != "x86_64" or openblas_core() == "unknown",
                     reason="needs numpy's bundled OpenBLAS on x86-64")
 def test_pin_message_names_the_openblas_core():
-    """A pin's failure message names the OpenBLAS core of the run: here one
-    forced to Haswell, for a child process only."""
-    done = subprocess.run([sys.executable, "-c", "from numeric_env import pinned_in; "
-                           "print(pinned_in())"], cwd=Path(__file__).parent,
-                          env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"},
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("pinned with OpenBLAS core SkylakeX, numpy X86_V4 on; "
-                                  "this run has OpenBLAS core Haswell, numpy X86_V4 ")
+    """A pin table gives its value in the emulated AVX2 environment, whose
+    name it must match, and fails naming the environment of a run it has no
+    value for: here OpenBLAS forced to a Sandybridge core, for a child
+    process only."""
+    def child(**env):
+        return subprocess.run([sys.executable, "-c", "from numeric_env import *; "
+                               "print(pinned({SKYLAKEX: 1, HASWELL: 2}))"],
+                              cwd=Path(__file__).parent, env={**os.environ, **env},
+                              capture_output=True, text=True, timeout=60)
+
+    done = child(OPENBLAS_CORETYPE="Haswell",
+                 NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    assert (done.returncode, done.stdout) == (0, "2\n"), done.stderr
+    done = child(OPENBLAS_CORETYPE="Sandybridge")
+    assert done.returncode != 0 and done.stdout == ""
+    assert ("no value pinned for OpenBLAS core Sandybridge, numpy X86_V4 "
+            in done.stderr.splitlines()[-1]), done.stderr
+    assert done.stderr.endswith(f"pins recorded for {SKYLAKEX} and {HASWELL}\n")

@@ -331,11 +331,6 @@ class TestRecomputedAttention:
         assert peak < 5 * 64 * n * 8
 
 
-def _runs(lengths):
-    bounds = np.cumsum([0, *lengths])
-    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
 # Each op with segments, as (operand widths, parameter shapes, output width,
 # call).  The linear shapes are the model's head, mlp1 and mlp2: one product
 # over all rows gives other bits than one per run from 76 rows on in the
@@ -349,6 +344,19 @@ SEGMENTED_OPS = {
     "attention": ((8, 8, 8), (), 8, lambda q, k, v, segments: N.attention(q, k, v, False, segments)),
     "attention/causal": ((8, 8, 8), (), 8,
                          lambda q, k, v, segments: N.attention(q, k, v, True, segments)),
+}
+
+
+# Each op with segments, called on five rows (a vector of five for
+# ``weighted_run_sum``) with the given ``segments``.
+SEGMENTS_CALLS = {
+    "linear": lambda segments: N.linear(rand((5, 4)), rand((4, 3), 1), rand((3,), 2), segments),
+    "layer_norm": lambda segments: N.layer_norm(rand((5, 4)), rand((4,), 1), rand((4,), 2),
+                                                segments=segments),
+    "attention": lambda segments: N.attention(rand((5, 4)), rand((5, 4)), rand((5, 4)), True,
+                                              segments),
+    "weighted_run_sum": lambda segments: N.weighted_run_sum(rand((5,)), segments,
+                                                            np.ones(len(segments))),
 }
 
 
@@ -372,7 +380,7 @@ class TestSegments:
             return out.data, xs.grad, ws.grad, bs.grad
 
         out, gx, gw, gb = once(slice(None), N.Segments(lengths))
-        runs = [once(run, None) for run in _runs(lengths)]
+        runs = [once(run, None) for run in N.Segments(lengths).runs]
         assert out.tobytes() == np.concatenate([r[0] for r in runs]).tobytes()
         assert gx.tobytes() == np.concatenate([r[1] for r in runs]).tobytes()
         assert gw.tobytes() == reduce(operator.add, [r[2] for r in runs]).tobytes()
@@ -405,8 +413,8 @@ class TestSegments:
             N.sum_all(N.mul(out, Tensor(upstream[run]))).backward()
             return out.data, [t.grad for t in xs], [t.grad for t in ps]
 
-        out, grads, param_grads = once(slice(None), lengths)
-        runs = [once(run, None) for run in _runs(lengths)]
+        out, grads, param_grads = once(slice(None), N.Segments(lengths))
+        runs = [once(run, None) for run in N.Segments(lengths).runs]
         assert out.tobytes() == np.concatenate([r[0] for r in runs]).tobytes()
         for i, grad in enumerate(grads):
             assert grad.tobytes() == np.concatenate([r[1][i] for r in runs]).tobytes(), i
@@ -425,17 +433,30 @@ class TestSegments:
         ([2, 2], "sum to 4, not to the 5 rows"),
         ([5, 1], "sum to 6, not to the 5 rows"),
     ])
-    @pytest.mark.parametrize("op", ["linear", "layer_norm", "attention", "weighted_run_sum"])
+    @pytest.mark.parametrize("op", sorted(SEGMENTS_CALLS))
     def test_bad_segment_lists(self, op, segments, match):
-        x = rand((5, 4))
-        calls = {"linear": lambda: N.linear(x, rand((4, 3), 1), rand((3,), 2), segments),
-                 "layer_norm": lambda: N.layer_norm(x, rand((4,), 1), rand((4,), 2),
-                                                    segments=segments),
-                 "attention": lambda: N.attention(x, x, x, True, segments),
-                 "weighted_run_sum": lambda: N.weighted_run_sum(rand((5,)), segments,
-                                                                np.ones(len(segments)))}
-        with pytest.raises(ShapeError, match=f"{op}: segment lengths {match}"):
-            calls[op]()
+        """Lengths that break the rule are refused when a ``Segments`` is
+        made of them, under its own name, and by the op, as a list, without
+        reading them; lengths that do not cover the operand's rows, by the
+        op."""
+        if match.startswith("sum to"):
+            with pytest.raises(ShapeError, match=f"{op}: segment lengths {match}"):
+                SEGMENTS_CALLS[op](N.Segments(segments))
+        else:
+            with pytest.raises(ShapeError, match=f"segments: segment lengths {match}"):
+                N.Segments(segments)
+            with pytest.raises(ShapeError, match=f"{op}: segments must be a Segments, got list"):
+                SEGMENTS_CALLS[op](segments)
+
+    @pytest.mark.parametrize("segments", [[2, 3], (2, 3), np.array([2, 3])],
+                             ids=["list", "tuple", "ndarray"])
+    @pytest.mark.parametrize("op", sorted(SEGMENTS_CALLS))
+    def test_plain_lengths_refused(self, op, segments):
+        """An op takes its runs only as a ``Segments``: lengths of any other
+        type are refused, by name, even where they are valid."""
+        with pytest.raises(ShapeError, match=f"{op}: segments must be a Segments, "
+                                             f"got {type(segments).__name__}$"):
+            SEGMENTS_CALLS[op](segments)
 
     @pytest.mark.parametrize("segments", [[np.int64(2), 3], (np.uint8(1), 4), np.array([2, 3])])
     def test_numpy_integer_lengths_accepted(self, segments):
@@ -443,18 +464,16 @@ class TestSegments:
         the Python ints of the same values."""
         x, w, b = rand((5, 4)), rand((4, 3), 1), rand((3,), 2)
         plain = [int(n) for n in segments]
-        assert (N.linear(x, w, b, segments).data.tobytes()
-                == N.linear(x, w, b, plain).data.tobytes())
+        assert (N.linear(x, w, b, N.Segments(segments)).data.tobytes()
+                == N.linear(x, w, b, N.Segments(plain)).data.tobytes())
 
     def test_checked_segments(self):
         """A ``Segments`` is the tuple of its lengths as ints, checked once,
-        with each run's row slice; an op takes it as it takes the plain
-        lengths, and still checks that it covers the operand's rows."""
+        with each run's row slice; an op still checks that it covers the
+        operand's rows."""
         seg = N.Segments([np.int64(2), 3])
         assert seg == (2, 3) and all(type(n) is int for n in seg)
         assert (seg.runs, seg.rows) == ((slice(0, 2), slice(2, 5)), 5)
-        x, w, b = rand((5, 4)), rand((4, 3), 1), rand((3,), 2)
-        assert N.linear(x, w, b, seg).data.tobytes() == N.linear(x, w, b, [2, 3]).data.tobytes()
         with pytest.raises(ShapeError, match="layer_norm: segment lengths sum to 5, not to the "
                                              "6 rows"):
             N.layer_norm(rand((6, 4)), rand((4,), 1), rand((4,), 2), segments=seg)
@@ -471,12 +490,12 @@ class TestSegments:
         multiplied by its weight, the products added in run order."""
         rng = Rng(seed)
         x = np.abs(rng.split("x").normal(sum(lengths)))
-        runs = _runs(lengths)
+        runs = N.Segments(lengths).runs
         weights = objective.gradient_weights(lengths, scheme)
         upstream = Tensor(rng.split("g").normal(()))
 
         leaf = N.parameter(x)
-        out = N.weighted_run_sum(leaf, lengths, weights)
+        out = N.weighted_run_sum(leaf, N.Segments(lengths), weights)
         N.mul(out, upstream).backward()
 
         parts = [N.parameter(x[run]) for run in runs]
@@ -493,17 +512,23 @@ class TestSegments:
     ])
     def test_weighted_run_sum_shapes(self, x, weights, match):
         with pytest.raises(ShapeError, match=match):
-            N.weighted_run_sum(rand(x), [2, 3], weights)
+            N.weighted_run_sum(rand(x), N.Segments([2, 3]), weights)
+
+    def test_weighted_run_sum_needs_segments(self):
+        """Unlike the ops on rows, it has no default of one run."""
+        with pytest.raises(ShapeError, match="weighted_run_sum: segments must be a Segments, "
+                                             "got NoneType"):
+            N.weighted_run_sum(rand((5,)), None, [1.0])
 
     @pytest.mark.parametrize("causal", [False, True])
     def test_segments_with_rank_3_attention_rejected(self, causal):
         q = rand((2, 3, 4))
         with pytest.raises(ShapeError, match="attention: segments need rank-2 operands"):
-            N.attention(q, q, q, causal, [3])
+            N.attention(q, q, q, causal, N.Segments([3]))
 
     def test_keys_split_like_queries(self):
         with pytest.raises(ShapeError, match="attention: segment lengths sum to 3, not to the 5"):
-            N.attention(rand((3, 4)), rand((5, 4)), rand((5, 2)), segments=[1, 2])
+            N.attention(rand((3, 4)), rand((5, 4)), rand((5, 2)), segments=N.Segments([1, 2]))
 
 
 class TestLayerNorm:
@@ -728,9 +753,18 @@ def test_indices_must_be_integers(op, indices):
     (lambda: N.concat_rows([]), "concat_rows of nothing"),
     (lambda: N.concat_rows([rand((2, 3)), rand((2, 4))]),
      "concat_rows: operands must be rank 2 with equal widths"),
+    (lambda: N.concat_rows([rand((3,))]), "concat_rows: operands must be rank 2 with equal widths"),
+    (lambda: N.concat_rows([rand((2, 2, 3))]),
+     "concat_rows: operands must be rank 2 with equal widths"),
+    (lambda: N.concat_rows([rand((2, 3)), rand((2, 1, 3))]),
+     "concat_rows: operands must be rank 2 with equal widths"),
     (lambda: N.layer_norm(rand((2, 0)), rand((0,)), rand((0,))), "layer_norm: empty last axis"),
     (lambda: N.layer_norm(Tensor(1.0), rand((1,)), rand((1,))),
-     "layer_norm needs at least one axis, got a scalar"),
+     r"layer_norm needs a rank-2 operand, got \(\)"),
+    (lambda: N.layer_norm(rand((3,)), rand((3,)), rand((3,))),
+     r"layer_norm needs a rank-2 operand, got \(3,\)"),
+    (lambda: N.layer_norm(rand((2, 2, 3)), rand((3,)), rand((3,))),
+     r"layer_norm needs a rank-2 operand, got \(2, 2, 3\)"),
     (lambda: N.layer_norm(rand((2, 3)), rand((3,)), rand((2,))),
      r"layer_norm: affine shapes \(3,\)/\(2,\) vs width 3"),
     (lambda: N.gather_rows(rand((4,)), [0]), r"gather_rows needs rank 2, got \(4,\)"),
@@ -751,8 +785,10 @@ def test_indices_must_be_integers(op, indices):
     (lambda: N.grad_check(lambda t: t, rand((2,))), "grad_check: f must return a scalar"),
 ], ids=["item-of-a-vector", "add-shapes", "mul-shapes", "reshape-size",
         "reshape-two-negative-sizes", "reshape-minus-one-and-minus-six", "reshape-float-size",
-        "reshape-bool-size", "concat-nothing", "concat-widths", "layer-norm-empty-width",
-        "layer-norm-rank-0", "layer-norm-affine-shape", "gather-rank-1",
+        "reshape-bool-size", "concat-nothing", "concat-widths", "concat-one-rank-1",
+        "concat-one-rank-3", "concat-rank-3-later", "layer-norm-empty-width",
+        "layer-norm-rank-0", "layer-norm-rank-1", "layer-norm-rank-3", "layer-norm-affine-shape",
+        "gather-rank-1",
         "gather-nested-indices", "add-rows-at-rank-1", "add-rows-at-count", "add-rows-at-width",
         "rotate-odd-width", "token-nll-rank-1", "token-nll-target-count",
         "token-nll-target-out-of-vocab", "interpolate-rank-2", "interpolate-empty-grid",
@@ -815,18 +851,19 @@ OP_CASES += [
     ("layer_norm_bias", (6,), lambda t: N.sum_all(N.mul(
         N.layer_norm(rand((3, 6), 126), rand((6,), 127), t), rand((3, 6), 128)))),
     ("linear_x/segmented", (5, 4), lambda t: N.sum_all(N.mul(
-        N.linear(t, rand((4, 2), 97), rand((2,), 94), [2, 3]), rand((5, 2), 95)))),
+        N.linear(t, rand((4, 2), 97), rand((2,), 94), N.Segments([2, 3])), rand((5, 2), 95)))),
     ("linear_w/segmented", (4, 2), lambda t: N.sum_all(N.mul(
-        N.linear(rand((5, 4), 98), t, rand((2,), 94), [1, 3, 1]), rand((5, 2), 96)))),
+        N.linear(rand((5, 4), 98), t, rand((2,), 94), N.Segments([1, 3, 1])), rand((5, 2), 96)))),
     ("linear_b/segmented", (2,), lambda t: N.sum_all(N.mul(
-        N.linear(rand((5, 4), 98), rand((4, 2), 97), t, [3, 2]), rand((5, 2), 96)))),
+        N.linear(rand((5, 4), 98), rand((4, 2), 97), t, N.Segments([3, 2])), rand((5, 2), 96)))),
     ("layer_norm_x/segmented", (5, 6), lambda t: N.sum_all(N.mul(
-        N.layer_norm(t, rand((6,), 102), rand((6,), 103), segments=[2, 3]), rand((5, 6), 104)))),
+        N.layer_norm(t, rand((6,), 102), rand((6,), 103), segments=N.Segments([2, 3])),
+        rand((5, 6), 104)))),
     ("layer_norm_gain/segmented", (6,), lambda t: N.sum_all(N.mul(
-        N.layer_norm(rand((5, 6), 105), t, rand((6,), 106), segments=[4, 1]),
+        N.layer_norm(rand((5, 6), 105), t, rand((6,), 106), segments=N.Segments([4, 1])),
         rand((5, 6), 107)))),
     ("layer_norm_bias/segmented", (6,), lambda t: N.sum_all(N.mul(
-        N.layer_norm(rand((5, 6), 126), rand((6,), 127), t, segments=[1, 1, 3]),
+        N.layer_norm(rand((5, 6), 126), rand((6,), 127), t, segments=N.Segments([1, 1, 3])),
         rand((5, 6), 128)))),
     ("gather_rows", (5, 3), lambda t: N.sum_all(N.mul(
         N.gather_rows(t, [0, 2, 2, 4]), rand((4, 3), 108)))),
@@ -846,7 +883,8 @@ OP_CASES += [
     ("interpolate_bilinear/r3", (3, 4, 2), lambda t: N.sum_all(N.mul(
         N.interpolate_bilinear(t, 5, 7), rand((5, 7, 2), 121)))),
     ("sum_all/r3", (2, 3, 2), N.sum_all),
-    ("weighted_run_sum", (6,), lambda t: N.weighted_run_sum(t, [2, 3, 1], [0.5, -1.3, 2.0])),
+    ("weighted_run_sum", (6,), lambda t: N.weighted_run_sum(t, N.Segments([2, 3, 1]),
+                                                            [0.5, -1.3, 2.0])),
 ]
 
 
@@ -876,7 +914,8 @@ def _attention_cases():
     add_slots("r2-causal-66", {"q": (66, 2), "k": (66, 2), "v": (66, 2)}, True, 180)
     for causal in (False, True):
         add_slots("r2-segmented" + ("-causal" if causal else ""),
-                  {"q": (5, 3), "k": (5, 3), "v": (5, 2)}, causal, 190 + 5 * causal, [2, 3])
+                  {"q": (5, 3), "k": (5, 3), "v": (5, 2)}, causal, 190 + 5 * causal,
+                  N.Segments([2, 3]))
     # One tensor as both queries and keys: the two slots' gradients add up.
     cases.append(("attention_qk/r2-causal", (4, 3), lambda t: N.sum_all(N.mul(
         N.attention(t, t, rand((4, 2), 170), causal=True), rand((4, 2), 171)))))

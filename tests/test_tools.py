@@ -121,7 +121,7 @@ def test_op_cost_train_s0_step_reuses_the_batch_plan():
     assert calls["vlmlab.vision.VisionLanguageModel.prepare_planned"] == 1
     assert calls["vlmlab.numerics._runs"] > 0
     for name in ("vlmlab.mrope.assign_position_ids", "vlmlab.harness.training._example_indices",
-                 "vlmlab.numerics._segments", "vlmlab.vision.plan_batch"):
+                 "vlmlab.numerics.Segments.__new__", "vlmlab.vision.plan_batch"):
         assert name not in calls, name
 
 

@@ -357,7 +357,7 @@ class TestMerge2x2:
         corners = vision._block_corners(sides)
         assert corners.tolist() == explicit_corners(sides).tolist()
         packed = vision._merge(N.concat_rows(feats), corners, m,
-                               [gh * gw // 4 for gh, gw in sides])
+                               N.Segments(gh * gw // 4 for gh, gw in sides))
         singles = [merged_blocks(f, [side], m).data for f, side in zip(feats, sides)]
         assert packed.data.tobytes() == np.concatenate(singles).tobytes()
 
@@ -727,7 +727,7 @@ def per_element_reference(model, seq, grids):
             positions.extend(range(cursor, cursor + n))
         cursor += n
     return PreparedInput(N.concat_rows(embed), assign_position_ids(seq), np.asarray(positions),
-                         [N.concat_rows(parts) for parts in deepstack], (cursor,))
+                         [N.concat_rows(parts) for parts in deepstack], N.Segments([cursor]))
 
 
 def summed_loss_grads(model, prepared):
